@@ -14,7 +14,7 @@ use rca_metagraph::NodeKind;
 use rca_model::{Component, ModelFile, ModelSource};
 use rca_sim::{
     compile_model, perturbations, run_ensemble_program, run_loaded, run_program, specialize_with,
-    EnsembleRuns, ExecEngine, Interpreter, RunConfig, SampleSpec, SpecIndex,
+    EnsembleRuns, Interpreter, RunConfig, SampleSpec, SpecIndex,
 };
 use serde::{Json, Serialize as _};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -57,6 +57,13 @@ fn counted<R>(f: impl FnOnce() -> R) -> (R, f64, u64) {
     (r, wall, allocs)
 }
 
+/// Best of five timed runs after one warm-up; `run` returns the seconds
+/// its own timed section took.
+fn best_run_seconds(mut run: impl FnMut() -> f64) -> f64 {
+    run();
+    (0..5).map(|_| run()).fold(f64::INFINITY, f64::min)
+}
+
 fn main() {
     // The counting allocator doubles as the phase-profiler's alloc probe,
     // so `phase_profile` entries in BENCH_sim.json report allocations too.
@@ -88,20 +95,6 @@ fn main() {
         run_program(&program, &cfg, i as f64 * 1e-14).expect("compiled run");
     }
     let compiled_s = t0.elapsed().as_secs_f64() / repeat as f64;
-
-    // Slot-indexed tree executor on the same program: the engine tier
-    // the VM replaces as default. Same compile, same pooled frames —
-    // the delta is pure dispatch (flat instruction array vs host-stack
-    // recursion over the statement tree).
-    let tree_engine_cfg = RunConfig {
-        engine: ExecEngine::Tree,
-        ..cfg.clone()
-    };
-    let t0 = Instant::now();
-    for i in 0..repeat {
-        run_program(&program, &tree_engine_cfg, i as f64 * 1e-14).expect("tree-engine run");
-    }
-    let tree_engine_s = t0.elapsed().as_secs_f64() / repeat as f64;
 
     // Tree-walking reference: parse + load + run per run, exactly the
     // per-run cost `run_model` paid before the compile step existed.
@@ -188,11 +181,9 @@ fn main() {
 
     let steps_per_run = cfg.steps as f64;
     let compiled_sps = steps_per_run / compiled_s;
-    let tree_engine_sps = steps_per_run / tree_engine_s;
     let tree_sps = steps_per_run / tree_s;
     let ens_sps = steps_per_run * n_members as f64 / ens_s;
     let speedup = tree_s / compiled_s;
-    let vm_over_tree = tree_engine_s / compiled_s;
 
     println!("model scale: {scale} ({} files)", model.files.len());
     println!(
@@ -204,31 +195,27 @@ fn main() {
         compiled_s * 1e3
     );
     println!(
-        "tree executor single run: {:.1} ms ({tree_engine_sps:.0} steps/sec)",
-        tree_engine_s * 1e3
-    );
-    println!(
         "tree-walker single run: {:.1} ms ({tree_sps:.0} steps/sec)",
         tree_s * 1e3
     );
-    println!("speedup (tree executor / VM): {vm_over_tree:.2}x");
     println!("speedup (tree-walker / VM): {speedup:.2}x");
     println!(
         "ensemble ({n_members} members, shared program): {ens_s:.2} s ({ens_sps:.0} steps/sec aggregate)"
     );
-    // Perf floor, CI-enforced: the VM must never regress below the tree
-    // executor it replaced as the default engine.
+    // Perf floor, CI-enforced: the VM must run at least twice as many
+    // steps per second as the reference interpreter.
     assert!(
-        compiled_sps >= tree_engine_sps,
-        "vm_steps_per_sec ({compiled_sps:.0}) fell below tree_steps_per_sec ({tree_engine_sps:.0})"
+        compiled_sps >= 2.0 * tree_sps,
+        "vm_steps_per_sec ({compiled_sps:.0}) fell below 2x the interpreter's ({tree_sps:.0})"
     );
 
-    // ----- step-kernel microbench: ns per element, VM vs tree -----------
+    // ----- step-kernel microbench: ns per element, VM vs interpreter ----
     //
     // One elementwise loop over a 4096-wide column pair, isolated from
     // the rest of the model: the compiled column step-kernel against the
-    // tree executor walking the same statements element-at-a-time. This
-    // is the per-element price of the innermost tier.
+    // reference interpreter walking the same statements
+    // element-at-a-time. This is the per-element price of the innermost
+    // tier.
     let kern_width = 4096usize;
     let kern_steps = 32u32;
     let kern_model = ModelSource {
@@ -274,28 +261,25 @@ end module kernbench
         steps: kern_steps,
         ..Default::default()
     };
-    let kern_tree_cfg = RunConfig {
-        engine: ExecEngine::Tree,
-        ..kern_cfg.clone()
-    };
     let elems = f64::from(kern_steps) * kern_width as f64 * 2.0;
-    let time_engine = |cfg: &RunConfig| {
-        run_program(&kern_program, cfg, 0.0).expect("warm");
-        let reps = 5;
-        let mut best = f64::INFINITY;
-        for _ in 0..reps {
-            let t0 = Instant::now();
-            run_program(&kern_program, cfg, 0.0).expect("kernbench run");
-            best = best.min(t0.elapsed().as_secs_f64());
-        }
-        best * 1e9 / elems
-    };
-    let kern_vm_ns = time_engine(&kern_cfg);
-    let kern_tree_ns = time_engine(&kern_tree_cfg);
+    let ns_per_elem = |seconds: f64| seconds * 1e9 / elems;
+    let kern_vm_ns = ns_per_elem(best_run_seconds(|| {
+        let t0 = Instant::now();
+        run_program(&kern_program, &kern_cfg, 0.0).expect("kernbench run");
+        t0.elapsed().as_secs_f64()
+    }));
+    let (kern_asts, errs) = kern_model.parse();
+    assert!(errs.is_empty(), "{errs:?}");
+    let kern_interp_ns = ns_per_elem(best_run_seconds(|| {
+        let mut interp = Interpreter::load(&kern_asts, kern_cfg.clone()).expect("load");
+        let t0 = Instant::now();
+        run_loaded(&mut interp, &kern_cfg, 0.0).expect("kernbench interpreter run");
+        t0.elapsed().as_secs_f64()
+    }));
     println!(
         "step kernel ({kern_width}-wide, 2 stmts): VM {kern_vm_ns:.1} ns/elem, \
-         tree {kern_tree_ns:.1} ns/elem ({:.2}x)",
-        kern_tree_ns / kern_vm_ns
+         interpreter {kern_interp_ns:.1} ns/elem ({:.2}x)",
+        kern_interp_ns / kern_vm_ns
     );
     println!(
         "bytecode: {} instrs, {} column kernels",
@@ -561,14 +545,6 @@ end module kernbench
         ),
         ("speedup", speedup.to_json()),
         (
-            "engines",
-            Json::obj([
-                ("vm_steps_per_sec", compiled_sps.to_json()),
-                ("tree_steps_per_sec", tree_engine_sps.to_json()),
-                ("vm_over_tree", vm_over_tree.to_json()),
-            ]),
-        ),
-        (
             "bytecode",
             Json::obj([
                 ("instr_count", program.instr_count().to_json()),
@@ -580,8 +556,8 @@ end module kernbench
             Json::obj([
                 ("width", kern_width.to_json()),
                 ("vm_ns_per_elem", kern_vm_ns.to_json()),
-                ("tree_ns_per_elem", kern_tree_ns.to_json()),
-                ("vm_over_tree", (kern_tree_ns / kern_vm_ns).to_json()),
+                ("interp_ns_per_elem", kern_interp_ns.to_json()),
+                ("vm_over_interp", (kern_interp_ns / kern_vm_ns).to_json()),
             ]),
         ),
         (

@@ -6,7 +6,7 @@
 //!              [--clean-every K] [--paper]
 //!              [--signflip] [--fma-scale F] [--runtime-faults S]
 //!              [--checkpoint PATH] [--stop-after N] [--fuel N]
-//!              [--engine vm|tree] [--wall-budget-ms MS] [--threads N] [--json PATH]
+//!              [--wall-budget-ms MS] [--threads N] [--json PATH]
 //!              [--trace-out PATH] [--metrics] [--quiet]
 //!              [--assert-localization R] [--assert-clean-pass R]
 //!              [--assert-flagged R]
@@ -19,13 +19,9 @@
 //! retry, quarantine, and quorum fitting — like `--signflip`, off by
 //! default and independent of the mutation plan. `--fuel` and
 //! `--wall-budget-ms` bound each run / diagnosis, surfacing as retryable
-//! budget errors instead of hangs. `--engine tree` runs every simulation
-//! on the slot-indexed tree executor instead of the bytecode VM — the
-//! engines are bit-identical by contract, so the whole-campaign
-//! scorecards must match byte-for-byte (the CI engine cross-check).
-//! `--oracle-fastpath off` likewise disables the runtime oracle's
-//! slice-specialized fast path — fast paths never change evidence, so
-//! the on/off scorecards must also match byte-for-byte (the CI
+//! budget errors instead of hangs. `--oracle-fastpath off` disables the
+//! runtime oracle's slice-specialized fast path — fast paths never change
+//! evidence, so the on/off scorecards must match byte-for-byte (the CI
 //! fastpath cross-check).
 //!
 //! `--checkpoint PATH` makes the campaign resumable: finished scenarios
@@ -55,7 +51,6 @@ struct Args {
     opts: CampaignOptions,
     runner: RunnerOptions,
     fuel: Option<u64>,
-    engine: rca_sim::ExecEngine,
     scale: String,
     json: Option<String>,
     trace_out: Option<String>,
@@ -73,7 +68,7 @@ fn usage() -> ! {
          \x20                   [--clean-every K] [--paper]\n\
          \x20                   [--signflip] [--fma-scale F] [--runtime-faults S]\n\
          \x20                   [--checkpoint PATH] [--stop-after N] [--fuel N]\n\
-         \x20                   [--engine vm|tree] [--wall-budget-ms MS] [--threads N] [--json PATH]\n\
+         \x20                   [--wall-budget-ms MS] [--threads N] [--json PATH]\n\
          \x20                   [--trace-out PATH] [--metrics] [--quiet]\n\
          \x20                   [--assert-localization R] [--assert-clean-pass R]\n\
          \x20                   [--assert-flagged R]"
@@ -86,7 +81,6 @@ fn parse_args() -> Args {
         opts: CampaignOptions::default(),
         runner: RunnerOptions::default(),
         fuel: None,
-        engine: rca_sim::ExecEngine::Vm,
         scale: "test".to_string(),
         json: None,
         trace_out: None,
@@ -130,16 +124,6 @@ fn parse_args() -> Args {
                     Some(value("--stop-after").parse().unwrap_or_else(|_| usage()));
             }
             "--fuel" => args.fuel = Some(value("--fuel").parse().unwrap_or_else(|_| usage())),
-            "--engine" => {
-                args.engine = match value("--engine").as_str() {
-                    "vm" => rca_sim::ExecEngine::Vm,
-                    "tree" => rca_sim::ExecEngine::Tree,
-                    other => {
-                        eprintln!("unknown engine: {other}");
-                        usage()
-                    }
-                };
-            }
             "--wall-budget-ms" => {
                 let ms: u64 = value("--wall-budget-ms")
                     .parse()
@@ -220,7 +204,6 @@ fn main() -> ExitCode {
     let runner = RunnerOptions {
         setup: rca_core::ExperimentSetup {
             fuel: args.fuel,
-            engine: args.engine,
             ..setup
         },
         oracle: args.runner.oracle,

@@ -32,11 +32,6 @@ pub struct ExperimentSetup {
     /// every control, experimental, and scenario run derived from this
     /// setup.
     pub fuel: Option<u64>,
-    /// Which compiled [`rca_sim::Executor`] engine runs every run derived
-    /// from this setup — the bytecode VM (default) or the slot-indexed
-    /// tree walker. Bit-identical by contract; the CI engine cross-check
-    /// gate compares whole-campaign scorecards across the two.
-    pub engine: rca_sim::ExecEngine,
 }
 
 impl Default for ExperimentSetup {
@@ -52,7 +47,6 @@ impl Default for ExperimentSetup {
             seed: 0xC1,
             retry: RetryPolicy::default(),
             fuel: None,
-            engine: rca_sim::ExecEngine::Vm,
         }
     }
 }
@@ -212,7 +206,6 @@ pub fn control_config(setup: &ExperimentSetup) -> RunConfig {
     RunConfig {
         steps: setup.steps,
         fuel: setup.fuel,
-        engine: setup.engine,
         ..Default::default()
     }
 }

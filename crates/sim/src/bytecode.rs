@@ -10,9 +10,8 @@
 //! `Vec<Value>` frame.
 //!
 //! **Bit-identity is load-bearing.** The VM must be indistinguishable
-//! from the tree-walking [`crate::exec::Executor`] (and therefore from
-//! the reference interpreter): the emitter reproduces the tree-walker's
-//! evaluation order, coercion points, error messages, and error *timing*
+//! from the tree-walking reference interpreter: the emitter reproduces
+//! the tree-walker's evaluation order, coercion points, error messages, and error *timing*
 //! exactly — e.g. numeric intrinsic arguments get one [`Instr::ToNum`]
 //! after each argument's code so a coercion failure still interleaves
 //! between argument evaluations, `do` bounds coerce via [`Instr::ToInt`]
@@ -115,7 +114,7 @@ impl Src {
 /// of the code array and never borrows it.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Instr {
-    /// Per-statement budget check (tree-walker `exec_stmt` preamble).
+    /// Per-statement budget check (check-then-decrement statement fuel).
     Fuel,
     /// `regs[dst] <- consts[k]` (allocation-reusing clone).
     LoadConst {

@@ -1,34 +1,43 @@
-//! The compiled-program executor: slot-indexed, allocation-light, and
-//! bit-identical to the tree-walking interpreter.
+//! The compiled-program executor: a bytecode register VM over a shared
+//! [`Program`], bit-identical to the tree-walking interpreter.
 //!
 //! An [`Executor`] is one simulation run over a shared [`Program`] — or,
 //! through the reset-and-reuse protocol, many runs: construction clones
 //! the initial global arena once, and [`Executor::reset`] /
 //! [`Executor::reset_with`] restore it in place (allocation-reusing deep
-//! copy, reseeded PRNG, pooled frames/args/array buffers) for the next
-//! run. The hot loop touches no `String` and hashes no name — variables
-//! are frame offsets or global indices, call targets are pre-resolved,
-//! history writes land in a flat step-major `OutputId`-indexed block, and
-//! sample captures are positional over `config.samples`.
+//! copy, reseeded PRNG, pooled frames and array buffers) for the next
+//! run. Every host call runs the program's lowered bytecode (see
+//! [`Program::disassemble`]): one flat instruction array per subprogram
+//! over a register frame, nested calls on an explicit frame stack instead
+//! of the host stack, and counted elementwise loops as column
+//! step-kernels. The hot loop touches no `String` and hashes no name —
+//! variables are frame slots or global indices, call targets are
+//! pre-resolved, history writes land in a flat step-major
+//! `OutputId`-indexed block, and sample captures are positional over
+//! `config.samples`.
 //!
-//! Semantic parity with [`crate::interp::Interpreter`] is load-bearing
-//! (the differential test suite enforces bit-equal histories, samples,
-//! and coverage): evaluation order, FMA contraction (including the
-//! re-evaluation on non-numeric fallback), implicit-local creation,
-//! copy-out, and error messages all mirror the tree walker. The one
-//! deliberate deviation: array reads index the stored value in place
+//! Semantic parity with [`crate::interp::Interpreter`], the reference
+//! engine, is load-bearing (the differential suites enforce bit-equal
+//! histories, samples, and coverage): evaluation order, FMA contraction
+//! (including the re-evaluation on non-numeric fallback), implicit-local
+//! creation, copy-out, and error messages all mirror the interpreter. The
+//! one deliberate deviation: array reads index the stored value in place
 //! instead of cloning the whole array first, which is observationally
 //! identical unless a subscript expression itself mutates the array it
 //! subscripts — a pattern the model generator never emits.
+//!
+//! Fault plans and statement fuel exist only here (the interpreter
+//! ignores both), so their fences need no second engine: the store's
+//! fault oracle checks faulted ensembles against the plan applied to
+//! zero-fault runs, and `tests/kernels.rs` pins fuel exhaustion to a
+//! golden table.
 
 use crate::bytecode::{Bytecode, Instr, KArr, KOp, KScalar, Kernel, Src, SrcKind, NO_REG};
 use crate::fault::{Fault, FaultKind, FaultPlan, BUDGET_CONTEXT, FAULT_CONTEXT};
 use crate::interp::{RunConfig, RuntimeError};
-use crate::ops::{self, Flow, RunResult};
+use crate::ops::{self, RunResult};
 use crate::prng::{make_prng, Prng, PrngKind};
-use crate::program::{
-    CExpr, CPlace, CProc, CStmt, CallForm, CallSite, EId, Intrin, LocalTemplate, Program, VarBind,
-};
+use crate::program::{Intrin, Program, VarBind};
 use crate::store::RunCoverage;
 use crate::value::Value;
 use std::collections::HashMap;
@@ -46,29 +55,10 @@ struct ModulePlan {
     idx: u32,
 }
 
-type Locals = [Option<Value>];
-
-/// Per-proc local sampling plans: proc index → `(frame slot, sample idx)`.
-type LocalPlans = HashMap<u32, Vec<(u32, u32)>>;
-
-/// Which engine an [`Executor`] dispatches through. Both run the same
-/// compiled [`Program`] and are bit-identical by contract (the three-way
-/// differential suite enforces it against the reference interpreter).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExecEngine {
-    /// The bytecode register VM (default): flat instruction arrays, an
-    /// explicit frame stack, pooled typed slots.
-    #[default]
-    Vm,
-    /// The slot-indexed statement/expression tree walker — kept as the
-    /// middle differential tier and a fallback while the VM tier grows.
-    Tree,
-}
-
-/// One typed frame slot of a VM frame. `live` is the `Option` of the
-/// tree-walker's `Option<Value>` frames, split out so dead slots retain
-/// their last allocation (derived-type maps, array buffers) for the next
-/// run of the same subprogram to reuse.
+/// One typed frame slot of a VM frame. `live` says whether the local is
+/// set (reading an unset local is an error); it is kept apart from `val`
+/// so dead slots retain their last allocation (derived-type maps, array
+/// buffers) for the next run of the same subprogram to reuse.
 #[derive(Debug)]
 struct VmSlot {
     live: bool,
@@ -98,7 +88,7 @@ struct VmSuspend {
 }
 
 /// The VM's run-to-run state: frame pools and the explicit stacks.
-/// Pools persist across [`Executor::reset`] exactly like `frame_pool`.
+/// Pools persist across [`Executor::reset`].
 struct VmState {
     /// Per-proc frame pools. A frame is only ever recycled into its own
     /// proc's pool, so pooled shapes (slot/register counts) are exact.
@@ -107,8 +97,8 @@ struct VmState {
     stack: Vec<VmSuspend>,
     /// Finished frames parked for copy-out, tagged with their proc.
     returned: Vec<(u32, VmFrame)>,
-    /// `local_plan` as a dense per-proc table (positional sampling on
-    /// `Ret` without a hash lookup).
+    /// Per-proc local sampling plans: `(frame slot, sample idx)` pairs,
+    /// captured positionally on `Ret` at the sample step.
     local_dense: Vec<Vec<(u32, u32)>>,
     /// Pooled column-kernel RPN stack (`max_depth` columns of
     /// [`KCHUNK`] lanes each).
@@ -123,24 +113,16 @@ struct VmState {
 const KCHUNK: usize = 64;
 
 impl VmState {
-    fn new(n_procs: usize, plan: &LocalPlans) -> VmState {
+    fn new(n_procs: usize, local_dense: Vec<Vec<(u32, u32)>>) -> VmState {
         VmState {
             pools: (0..n_procs).map(|_| Vec::new()).collect(),
             stack: Vec::new(),
             returned: Vec::new(),
-            local_dense: dense_local_plans(n_procs, plan),
+            local_dense,
             kcols: Vec::new(),
             kscalars: Vec::new(),
         }
     }
-}
-
-fn dense_local_plans(n_procs: usize, plan: &LocalPlans) -> Vec<Vec<(u32, u32)>> {
-    let mut dense = vec![Vec::new(); n_procs];
-    for (&proc, entries) in plan {
-        dense[proc as usize] = entries.clone();
-    }
-    dense
 }
 
 /// Executes a compiled [`Program`]: load once (cheap — the program is
@@ -179,15 +161,9 @@ pub struct Executor {
     /// spec was never captured, exactly like an absent map key before).
     pub samples: Vec<Option<Vec<f64>>>,
     module_plan: Vec<ModulePlan>,
-    local_plan: LocalPlans,
-    /// Recycled call frames: `invoke` pops, callers push back after
-    /// copy-out, so steady-state calls allocate no frame backbone.
-    frame_pool: Vec<Vec<Option<Value>>>,
-    /// Recycled argument vectors (call sites evaluate actuals into one).
-    arg_pool: Vec<Vec<Value>>,
-    /// Recycled `f64` buffers harvested from finished frames' array
-    /// locals — array-local initialization reuses them instead of
-    /// allocating `vec![0.0; n]` per call.
+    /// Recycled `f64` buffers harvested from consumed `outfld` and pbuf
+    /// data — an array-local initialization whose slot has no buffer of
+    /// its own reuses one instead of allocating `vec![0.0; n]`.
     scratch_f64: Vec<Vec<f64>>,
     /// The run's fault plan; faults are resolved into `active` /
     /// `abort_at` per `(member, attempt)` by [`Executor::begin_member`].
@@ -206,9 +182,7 @@ pub struct Executor {
     fuel_limit: u64,
     /// Remaining statements this run; 0 aborts with a budget error.
     fuel: u64,
-    /// Engine the next [`Executor::call`] dispatches through.
-    engine: ExecEngine,
-    /// Bytecode-VM frame pools and stacks (idle under the tree engine).
+    /// Bytecode-VM frame pools and stacks.
     vm: VmState,
 }
 
@@ -232,9 +206,9 @@ impl Executor {
             .iter()
             .map(|m| config.avx2.enabled_for(m))
             .collect();
-        let (module_plan, local_plan) = build_sample_plans(&program, config);
+        let (module_plan, local_dense) = build_sample_plans(&program, config);
         let fuel_limit = config.fuel.unwrap_or(u64::MAX);
-        let vm = VmState::new(program.procs.len(), &local_plan);
+        let vm = VmState::new(program.procs.len(), local_dense);
         let mut ex = Executor {
             globals: program.globals.as_ref().clone(),
             fma,
@@ -251,9 +225,6 @@ impl Executor {
             covered: vec![false; program.procs.len()],
             samples: vec![None; config.samples.len()],
             module_plan,
-            local_plan,
-            frame_pool: Vec::new(),
-            arg_pool: Vec::new(),
             scratch_f64: Vec::new(),
             plan: config.faults.clone(),
             active: Vec::new(),
@@ -262,7 +233,6 @@ impl Executor {
             attempt: 0,
             fuel_limit,
             fuel: fuel_limit,
-            engine: config.engine,
             vm,
             program,
         };
@@ -380,11 +350,9 @@ impl Executor {
         self.fma_scale = config.fma_scale;
         self.steps = config.steps;
         self.sample_step = config.sample_step;
-        let (module_plan, local_plan) = build_sample_plans(&p, config);
-        self.vm.local_dense = dense_local_plans(p.procs.len(), &local_plan);
-        self.engine = config.engine;
+        let (module_plan, local_dense) = build_sample_plans(&p, config);
         self.module_plan = module_plan;
-        self.local_plan = local_plan;
+        self.vm.local_dense = local_dense;
         self.samples.clear();
         self.samples.resize(config.samples.len(), None);
         self.plan = config.faults.clone();
@@ -434,14 +402,7 @@ impl Executor {
                 0,
             ));
         };
-        match self.engine {
-            ExecEngine::Vm => self.vm_entry(&p, idx, args),
-            ExecEngine::Tree => {
-                let locals = self.invoke(&p, idx, args.to_vec())?;
-                self.recycle_frame(locals);
-                Ok(())
-            }
-        }
+        self.vm_entry(&p, idx, args)
     }
 
     /// Advances the time-step counter (affects history recording and
@@ -531,802 +492,6 @@ impl Executor {
         self.module_plan = plan;
     }
 
-    // ----- invocation -----------------------------------------------------
-
-    /// Returns a pooled call frame, emptied and sized to `n` `None` slots.
-    fn lease_frame(&mut self, n: usize) -> Vec<Option<Value>> {
-        let mut locals = self.frame_pool.pop().unwrap_or_default();
-        locals.clear();
-        locals.resize(n, None);
-        locals
-    }
-
-    /// Returns a finished frame to the pool, harvesting its array-local
-    /// buffers into the scratch pool (other values drop, backbone stays).
-    fn recycle_frame(&mut self, mut frame: Vec<Option<Value>>) {
-        for slot in &mut frame {
-            if let Some(Value::RealArray(buf)) = slot.take() {
-                self.scratch_f64.push(buf);
-            }
-        }
-        frame.clear();
-        self.frame_pool.push(frame);
-    }
-
-    /// Returns a pooled, emptied argument vector.
-    fn lease_args(&mut self) -> Vec<Value> {
-        let mut args = self.arg_pool.pop().unwrap_or_default();
-        args.clear();
-        args
-    }
-
-    fn invoke(
-        &mut self,
-        p: &Program,
-        proc_idx: u32,
-        mut args: Vec<Value>,
-    ) -> RunResult<Vec<Option<Value>>> {
-        self.covered[proc_idx as usize] = true;
-        let pr = &p.procs[proc_idx as usize];
-        let mut locals: Vec<Option<Value>> = self.lease_frame(pr.n_locals);
-        for (i, slot) in pr.arg_slots.iter().enumerate() {
-            // Move the actual into its frame slot — the old per-arg clone
-            // re-allocated every array argument a second time.
-            let v = match args.get_mut(i) {
-                Some(v) => std::mem::replace(v, Value::Real(0.0)),
-                None => Value::Real(0.0),
-            };
-            locals[*slot as usize] = Some(v);
-        }
-        args.clear();
-        self.arg_pool.push(args);
-        for (slot, line, tmpl) in &pr.inits {
-            let v = self.local_value(p, pr, &locals, tmpl, *line)?;
-            locals[*slot as usize] = Some(v);
-        }
-        if let Some(r) = pr.result_slot {
-            if locals[r as usize].is_none() {
-                locals[r as usize] = Some(Value::Real(0.0));
-            }
-        }
-        self.exec_block(p, pr, &mut locals, &pr.body)?;
-        // Local sampling at the configured step.
-        if self.sample_step == Some(self.step) {
-            if let Some(plan) = self.local_plan.get(&proc_idx).cloned() {
-                for (slot, idx) in plan {
-                    if let Some(v) = &locals[slot as usize] {
-                        if let Some(flat) = v.flatten() {
-                            self.samples[idx as usize] = Some(flat);
-                        }
-                    }
-                }
-            }
-        }
-        Ok(locals)
-    }
-
-    fn local_value(
-        &mut self,
-        p: &Program,
-        pr: &CProc,
-        locals: &Locals,
-        tmpl: &LocalTemplate,
-        line: u32,
-    ) -> RunResult<Value> {
-        match tmpl {
-            LocalTemplate::Derived(proto) => Ok(proto.clone()),
-            LocalTemplate::Error(msg, eline) => {
-                Err(RuntimeError::new(msg.to_string(), &pr.module, *eline))
-            }
-            LocalTemplate::Array(extents) => {
-                let mut n = 1usize;
-                for &e in extents {
-                    let v = self.eval(p, pr, locals, e, line)?;
-                    let x = v.as_i64().ok_or_else(|| {
-                        RuntimeError::new("array extent not integer", &pr.module, line)
-                    })?;
-                    n *= x.max(0) as usize;
-                }
-                // Zero-filled like a fresh `vec![0.0; n]`, but backed by a
-                // buffer harvested from an earlier frame when one exists.
-                let mut buf = self.scratch_f64.pop().unwrap_or_default();
-                buf.clear();
-                buf.resize(n, 0.0);
-                Ok(Value::RealArray(buf))
-            }
-            LocalTemplate::Int(init) => Ok(match *init {
-                Some(e) => Value::Int(self.eval(p, pr, locals, e, line)?.as_i64().unwrap_or(0)),
-                None => Value::Int(0),
-            }),
-            LocalTemplate::Logic(init) => Ok(match *init {
-                Some(e) => Value::Logical(
-                    self.eval(p, pr, locals, e, line)?
-                        .as_bool()
-                        .unwrap_or(false),
-                ),
-                None => Value::Logical(false),
-            }),
-            LocalTemplate::Char(init) => Ok(match *init {
-                Some(e) => self.eval(p, pr, locals, e, line)?,
-                None => Value::Str(String::new()),
-            }),
-            LocalTemplate::RealVal(init) => Ok(match *init {
-                Some(e) => Value::Real(self.eval(p, pr, locals, e, line)?.as_f64().unwrap_or(0.0)),
-                None => Value::Real(0.0),
-            }),
-        }
-    }
-
-    // ----- statements -----------------------------------------------------
-
-    fn exec_block(
-        &mut self,
-        p: &Program,
-        pr: &CProc,
-        locals: &mut Locals,
-        stmts: &[CStmt],
-    ) -> RunResult<Flow> {
-        for stmt in stmts {
-            match self.exec_stmt(p, pr, locals, stmt)? {
-                Flow::Normal => {}
-                flow => return Ok(flow),
-            }
-        }
-        Ok(Flow::Normal)
-    }
-
-    fn exec_stmt(
-        &mut self,
-        p: &Program,
-        pr: &CProc,
-        locals: &mut Locals,
-        stmt: &CStmt,
-    ) -> RunResult<Flow> {
-        // Statement fuel: check-then-decrement so the configured limit is
-        // exact. The unlimited default (`u64::MAX`) never trips and costs
-        // one predictable branch (asserted by the fault_overhead bench).
-        if self.fuel == 0 {
-            rca_obs::counter_inc!("run.budget_exhausted", 1);
-            return Err(RuntimeError::new(
-                format!(
-                    "statement fuel budget of {} exhausted at step {} (member {})",
-                    self.fuel_limit, self.step, self.member
-                ),
-                BUDGET_CONTEXT,
-                0,
-            ));
-        }
-        self.fuel -= 1;
-        match stmt {
-            CStmt::Assign { place, value, line } => {
-                let v = self.eval(p, pr, locals, *value, *line)?;
-                self.write_place(p, pr, locals, place, v, *line)?;
-                Ok(Flow::Normal)
-            }
-            CStmt::Call { site, line } => {
-                self.exec_call(p, pr, locals, *site, *line)?;
-                Ok(Flow::Normal)
-            }
-            CStmt::Outfld {
-                out,
-                data,
-                ncol,
-                line,
-            } => {
-                let data = self.eval(p, pr, locals, *data, *line)?;
-                let ncol = match *ncol {
-                    Some(e) => self.eval_int(p, pr, locals, e, *line)? as usize,
-                    None => usize::MAX,
-                };
-                let mean = match data {
-                    Value::RealArray(v) => {
-                        let n = v.len().min(ncol).max(1);
-                        v.iter().take(n).sum::<f64>() / n as f64
-                    }
-                    Value::Real(v) => v,
-                    other => {
-                        return Err(RuntimeError::new(
-                            format!("outfld argument must be real, got {}", other.type_name()),
-                            &pr.module,
-                            *line,
-                        ))
-                    }
-                };
-                let mean = if self.active.is_empty() {
-                    mean
-                } else {
-                    self.fault_adjusted(*out, mean)
-                };
-                let outputs = self.program.output_count();
-                let step = self.step as usize;
-                let need = (step + 1) * outputs;
-                if self.history.len() < need {
-                    self.history.resize(need, f64::NAN);
-                }
-                self.history[step * outputs + *out as usize] = mean;
-                let w = &mut self.written[*out as usize];
-                *w = (*w).max(self.step + 1);
-                Ok(Flow::Normal)
-            }
-            CStmt::RandomNumber {
-                current,
-                place,
-                line,
-            } => {
-                let current = self.eval(p, pr, locals, *current, *line)?;
-                let new = match current {
-                    // The evaluated current value is already an owned
-                    // buffer of the right shape — fill it in place
-                    // (every element is overwritten, same draws).
-                    Value::RealArray(mut v) => {
-                        self.prng.fill(&mut v);
-                        Value::RealArray(v)
-                    }
-                    _ => Value::Real(self.prng.next_f64()),
-                };
-                self.write_place(p, pr, locals, place, new, *line)?;
-                Ok(Flow::Normal)
-            }
-            CStmt::PbufSet { idx, data, line } => {
-                let idx = self.eval_int(p, pr, locals, *idx, *line)?;
-                let data = self.eval(p, pr, locals, *data, *line)?;
-                let arr = match data {
-                    Value::RealArray(v) => v,
-                    Value::Real(v) => vec![v],
-                    other => {
-                        return Err(RuntimeError::new(
-                            format!("pbuf_set_field needs real data, got {}", other.type_name()),
-                            &pr.module,
-                            *line,
-                        ))
-                    }
-                };
-                self.pbuf.insert(idx, arr);
-                Ok(Flow::Normal)
-            }
-            CStmt::PbufGet {
-                idx,
-                current,
-                place,
-                line,
-            } => {
-                let idx = self.eval_int(p, pr, locals, *idx, *line)?;
-                // Snapshot before evaluating `current` — the tree-walker
-                // reads pbuf first, and `current` may run user code.
-                let data = self.pbuf.get(&idx).cloned().unwrap_or_default();
-                let current = self.eval(p, pr, locals, *current, *line)?;
-                let value = match current {
-                    // Reuse the evaluated buffer: overwrite the prefix
-                    // with pbuf data, zero the rest (a fresh zero vector
-                    // with the prefix copied in, without the allocation).
-                    Value::RealArray(mut v) => {
-                        let n = v.len().min(data.len());
-                        v[..n].copy_from_slice(&data[..n]);
-                        v[n..].fill(0.0);
-                        Value::RealArray(v)
-                    }
-                    _ => Value::Real(data.first().copied().unwrap_or(0.0)),
-                };
-                self.write_place(p, pr, locals, place, value, *line)?;
-                Ok(Flow::Normal)
-            }
-            CStmt::If { arms, line } => {
-                for (cond, block) in arms {
-                    let taken = match cond {
-                        Some(c) => {
-                            self.eval(p, pr, locals, *c, *line)?
-                                .as_bool()
-                                .ok_or_else(|| {
-                                    RuntimeError::new("if condition not logical", &pr.module, *line)
-                                })?
-                        }
-                        None => true,
-                    };
-                    if taken {
-                        return self.exec_block(p, pr, locals, block);
-                    }
-                }
-                Ok(Flow::Normal)
-            }
-            CStmt::Do {
-                var,
-                start,
-                end,
-                step,
-                body,
-                line,
-            } => {
-                let s = self.eval_int(p, pr, locals, *start, *line)?;
-                let e = self.eval_int(p, pr, locals, *end, *line)?;
-                let st = match *step {
-                    Some(x) => self.eval_int(p, pr, locals, x, *line)?,
-                    None => 1,
-                };
-                if st == 0 {
-                    return Err(RuntimeError::new("zero do-step", &pr.module, *line));
-                }
-                let mut i = s;
-                loop {
-                    if (st > 0 && i > e) || (st < 0 && i < e) {
-                        break;
-                    }
-                    locals[*var as usize] = Some(Value::Int(i));
-                    match self.exec_block(p, pr, locals, body)? {
-                        Flow::Exit => break,
-                        Flow::Return => return Ok(Flow::Return),
-                        Flow::Normal | Flow::Cycle => {}
-                    }
-                    i += st;
-                }
-                Ok(Flow::Normal)
-            }
-            CStmt::DoWhile { cond, body, line } => {
-                let mut guard = 0u64;
-                loop {
-                    let c = self
-                        .eval(p, pr, locals, *cond, *line)?
-                        .as_bool()
-                        .ok_or_else(|| {
-                            RuntimeError::new("do-while condition not logical", &pr.module, *line)
-                        })?;
-                    if !c {
-                        break;
-                    }
-                    guard += 1;
-                    if guard > 10_000_000 {
-                        return Err(RuntimeError::new(
-                            "do-while iteration bound exceeded",
-                            &pr.module,
-                            *line,
-                        ));
-                    }
-                    match self.exec_block(p, pr, locals, body)? {
-                        Flow::Exit => break,
-                        Flow::Return => return Ok(Flow::Return),
-                        Flow::Normal | Flow::Cycle => {}
-                    }
-                }
-                Ok(Flow::Normal)
-            }
-            CStmt::Return => Ok(Flow::Return),
-            CStmt::Exit => Ok(Flow::Exit),
-            CStmt::Cycle => Ok(Flow::Cycle),
-            CStmt::Nop => Ok(Flow::Normal),
-            CStmt::ErrorStmt { msg, line } => {
-                Err(RuntimeError::new(msg.to_string(), &pr.module, *line))
-            }
-        }
-    }
-
-    fn exec_call(
-        &mut self,
-        p: &Program,
-        pr: &CProc,
-        locals: &mut Locals,
-        site: u32,
-        line: u32,
-    ) -> RunResult<()> {
-        let site: &CallSite = &p.sites[site as usize];
-        let mut values = self.lease_args();
-        for &a in &site.args {
-            values.push(self.eval(p, pr, locals, a, line)?);
-        }
-        let callee_locals = self.invoke(p, site.proc, values)?;
-        for (dummy_slot, place) in &site.copyout {
-            if let Some(v) = &callee_locals[*dummy_slot as usize] {
-                self.write_place(p, pr, locals, place, v.clone(), line)?;
-            }
-        }
-        self.recycle_frame(callee_locals);
-        Ok(())
-    }
-
-    // ----- places ---------------------------------------------------------
-
-    fn write_place(
-        &mut self,
-        p: &Program,
-        pr: &CProc,
-        locals: &mut Locals,
-        place: &CPlace,
-        value: Value,
-        line: u32,
-    ) -> RunResult<()> {
-        match place {
-            CPlace::Var { bind, .. } => match *bind {
-                VarBind::Local(s) => {
-                    if let Some(existing) = &mut locals[s as usize] {
-                        ops::assign_into(existing, value, &pr.module, line)
-                    } else {
-                        // Implicit local (loop vars, undeclared temporaries).
-                        locals[s as usize] = Some(value);
-                        Ok(())
-                    }
-                }
-                VarBind::LocalOrGlobal(s, g) => {
-                    if let Some(existing) = &mut locals[s as usize] {
-                        ops::assign_into(existing, value, &pr.module, line)
-                    } else {
-                        ops::assign_into(&mut self.globals[g as usize], value, &pr.module, line)
-                    }
-                }
-                VarBind::Global(g) => {
-                    ops::assign_into(&mut self.globals[g as usize], value, &pr.module, line)
-                }
-            },
-            CPlace::Elem { bind, name, sub } => {
-                let idx = self.eval_index(p, pr, locals, *sub, line)?;
-                let arr: Option<&mut Vec<f64>> = match *bind {
-                    VarBind::Local(s) => match &mut locals[s as usize] {
-                        Some(Value::RealArray(v)) => Some(v),
-                        _ => None,
-                    },
-                    VarBind::LocalOrGlobal(s, g) => {
-                        if matches!(locals[s as usize], Some(Value::RealArray(_))) {
-                            match &mut locals[s as usize] {
-                                Some(Value::RealArray(v)) => Some(v),
-                                _ => unreachable!(),
-                            }
-                        } else {
-                            match &mut self.globals[g as usize] {
-                                Value::RealArray(v) => Some(v),
-                                _ => None,
-                            }
-                        }
-                    }
-                    VarBind::Global(g) => match &mut self.globals[g as usize] {
-                        Value::RealArray(v) => Some(v),
-                        _ => None,
-                    },
-                };
-                match arr {
-                    Some(v) => ops::write_elem(v, idx, &value, &pr.module, line),
-                    None => Err(RuntimeError::new(
-                        format!("cannot index non-array {name}"),
-                        &pr.module,
-                        line,
-                    )),
-                }
-            }
-            CPlace::Derived {
-                bind,
-                name,
-                field,
-                sub,
-            } => {
-                let idx = match sub {
-                    Some(s) => Some(self.eval_index(p, pr, locals, *s, line)?),
-                    None => None,
-                };
-                let target: &mut Value = match *bind {
-                    VarBind::Local(s) => match &mut locals[s as usize] {
-                        Some(v) => v,
-                        None => {
-                            return Err(RuntimeError::new(
-                                format!("undefined derived base {name}"),
-                                &pr.module,
-                                line,
-                            ))
-                        }
-                    },
-                    VarBind::LocalOrGlobal(s, g) => {
-                        if locals[s as usize].is_some() {
-                            locals[s as usize].as_mut().expect("checked")
-                        } else {
-                            &mut self.globals[g as usize]
-                        }
-                    }
-                    VarBind::Global(g) => &mut self.globals[g as usize],
-                };
-                let Value::Derived(fields) = target else {
-                    return Err(RuntimeError::new(
-                        format!("{name} is not a derived type"),
-                        &pr.module,
-                        line,
-                    ));
-                };
-                let fv = fields.get_mut(&**field).ok_or_else(|| {
-                    RuntimeError::new(format!("no field {field}"), &pr.module, line)
-                })?;
-                match (idx, fv) {
-                    (Some(i), Value::RealArray(v)) => {
-                        ops::write_elem(v, i, &value, &pr.module, line)
-                    }
-                    (None, slot) => ops::assign_into(slot, value, &pr.module, line),
-                    (Some(_), other) => Err(RuntimeError::new(
-                        format!("cannot index field of type {}", other.type_name()),
-                        &pr.module,
-                        line,
-                    )),
-                }
-            }
-            CPlace::Invalid { msg } => Err(RuntimeError::new(msg.to_string(), &pr.module, line)),
-        }
-    }
-
-    // ----- expressions ----------------------------------------------------
-
-    fn eval_int(
-        &mut self,
-        p: &Program,
-        pr: &CProc,
-        locals: &Locals,
-        e: EId,
-        line: u32,
-    ) -> RunResult<i64> {
-        let v = self.eval(p, pr, locals, e, line)?;
-        v.as_i64()
-            .or_else(|| v.as_f64().map(|f| f as i64))
-            .ok_or_else(|| {
-                RuntimeError::new(
-                    format!("expected integer, got {}", v.type_name()),
-                    &pr.module,
-                    line,
-                )
-            })
-    }
-
-    fn eval_index(
-        &mut self,
-        p: &Program,
-        pr: &CProc,
-        locals: &Locals,
-        sub: EId,
-        line: u32,
-    ) -> RunResult<usize> {
-        let v = self.eval_int(p, pr, locals, sub, line)?;
-        if v < 1 {
-            return Err(RuntimeError::new(
-                format!("subscript {v} below lower bound 1"),
-                &pr.module,
-                line,
-            ));
-        }
-        Ok(v as usize - 1)
-    }
-
-    fn eval(
-        &mut self,
-        p: &Program,
-        pr: &CProc,
-        locals: &Locals,
-        e: EId,
-        line: u32,
-    ) -> RunResult<Value> {
-        match &p.exprs[e as usize] {
-            CExpr::Real(v) => Ok(Value::Real(*v)),
-            CExpr::Int(v) => Ok(Value::Int(*v)),
-            CExpr::Str(s) => Ok(Value::Str(s.to_string())),
-            CExpr::Logical(b) => Ok(Value::Logical(*b)),
-            CExpr::Var { bind, name } => match *bind {
-                VarBind::Local(s) => locals[s as usize].clone().ok_or_else(|| {
-                    RuntimeError::new(format!("undefined variable '{name}'"), &pr.module, line)
-                }),
-                VarBind::LocalOrGlobal(s, g) => Ok(match &locals[s as usize] {
-                    Some(v) => v.clone(),
-                    None => self.globals[g as usize].clone(),
-                }),
-                VarBind::Global(g) => Ok(self.globals[g as usize].clone()),
-            },
-            CExpr::Index {
-                bind,
-                name,
-                sub,
-                fallback,
-            } => {
-                // An unset plain local falls through to the
-                // intrinsic/function interpretation of `name(args)`.
-                if let VarBind::Local(s) = *bind {
-                    if locals[s as usize].is_none() {
-                        return match fallback.as_deref() {
-                            Some(form) => self.eval_fallback(p, pr, locals, name, form, line),
-                            None => Err(RuntimeError::new(
-                                format!("unknown function or array '{name}'"),
-                                &pr.module,
-                                line,
-                            )),
-                        };
-                    }
-                }
-                let idx = self.eval_index(p, pr, locals, *sub, line)?;
-                let base: &Value = match *bind {
-                    VarBind::Local(s) => locals[s as usize].as_ref().expect("checked above"),
-                    VarBind::LocalOrGlobal(s, g) => match &locals[s as usize] {
-                        Some(v) => v,
-                        None => &self.globals[g as usize],
-                    },
-                    VarBind::Global(g) => &self.globals[g as usize],
-                };
-                match base {
-                    Value::RealArray(v) => v.get(idx).map(|&x| Value::Real(x)).ok_or_else(|| {
-                        RuntimeError::new(
-                            format!(
-                                "subscript {} out of bounds for {name} (len {})",
-                                idx + 1,
-                                v.len()
-                            ),
-                            &pr.module,
-                            line,
-                        )
-                    }),
-                    other => Err(RuntimeError::new(
-                        format!("cannot index {} '{name}'", other.type_name()),
-                        &pr.module,
-                        line,
-                    )),
-                }
-            }
-            CExpr::CallFn { site } => self.call_function(p, pr, locals, *site, line),
-            CExpr::Intrinsic { which, args } => {
-                self.eval_intrinsic(p, pr, locals, *which, args, line)
-            }
-            CExpr::DerivedVar {
-                bind,
-                name,
-                field,
-                sub,
-                err,
-            } => {
-                // Resolve the base in place (the interpreter clones the
-                // whole derived value; same observations, no copy).
-                if let VarBind::Local(s) = *bind {
-                    if locals[s as usize].is_none() {
-                        return Err(RuntimeError::new(
-                            format!("undefined variable '{name}'"),
-                            &pr.module,
-                            line,
-                        ));
-                    }
-                }
-                // First pass: structural checks and the scalar fast path.
-                {
-                    let base = bound_ref(*bind, locals, &self.globals);
-                    let Value::Derived(fields) = base else {
-                        return Err(RuntimeError::new(err.to_string(), &pr.module, line));
-                    };
-                    let fv = fields.get(&**field).ok_or_else(|| {
-                        RuntimeError::new(format!("no field {field}"), &pr.module, line)
-                    })?;
-                    if sub.is_none() {
-                        return Ok(fv.clone());
-                    }
-                }
-                // Indexed access: evaluate the subscript (may run user
-                // code), then re-acquire the field and index it in place.
-                let idx = self.eval_index(p, pr, locals, sub.expect("checked"), line)?;
-                let base = bound_ref(*bind, locals, &self.globals);
-                let Value::Derived(fields) = base else {
-                    return Err(RuntimeError::new(err.to_string(), &pr.module, line));
-                };
-                let fv = fields.get(&**field).ok_or_else(|| {
-                    RuntimeError::new(format!("no field {field}"), &pr.module, line)
-                })?;
-                index_in_place(fv, idx, field, &pr.module, line)
-            }
-            CExpr::DerivedExpr {
-                base,
-                field,
-                sub,
-                err,
-            } => {
-                let basev = self.eval(p, pr, locals, *base, line)?;
-                let Value::Derived(fields) = basev else {
-                    return Err(RuntimeError::new(err.to_string(), &pr.module, line));
-                };
-                let fv = fields.get(&**field).cloned().ok_or_else(|| {
-                    RuntimeError::new(format!("no field {field}"), &pr.module, line)
-                })?;
-                match sub {
-                    None => Ok(fv),
-                    Some(s) => {
-                        let idx = self.eval_index(p, pr, locals, *s, line)?;
-                        index_in_place(&fv, idx, field, &pr.module, line)
-                    }
-                }
-            }
-            CExpr::Unary { op, e } => {
-                let v = self.eval(p, pr, locals, *e, line)?;
-                ops::unary_op(*op, v, &pr.module, line)
-            }
-            CExpr::Binary { op, l, r } => {
-                let a = self.eval(p, pr, locals, *l, line)?;
-                let b = self.eval(p, pr, locals, *r, line)?;
-                ops::binary_op(*op, a, b, &pr.module, line)
-            }
-            CExpr::MaybeFma { op, a, b, c, l, r } => {
-                if self.fma[pr.module_id as usize] {
-                    let av = self.eval(p, pr, locals, *a, line)?;
-                    let bv = self.eval(p, pr, locals, *b, line)?;
-                    let cv = self.eval(p, pr, locals, *c, line)?;
-                    if let (Some(x), Some(y), Some(z)) = (av.as_f64(), bv.as_f64(), cv.as_f64()) {
-                        let z = if *op == rca_fortran::token::Op::Sub {
-                            -z
-                        } else {
-                            z
-                        };
-                        return Ok(Value::Real(ops::fma_blend(x, y, z, self.fma_scale)));
-                    }
-                    // Non-numeric operand: fall through to the plain
-                    // binary evaluation, re-evaluating the operands (the
-                    // tree-walker does exactly this).
-                }
-                let lv = self.eval(p, pr, locals, *l, line)?;
-                let rv = self.eval(p, pr, locals, *r, line)?;
-                ops::binary_op(*op, lv, rv, &pr.module, line)
-            }
-            CExpr::ErrorExpr { msg } => Err(RuntimeError::new(msg.to_string(), &pr.module, line)),
-        }
-    }
-
-    fn eval_fallback(
-        &mut self,
-        p: &Program,
-        pr: &CProc,
-        locals: &Locals,
-        name: &str,
-        form: &CallForm,
-        line: u32,
-    ) -> RunResult<Value> {
-        match form {
-            CallForm::Intrinsic(which, args) => {
-                self.eval_intrinsic(p, pr, locals, *which, args, line)
-            }
-            CallForm::Function(site) => self.call_function(p, pr, locals, *site, line),
-            CallForm::Unknown => Err(RuntimeError::new(
-                format!("unknown function or array '{name}'"),
-                &pr.module,
-                line,
-            )),
-        }
-    }
-
-    fn call_function(
-        &mut self,
-        p: &Program,
-        pr: &CProc,
-        locals: &Locals,
-        site: u32,
-        line: u32,
-    ) -> RunResult<Value> {
-        let site: &CallSite = &p.sites[site as usize];
-        let mut values = self.lease_args();
-        for &a in &site.args {
-            values.push(self.eval(p, pr, locals, a, line)?);
-        }
-        let callee = &p.procs[site.proc as usize];
-        let rs = callee.result_slot.expect("function has result");
-        let mut callee_locals = self.invoke(p, site.proc, values)?;
-        // Move the result out of the finished frame — a clone would
-        // re-allocate every array-valued return.
-        let result = callee_locals[rs as usize].take();
-        self.recycle_frame(callee_locals);
-        result.ok_or_else(|| {
-            RuntimeError::new(
-                format!("function {} returned no value", callee.name),
-                &pr.module,
-                line,
-            )
-        })
-    }
-
-    fn eval_intrinsic(
-        &mut self,
-        p: &Program,
-        pr: &CProc,
-        locals: &Locals,
-        which: Intrin,
-        args: &[EId],
-        line: u32,
-    ) -> RunResult<Value> {
-        ops::intrinsic_op(
-            which,
-            args.len(),
-            &mut |i| self.eval(p, pr, locals, args[i], line),
-            &pr.module,
-            line,
-        )
-    }
-
     // ----- bytecode VM ----------------------------------------------------
 
     /// Leases a frame for `proc` from its pool (shapes are exact — a
@@ -1350,8 +515,7 @@ impl Executor {
 
     /// Returns a finished frame to its proc's pool. Slot *values* stay —
     /// a dead slot's last derived-type map or array buffer is reused by
-    /// the next `InitDerived`/`InitArray` of the same subprogram (the
-    /// typed-slot pooling the tree engine's scratch harvest approximates).
+    /// the next `InitDerived`/`InitArray` of the same subprogram.
     fn vm_recycle(&mut self, proc: usize, mut f: VmFrame) {
         for s in &mut f.slots {
             s.live = false;
@@ -1359,9 +523,8 @@ impl Executor {
         self.vm.pools[proc].push(f);
     }
 
-    /// Runs `entry` on the bytecode VM (the `ExecEngine::Vm` half of
-    /// [`Executor::call`]): dispatch, then error-path frame salvage and
-    /// the traced-only instruction counters.
+    /// Runs `entry` on the bytecode VM: dispatch, then error-path frame
+    /// salvage and the traced-only instruction counters.
     fn vm_entry(&mut self, p: &Program, entry: u32, args: &[Value]) -> RunResult<()> {
         let mut retired = 0u64;
         let res = self.vm_loop(p, entry, args, &mut retired);
@@ -1385,8 +548,8 @@ impl Executor {
 
     /// The dispatch loop. One host call = one entry frame; nested calls
     /// suspend onto `vm.stack` instead of the host stack. Every arm
-    /// mirrors the tree-walker's semantics exactly — evaluation order,
-    /// coercions, error text, error timing (the differential suite
+    /// mirrors the reference interpreter's semantics exactly — evaluation
+    /// order, coercions, error text, error timing (the differential suite
     /// enforces bit-identity); comments call out the non-obvious cases.
     fn vm_loop(
         &mut self,
@@ -1406,8 +569,7 @@ impl Executor {
         self.covered[proc as usize] = true;
         let mut cur = self.vm_lease(proc as usize, bp.n_slots as usize, bp.n_regs as usize);
         for (i, slot) in prx.arg_slots.iter().enumerate() {
-            // Host args are borrowed — clone, like the tree path's
-            // `args.to_vec()`.
+            // Host args are borrowed — clone them into the entry frame.
             let v = args.get(i).cloned().unwrap_or(Value::Real(0.0));
             let sl = &mut cur.slots[*slot as usize];
             sl.val = v;
@@ -1416,12 +578,11 @@ impl Executor {
 
         loop {
             *retired += 1;
-            let instr = code[ip];
-            #[cfg(feature = "vm-histogram")]
-            vm_histogram_count(&instr);
-            match instr {
+            match code[ip] {
                 Instr::Fuel => {
-                    // Check-then-decrement, exactly `exec_stmt`'s preamble.
+                    // Check-then-decrement so the configured limit is
+                    // exact; the unlimited default (`u64::MAX`) never
+                    // trips and costs one predictable branch.
                     if self.fuel == 0 {
                         rca_obs::counter_inc!("run.budget_exhausted", 1);
                         return Err(RuntimeError::new(
@@ -1484,7 +645,7 @@ impl Executor {
                     cur.regs[reg as usize] = Value::Int(x);
                 }
                 Instr::ToExtent { reg } => {
-                    // `local_value` Array: `as_i64` only, no truncation.
+                    // Array extents: `as_i64` only, no truncation.
                     let x = cur.regs[reg as usize].as_i64().ok_or_else(|| {
                         RuntimeError::new("array extent not integer", &prx.module, lines[ip])
                     })?;
@@ -1527,7 +688,7 @@ impl Executor {
                     plain,
                 } => {
                     // All three operands resolve first, in order — an
-                    // unset fused local errors (like the tree-walker's
+                    // unset fused local errors (like the interpreter's
                     // operand evaluation), it does not fall back.
                     let rd = |s: Src| {
                         vm_src(
@@ -1552,8 +713,8 @@ impl Executor {
                             Value::Real(ops::fma_blend(x, y, z, self.fma_scale));
                     } else {
                         // Non-numeric operand: jump to the unfused path,
-                        // which re-evaluates the plain operands (tree
-                        // fallthrough semantics).
+                        // which re-evaluates the plain operands (the
+                        // interpreter's fallthrough semantics).
                         ip = plain as usize;
                         continue;
                     }
@@ -1570,7 +731,7 @@ impl Executor {
                     let v = {
                         // The window slice makes an out-of-range `arg(i)`
                         // (e.g. `sign(x)` with one actual) panic exactly
-                        // like the tree's `args[i]` indexing.
+                        // like the interpreter's `args[i]` indexing.
                         let window = &mut cur.regs[base..base + k];
                         ops::intrinsic_op(
                             which,
@@ -1589,8 +750,8 @@ impl Executor {
                     name,
                 } => {
                     // Subscript resolution + coercion first, then base
-                    // resolution — `eval` Index order (a fused unset
-                    // local errors where its `LoadLocal` would have).
+                    // resolution (a fused unset local errors where its
+                    // `LoadLocal` would have).
                     let sv = vm_src(
                         sub,
                         &cur.regs,
@@ -1646,8 +807,8 @@ impl Executor {
                     field,
                     err,
                 } => {
-                    // The tree-walker's first pass over `base%field(sub)`
-                    // — checks only, the subscript runs next.
+                    // Structural checks on `base%field(sub)` only — the
+                    // subscript runs next.
                     vm_field_check(
                         bind,
                         &cur.slots,
@@ -1688,8 +849,7 @@ impl Executor {
                     err,
                 } => {
                     // Subscript coerced first, then the base re-acquired
-                    // (the subscript may have run user code) — the
-                    // tree-walker's second pass.
+                    // (the subscript may have run user code).
                     let idx = vm_index(&cur.regs[sub as usize], &prx.module, lines[ip])?;
                     let fv = vm_field_check(
                         bind,
@@ -1778,8 +938,8 @@ impl Executor {
                         .last()
                         .is_some_and(|(_, f)| f.slots[dummy as usize].live);
                     if !set {
-                        // `exec_call` skips the whole copy-out (sub
-                        // included) when the callee left the dummy unset.
+                        // A dummy the callee left unset skips its whole
+                        // copy-out, subscript included.
                         ip = to as usize;
                         continue;
                     }
@@ -1866,8 +1026,7 @@ impl Executor {
                     );
                     let n_actuals = s.args.len();
                     for (i, slot) in p.procs[callee as usize].arg_slots.iter().enumerate() {
-                        // Move actuals out of the caller's arg window
-                        // (`invoke`'s per-arg `mem::replace`).
+                        // Move actuals out of the caller's arg window.
                         let v = if i < n_actuals {
                             std::mem::replace(&mut cur.regs[argv as usize + i], Value::Real(0.0))
                         } else {
@@ -1901,8 +1060,8 @@ impl Executor {
                     self.vm_recycle(pp as usize, f);
                 }
                 Instr::Ret => {
-                    // Local sampling at the configured step (`invoke`'s
-                    // epilogue): live slots only, positional.
+                    // Local sampling at the configured step, on the
+                    // way out: live slots only, positional.
                     if self.sample_step == Some(self.step) {
                         for k in 0..self.vm.local_dense[proc as usize].len() {
                             let (slot, idx) = self.vm.local_dense[proc as usize][k];
@@ -1940,9 +1099,9 @@ impl Executor {
                                     cur.regs[sus.dst as usize] = v;
                                     self.vm_recycle(fin_proc as usize, fin);
                                 } else {
-                                    // Caller context: `call_function`
-                                    // reports with the caller's module
-                                    // and the call statement's line.
+                                    // Reported in the caller's context:
+                                    // its module and the call
+                                    // statement's line.
                                     let e = RuntimeError::new(
                                         format!(
                                             "function {} returned no value",
@@ -2080,7 +1239,7 @@ impl Executor {
                     val,
                     name,
                 } => {
-                    // `write_place` Elem order: the value resolves first
+                    // Element-store order: the value resolves first
                     // (a fused unset value local errors before the
                     // subscript runs, like the RHS evaluation it
                     // replaces), then the subscript coerces before base
@@ -2233,8 +1392,8 @@ impl Executor {
                         Value::RealArray(v) => {
                             let n = v.len().min(ncol).max(1);
                             let mean = v.iter().take(n).sum::<f64>() / n as f64;
-                            // Harvest the evaluated buffer (the tree path
-                            // drops it; values are unaffected).
+                            // Harvest the evaluated buffer for reuse
+                            // (values are unaffected).
                             self.scratch_f64.push(v);
                             mean
                         }
@@ -2290,7 +1449,8 @@ impl Executor {
                     self.pbuf.insert(i, arr);
                 }
                 Instr::PbufLoad { dst, idx } => {
-                    // Snapshot before `current` runs (tree order).
+                    // Snapshot before `current` runs (the
+                    // interpreter's order).
                     let i = vm_int_reg(&cur.regs[idx as usize]);
                     let data = self.pbuf.get(&i).cloned().unwrap_or_default();
                     cur.regs[dst as usize] = Value::RealArray(data);
@@ -2660,135 +1820,8 @@ fn karr_mut<'v>(
     }
 }
 
-/// Dynamic opcode histogram, measurement-only (`--features vm-histogram`).
-#[cfg(feature = "vm-histogram")]
-pub fn vm_histogram() -> Vec<(&'static str, u64)> {
-    use std::sync::atomic::Ordering;
-    let mut v: Vec<_> = VM_HIST
-        .iter()
-        .map(|(n, c)| (*n, c.load(Ordering::Relaxed)))
-        .filter(|&(_, c)| c > 0)
-        .collect();
-    v.sort_by_key(|&(_, c)| std::cmp::Reverse(c));
-    v
-}
-
-#[cfg(feature = "vm-histogram")]
-static VM_HIST: std::sync::LazyLock<Vec<(&'static str, std::sync::atomic::AtomicU64)>> =
-    std::sync::LazyLock::new(|| {
-        [
-            "Fuel",
-            "LoadConst",
-            "LoadLocal",
-            "LoadLocalOr",
-            "LoadGlobal",
-            "Copy",
-            "ToNum",
-            "ToInt",
-            "ToExtent",
-            "Unary",
-            "Binary",
-            "FmaTry",
-            "Intrinsic",
-            "IndexLoad",
-            "FieldCheck",
-            "LoadField",
-            "LoadFieldElem",
-            "FieldOfValue",
-            "IndexValue",
-            "Jump",
-            "BranchIfFalse",
-            "BranchLocalSet",
-            "BranchFmaOff",
-            "BranchDummyUnset",
-            "DoCheck",
-            "DoIncr",
-            "WhileGuard",
-            "Call",
-            "LoadDummy",
-            "EndCall",
-            "Ret",
-            "InitDerived",
-            "InitArray",
-            "InitInt",
-            "InitLogic",
-            "InitChar",
-            "InitReal",
-            "InitResult",
-            "StoreVar",
-            "StoreElem",
-            "StoreField",
-            "Outfld",
-            "RngFill",
-            "PbufStore",
-            "PbufLoad",
-            "PbufMerge",
-            "Fail",
-            "Kernel",
-        ]
-        .iter()
-        .map(|&n| (n, std::sync::atomic::AtomicU64::new(0)))
-        .collect()
-    });
-
-#[cfg(feature = "vm-histogram")]
-fn vm_histogram_count(i: &Instr) {
-    use std::sync::atomic::Ordering;
-    let ix = match i {
-        Instr::Fuel => 0,
-        Instr::LoadConst { .. } => 1,
-        Instr::LoadLocal { .. } => 2,
-        Instr::LoadLocalOr { .. } => 3,
-        Instr::LoadGlobal { .. } => 4,
-        Instr::Copy { .. } => 5,
-        Instr::ToNum { .. } => 6,
-        Instr::ToInt { .. } => 7,
-        Instr::ToExtent { .. } => 8,
-        Instr::Unary { .. } => 9,
-        Instr::Binary { .. } => 10,
-        Instr::FmaTry { .. } => 11,
-        Instr::Intrinsic { .. } => 12,
-        Instr::IndexLoad { .. } => 13,
-        Instr::FieldCheck { .. } => 14,
-        Instr::LoadField { .. } => 15,
-        Instr::LoadFieldElem { .. } => 16,
-        Instr::FieldOfValue { .. } => 17,
-        Instr::IndexValue { .. } => 18,
-        Instr::Jump { .. } => 19,
-        Instr::BranchIfFalse { .. } => 20,
-        Instr::BranchLocalSet { .. } => 21,
-        Instr::BranchFmaOff { .. } => 22,
-        Instr::BranchDummyUnset { .. } => 23,
-        Instr::DoCheck { .. } => 24,
-        Instr::DoIncr { .. } => 25,
-        Instr::WhileGuard { .. } => 26,
-        Instr::Call { .. } => 27,
-        Instr::LoadDummy { .. } => 28,
-        Instr::EndCall => 29,
-        Instr::Ret => 30,
-        Instr::InitDerived { .. } => 31,
-        Instr::InitArray { .. } => 32,
-        Instr::InitInt { .. } => 33,
-        Instr::InitLogic { .. } => 34,
-        Instr::InitChar { .. } => 35,
-        Instr::InitReal { .. } => 36,
-        Instr::InitResult { .. } => 37,
-        Instr::StoreVar { .. } => 38,
-        Instr::StoreElem { .. } => 39,
-        Instr::StoreField { .. } => 40,
-        Instr::Outfld { .. } => 41,
-        Instr::RngFill { .. } => 42,
-        Instr::PbufStore { .. } => 43,
-        Instr::PbufLoad { .. } => 44,
-        Instr::PbufMerge { .. } => 45,
-        Instr::Fail { .. } => 46,
-        Instr::Kernel { .. } => 47,
-    };
-    VM_HIST[ix].1.fetch_add(1, Ordering::Relaxed);
-}
-
 /// Resolves a fused operand (see [`Src`]) to a value reference. Unset
-/// fused locals raise the tree-walker's `undefined variable` error —
+/// fused locals raise the interpreter's `undefined variable` error —
 /// slot names come from the proc's `local_names` table, so the message
 /// matches the unfused `LoadLocal` byte for byte.
 #[inline(always)]
@@ -2818,7 +1851,7 @@ fn vm_src<'a>(
     }
 }
 
-/// `eval_int` over a register value: integer, or real truncated.
+/// Integer coercion of a register value: integer, or real truncated.
 fn vm_int(v: &Value, module: &str, line: u32) -> RunResult<i64> {
     v.as_i64()
         .or_else(|| v.as_f64().map(|f| f as i64))
@@ -2831,7 +1864,8 @@ fn vm_int(v: &Value, module: &str, line: u32) -> RunResult<i64> {
         })
 }
 
-/// `eval_index` over a register value: coerce, lower-bound check, 0-base.
+/// Subscript coercion of a register value: coerce, lower-bound check,
+/// 0-base.
 fn vm_index(v: &Value, module: &str, line: u32) -> RunResult<usize> {
     let x = vm_int(v, module, line)?;
     if x < 1 {
@@ -2853,7 +1887,7 @@ fn vm_int_reg(v: &Value) -> i64 {
     }
 }
 
-/// The tree-walker's `DerivedVar` structural pass: unset-local precheck,
+/// The structural checks of a `base%field` read: unset-local precheck,
 /// derived-base check, field lookup — returns the field value.
 #[allow(clippy::too_many_arguments)]
 fn vm_field_check<'v>(
@@ -2895,13 +1929,16 @@ fn vm_field_check<'v>(
         .ok_or_else(|| RuntimeError::new(format!("no field {field}"), module, line))
 }
 
-/// Resolves `config.samples` into the executor's positional capture plans
-/// (module-level scans and per-proc frame-slot snapshots). Specs the
-/// program cannot host are simply never captured — the interpreter
-/// behaves the same.
-fn build_sample_plans(program: &Program, config: &RunConfig) -> (Vec<ModulePlan>, LocalPlans) {
+/// Resolves `config.samples` into the executor's positional capture plans:
+/// module-level scans, and per proc (indexed by proc) the `(frame slot,
+/// sample idx)` snapshots taken on return. Specs the program cannot host
+/// are simply never captured — the interpreter behaves the same.
+fn build_sample_plans(
+    program: &Program,
+    config: &RunConfig,
+) -> (Vec<ModulePlan>, Vec<Vec<(u32, u32)>>) {
     let mut module_plan = Vec::new();
-    let mut local_plan: LocalPlans = HashMap::new();
+    let mut local_plan = vec![Vec::new(); program.procs.len()];
     for (idx, spec) in config.samples.iter().enumerate() {
         let idx = idx as u32;
         match &spec.subprogram {
@@ -2921,24 +1958,11 @@ fn build_sample_plans(program: &Program, config: &RunConfig) -> (Vec<ModulePlan>
                 else {
                     continue;
                 };
-                local_plan.entry(proc).or_default().push((slot as u32, idx));
+                local_plan[proc as usize].push((slot as u32, idx));
             }
         }
     }
     (module_plan, local_plan)
-}
-
-/// Resolves a binding to the value it currently denotes (local slot when
-/// set, global otherwise). Callers must have rejected unset plain locals.
-fn bound_ref<'v>(bind: VarBind, locals: &'v Locals, globals: &'v [Value]) -> &'v Value {
-    match bind {
-        VarBind::Local(s) => locals[s as usize].as_ref().expect("checked"),
-        VarBind::LocalOrGlobal(s, g) => match &locals[s as usize] {
-            Some(v) => v,
-            None => &globals[g as usize],
-        },
-        VarBind::Global(g) => &globals[g as usize],
-    }
 }
 
 /// Indexes a field value without cloning the array (the interpreter's

@@ -28,8 +28,13 @@
 //! member and vanish on retry; persistent faults strike every attempt.
 //!
 //! The plan is an **Executor-only** axis: the tree-walking reference
-//! `Interpreter` ignores it (like `fuel`), and the differential suites
-//! only ever run zero-fault configurations — with an empty plan the
+//! `Interpreter` ignores it (like `fuel`). The executor's behavior under
+//! a plan is fenced by the fault oracle
+//! ([`crate::store::predict_member`]) instead: poison and stuck faults
+//! act only on recorded history values and aborts only truncate the run,
+//! so every faulted ensemble must equal the plan applied to zero-fault
+//! runs — the executor's own in the store's tests, the tree-walking
+//! interpreter's in the differential suites. With an empty plan the
 //! executor's hot path is byte-identical to a build without this module
 //! (asserted by the `fault_overhead` bench entry).
 
@@ -57,7 +62,8 @@ pub enum FaultKind {
     /// Output records +Inf from the fault step on.
     PoisonInf,
     /// Output freezes at its previous written value from the fault step
-    /// on (first write at the fault step passes through unchanged).
+    /// on (an output with no earlier write passes its first value
+    /// through).
     Stuck,
     /// The run aborts with a retryable [`RuntimeError`](crate::RuntimeError)
     /// when the fault step begins.
@@ -150,6 +156,42 @@ impl FaultPlan {
         self.faults
             .iter()
             .filter(move |f| f.member == member && (attempt == 0 || f.persistent))
+    }
+
+    /// Whether an abort strikes `member`'s retry `attempt` of a
+    /// `steps`-step run (aborts scheduled at or past the last step never
+    /// fire).
+    pub fn aborts(&self, member: u32, attempt: u32, steps: u32) -> bool {
+        self.active_for(member, attempt)
+            .any(|f| f.kind == FaultKind::Abort && f.step < steps)
+    }
+
+    /// Applies the poison and stuck faults striking `member`'s retry
+    /// `attempt` to that attempt's zero-fault `history` (one series per
+    /// output id, series index = step). Each value takes the first fault
+    /// in plan order on its output whose step it has reached: NaN, +Inf,
+    /// or the previous step's (already faulted) value for stuck. For a
+    /// run that writes every output at every step this is exactly what
+    /// the executor records under the plan.
+    pub fn apply_to_history(&self, member: u32, attempt: u32, history: &mut [Vec<f64>]) {
+        let outputs = history.len();
+        let striking: Vec<&Fault> = self
+            .active_for(member, attempt)
+            .filter(|f| f.kind != FaultKind::Abort)
+            .collect();
+        for (out, series) in history.iter_mut().enumerate() {
+            for step in 0..series.len() {
+                let fault = striking
+                    .iter()
+                    .find(|f| f.output as usize % outputs == out && step as u32 >= f.step);
+                series[step] = match fault.map(|f| f.kind) {
+                    Some(FaultKind::PoisonNan) => f64::NAN,
+                    Some(FaultKind::PoisonInf) => f64::INFINITY,
+                    Some(FaultKind::Stuck) if step > 0 => series[step - 1],
+                    _ => series[step],
+                };
+            }
+        }
     }
 
     /// FNV-1a digest over the plan's coordinates, for checkpoint keying.

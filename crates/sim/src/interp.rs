@@ -138,19 +138,16 @@ pub struct RunConfig {
     /// Instrumented variables.
     pub samples: Vec<SampleSpec>,
     /// Runtime fault injection plan (the chaos axis). **Executor-only**:
-    /// the tree-walking reference engine ignores it, and differential
-    /// suites only ever run zero-fault configurations. Empty by default,
-    /// and an empty plan leaves the hot path byte-identical.
+    /// the tree-walking reference engine ignores it, so the differential
+    /// suites only ever run zero-fault configurations and the store's
+    /// fault oracle fences the executor's behavior under a plan. Empty by
+    /// default, and an empty plan leaves the hot path byte-identical.
     pub faults: crate::fault::FaultPlan,
-    /// Statement-fuel budget per run. **Executor-only**, like `faults`.
-    /// `None` means unlimited; exhaustion aborts the run with a
-    /// retryable budget error instead of hanging.
+    /// Statement-fuel budget per run. **Executor-only**, like `faults`
+    /// (fenced by the golden fuel table in `tests/kernels.rs`). `None`
+    /// means unlimited; exhaustion aborts the run with a retryable budget
+    /// error instead of hanging.
     pub fuel: Option<u64>,
-    /// Which [`crate::Executor`] engine runs the program: the bytecode
-    /// [`crate::exec::ExecEngine::Vm`] (default) or the slot-indexed tree
-    /// walker kept for the three-way differential sweep. Bit-identical by
-    /// contract; the reference [`Interpreter`] ignores this.
-    pub engine: crate::exec::ExecEngine,
 }
 
 impl Default for RunConfig {
@@ -165,7 +162,6 @@ impl Default for RunConfig {
             samples: Vec::new(),
             faults: crate::fault::FaultPlan::default(),
             fuel: None,
-            engine: crate::exec::ExecEngine::default(),
         }
     }
 }

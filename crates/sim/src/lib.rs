@@ -15,43 +15,36 @@
 //!   variable-instrumentation substitutes used by hybrid slicing and
 //!   Algorithm 5.4 step 7.
 //!
-//! ## Three engine tiers, one semantics
+//! ## Two engine tiers, one semantics
 //!
-//! The execution stack is a three-tier compiler arc, each tier lowering
-//! the program one representation further while preserving bit-identical
-//! results:
+//! The execution stack has two tiers that must agree bit for bit:
 //!
 //! 1. **Tree-walking [`Interpreter`]** ([`interp`]) — evaluates the AST
 //!    directly, resolving names through hash maps at every access. Slow,
 //!    obviously correct, kept as the reference semantics.
-//! 2. **Slot-indexed tree [`Executor`]** ([`exec`], [`ExecEngine::Tree`])
-//!    — walks the compiled [`Program`] ([`compile`]): interned symbols,
-//!    pre-resolved call targets and [`VarBind`] variable bindings,
-//!    pooled frames. Names are gone from the hot path but control flow
-//!    still recurses through the host stack.
-//! 3. **Bytecode [`Vm`](exec)** ([`ExecEngine::Vm`], the default) — each
-//!    subprogram is flattened at compile time (`bytecode`, reachable via
+//! 2. **Bytecode [`Executor`]** ([`exec`]) — runs the compiled
+//!    [`Program`] ([`compile`]: interned symbols, pre-resolved call
+//!    targets and [`VarBind`] variable bindings), each subprogram
+//!    flattened at compile time (`bytecode`, reachable via
 //!    [`Program::disassemble`]) into a linear instruction array over a
 //!    `u32`-indexed register frame: explicit jump/branch instructions
 //!    replace host-stack recursion for `if`/`do`/`call`, call targets and
 //!    copy-out plans are pre-resolved into the instruction stream, and a
 //!    peephole pass (constant folding, dead-instruction elimination,
-//!    redundant-copy coalescing) runs at emission. Typed frame slots are
-//!    pooled per proc so derived-type maps and array buffers are reused
-//!    across calls and steps.
+//!    redundant-copy coalescing) runs at emission. Counted elementwise
+//!    loops become column step-kernels. Typed frame slots are pooled per
+//!    proc so derived-type maps and array buffers are reused across calls
+//!    and steps.
 //!
-//! All three tiers share the same scalar kernel (`ops`) and the
-//! differential suite (`tests/differential.rs`) holds them bit-identical
-//! across histories, samples, and coverage; select a tier per run with
-//! [`RunConfig::engine`](RunConfig). The [`Executor`] surface
-//! (`reset`/`reset_with`/`drive`, fuel, [`FaultPlan`] application,
-//! history publication) is engine-independent — store/fault/obs planes
-//! sit above the dispatch loop and never see which tier ran. The runtime
+//! Both tiers share the same scalar kernel (`ops`), and the differential
+//! suites (`tests/differential.rs`, `tests/kernels.rs`) hold them
+//! bit-identical across histories, samples, and coverage. The runtime
 //! fault-injection axis ([`fault`]: seeded [`FaultPlan`]s, statement
-//! fuel) is **Executor-only** — the reference interpreter ignores it and
-//! the interpreter-vs-executor differential legs only ever run
-//! zero-fault configurations, so parity is unaffected (tree-vs-vm legs
-//! additionally assert bit-identity *under* faults).
+//! fuel) is **Executor-only** — the reference interpreter ignores it, so
+//! the differential suites run zero-fault configurations and two oracles
+//! that need no second engine fence the rest: the [`store`] fault oracle
+//! checks seeded faulted ensembles against the plan applied to
+//! zero-fault runs, and a golden table pins fuel exhaustion.
 //!
 //! [`runner`] drives single runs and rayon-parallel ensembles;
 //! [`store`] holds whole ensembles as **one contiguous columnar block**
@@ -76,7 +69,7 @@ pub mod store;
 pub mod value;
 
 pub use compile::compile_sources;
-pub use exec::{ExecEngine, Executor};
+pub use exec::Executor;
 pub use fault::{Fault, FaultKind, FaultPlan, BUDGET_CONTEXT, FAULT_CONTEXT};
 pub use interp::{Avx2Policy, History, Interpreter, RunConfig, RuntimeError, SampleSpec};
 pub use kernel::{

@@ -228,6 +228,32 @@ fn retry_pert(pert: f64, attempt: u32) -> f64 {
     }
 }
 
+/// The fault oracle: what [`EnsembleRuns::run_resilient`] records for
+/// `member` under `config.faults`, predicted from zero-fault runs alone.
+///
+/// Aborts only cut a run short and poison/stuck faults act only on
+/// recorded values, so the first attempt in `0..=max_retries` that no
+/// abort strikes survives with the zero-fault history at that attempt's
+/// derived perturbation, under [`crate::FaultPlan::apply_to_history`].
+/// `clean_history` supplies that zero-fault history (one series per
+/// output id of the program) from any engine. Returns the surviving
+/// attempt and its history, or `None` when every attempt aborts and the
+/// member is quarantined.
+pub fn predict_member(
+    config: &RunConfig,
+    member: u32,
+    pert: f64,
+    max_retries: u32,
+    clean_history: impl FnOnce(f64) -> Vec<Vec<f64>>,
+) -> Option<(u32, Vec<Vec<f64>>)> {
+    let attempt = (0..=max_retries).find(|&a| !config.faults.aborts(member, a, config.steps))?;
+    let mut history = clean_history(retry_pert(pert, attempt));
+    config
+        .faults
+        .apply_to_history(member, attempt, &mut history);
+    Some((attempt, history))
+}
+
 impl EnsembleRuns {
     /// Runs one ensemble member per perturbation in parallel, writing
     /// every run into the store in place. Each rayon worker leases one
@@ -642,6 +668,7 @@ impl std::fmt::Debug for RunView<'_> {
 mod tests {
     use super::*;
     use crate::runner::{compile_model, perturbations, run_program};
+    use proptest::prelude::*;
     use rca_model::{generate, ModelConfig};
 
     fn cfg() -> RunConfig {
@@ -842,5 +869,81 @@ mod tests {
         assert!(!kept.contains(&0), "poisoned output must be excluded");
         assert!(kept.iter().all(|k| kept_clean.contains(k)));
         assert!(kept.len() < kept_clean.len());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// Resilient fills under seeded fault plans equal the oracle's
+        /// prediction bit for bit: member health, series lengths, and
+        /// every step plane. Plans reach past the last step (aborts there
+        /// never strike), retries vary over 0..=2, and seed bits
+        /// make some poison/stuck faults persistent so retried attempts
+        /// carry output faults too.
+        #[test]
+        fn resilient_fill_matches_the_fault_oracle(seed in 0u64..1_000_000) {
+            use crate::fault::{FaultKind, FaultPlan, FAULT_CONTEXT};
+            use std::sync::OnceLock;
+            static PROGRAM: OnceLock<Arc<Program>> = OnceLock::new();
+            let program = PROGRAM
+                .get_or_init(|| compile_model(&generate(&ModelConfig::test())).expect("compile"));
+            let perts = perturbations(4, 1e-14, seed | 1);
+            let steps = 5u32;
+            let count = 1 + (seed % 8) as usize;
+            let mut faults = FaultPlan::seeded(seed, perts.len(), steps + 2, count);
+            for (i, f) in faults.faults.iter_mut().enumerate() {
+                if f.kind != FaultKind::Abort {
+                    f.persistent = (seed >> i) & 1 == 1;
+                }
+            }
+            let max_retries = (seed % 3) as u32;
+            let config = RunConfig { steps, faults, ..cfg() };
+            let store = EnsembleRuns::run_resilient(program, &config, &perts, max_retries);
+            let clean = config.without_faults();
+            for (m, &pert) in perts.iter().enumerate() {
+                let health = &store.health()[m];
+                let predicted = predict_member(&config, m as u32, pert, max_retries, |p| {
+                    let history = run_program(program, &clean, p).expect("zero-fault").history;
+                    // A finite zero-fault value proves the step was written,
+                    // so series index = step, as the oracle requires.
+                    assert!(
+                        history.iter().flatten().all(|x| x.is_finite()),
+                        "oracle needs written, finite series"
+                    );
+                    history
+                });
+                match predicted {
+                    Some((attempt, history)) => {
+                        let want = match attempt {
+                            0 => MemberHealth::Healthy,
+                            retries => MemberHealth::Recovered { retries },
+                        };
+                        prop_assert_eq!(health, &want, "seed {} member {}", seed, m);
+                        let written: Vec<u32> = history.iter().map(|s| s.len() as u32).collect();
+                        prop_assert_eq!(store.written_of(m), &written[..], "member {}", m);
+                        for step in 0..steps as usize {
+                            let got = store.step_plane(m, step);
+                            for (o, &x) in got.iter().enumerate() {
+                                let y = history[o].get(step).copied().unwrap_or(f64::NAN);
+                                prop_assert!(
+                                    x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan()),
+                                    "seed {seed} member {m} step {step} output {o}: {x:e} != {y:e}"
+                                );
+                            }
+                        }
+                    }
+                    None => {
+                        let MemberHealth::Quarantined { error } = health else {
+                            panic!("seed {seed} member {m}: {health:?}, expected quarantine");
+                        };
+                        prop_assert_eq!(error.context.as_str(), FAULT_CONTEXT);
+                        prop_assert!(store.written_of(m).iter().all(|&w| w == 0));
+                        for step in 0..steps as usize {
+                            prop_assert!(store.step_plane(m, step).iter().all(|x| x.is_nan()));
+                        }
+                    }
+                }
+            }
+        }
     }
 }

@@ -1,22 +1,24 @@
-//! Differential suite: all three engine tiers must be **bit-identical**.
+//! Differential suite: both engine tiers must be **bit-identical**.
 //!
 //! This is the proof obligation of the parse → compile → execute
 //! pipeline: for every paper experiment (source patches, PRNG
 //! substitution, AVX2/FMA contraction) and for instrumented runs, the
 //! histories, captured samples, and coverage sets of the tree-walking
-//! reference [`rca_sim::Interpreter`], the slot-indexed tree executor
-//! ([`ExecEngine::Tree`]), and the bytecode VM ([`ExecEngine::Vm`], the
-//! default behind [`rca_sim::run_program`]) must agree to the last bit.
-//! Any divergence — an evaluation-order slip, a missed FMA shape, a
-//! scoping difference, a mis-lowered instruction — fails here before it
-//! can silently corrupt the statistical layer. The runtime fault axis,
-//! which the reference interpreter does not implement, is held identical
-//! between the two compiled engines by a dedicated store-level test.
+//! reference [`rca_sim::Interpreter`] and the bytecode VM behind
+//! [`rca_sim::run_program`] must agree to the last bit. Any divergence —
+//! an evaluation-order slip, a missed FMA shape, a scoping difference, a
+//! mis-lowered instruction — fails here before it can silently corrupt
+//! the statistical layer. The runtime fault axis, which the reference
+//! interpreter does not implement, is held to the same standard through
+//! the fault oracle ([`rca_sim::store::predict_member`]) fed by
+//! tree-walk runs.
 
 use rca_model::{generate, Experiment, ModelConfig, ModelSource};
+use rca_sim::store::predict_member;
 use rca_sim::{
     compile_model, kernel_sample_specs, perturbations, run_loaded, run_program, Avx2Policy,
-    EnsembleRuns, ExecEngine, FaultPlan, Interpreter, PrngKind, RunConfig, RunOutput,
+    EnsembleRuns, FaultPlan, Interpreter, MemberHealth, PrngKind, RunConfig, RunOutput,
+    FAULT_CONTEXT,
 };
 
 fn tree_walk(model: &ModelSource, config: &RunConfig, pert: f64) -> RunOutput {
@@ -26,28 +28,12 @@ fn tree_walk(model: &ModelSource, config: &RunConfig, pert: f64) -> RunOutput {
     run_loaded(&mut interp, config, pert).expect("tree-walk run")
 }
 
-fn compiled_as(
-    model: &ModelSource,
-    config: &RunConfig,
-    pert: f64,
-    engine: ExecEngine,
-) -> RunOutput {
-    let cfg = RunConfig {
-        engine,
-        ..config.clone()
-    };
-    let program = compile_model(model).expect("compile");
-    run_program(&program, &cfg, pert).expect("compiled run")
-}
-
-/// The three-way check: interpreter vs tree executor vs bytecode VM,
-/// pairwise bit-identical.
-fn assert_three_way(label: &str, model: &ModelSource, config: &RunConfig, pert: f64) {
+/// The differential check: interpreter vs bytecode VM, bit-identical.
+fn assert_engines_agree(label: &str, model: &ModelSource, config: &RunConfig, pert: f64) {
     let reference = tree_walk(model, config, pert);
-    let tree = compiled_as(model, config, pert, ExecEngine::Tree);
-    let vm = compiled_as(model, config, pert, ExecEngine::Vm);
-    assert_identical(&format!("{label}/interp-vs-tree"), &reference, &tree);
-    assert_identical(&format!("{label}/tree-vs-vm"), &tree, &vm);
+    let program = compile_model(model).expect("compile");
+    let vm = run_program(&program, config, pert).expect("compiled run");
+    assert_identical(&format!("{label}/interp-vs-vm"), &reference, &vm);
 }
 
 /// Asserts bit-identical histories, samples, and coverage.
@@ -122,7 +108,7 @@ fn engines_agree_on_all_paper_experiments() {
             model.apply(e)
         };
         let cfg = experiment_config(e, 4);
-        assert_three_way(e.name(), &variant, &cfg, 0.0);
+        assert_engines_agree(e.name(), &variant, &cfg, 0.0);
     }
 }
 
@@ -174,7 +160,7 @@ fn engines_agree_under_perturbation() {
         ..Default::default()
     };
     for pert in [0.0, 1e-14, -3e-14, 1e-10] {
-        assert_three_way(&format!("pert={pert:e}"), &model, &cfg, pert);
+        assert_engines_agree(&format!("pert={pert:e}"), &model, &cfg, pert);
     }
 }
 
@@ -193,7 +179,7 @@ fn engines_agree_with_full_kernel_instrumentation() {
     };
     let a = tree_walk(&model, &cfg, 0.0);
     assert!(!a.samples.is_empty(), "instrumentation captured nothing");
-    assert_three_way("kernel-instrumented", &model, &cfg, 0.0);
+    assert_engines_agree("kernel-instrumented", &model, &cfg, 0.0);
 }
 
 #[test]
@@ -207,7 +193,7 @@ fn engines_agree_under_per_module_fma() {
             fma_scale: 1.0,
             ..Default::default()
         };
-        assert_three_way(&format!("fma-only-{module}"), &model, &cfg, 0.0);
+        assert_engines_agree(&format!("fma-only-{module}"), &model, &cfg, 0.0);
     }
 }
 
@@ -219,54 +205,63 @@ fn engines_agree_at_medium_scale() {
         steps: 2,
         ..Default::default()
     };
-    assert_three_way("medium", &model, &cfg, 1e-14);
+    assert_engines_agree("medium", &model, &cfg, 1e-14);
 }
 
 #[test]
 fn tree_and_vm_agree_under_seeded_faults() {
-    // The fault axis is compiled-engines-only (the reference interpreter
-    // ignores it), so parity under injected faults is a tree-vs-vm
-    // obligation: the same seeded FaultPlan — aborts, retries,
-    // quarantines, poisoned and stuck outputs — must leave both engines'
-    // resilient stores bit-identical in data, series lengths, coverage,
-    // and member health.
+    // The reference interpreter ignores the fault axis, so parity under
+    // injected faults goes through the fault oracle: the VM's resilient
+    // store under a seeded FaultPlan — aborts, retries, quarantines,
+    // poisoned and stuck outputs — must equal the plan applied to
+    // zero-fault tree-walk runs, bit for bit in data, series lengths, and
+    // member health.
     let model = generate(&ModelConfig::test());
     let program = compile_model(&model).expect("compile");
     let perts = perturbations(6, 1e-14, 0x5EED);
     for fault_seed in [0xFA17u64, 0xDEAD_BEEF, 42] {
-        let base = RunConfig {
+        let config = RunConfig {
             steps: 6,
             faults: FaultPlan::seeded(fault_seed, perts.len(), 6, 8),
             ..Default::default()
         };
-        let run = |engine: ExecEngine| {
-            let cfg = RunConfig {
-                engine,
-                ..base.clone()
-            };
-            EnsembleRuns::run_resilient(&program, &cfg, &perts, 2)
-        };
-        let tree = run(ExecEngine::Tree);
-        let vm = run(ExecEngine::Vm);
-        assert_eq!(
-            format!("{:?}", tree.health()),
-            format!("{:?}", vm.health()),
-            "seed {fault_seed:#x}: member health differs"
-        );
-        for m in 0..perts.len() {
-            assert_eq!(
-                tree.written_of(m),
-                vm.written_of(m),
-                "seed {fault_seed:#x}/member {m}: written differs"
-            );
-            for step in 0..6 {
-                let a = tree.step_plane(m, step);
-                let b = vm.step_plane(m, step);
-                for (i, (x, y)) in a.iter().zip(b).enumerate() {
-                    assert!(
-                        x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan()),
-                        "seed {fault_seed:#x}/member {m}/step {step}[{i}]: {x:e} != {y:e}"
-                    );
+        let clean = config.without_faults();
+        let vm = EnsembleRuns::run_resilient(&program, &config, &perts, 2);
+        for (m, &pert) in perts.iter().enumerate() {
+            let label = format!("seed {fault_seed:#x}/member {m}");
+            let health = &vm.health()[m];
+            let tree = predict_member(&config, m as u32, pert, 2, |p| {
+                let run = tree_walk(&model, &clean, p);
+                let mut dense = vec![Vec::new(); vm.outputs()];
+                for (name, series) in run.history_iter() {
+                    dense[vm.index_of(name).expect("output known to the program")] = series.clone();
+                }
+                dense
+            });
+            match tree {
+                Some((attempt, history)) => {
+                    let want = match attempt {
+                        0 => MemberHealth::Healthy,
+                        retries => MemberHealth::Recovered { retries },
+                    };
+                    assert_eq!(health, &want, "{label}: member health differs");
+                    let got = vm.view(m).materialize().history;
+                    for (o, (a, b)) in got.iter().zip(&history).enumerate() {
+                        assert_eq!(a.len(), b.len(), "{label}/output {o}: written differs");
+                        for (step, (x, y)) in a.iter().zip(b).enumerate() {
+                            assert!(
+                                x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan()),
+                                "{label}/output {o}[{step}]: {x:e} != {y:e}"
+                            );
+                        }
+                    }
+                }
+                None => {
+                    let MemberHealth::Quarantined { error } = health else {
+                        panic!("{label}: {health:?}, expected quarantine");
+                    };
+                    assert_eq!(error.context.as_str(), FAULT_CONTEXT, "{label}");
+                    assert!(vm.written_of(m).iter().all(|&w| w == 0), "{label}");
                 }
             }
         }

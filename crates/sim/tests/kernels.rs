@@ -1,18 +1,19 @@
 //! Column step-kernel coverage: the compiler must extract kernels from
 //! the generated model's elementwise loops, and every *edge* the runtime
 //! validation guards — non-unit step, zero-trip bounds, fuel exhaustion
-//! mid-loop — must leave the VM bit-identical (results *and* errors)
-//! with the tree executor and the reference interpreter.
+//! mid-loop — must leave the VM bit-identical with the reference
+//! interpreter, or, for fuel (which the interpreter does not implement),
+//! with a golden table of exhaustion errors.
 //!
-//! The broad three-way differential suite (`tests/differential.rs`)
-//! proves parity on the generated model at scale; this file pins the
-//! kernel-specific corners with a handwritten model whose loops hit
-//! same-array read/write, write-then-read across statements, derived
-//! fields, `min`/`max`/`sign` folds, `**`, and unary minus.
+//! The broad differential suite (`tests/differential.rs`) proves parity
+//! on the generated model at scale; this file pins the kernel-specific
+//! corners with a handwritten model whose loops hit same-array
+//! read/write, write-then-read across statements, derived fields,
+//! `min`/`max`/`sign` folds, `**`, and unary minus.
 
 use rca_model::{generate, Component, ModelConfig, ModelFile, ModelSource};
 use rca_sim::{
-    compile_model, run_loaded, run_program, ExecEngine, Interpreter, RunConfig, RunOutput,
+    compile_model, run_loaded, run_program, Interpreter, RunConfig, RunOutput, BUDGET_CONTEXT,
 };
 
 const KEDGE: &str = r#"
@@ -28,6 +29,7 @@ module kedge
   implicit none
   real :: acc(7)
   real :: aux(7)
+  real :: tk(7)
   real :: w
   type(cellfld) :: state
 contains
@@ -45,11 +47,15 @@ contains
   subroutine cam_run_step()
     integer :: i
     ! Kernelizable: same-array read/write, write-then-read across
-    ! statements, derived field, min/max/sign folds, **, unary minus.
+    ! statements, derived-field read, min/max/sign folds, **, unary minus.
     do i = 1, 7
       acc(i) = acc(i) + w * (tanh(aux(i)) - acc(i))
       aux(i) = acc(i) * aux(i) + sign(w, aux(i) - 0.5)
-      state%t(i) = max(min(acc(i), state%t(i) * 0.01), -1.2) + abs(aux(i)) ** 0.5
+      tk(i) = max(min(acc(i), state%t(i) * 0.01), -1.2) + abs(aux(i)) ** 0.5
+    end do
+    ! A derived-field store is outside the kernel shape: generic loop.
+    do i = 1, 7
+      state%t(i) = tk(i)
     end do
     ! Kernel-shaped but step 2: runtime validation rejects it and the
     ! generic loop must produce the identical strided result.
@@ -107,10 +113,10 @@ fn generated_model_compiles_kernels() {
     assert!(program.instr_count() > 0);
 }
 
-/// Handwritten kernel edge cases: three-way bit-identity, and the
-/// kernelizable loop really compiled to a kernel.
+/// Handwritten kernel edge cases: interpreter-vs-VM bit-identity, and
+/// the kernelizable loop really compiled to a kernel.
 #[test]
-fn kernel_edge_cases_are_three_way_identical() {
+fn kernel_edge_cases_match_the_interpreter() {
     let model = kedge_model();
     let cfg = RunConfig {
         steps: 9,
@@ -118,8 +124,10 @@ fn kernel_edge_cases_are_three_way_identical() {
     };
 
     let program = compile_model(&model).expect("compile");
-    assert!(
-        program.kernel_count() >= 1,
+    // The elementwise loop plus the two shapes rejected at run time.
+    assert_eq!(
+        program.kernel_count(),
+        3,
         "the elementwise loop did not kernelize"
     );
 
@@ -127,52 +135,74 @@ fn kernel_edge_cases_are_three_way_identical() {
     assert!(errs.is_empty(), "{errs:?}");
     let mut interp = Interpreter::load(&asts, cfg.clone()).expect("load");
     let reference = run_loaded(&mut interp, &cfg, 1.0e-14).expect("tree-walk run");
-
-    let tree = run_program(
-        &program,
-        &RunConfig {
-            engine: ExecEngine::Tree,
-            ..cfg.clone()
-        },
-        1.0e-14,
-    )
-    .expect("tree run");
     let vm = run_program(&program, &cfg, 1.0e-14).expect("vm run");
 
-    assert_series_identical("interp-vs-tree", &reference, &tree);
-    assert_series_identical("tree-vs-vm", &tree, &vm);
+    assert_series_identical("interp-vs-vm", &reference, &vm);
 }
+
+/// The kedge run's fuel outcomes: `None` = completes, `Some(s)` = the
+/// budget error naming step `s` (always `BUDGET_CONTEXT`, line 0).
+/// `cam_init` costs 23 statements and each step 39, 21 of them in the
+/// kernelized loop, so a step-`s` error covers budgets up to `61 + 39 s`
+/// and 374 completes the nine steps. Besides the original sweep the
+/// table holds the edges a miscounted kernel charge would cross: 44
+/// leaves the step-0 kernel one statement short of its cost, 61/62 and
+/// 373/374 straddle the end of step 0 and of the run. Every entry was
+/// recorded while the retired slot-indexed tree executor still
+/// cross-checked the VM statement by statement.
+const FUEL_GOLDEN: &[(u64, Option<u32>)] = &[
+    (1, Some(0)),
+    (5, Some(0)),
+    (20, Some(0)),
+    (23, Some(0)),
+    (24, Some(0)),
+    (25, Some(0)),
+    (40, Some(0)),
+    (44, Some(0)),
+    (60, Some(0)),
+    (61, Some(0)),
+    (62, Some(1)),
+    (100, Some(1)),
+    (373, Some(8)),
+    (374, None),
+    (100_000, None),
+];
 
 /// Fuel exhaustion *inside* a kernelized loop: the VM pre-checks the
 /// budget and falls back, so the budget error must strike at the exact
-/// statement — identical message, context, and line — as the tree
-/// executor's per-statement accounting.
+/// statement a per-statement count reaches it. The interpreter has no
+/// fuel, so the fence is the golden table above plus two properties: a
+/// run that completes is bit-identical to an unlimited one, and the step
+/// an exhaustion names never decreases as the budget grows.
 #[test]
-fn kernel_fuel_exhaustion_matches_tree_exactly() {
+fn kernel_fuel_exhaustion_matches_golden_table() {
     let model = kedge_model();
     let program = compile_model(&model).expect("compile");
-    let run = |engine: ExecEngine, fuel: u64| {
+    let run = |fuel: Option<u64>| {
         let cfg = RunConfig {
             steps: 9,
-            fuel: Some(fuel),
-            engine,
+            fuel,
             ..Default::default()
         };
         run_program(&program, &cfg, 0.0)
     };
-    // Sweep budgets from "dies in cam_init" through "dies mid-kernel" to
-    // "completes": every outcome must match the tree engine exactly.
-    for fuel in [1, 5, 20, 23, 24, 25, 40, 60, 100, 100_000] {
-        let tree = run(ExecEngine::Tree, fuel);
-        let vm = run(ExecEngine::Vm, fuel);
-        match (tree, vm) {
-            (Ok(a), Ok(b)) => assert_series_identical(&format!("fuel={fuel}"), &a, &b),
-            (Err(a), Err(b)) => {
-                assert_eq!(a.message, b.message, "fuel={fuel}: messages differ");
-                assert_eq!(a.context, b.context, "fuel={fuel}: contexts differ");
-                assert_eq!(a.line, b.line, "fuel={fuel}: lines differ");
+    let unlimited = run(None).expect("unlimited run");
+    let mut last_step = 0;
+    for &(fuel, want) in FUEL_GOLDEN {
+        match (run(Some(fuel)), want) {
+            (Ok(out), None) => assert_series_identical(&format!("fuel={fuel}"), &unlimited, &out),
+            (Err(e), Some(step)) => {
+                assert_eq!(
+                    e.message,
+                    format!("statement fuel budget of {fuel} exhausted at step {step} (member 0)"),
+                    "fuel={fuel}: message"
+                );
+                assert_eq!(e.context, BUDGET_CONTEXT, "fuel={fuel}: context");
+                assert_eq!(e.line, 0, "fuel={fuel}: line");
+                assert!(step >= last_step, "fuel={fuel}: step went back to {step}");
+                last_step = step;
             }
-            (a, b) => panic!("fuel={fuel}: one engine failed: tree={a:?} vm={b:?}"),
+            (got, want) => panic!("fuel={fuel}: got {got:?}, golden {want:?}"),
         }
     }
 }

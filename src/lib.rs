@@ -147,14 +147,19 @@
 //! the Fortran once and lowers it into a slot-indexed
 //! [`sim::Program`] — interned symbols, pre-resolved call targets and
 //! variable bindings (module globals become arena indices, subprogram
-//! locals become frame offsets) — and every run is then a cheap
-//! [`sim::Executor`] over the shared `Arc<Program>`: the hot
-//! `cam_run_step` loop never hashes a name or touches a `String`. The
-//! original tree-walking `sim::Interpreter` survives as the *reference
-//! engine*; a differential suite holds the two bit-identical (histories,
-//! samples, coverage) across all paper experiments and seeded campaign
-//! mutants, which is the proof that the compilation step is
-//! semantics-preserving.
+//! locals become frame offsets) — plus per-subprogram bytecode, and every
+//! run is then a cheap [`sim::Executor`] over the shared `Arc<Program>`:
+//! a register VM whose hot `cam_run_step` loop never hashes a name or
+//! touches a `String`, with elementwise loops run as column
+//! step-kernels. There are exactly two engines. The original
+//! tree-walking `sim::Interpreter` survives as the *reference engine*; a
+//! differential suite holds the two bit-identical (histories, samples,
+//! coverage) across all paper experiments and seeded campaign mutants,
+//! which is the proof that the compilation step is semantics-preserving.
+//! Fault plans and fuel budgets, which only the VM implements, are
+//! fenced by oracles that need no second engine: a faulted ensemble must
+//! equal the plan applied to zero-fault runs, and fuel exhaustion must
+//! match a golden table.
 //!
 //! [`rca::RcaSession`] keeps a **program cache** keyed by
 //! [`model::ModelSource::content_hash`] (FNV-1a over every file name and
@@ -367,8 +372,8 @@
 //!   median-distance variable selection, normalized-RMS comparison.
 //! - [`model`] — the synthetic CESM-like climate model generator with
 //!   ground-truth bug injection.
-//! - [`sim`] — the execution substrate: the compiled slot-indexed engine
-//!   and the reference tree-walker, FMA/AVX2 simulation, PRNG
+//! - [`sim`] — the execution substrate: the compiled bytecode VM and the
+//!   reference tree-walker, FMA/AVX2 simulation, PRNG
 //!   substitution, coverage, runtime sampling, and the columnar
 //!   [`sim::EnsembleRuns`] store behind parallel ensembles.
 //! - [`analysis`] — the static analysis plane: IR dataflow framework,

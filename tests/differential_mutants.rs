@@ -7,7 +7,8 @@
 //! across the CAM modules — exactly the inputs the compiled execution
 //! engine will see in production fault-injection campaigns. Each case
 //! derives a mutant from the sweep seed, runs it through both engines,
-//! and requires bit-equal histories and identical coverage.
+//! and requires bit-equal histories and identical coverage. A second
+//! sweep holds the engines equal under seeded runtime fault plans.
 
 use climate_rca::{model, sim};
 use proptest::prelude::*;
@@ -42,27 +43,6 @@ fn run_both(mutant: &model::ModelSource) -> (sim::RunOutput, sim::RunOutput) {
     let tree = sim::run_loaded(&mut interp, &cfg, 0.0).expect("tree-walk");
     let program = sim::compile_model(mutant).expect("compile");
     let compiled = sim::run_program(&program, &cfg, 0.0).expect("compiled");
-
-    // Third engine tier: the slot-indexed tree executor must match the
-    // bytecode VM (the default above) on every mutant, bit for bit.
-    let tree_engine_cfg = sim::RunConfig {
-        engine: sim::ExecEngine::Tree,
-        ..cfg
-    };
-    let via_tree_engine =
-        sim::run_program(&program, &tree_engine_cfg, 0.0).expect("tree-engine run");
-    let bits = |h: &Vec<Vec<f64>>| -> Vec<Vec<u64>> {
-        h.iter()
-            .map(|s| s.iter().map(|x| x.to_bits()).collect())
-            .collect()
-    };
-    assert_eq!(
-        bits(&via_tree_engine.history),
-        bits(&compiled.history),
-        "tree executor vs VM histories differ on mutant"
-    );
-    assert_eq!(&via_tree_engine.coverage, &compiled.coverage);
-
     (tree, compiled)
 }
 
@@ -119,43 +99,63 @@ proptest! {
         prop_assert_eq!(&via_store.coverage, &compiled.coverage);
     }
 
-    /// Seeded fault plans never panic either compiled engine, and the
-    /// tree executor and bytecode VM stay bit-identical *under* the
-    /// faults (aborts, retries, quarantines, poisoned/stuck outputs) —
-    /// the fault axis is compiled-engines-only, so this pairing is its
-    /// differential obligation.
+    /// Seeded fault plans never panic the compiled engine, and its
+    /// resilient fill stays bit-identical to the tree-walking interpreter
+    /// *under* the faults (aborts, retries, quarantines, poisoned/stuck
+    /// outputs): the interpreter ignores the fault axis, so its zero-fault
+    /// runs feed the fault oracle, which must predict the VM's store.
     #[test]
     fn seeded_fault_plans_run_bit_identical_across_engines(seed in 0u64..1_000_000) {
         let (base, _) = fixture();
         let program = sim::compile_model(base).expect("compile");
+        let (asts, errs) = base.parse();
+        prop_assert!(errs.is_empty(), "{:?}", errs);
         let perts = sim::perturbations(4, 1e-14, seed | 1);
         let steps = 5u32;
-        let plan = sim::FaultPlan::seeded(seed, perts.len(), steps, 1 + (seed % 6) as usize);
-        let run = |engine: sim::ExecEngine| {
-            let cfg = sim::RunConfig {
-                steps,
-                engine,
-                faults: plan.clone(),
-                ..Default::default()
-            };
-            sim::EnsembleRuns::run_resilient(&program, &cfg, &perts, 2)
+        let cfg = sim::RunConfig {
+            steps,
+            faults: sim::FaultPlan::seeded(seed, perts.len(), steps, 1 + (seed % 6) as usize),
+            ..Default::default()
         };
-        let tree = run(sim::ExecEngine::Tree);
-        let vm = run(sim::ExecEngine::Vm);
-        prop_assert_eq!(
-            format!("{:?}", tree.health()),
-            format!("{:?}", vm.health())
-        );
-        for m in 0..perts.len() {
-            prop_assert_eq!(tree.written_of(m), vm.written_of(m));
-            for step in 0..steps as usize {
-                let a = tree.step_plane(m, step);
-                let b = vm.step_plane(m, step);
-                for (i, (x, y)) in a.iter().zip(b).enumerate() {
-                    prop_assert!(
-                        x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan()),
-                        "member {}/step {}[{}]: {:e} != {:e}", m, step, i, x, y
+        let clean = cfg.without_faults();
+        let vm = sim::EnsembleRuns::run_resilient(&program, &cfg, &perts, 2);
+        // NaN-canonical bits: poisoned cells compare equal as NaN.
+        let bits = |h: &[Vec<f64>]| -> Vec<Vec<u64>> {
+            h.iter()
+                .map(|s| {
+                    s.iter()
+                        .map(|x| if x.is_nan() { f64::NAN } else { *x }.to_bits())
+                        .collect()
+                })
+                .collect()
+        };
+        for (m, &pert) in perts.iter().enumerate() {
+            let health = &vm.health()[m];
+            let tree = sim::store::predict_member(&cfg, m as u32, pert, 2, |p| {
+                let mut interp = sim::Interpreter::load(&asts, clean.clone()).expect("load");
+                let run = sim::run_loaded(&mut interp, &clean, p).expect("tree-walk");
+                let mut dense = vec![Vec::new(); vm.outputs()];
+                for (name, series) in run.history_iter() {
+                    dense[vm.index_of(name).expect("output known to the program")] = series.clone();
+                }
+                dense
+            });
+            match tree {
+                Some((attempt, history)) => {
+                    let want = match attempt {
+                        0 => sim::MemberHealth::Healthy,
+                        retries => sim::MemberHealth::Recovered { retries },
+                    };
+                    prop_assert_eq!(health, &want, "member {}", m);
+                    prop_assert_eq!(
+                        bits(&vm.view(m).materialize().history),
+                        bits(&history),
+                        "member {}", m
                     );
+                }
+                None => {
+                    prop_assert!(health.is_quarantined(), "member {}: {:?}", m, health);
+                    prop_assert!(vm.written_of(m).iter().all(|&w| w == 0));
                 }
             }
         }
