@@ -2,74 +2,192 @@
 //!
 //! Girvan–Newman (§5.2) "ranks edges by the number of shortest paths
 //! (computed via BFS) that traverse them". Brandes' dependency-accumulation
-//! algorithm computes exact betweenness in O(V·E) for unweighted graphs; the
-//! per-source accumulations are independent, so we parallelize over sources
-//! with rayon (the paper's pipeline targets graphs with ~10⁵ nodes).
+//! algorithm computes exact betweenness in O(V·E) for unweighted graphs.
+//!
+//! Everything here runs one kernel, `Brandes`, over a dense
+//! edge-indexed adjacency (`Csr`) with node weights. Sources run one
+//! after another in ascending node order and every score is a plain
+//! left-to-right sum, so results are bit-identical at any thread count.
+//! With unit weights the kernel reproduces the classic per-source
+//! accumulation bit for bit; Girvan–Newman passes biconnected blocks with
+//! weights that count the nodes hanging off each block node.
 
-use crate::digraph::{DiGraph, NodeId};
-use rayon::prelude::*;
+use crate::digraph::DiGraph;
 use std::collections::HashMap;
 
-/// Per-source Brandes accumulation state, reused across sources.
-struct BrandesState {
-    dist: Vec<i32>,
-    sigma: Vec<f64>,
-    delta: Vec<f64>,
-    preds: Vec<Vec<u32>>,
-    order: Vec<u32>,
-    queue: std::collections::VecDeque<u32>,
+/// Dense adjacency for the kernel: node `v`'s out-entries are
+/// `adj[off[v]..off[v + 1]]`, each `(target, score slot)`, in the order
+/// the BFS visits them. `in_off` reserves one predecessor slot per
+/// incoming entry.
+#[derive(Debug, Default)]
+pub(crate) struct Csr {
+    off: Vec<u32>,
+    adj: Vec<(u32, u32)>,
+    in_off: Vec<u32>,
 }
 
-impl BrandesState {
-    fn new(n: usize) -> Self {
-        BrandesState {
-            dist: vec![-1; n],
-            sigma: vec![0.0; n],
-            delta: vec![0.0; n],
-            preds: vec![Vec::new(); n],
-            order: Vec::with_capacity(n),
-            queue: std::collections::VecDeque::new(),
+impl Csr {
+    /// Starts an empty adjacency; add nodes in id order with
+    /// [`Csr::push`] and [`Csr::end_node`].
+    pub(crate) fn new() -> Csr {
+        Csr {
+            off: vec![0],
+            adj: Vec::new(),
+            in_off: vec![0],
         }
     }
 
-    fn reset(&mut self) {
-        for d in &mut self.dist {
-            *d = -1;
-        }
-        for s in &mut self.sigma {
-            *s = 0.0;
-        }
-        for d in &mut self.delta {
-            *d = 0.0;
-        }
-        for p in &mut self.preds {
-            p.clear();
-        }
-        self.order.clear();
-        self.queue.clear();
+    /// Appends an out-entry of the node being built.
+    #[inline]
+    pub(crate) fn push(&mut self, target: u32, slot: u32) {
+        self.adj.push((target, slot));
     }
 
-    /// BFS phase from `s`: shortest-path counts and predecessor DAG.
-    fn sssp(&mut self, graph: &DiGraph, s: u32) {
-        self.reset();
-        self.dist[s as usize] = 0;
-        self.sigma[s as usize] = 1.0;
-        self.queue.push_back(s);
-        while let Some(u) = self.queue.pop_front() {
-            self.order.push(u);
-            let du = self.dist[u as usize];
-            for &v in graph.successors(NodeId(u)) {
+    /// Closes the node being built, reserving `in_degree` predecessor
+    /// slots for it.
+    pub(crate) fn end_node(&mut self, in_degree: usize) {
+        self.off.push(self.adj.len() as u32);
+        let last = *self.in_off.last().expect("in_off starts non-empty");
+        self.in_off.push(last + in_degree as u32);
+    }
+
+    /// Closes the node being built in a symmetric adjacency, where the
+    /// in-degree equals the out-degree.
+    pub(crate) fn end_symmetric_node(&mut self) {
+        let start = *self.off.last().expect("off starts non-empty");
+        self.end_node(self.adj.len() - start as usize);
+    }
+
+    pub(crate) fn node_count(&self) -> usize {
+        self.off.len() - 1
+    }
+
+    #[inline]
+    fn out(&self, v: u32) -> &[(u32, u32)] {
+        &self.adj[self.off[v as usize] as usize..self.off[v as usize + 1] as usize]
+    }
+
+    /// The adjacency of a digraph: slots number the edges in
+    /// [`DiGraph::edges`] order.
+    fn of(graph: &DiGraph) -> Csr {
+        let mut csr = Csr::new();
+        for u in graph.nodes() {
+            for &v in graph.successors(u) {
+                let slot = csr.adj.len() as u32;
+                csr.push(v, slot);
+            }
+            csr.end_node(graph.in_degree(u));
+        }
+        csr
+    }
+}
+
+/// Per-node single-source state, kept together so a visit touches one
+/// cache line.
+#[derive(Debug, Clone, Copy)]
+struct Visit {
+    sigma: f64,
+    delta: f64,
+    dist: i32,
+    preds: u32,
+}
+
+const UNSEEN: Visit = Visit {
+    sigma: 0.0,
+    delta: 0.0,
+    dist: -1,
+    preds: 0,
+};
+
+/// Reusable single-source Brandes state.
+#[derive(Debug, Default)]
+pub(crate) struct Brandes {
+    node: Vec<Visit>,
+    /// BFS visit order; doubles as the queue.
+    order: Vec<u32>,
+    /// Shortest-path DAG predecessors `(node, slot)`, segmented by `in_off`.
+    pred: Vec<(u32, u32)>,
+    /// Single-source passes run so far.
+    pub(crate) sources: u64,
+}
+
+impl Brandes {
+    /// Sets the slots of `g` in `scores` to the sum over every source, in
+    /// ascending order, where source `s` adds
+    /// `weight[s] · σ(v)/σ(w) · (weight[w] + δ(w))` to the slot of each
+    /// DAG edge `v → w`.
+    pub(crate) fn run(&mut self, g: &Csr, weight: &[f64], scores: &mut [f64]) {
+        for &(_, slot) in &g.adj {
+            scores[slot as usize] = 0.0;
+        }
+        for s in 0..g.node_count() as u32 {
+            self.source(g, weight, s, scores);
+        }
+    }
+
+    /// One source: BFS from `s`, then dependency accumulation in reverse
+    /// BFS order. Leaves `order` and each visited node's `delta`
+    /// describing this source until the next call.
+    fn source(&mut self, g: &Csr, weight: &[f64], s: u32, scores: &mut [f64]) {
+        let n = g.node_count();
+        if self.node.len() < n {
+            self.node.resize(n, UNSEEN);
+        }
+        let preds = g.in_off[n] as usize;
+        if self.pred.len() < preds {
+            self.pred.resize(preds, (0, 0));
+        }
+        let Brandes {
+            node,
+            order,
+            pred,
+            sources,
+        } = self;
+        for &v in order.iter() {
+            node[v as usize] = UNSEEN;
+        }
+        order.clear();
+        *sources += 1;
+
+        node[s as usize].dist = 0;
+        node[s as usize].sigma = 1.0;
+        order.push(s);
+        let mut head = 0;
+        while head < order.len() {
+            let u = order[head];
+            head += 1;
+            let Visit {
+                sigma: su,
+                dist: du,
+                ..
+            } = node[u as usize];
+            for &(v, slot) in g.out(u) {
                 if v == u {
                     continue; // self-loops carry no shortest paths
                 }
-                if self.dist[v as usize] < 0 {
-                    self.dist[v as usize] = du + 1;
-                    self.queue.push_back(v);
+                let nv = &mut node[v as usize];
+                if nv.dist < 0 {
+                    nv.dist = du + 1;
+                    order.push(v);
                 }
-                if self.dist[v as usize] == du + 1 {
-                    self.sigma[v as usize] += self.sigma[u as usize];
-                    self.preds[v as usize].push(u);
+                if nv.dist == du + 1 {
+                    nv.sigma += su;
+                    pred[(g.in_off[v as usize] + nv.preds) as usize] = (u, slot);
+                    nv.preds += 1;
                 }
+            }
+        }
+
+        let ws = weight[s as usize];
+        for &w in order.iter().rev() {
+            let nw = node[w as usize];
+            let coeff = (weight[w as usize] + nw.delta) / nw.sigma;
+            let first = g.in_off[w as usize] as usize;
+            for &(v, slot) in &pred[first..first + nw.preds as usize] {
+                let nv = &mut node[v as usize];
+                let c = nv.sigma * coeff;
+                nv.delta += c;
+                scores[slot as usize] += ws * c;
             }
         }
     }
@@ -81,35 +199,17 @@ impl BrandesState {
 /// excluded, matching NetworkX defaults.
 pub fn node_betweenness(graph: &DiGraph, normalized: bool) -> Vec<f64> {
     let n = graph.node_count();
-    if n == 0 {
-        return Vec::new();
-    }
-    let partials: Vec<Vec<f64>> = (0..n as u32)
-        .into_par_iter()
-        .fold(
-            || (BrandesState::new(n), vec![0.0; n]),
-            |(mut st, mut acc), s| {
-                st.sssp(graph, s);
-                for &w in st.order.iter().rev() {
-                    let coeff = (1.0 + st.delta[w as usize]) / st.sigma[w as usize];
-                    // Clone-free predecessor walk: preds[w] is only read here.
-                    for i in 0..st.preds[w as usize].len() {
-                        let v = st.preds[w as usize][i];
-                        st.delta[v as usize] += st.sigma[v as usize] * coeff;
-                    }
-                    if w != s {
-                        acc[w as usize] += st.delta[w as usize];
-                    }
-                }
-                (st, acc)
-            },
-        )
-        .map(|(_, acc)| acc)
-        .collect();
+    let csr = Csr::of(graph);
+    let weight = vec![1.0; n];
+    let mut edge_scores = vec![0.0; graph.edge_count()];
     let mut bc = vec![0.0; n];
-    for p in partials {
-        for (b, v) in bc.iter_mut().zip(p) {
-            *b += v;
+    let mut kernel = Brandes::default();
+    for s in 0..n as u32 {
+        kernel.source(&csr, &weight, s, &mut edge_scores);
+        for &w in &kernel.order {
+            if w != s {
+                bc[w as usize] += kernel.node[w as usize].delta;
+            }
         }
     }
     if normalized && n > 2 {
@@ -124,83 +224,25 @@ pub fn node_betweenness(graph: &DiGraph, normalized: bool) -> Vec<f64> {
 /// Exact edge betweenness centrality.
 ///
 /// Returns a map keyed by `(from, to)` node-id pairs in the graph's stored
-/// edge orientation. For undirected views (symmetric digraphs) both
-/// orientations receive the same value, so callers can canonicalize with
-/// `min/max`.
+/// edge orientation, holding every edge except self-loops. For undirected
+/// views (symmetric digraphs) both orientations receive the same value up
+/// to rounding, so callers can canonicalize with `min/max`.
 pub fn edge_betweenness(graph: &DiGraph) -> HashMap<(u32, u32), f64> {
-    let n = graph.node_count();
-    if n == 0 {
-        return HashMap::new();
-    }
-    let partials: Vec<HashMap<(u32, u32), f64>> = (0..n as u32)
-        .into_par_iter()
-        .fold(
-            || (BrandesState::new(n), HashMap::<(u32, u32), f64>::new()),
-            |(mut st, mut acc), s| {
-                st.sssp(graph, s);
-                for &w in st.order.iter().rev() {
-                    let coeff = (1.0 + st.delta[w as usize]) / st.sigma[w as usize];
-                    for i in 0..st.preds[w as usize].len() {
-                        let v = st.preds[w as usize][i];
-                        let c = st.sigma[v as usize] * coeff;
-                        st.delta[v as usize] += c;
-                        *acc.entry((v, w)).or_insert(0.0) += c;
-                    }
-                }
-                (st, acc)
-            },
-        )
-        .map(|(_, acc)| acc)
-        .collect();
-    let mut out: HashMap<(u32, u32), f64> = HashMap::new();
-    for p in partials {
-        for (k, v) in p {
-            *out.entry(k).or_insert(0.0) += v;
-        }
-    }
-    out
-}
-
-/// Edge betweenness restricted to sources inside one weakly connected
-/// component; used by Girvan–Newman, which "recalculates betweenness for all
-/// edges affected by the removal" — i.e. only within the split component.
-pub(crate) fn edge_betweenness_within(
-    graph: &DiGraph,
-    members: &[u32],
-) -> HashMap<(u32, u32), f64> {
-    let n = graph.node_count();
-    let partials: Vec<HashMap<(u32, u32), f64>> = members
-        .par_iter()
-        .fold(
-            || (BrandesState::new(n), HashMap::<(u32, u32), f64>::new()),
-            |(mut st, mut acc), &s| {
-                st.sssp(graph, s);
-                for &w in st.order.iter().rev() {
-                    let coeff = (1.0 + st.delta[w as usize]) / st.sigma[w as usize];
-                    for i in 0..st.preds[w as usize].len() {
-                        let v = st.preds[w as usize][i];
-                        let c = st.sigma[v as usize] * coeff;
-                        st.delta[v as usize] += c;
-                        *acc.entry((v, w)).or_insert(0.0) += c;
-                    }
-                }
-                (st, acc)
-            },
-        )
-        .map(|(_, acc)| acc)
-        .collect();
-    let mut out: HashMap<(u32, u32), f64> = HashMap::new();
-    for p in partials {
-        for (k, v) in p {
-            *out.entry(k).or_insert(0.0) += v;
-        }
-    }
-    out
+    let csr = Csr::of(graph);
+    let mut scores = vec![0.0; graph.edge_count()];
+    Brandes::default().run(&csr, &vec![1.0; graph.node_count()], &mut scores);
+    graph
+        .edges()
+        .zip(scores)
+        .filter(|((u, v), _)| u != v)
+        .map(|((u, v), score)| ((u.0, v.0), score))
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::digraph::NodeId;
 
     /// Undirected path a - b - c as a symmetric digraph.
     fn path3() -> DiGraph {
@@ -306,6 +348,7 @@ mod tests {
         g.add_edge(NodeId(1), NodeId(1));
         let bc = node_betweenness(&g, false);
         assert_eq!(bc[1], 2.0);
+        assert!(!edge_betweenness(&g).contains_key(&(1, 1)));
     }
 
     #[test]
@@ -313,5 +356,44 @@ mod tests {
         let g = DiGraph::new();
         assert!(node_betweenness(&g, true).is_empty());
         assert!(edge_betweenness(&g).is_empty());
+    }
+
+    #[test]
+    fn edge_scores_match_the_sequential_reference_bit_for_bit() {
+        for seed in 0..8 {
+            let g = crate::preferential_attachment(80, 1 + seed as usize % 3, seed);
+            for graph in [g.to_undirected(), g] {
+                let all: Vec<u32> = (0..graph.node_count() as u32).collect();
+                let want = crate::reference::edge_betweenness_from(&graph, &all);
+                let got = edge_betweenness(&graph);
+                assert_eq!(got.len(), want.len());
+                for (key, score) in &want {
+                    assert_eq!(
+                        got[key].to_bits(),
+                        score.to_bits(),
+                        "seed {seed} edge {key:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn unit_weights_equal_the_per_node_sum() {
+        // Weighted kernel: a path a - b - c where b stands for 3 nodes
+        // (itself plus two hanging off it) scores the same as the path
+        // with the two extra nodes attached as leaves.
+        let mut csr = Csr::new();
+        csr.push(1, 0);
+        csr.end_symmetric_node();
+        csr.push(0, 0);
+        csr.push(2, 1);
+        csr.end_symmetric_node();
+        csr.push(1, 1);
+        csr.end_symmetric_node();
+        let mut scores = [0.0; 2];
+        Brandes::default().run(&csr, &[1.0, 3.0, 1.0], &mut scores);
+        // Edge a-b carries every ordered pair between {a} and {b, x, y, c}.
+        assert_eq!(scores, [8.0, 8.0]);
     }
 }

@@ -13,10 +13,12 @@
 //! - [`mod@bfs`]: multi-source BFS, backward shortest-path slices and
 //!   shortest-path DAGs (Algorithm 5.4 steps 3/8), reachability oracles.
 //! - [`components`]: weakly/strongly connected components.
-//! - [`betweenness`]: exact Brandes node/edge betweenness, parallelized
-//!   over sources with rayon.
-//! - [`community`]: Girvan–Newman splits with affected-component
-//!   recomputation and Newman modularity.
+//! - [`betweenness`]: exact Brandes node/edge betweenness: one dense,
+//!   edge-indexed kernel with node weights, sources summed in ascending
+//!   order, so scores are bit-identical at any thread count.
+//! - [`community`]: Girvan–Newman splits that rescore only the biconnected
+//!   blocks a removal affects (exact tie fallback keeps the removal order
+//!   of the whole-component algorithm), and Newman modularity.
 //! - [`centrality`]: degree / eigenvector / Katz / PageRank centrality in
 //!   either direction (the paper uses eigenvector **in**-centrality).
 //! - [`hashimoto`]: non-backtracking centrality via implicit edge-space
@@ -37,6 +39,8 @@ pub mod digraph;
 pub mod export;
 pub mod hashimoto;
 pub mod quotient;
+#[doc(hidden)]
+pub mod reference;
 
 pub use betweenness::{edge_betweenness, node_betweenness};
 pub use bfs::{

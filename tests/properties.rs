@@ -65,6 +65,34 @@ proptest! {
         prop_assert!(result.partition.count >= before);
         // Labels cover every node.
         prop_assert_eq!(result.partition.labels.len(), g.node_count());
+        // Removed edges are distinct canonical pairs of `g`.
+        let mut seen = std::collections::HashSet::new();
+        for &(u, v) in &result.removed_edges {
+            prop_assert!(u < v, "({u},{v}) is not canonical");
+            prop_assert!(g.has_edge(NodeId(u), NodeId(v)) || g.has_edge(NodeId(v), NodeId(u)));
+            prop_assert!(seen.insert((u, v)), "({u},{v}) removed twice");
+        }
+        // Each community is one connected piece of `g` minus the removed
+        // edges.
+        let mut rest = g.to_undirected();
+        for &(u, v) in &result.removed_edges {
+            rest.remove_edge(NodeId(u), NodeId(v));
+            rest.remove_edge(NodeId(v), NodeId(u));
+        }
+        for group in result.partition.groups() {
+            let (sub, _) = rest.induced_subgraph(&group);
+            prop_assert_eq!(weakly_connected_components(&sub).count, 1);
+        }
+    }
+
+    /// Girvan–Newman removes the same edges in the same order, and ends
+    /// with the same partition, as the sequential reference.
+    #[test]
+    fn girvan_newman_matches_the_reference(g in arb_graph(), levels in 1usize..=3) {
+        let got = girvan_newman(&g, levels);
+        let (want, _) = graph::reference::girvan_newman(&g, levels);
+        prop_assert_eq!(got.removed_edges, want.removed_edges);
+        prop_assert_eq!(got.partition, want.partition);
     }
 
     /// Eigenvector centrality is non-negative and normalized.
