@@ -17,10 +17,12 @@
 //! warnings over the pristine baseline.
 //!
 //! Output JSON is byte-deterministic for a given model and seed,
-//! regardless of `--threads`. `--trace-out` streams build/lint phase
-//! spans and per-target `lint.report` events as JSONL telemetry;
-//! `--metrics` prints the counter and phase-profile snapshot to stderr.
-//! Neither flag changes a byte of the JSON artifact.
+//! regardless of `--threads`. `--trace-out` records the compile, build
+//! and lint spans and per-target `lint.report` events, written as JSONL
+//! telemetry when the run ends; `--metrics` prints the counter snapshot
+//! to stderr, plus the phase profile folded from the trace when
+//! `--trace-out` is given. Neither flag changes a byte of the JSON
+//! artifact.
 
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -46,7 +48,9 @@ fn usage() -> ! {
     eprintln!(
         "usage: rca-lint [--scale test|medium|paper] [--all-experiments] [--json PATH]\n\
          \x20               [--assert-clean] [--mutate-seed S] [--min-findings N]\n\
-         \x20               [--threads N] [--trace-out PATH] [--metrics] [--quiet]"
+         \x20               [--threads N] [--trace-out PATH] [--metrics] [--quiet]\n\
+         --metrics prints the counters to stderr, plus the phase profile folded\n\
+         from the trace when --trace-out is given"
     );
     std::process::exit(2);
 }
@@ -148,27 +152,17 @@ fn lint_model(model: &ModelSource) -> Result<rca_analysis::LintReport, String> {
 
 fn main() -> ExitCode {
     let args = parse_args();
-    // The trace sink is thread-scoped: install it around the whole run so
-    // build/lint spans and per-target events land in one JSONL stream.
-    match args.trace_out.clone() {
-        None => run(&args),
-        Some(path) => {
-            let writer = match rca_obs::JsonlWriter::create(&path) {
-                Ok(w) => Arc::new(w),
-                Err(e) => {
-                    eprintln!("cannot open trace file {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            let code = rca_obs::with_sink(writer.clone(), || run(&args));
-            if let Err(e) = writer.finish() {
-                eprintln!("cannot flush trace file {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-            if !args.quiet {
+    let trace_out = args.trace_out.as_deref();
+    match rca_obs::run_with_telemetry(trace_out, args.metrics, || run(&args)) {
+        Ok(code) => {
+            if let (Some(path), false) = (trace_out, args.quiet) {
                 eprintln!("trace written to {path}");
             }
             code
+        }
+        Err(e) => {
+            eprintln!("{e}");
+            ExitCode::FAILURE
         }
     }
 }
@@ -278,14 +272,6 @@ fn run(args: &Args) -> ExitCode {
         }
         if !args.quiet {
             println!("report written to {path}");
-        }
-    }
-
-    if args.metrics {
-        eprint!("{}", rca_obs::metrics_snapshot().render());
-        let phases = rca_obs::phase_snapshot();
-        if !phases.is_empty() {
-            eprint!("{}", phases.render());
         }
     }
 

@@ -53,24 +53,23 @@ pub struct ModelAnalysis {
 impl ModelAnalysis {
     /// Runs every analysis over the program.
     pub fn build(program: Arc<Program>) -> ModelAnalysis {
-        rca_obs::phase_scope("phase.analysis_build", || {
-            rca_obs::counter_inc!("analysis.builds", 1);
-            let deps = DepGraph::build(&program);
-            let observable = deps.output_observable();
-            let reachable = reach::reachable_procs(&program, reach::ENTRY_ROOTS);
-            let flows: Vec<dataflow::ProcFlow> = (0..program.ir_procs().len() as u32)
-                .map(|p| dataflow::analyze_proc(&program, p))
-                .collect();
-            let global_const = absint::const_globals(&program);
-            ModelAnalysis {
-                program,
-                deps,
-                observable,
-                reachable,
-                flows,
-                global_const,
-            }
-        })
+        let _span = rca_obs::span("phase.analysis_build");
+        rca_obs::counter_inc!("analysis.builds", 1);
+        let deps = DepGraph::build(&program);
+        let observable = deps.output_observable();
+        let reachable = reach::reachable_procs(&program, reach::ENTRY_ROOTS);
+        let flows: Vec<dataflow::ProcFlow> = (0..program.ir_procs().len() as u32)
+            .map(|p| dataflow::analyze_proc(&program, p))
+            .collect();
+        let global_const = absint::const_globals(&program);
+        ModelAnalysis {
+            program,
+            deps,
+            observable,
+            reachable,
+            flows,
+            global_const,
+        }
     }
 
     /// The analyzed program.
@@ -111,14 +110,13 @@ impl ModelAnalysis {
 
     /// Runs the full lint catalog.
     pub fn lint(&self) -> LintReport {
-        rca_obs::phase_scope("phase.lint", || {
-            rca_obs::counter_inc!("analysis.lints", 1);
-            let mut findings = Vec::new();
-            self.lint_dataflow(&mut findings);
-            self.lint_reachability(&mut findings);
-            self.lint_hazards(&mut findings);
-            LintReport::seal(findings)
-        })
+        let _span = rca_obs::span("phase.lint");
+        rca_obs::counter_inc!("analysis.lints", 1);
+        let mut findings = Vec::new();
+        self.lint_dataflow(&mut findings);
+        self.lint_reachability(&mut findings);
+        self.lint_hazards(&mut findings);
+        LintReport::seal(findings)
     }
 
     /// Validates runtime sample specs against the program: unknown

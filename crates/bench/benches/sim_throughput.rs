@@ -65,9 +65,6 @@ fn best_run_seconds(mut run: impl FnMut() -> f64) -> f64 {
 }
 
 fn main() {
-    // The counting allocator doubles as the phase-profiler's alloc probe,
-    // so `phase_profile` entries in BENCH_sim.json report allocations too.
-    rca_obs::set_alloc_probe(|| ALLOCS.load(Ordering::Relaxed));
     header(
         "sim_throughput",
         "the compiled engine must dominate per-run cost; ensembles compile once",

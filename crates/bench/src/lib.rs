@@ -53,18 +53,13 @@ pub fn bench_refine_options() -> RefineOptions {
     RefineOptions::default()
 }
 
-/// Writes one `BENCH_*.json` record: pretty-printed with a trailing
-/// newline, and with the process-wide phase profile appended under
-/// `phase_profile` so every bench records where its wall time and
-/// allocations went alongside its headline numbers. Errors are reported,
-/// not fatal — a read-only checkout must not kill the bench.
+/// Writes one `BENCH_*.json` record, pretty-printed with a trailing
+/// newline. The record holds the bench's own numbers only; a per-phase
+/// breakdown comes from a trace folded with
+/// `rca_obs::PhaseProfile::from_records`. Errors are reported, not
+/// fatal — a read-only checkout must not kill the bench.
 pub fn record_bench(path: &str, record: Json) {
-    let mut fields = match record {
-        Json::Obj(fields) => fields,
-        other => vec![("record".to_string(), other)],
-    };
-    fields.push(("phase_profile".to_string(), rca_obs::phase_snapshot_json()));
-    let text = serde_json::to_string_pretty(&Json::Obj(fields)).expect("json render is infallible");
+    let text = serde_json::to_string_pretty(&record).expect("json render is infallible");
     match std::fs::write(path, text + "\n") {
         Ok(()) => println!("recorded {path}"),
         Err(e) => eprintln!("cannot write {path}: {e}"),

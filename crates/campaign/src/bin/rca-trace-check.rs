@@ -10,10 +10,13 @@
 //!   `span_end`, or `event`, a string `name`, and a numeric `ts`;
 //! - `span_start` carries a `u64` `id`, a `parent` (null or span id),
 //!   and a `fields` object;
-//! - `span_end` carries the matching `id` plus a numeric `dur`;
+//! - `span_end` carries the matching `id` plus a u64 `dur`;
 //! - `event` carries `parent` and `fields`;
 //! - every opened span is closed exactly once, under the same name,
-//!   and parents refer to spans opened earlier in the stream.
+//!   and parents refer to spans opened earlier in the stream;
+//! - a span's direct children together last no longer than the span
+//!   itself, so the self time a profile folds from the trace (duration
+//!   minus direct children) is never negative.
 //!
 //! `--require-phases` additionally asserts that each named span or
 //! event occurs at least once — the CI trace-smoke gate uses this to
@@ -23,20 +26,24 @@
 use std::collections::HashMap;
 use std::process::ExitCode;
 
+/// A span opened and not yet closed.
+struct OpenSpan {
+    name: String,
+    parent: Option<u64>,
+    /// Summed `dur` of the direct children closed so far.
+    children: u64,
+}
+
 fn usage() -> ! {
     eprintln!("usage: rca-trace-check PATH [--require-phases name,name,...]");
     std::process::exit(2);
-}
-
-fn as_span_id(v: &serde_json::Value) -> Option<u64> {
-    v.as_u64()
 }
 
 /// Validates one parsed line; returns the opened/closed span id action.
 fn check_record(
     v: &serde_json::Value,
     lineno: usize,
-    open: &mut HashMap<u64, &'static str>,
+    open: &mut HashMap<u64, OpenSpan>,
     names: &mut HashMap<String, usize>,
     errors: &mut Vec<String>,
 ) {
@@ -57,9 +64,9 @@ fn check_record(
     if v["ts"].as_f64().is_none() {
         fail("missing numeric `ts`".to_string());
     }
-    let parent_ok = |v: &serde_json::Value, open: &HashMap<u64, &'static str>| match v {
+    let parent_ok = |v: &serde_json::Value, open: &HashMap<u64, OpenSpan>| match v {
         serde_json::Value::Null => true,
-        other => as_span_id(other).is_some_and(|id| open.contains_key(&id)),
+        other => other.as_u64().is_some_and(|id| open.contains_key(&id)),
     };
     match ty {
         "span_start" => {
@@ -69,33 +76,48 @@ fn check_record(
             if !parent_ok(&v["parent"], open) {
                 fail("span_start `parent` is not null or an open span id".to_string());
             }
-            match as_span_id(&v["id"]) {
+            match v["id"].as_u64() {
                 None => fail("span_start missing u64 `id`".to_string()),
                 Some(id) => {
-                    // Leak one small string per distinct span so the open-set
-                    // can hold `&'static str` without lifetime juggling; a
-                    // trace check is a one-shot process.
-                    let leaked: &'static str = Box::leak(name.to_string().into_boxed_str());
-                    if open.insert(id, leaked).is_some() {
+                    let span = OpenSpan {
+                        name: name.to_string(),
+                        parent: v["parent"].as_u64(),
+                        children: 0,
+                    };
+                    if open.insert(id, span).is_some() {
                         fail(format!("span id {id} opened twice"));
                     }
                 }
             }
         }
         "span_end" => {
-            if v["dur"].as_f64().is_none() {
-                fail("span_end missing numeric `dur`".to_string());
+            let dur = v["dur"].as_u64();
+            if dur.is_none() {
+                fail("span_end missing u64 `dur`".to_string());
             }
-            match as_span_id(&v["id"]) {
+            match v["id"].as_u64() {
                 None => fail("span_end missing u64 `id`".to_string()),
                 Some(id) => match open.remove(&id) {
                     None => fail(format!("span id {id} closed without a matching start")),
-                    Some(opened) if opened != name => {
+                    Some(opened) if opened.name != name => {
                         fail(format!(
-                            "span id {id} opened as `{opened}`, closed as `{name}`"
+                            "span id {id} opened as `{}`, closed as `{name}`",
+                            opened.name
                         ));
                     }
-                    Some(_) => {}
+                    Some(opened) => {
+                        let dur = dur.unwrap_or(0);
+                        if opened.children > dur {
+                            fail(format!(
+                                "span id {id} (`{name}`) lasts {dur} ns, but its direct \
+                                 children last {} ns",
+                                opened.children
+                            ));
+                        }
+                        if let Some(parent) = opened.parent.and_then(|p| open.get_mut(&p)) {
+                            parent.children += dur;
+                        }
+                    }
                 },
             }
         }
@@ -138,7 +160,7 @@ fn main() -> ExitCode {
         }
     };
     let mut errors: Vec<String> = Vec::new();
-    let mut open: HashMap<u64, &'static str> = HashMap::new();
+    let mut open: HashMap<u64, OpenSpan> = HashMap::new();
     let mut names: HashMap<String, usize> = HashMap::new();
     let mut records = 0usize;
     for (i, line) in text.lines().enumerate() {
@@ -151,8 +173,8 @@ fn main() -> ExitCode {
             Ok(v) => check_record(&v, i + 1, &mut open, &mut names, &mut errors),
         }
     }
-    for (id, name) in &open {
-        errors.push(format!("span id {id} (`{name}`) never closed"));
+    for (id, span) in &open {
+        errors.push(format!("span id {id} (`{}`) never closed", span.name));
     }
     for want in &required {
         if !names.contains_key(want) {

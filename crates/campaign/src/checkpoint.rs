@@ -17,8 +17,8 @@
 //!
 //! The `result` payload is the scorecard's own deterministic JSON export
 //! ([`ScenarioResult`]'s `Serialize`), parsed back field-for-field; the
-//! non-deterministic fields excluded from that export (wall time, phase
-//! profile) are restored as zero/empty, which is exactly what the
+//! non-deterministic field excluded from that export (wall time) is
+//! restored as zero, which is exactly what the
 //! scorecard JSON artifact ignores — a resumed campaign's merged
 //! scorecard is byte-identical to an uninterrupted run's.
 
@@ -220,10 +220,9 @@ fn parse_result(v: &Value) -> Option<ScenarioResult> {
         // Conditional key: absent means healthy.
         degraded: as_bool(&v["degraded"]).unwrap_or(false),
         error,
-        // Timing and profiles are telemetry, deliberately excluded from
-        // the deterministic export — restored as empty.
+        // Timing is telemetry, deliberately excluded from the
+        // deterministic export — restored as zero.
         wall_ms: 0.0,
-        profile: rca_obs::PhaseProfile::new(),
     })
 }
 
@@ -260,7 +259,6 @@ mod tests {
             degraded: true,
             error: None,
             wall_ms: 9.5,
-            profile: rca_obs::PhaseProfile::new(),
         }
     }
 

@@ -31,12 +31,15 @@
 //!
 //! The JSON artifact is deterministic for a given seed (timing excluded),
 //! so CI can both diff it and assert quality floors via the `--assert-*`
-//! flags (exit code 1 on violation). `--trace-out` streams the run as a
-//! JSONL trace (per-scenario progress, every pipeline phase span) into
-//! the telemetry channel — the scorecard bytes are identical with or
-//! without it, which the CI trace-smoke gate asserts. `--metrics` prints
-//! the process-wide counter/gauge/histogram snapshot and the aggregate
-//! phase profile to stderr after the run.
+//! flags (exit code 1 on violation). `--trace-out` records the run
+//! (per-scenario progress, every pipeline phase span, diagnosed
+//! sequentially) and writes it as a JSONL trace when the run ends — the
+//! scorecard bytes are identical with or without it, which the CI
+//! trace-smoke gate asserts. `--metrics` prints the counter/gauge/
+//! histogram snapshot to stderr after the run plus, with `--trace-out`,
+//! the phase profile folded from the trace (count, inclusive and self
+//! time per span name); alone it installs no sink, so the scenario
+//! fan-out stays parallel.
 //!
 //! Exit codes: `0` clean, `1` assertion-floor violation, `2` usage,
 //! `3` completed but some scenario failures were absorbed into the
@@ -71,7 +74,9 @@ fn usage() -> ! {
          \x20                   [--wall-budget-ms MS] [--threads N] [--json PATH]\n\
          \x20                   [--trace-out PATH] [--metrics] [--quiet]\n\
          \x20                   [--assert-localization R] [--assert-clean-pass R]\n\
-         \x20                   [--assert-flagged R]"
+         \x20                   [--assert-flagged R]\n\
+         --metrics prints the counters to stderr, plus the phase profile folded\n\
+         from the trace when --trace-out is given"
     );
     std::process::exit(2);
 }
@@ -213,30 +218,19 @@ fn main() -> ExitCode {
         wall_budget: args.runner.wall_budget,
     };
     let model = generate(&config);
-    // The trace sink is thread-scoped: install it around the whole run so
-    // every span and event the campaign emits lands in one JSONL stream.
-    let outcome = match &args.trace_out {
-        None => run_campaign(&model, &args.opts, &runner),
-        Some(path) => {
-            let writer = match rca_obs::JsonlWriter::create(path) {
-                Ok(w) => std::sync::Arc::new(w),
-                Err(e) => {
-                    eprintln!("cannot open trace file {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            let res =
-                rca_obs::with_sink(writer.clone(), || run_campaign(&model, &args.opts, &runner));
-            if let Err(e) = writer.finish() {
-                eprintln!("cannot flush trace file {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-            if !args.quiet {
-                eprintln!("trace written to {path}");
-            }
-            res
+    let trace_out = args.trace_out.as_deref();
+    let outcome = match rca_obs::run_with_telemetry(trace_out, args.metrics, || {
+        run_campaign(&model, &args.opts, &runner)
+    }) {
+        Ok(outcome) => outcome,
+        Err(e) => {
+            eprintln!("{e}");
+            return ExitCode::FAILURE;
         }
     };
+    if let (Some(path), false) = (trace_out, args.quiet) {
+        eprintln!("trace written to {path}");
+    }
     let card = match outcome {
         Ok(card) => card,
         Err(e) => {
@@ -246,13 +240,6 @@ fn main() -> ExitCode {
     };
     if !args.quiet {
         print!("{}", card.render());
-    }
-    if args.metrics {
-        eprint!("{}", rca_obs::metrics_snapshot().render());
-        let phases = rca_obs::phase_snapshot();
-        if !phases.is_empty() {
-            eprint!("{}", phases.render());
-        }
     }
     if let Some(path) = &args.json {
         let json = serde_json::to_string_pretty(&card).expect("serialization is infallible");

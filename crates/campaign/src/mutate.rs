@@ -366,6 +366,7 @@ pub fn plan_campaign(
     session: &RcaSession<'_>,
     opts: &CampaignOptions,
 ) -> Vec<CampaignScenario> {
+    let _span = rca_obs::span("phase.plan");
     let sites = campaign_sites(model, session);
     let control = session.control_config();
     let fma_modules: Vec<String> = {

@@ -196,7 +196,6 @@ pub fn run_scenario(session: &RcaSession<'_>, cs: &CampaignScenario) -> Scenario
                     ],
                 );
             }
-            let profile = d.profile().clone();
             ScenarioResult {
                 name: cs.scenario.name.clone(),
                 kind: cs.class.slug().to_string(),
@@ -213,7 +212,6 @@ pub fn run_scenario(session: &RcaSession<'_>, cs: &CampaignScenario) -> Scenario
                 degraded,
                 error: None,
                 wall_ms,
-                profile,
             }
         }
         Err(e) => {
@@ -249,7 +247,6 @@ pub fn run_scenario(session: &RcaSession<'_>, cs: &CampaignScenario) -> Scenario
                 degraded: false,
                 error: Some(AbsorbedError::from_rca(&e)),
                 wall_ms,
-                profile: rca_obs::PhaseProfile::new(),
             }
         }
     }

@@ -103,9 +103,6 @@ pub struct ScenarioResult {
     pub error: Option<AbsorbedError>,
     /// Wall time of this diagnosis (excluded from JSON export).
     pub wall_ms: f64,
-    /// Per-phase profile of this diagnosis (excluded from JSON export —
-    /// timing lives in the telemetry channel, never the artifact).
-    pub profile: rca_obs::PhaseProfile,
 }
 
 impl ScenarioResult {
@@ -234,12 +231,6 @@ impl Scorecard {
         } else {
             0.0
         }
-    }
-
-    /// Aggregates every scenario's phase profile into one campaign-wide
-    /// rollup (summed counts, wall time, and allocations per phase).
-    pub fn profile_rollup(&self) -> rca_obs::PhaseProfile {
-        rca_obs::PhaseProfile::rollup(self.results.iter().map(|r| &r.profile))
     }
 
     /// Computes the aggregate metrics.
@@ -396,12 +387,6 @@ impl Scorecard {
                 }
             }
         }
-        let rollup = self.profile_rollup();
-        if !rollup.is_empty() {
-            let _ = writeln!(out);
-            let _ = writeln!(out, "phase profile (all scenarios):");
-            out.push_str(&rollup.render());
-        }
         out
     }
 }
@@ -438,7 +423,6 @@ mod tests {
             degraded: false,
             error: None,
             wall_ms: 1.0,
-            profile: rca_obs::PhaseProfile::new(),
         }
     }
 

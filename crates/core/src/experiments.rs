@@ -261,17 +261,17 @@ pub struct EnsembleStats {
 pub(crate) fn collect_ensemble(
     base_program: &Arc<Program>,
     setup: &ExperimentSetup,
-    profile: &mut rca_obs::PhaseProfile,
 ) -> Result<EnsembleStats, RcaError> {
     let perts = perturbations(setup.n_ensemble, setup.ic_magnitude, setup.seed);
-    let store = profile.time("phase.ensemble_fill", || {
+    let store = {
+        let _span = rca_obs::span("phase.ensemble_fill");
         EnsembleRuns::run_resilient(
             base_program,
             &control_config(setup),
             &perts,
             setup.retry.max_retries,
         )
-    });
+    };
     let health = EnsembleHealth::of(&store);
     let quorum = setup.retry.control_quorum(setup.n_ensemble);
     if (health.surviving as usize) < quorum {
@@ -292,7 +292,10 @@ pub(crate) fn collect_ensemble(
         .map(|&i| table[i as usize].to_string())
         .collect();
     let matrix = store.matrix_at(eval_step, &kept);
-    let ect = profile.time("phase.ect_fit", || Ect::fit(&matrix, setup.ect));
+    let ect = {
+        let _span = rca_obs::span("phase.ect_fit");
+        Ect::fit(&matrix, setup.ect)
+    };
     Ok(EnsembleStats {
         names,
         matrix,
@@ -341,8 +344,10 @@ pub(crate) fn evaluate_against_ensemble(
     setup: &ExperimentSetup,
 ) -> Result<ExperimentData, RcaError> {
     let exp_perts = perturbations(setup.n_experiment, setup.ic_magnitude, setup.seed ^ 0xDEAD);
-    let exp_store =
-        EnsembleRuns::run_resilient(exp_program, exp_cfg, &exp_perts, setup.retry.max_retries);
+    let exp_store = {
+        let _span = rca_obs::span("statistics.experiment_fill");
+        EnsembleRuns::run_resilient(exp_program, exp_cfg, &exp_perts, setup.retry.max_retries)
+    };
     let exp_health = EnsembleHealth::of(&exp_store);
     let quorum = setup.retry.experiment_quorum(setup.n_experiment);
     if (exp_health.surviving as usize) < quorum {
@@ -500,7 +505,7 @@ pub(crate) fn collect_statistics(
     setup: &ExperimentSetup,
 ) -> Result<ExperimentData, RcaError> {
     let base_program = rca_sim::compile_model(base_model)?;
-    let ens = collect_ensemble(&base_program, setup, &mut rca_obs::PhaseProfile::new())?;
+    let ens = collect_ensemble(&base_program, setup)?;
     let exp_model = base_model.apply(experiment);
     let exp_program = rca_sim::compile_model(&exp_model)?;
     let (_, exp_cfg) = experiment_configs(experiment, setup);

@@ -38,9 +38,6 @@ pub struct RcaPipeline {
     /// compile the *same* source universe and agree with the metagraph
     /// node-for-node.
     filtered: Vec<rca_fortran::SourceFile>,
-    /// Wall/alloc cost of the build phases (parse, coverage, metagraph) —
-    /// telemetry only, merged into the session profile.
-    build_profile: rca_obs::PhaseProfile,
 }
 
 /// Options for pipeline construction.
@@ -100,8 +97,10 @@ impl RcaPipeline {
         program: Option<&Arc<Program>>,
         opts: &PipelineOptions,
     ) -> Result<RcaPipeline, RcaError> {
-        let mut build_profile = rca_obs::PhaseProfile::new();
-        let (asts, parse_errs) = build_profile.time("phase.parse", || model.parse());
+        let (asts, parse_errs) = {
+            let _span = rca_obs::span("phase.parse");
+            model.parse()
+        };
         if let Some(e) = parse_errs.first() {
             return Err(RcaError::from(e));
         }
@@ -124,13 +123,12 @@ impl RcaPipeline {
             };
             (asts, stats)
         } else {
+            let _span = rca_obs::span("phase.coverage");
             let cfg = RunConfig {
                 steps: opts.coverage_steps,
                 ..Default::default()
             };
-            let out = build_profile.time("phase.coverage", || {
-                run_program(program.expect("calibration needs a program"), &cfg, 0.0)
-            })?;
+            let out = run_program(program.expect("calibration needs a program"), &cfg, 0.0)?;
             // The id-keyed coverage renders its pairs here, at the
             // calibration edge — no owned string pairs in between.
             for (m, s) in out.coverage.iter() {
@@ -145,9 +143,10 @@ impl RcaPipeline {
             Some(p) => (**p.symbols()).clone(),
             None => SymbolTable::new(),
         };
-        let metagraph = build_profile.time("phase.metagraph", || {
+        let metagraph = {
+            let _span = rca_obs::span("phase.metagraph");
             build_metagraph_seeded(&filtered, &BuildOptions::default(), seed)
-        });
+        };
         rca_obs::gauge("session.metagraph_nodes").set(metagraph.node_count() as f64);
         let filtered_sources = filtered;
         let components = model.component_map();
@@ -166,13 +165,7 @@ impl RcaPipeline {
             components,
             cam_mask,
             filtered: filtered_sources,
-            build_profile,
         })
-    }
-
-    /// Wall/alloc profile of the build phases (telemetry channel only).
-    pub fn build_profile(&self) -> &rca_obs::PhaseProfile {
-        &self.build_profile
     }
 
     /// The coverage-filtered ASTs the metagraph was built from (the

@@ -183,9 +183,6 @@ impl serde::Serialize for RefinementReport {
     }
 }
 
-/// Oracle-query latency histogram bounds (seconds).
-const ORACLE_LATENCY_BOUNDS: &[f64] = &[1e-5, 1e-4, 1e-3, 1e-2, 0.1, 1.0, 10.0];
-
 /// Refinement iteration-count histogram bounds.
 const REFINE_ITER_BOUNDS: &[f64] = &[1.0, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0];
 
@@ -201,7 +198,10 @@ pub fn refine(
     bug_nodes: &[NodeId],
     opts: &RefineOptions,
 ) -> RefinementReport {
-    let mut current = reinduce(mg, slice, &slice.mapping);
+    let mut current = {
+        let _span = rca_obs::span("refine.reinduce");
+        reinduce(mg, slice, &slice.mapping)
+    };
     let mut iterations = Vec::new();
     let mut all_sampled: Vec<NodeId> = Vec::new();
     let mut stop = StopReason::MaxIterations;
@@ -212,33 +212,40 @@ pub fn refine(
             break;
         }
         // Step 5: communities of the undirected view.
-        let comms = communities(&current.graph, opts.gn_levels, opts.min_community);
+        let comms = {
+            let _span = rca_obs::span("refine.communities");
+            communities(&current.graph, opts.gn_levels, opts.min_community)
+        };
         if comms.is_empty() {
             stop = StopReason::Disconnected;
             break;
         }
         // Step 6: eigenvector in-centrality per community, top m.
-        let mut sampled: Vec<Vec<NodeId>> = Vec::with_capacity(comms.len());
-        for comm in &comms {
-            let (cg, cmap) = current.graph.induced_subgraph(comm);
-            let cent = eigenvector_centrality(&cg, Direction::In, PowerIterOptions::default());
-            let top = top_m(&cent, opts.samples_per_community);
-            sampled.push(
-                top.into_iter()
-                    .map(|local| current.to_meta(cmap[local.index()]))
-                    .collect(),
-            );
-        }
+        let sampled: Vec<Vec<NodeId>> = {
+            let _span = rca_obs::span("refine.centrality");
+            comms
+                .iter()
+                .map(|comm| {
+                    let (cg, cmap) = current.graph.induced_subgraph(comm);
+                    let cent =
+                        eigenvector_centrality(&cg, Direction::In, PowerIterOptions::default());
+                    top_m(&cent, opts.samples_per_community)
+                        .into_iter()
+                        .map(|local| current.to_meta(cmap[local.index()]))
+                        .collect()
+                })
+                .collect()
+        };
         // Step 7: instrument (batched across communities — the per-
         // community runs are independent, which is what the paper
         // parallelizes).
         let flat: Vec<NodeId> = sampled.iter().flatten().copied().collect();
-        let query_start = std::time::Instant::now();
-        let flat_detect = oracle.differs(mg, &flat);
+        let flat_detect = {
+            let _span = rca_obs::span("refine.oracle");
+            oracle.differs(mg, &flat)
+        };
         rca_obs::counter_inc!("oracle.queries", 1);
         rca_obs::counter_inc!("oracle.candidates", flat.len() as u64);
-        rca_obs::histogram("oracle.query_seconds", ORACLE_LATENCY_BOUNDS)
-            .observe(query_start.elapsed().as_secs_f64());
         let mut detected: Vec<Vec<bool>> = Vec::with_capacity(sampled.len());
         let mut cursor = 0usize;
         for group in &sampled {
@@ -348,7 +355,10 @@ pub fn refine(
             stop = StopReason::Stalled;
             break;
         }
-        current = reinduce(mg, &current, &keep_meta);
+        current = {
+            let _span = rca_obs::span("refine.reinduce");
+            reinduce(mg, &current, &keep_meta)
+        };
     }
 
     all_sampled.sort();

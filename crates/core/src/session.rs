@@ -225,15 +225,9 @@ impl<'m> RcaSessionBuilder<'m> {
                 "setup.steps must be at least 2 (the ECT needs an evaluation step)".into(),
             ));
         }
-        // Session-level phase costs live in the telemetry channel only;
-        // `compile_model` and the pipeline build emit their own spans and
-        // global phase records, so accumulate locally here.
-        let mut profile = rca_obs::PhaseProfile::new();
-        let base_program =
-            profile.time_local("phase.compile", || rca_sim::compile_model(self.model))?;
+        let base_program = rca_sim::compile_model(self.model)?;
         let pipeline =
             RcaPipeline::build_with_program(self.model, &base_program, &self.pipeline_opts)?;
-        profile.merge(pipeline.build_profile());
         let mut programs = HashMap::new();
         programs.insert(self.model.content_hash(), base_program);
         Ok(RcaSession {
@@ -249,7 +243,6 @@ impl<'m> RcaSessionBuilder<'m> {
             ensemble: OnceLock::new(),
             analysis: OnceLock::new(),
             programs: Mutex::new(programs),
-            profile: Mutex::new(profile),
         })
     }
 }
@@ -285,10 +278,6 @@ pub struct RcaSession<'m> {
     /// model plus every experimental/scenario variant this session has
     /// diagnosed. Thread-safe: parallel campaign workers share it.
     programs: Mutex<HashMap<u64, Arc<Program>>>,
-    /// Session-level phase costs (compile, parse, coverage, metagraph,
-    /// ensemble fill, ECT fit, analysis) — telemetry only, cloned into
-    /// every diagnosis profile so each report is self-contained.
-    profile: Mutex<rca_obs::PhaseProfile>,
 }
 
 impl<'m> RcaSession<'m> {
@@ -346,21 +335,9 @@ impl<'m> RcaSession<'m> {
     /// once up front so the ensemble cost is paid before the fan-out.
     pub fn ensemble(&self) -> Result<&EnsembleStats, RcaError> {
         self.ensemble
-            .get_or_init(|| {
-                let program = self.program_for(self.model)?;
-                let mut prof = rca_obs::PhaseProfile::new();
-                let res = collect_ensemble(&program, &self.setup, &mut prof);
-                self.profile.lock().expect("profile lock").merge(&prof);
-                res
-            })
+            .get_or_init(|| collect_ensemble(&self.program_for(self.model)?, &self.setup))
             .as_ref()
             .map_err(Clone::clone)
-    }
-
-    /// The session-level phase profile so far (build, ensemble, analysis
-    /// costs) — telemetry channel only, never part of an artifact.
-    pub fn profile(&self) -> rca_obs::PhaseProfile {
-        self.profile.lock().expect("profile lock").clone()
     }
 
     /// The compiled program for a model variant, from the session's
@@ -395,17 +372,9 @@ impl<'m> RcaSession<'m> {
     pub fn analyze(&self) -> Result<&rca_analysis::ModelAnalysis, RcaError> {
         self.analysis
             .get_or_init(|| {
-                let mut prof = rca_obs::PhaseProfile::new();
-                let res = prof.time_local(
-                    "phase.analysis",
-                    || -> Result<rca_analysis::ModelAnalysis, RcaError> {
-                        let program =
-                            Arc::new(rca_sim::compile_sources(self.pipeline.filtered_sources())?);
-                        Ok(rca_analysis::ModelAnalysis::build(program))
-                    },
-                );
-                self.profile.lock().expect("profile lock").merge(&prof);
-                res
+                let _span = rca_obs::span("phase.analysis");
+                let program = Arc::new(rca_sim::compile_sources(self.pipeline.filtered_sources())?);
+                Ok(rca_analysis::ModelAnalysis::build(program))
             })
             .as_ref()
             .map_err(Clone::clone)
@@ -551,15 +520,15 @@ impl<'m> RcaSession<'m> {
     }
 
     fn statistics_for(&self, subject: Subject) -> Result<Statistics<'_, 'm>, RcaError> {
-        // The ensemble is a session-level cost: pay (and profile) it
-        // before the per-subject statistics phase starts.
+        // The ensemble is a session-level cost: pay it before the
+        // per-subject statistics phase starts.
         let ens = self.ensemble()?;
-        let mut profile = self.profile();
         let exp_model = self.exp_model_of(&subject);
-        let data = profile.time("phase.statistics", || -> Result<_, RcaError> {
+        let data = {
+            let _span = rca_obs::span("phase.statistics");
             let exp_program = self.program_for(&exp_model)?;
-            evaluate_against_ensemble(ens, &exp_program, &subject.exp_config, &self.setup)
-        })?;
+            evaluate_against_ensemble(ens, &exp_program, &subject.exp_config, &self.setup)?
+        };
         if data.output_names.is_empty() {
             return Err(RcaError::Stats(
                 "ensemble and experimental runs share no output variables".into(),
@@ -571,7 +540,6 @@ impl<'m> RcaSession<'m> {
             subject,
             data,
             affected,
-            profile,
         })
     }
 
@@ -616,7 +584,6 @@ impl<'m> RcaSession<'m> {
                 sampling_errors: Vec::new(),
                 degraded: stats.data.degraded,
                 trace: String::new(),
-                profile: stats.profile,
             });
         }
         let sliced = stats.slice()?;
@@ -675,9 +642,6 @@ pub struct Statistics<'s, 'm> {
     /// median distance). Mutable before [`Statistics::slice`] for callers
     /// that want to override the selection.
     pub affected: Vec<String>,
-    /// Per-diagnosis phase profile (session-level phases plus this
-    /// subject's statistics so far) — telemetry only.
-    profile: rca_obs::PhaseProfile,
 }
 
 impl<'s, 'm> Statistics<'s, 'm> {
@@ -702,9 +666,9 @@ impl<'s, 'm> Statistics<'s, 'm> {
     /// through the session's symbol table once, and everything downstream
     /// (criteria, slice restriction, refinement, oracle queries) runs on
     /// dense ids.
-    pub fn slice(mut self) -> Result<Sliced<'s, 'm>, RcaError> {
-        let mut profile = std::mem::take(&mut self.profile);
-        let sliced = profile.time("phase.slice", || -> Result<_, RcaError> {
+    pub fn slice(self) -> Result<Sliced<'s, 'm>, RcaError> {
+        let (criteria, slice) = {
+            let _span = rca_obs::span("phase.slice");
             let mg = &self.session.pipeline.metagraph;
             let syms = mg.symbols();
             let output_ids: Vec<OutputId> = self
@@ -721,9 +685,8 @@ impl<'s, 'm> Statistics<'s, 'm> {
                 let names = criteria.iter().map(|&v| syms.var(v).to_string()).collect();
                 return Err(RcaError::EmptySlice(names));
             }
-            Ok((criteria, slice))
-        });
-        let (criteria, slice) = sliced?;
+            (criteria, slice)
+        };
         rca_obs::histogram("slice.nodes", SLICE_SIZE_BOUNDS)
             .observe(slice.graph.node_count() as f64);
         Ok(Sliced {
@@ -733,7 +696,6 @@ impl<'s, 'm> Statistics<'s, 'm> {
             affected: self.affected,
             criteria,
             slice,
-            profile,
         })
     }
 }
@@ -754,8 +716,6 @@ pub struct Sliced<'s, 'm> {
     pub criteria: Vec<VarId>,
     /// The induced suspect subgraph.
     pub slice: Slice,
-    /// Per-diagnosis phase profile carried forward (telemetry only).
-    profile: rca_obs::PhaseProfile,
 }
 
 impl<'s, 'm> Sliced<'s, 'm> {
@@ -786,10 +746,10 @@ impl<'s, 'm> Sliced<'s, 'm> {
 
     /// Stage 3 with a caller-supplied evidence source — any
     /// [`Oracle`] implementation, including ones outside this crate.
-    pub fn refine_with(mut self, oracle: &mut dyn Oracle) -> Refined<'s, 'm> {
-        let mut profile = std::mem::take(&mut self.profile);
+    pub fn refine_with(self, oracle: &mut dyn Oracle) -> Refined<'s, 'm> {
         let bug_nodes = self.session.bug_nodes_for(&self.subject);
-        let report = profile.time("phase.refine", || {
+        let report = {
+            let _span = rca_obs::span("phase.refine");
             refine(
                 &self.session.pipeline.metagraph,
                 &self.slice,
@@ -797,7 +757,7 @@ impl<'s, 'm> Sliced<'s, 'm> {
                 &bug_nodes,
                 &self.session.refine_opts,
             )
-        });
+        };
         Refined {
             session: self.session,
             subject: self.subject,
@@ -810,7 +770,6 @@ impl<'s, 'm> Sliced<'s, 'm> {
             oracle_name: oracle.name(),
             sampling_errors: oracle.take_errors(),
             bug_nodes,
-            profile,
         }
     }
 }
@@ -839,7 +798,6 @@ pub struct Refined<'s, 'm> {
     /// Runtime failures the oracle absorbed while sampling.
     pub sampling_errors: Vec<RuntimeError>,
     bug_nodes: Vec<NodeId>,
-    profile: rca_obs::PhaseProfile,
 }
 
 impl Refined<'_, '_> {
@@ -904,7 +862,6 @@ impl Refined<'_, '_> {
             sampling_errors: self.sampling_errors,
             degraded: self.data.degraded,
             trace,
-            profile: self.profile,
         }
     }
 }
@@ -954,26 +911,12 @@ pub struct Diagnosis {
     /// fills, and then absent from the serialized artifact too.
     pub degraded: Option<DegradedEnsemble>,
     trace: String,
-    /// Per-phase wall/alloc/count profile of this diagnosis (plus the
-    /// session-level build phases it depended on). Telemetry channel
-    /// only — deliberately absent from `render()` and `Serialize`, so
-    /// the diagnosis artifact stays byte-identical run to run.
-    profile: rca_obs::PhaseProfile,
 }
 
 impl Diagnosis {
     /// Why refinement stopped, if it ran.
     pub fn stop(&self) -> Option<StopReason> {
         self.refinement.as_ref().map(|r| r.stop)
-    }
-
-    /// The per-phase wall-time/alloc/count profile: session-level phases
-    /// (compile, parse, coverage, metagraph, ensemble fill, ECT fit)
-    /// plus this diagnosis' statistics/slice/refine. Render with
-    /// [`rca_obs::PhaseProfile::render`] (text) or `to_json` — it is
-    /// never part of the serialized diagnosis.
-    pub fn profile(&self) -> &rca_obs::PhaseProfile {
-        &self.profile
     }
 
     /// Refinement iterations performed.

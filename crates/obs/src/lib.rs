@@ -1,23 +1,23 @@
 //! # rca-obs — the observability plane
 //!
-//! Offline, zero-dependency structured tracing, metrics, and phase
-//! profiling for the RCA pipeline (built in-tree like the compat
-//! crates — the container has no registry access, so this is a small
-//! purpose-built substrate, not a `tracing` port).
+//! Offline, zero-dependency structured tracing and metrics for the RCA
+//! pipeline (built in-tree like the compat crates — the container has
+//! no registry access, so this is a small purpose-built substrate, not a
+//! `tracing` port).
 //!
-//! Three channels, one contract:
+//! Two channels:
 //!
 //! - **Spans and events** ([`span`], [`span_with`], [`event`]) — RAII
 //!   guards with static names and typed key-value [`FieldValue`]
-//!   fields, delivered to a pluggable [`TraceSink`] ([`NoopSink`],
-//!   [`Collector`], [`JsonlWriter`]). With no sink installed a call
-//!   site costs one relaxed atomic load and a branch.
+//!   fields, delivered to the in-memory [`Collector`] when one is
+//!   installed. With no sink installed a call site costs one relaxed
+//!   atomic load and a branch. Spans are the only clock: a per-phase
+//!   profile is a fold over collected spans
+//!   ([`PhaseProfile::from_records`]) giving each span name its count,
+//!   inclusive time, and self time.
 //! - **Metrics** ([`counter`], [`gauge`], [`histogram`]) — always-on
 //!   relaxed-atomic registry, rendered deterministically by
 //!   [`metrics_snapshot`].
-//! - **Phase profiles** ([`PhaseProfile`], [`timed_phase`]) — value-
-//!   level wall/alloc/count accumulators carried through the pipeline
-//!   stages plus a process-global aggregate for bench sidecars.
 //!
 //! **The invariant:** telemetry never leaks into deterministic
 //! artifacts. Scorecard JSON, lint JSON, and `Diagnosis`
@@ -30,7 +30,8 @@
 //! [`with_sink`] scopes a sink to the current thread (tests, CLI
 //! runs); [`install_global`] installs a process-wide fallback. The
 //! innermost scoped sink wins. Span ids are allocated by the sink, so
-//! fresh sink ⇒ reproducible ids.
+//! fresh sink ⇒ reproducible ids. [`run_with_telemetry`] is the
+//! `--trace-out` / `--metrics` plumbing the command-line tools share.
 
 mod metrics;
 mod profile;
@@ -40,16 +41,12 @@ pub use metrics::{
     counter, gauge, histogram, metrics_snapshot, reset_metrics, Counter, Gauge, Histogram,
     MetricReading, MetricsSnapshot,
 };
-pub use profile::{
-    alloc_count, phase_scope, phase_snapshot, phase_snapshot_json, reset_phase_stats,
-    set_alloc_probe, timed_phase, PhaseEntry, PhaseProfile,
-};
-pub use sink::{
-    strip_timing, Collector, FieldValue, JsonlWriter, NoopSink, TraceRecord, TraceSink,
-};
+pub use profile::{PhaseEntry, PhaseProfile};
+pub use sink::{strip_timing, Collector, FieldValue, TraceRecord};
 
 use std::cell::RefCell;
 use std::fmt;
+use std::io::{BufWriter, Write};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock, RwLock};
 use std::time::Instant;
@@ -58,10 +55,10 @@ use std::time::Instant;
 /// fast path is a single relaxed load of this.
 static ACTIVE_SINKS: AtomicUsize = AtomicUsize::new(0);
 
-static GLOBAL_SINK: RwLock<Option<Arc<dyn TraceSink>>> = RwLock::new(None);
+static GLOBAL_SINK: RwLock<Option<Arc<Collector>>> = RwLock::new(None);
 
 thread_local! {
-    static SCOPED_SINKS: RefCell<Vec<Arc<dyn TraceSink>>> = const { RefCell::new(Vec::new()) };
+    static SCOPED_SINKS: RefCell<Vec<Arc<Collector>>> = const { RefCell::new(Vec::new()) };
     static SPAN_STACK: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
 }
 
@@ -70,7 +67,7 @@ fn clock_nanos() -> u64 {
     ORIGIN.get_or_init(Instant::now).elapsed().as_nanos() as u64
 }
 
-fn current_sink() -> Option<Arc<dyn TraceSink>> {
+fn current_sink() -> Option<Arc<Collector>> {
     if ACTIVE_SINKS.load(Ordering::Relaxed) == 0 {
         return None;
     }
@@ -88,7 +85,7 @@ pub fn tracing_active() -> bool {
 
 /// Installs `sink` as the process-wide fallback (scoped sinks still
 /// take precedence on their threads).
-pub fn install_global(sink: Arc<dyn TraceSink>) {
+pub fn install_global(sink: Arc<Collector>) {
     let mut g = GLOBAL_SINK.write().unwrap();
     if g.replace(sink).is_none() {
         ACTIVE_SINKS.fetch_add(1, Ordering::Relaxed);
@@ -118,15 +115,57 @@ impl Drop for ScopedSinkGuard {
 /// wins; unwound correctly on panic). Work spawned onto *other*
 /// threads inside `f` does not see the sink — callers that need a
 /// complete trace run their workload on the installing thread.
-pub fn with_sink<R>(sink: Arc<dyn TraceSink>, f: impl FnOnce() -> R) -> R {
+pub fn with_sink<R>(sink: Arc<Collector>, f: impl FnOnce() -> R) -> R {
     SCOPED_SINKS.with(|s| s.borrow_mut().push(sink));
     ACTIVE_SINKS.fetch_add(1, Ordering::Relaxed);
     let _guard = ScopedSinkGuard;
     f()
 }
 
+/// Runs `f` under the `--trace-out PATH` / `--metrics` contract of the
+/// command-line tools.
+///
+/// With `trace_out`, `f` runs on this thread under a fresh [`Collector`],
+/// and the records are written to the path as JSONL, one
+/// [`TraceRecord`] per line, once `f` returns. Without it no sink is
+/// installed, so `f` behaves exactly as untraced (parallel fan-outs
+/// included). With `metrics`, the counter snapshot goes to stderr
+/// afterwards, followed by the [`PhaseProfile`] folded from the trace
+/// when one was recorded. The error names the trace file that could not
+/// be created or written.
+pub fn run_with_telemetry<R>(
+    trace_out: Option<&str>,
+    metrics: bool,
+    f: impl FnOnce() -> R,
+) -> Result<R, String> {
+    let Some(path) = trace_out else {
+        let out = f();
+        if metrics {
+            eprint!("{}", metrics_snapshot().render());
+        }
+        return Ok(out);
+    };
+    let file =
+        std::fs::File::create(path).map_err(|e| format!("cannot open trace file {path}: {e}"))?;
+    let collector = Arc::new(Collector::new());
+    let out = with_sink(collector.clone(), f);
+    let mut w = BufWriter::new(file);
+    collector
+        .write_jsonl(&mut w)
+        .and_then(|()| w.flush())
+        .map_err(|e| format!("cannot write trace file {path}: {e}"))?;
+    if metrics {
+        eprint!("{}", metrics_snapshot().render());
+        eprint!(
+            "{}",
+            PhaseProfile::from_records(&collector.records()).render()
+        );
+    }
+    Ok(out)
+}
+
 struct SpanInner {
-    sink: Arc<dyn TraceSink>,
+    sink: Arc<Collector>,
     id: u64,
     name: &'static str,
     start: Instant,
@@ -169,7 +208,7 @@ impl Drop for SpanGuard {
                     stack.retain(|&id| id != inner.id);
                 }
             });
-            inner.sink.record(&TraceRecord::SpanEnd {
+            inner.sink.record(TraceRecord::SpanEnd {
                 id: inner.id,
                 name: inner.name,
                 ts: clock_nanos(),
@@ -192,7 +231,7 @@ pub fn span_with(name: &'static str, fields: &[(&'static str, FieldValue)]) -> S
     };
     let id = sink.next_span_id();
     let parent = SPAN_STACK.with(|s| s.borrow().last().copied());
-    sink.record(&TraceRecord::SpanStart {
+    sink.record(TraceRecord::SpanStart {
         id,
         parent,
         name,
@@ -214,7 +253,7 @@ pub fn event(name: &'static str, fields: &[(&'static str, FieldValue)]) {
         return;
     };
     let parent = SPAN_STACK.with(|s| s.borrow().last().copied());
-    sink.record(&TraceRecord::Event {
+    sink.record(TraceRecord::Event {
         parent,
         name,
         fields: fields.to_vec(),
@@ -269,6 +308,28 @@ mod tests {
             .filter(|r| matches!(r, TraceRecord::SpanEnd { .. }))
             .count();
         assert_eq!(starts, ends);
+    }
+
+    #[test]
+    fn run_with_telemetry_writes_the_collected_trace() {
+        let path = std::env::temp_dir().join(format!("rca-obs-trace-{}.jsonl", std::process::id()));
+        let out = run_with_telemetry(path.to_str(), false, || {
+            let _g = span("test.telemetry");
+            41 + 1
+        });
+        assert_eq!(out, Ok(42));
+        let text = std::fs::read_to_string(&path).unwrap();
+        let _ = std::fs::remove_file(&path);
+        let lines: Vec<serde_json::Value> = text
+            .lines()
+            .map(|l| serde_json::from_str(l).unwrap())
+            .collect();
+        assert_eq!(lines.len(), 2);
+        assert_eq!(lines[0]["type"].as_str(), Some("span_start"));
+        assert_eq!(lines[1]["type"].as_str(), Some("span_end"));
+        assert_eq!(lines[1]["name"].as_str(), Some("test.telemetry"));
+        let err = run_with_telemetry(Some("/nonexistent-dir/trace.jsonl"), false, || ());
+        assert!(err.unwrap_err().contains("cannot open trace file"));
     }
 
     #[test]

@@ -1,269 +1,225 @@
-//! Per-phase wall-time / allocation / count profiling.
+//! Per-phase profiles folded from the span tree.
 //!
-//! Two accumulators share one measurement path ([`timed_phase`]):
-//!
-//! - a [`PhaseProfile`] is a value — carried through the typestate
-//!   pipeline stages and surfaced as `Diagnosis::profile()`, merged
-//!   into scorecard rollups;
-//! - a process-global aggregate (always on, [`phase_snapshot`]) feeds
-//!   bench sidecars and `--metrics` output.
-//!
-//! Allocation deltas come from an optional process-wide probe
-//! ([`set_alloc_probe`]) — benches with a counting global allocator
-//! install one; everywhere else allocs read as zero. Profiles live
-//! strictly in the telemetry channel: they are never part of a
-//! deterministic artifact (scorecard JSON, lint JSON, `Diagnosis`
-//! serialization).
+//! Spans are the only clock. A [`PhaseProfile`] is never accumulated
+//! next to the spans; it is computed after the fact from the records a
+//! sink collected ([`PhaseProfile::from_records`]). Per span name it
+//! reports how often the span closed, its inclusive time, and its self
+//! time — the inclusive time minus the durations of its direct child
+//! spans. Self times therefore add up to exactly the time the root spans
+//! cover, with nothing counted twice. Profiles live strictly in the
+//! telemetry channel: they are never part of a deterministic artifact.
 
-use serde::{Json, Serialize};
+use crate::TraceRecord;
+use std::collections::HashMap;
 use std::fmt::Write as _;
-use std::sync::{Mutex, OnceLock};
-use std::time::Instant;
 
-static ALLOC_PROBE: OnceLock<fn() -> u64> = OnceLock::new();
-
-/// Installs the process-wide allocation probe (first call wins).
-/// Benches pass a reader over their counting global allocator.
-pub fn set_alloc_probe(probe: fn() -> u64) {
-    let _ = ALLOC_PROBE.set(probe);
-}
-
-/// Current allocation count per the installed probe, or 0.
-pub fn alloc_count() -> u64 {
-    match ALLOC_PROBE.get() {
-        Some(probe) => probe(),
-        None => 0,
-    }
-}
-
-/// One profiled phase: how many times it ran, total wall nanoseconds,
-/// total allocations observed by the probe.
+/// One span name's share of a trace.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PhaseEntry {
-    /// Static phase name (`phase.slice`, ...).
+    /// Static span name (`phase.slice`, `refine.oracle`, ...).
     pub name: &'static str,
-    /// Number of timed executions merged into this entry.
+    /// Number of closed spans with this name.
     pub count: u64,
-    /// Total wall time in nanoseconds.
-    pub nanos: u64,
-    /// Total allocations (0 unless a probe is installed).
-    pub allocs: u64,
+    /// Total span duration in nanoseconds.
+    pub inclusive_nanos: u64,
+    /// Total duration minus the direct child spans', in nanoseconds.
+    pub self_nanos: u64,
 }
 
-impl Serialize for PhaseEntry {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("name", Json::Str(self.name.into())),
-            ("count", Json::Uint(self.count)),
-            ("wall_ns", Json::Uint(self.nanos)),
-            ("allocs", Json::Uint(self.allocs)),
-        ])
-    }
-}
-
-/// An insertion-ordered per-phase profile.
+/// Per-span-name counts, inclusive and self times, in first-opened order.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PhaseProfile {
     entries: Vec<PhaseEntry>,
 }
 
 impl PhaseProfile {
-    /// An empty profile.
-    pub fn new() -> PhaseProfile {
-        PhaseProfile::default()
+    /// Folds a trace into a profile. Only spans that both opened and
+    /// closed count; a span whose parent did not close in `records` is
+    /// treated as a root. Events carry no duration and are ignored.
+    pub fn from_records(records: &[TraceRecord]) -> PhaseProfile {
+        // id -> (name, parent, dur once closed), plus open order.
+        let mut spans: HashMap<u64, (&'static str, Option<u64>, Option<u64>)> = HashMap::new();
+        let mut order = Vec::new();
+        for r in records {
+            match r {
+                TraceRecord::SpanStart {
+                    id, parent, name, ..
+                } => {
+                    spans.insert(*id, (name, *parent, None));
+                    order.push(*id);
+                }
+                TraceRecord::SpanEnd { id, dur, .. } => {
+                    if let Some(s) = spans.get_mut(id) {
+                        s.2 = Some(*dur);
+                    }
+                }
+                TraceRecord::Event { .. } => {}
+            }
+        }
+        let closed = |id: &u64| spans.get(id).is_some_and(|s| s.2.is_some());
+        let mut children: HashMap<u64, u64> = HashMap::new();
+        for (_, parent, dur) in spans.values() {
+            if let (Some(p), Some(d)) = (parent, dur) {
+                if closed(p) {
+                    *children.entry(*p).or_default() += d;
+                }
+            }
+        }
+        let mut profile = PhaseProfile::default();
+        let mut index: HashMap<&'static str, usize> = HashMap::new();
+        for id in &order {
+            let (name, _, Some(dur)) = spans[id] else {
+                continue;
+            };
+            let own = dur.saturating_sub(children.get(id).copied().unwrap_or(0));
+            let slot = *index.entry(name).or_insert_with(|| {
+                profile.entries.push(PhaseEntry {
+                    name,
+                    count: 0,
+                    inclusive_nanos: 0,
+                    self_nanos: 0,
+                });
+                profile.entries.len() - 1
+            });
+            let e = &mut profile.entries[slot];
+            e.count += 1;
+            e.inclusive_nanos += dur;
+            e.self_nanos += own;
+        }
+        profile
     }
 
-    /// The entries, in first-recorded order.
+    /// The entries, in first-opened order.
     pub fn entries(&self) -> &[PhaseEntry] {
         &self.entries
     }
 
-    /// The entry named `name`, if recorded.
+    /// The entry named `name`, if any such span closed.
     pub fn get(&self, name: &str) -> Option<&PhaseEntry> {
         self.entries.iter().find(|e| e.name == name)
     }
 
-    /// True when nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Total wall nanoseconds across all phases.
+    /// The sum of all self times, which equals the inclusive time of the
+    /// root spans.
     pub fn total_nanos(&self) -> u64 {
-        self.entries.iter().map(|e| e.nanos).sum()
-    }
-
-    /// Merges one measurement into the entry named `name`.
-    pub fn add(&mut self, name: &'static str, nanos: u64, allocs: u64) {
-        self.add_counted(name, 1, nanos, allocs);
-    }
-
-    /// Merges a pre-aggregated measurement (`count` executions).
-    pub fn add_counted(&mut self, name: &'static str, count: u64, nanos: u64, allocs: u64) {
-        if let Some(e) = self.entries.iter_mut().find(|e| e.name == name) {
-            e.count += count;
-            e.nanos += nanos;
-            e.allocs += allocs;
-        } else {
-            self.entries.push(PhaseEntry {
-                name,
-                count,
-                nanos,
-                allocs,
-            });
-        }
-    }
-
-    /// Merges every entry of `other` into `self`.
-    pub fn merge(&mut self, other: &PhaseProfile) {
-        for e in &other.entries {
-            self.add_counted(e.name, e.count, e.nanos, e.allocs);
-        }
-    }
-
-    /// Times `f`, records it under `name` here *and* in the global
-    /// aggregate, and emits a span if tracing is active.
-    pub fn time<R>(&mut self, name: &'static str, f: impl FnOnce() -> R) -> R {
-        let (r, entry) = timed_phase(name, f);
-        self.add_counted(entry.name, entry.count, entry.nanos, entry.allocs);
-        r
-    }
-
-    /// Times `f` into this profile only — no span, no global record.
-    /// For call sites whose callee already instruments itself (avoids
-    /// double-counting the global aggregate).
-    pub fn time_local<R>(&mut self, name: &'static str, f: impl FnOnce() -> R) -> R {
-        let a0 = alloc_count();
-        let t0 = Instant::now();
-        let r = f();
-        let nanos = t0.elapsed().as_nanos() as u64;
-        self.add(name, nanos, alloc_count().saturating_sub(a0));
-        r
-    }
-
-    /// Sums profiles into one rollup (e.g. across campaign scenarios).
-    pub fn rollup<'a>(profiles: impl IntoIterator<Item = &'a PhaseProfile>) -> PhaseProfile {
-        let mut out = PhaseProfile::new();
-        for p in profiles {
-            out.merge(p);
-        }
-        out
+        self.entries.iter().map(|e| e.self_nanos).sum()
     }
 
     /// Human-readable per-phase report (telemetry only).
     pub fn render(&self) -> String {
-        let mut out = String::from("phase profile:\n");
+        let mut out = String::from("phase profile (inclusive / self):\n");
         if self.entries.is_empty() {
-            out.push_str("  (no phases recorded)\n");
+            out.push_str("  (no spans recorded)\n");
             return out;
         }
         for e in &self.entries {
-            let ms = e.nanos as f64 / 1e6;
-            let _ = write!(out, "  {:<24} x{:<4} {:>10.3} ms", e.name, e.count, ms);
-            if e.allocs > 0 {
-                let _ = write!(out, "  {:>8} allocs", e.allocs);
-            }
-            out.push('\n');
+            let _ = writeln!(
+                out,
+                "  {:<26} x{:<5} {:>10.3} ms {:>10.3} ms",
+                e.name,
+                e.count,
+                e.inclusive_nanos as f64 / 1e6,
+                e.self_nanos as f64 / 1e6
+            );
         }
-        let _ = writeln!(out, "  total {:>29.3} ms", self.total_nanos() as f64 / 1e6);
+        let _ = writeln!(
+            out,
+            "  {:<33} {:>10.3} ms (root spans)",
+            "total",
+            self.total_nanos() as f64 / 1e6
+        );
         out
     }
-}
-
-impl Serialize for PhaseProfile {
-    fn to_json(&self) -> Json {
-        Json::Arr(self.entries.iter().map(serde::Serialize::to_json).collect())
-    }
-}
-
-fn global() -> &'static Mutex<PhaseProfile> {
-    static GLOBAL: OnceLock<Mutex<PhaseProfile>> = OnceLock::new();
-    GLOBAL.get_or_init(|| Mutex::new(PhaseProfile::new()))
-}
-
-/// Times `f` under `name`: emits a span when tracing is active,
-/// records into the process-global aggregate, and returns the
-/// measurement for value-level accumulation.
-pub fn timed_phase<R>(name: &'static str, f: impl FnOnce() -> R) -> (R, PhaseEntry) {
-    let _span = crate::span(name);
-    let a0 = alloc_count();
-    let t0 = Instant::now();
-    let r = f();
-    let nanos = t0.elapsed().as_nanos() as u64;
-    let allocs = alloc_count().saturating_sub(a0);
-    let entry = PhaseEntry {
-        name,
-        count: 1,
-        nanos,
-        allocs,
-    };
-    global().lock().unwrap().add_counted(name, 1, nanos, allocs);
-    (r, entry)
-}
-
-/// Times `f` under `name`, discarding the per-call measurement (the
-/// global aggregate and any active span still record it).
-pub fn phase_scope<R>(name: &'static str, f: impl FnOnce() -> R) -> R {
-    timed_phase(name, f).0
-}
-
-/// A copy of the process-global per-phase aggregate.
-pub fn phase_snapshot() -> PhaseProfile {
-    global().lock().unwrap().clone()
-}
-
-/// The global aggregate as JSON (for bench sidecars).
-pub fn phase_snapshot_json() -> Json {
-    phase_snapshot().to_json()
-}
-
-/// Clears the process-global aggregate (tests and benches).
-pub fn reset_phase_stats() {
-    global().lock().unwrap().entries.clear();
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::FieldValue;
 
+    fn start(id: u64, parent: Option<u64>, name: &'static str) -> TraceRecord {
+        TraceRecord::SpanStart {
+            id,
+            parent,
+            name,
+            fields: vec![],
+            ts: 0,
+        }
+    }
+
+    fn end(id: u64, name: &'static str, dur: u64) -> TraceRecord {
+        TraceRecord::SpanEnd {
+            id,
+            name,
+            ts: 0,
+            dur,
+        }
+    }
+
+    /// Two root spans; the first holds two sibling children (one with a
+    /// grandchild) and an event, the second holds a child named like one
+    /// of the first root's children.
     #[test]
-    fn profile_accumulates_and_merges() {
-        let mut p = PhaseProfile::new();
-        p.add("phase.a", 10, 1);
-        p.add("phase.a", 30, 2);
-        p.add("phase.b", 5, 0);
-        assert_eq!(p.get("phase.a").unwrap().count, 2);
-        assert_eq!(p.get("phase.a").unwrap().nanos, 40);
-        assert_eq!(p.total_nanos(), 45);
-
-        let mut q = PhaseProfile::new();
-        q.add("phase.b", 5, 7);
-        q.merge(&p);
-        assert_eq!(q.get("phase.b").unwrap().count, 2);
-        assert_eq!(q.get("phase.b").unwrap().allocs, 7);
-        // Insertion order: b was first in q.
-        assert_eq!(q.entries()[0].name, "phase.b");
-
-        let roll = PhaseProfile::rollup([&p, &q]);
-        assert_eq!(roll.get("phase.a").unwrap().count, 4);
-
+    fn fold_counts_inclusive_and_self_time_exactly() {
+        let records = vec![
+            start(1, None, "diagnose"),
+            start(2, Some(1), "phase.statistics"),
+            start(3, Some(2), "phase.compile"),
+            end(3, "phase.compile", 30),
+            end(2, "phase.statistics", 100),
+            TraceRecord::Event {
+                parent: Some(1),
+                name: "refine.iter",
+                fields: vec![("iter", FieldValue::U64(0))],
+                ts: 0,
+            },
+            start(4, Some(1), "phase.refine"),
+            end(4, "phase.refine", 50),
+            end(1, "diagnose", 200),
+            start(5, None, "phase.analysis"),
+            start(6, Some(5), "phase.compile"),
+            end(6, "phase.compile", 7),
+            end(5, "phase.analysis", 10),
+        ];
+        let p = PhaseProfile::from_records(&records);
+        let row = |name| {
+            let e = p.get(name).unwrap();
+            (e.count, e.inclusive_nanos, e.self_nanos)
+        };
+        assert_eq!(row("diagnose"), (1, 200, 50));
+        assert_eq!(row("phase.statistics"), (1, 100, 70));
+        assert_eq!(row("phase.compile"), (2, 37, 37));
+        assert_eq!(row("phase.refine"), (1, 50, 50));
+        assert_eq!(row("phase.analysis"), (1, 10, 3));
+        assert!(p.get("refine.iter").is_none(), "events carry no time");
+        let names: Vec<_> = p.entries().iter().map(|e| e.name).collect();
+        assert_eq!(
+            names,
+            [
+                "diagnose",
+                "phase.statistics",
+                "phase.compile",
+                "phase.refine",
+                "phase.analysis"
+            ]
+        );
+        // Self times add up to the root spans' inclusive time.
+        assert_eq!(p.total_nanos(), 210);
         let text = p.render();
-        assert!(text.contains("phase.a"));
-        assert!(text.contains("x2"));
-        let json = serde_json::to_string(&p.to_json()).unwrap();
-        assert!(json.contains("\"wall_ns\":40"));
+        assert!(text.contains("phase.compile") && text.contains("x2"));
     }
 
     #[test]
-    fn timed_phase_measures_and_feeds_global() {
-        let mut p = PhaseProfile::new();
-        let out = p.time("phase.test_timed", || {
-            std::thread::sleep(std::time::Duration::from_millis(2));
-            41 + 1
-        });
-        assert_eq!(out, 42);
-        let e = p.get("phase.test_timed").unwrap();
-        assert!(e.nanos > 0, "wall time must be non-zero");
-        assert!(phase_snapshot().get("phase.test_timed").is_some());
+    fn unclosed_spans_drop_out_and_orphans_become_roots() {
+        let records = vec![
+            start(1, None, "diagnose"),
+            start(2, Some(1), "phase.slice"),
+            end(2, "phase.slice", 40),
+        ];
+        let p = PhaseProfile::from_records(&records);
+        assert!(p.get("diagnose").is_none());
+        assert_eq!(p.get("phase.slice").unwrap().self_nanos, 40);
+        assert_eq!(p.total_nanos(), 40);
+        assert!(PhaseProfile::from_records(&[]).entries().is_empty());
     }
 }

@@ -1,16 +1,12 @@
-//! Trace records and pluggable sinks.
+//! Trace records and the sink that collects them.
 //!
-//! A [`TraceSink`] receives a stream of [`TraceRecord`]s — span starts,
-//! span ends, and point events — from the span/event API in the crate
-//! root. Three implementations cover the workspace's needs:
-//!
-//! - [`NoopSink`] — discards everything. Installing no sink at all is
-//!   cheaper still (one relaxed atomic load per call site); `NoopSink`
-//!   exists for tests that want a sink installed without retention.
-//! - [`Collector`] — in-memory retention for tests, with span-tree
-//!   shape helpers.
-//! - [`JsonlWriter`] — one deterministic JSON object per line, either
-//!   to a file or to a shared in-memory buffer.
+//! The [`Collector`] receives a stream of [`TraceRecord`]s — span
+//! starts, span ends, and point events — from the span/event API in the
+//! crate root. It retains every record, answers span-tree shape
+//! questions, and renders the stream as JSONL
+//! ([`Collector::write_jsonl`]) once a run is over. Installing no
+//! collector at all is the disabled path (one relaxed atomic load per
+//! call site).
 //!
 //! ## Determinism contract
 //!
@@ -21,10 +17,9 @@
 //! which equal workloads must yield byte-identical JSONL.
 
 use serde::{Json, Serialize};
-use std::fmt;
-use std::io::{self, BufWriter, Write};
+use std::io::{self, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// One typed key-value field attached to a span or event.
 #[derive(Debug, Clone, PartialEq)]
@@ -114,7 +109,7 @@ impl From<rca_ident::OutputId> for FieldValue {
     }
 }
 
-/// A span or event as delivered to a [`TraceSink`].
+/// A span or event as delivered to a [`Collector`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum TraceRecord {
     /// A span opened.
@@ -218,43 +213,10 @@ impl Serialize for TraceRecord {
     }
 }
 
-/// Destination for trace records.
-///
-/// Implementations must be cheap enough to call from pipeline hot
-/// paths (the caller already pays for field materialization only when
-/// a sink is installed) and must allocate span ids from a counter they
-/// own, so that traces are deterministic per sink instance rather than
-/// per process.
-pub trait TraceSink: Send + Sync {
-    /// Deliver one record. Called in program order per thread.
-    fn record(&self, rec: &TraceRecord);
-    /// Allocate the next span id (1-based, monotonic within this sink).
-    fn next_span_id(&self) -> u64;
-}
-
-/// A sink that discards every record.
-#[derive(Debug, Default)]
-pub struct NoopSink {
-    ids: AtomicU64,
-}
-
-impl NoopSink {
-    /// A fresh no-op sink.
-    pub fn new() -> NoopSink {
-        NoopSink::default()
-    }
-}
-
-impl TraceSink for NoopSink {
-    fn record(&self, _rec: &TraceRecord) {}
-
-    fn next_span_id(&self) -> u64 {
-        self.ids.fetch_add(1, Ordering::Relaxed) + 1
-    }
-}
-
-/// In-memory sink for tests: retains every record and answers
-/// span-tree shape questions.
+/// The trace sink: retains every record in memory, answers span-tree
+/// shape questions, and renders the trace as JSONL. Span ids come from
+/// a counter the collector owns, so traces are deterministic per
+/// collector rather than per process.
 #[derive(Debug, Default)]
 pub struct Collector {
     records: Mutex<Vec<TraceRecord>>,
@@ -267,32 +229,44 @@ impl Collector {
         Collector::default()
     }
 
+    fn lock(&self) -> MutexGuard<'_, Vec<TraceRecord>> {
+        self.records
+            .lock()
+            .expect("no collector method panics holding the lock")
+    }
+
+    /// Retains one record. Called in program order per thread.
+    pub fn record(&self, rec: TraceRecord) {
+        self.lock().push(rec);
+    }
+
+    /// Allocates the next span id (1-based, monotonic within this
+    /// collector).
+    pub fn next_span_id(&self) -> u64 {
+        self.ids.fetch_add(1, Ordering::Relaxed) + 1
+    }
+
     /// Every record received so far, in arrival order.
     pub fn records(&self) -> Vec<TraceRecord> {
-        self.records.lock().unwrap().clone()
+        self.lock().clone()
+    }
+
+    /// Writes every record received so far as one compact JSON object
+    /// per line, in arrival order.
+    pub fn write_jsonl(&self, out: &mut impl Write) -> io::Result<()> {
+        for rec in self.lock().iter() {
+            let line = serde_json::to_string(rec).unwrap_or_default();
+            writeln!(out, "{line}")?;
+        }
+        Ok(())
     }
 
     /// Names of all opened spans, in open order.
     pub fn span_names(&self) -> Vec<&'static str> {
-        self.records
-            .lock()
-            .unwrap()
+        self.lock()
             .iter()
             .filter_map(|r| match r {
                 TraceRecord::SpanStart { name, .. } => Some(*name),
-                _ => None,
-            })
-            .collect()
-    }
-
-    /// Names of all events, in arrival order.
-    pub fn event_names(&self) -> Vec<&'static str> {
-        self.records
-            .lock()
-            .unwrap()
-            .iter()
-            .filter_map(|r| match r {
-                TraceRecord::Event { name, .. } => Some(*name),
                 _ => None,
             })
             .collect()
@@ -306,7 +280,7 @@ impl Collector {
     /// Names of spans and events whose parent is a span named
     /// `parent`, in arrival order (children of every such span).
     pub fn children_of(&self, parent: &str) -> Vec<&'static str> {
-        let records = self.records.lock().unwrap();
+        let records = self.lock();
         let parent_ids: Vec<u64> = records
             .iter()
             .filter_map(|r| match r {
@@ -335,9 +309,7 @@ impl Collector {
     /// Events named `name`, with their fields.
     #[allow(clippy::type_complexity)]
     pub fn events_named(&self, name: &str) -> Vec<Vec<(&'static str, FieldValue)>> {
-        self.records
-            .lock()
-            .unwrap()
+        self.lock()
             .iter()
             .filter_map(|r| match r {
                 TraceRecord::Event {
@@ -346,86 +318,6 @@ impl Collector {
                 _ => None,
             })
             .collect()
-    }
-}
-
-impl TraceSink for Collector {
-    fn record(&self, rec: &TraceRecord) {
-        self.records.lock().unwrap().push(rec.clone());
-    }
-
-    fn next_span_id(&self) -> u64 {
-        self.ids.fetch_add(1, Ordering::Relaxed) + 1
-    }
-}
-
-/// `Write` adapter over a shared byte buffer, for in-memory JSONL
-/// traces in tests.
-struct SharedBuf(Arc<Mutex<Vec<u8>>>);
-
-impl Write for SharedBuf {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        self.0.lock().unwrap().extend_from_slice(buf);
-        Ok(buf.len())
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        Ok(())
-    }
-}
-
-/// Streams each record as one compact JSON object per line.
-pub struct JsonlWriter {
-    out: Mutex<Box<dyn Write + Send>>,
-    ids: AtomicU64,
-}
-
-impl fmt::Debug for JsonlWriter {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("JsonlWriter")
-            .field("ids", &self.ids)
-            .finish_non_exhaustive()
-    }
-}
-
-impl JsonlWriter {
-    /// Opens (truncating) `path` for writing.
-    pub fn create(path: &str) -> io::Result<JsonlWriter> {
-        let file = std::fs::File::create(path)?;
-        Ok(JsonlWriter {
-            out: Mutex::new(Box::new(BufWriter::new(file))),
-            ids: AtomicU64::new(0),
-        })
-    }
-
-    /// A writer backed by a shared in-memory buffer (for tests); read
-    /// the trace back out of the returned handle.
-    pub fn to_buffer() -> (JsonlWriter, Arc<Mutex<Vec<u8>>>) {
-        let buf = Arc::new(Mutex::new(Vec::new()));
-        let writer = JsonlWriter {
-            out: Mutex::new(Box::new(SharedBuf(buf.clone()))),
-            ids: AtomicU64::new(0),
-        };
-        (writer, buf)
-    }
-
-    /// Flushes buffered lines to the destination.
-    pub fn finish(&self) -> io::Result<()> {
-        self.out.lock().unwrap().flush()
-    }
-}
-
-impl TraceSink for JsonlWriter {
-    fn record(&self, rec: &TraceRecord) {
-        let line = serde_json::to_string(rec).unwrap_or_default();
-        let mut out = self.out.lock().unwrap();
-        // Trace output is advisory telemetry: swallow I/O errors rather
-        // than panicking inside instrumented pipeline code.
-        let _ = writeln!(out, "{line}");
-    }
-
-    fn next_span_id(&self) -> u64 {
-        self.ids.fetch_add(1, Ordering::Relaxed) + 1
     }
 }
 
@@ -509,27 +401,28 @@ mod tests {
     }
 
     #[test]
-    fn jsonl_writer_buffer_roundtrip() {
-        let (writer, buf) = JsonlWriter::to_buffer();
-        writer.record(&TraceRecord::Event {
+    fn collector_renders_jsonl_lines() {
+        let c = Collector::new();
+        c.record(TraceRecord::Event {
             parent: Some(3),
             name: "scenario",
             fields: vec![("ok", FieldValue::Bool(true))],
             ts: 5,
         });
-        writer.finish().unwrap();
-        let text = String::from_utf8(buf.lock().unwrap().clone()).unwrap();
-        let v = serde_json::from_str(text.trim()).unwrap();
-        assert_eq!(v["type"].as_str(), Some("event"));
-        assert_eq!(v["parent"].as_u64(), Some(3));
-        assert_eq!(v["fields"]["ok"], serde_json::Value::Bool(true));
+        let mut buf = Vec::new();
+        c.write_jsonl(&mut buf).unwrap();
+        let text = String::from_utf8(buf).unwrap();
+        assert_eq!(
+            text,
+            "{\"type\":\"event\",\"parent\":3,\"name\":\"scenario\",\"fields\":{\"ok\":true},\"ts\":5}\n"
+        );
     }
 
     #[test]
     fn collector_shape_helpers() {
         let c = Collector::new();
         let outer = c.next_span_id();
-        c.record(&TraceRecord::SpanStart {
+        c.record(TraceRecord::SpanStart {
             id: outer,
             parent: None,
             name: "diagnose",
@@ -537,14 +430,14 @@ mod tests {
             ts: 0,
         });
         let inner = c.next_span_id();
-        c.record(&TraceRecord::SpanStart {
+        c.record(TraceRecord::SpanStart {
             id: inner,
             parent: Some(outer),
             name: "phase.slice",
             fields: vec![],
             ts: 0,
         });
-        c.record(&TraceRecord::Event {
+        c.record(TraceRecord::Event {
             parent: Some(inner),
             name: "refine.iter",
             fields: vec![("iter", FieldValue::U64(0))],

@@ -1742,9 +1742,11 @@ fn emit_scalar_init(
     }
 }
 
-/// Lowers every subprogram of `p` into bytecode (called once from
-/// [`crate::compile_sources`] after the tree IR is sealed).
+/// Lowers every subprogram of `p` into bytecode (called from
+/// [`crate::compile_sources`] after the tree IR is sealed, and once per
+/// specialized oracle program).
 pub(crate) fn lower(p: &Program) -> Bytecode {
+    let _span = rca_obs::span("compile.bytecode");
     let mut t = Tables::default();
     let procs = p.procs.iter().map(|pr| lower_proc(p, pr, &mut t)).collect();
     Bytecode {

@@ -41,6 +41,7 @@ use std::sync::Arc;
 
 /// Compiles parsed sources into an executable [`Program`].
 pub fn compile_sources(files: &[SourceFile]) -> Result<Program, RuntimeError> {
+    let _span = rca_obs::span("compile.lower");
     let mut c = Compiler::new(files);
     c.ingest();
     c.force_globals()?;

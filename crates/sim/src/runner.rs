@@ -109,18 +109,20 @@ impl RunOutput {
 /// This is the expensive, once-per-variant step; see [`run_program`] /
 /// [`run_ensemble_program`] for the cheap, many-times-per-variant part.
 pub fn compile_model(model: &ModelSource) -> Result<Arc<Program>, RuntimeError> {
-    rca_obs::phase_scope("phase.compile", || {
-        rca_obs::counter_inc!("sim.compiles", 1);
-        let (asts, parse_errs) = model.parse();
-        if let Some(e) = parse_errs.first() {
-            return Err(RuntimeError {
-                message: format!("model does not parse: {e}"),
-                context: "loader".to_string(),
-                line: e.line,
-            });
-        }
-        Ok(Arc::new(crate::compile::compile_sources(&asts)?))
-    })
+    let _span = rca_obs::span("phase.compile");
+    rca_obs::counter_inc!("sim.compiles", 1);
+    let (asts, parse_errs) = {
+        let _span = rca_obs::span("compile.parse");
+        model.parse()
+    };
+    if let Some(e) = parse_errs.first() {
+        return Err(RuntimeError {
+            message: format!("model does not parse: {e}"),
+            context: "loader".to_string(),
+            line: e.line,
+        });
+    }
+    Ok(Arc::new(crate::compile::compile_sources(&asts)?))
 }
 
 /// Runs the model once: `cam_init(pert)` then `steps` × `cam_run_step`.

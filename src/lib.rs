@@ -324,41 +324,66 @@
 //! ## The observability plane
 //!
 //! Every layer from parse to diagnosis is instrumented through the
-//! [`obs`] crate (`rca-obs`): structured spans, process-wide metrics,
-//! and per-stage phase profiles. Three rules govern it:
+//! [`obs`] crate (`rca-obs`): structured spans and events, and
+//! process-wide metrics. Three rules govern it:
 //!
 //! - **Telemetry never leaks into deterministic artifacts.** Scorecard
 //!   JSON, lint JSON, and every fixed-seed export are byte-identical
-//!   with tracing enabled or disabled; wall times and allocation counts
-//!   travel only through the telemetry channel (trace JSONL, metrics
-//!   snapshots, [`rca::Diagnosis::profile`]). Trace files themselves are
-//!   deterministic modulo the explicitly-tagged `ts`/`dur` fields —
+//!   with tracing enabled or disabled; wall times travel only through
+//!   the telemetry channel (trace JSONL, metrics snapshots, profiles
+//!   folded from traces). Trace files themselves are deterministic
+//!   modulo the explicitly-tagged `ts`/`dur` fields —
 //!   [`obs::strip_timing`] removes them so CI can diff traces.
 //! - **Span naming**: pipeline stages are `phase.<stage>` spans
 //!   (`phase.parse`, `phase.compile`, `phase.coverage`,
 //!   `phase.metagraph`, `phase.ensemble_fill`, `phase.ect_fit`,
-//!   `phase.statistics`, `phase.slice`, `phase.refine`,
-//!   `phase.analysis_build`, `phase.lint`); one diagnosis runs under a
-//!   `diagnose` span; progress points are dot-namespaced events
-//!   (`refine.iter`, `scenario`, `scenario.error`, `campaign.plan`,
-//!   `lint.report`). Counters and histograms use the same
-//!   `subsystem.noun` convention (`executor.runs`, `oracle.queries`,
-//!   `slice.nodes`).
-//! - **Sink contract**: instrumentation is always on; *sinks* are opt-in
-//!   ([`obs::with_sink`] thread-scoped, [`obs::install_global`]
-//!   process-wide). With no sink installed a span is one relaxed atomic
-//!   load and a branch — the `obs_overhead` bench holds the disabled
-//!   cost under 2% of an ensemble fill. Use a **span** for anything
-//!   with duration and structure, an **event** for a point-in-time
-//!   progress fact, and a **counter/histogram** for aggregates that
-//!   must be cheap enough for the hottest loops.
+//!   `phase.plan`, `phase.analysis`, `phase.statistics`, `phase.slice`,
+//!   `phase.refine`, `phase.analysis_build`, `phase.lint`) and their
+//!   sub-phases are `<stage>.<step>` spans nested inside them
+//!   (`compile.parse`, `compile.lower`, `compile.bytecode` under
+//!   `phase.compile`; `statistics.experiment_fill` under
+//!   `phase.statistics`; `refine.communities`, `refine.centrality`,
+//!   `refine.oracle`, `refine.reinduce` under `phase.refine`). One
+//!   diagnosis runs under a `diagnose` span; progress points are
+//!   dot-namespaced events (`refine.iter`, `scenario`,
+//!   `scenario.error`, `campaign.plan`, `lint.report`). Counters and
+//!   histograms use the same `subsystem.noun` convention
+//!   (`executor.runs`, `oracle.queries`, `slice.nodes`).
+//! - **Sink contract**: instrumentation is always on; the sink, an
+//!   in-memory [`obs::Collector`], is opt-in ([`obs::with_sink`]
+//!   thread-scoped, [`obs::install_global`] process-wide). With no sink
+//!   installed a span is one relaxed atomic load and a branch — the
+//!   `obs_overhead` bench holds the disabled cost under 2% of an
+//!   ensemble fill. Use a **span** for anything with duration and
+//!   structure, an **event** for a point-in-time progress fact, and a
+//!   **counter/histogram** for aggregates that must be cheap enough for
+//!   the hottest loops.
 //!
-//! The CLIs expose the plane as `--trace-out PATH` (JSONL trace,
-//! schema-checked by `rca-trace-check`) and `--metrics` (snapshot to
-//! stderr) on both `rca-campaign` and `rca-lint`;
-//! [`rca::Diagnosis::profile`] reports per-phase wall time, call
-//! counts, and (when a probe is installed) allocations for one
-//! diagnosis.
+//! Spans are the only clock. [`obs::PhaseProfile::from_records`] folds
+//! collected spans into per-name counts, inclusive time, and self time
+//! (inclusive minus direct child spans), so self times add up to the
+//! root spans and nothing is counted twice. Profiling one diagnosis is a
+//! collector around that call:
+//!
+//! ```no_run
+//! use climate_rca::prelude::*;
+//! use model::{generate, Experiment, ModelConfig};
+//! use obs::{with_sink, Collector, PhaseProfile};
+//! use std::sync::Arc;
+//!
+//! let model = generate(&ModelConfig::test());
+//! let session = RcaSession::builder(&model).build()?;
+//! let collector = Arc::new(Collector::new());
+//! with_sink(collector.clone(), || session.diagnose(Experiment::WsubBug))?;
+//! print!("{}", PhaseProfile::from_records(&collector.records()).render());
+//! # Ok::<(), RcaError>(())
+//! ```
+//!
+//! The CLIs expose the plane as `--trace-out PATH` (a collector whose
+//! records are written as JSONL when the run ends, schema-checked by
+//! `rca-trace-check`) and `--metrics` (the counter snapshot to stderr,
+//! plus the profile folded from the trace when `--trace-out` is given)
+//! on both `rca-campaign` and `rca-lint`.
 //!
 //! ## Workspace layout
 //!
@@ -379,9 +404,9 @@
 //! - [`analysis`] — the static analysis plane: IR dataflow framework,
 //!   the `rca-lint` detector catalog, and the independent dependence
 //!   slicer cross-checked against the metagraph.
-//! - [`obs`] — the observability plane: spans/events with pluggable
-//!   sinks (no-op, in-memory collector, JSONL writer), the metrics
-//!   registry, and phase profiling.
+//! - [`obs`] — the observability plane: spans/events delivered to an
+//!   in-memory collector (rendered as JSONL traces), the metrics
+//!   registry, and phase profiles folded from spans.
 //! - [`rca`] — the paper's pipeline behind [`rca::RcaSession`]: hybrid
 //!   slicing, community/centrality ranking, iterative refinement,
 //!   module-level AVX2 policies, and the per-session program cache.

@@ -1,16 +1,18 @@
 //! The observability plane, end to end: span-tree shape per pipeline
-//! phase, profile reporting, and the standing invariant that telemetry
-//! never changes a byte of any deterministic artifact.
+//! phase, profiles folded from spans that account for the wall clock,
+//! and the standing invariant that telemetry never changes a byte of any
+//! deterministic artifact.
 
 use climate_rca::prelude::*;
 use model::{generate, Experiment, ModelConfig};
-use obs::{Collector, JsonlWriter};
+use obs::{Collector, PhaseProfile, TraceRecord};
 use proptest::prelude::*;
 use rca_campaign::{
     run_campaign, run_scenario, CampaignOptions, CampaignScenario, RunnerOptions, ScenarioClass,
 };
 use rca_core::Scenario;
 use std::sync::Arc;
+use std::time::Instant;
 
 fn test_session(model: &model::ModelSource) -> RcaSession<'_> {
     RcaSession::builder(model)
@@ -21,7 +23,7 @@ fn test_session(model: &model::ModelSource) -> RcaSession<'_> {
 }
 
 /// Every pipeline phase must appear in the trace, with diagnosis stages
-/// nested under the `diagnose` span.
+/// nested under the `diagnose` span and sub-phases under their phase.
 #[test]
 fn span_tree_covers_every_pipeline_phase() {
     let m = generate(&ModelConfig::test());
@@ -44,6 +46,14 @@ fn span_tree_covers_every_pipeline_phase() {
         "phase.slice",
         "phase.refine",
         "diagnose",
+        "statistics.experiment_fill",
+        "compile.parse",
+        "compile.lower",
+        "compile.bytecode",
+        "refine.communities",
+        "refine.centrality",
+        "refine.oracle",
+        "refine.reinduce",
     ] {
         assert!(
             collector.spans_named(phase) >= 1,
@@ -67,6 +77,36 @@ fn span_tree_covers_every_pipeline_phase() {
         );
     }
 
+    // Sub-phases nest under the phase that pays for them: the refinement
+    // steps under `phase.refine`, the experimental fill and the source
+    // mutant's compile under `phase.statistics`, and the compile steps
+    // under `phase.compile` (bytecode emission inside lowering).
+    for (parent, children) in [
+        (
+            "phase.refine",
+            &[
+                "refine.communities",
+                "refine.centrality",
+                "refine.oracle",
+                "refine.reinduce",
+            ][..],
+        ),
+        (
+            "phase.statistics",
+            &["statistics.experiment_fill", "phase.compile"][..],
+        ),
+        ("phase.compile", &["compile.parse", "compile.lower"][..]),
+        ("compile.lower", &["compile.bytecode"][..]),
+    ] {
+        let under = collector.children_of(parent);
+        for child in children {
+            assert!(
+                under.contains(child),
+                "{child} not nested under {parent}: {under:?}"
+            );
+        }
+    }
+
     // Refinement streams one event per iteration with its candidate
     // count and the oracle verdict.
     let iters = collector.events_named("refine.iter");
@@ -83,30 +123,123 @@ fn span_tree_covers_every_pipeline_phase() {
     }
 }
 
-/// `Diagnosis::profile()` must report non-zero per-phase wall time even
-/// with no sink installed — profiling is value-level, not sink-level.
+/// The profile of one diagnosis is the fold of a collector installed
+/// around that `diagnose` call: non-zero time for every phase it ran,
+/// and none of the session build it did not.
 #[test]
 fn diagnosis_profile_reports_nonzero_phase_timings() {
     let m = generate(&ModelConfig::test());
     let session = test_session(&m);
-    let d = session.diagnose(Experiment::WsubBug).expect("diagnosis");
-    let profile = d.profile();
+    let collector = Arc::new(Collector::new());
+    obs::with_sink(collector.clone(), || {
+        session.diagnose(Experiment::WsubBug).expect("diagnosis")
+    });
+    let profile = PhaseProfile::from_records(&collector.records());
     for phase in [
-        "phase.compile",
-        "phase.parse",
-        "phase.metagraph",
+        "diagnose",
         "phase.ensemble_fill",
+        "phase.ect_fit",
         "phase.statistics",
+        "statistics.experiment_fill",
+        "phase.compile",
         "phase.slice",
         "phase.refine",
+        "refine.communities",
+        "refine.oracle",
     ] {
         let entry = profile
             .get(phase)
             .unwrap_or_else(|| panic!("profile missing {phase}: {}", profile.render()));
-        assert!(entry.nanos > 0, "{phase} reports zero wall time");
+        assert!(entry.inclusive_nanos > 0, "{phase} reports zero wall time");
         assert!(entry.count > 0, "{phase} reports zero calls");
     }
-    assert!(profile.total_nanos() > 0);
+    for session_phase in ["phase.parse", "phase.coverage", "phase.metagraph"] {
+        assert!(
+            profile.get(session_phase).is_none(),
+            "{session_phase} ran at session build, not in this diagnosis"
+        );
+    }
+    // One root span, so the self times add up to the diagnosis' wall time.
+    let diagnose = profile.get("diagnose").unwrap();
+    assert_eq!(diagnose.count, 1);
+    assert_eq!(profile.total_nanos(), diagnose.inclusive_nanos);
+}
+
+/// Inclusive time of every root span in a trace, in nanoseconds.
+fn root_span_nanos(records: &[TraceRecord]) -> u64 {
+    let roots: Vec<u64> = records
+        .iter()
+        .filter_map(|r| match r {
+            TraceRecord::SpanStart {
+                id, parent: None, ..
+            } => Some(*id),
+            _ => None,
+        })
+        .collect();
+    records
+        .iter()
+        .filter_map(|r| match r {
+            TraceRecord::SpanEnd { id, dur, .. } if roots.contains(id) => Some(*dur),
+            _ => None,
+        })
+        .sum()
+}
+
+/// The campaign profile accounts for its time exactly once: session
+/// phases once per campaign, one `diagnose` per scenario, self times
+/// that add up to the root spans, and root spans that cover the wall
+/// clock around `run_campaign`.
+#[test]
+fn campaign_profile_accounts_for_the_wall_clock() {
+    let m = generate(&ModelConfig::test());
+    let opts = CampaignOptions {
+        scenarios: 4,
+        seed: 51966,
+        ..Default::default()
+    };
+    let collector = Arc::new(Collector::new());
+    let started = Instant::now();
+    let card = obs::with_sink(collector.clone(), || {
+        run_campaign(&m, &opts, &RunnerOptions::default()).expect("traced campaign")
+    });
+    let wall_nanos = started.elapsed().as_nanos() as u64;
+    let records = collector.records();
+    let profile = PhaseProfile::from_records(&records);
+
+    for session_phase in [
+        "phase.parse",
+        "phase.coverage",
+        "phase.metagraph",
+        "phase.ensemble_fill",
+        "phase.ect_fit",
+    ] {
+        let count = profile.get(session_phase).map_or(0, |e| e.count);
+        assert_eq!(count, 1, "{session_phase} must run once per campaign");
+    }
+    let diagnoses = profile.get("diagnose").map_or(0, |e| e.count);
+    assert_eq!(diagnoses as usize, card.results.len());
+    assert_eq!(card.results.len(), opts.scenarios);
+
+    let roots = root_span_nanos(&records);
+    assert_eq!(
+        profile.total_nanos(),
+        roots,
+        "self times must add up to the root spans exactly"
+    );
+    for e in profile.entries() {
+        assert!(e.self_nanos <= e.inclusive_nanos, "{e:?}");
+    }
+    assert!(
+        collector
+            .children_of("phase.statistics")
+            .contains(&"phase.compile"),
+        "a source mutant compiles inside its statistics phase"
+    );
+    assert!(
+        roots as f64 >= 0.95 * wall_nanos as f64,
+        "root spans cover {roots} ns of {wall_nanos} ns\n{}",
+        profile.render()
+    );
 }
 
 /// The hard invariant: the scorecard JSON artifact is byte-identical
@@ -179,16 +312,15 @@ fn stripped_trace(model: &model::ModelSource, opts: &CampaignOptions, threads: u
     // loops are sequential by design, but the ensemble fills underneath
     // still fan out, so this exercises thread-count independence.
     std::env::set_var("RAYON_NUM_THREADS", threads.to_string());
-    let (writer, buf) = JsonlWriter::to_buffer();
-    let writer = Arc::new(writer);
-    let card = obs::with_sink(writer.clone(), || {
+    let collector = Arc::new(Collector::new());
+    let card = obs::with_sink(collector.clone(), || {
         run_campaign(model, opts, &RunnerOptions::default()).expect("traced campaign")
     });
-    writer.finish().expect("flush buffer");
     std::env::remove_var("RAYON_NUM_THREADS");
     assert_eq!(card.results.len(), opts.scenarios);
-    let jsonl = String::from_utf8(buf.lock().unwrap().clone()).expect("utf8 trace");
-    obs::strip_timing(&jsonl)
+    let mut jsonl = Vec::new();
+    collector.write_jsonl(&mut jsonl).expect("render trace");
+    obs::strip_timing(&String::from_utf8(jsonl).expect("utf8 trace"))
 }
 
 proptest! {
