@@ -13,13 +13,15 @@ use rca_core::{PipelineOptions, RcaPipeline};
 use rca_metagraph::NodeKind;
 use rca_model::{Component, ModelFile, ModelSource};
 use rca_sim::{
-    compile_model, perturbations, run_ensemble_program, run_loaded, run_program, specialize_with,
-    EnsembleRuns, Interpreter, RunConfig, SampleSpec, SpecIndex,
+    compile_model, perturbations, run_ensemble_program, run_loaded, run_program,
+    specialize_for_history, specialize_with, EnsembleRuns, Interpreter, Program, RunConfig,
+    SampleSpec, SpecIndex,
 };
 use serde::{Json, Serialize as _};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Counts every heap allocation so the ensemble-memory entry can report
@@ -521,6 +523,66 @@ end module kernbench
         "specialized query speedup {fastpath_speedup:.2}x fell below the 2x floor"
     );
 
+    // ----- history fill: statistics-side ensembles on the history slice
+    //
+    // `EnsembleRuns::run_history` runs every member on the program pruned
+    // to the statements that can reach an `outfld`. Its data must equal
+    // the full fill's by bits; the saving is the members/sec gain and the
+    // VM instructions each member no longer retires. The slice is built
+    // once per program (timed here through the uncached form).
+    let t0 = Instant::now();
+    let history = specialize_for_history(&program).expect("the model must be separable");
+    let history_specialize_ms = t0.elapsed().as_secs_f64() * 1e3;
+    let full_fill = || EnsembleRuns::run_resilient(&program, &cfg, &store_perts, 2);
+    let history_fill = || EnsembleRuns::run_history(&program, &cfg, &store_perts, 2);
+    let (full, fast) = (full_fill(), history_fill());
+    assert!(
+        !Arc::ptr_eq(fast.program(), &program),
+        "the history fill fell back to the full program"
+    );
+    if let Some(diff) = full.data_mismatch(&fast) {
+        panic!("history fill diverged from the full fill: {diff}");
+    }
+    let fill_s = |fill: &dyn Fn() -> EnsembleRuns| {
+        best_run_seconds(|| {
+            let t0 = Instant::now();
+            std::hint::black_box(fill());
+            t0.elapsed().as_secs_f64()
+        })
+    };
+    let full_mps = store_members as f64 / fill_s(&full_fill);
+    let history_mps = store_members as f64 / fill_s(&history_fill);
+    let history_gain = history_mps / full_mps;
+    // Retired VM instructions of one member (counted on a traced thread).
+    let retired = |p: &Arc<Program>| {
+        let count = || {
+            rca_obs::metrics_snapshot()
+                .counter("vm.instructions")
+                .unwrap_or(0)
+        };
+        let before = count();
+        rca_obs::with_sink(Arc::new(rca_obs::Collector::new()), || {
+            run_program(p, &cfg, 0.0).expect("member run")
+        });
+        count() - before
+    };
+    let (full_instr, history_instr) = (retired(&program), retired(fast.program()));
+    println!(
+        "history fill ({store_members} members): full {full_mps:.1} members/sec, \
+         history slice {history_mps:.1} members/sec ({history_gain:.2}x), \
+         {full_instr} -> {history_instr} VM instructions/member, \
+         {:.0}% stmts pruned, specialize {history_specialize_ms:.1} ms once",
+        history.pruned_fraction() * 100.0
+    );
+    // Perf floor, CI-enforced: the slice may never be slower; at paper
+    // scale, where most statements cannot reach a history write, it
+    // must at least double the fill rate.
+    let history_floor = if scale == "paper" { 2.0 } else { 1.0 };
+    assert!(
+        history_gain >= history_floor,
+        "history fill gain {history_gain:.2}x fell below the {history_floor}x floor"
+    );
+
     let record = Json::obj([
         ("bench", "sim_throughput".to_json()),
         ("scale", scale.to_json()),
@@ -622,6 +684,24 @@ end module kernbench
                 ("stmts_total", specialized.stmts_total.to_json()),
                 ("stmts_kept", specialized.stmts_kept.to_json()),
                 ("specialize_ms_once", specialize_ms.to_json()),
+            ]),
+        ),
+        (
+            "history_fill",
+            Json::obj([
+                ("members", store_members.to_json()),
+                ("full_members_per_sec", full_mps.to_json()),
+                ("history_members_per_sec", history_mps.to_json()),
+                ("members_per_sec_gain", history_gain.to_json()),
+                ("full_vm_instructions_per_member", full_instr.to_json()),
+                (
+                    "history_vm_instructions_per_member",
+                    history_instr.to_json(),
+                ),
+                ("pruned_fraction", history.pruned_fraction().to_json()),
+                ("stmts_total", history.stmts_total.to_json()),
+                ("stmts_kept", history.stmts_kept.to_json()),
+                ("specialize_ms_once", history_specialize_ms.to_json()),
             ]),
         ),
     ]);

@@ -232,7 +232,7 @@ pub fn experiment_configs(
 /// matrix, and the ECT fitted to it.
 ///
 /// Computing this is the expensive half of the statistical front end
-/// (`n_ensemble` interpreter runs); [`crate::RcaSession`] caches one per
+/// (`n_ensemble` bytecode VM runs); [`crate::RcaSession`] caches one per
 /// session so a fault-injection campaign of N scenarios pays for the
 /// ensemble once, not N times.
 #[derive(Debug, Clone)]
@@ -255,9 +255,11 @@ pub struct EnsembleStats {
 /// Runs the control ensemble and fits the ECT — everything on the
 /// statistical front end that does not depend on the experiment. The
 /// base model arrives pre-compiled; every member executes the shared
-/// program **into one columnar [`EnsembleRuns`] block**, and the ensemble
-/// matrix memcpy-gathers from the store's contiguous evaluation-step
-/// planes — no per-run history vectors, no re-assembly.
+/// program's history slice ([`EnsembleRuns::run_history`]: only the
+/// statements that can reach an `outfld`, the same bits) **into one
+/// columnar [`EnsembleRuns`] block**, and the ensemble matrix
+/// memcpy-gathers from the store's contiguous evaluation-step planes —
+/// no per-run history vectors, no re-assembly.
 pub(crate) fn collect_ensemble(
     base_program: &Arc<Program>,
     setup: &ExperimentSetup,
@@ -265,7 +267,7 @@ pub(crate) fn collect_ensemble(
     let perts = perturbations(setup.n_ensemble, setup.ic_magnitude, setup.seed);
     let store = {
         let _span = rca_obs::span("phase.ensemble_fill");
-        EnsembleRuns::run_resilient(
+        EnsembleRuns::run_history(
             base_program,
             &control_config(setup),
             &perts,
@@ -346,7 +348,7 @@ pub(crate) fn evaluate_against_ensemble(
     let exp_perts = perturbations(setup.n_experiment, setup.ic_magnitude, setup.seed ^ 0xDEAD);
     let exp_store = {
         let _span = rca_obs::span("statistics.experiment_fill");
-        EnsembleRuns::run_resilient(exp_program, exp_cfg, &exp_perts, setup.retry.max_retries)
+        EnsembleRuns::run_history(exp_program, exp_cfg, &exp_perts, setup.retry.max_retries)
     };
     let exp_health = EnsembleHealth::of(&exp_store);
     let quorum = setup.retry.experiment_quorum(setup.n_experiment);
@@ -440,48 +442,58 @@ pub(crate) fn evaluate_against_ensemble(
     // 3-run sets. The prefit ECT is reusable whenever the output sets
     // match (the overwhelmingly common case); a mismatch refits on the
     // intersected ensemble columns, exactly as the one-shot path did.
-    let refit;
-    let ect = if full_match {
-        &ens.ect
-    } else {
-        refit = Ect::fit(&ensemble, setup.ect);
-        &refit
+    let (verdict, failure_rate) = {
+        let _span = rca_obs::span("statistics.ect");
+        let refit;
+        let ect = if full_match {
+            &ens.ect
+        } else {
+            refit = Ect::fit(&ensemble, setup.ect);
+            &refit
+        };
+        let head: Vec<Vec<f64>> = (0..3.min(experimental.rows()))
+            .map(|i| experimental.row(i).to_vec())
+            .collect();
+        (
+            ect.evaluate(&Matrix::from_row_slices(&head)),
+            ect.failure_rate(&experimental, 3),
+        )
     };
-    let head: Vec<Vec<f64>> = (0..3.min(experimental.rows()))
-        .map(|i| experimental.row(i).to_vec())
-        .collect();
-    let verdict = ect.evaluate(&Matrix::from_row_slices(&head));
-    let failure_rate = ect.failure_rate(&experimental, 3);
 
     // Variable selection (§3).
-    let median_sel = median_distance_selection(&ensemble, &experimental, false);
-    let median_ranking: Vec<(String, f64)> = median_sel
-        .iter()
-        .map(|s| (names[s.index].clone(), s.median_distance))
-        .collect();
+    let median_ranking: Vec<(String, f64)> = {
+        let _span = rca_obs::span("statistics.ranking");
+        median_distance_selection(&ensemble, &experimental, false)
+            .iter()
+            .map(|s| (names[s.index].clone(), s.median_distance))
+            .collect()
+    };
 
-    let mut all_rows: Vec<Vec<f64>> = Vec::new();
-    let mut labels = Vec::new();
-    for i in 0..ensemble.rows() {
-        all_rows.push(ensemble.row(i).to_vec());
-        labels.push(0.0);
-    }
-    for i in 0..experimental.rows() {
-        all_rows.push(experimental.row(i).to_vec());
-        labels.push(1.0);
-    }
-    let lasso = fit_lasso_path(
-        &Matrix::from_row_slices(&all_rows),
-        &labels,
-        setup.lasso_target,
-        30,
-        500,
-    );
-    let lasso_selected: Vec<String> = lasso
-        .selected()
-        .into_iter()
-        .map(|i| names[i].clone())
-        .collect();
+    let lasso_selected: Vec<String> = {
+        let _span = rca_obs::span("statistics.lasso");
+        let mut all_rows: Vec<Vec<f64>> = Vec::new();
+        let mut labels = Vec::new();
+        for i in 0..ensemble.rows() {
+            all_rows.push(ensemble.row(i).to_vec());
+            labels.push(0.0);
+        }
+        for i in 0..experimental.rows() {
+            all_rows.push(experimental.row(i).to_vec());
+            labels.push(1.0);
+        }
+        let lasso = fit_lasso_path(
+            &Matrix::from_row_slices(&all_rows),
+            &labels,
+            setup.lasso_target,
+            30,
+            500,
+        );
+        lasso
+            .selected()
+            .into_iter()
+            .map(|i| names[i].clone())
+            .collect()
+    };
 
     Ok(ExperimentData {
         verdict,

@@ -66,14 +66,14 @@ use std::time::{Duration, Instant};
 ///
 /// See the [`crate::oracle`] module docs for the trade-off; in short:
 /// `Reachability` for method evaluation with known ground truth,
-/// `Runtime` for real investigations (two interpreter runs per
+/// `Runtime` for real investigations (two bytecode VM runs per
 /// refinement iteration).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OracleKind {
     /// Simulated sampling via directed-path reachability from the
     /// experiment's ground-truth bug sites (§5.2).
     Reachability,
-    /// Real instrumented control + experimental interpreter runs.
+    /// Real instrumented control + experimental bytecode VM runs.
     Runtime,
 }
 

@@ -1625,6 +1625,10 @@ impl<'a> FnEmitter<'a> {
     /// Runs the peephole passes and checks every jump was patched.
     fn seal(mut self, n_slots: u32) -> BProc {
         peephole(&mut self.code, &mut self.lines);
+        // Programs (and their history slices) live as long as the
+        // session that caches them: drop the emission slack.
+        self.code.shrink_to_fit();
+        self.lines.shrink_to_fit();
         debug_assert!(
             self.code.iter().all(|i| jump_target(i) != Some(PATCH)),
             "unpatched jump survived emission"

@@ -1212,6 +1212,7 @@ impl<'a> Compiler<'a> {
             global_origins: Arc::new(global_origins),
             syms: Arc::new(self.syms),
             bc: crate::bytecode::Bytecode::default(),
+            history: Default::default(),
         };
         // Lower to the bytecode tier once the tree IR is sealed; the
         // register VM in `exec` runs this form.

@@ -86,6 +86,8 @@ pub use runner::{
     compile_model, finite_outputs_at, outputs_matrix, perturbations, run_ensemble,
     run_ensemble_program, run_loaded, run_model, run_program, RunOutput,
 };
-pub use specialize::{specialize_for_samples, specialize_with, SpecIndex, Specialized};
+pub use specialize::{
+    specialize_for_history, specialize_for_samples, specialize_with, SpecIndex, Specialized,
+};
 pub use store::{EnsembleRuns, MemberHealth, RunCoverage, RunView};
 pub use value::Value;

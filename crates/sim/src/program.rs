@@ -25,7 +25,7 @@ use crate::value::Value;
 use rca_fortran::token::Op;
 use rca_ident::SymbolTable;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Index into the expression pool ([`Program::ir_exprs`]).
 pub type EId = u32;
@@ -449,6 +449,10 @@ pub struct Program {
     /// the tree IR is sealed. The register VM in [`crate::exec`] runs
     /// this; the tree walkers ignore it.
     pub(crate) bc: crate::bytecode::Bytecode,
+    /// The history slice, computed on first use
+    /// ([`Program::history_program`]). Never this program itself: that
+    /// would be an `Arc` cycle.
+    pub(crate) history: OnceLock<Option<Arc<Program>>>,
 }
 
 impl Program {
@@ -482,6 +486,23 @@ impl Program {
     /// through the generic dispatch path.
     pub fn kernel_count(&self) -> usize {
         self.bc.kernel_count()
+    }
+
+    /// This program pruned to the statements that can reach a history
+    /// write ([`crate::specialize::specialize_for_history`]), built once
+    /// under a `compile.history` span on first use and kept for the
+    /// program's lifetime. `None` when the specializer cannot separate
+    /// the program or prunes nothing. A zero-fault, unbudgeted run of it
+    /// writes this program's history bits whenever this program's run
+    /// succeeds; [`crate::EnsembleRuns::run_history`] is the fill that
+    /// uses it.
+    pub fn history_program(&self) -> Option<&Arc<Program>> {
+        self.history
+            .get_or_init(|| {
+                let _span = rca_obs::span("compile.history");
+                crate::specialize::history_slice(self)
+            })
+            .as_ref()
     }
 
     /// Sorted distinct history output names; `OutputId` indexes this

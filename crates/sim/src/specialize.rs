@@ -1,32 +1,39 @@
 //! Slice-specialized programs: prune a compiled [`Program`] down to the
-//! statements that can influence a sampling query's capture set.
+//! statements that can influence what a run is asked to reproduce.
 //!
-//! The refinement hot loop ([`crate::interp::RunConfig::samples`] +
-//! `rca_core`'s runtime oracle) asks one narrow question per iteration:
-//! *do these ~30 instrumented variables differ between a control and an
-//! experimental run?* Answering it with a full model execution pays for
-//! every history write, every module update, and every subprogram the
-//! captures never observe. [`specialize_for_samples`] computes an
-//! executable backward slice instead: starting from the locations a
-//! [`SampleSpec`] set can read, it keeps exactly the statements whose
-//! effects can reach those locations (plus everything needed to preserve
-//! control flow, the PRNG stream, and error semantics) and drops the
-//! rest. The pruned tree IR is re-lowered through the standard bytecode
-//! pipeline, so the specialized program runs on the unmodified
-//! [`crate::Executor`] VM tier with all of its kernels and pooling.
+//! Two consumers ask narrow questions of full model runs:
+//!
+//! - the refinement hot loop ([`crate::interp::RunConfig::samples`] +
+//!   `rca_core`'s runtime oracle) asks *do these ~30 instrumented
+//!   variables differ between a control and an experimental run?*;
+//! - the statistics fills ([`crate::EnsembleRuns::run_history`]) read
+//!   only the history series every `outfld` writes.
+//!
+//! Answering either with a full model execution pays for every statement
+//! the answer never observes. [`specialize_for_samples`] and
+//! [`specialize_for_history`] compute an executable backward slice
+//! instead: starting from the locations the capture can read — a
+//! [`SampleSpec`] set, or the operands of every history write — they keep
+//! exactly the statements whose effects can reach those locations (plus
+//! everything needed to preserve control flow, the PRNG stream, and error
+//! semantics) and drop the rest. The pruned tree IR is re-lowered through
+//! the standard bytecode pipeline, so the specialized program runs on the
+//! unmodified [`crate::Executor`] VM tier with all of its kernels and
+//! pooling.
 //!
 //! # Soundness contract
 //!
-//! A specialized program must produce **bit-identical sample captures**
-//! to the full program for the spec set it was built for, at any
-//! `sample_step` within the truncated horizon. The pass guarantees this
-//! with a closed-set fixpoint: the relevant-location set `R` (module
-//! globals, per-proc frame slots, the physics buffer, the PRNG stream)
-//! is closed so that every kept statement reads and writes only
-//! locations in `R`, and every statement anywhere that writes a location
-//! in `R` is kept. By induction, locations in `R` hold exactly the
-//! full-program values at every point in time; locations outside `R`
-//! are never read by kept code.
+//! A specialized program must produce **bit-identical captures** to the
+//! full program: the sample captures of the spec set it was built for, at
+//! any `sample_step` within the truncated horizon, or — for the history
+//! capture — every history series (values, written lengths, the output
+//! table). The pass guarantees this with a closed-set fixpoint: the
+//! relevant-location set `R` (module globals, per-proc frame slots, the
+//! physics buffer, the PRNG stream) is closed so that every kept
+//! statement reads and writes only locations in `R`, and every statement
+//! anywhere that writes a location in `R` is kept. By induction,
+//! locations in `R` hold exactly the full-program values at every point
+//! in time; locations outside `R` are never read by kept code.
 //!
 //! The preserved-semantics rules beyond plain dataflow:
 //!
@@ -38,8 +45,14 @@
 //!   *every* draw in the program is kept, preserving sequence positions.
 //! - **capture subprograms keep their invocation counts**: local-variable
 //!   samples snapshot at the end of each invocation during the sample
-//!   step (last invocation wins), so every call that can transitively
-//!   reach a capture proc is kept.
+//!   step (last invocation wins), and a history series keeps the last
+//!   write of each step, so every call that can transitively reach a
+//!   capture proc — for the history capture, any proc that writes
+//!   history — is kept.
+//! - **the history capture keeps every `outfld`**: each history write in
+//!   a live proc stays, and its data and column-count operands join `R`.
+//!   Sampling queries never read histories, so there a history write is
+//!   kept only for the side effects of its operand expressions.
 //! - **deferred errors are kept**: compile-lowered `ErrorStmt` /
 //!   `ErrorExpr` / invalid places and calls that may transitively reach
 //!   one stay in the program, so a model that fails under full execution
@@ -47,14 +60,22 @@
 //! - **live inits always run**: frame initialization of a live proc is
 //!   never pruned, and its initializer/extent expression reads join `R`.
 //!
-//! Residual divergence (a runtime error — out-of-bounds subscript, fuel
-//! exhaustion — arising only inside *dropped* statements or after the
-//! truncated horizon) is owned by the caller's fallback rule: the
-//! runtime oracle discards any specialized-run error and re-executes the
-//! query through the generic full-program path, which owns all error
-//! semantics — the same shape as the bytecode tier's kernel-validation
-//! fallback. The differential equivalence suites and the fastpath-on/off
-//! scorecard gate fence the contract end to end.
+//! Residual divergence: a runtime error (out-of-bounds subscript, fuel
+//! exhaustion) raised only inside a *dropped* statement — one that
+//! cannot reach the capture — or after the truncated horizon never fires
+//! in the specialized run. Callers own it with one rule: a specialized
+//! result counts only when every specialized run succeeded, and any
+//! error re-executes through the generic full-program path, which owns
+//! all error semantics (the same shape as the bytecode tier's
+//! kernel-validation fallback). The runtime oracle re-runs the full pair;
+//! the history fill runs its members with zero retries and refills on the
+//! full program under the caller's retry policy. What stays unseen is an
+//! error the full program raises only in dropped code: the oracle would
+//! have answered from a failing pair, a full fill would have retried or
+//! quarantined the member. The history capture shares this residual with
+//! the oracle's. The differential equivalence suites, the fastpath-on/off
+//! scorecard gate, and the history-fill sweeps over seeded campaign
+//! mutants fence the contract end to end.
 //!
 //! Anything the pass cannot prove separable (missing driver entry
 //! points, a fixpoint that fails to settle) returns `None`; callers then
@@ -100,6 +121,34 @@ impl Specialized {
     }
 }
 
+/// What a specialized program must reproduce bit for bit.
+#[derive(Clone, Copy)]
+enum Capture<'a> {
+    /// The sample captures of one spec set (runtime-oracle queries).
+    Samples(&'a [SampleSpec]),
+    /// Every history write (the statistics fills).
+    History,
+}
+
+/// A pruning result: the rebuilt program (`None` when every statement
+/// stayed) plus the statement counts.
+struct Pruned {
+    program: Option<Program>,
+    stmts_total: usize,
+    stmts_kept: usize,
+}
+
+impl Pruned {
+    fn into_specialized(self, full: &Arc<Program>) -> Specialized {
+        Specialized {
+            identical: self.program.is_none(),
+            program: self.program.map_or_else(|| Arc::clone(full), Arc::new),
+            stmts_total: self.stmts_total,
+            stmts_kept: self.stmts_kept,
+        }
+    }
+}
+
 /// Specializes `program` for a sampling query capturing exactly `specs`.
 ///
 /// Returns `None` when the pass cannot prove a pruned program
@@ -119,9 +168,33 @@ pub fn specialize_with(
     program: &Arc<Program>,
     specs: &[SampleSpec],
 ) -> Option<Specialized> {
+    prune(index, program, Capture::Samples(specs)).map(|p| p.into_specialized(program))
+}
+
+/// Specializes `program` for its history writes: every `outfld` stays,
+/// and so does every statement that can reach one. A zero-fault,
+/// unbudgeted run of the result writes the full program's history
+/// series bit for bit whenever the full program's run succeeds.
+/// [`Program::history_program`] keeps one per program; this uncached
+/// form reports the pruning statistics.
+pub fn specialize_for_history(program: &Arc<Program>) -> Option<Specialized> {
+    prune(&SpecIndex::build(program), program, Capture::History)
+        .map(|p| p.into_specialized(program))
+}
+
+/// The history slice behind [`Program::history_program`]: `None` when
+/// the program is unseparable or nothing prunes.
+pub(crate) fn history_slice(program: &Program) -> Option<Arc<Program>> {
+    prune(&SpecIndex::build(program), program, Capture::History)?
+        .program
+        .map(Arc::new)
+}
+
+fn prune(index: &SpecIndex, program: &Program, capture: Capture<'_>) -> Option<Pruned> {
     let ctx = Ctx {
         p: program,
         ix: index,
+        history: matches!(capture, Capture::History),
     };
     let mut rel = Rel::new(program);
 
@@ -133,9 +206,15 @@ pub fn specialize_with(
     rel.live[root_init as usize] = true;
     rel.live[root_step as usize] = true;
 
-    let mut capture_procs = vec![false; program.procs.len()];
-    ctx.seed(&mut rel, specs, &mut capture_procs);
-    let reaches_cap = ctx.reaches_capture(&capture_procs);
+    let reaches_cap = match capture {
+        Capture::Samples(specs) => {
+            let mut capture_procs = vec![false; program.procs.len()];
+            ctx.seed(&mut rel, specs, &mut capture_procs);
+            ctx.reaches_capture(&capture_procs)
+        }
+        // Every proc that can reach a history write keeps its calls.
+        Capture::History => index.summaries.iter().map(|s| s.writes_history).collect(),
+    };
 
     // Monotone fixpoint: relevance, liveness, and keep decisions only
     // grow. Each settled round changes nothing; an unsettled analysis
@@ -196,11 +275,10 @@ pub fn specialize_with(
     }
 
     if kept == total {
-        return Some(Specialized {
-            program: Arc::clone(program),
+        return Some(Pruned {
+            program: None,
             stmts_total: total,
             stmts_kept: kept,
-            identical: true,
         });
     }
 
@@ -219,13 +297,13 @@ pub fn specialize_with(
         global_origins: program.global_origins.clone(),
         syms: Arc::clone(&program.syms),
         bc: Default::default(),
+        history: Default::default(),
     };
     sp.bc = bytecode::lower(&sp);
-    Some(Specialized {
-        program: Arc::new(sp),
+    Some(Pruned {
+        program: Some(sp),
         stmts_total: total,
         stmts_kept: kept,
-        identical: false,
     })
 }
 
@@ -349,6 +427,8 @@ struct Summary {
     gwrites: Bits,
     writes_pbuf: bool,
     draws: bool,
+    /// Writes history (`outfld`).
+    writes_history: bool,
     /// May raise a deferred compile error (`ErrorStmt`/`ErrorExpr`,
     /// invalid places, unknown-function fallbacks, failing init
     /// templates) — calls to it must stay so failures still fire.
@@ -386,6 +466,7 @@ impl SpecIndex {
                     gwrites: Bits::new(p.globals.len()),
                     writes_pbuf: false,
                     draws: false,
+                    writes_history: false,
                     may_error: false,
                 },
                 callees: Vec::new(),
@@ -416,6 +497,8 @@ impl SpecIndex {
                     s.writes_pbuf |= callee.writes_pbuf;
                     changed |= callee.draws && !s.draws;
                     s.draws |= callee.draws;
+                    changed |= callee.writes_history && !s.writes_history;
+                    s.writes_history |= callee.writes_history;
                     changed |= callee.may_error && !s.may_error;
                     s.may_error |= callee.may_error;
                 }
@@ -435,6 +518,8 @@ impl SpecIndex {
 struct Ctx<'p> {
     p: &'p Program,
     ix: &'p SpecIndex,
+    /// The history capture: every `outfld` is kept.
+    history: bool,
 }
 
 impl<'p> Ctx<'p> {
@@ -558,10 +643,12 @@ impl<'p> Ctx<'p> {
                 }
                 keep
             }
-            // Oracle runs never read histories: a history write is kept
-            // only for the side effects of its operand expressions.
+            // The history capture keeps every history write; sampling
+            // queries never read histories, so there a history write is
+            // kept only for the side effects of its operand expressions.
             CStmt::Outfld { data, ncol, .. } => {
-                let keep = self.expr_relevant(rel, reach, proc, *data)
+                let keep = self.history
+                    || self.expr_relevant(rel, reach, proc, *data)
                     || ncol.is_some_and(|n| self.expr_relevant(rel, reach, proc, n));
                 if keep {
                     self.join_expr(rel, reach, proc, *data);
@@ -1007,6 +1094,7 @@ impl Facts<'_, '_> {
             }
             CStmt::Call { site, .. } => self.site(*site),
             CStmt::Outfld { data, ncol, .. } => {
+                self.sum.writes_history = true;
                 self.expr(*data);
                 if let Some(n) = ncol {
                     self.expr(*n);

@@ -254,6 +254,22 @@ pub fn predict_member(
     Some((attempt, history))
 }
 
+/// What a fill does with a member whose run fails.
+#[derive(Clone, Copy)]
+enum OnFailure {
+    /// Retry up to this many times with derived perturbations, then
+    /// quarantine; both are announced as telemetry.
+    Retry(u32),
+    /// Record the failure silently: the caller discards the whole fill.
+    Discard,
+}
+
+/// Counts one kept fill of `members` members.
+fn count_fill(members: usize) {
+    rca_obs::counter_inc!("ensemble.fills", 1);
+    rca_obs::counter_inc!("ensemble.members", members as u64);
+}
+
 impl EnsembleRuns {
     /// Runs one ensemble member per perturbation in parallel, writing
     /// every run into the store in place. Each rayon worker leases one
@@ -289,8 +305,52 @@ impl EnsembleRuns {
         perts: &[f64],
         max_retries: u32,
     ) -> EnsembleRuns {
-        rca_obs::counter_inc!("ensemble.fills", 1);
-        rca_obs::counter_inc!("ensemble.members", perts.len() as u64);
+        count_fill(perts.len());
+        Self::fill(program, config, perts, OnFailure::Retry(max_retries))
+    }
+
+    /// The statistics-side fill: [`EnsembleRuns::run_resilient`] with the
+    /// members run on `program`'s history slice
+    /// ([`Program::history_program`]) whenever that is safe.
+    ///
+    /// Member health, written lengths, the output table and every step
+    /// plane equal `run_resilient(program, ..)`'s by bits, up to the
+    /// specializer's residual: a runtime error the full program raises
+    /// only in statements that cannot reach a history write
+    /// ([`crate::specialize`]). Coverage bits and
+    /// [`EnsembleRuns::program`] are the slice's, so callers that read
+    /// coverage use `run_resilient`. The full program stays the only path
+    /// for a non-empty fault plan, a fuel budget or sample captures, and
+    /// whenever any slice member fails: the slice runs with zero retries
+    /// and no retry or quarantine telemetry, and one failure discards it
+    /// (counted as `ensemble.history_fallback`) for a full refill that
+    /// owns every retry, quarantine and message.
+    pub fn run_history(
+        program: &Arc<Program>,
+        config: &RunConfig,
+        perts: &[f64],
+        max_retries: u32,
+    ) -> EnsembleRuns {
+        let plain = config.faults.is_empty() && config.fuel.is_none() && config.samples.is_empty();
+        if let Some(history) = plain.then(|| program.history_program()).flatten() {
+            let store = Self::fill(history, config, perts, OnFailure::Discard);
+            if store.first_failure().is_none() {
+                count_fill(perts.len());
+                return store;
+            }
+            rca_obs::counter_inc!("ensemble.history_fallback", 1);
+        }
+        Self::run_resilient(program, config, perts, max_retries)
+    }
+
+    /// One member per perturbation, in parallel, written into the store
+    /// in place; `on_failure` decides what a failing member does.
+    fn fill(
+        program: &Arc<Program>,
+        config: &RunConfig,
+        perts: &[f64],
+        on_failure: OnFailure,
+    ) -> EnsembleRuns {
         let members = perts.len();
         let steps = config.steps as usize;
         let outputs = program.output_count();
@@ -360,30 +420,33 @@ impl EnsembleRuns {
                                     MemberHealth::Recovered { retries: attempt }
                                 };
                             }
-                            Err(error) if attempt < max_retries => {
-                                rca_obs::counter_inc!("ensemble.member_retry", 1);
-                                rca_obs::event(
-                                    "ensemble.member_retry",
-                                    &[
-                                        ("member", u64::from(slot.member).into()),
-                                        ("attempt", u64::from(attempt).into()),
-                                        ("error", error.to_string().into()),
-                                    ],
-                                );
-                                attempt += 1;
-                            }
-                            Err(error) => {
-                                rca_obs::counter_inc!("ensemble.quarantined", 1);
-                                rca_obs::event(
-                                    "ensemble.quarantined",
-                                    &[
-                                        ("member", u64::from(slot.member).into()),
-                                        ("attempts", u64::from(attempt + 1).into()),
-                                        ("error", error.to_string().into()),
-                                    ],
-                                );
-                                return MemberHealth::Quarantined { error };
-                            }
+                            Err(error) => match on_failure {
+                                OnFailure::Retry(max) if attempt < max => {
+                                    rca_obs::counter_inc!("ensemble.member_retry", 1);
+                                    rca_obs::event(
+                                        "ensemble.member_retry",
+                                        &[
+                                            ("member", u64::from(slot.member).into()),
+                                            ("attempt", u64::from(attempt).into()),
+                                            ("error", error.to_string().into()),
+                                        ],
+                                    );
+                                    attempt += 1;
+                                }
+                                OnFailure::Retry(_) => {
+                                    rca_obs::counter_inc!("ensemble.quarantined", 1);
+                                    rca_obs::event(
+                                        "ensemble.quarantined",
+                                        &[
+                                            ("member", u64::from(slot.member).into()),
+                                            ("attempts", u64::from(attempt + 1).into()),
+                                            ("error", error.to_string().into()),
+                                        ],
+                                    );
+                                    return MemberHealth::Quarantined { error };
+                                }
+                                OnFailure::Discard => return MemberHealth::Quarantined { error },
+                            },
                         }
                     }
                 },
@@ -537,6 +600,38 @@ impl EnsembleRuns {
         } else {
             Matrix::gather_rows_with(rows.len(), kept, |r| self.step_plane(rows[r], step))
         }
+    }
+
+    /// The first difference between two fills' statistics data — member
+    /// health, the output table, written lengths, or a step-plane cell
+    /// compared by bits — or `None` when the two are equal. This is the
+    /// equality [`EnsembleRuns::run_history`] promises against
+    /// [`EnsembleRuns::run_resilient`]; coverage and samples are not
+    /// compared.
+    pub fn data_mismatch(&self, other: &EnsembleRuns) -> Option<String> {
+        if self.health != other.health {
+            return Some(format!("health {:?} != {:?}", self.health, other.health));
+        }
+        if self.output_names() != other.output_names() || self.steps != other.steps {
+            return Some("output table or step count differs".to_string());
+        }
+        for m in 0..self.members {
+            if self.written_of(m) != other.written_of(m) {
+                return Some(format!("member {m}: written lengths differ"));
+            }
+            for step in 0..self.steps {
+                let (a, b) = (self.step_plane(m, step), other.step_plane(m, step));
+                if let Some(o) = (0..self.outputs).find(|&o| a[o].to_bits() != b[o].to_bits()) {
+                    return Some(format!(
+                        "member {m} step {step} output {}: {:e} != {:e}",
+                        self.output_names()[o],
+                        a[o],
+                        b[o]
+                    ));
+                }
+            }
+        }
+        None
     }
 
     /// Cheap indexed view of one member.

@@ -66,7 +66,7 @@
 //!   it to evaluate the *method* when bug locations are known.
 //! - [`OracleKind::Runtime`](rca::OracleKind::Runtime) — real sampling:
 //!   each refinement iteration instruments the chosen variables in actual
-//!   control and experimental interpreter runs. Use it when the bug is
+//!   control and experimental bytecode VM runs. Use it when the bug is
 //!   genuinely unknown.
 //!
 //! Anything implementing `Oracle` can be passed to
@@ -108,6 +108,15 @@
 //! must produce a byte-identical scorecard to the default fastpath-on
 //! run, and `sim_throughput`'s `oracle_fastpath` entry asserts the
 //! specialized query pair stays ≥2× faster than the full pair.
+//!
+//! The statistics fills use the same specializer with a history capture
+//! ([`sim::EnsembleRuns::run_history`]): every control and experimental
+//! member runs only the statements that can reach an `outfld`, on a
+//! slice built once per compiled program
+//! ([`sim::Program::history_program`]). Member health, written lengths
+//! and every history value equal the full fill's by bits; fault plans,
+//! fuel budgets and any failing member keep the full program, which
+//! owns all retry and quarantine semantics.
 //!
 //! ## Migrating from the 0.1 free functions
 //!
@@ -297,6 +306,8 @@
 //!   stream independent of the mutation RNG, so the chaos axis never
 //!   perturbs a recorded mutation plan.
 //! - **Graceful degradation**: [`sim::EnsembleRuns::run_resilient`]
+//!   (and the statistics fills' [`sim::EnsembleRuns::run_history`],
+//!   which refills through it whenever a history-slice member fails)
 //!   tracks per-member [`sim::MemberHealth`], retries failed members with
 //!   derived reseeds up to a bounded [`rca::RetryPolicy`], and
 //!   quarantines what never recovers; the statistics stages fit the ECT
@@ -341,8 +352,10 @@
 //!   `phase.refine`, `phase.analysis_build`, `phase.lint`) and their
 //!   sub-phases are `<stage>.<step>` spans nested inside them
 //!   (`compile.parse`, `compile.lower`, `compile.bytecode` under
-//!   `phase.compile`; `statistics.experiment_fill` under
-//!   `phase.statistics`; `refine.communities`, `refine.centrality`,
+//!   `phase.compile`; `statistics.experiment_fill`, `statistics.ect`,
+//!   `statistics.ranking`, `statistics.lasso` under `phase.statistics`;
+//!   `compile.history`, a program's history slice, under the fill that
+//!   first runs it; `refine.communities`, `refine.centrality`,
 //!   `refine.oracle`, `refine.reinduce` under `phase.refine`). One
 //!   diagnosis runs under a `diagnose` span; progress points are
 //!   dot-namespaced events (`refine.iter`, `scenario`,

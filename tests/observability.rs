@@ -47,9 +47,13 @@ fn span_tree_covers_every_pipeline_phase() {
         "phase.refine",
         "diagnose",
         "statistics.experiment_fill",
+        "statistics.ect",
+        "statistics.ranking",
+        "statistics.lasso",
         "compile.parse",
         "compile.lower",
         "compile.bytecode",
+        "compile.history",
         "refine.communities",
         "refine.centrality",
         "refine.oracle",
@@ -78,9 +82,12 @@ fn span_tree_covers_every_pipeline_phase() {
     }
 
     // Sub-phases nest under the phase that pays for them: the refinement
-    // steps under `phase.refine`, the experimental fill and the source
-    // mutant's compile under `phase.statistics`, and the compile steps
-    // under `phase.compile` (bytecode emission inside lowering).
+    // steps under `phase.refine`; the experimental fill, the source
+    // mutant's compile, the ECT, the ranking and the lasso under
+    // `phase.statistics`; the compile steps under `phase.compile`
+    // (bytecode emission inside lowering); and each program's history
+    // slice under the fill that first runs it (the base program's under
+    // the control fill, the mutant's under the experimental fill).
     for (parent, children) in [
         (
             "phase.refine",
@@ -93,10 +100,18 @@ fn span_tree_covers_every_pipeline_phase() {
         ),
         (
             "phase.statistics",
-            &["statistics.experiment_fill", "phase.compile"][..],
+            &[
+                "statistics.experiment_fill",
+                "phase.compile",
+                "statistics.ect",
+                "statistics.ranking",
+                "statistics.lasso",
+            ][..],
         ),
         ("phase.compile", &["compile.parse", "compile.lower"][..]),
         ("compile.lower", &["compile.bytecode"][..]),
+        ("phase.ensemble_fill", &["compile.history"][..]),
+        ("statistics.experiment_fill", &["compile.history"][..]),
     ] {
         let under = collector.children_of(parent);
         for child in children {
@@ -141,6 +156,10 @@ fn diagnosis_profile_reports_nonzero_phase_timings() {
         "phase.ect_fit",
         "phase.statistics",
         "statistics.experiment_fill",
+        "statistics.ect",
+        "statistics.ranking",
+        "statistics.lasso",
+        "compile.history",
         "phase.compile",
         "phase.slice",
         "phase.refine",
