@@ -1,5 +1,6 @@
 //! Simulation throughput: compiled-engine steps/sec, single-run and
-//! ensemble, with the tree-walking interpreter as the reference point —
+//! ensemble, with the tree-walking interpreter as the reference point,
+//! plus a one-line mutant's compile with and without the shared parse —
 //! recorded into `BENCH_sim.json` so the perf trajectory of the
 //! parse → compile → execute pipeline is tracked next to
 //! `BENCH_campaign.json`.
@@ -11,11 +12,11 @@ use rayon::prelude::*;
 use rca_bench::{bench_config, header};
 use rca_core::{PipelineOptions, RcaPipeline};
 use rca_metagraph::NodeKind;
-use rca_model::{Component, ModelFile, ModelSource};
+use rca_model::{Component, Experiment, ModelFile, ModelSource};
 use rca_sim::{
-    compile_model, perturbations, run_ensemble_program, run_loaded, run_program,
-    specialize_for_history, specialize_with, EnsembleRuns, Interpreter, Program, RunConfig,
-    SampleSpec, SpecIndex,
+    compile_model, compile_variant, parse_model, perturbations, run_ensemble_program, run_loaded,
+    run_program, specialize_for_history, specialize_with, EnsembleRuns, Interpreter, Program,
+    RunConfig, SampleSpec, SpecIndex,
 };
 use serde::{Json, Serialize as _};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -583,6 +584,55 @@ end module kernbench
         "history fill gain {history_gain:.2}x fell below the {history_floor}x floor"
     );
 
+    // ----- variant compile: full parse vs the session's shared parse ----
+    //
+    // A one-line mutant (GOFFGRATCH's patched constant), compiled the way
+    // `compile_model` does — every file parsed — and the way a session
+    // does, against the base model's parse, so only the patched file is
+    // parsed and no unchanged AST is built or dropped. Both must emit the
+    // same bytecode.
+    let base_files = parse_model(&model, None).expect("the model parses");
+    let mutant = model.apply(Experiment::GoffGratch);
+    let shared_base = Some((&model, base_files.as_slice()));
+    let shared_files = parse_model(&mutant, shared_base).expect("the mutant parses");
+    let shared_parsed = shared_files
+        .iter()
+        .zip(&base_files)
+        .filter(|(v, b)| !Arc::ptr_eq(v, b))
+        .count();
+    drop(shared_files);
+    assert_eq!(
+        compile_model(&mutant).expect("full compile").disassemble(),
+        compile_variant(&mutant, shared_base)
+            .expect("shared-parse compile")
+            .disassemble(),
+        "the shared-parse compile emitted different bytecode"
+    );
+    let compile_ms = |compile: &dyn Fn() -> Arc<Program>| {
+        1e3 * best_run_seconds(|| {
+            let t0 = Instant::now();
+            drop(std::hint::black_box(compile()));
+            t0.elapsed().as_secs_f64()
+        })
+    };
+    let full_compile_ms = compile_ms(&|| compile_model(&mutant).expect("full compile"));
+    let shared_compile_ms =
+        compile_ms(&|| compile_variant(&mutant, shared_base).expect("shared-parse compile"));
+    let variant_gain = full_compile_ms / shared_compile_ms;
+    println!(
+        "variant compile (one-line mutant): full parse {full_compile_ms:.1} ms ({} files parsed), \
+         shared parse {shared_compile_ms:.1} ms ({shared_parsed} parsed), {variant_gain:.2}x",
+        mutant.files.len()
+    );
+    // Perf floor, CI-enforced: sharing the parse may never be slower; at
+    // paper scale, where parsing and dropping the unchanged files costs
+    // more than lowering, it must at least halve the compile.
+    let variant_floor = if scale == "paper" { 2.0 } else { 1.0 };
+    assert!(
+        variant_gain >= variant_floor,
+        "variant compile gain {variant_gain:.2}x fell below the {variant_floor}x floor"
+    );
+
     let record = Json::obj([
         ("bench", "sim_throughput".to_json()),
         ("scale", scale.to_json()),
@@ -702,6 +752,17 @@ end module kernbench
                 ("stmts_total", history.stmts_total.to_json()),
                 ("stmts_kept", history.stmts_kept.to_json()),
                 ("specialize_ms_once", history_specialize_ms.to_json()),
+            ]),
+        ),
+        (
+            "variant_compile",
+            Json::obj([
+                ("mutant", "GOFFGRATCH one-line patch".to_json()),
+                ("full_ms", full_compile_ms.to_json()),
+                ("full_files_parsed", mutant.files.len().to_json()),
+                ("shared_ms", shared_compile_ms.to_json()),
+                ("shared_files_parsed", shared_parsed.to_json()),
+                ("speedup", variant_gain.to_json()),
             ]),
         ),
     ]);

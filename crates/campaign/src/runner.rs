@@ -11,8 +11,9 @@
 //! so growing `--scenarios` or the ensemble size N pays for arithmetic,
 //! not for per-run allocation and matrix re-assembly. The session's content-addressed program cache means clean
 //! scenarios and config-only mutants (PRNG swap, FMA toggle) reuse the
-//! already-compiled base program, and each source mutant is parsed and
-//! compiled exactly once no matter how many runs its diagnosis needs.
+//! already-compiled base program, and each source mutant is compiled
+//! exactly once no matter how many runs its diagnosis needs, parsing
+//! only the file it patches (every other AST is the session's).
 //! Scenario results come back in plan order regardless of thread count,
 //! so campaign output is order-deterministic; `RAYON_NUM_THREADS=1`
 //! gives the sequential baseline the throughput bench compares against.

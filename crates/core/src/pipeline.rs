@@ -5,18 +5,26 @@
 //! ("discard modules that are not yet executed by the second time step"),
 //! drop unexecuted modules/subprograms, then compile the surviving source
 //! into the variable digraph.
+//!
+//! Each file is parsed exactly once per pipeline (the `phase.parse`
+//! span): the calibration program, the coverage filter and the metagraph
+//! all read the same `Arc<SourceFile>` ASTs, and the filter copies only
+//! the files it strips. A session keeps that parse and compiles its
+//! variants against it.
 
 use crate::error::RcaError;
+use rca_fortran::SourceFile;
 use rca_ident::{ModuleId, SymbolTable};
 use rca_metagraph::{
     build_metagraph_seeded, filter_sources, BuildOptions, Coverage, FilterStats, MetaGraph,
 };
 use rca_model::{Component, ModelSource};
-use rca_sim::{compile_model, run_program, Program, RunConfig};
+use rca_sim::{compile_variant, parse_model, run_program, Program, RunConfig};
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// A built pipeline: metagraph plus bookkeeping for one model variant.
+/// A built pipeline: metagraph plus bookkeeping for one model variant,
+/// built from one parse of its source.
 #[derive(Debug)]
 pub struct RcaPipeline {
     /// The compiled variable digraph with metadata (id-keyed over the
@@ -37,7 +45,7 @@ pub struct RcaPipeline {
     /// retained so the static analysis plane ([`rca_analysis`]) can
     /// compile the *same* source universe and agree with the metagraph
     /// node-for-node.
-    filtered: Vec<rca_fortran::SourceFile>,
+    filtered: Vec<Arc<SourceFile>>,
 }
 
 /// Options for pipeline construction.
@@ -66,51 +74,57 @@ impl RcaPipeline {
         Self::build_with(model, &PipelineOptions::default())
     }
 
-    /// Builds with explicit options (compiles the model for the coverage
-    /// calibration run; callers holding a compiled program should use
+    /// Builds with explicit options: parses the model once and, unless
+    /// coverage is skipped, compiles the calibration program from that
+    /// parse (callers holding a compiled program should use
     /// [`RcaPipeline::build_with_program`] instead).
     pub fn build_with(
         model: &ModelSource,
         opts: &PipelineOptions,
     ) -> Result<RcaPipeline, RcaError> {
+        let files = Self::parse(model)?;
         let program = if opts.skip_coverage {
             None
         } else {
-            Some(compile_model(model)?)
+            Some(compile_variant(model, Some((model, &files)))?)
         };
-        Self::build_inner(model, program.as_ref(), opts)
+        Self::build_parsed(model, &files, program.as_ref(), opts)
     }
 
-    /// Builds with a pre-compiled program for the calibration run — the
-    /// session path, which shares one program across the pipeline, the
-    /// control ensemble, and every runtime oracle.
+    /// Builds with a pre-compiled program for the calibration run.
     pub fn build_with_program(
         model: &ModelSource,
         program: &Arc<Program>,
         opts: &PipelineOptions,
     ) -> Result<RcaPipeline, RcaError> {
-        Self::build_inner(model, Some(program), opts)
+        let files = Self::parse(model)?;
+        Self::build_parsed(model, &files, Some(program), opts)
     }
 
-    fn build_inner(
+    /// Parses every file of `model` (the `phase.parse` span): the one
+    /// parse of the base model a pipeline or session builds from.
+    pub(crate) fn parse(model: &ModelSource) -> Result<Vec<Arc<SourceFile>>, RcaError> {
+        let _span = rca_obs::span("phase.parse");
+        Ok(parse_model(model, None)?)
+    }
+
+    /// Builds from `files`, the [`RcaPipeline::parse`] of `model` — the
+    /// session path, which shares the parse and one program across the
+    /// pipeline, the control ensemble, every variant's compile, and
+    /// every runtime oracle.
+    pub(crate) fn build_parsed(
         model: &ModelSource,
+        files: &[Arc<SourceFile>],
         program: Option<&Arc<Program>>,
         opts: &PipelineOptions,
     ) -> Result<RcaPipeline, RcaError> {
-        let (asts, parse_errs) = {
-            let _span = rca_obs::span("phase.parse");
-            model.parse()
-        };
-        if let Some(e) = parse_errs.first() {
-            return Err(RcaError::from(e));
-        }
         let mut coverage = Coverage::new();
         let (filtered, filter_stats) = if opts.skip_coverage {
             // Nothing is filtered, so report the real counts on both
             // sides — callers compare these against coverage-filtered
             // builds, and fabricated zeros would make the comparison lie.
-            let modules: usize = asts.iter().map(|f| f.modules.len()).sum();
-            let subprograms: usize = asts
+            let modules: usize = files.iter().map(|f| f.modules.len()).sum();
+            let subprograms: usize = files
                 .iter()
                 .flat_map(|f| &f.modules)
                 .map(|m| m.subprograms.len())
@@ -121,7 +135,7 @@ impl RcaPipeline {
                 subprograms_before: subprograms,
                 subprograms_after: subprograms,
             };
-            (asts, stats)
+            (files.to_vec(), stats)
         } else {
             let _span = rca_obs::span("phase.coverage");
             let cfg = RunConfig {
@@ -134,7 +148,7 @@ impl RcaPipeline {
             for (m, s) in out.coverage.iter() {
                 coverage.mark(m, s);
             }
-            filter_sources(&asts, &coverage)
+            filter_sources(files, &coverage)
         };
         // One identity plane per session: seed the graph's symbol table
         // from the compiled program's interner so program ids and graph
@@ -148,7 +162,6 @@ impl RcaPipeline {
             build_metagraph_seeded(&filtered, &BuildOptions::default(), seed)
         };
         rca_obs::gauge("session.metagraph_nodes").set(metagraph.node_count() as f64);
-        let filtered_sources = filtered;
         let components = model.component_map();
         let syms = metagraph.symbols();
         let mut cam_mask = vec![false; syms.module_count()];
@@ -164,14 +177,15 @@ impl RcaPipeline {
             filter_stats,
             components,
             cam_mask,
-            filtered: filtered_sources,
+            filtered,
         })
     }
 
     /// The coverage-filtered ASTs the metagraph was built from (the
     /// source universe the static analysis plane must compile to agree
-    /// with the graph).
-    pub fn filtered_sources(&self) -> &[rca_fortran::SourceFile] {
+    /// with the graph). Every file coverage left whole is the parse's own
+    /// `Arc`, shared with the session's base model.
+    pub fn filtered_sources(&self) -> &[Arc<SourceFile>] {
         &self.filtered
     }
 

@@ -50,11 +50,12 @@ use crate::pipeline::{PipelineOptions, RcaPipeline};
 use crate::refine::{refine, RefineOptions, RefinementReport, StopReason};
 use crate::report::refinement_trace;
 use crate::slice::{backward_slice, Slice};
+use rca_fortran::SourceFile;
 use rca_graph::NodeId;
 use rca_ident::{ModuleId, OutputId, SymbolTable, VarId};
 use rca_metagraph::MetaGraph;
 use rca_model::{BugSite, Experiment, ModelSource};
-use rca_sim::{Program, RunConfig, RuntimeError};
+use rca_sim::{compile_variant, Program, RunConfig, RuntimeError};
 use rca_stats::Verdict;
 use serde::Json;
 use std::collections::HashMap;
@@ -210,10 +211,12 @@ impl<'m> RcaSessionBuilder<'m> {
         self
     }
 
-    /// Parses and compiles the model, runs the coverage calibration, and
+    /// Parses the model once (the `phase.parse` span), compiles the base
+    /// program from that parse, runs the coverage calibration, and
     /// compiles the variable digraph — everything experiment-independent.
     /// The compiled base program is the first entry of the session's
-    /// program cache.
+    /// program cache; the parse is kept, so a variant re-parses only the
+    /// files it changes.
     pub fn build(self) -> Result<RcaSession<'m>, RcaError> {
         if self.max_outputs == 0 {
             return Err(RcaError::Config(
@@ -225,13 +228,19 @@ impl<'m> RcaSessionBuilder<'m> {
                 "setup.steps must be at least 2 (the ECT needs an evaluation step)".into(),
             ));
         }
-        let base_program = rca_sim::compile_model(self.model)?;
-        let pipeline =
-            RcaPipeline::build_with_program(self.model, &base_program, &self.pipeline_opts)?;
+        let base_files = RcaPipeline::parse(self.model)?;
+        let base_program = compile_variant(self.model, Some((self.model, &base_files)))?;
+        let pipeline = RcaPipeline::build_parsed(
+            self.model,
+            &base_files,
+            Some(&base_program),
+            &self.pipeline_opts,
+        )?;
         let mut programs = HashMap::new();
         programs.insert(self.model.content_hash(), base_program);
         Ok(RcaSession {
             model: self.model,
+            base_files,
             pipeline,
             setup: self.setup,
             oracle: self.oracle,
@@ -259,6 +268,10 @@ impl<'m> RcaSessionBuilder<'m> {
 #[derive(Debug)]
 pub struct RcaSession<'m> {
     model: &'m ModelSource,
+    /// The one parse of `model`, `base_files[i]` the AST of
+    /// `model.files[i]`: every variant compile and the pipeline's
+    /// filtered view share these `Arc`s.
+    base_files: Vec<Arc<SourceFile>>,
     pipeline: RcaPipeline,
     setup: ExperimentSetup,
     oracle: OracleKind,
@@ -299,6 +312,13 @@ impl<'m> RcaSession<'m> {
     /// The model under analysis.
     pub fn model(&self) -> &'m ModelSource {
         self.model
+    }
+
+    /// The session's one parse of the model: `parsed_sources()[i]` is the
+    /// AST of `model().files[i]`. Every variant [`RcaSession::program_for`]
+    /// compiles shares these `Arc`s for the files it leaves unchanged.
+    pub fn parsed_sources(&self) -> &[Arc<SourceFile>] {
+        &self.base_files
     }
 
     /// The compiled pipeline (metagraph, coverage, filter statistics).
@@ -342,10 +362,15 @@ impl<'m> RcaSession<'m> {
 
     /// The compiled program for a model variant, from the session's
     /// content-addressed cache. Each distinct source (keyed by
-    /// [`ModelSource::content_hash`]) is parsed and compiled exactly once
-    /// per session, no matter how many ensemble members, scenarios, or
-    /// oracle queries execute it; variants differing only in run
-    /// configuration (RAND-MT, AVX2) share one entry.
+    /// [`ModelSource::content_hash`]) is compiled exactly once per
+    /// session, no matter how many ensemble members, scenarios, or oracle
+    /// queries execute it; variants differing only in run configuration
+    /// (RAND-MT, AVX2) share one entry and parse nothing. Each file is
+    /// parsed at most once per session too: a variant takes the base
+    /// model's AST for every file whose name and text equal the base
+    /// file at the same position, so its `compile.parse` covers only the
+    /// files it changed (one for a seeded mutant). The program and any
+    /// parse error are those of [`rca_sim::compile_model`].
     pub fn program_for(&self, model: &ModelSource) -> Result<Arc<Program>, RcaError> {
         let hash = model.content_hash();
         if let Some(p) = self.programs.lock().expect("program cache lock").get(&hash) {
@@ -353,7 +378,7 @@ impl<'m> RcaSession<'m> {
         }
         // Compile outside the lock: mutants compile concurrently and a
         // poisoned cache is impossible.
-        let program = rca_sim::compile_model(model)?;
+        let program = compile_variant(model, Some((self.model, &self.base_files)))?;
         let mut cache = self.programs.lock().expect("program cache lock");
         Ok(Arc::clone(cache.entry(hash).or_insert(program)))
     }
@@ -368,12 +393,24 @@ impl<'m> RcaSession<'m> {
     /// so the IR dependence mirror and the metagraph agree node-for-node
     /// and the static observability pre-filter matches the metagraph
     /// filter on every campaign site. Computed lazily on first use and
-    /// cached for the session's lifetime.
+    /// cached for the session's lifetime. When coverage kept every file
+    /// whole, that universe is the base parse itself, so the analysis
+    /// runs on the base program instead of lowering the same ASTs again.
     pub fn analyze(&self) -> Result<&rca_analysis::ModelAnalysis, RcaError> {
         self.analysis
             .get_or_init(|| {
                 let _span = rca_obs::span("phase.analysis");
-                let program = Arc::new(rca_sim::compile_sources(self.pipeline.filtered_sources())?);
+                let filtered = self.pipeline.filtered_sources();
+                let unfiltered = filtered.len() == self.base_files.len()
+                    && filtered
+                        .iter()
+                        .zip(&self.base_files)
+                        .all(|(f, b)| Arc::ptr_eq(f, b));
+                let program = if unfiltered {
+                    self.program_for(self.model)?
+                } else {
+                    Arc::new(rca_sim::compile_sources(filtered)?)
+                };
                 Ok(rca_analysis::ModelAnalysis::build(program))
             })
             .as_ref()

@@ -25,6 +25,7 @@ use crate::symbols::{ArgIntent, ProcTable};
 use rca_fortran::ast::{Expr, Module, SourceFile, Stmt, Subprogram};
 use rca_graph::NodeId;
 use rca_ident::SymbolTable;
+use std::borrow::Borrow;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
@@ -55,13 +56,14 @@ const INTRINSIC_FUNCTIONS: &[&str] = &[
 /// Intrinsic subroutines that *write* their arguments.
 const INTRINSIC_SUBROUTINES: &[&str] = &["random_number", "random_seed"];
 
-/// Builds the metagraph from parsed sources with default options.
-pub fn build_metagraph(files: &[SourceFile]) -> MetaGraph {
+/// Builds the metagraph from parsed sources with default options. Takes
+/// owned ASTs or shared `Arc<SourceFile>`s alike.
+pub fn build_metagraph<F: Borrow<SourceFile>>(files: &[F]) -> MetaGraph {
     build_metagraph_with(files, &BuildOptions::default())
 }
 
 /// Builds the metagraph with explicit options over a fresh symbol table.
-pub fn build_metagraph_with(files: &[SourceFile], opts: &BuildOptions) -> MetaGraph {
+pub fn build_metagraph_with<F: Borrow<SourceFile>>(files: &[F], opts: &BuildOptions) -> MetaGraph {
     build_metagraph_seeded(files, opts, SymbolTable::new())
 }
 
@@ -71,8 +73,8 @@ pub fn build_metagraph_with(files: &[SourceFile], opts: &BuildOptions) -> MetaGr
 /// use-renamed names), and the sealed result is the workspace-wide
 /// identity plane shared by every downstream stage. Extension is
 /// append-only, so every id the program assigned stays valid.
-pub fn build_metagraph_seeded(
-    files: &[SourceFile],
+pub fn build_metagraph_seeded<F: Borrow<SourceFile>>(
+    files: &[F],
     opts: &BuildOptions,
     syms: SymbolTable,
 ) -> MetaGraph {
@@ -87,13 +89,13 @@ pub fn build_metagraph_seeded(
     // Module-level declarations first (so module variables exist with
     // their defining line), then subprogram bodies.
     for file in files {
-        for module in &file.modules {
+        for module in &file.borrow().modules {
             b.register_module(&module.name);
             b.process_module_decls(module);
         }
     }
     for file in files {
-        for module in &file.modules {
+        for module in &file.borrow().modules {
             for sub in &module.subprograms {
                 b.process_subprogram(module, sub);
             }

@@ -7,9 +7,10 @@
 //! from the `rca-sim` interpreter's recorder; this module applies it to
 //! parsed ASTs before metagraph construction.
 
-use rca_fortran::ast::SourceFile;
+use rca_fortran::ast::{Module, SourceFile};
 use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
+use std::sync::Arc;
 
 /// Observed execution coverage: which modules and subprograms ran.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
@@ -77,33 +78,60 @@ pub struct FilterStats {
 /// Applies coverage to parsed sources: drops unexecuted modules entirely
 /// and strips unexecuted subprograms from the survivors (the paper comments
 /// them out; dropping the AST node is equivalent for graph construction).
-pub fn filter_sources(files: &[SourceFile], coverage: &Coverage) -> (Vec<SourceFile>, FilterStats) {
+///
+/// A file coverage leaves whole comes back as its input `Arc`, so the
+/// filtered view shares every such AST with the caller's parse; only a
+/// file that loses a module or subprogram is copied into a new value.
+pub fn filter_sources(
+    files: &[Arc<SourceFile>],
+    coverage: &Coverage,
+) -> (Vec<Arc<SourceFile>>, FilterStats) {
     let mut stats = FilterStats {
         modules_before: 0,
         modules_after: 0,
         subprograms_before: 0,
         subprograms_after: 0,
     };
+    // Parameter/type-only modules have no executable lines for a coverage
+    // tool to observe; they are kept (they are "built into the
+    // executable").
+    let keeps_module = |m: &Module| m.subprograms.is_empty() || coverage.module_executed(&m.name);
     let mut out = Vec::new();
     for file in files {
-        let mut kept = file.clone();
-        kept.modules.retain_mut(|m| {
+        let mut whole = true;
+        for m in &file.modules {
             stats.modules_before += 1;
             stats.subprograms_before += m.subprograms.len();
-            // Parameter/type-only modules have no executable lines for a
-            // coverage tool to observe; they are kept (they are "built
-            // into the executable").
-            if !m.subprograms.is_empty() && !coverage.module_executed(&m.name) {
-                return false;
+            if !keeps_module(m) {
+                whole = false;
+                continue;
             }
             stats.modules_after += 1;
+            let executed = m
+                .subprograms
+                .iter()
+                .filter(|s| coverage.subprogram_executed(&m.name, &s.name))
+                .count();
+            stats.subprograms_after += executed;
+            whole &= executed == m.subprograms.len();
+        }
+        if whole {
+            if !file.modules.is_empty() {
+                out.push(Arc::clone(file));
+            }
+            continue;
+        }
+        let mut kept = SourceFile::clone(file);
+        kept.modules.retain_mut(|m| {
+            if !keeps_module(m) {
+                return false;
+            }
             m.subprograms
                 .retain(|s| coverage.subprogram_executed(&m.name, &s.name));
-            stats.subprograms_after += m.subprograms.len();
             true
         });
         if !kept.modules.is_empty() {
-            out.push(kept);
+            out.push(Arc::new(kept));
         }
     }
     (out, stats)
@@ -114,7 +142,7 @@ mod tests {
     use super::*;
     use rca_fortran::parse_source;
 
-    fn files() -> Vec<SourceFile> {
+    fn files() -> Vec<Arc<SourceFile>> {
         let src = r#"
 module hot
 contains
@@ -137,7 +165,89 @@ end module cold
 "#;
         let (f, errs) = parse_source("cov.F90", src);
         assert!(errs.is_empty());
-        vec![f]
+        vec![Arc::new(f)]
+    }
+
+    /// The deep-copying filter `filter_sources` replaced: clone every
+    /// file, then strip it.
+    fn copying_filter(
+        files: &[Arc<SourceFile>],
+        coverage: &Coverage,
+    ) -> (Vec<SourceFile>, FilterStats) {
+        let mut stats = FilterStats {
+            modules_before: 0,
+            modules_after: 0,
+            subprograms_before: 0,
+            subprograms_after: 0,
+        };
+        let mut out = Vec::new();
+        for file in files {
+            let mut kept = SourceFile::clone(file);
+            kept.modules.retain_mut(|m| {
+                stats.modules_before += 1;
+                stats.subprograms_before += m.subprograms.len();
+                if !m.subprograms.is_empty() && !coverage.module_executed(&m.name) {
+                    return false;
+                }
+                stats.modules_after += 1;
+                m.subprograms
+                    .retain(|s| coverage.subprogram_executed(&m.name, &s.name));
+                stats.subprograms_after += m.subprograms.len();
+                true
+            });
+            if !kept.modules.is_empty() {
+                out.push(kept);
+            }
+        }
+        (out, stats)
+    }
+
+    #[test]
+    fn whole_files_come_back_shared_and_stripped_files_as_new_values() {
+        let (whole, errs) = parse_source(
+            "whole.F90",
+            "module consts\n  real :: c = 1.0\nend module consts\n\
+             module warm\ncontains\n  subroutine run(x)\n    real :: x\n    x = c\n  \
+             end subroutine run\nend module warm\n",
+        );
+        assert!(errs.is_empty());
+        let files = vec![Arc::new(whole), files().remove(0)];
+        let mut cov = Coverage::new();
+        cov.mark("warm", "run");
+        cov.mark("hot", "used");
+        cov.mark("cold", "never");
+        let (filtered, stats) = filter_sources(&files, &cov);
+        assert_eq!(filtered.len(), 2);
+        assert!(
+            Arc::ptr_eq(&filtered[0], &files[0]),
+            "untouched file copied"
+        );
+        assert!(
+            !Arc::ptr_eq(&filtered[1], &files[1]),
+            "stripped file shared"
+        );
+        assert_eq!(filtered[1].modules[0].subprograms.len(), 1);
+        // Same values and statistics as the copying filter, for this
+        // coverage and for the two extremes.
+        let mut everything = cov.clone();
+        everything.mark("hot", "unused");
+        for coverage in [&cov, &everything, &Coverage::new()] {
+            let (shared, stats) = filter_sources(&files, coverage);
+            let (copied, copied_stats) = copying_filter(&files, coverage);
+            assert_eq!(stats, copied_stats);
+            assert!(shared.iter().map(|f| &**f).eq(copied.iter()));
+        }
+        let (all, _) = filter_sources(&files, &everything);
+        assert!(all.iter().zip(&files).all(|(a, b)| Arc::ptr_eq(a, b)));
+        assert_eq!(
+            stats,
+            FilterStats {
+                modules_before: 4,
+                modules_after: 4,
+                subprograms_before: 4,
+                subprograms_after: 3,
+            }
+        );
     }
 
     #[test]

@@ -9,6 +9,7 @@
 //! before any edge is emitted.
 
 use rca_fortran::ast::{Attr, Module, SourceFile, SubprogramKind};
+use std::borrow::Borrow;
 use std::collections::{HashMap, HashSet};
 
 /// Intent of a dummy argument, used to orient call edges.
@@ -65,10 +66,10 @@ pub struct ProcTable {
 
 impl ProcTable {
     /// Builds the table from every parsed file.
-    pub fn build(files: &[SourceFile]) -> ProcTable {
+    pub fn build<F: Borrow<SourceFile>>(files: &[F]) -> ProcTable {
         let mut table = ProcTable::default();
         for file in files {
-            for module in &file.modules {
+            for module in &file.borrow().modules {
                 table.ingest_module(module);
             }
         }

@@ -36,11 +36,13 @@ use rca_fortran::ast::{
 };
 use rca_fortran::token::Op;
 use rca_ident::SymbolTable;
+use std::borrow::Borrow;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
-/// Compiles parsed sources into an executable [`Program`].
-pub fn compile_sources(files: &[SourceFile]) -> Result<Program, RuntimeError> {
+/// Compiles parsed sources into an executable [`Program`]. Takes owned
+/// ASTs or the shared `Arc<SourceFile>`s of [`crate::parse_model`] alike.
+pub fn compile_sources<F: Borrow<SourceFile>>(files: &[F]) -> Result<Program, RuntimeError> {
     let _span = rca_obs::span("compile.lower");
     let mut c = Compiler::new(files);
     c.ingest();
@@ -93,7 +95,7 @@ struct Compiler<'a> {
 }
 
 impl<'a> Compiler<'a> {
-    fn new(files: &'a [SourceFile]) -> Compiler<'a> {
+    fn new<F: Borrow<SourceFile>>(files: &'a [F]) -> Compiler<'a> {
         let mut c = Compiler {
             module_order: Vec::new(),
             module_map: HashMap::new(),
@@ -114,7 +116,7 @@ impl<'a> Compiler<'a> {
             syms: SymbolTable::new(),
         };
         for file in files {
-            for module in &file.modules {
+            for module in &file.borrow().modules {
                 if !c.module_map.contains_key(&module.name) {
                     c.module_order.push(module.name.clone());
                     let id = c.module_ids.len() as u32;
@@ -130,7 +132,7 @@ impl<'a> Compiler<'a> {
         // history is then a dense buffer indexed by OutputId.
         let mut outputs: Vec<String> = Vec::new();
         for file in files {
-            for module in &file.modules {
+            for module in &file.borrow().modules {
                 for sub in &module.subprograms {
                     collect_outfld_names(&sub.body, &mut outputs);
                 }

@@ -83,8 +83,8 @@ pub use program::{
 pub use rca_fortran::token::Op;
 pub use rca_ident::{ModuleId, OutputId, SymbolTable, VarId};
 pub use runner::{
-    compile_model, finite_outputs_at, outputs_matrix, perturbations, run_ensemble,
-    run_ensemble_program, run_loaded, run_model, run_program, RunOutput,
+    compile_model, compile_variant, finite_outputs_at, outputs_matrix, parse_model, perturbations,
+    run_ensemble, run_ensemble_program, run_loaded, run_model, run_program, RunOutput,
 };
 pub use specialize::{
     specialize_for_history, specialize_for_samples, specialize_with, SpecIndex, Specialized,

@@ -18,8 +18,9 @@ use crate::interp::{Interpreter, RunConfig, RuntimeError};
 use crate::program::Program;
 use crate::store::{EnsembleRuns, RunCoverage};
 use crate::value::Value;
+use rca_fortran::{ParseError, SourceFile};
 use rca_ident::OutputId;
-use rca_model::ModelSource;
+use rca_model::{ModelFile, ModelSource};
 use std::sync::Arc;
 
 /// Results of one model run, **dense** end to end: histories are
@@ -104,25 +105,86 @@ impl RunOutput {
     }
 }
 
+/// Parses a model's files into shared ASTs, one `Arc` per file in file
+/// order, failing with the first diagnostic of the first file that has
+/// one.
+///
+/// With a `base` — a model and the files `parse_model` returned for it —
+/// every file whose name and text equal the base's file at the same
+/// position comes back as the base's `Arc`, and only the others are
+/// parsed. [`rca_fortran::parse_source`] is a pure function of name and
+/// text, so the result equals a fresh parse value for value whatever the
+/// base. A successful parse emits a `parse.files` event under the
+/// current span with how many files were `parsed` and how many `reused`.
+pub fn parse_model(
+    model: &ModelSource,
+    base: Option<(&ModelSource, &[Arc<SourceFile>])>,
+) -> Result<Vec<Arc<SourceFile>>, ParseError> {
+    let mut files = Vec::with_capacity(model.files.len());
+    let mut parsed = 0usize;
+    for (i, f) in model.files.iter().enumerate() {
+        let shared = base.and_then(|(base_model, base_files)| {
+            let same = |b: &&ModelFile| b.name == f.name && b.source == f.source;
+            base_model
+                .files
+                .get(i)
+                .filter(same)
+                .and(base_files.get(i))
+                .cloned()
+        });
+        let ast = match shared {
+            Some(ast) => ast,
+            None => {
+                parsed += 1;
+                let (ast, errs) = rca_fortran::parse_source(&f.name, &f.source);
+                if let Some(e) = errs.into_iter().next() {
+                    return Err(e);
+                }
+                Arc::new(ast)
+            }
+        };
+        files.push(ast);
+    }
+    rca_obs::event(
+        "parse.files",
+        &[
+            ("parsed", parsed.into()),
+            ("reused", (files.len() - parsed).into()),
+        ],
+    );
+    Ok(files)
+}
+
 /// Parses and compiles a model into a shareable [`Program`].
 ///
 /// This is the expensive, once-per-variant step; see [`run_program`] /
 /// [`run_ensemble_program`] for the cheap, many-times-per-variant part.
+/// Every file is parsed; [`compile_variant`] shares the unchanged files'
+/// ASTs with a base model instead.
 pub fn compile_model(model: &ModelSource) -> Result<Arc<Program>, RuntimeError> {
+    compile_variant(model, None)
+}
+
+/// [`compile_model`] for a variant of an already-parsed `base` (see
+/// [`parse_model`]): only the files that differ from the base's are
+/// parsed, so a one-line mutant costs one file's parse plus the
+/// lowering. The program is the one [`compile_model`] builds, bit for
+/// bit, and a parse failure is the same `loader` error.
+pub fn compile_variant(
+    model: &ModelSource,
+    base: Option<(&ModelSource, &[Arc<SourceFile>])>,
+) -> Result<Arc<Program>, RuntimeError> {
     let _span = rca_obs::span("phase.compile");
     rca_obs::counter_inc!("sim.compiles", 1);
-    let (asts, parse_errs) = {
+    let files = {
         let _span = rca_obs::span("compile.parse");
-        model.parse()
-    };
-    if let Some(e) = parse_errs.first() {
-        return Err(RuntimeError {
+        parse_model(model, base).map_err(|e| RuntimeError {
             message: format!("model does not parse: {e}"),
             context: "loader".to_string(),
             line: e.line,
-        });
-    }
-    Ok(Arc::new(crate::compile::compile_sources(&asts)?))
+        })?
+    };
+    Ok(Arc::new(crate::compile::compile_sources(&files)?))
 }
 
 /// Runs the model once: `cam_init(pert)` then `steps` × `cam_run_step`.

@@ -153,7 +153,7 @@
 //! ## Execution engine: parse → compile → execute
 //!
 //! Model execution is a three-stage pipeline. `sim::compile_model` parses
-//! the Fortran once and lowers it into a slot-indexed
+//! the Fortran and lowers it into a slot-indexed
 //! [`sim::Program`] — interned symbols, pre-resolved call targets and
 //! variable bindings (module globals become arena indices, subprogram
 //! locals become frame offsets) — plus per-subprogram bytecode, and every
@@ -179,9 +179,22 @@
 //! configuration (RAND-MT's PRNG swap, AVX2's FMA policy) share one
 //! compiled program, because PRNG, FMA policy, and instrumentation are
 //! execution-time parameters of the `Executor`, not of the `Program`.
-//! The cache means an N-scenario campaign parses and compiles each
-//! mutated variant exactly once — the ensemble, the statistics stage,
-//! and every runtime-oracle query all execute the same shared program.
+//! The cache means an N-scenario campaign compiles each mutated variant
+//! exactly once — the ensemble, the statistics stage, and every
+//! runtime-oracle query all execute the same shared program.
+//!
+//! Parsing is shared **per file**. The session parses its base model
+//! once, at build, into `Arc<SourceFile>` ASTs that the base program,
+//! the coverage filter (which hands back every file it leaves whole),
+//! and the metagraph all borrow. A variant compiled through
+//! [`rca::RcaSession::program_for`] (`sim::compile_variant` underneath)
+//! takes the base's AST for every file whose name and text equal the
+//! base file at the same position and parses only the rest — one file
+//! for a seeded mutant, none for a config-only variant, which hits the
+//! cache. Parsing is a pure function of name and text, so the program
+//! is the one `compile_model` builds, bit for bit, and a parse failure
+//! is the same error; `crates/campaign/tests/shared_parse.rs` fences
+//! that over the seeded campaign plan.
 //!
 //! ## The columnar run store
 //!
@@ -352,14 +365,18 @@
 //!   `phase.refine`, `phase.analysis_build`, `phase.lint`) and their
 //!   sub-phases are `<stage>.<step>` spans nested inside them
 //!   (`compile.parse`, `compile.lower`, `compile.bytecode` under
-//!   `phase.compile`; `statistics.experiment_fill`, `statistics.ect`,
+//!   `phase.compile`, where a variant's `compile.parse` covers only the
+//!   files it re-parses — the base model's one parse is `phase.parse`,
+//!   once per session; `statistics.experiment_fill`, `statistics.ect`,
 //!   `statistics.ranking`, `statistics.lasso` under `phase.statistics`;
 //!   `compile.history`, a program's history slice, under the fill that
 //!   first runs it; `refine.communities`, `refine.centrality`,
 //!   `refine.oracle`, `refine.reinduce` under `phase.refine`). One
 //!   diagnosis runs under a `diagnose` span; progress points are
 //!   dot-namespaced events (`refine.iter`, `scenario`,
-//!   `scenario.error`, `campaign.plan`, `lint.report`). Counters and
+//!   `scenario.error`, `campaign.plan`, `lint.report`, and
+//!   `parse.files`, the `parsed` and `reused` file counts of one
+//!   parse). Counters and
 //!   histograms use the same `subsystem.noun` convention
 //!   (`executor.runs`, `oracle.queries`, `slice.nodes`).
 //! - **Sink contract**: instrumentation is always on; the sink, an
