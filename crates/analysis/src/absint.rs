@@ -9,9 +9,11 @@
 //!
 //! Soundness over precision, everywhere:
 //! - loops invalidate every slot their body may assign before the body is
-//!   walked (a one-shot widening to ⊤), so loop-carried values never look
-//!   tighter than they are;
-//! - `if` arms are walked on cloned states and joined by interval hull;
+//!   walked and again after it (a one-shot widening to ⊤), so loop-carried
+//!   values never look tighter than they are and the state after a loop
+//!   covers zero trips and `exit`;
+//! - `if` guards and arms are walked on the entry state and the arms
+//!   joined by interval hull;
 //! - anything untracked (arrays, derived fields, cross-procedure values)
 //!   reads as ⊤.
 //!
@@ -21,7 +23,9 @@
 //! design — the clean-model gate (`rca-lint --assert-clean`) depends on
 //! zero false positives.
 
+use rca_sim::effects::{walk_block, Effect};
 use rca_sim::{CExpr, CPlace, CStmt, EId, Intrin, LocalTemplate, Op, Program, Value, VarBind};
+use std::ops::ControlFlow::Continue;
 
 /// A closed interval over f64 (`NEG_INFINITY..INFINITY` = ⊤).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -170,44 +174,10 @@ pub struct Hazard {
 /// Global slots never written by any statement in any procedure, with
 /// their (scalar numeric) initial values.
 pub fn const_globals(prog: &Program) -> Vec<Option<f64>> {
-    let mut written = vec![false; prog.global_count()];
-    let mark_place = |place: &CPlace, written: &mut Vec<bool>| match place {
-        CPlace::Var { bind } | CPlace::Elem { bind, .. } | CPlace::Derived { bind, .. } => {
-            match bind {
-                VarBind::Global(g) | VarBind::LocalOrGlobal(_, g) => written[*g as usize] = true,
-                VarBind::Local(_) => {}
-            }
-        }
-        CPlace::Invalid { .. } => {}
-    };
-    fn scan(stmts: &[CStmt], f: &mut impl FnMut(&CPlace)) {
-        for s in stmts {
-            match s {
-                CStmt::Assign { place, .. }
-                | CStmt::RandomNumber { place, .. }
-                | CStmt::PbufGet { place, .. } => f(place),
-                CStmt::If { arms, .. } => {
-                    for (_, b) in arms {
-                        scan(b, f);
-                    }
-                }
-                CStmt::Do { body, .. } | CStmt::DoWhile { body, .. } => scan(body, f),
-                _ => {}
-            }
-        }
-    }
-    for p in prog.ir_procs() {
-        scan(&p.body, &mut |place| mark_place(place, &mut written));
-    }
-    // Copy-out writebacks also target caller places.
-    for site in prog.ir_sites() {
-        for (_, place) in &site.copyout {
-            mark_place(place, &mut written);
-        }
-    }
+    let written = prog.effects().globals_written();
     (0..prog.global_count())
         .map(|g| {
-            if written[g] {
+            if written.contains(g) {
                 return None;
             }
             match prog.global_initial(g as u32) {
@@ -471,40 +441,20 @@ impl<'p> Walker<'p> {
         }
     }
 
-    /// Slots a statement list may assign (loop pre-invalidation).
-    fn collect_assigned(&self, stmts: &[CStmt], out: &mut Vec<u32>) {
-        let slot_of = |place: &CPlace| match place {
-            CPlace::Var { bind } | CPlace::Elem { bind, .. } | CPlace::Derived { bind, .. } => {
-                match bind {
-                    VarBind::Local(s) | VarBind::LocalOrGlobal(s, _) => Some(*s),
-                    VarBind::Global(_) => None,
-                }
+    /// Widens every frame slot a loop body may assign to ⊤: its own
+    /// writes, copy-outs of the calls it makes, nested `do` variables.
+    fn widen_assigned(&mut self, body: &[CStmt]) {
+        let env = &mut self.env;
+        let _ = walk_block(self.prog, body, &mut |e| {
+            if let Effect::Write {
+                bind: VarBind::Local(s) | VarBind::LocalOrGlobal(s, _),
+                ..
+            } = e
+            {
+                env[s as usize] = Some(Interval::TOP);
             }
-            CPlace::Invalid { .. } => None,
-        };
-        for s in stmts {
-            match s {
-                CStmt::Assign { place, .. }
-                | CStmt::RandomNumber { place, .. }
-                | CStmt::PbufGet { place, .. } => out.extend(slot_of(place)),
-                CStmt::Call { site, .. } => {
-                    for (_, place) in &self.prog.ir_sites()[*site as usize].copyout {
-                        out.extend(slot_of(place));
-                    }
-                }
-                CStmt::If { arms, .. } => {
-                    for (_, b) in arms {
-                        self.collect_assigned(b, out);
-                    }
-                }
-                CStmt::Do { var, body, .. } => {
-                    out.push(*var);
-                    self.collect_assigned(body, out);
-                }
-                CStmt::DoWhile { body, .. } => self.collect_assigned(body, out),
-                _ => {}
-            }
-        }
+            Continue(())
+        });
     }
 
     fn walk(&mut self, stmts: &[CStmt]) {
@@ -558,12 +508,15 @@ impl<'p> Walker<'p> {
                     let mut merged: Option<Vec<Option<Interval>>> = None;
                     let mut has_else = false;
                     for (cond, block) in arms {
+                        // Every guard runs on the entry state: a later
+                        // guard is reached only when the earlier ones are
+                        // false, never after an arm's body.
+                        self.env = entry.clone();
                         if let Some(c) = cond {
                             self.eval(*c, *line);
                         } else {
                             has_else = true;
                         }
-                        self.env = entry.clone();
                         self.walk(block);
                         merged = Some(match merged {
                             None => self.env.clone(),
@@ -589,23 +542,19 @@ impl<'p> Walker<'p> {
                     if let Some(st) = step {
                         self.eval(*st, *line);
                     }
-                    let mut assigned = Vec::new();
-                    self.collect_assigned(body, &mut assigned);
-                    for s in assigned {
-                        self.env[s as usize] = Some(Interval::TOP);
-                    }
+                    self.widen_assigned(body);
                     self.env[*var as usize] = Some(sv.hull(&ev));
                     self.walk(body);
+                    // After the loop: zero trips, an `exit`, or the last
+                    // iteration — anything the body assigns is ⊤ again.
+                    self.widen_assigned(body);
                     self.env[*var as usize] = Some(Interval::TOP);
                 }
                 CStmt::DoWhile { cond, body, line } => {
-                    let mut assigned = Vec::new();
-                    self.collect_assigned(body, &mut assigned);
-                    for s in assigned {
-                        self.env[s as usize] = Some(Interval::TOP);
-                    }
+                    self.widen_assigned(body);
                     self.eval(*cond, *line);
                     self.walk(body);
+                    self.widen_assigned(body);
                 }
                 CStmt::Return | CStmt::Exit | CStmt::Cycle | CStmt::Nop => {}
                 CStmt::ErrorStmt { .. } => {}

@@ -20,7 +20,9 @@
 //! graph, and the lints built here restrict themselves to provable
 //! frame-local facts.
 
-use rca_sim::{CExpr, CPlace, CProc, CStmt, EId, LocalTemplate, Program, VarBind};
+use rca_sim::effects::{walk_expr, walk_stmt, walk_template, BitSet, Effect, Part};
+use rca_sim::{CProc, CStmt, EId, LocalTemplate, Program, VarBind};
+use std::ops::ControlFlow::Continue;
 
 /// A tracked storage location.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -106,66 +108,6 @@ impl Cfg {
             }
         }
         seen
-    }
-}
-
-/// Fixed-width bitset (solver state).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BitSet {
-    words: Vec<u64>,
-}
-
-impl BitSet {
-    /// All-zero set over `n` bits.
-    pub fn new(n: usize) -> BitSet {
-        BitSet {
-            words: vec![0; n.div_ceil(64)],
-        }
-    }
-
-    /// Sets bit `i`.
-    pub fn insert(&mut self, i: usize) {
-        self.words[i / 64] |= 1 << (i % 64);
-    }
-
-    /// Clears bit `i`.
-    pub fn remove(&mut self, i: usize) {
-        self.words[i / 64] &= !(1 << (i % 64));
-    }
-
-    /// Tests bit `i`.
-    pub fn contains(&self, i: usize) -> bool {
-        self.words[i / 64] & (1 << (i % 64)) != 0
-    }
-
-    /// `self |= other`; reports whether `self` changed.
-    pub fn union_with(&mut self, other: &BitSet) -> bool {
-        let mut changed = false;
-        for (w, o) in self.words.iter_mut().zip(&other.words) {
-            let next = *w | o;
-            changed |= next != *w;
-            *w = next;
-        }
-        changed
-    }
-
-    /// `self &= !other`.
-    pub fn subtract(&mut self, other: &BitSet) {
-        for (w, o) in self.words.iter_mut().zip(&other.words) {
-            *w &= !o;
-        }
-    }
-
-    /// Indices of set bits, ascending.
-    pub fn iter_ones(&self) -> impl Iterator<Item = usize> + '_ {
-        self.words.iter().enumerate().flat_map(|(wi, &w)| {
-            (0..64).filter_map(move |b| (w & (1 << b) != 0).then_some(wi * 64 + b))
-        })
-    }
-
-    /// Whether no bit is set.
-    pub fn is_empty(&self) -> bool {
-        self.words.iter().all(|&w| w == 0)
     }
 }
 
@@ -284,214 +226,104 @@ impl<'p> CfgBuilder<'p> {
         }
     }
 
-    /// Copy-out writebacks after a call: the caller place is written
-    /// unconditionally once the callee returns.
-    fn site_copyout(&mut self, site: u32, line: u32) {
-        let copyout = &self.prog.ir_sites()[site as usize].copyout;
-        for (_, place) in copyout {
-            self.place_def(place, line, DefOrigin::CopyOut);
-        }
-    }
-
-    fn site_args(&mut self, site: u32, line: u32) {
-        let args = &self.prog.ir_sites()[site as usize].args;
-        for &a in args {
-            self.expr(a, line);
-        }
-    }
-
-    /// Runtime-semantics expression walk: everything evaluated before the
-    /// statement acts is a use; calls embed their argument uses and
-    /// copy-out defs in evaluation order.
-    fn expr(&mut self, e: EId, line: u32) {
-        match &self.prog.ir_exprs()[e as usize] {
-            CExpr::Real(_) | CExpr::Int(_) | CExpr::Str(_) | CExpr::Logical(_) => {}
-            CExpr::Var { bind, .. } => {
-                let certain = matches!(bind, VarBind::Local(_));
-                self.use_of(*bind, line, certain);
-            }
-            CExpr::Index {
-                bind,
-                sub,
-                fallback,
-                ..
-            } => {
-                self.use_of(*bind, line, false);
-                self.expr(*sub, line);
-                if let Some(f) = fallback.as_deref() {
-                    match f {
-                        rca_sim::CallForm::Function(site) => {
-                            // Either path may run; the call's effects are
-                            // recorded (weakly, via copy-out places).
-                            self.site_args(*site, line);
-                            self.site_copyout(*site, line);
-                        }
-                        rca_sim::CallForm::Intrinsic(_, args) => {
-                            for &a in args {
-                                self.expr(a, line);
-                            }
-                        }
-                        rca_sim::CallForm::Unknown => {}
-                    }
-                }
-            }
-            CExpr::CallFn { site } => {
-                self.site_args(*site, line);
-                self.site_copyout(*site, line);
-            }
-            CExpr::Intrinsic { args, .. } => {
-                for &a in args {
-                    self.expr(a, line);
-                }
-            }
-            CExpr::DerivedVar { bind, sub, .. } => {
-                let certain = matches!(bind, VarBind::Local(_));
-                self.use_of(*bind, line, certain);
-                if let Some(s) = sub {
-                    self.expr(*s, line);
-                }
-            }
-            CExpr::DerivedExpr { base, sub, .. } => {
-                self.expr(*base, line);
-                if let Some(s) = sub {
-                    self.expr(*s, line);
-                }
-            }
-            CExpr::Unary { e, .. } => self.expr(*e, line),
-            CExpr::Binary { l, r, .. } => {
-                self.expr(*l, line);
-                self.expr(*r, line);
-            }
-            CExpr::MaybeFma { a, b, c, .. } => {
-                self.expr(*a, line);
-                self.expr(*b, line);
-                self.expr(*c, line);
-            }
-            CExpr::ErrorExpr { .. } => {}
-        }
-    }
-
-    fn place_def(&mut self, place: &CPlace, line: u32, origin: DefOrigin) {
-        match place {
-            CPlace::Var { bind } => match *bind {
-                VarBind::Local(s) => self.push(Event::Def {
-                    loc: Loc::Local(s),
-                    line,
-                    strong: true,
-                    origin,
-                }),
-                VarBind::LocalOrGlobal(s, g) => {
-                    // The write lands on whichever of the two is active:
-                    // weak on both.
-                    self.push(Event::Def {
-                        loc: Loc::Local(s),
-                        line,
-                        strong: false,
-                        origin,
-                    });
-                    self.push(Event::Def {
-                        loc: Loc::Global(g),
-                        line,
-                        strong: false,
-                        origin,
-                    });
-                }
-                VarBind::Global(g) => self.push(Event::Def {
-                    loc: Loc::Global(g),
-                    line,
-                    strong: true,
-                    origin,
-                }),
-            },
-            CPlace::Elem { bind, sub, .. } => {
-                // Element write: the rest of the array survives — read
-                // plus weak def.
-                self.expr(*sub, line);
-                self.use_of(*bind, line, false);
-                self.weak_def_of(*bind, line, origin);
-            }
-            CPlace::Derived { bind, sub, .. } => {
-                if let Some(s) = sub {
-                    self.expr(*s, line);
-                }
-                self.use_of(*bind, line, false);
-                self.weak_def_of(*bind, line, origin);
-            }
-            CPlace::Invalid { .. } => {}
-        }
-    }
-
-    fn weak_def_of(&mut self, bind: VarBind, line: u32, origin: DefOrigin) {
+    /// A write through `bind`: `strong` when it overwrites the whole
+    /// location. A `LocalOrGlobal` write lands on whichever of the two is
+    /// active, so it is weak on both.
+    fn def_of(&mut self, bind: VarBind, line: u32, strong: bool, origin: DefOrigin) {
         match bind {
             VarBind::Local(s) => self.push(Event::Def {
                 loc: Loc::Local(s),
                 line,
-                strong: false,
+                strong,
                 origin,
             }),
             VarBind::LocalOrGlobal(s, g) => {
-                self.push(Event::Def {
-                    loc: Loc::Local(s),
-                    line,
-                    strong: false,
-                    origin,
-                });
-                self.push(Event::Def {
-                    loc: Loc::Global(g),
-                    line,
-                    strong: false,
-                    origin,
-                });
+                for loc in [Loc::Local(s), Loc::Global(g)] {
+                    self.push(Event::Def {
+                        loc,
+                        line,
+                        strong: false,
+                        origin,
+                    });
+                }
             }
             VarBind::Global(g) => self.push(Event::Def {
                 loc: Loc::Global(g),
                 line,
-                strong: false,
+                strong,
                 origin,
             }),
         }
+    }
+
+    /// Runtime-semantics events of one effect, in evaluation order: a
+    /// read is a use; a whole write is a def, while an element or field
+    /// write reads the rest of its container and defines it weakly.
+    /// Writes take `origin` unless they are a call's copy-out.
+    fn effect(&mut self, e: Effect<'_>, line: u32, origin: DefOrigin) {
+        match e {
+            // A whole or field read of a pure local consults the slot
+            // unconditionally; an element read may take a call fallback.
+            Effect::Read { bind, part } => {
+                let certain = part != Part::Elem && matches!(bind, VarBind::Local(_));
+                self.use_of(bind, line, certain);
+            }
+            Effect::Write {
+                bind,
+                part,
+                copy_out,
+            } => {
+                let origin = if copy_out { DefOrigin::CopyOut } else { origin };
+                if part != Part::Whole {
+                    self.use_of(bind, line, false);
+                }
+                self.def_of(bind, line, part == Part::Whole, origin);
+            }
+            _ => {}
+        }
+    }
+
+    /// Everything evaluated before a statement acts is a use; calls embed
+    /// their argument uses and copy-out defs.
+    fn expr(&mut self, e: EId, line: u32) {
+        let prog = self.prog;
+        let _ = walk_expr(prog, e, &mut |ef| {
+            self.effect(ef, line, DefOrigin::CopyOut);
+            Continue(())
+        });
+    }
+
+    /// Uses of a declaration template's initializer or extents.
+    fn template(&mut self, tpl: &LocalTemplate, line: u32) {
+        let prog = self.prog;
+        let _ = walk_template(prog, tpl, &mut |ef| {
+            self.effect(ef, line, DefOrigin::CopyOut);
+            Continue(())
+        });
+    }
+
+    /// Events of a straight-line statement; its own writes take `origin`.
+    fn simple_stmt(&mut self, s: &CStmt, line: u32, origin: DefOrigin) {
+        let prog = self.prog;
+        let _ = walk_stmt(prog, s, &mut |ef| {
+            self.effect(ef, line, origin);
+            Continue(())
+        });
     }
 
     fn stmts(&mut self, body: &'p [CStmt], loops: &mut Vec<LoopCtx>) {
         for stmt in body {
             match stmt {
-                CStmt::Assign { place, value, line } => {
-                    self.expr(*value, *line);
-                    self.place_def(place, *line, DefOrigin::Assign);
+                CStmt::Assign { line, .. } => self.simple_stmt(stmt, *line, DefOrigin::Assign),
+                CStmt::RandomNumber { line, .. } | CStmt::PbufGet { line, .. } => {
+                    self.simple_stmt(stmt, *line, DefOrigin::IntrinsicWrite);
                 }
-                CStmt::Call { site, line } => {
-                    self.site_args(*site, *line);
-                    self.site_copyout(*site, *line);
-                }
-                CStmt::Outfld {
-                    data, ncol, line, ..
-                } => {
-                    self.expr(*data, *line);
-                    if let Some(n) = ncol {
-                        self.expr(*n, *line);
-                    }
-                }
-                CStmt::RandomNumber {
-                    current,
-                    place,
-                    line,
-                } => {
-                    self.expr(*current, *line);
-                    self.place_def(place, *line, DefOrigin::IntrinsicWrite);
-                }
-                CStmt::PbufSet { idx, data, line } => {
-                    self.expr(*idx, *line);
-                    self.expr(*data, *line);
-                }
-                CStmt::PbufGet {
-                    idx,
-                    current,
-                    place,
-                    line,
-                } => {
-                    self.expr(*idx, *line);
-                    self.expr(*current, *line);
-                    self.place_def(place, *line, DefOrigin::IntrinsicWrite);
+                // Calls, history writes and pbuf sets define caller places
+                // only through copy-out.
+                CStmt::Call { line, .. }
+                | CStmt::Outfld { line, .. }
+                | CStmt::PbufSet { line, .. } => {
+                    self.simple_stmt(stmt, *line, DefOrigin::CopyOut);
                 }
                 CStmt::If { arms, line } => {
                     let join = self.new_block();
@@ -635,18 +467,7 @@ pub fn build_cfg(prog: &Program, proc_index: u32) -> Cfg {
     // evaluated before their slot is set, so a template reading a
     // later-declared local is a visible uninitialized read.
     for (slot, decl_line, tmpl) in &proc.inits {
-        match tmpl {
-            LocalTemplate::Int(Some(e))
-            | LocalTemplate::Logic(Some(e))
-            | LocalTemplate::Char(Some(e))
-            | LocalTemplate::RealVal(Some(e)) => b.expr(*e, *decl_line),
-            LocalTemplate::Array(extents) => {
-                for &e in extents {
-                    b.expr(e, *decl_line);
-                }
-            }
-            _ => {}
-        }
+        b.template(tmpl, *decl_line);
         b.push(Event::Def {
             loc: Loc::Local(*slot),
             line: *decl_line,
@@ -839,7 +660,9 @@ pub fn analyze_proc(prog: &Program, proc_index: u32) -> ProcFlow {
                 match *ev {
                     Event::Use {
                         loc: Loc::Local(s), ..
-                    } => inset.insert(s as usize),
+                    } => {
+                        inset.insert(s as usize);
+                    }
                     Event::Def {
                         loc: Loc::Local(s),
                         strong: true,

@@ -3,19 +3,27 @@
 //! The paper's feasibility argument (§4) is that *static* compiler-style
 //! analysis shrinks root-cause search from millions of lines to a few
 //! hundred candidate nodes before anything dynamic runs. This crate is
-//! that plane for the reproduction: a reusable dataflow framework over
-//! the slot-indexed [`Program`] IR, and three clients built on it.
+//! that plane for the reproduction, in five modules over the
+//! slot-indexed [`Program`] IR. Four of them read the facts of
+//! `rca_sim`'s one effect walker (`rca_sim::effects`: reads, writes,
+//! calls, history writes, deferred errors) and its per-program summary
+//! ([`Program::effects`]) and add only their own control-flow handling;
+//! [`deps`] keeps its own walk on purpose.
 //!
-//! - [`dataflow`]: per-procedure CFGs with ordered use/def events, plus
-//!   worklist solvers — reaching definitions, def-use chains, liveness.
+//! - [`dataflow`]: per-procedure CFGs whose use/def events are the
+//!   walker's, plus worklist solvers — reaching definitions, def-use
+//!   chains, liveness.
 //! - [`deps`]: an interprocedural dependence graph that independently
-//!   re-implements the metagraph's §4.2 edge rules from the IR; its
+//!   re-implements the metagraph's §4.2 edge rules from the IR (subscripts
+//!   ignored, intrinsics localized, intents orient edges); its
 //!   [`DepGraph::static_slice`] is the *second slicer*, cross-checked
 //!   node-for-node against `rca_core::backward_slice` by the
 //!   differential suite.
-//! - [`reach`]: call-graph reachability from the host entry points.
+//! - [`reach`]: call-graph reachability from the host entry points, over
+//!   the summary's callees.
 //! - [`absint`]: interval/sign abstract interpretation for definite
-//!   numeric hazards.
+//!   numeric hazards; globals the summary never sees written are
+//!   constants, and loops widen what the walker sees their bodies write.
 //! - [`lints`]: the detector catalog with deterministic JSON output
 //!   (`rca-lint` CLI); warnings are definite defects and gate CI at
 //!   zero on the bundled paper models.
@@ -33,7 +41,7 @@ pub mod reach;
 
 use std::sync::Arc;
 
-use rca_sim::{CStmt, Program, SampleSpec};
+use rca_sim::{Program, SampleSpec};
 
 pub use deps::{DepGraph, SiteClass, Triple};
 pub use lints::{Finding, LintReport, Severity};
@@ -220,29 +228,13 @@ impl ModelAnalysis {
         }
         // Outputs recorded only in unreachable procedures can never
         // appear in a run history.
-        let n_outputs = self.program.output_count();
-        let mut live_output = vec![false; n_outputs];
-        fn scan_outflds(stmts: &[CStmt], mark: &mut impl FnMut(u32)) {
-            for s in stmts {
-                match s {
-                    CStmt::Outfld { out, .. } => mark(*out),
-                    CStmt::If { arms, .. } => {
-                        for (_, b) in arms {
-                            scan_outflds(b, mark);
-                        }
-                    }
-                    CStmt::Do { body, .. } | CStmt::DoWhile { body, .. } => {
-                        scan_outflds(body, mark);
-                    }
-                    _ => {}
+        let mut live_output = vec![false; self.program.output_count()];
+        for (fx, &reachable) in self.program.effects().procs().iter().zip(&self.reachable) {
+            if reachable {
+                for &o in &fx.outputs {
+                    live_output[o as usize] = true;
                 }
             }
-        }
-        for (pi, proc) in self.program.ir_procs().iter().enumerate() {
-            if !self.reachable[pi] {
-                continue;
-            }
-            scan_outflds(&proc.body, &mut |o| live_output[o as usize] = true);
         }
         for (o, name) in self.program.output_names().iter().enumerate() {
             if !live_output[o] {

@@ -6,175 +6,26 @@
 //! are dead code, and outputs recorded only there can never appear in a
 //! history.
 
-use rca_sim::{CExpr, CStmt, CallForm, EId, LocalTemplate, Program};
+use rca_sim::Program;
 
 /// The subprogram names the host invokes directly.
 pub const ENTRY_ROOTS: &[&str] = &["cam_init", "cam_run_step"];
 
-fn expr_sites(prog: &Program, e: EId, out: &mut Vec<u32>) {
-    match &prog.ir_exprs()[e as usize] {
-        CExpr::Real(_)
-        | CExpr::Int(_)
-        | CExpr::Str(_)
-        | CExpr::Logical(_)
-        | CExpr::Var { .. }
-        | CExpr::ErrorExpr { .. } => {}
-        CExpr::Index { sub, fallback, .. } => {
-            expr_sites(prog, *sub, out);
-            match fallback.as_deref() {
-                Some(CallForm::Function(site)) => {
-                    out.push(*site);
-                    for &a in &prog.ir_sites()[*site as usize].args {
-                        expr_sites(prog, a, out);
-                    }
-                }
-                Some(CallForm::Intrinsic(_, args)) => {
-                    for &a in args {
-                        expr_sites(prog, a, out);
-                    }
-                }
-                _ => {}
-            }
-        }
-        CExpr::CallFn { site } => {
-            out.push(*site);
-            for &a in &prog.ir_sites()[*site as usize].args {
-                expr_sites(prog, a, out);
-            }
-        }
-        CExpr::Intrinsic { args, .. } => {
-            for &a in args {
-                expr_sites(prog, a, out);
-            }
-        }
-        CExpr::DerivedVar { sub, .. } => {
-            if let Some(s) = sub {
-                expr_sites(prog, *s, out);
-            }
-        }
-        CExpr::DerivedExpr { base, sub, .. } => {
-            expr_sites(prog, *base, out);
-            if let Some(s) = sub {
-                expr_sites(prog, *s, out);
-            }
-        }
-        CExpr::Unary { e, .. } => expr_sites(prog, *e, out),
-        CExpr::Binary { l, r, .. } => {
-            expr_sites(prog, *l, out);
-            expr_sites(prog, *r, out);
-        }
-        CExpr::MaybeFma { a, b, c, .. } => {
-            expr_sites(prog, *a, out);
-            expr_sites(prog, *b, out);
-            expr_sites(prog, *c, out);
-        }
-    }
-}
-
-fn stmt_sites(prog: &Program, stmts: &[CStmt], out: &mut Vec<u32>) {
-    for s in stmts {
-        match s {
-            CStmt::Assign { value, .. } => expr_sites(prog, *value, out),
-            CStmt::Call { site, .. } => {
-                out.push(*site);
-                for &a in &prog.ir_sites()[*site as usize].args {
-                    expr_sites(prog, a, out);
-                }
-            }
-            CStmt::Outfld { data, ncol, .. } => {
-                expr_sites(prog, *data, out);
-                if let Some(n) = ncol {
-                    expr_sites(prog, *n, out);
-                }
-            }
-            CStmt::RandomNumber { current, .. } => expr_sites(prog, *current, out),
-            CStmt::PbufSet { idx, data, .. } => {
-                expr_sites(prog, *idx, out);
-                expr_sites(prog, *data, out);
-            }
-            CStmt::PbufGet { idx, current, .. } => {
-                expr_sites(prog, *idx, out);
-                expr_sites(prog, *current, out);
-            }
-            CStmt::If { arms, .. } => {
-                for (cond, block) in arms {
-                    if let Some(c) = cond {
-                        expr_sites(prog, *c, out);
-                    }
-                    stmt_sites(prog, block, out);
-                }
-            }
-            CStmt::Do {
-                start,
-                end,
-                step,
-                body,
-                ..
-            } => {
-                expr_sites(prog, *start, out);
-                expr_sites(prog, *end, out);
-                if let Some(st) = step {
-                    expr_sites(prog, *st, out);
-                }
-                stmt_sites(prog, body, out);
-            }
-            CStmt::DoWhile { cond, body, .. } => {
-                expr_sites(prog, *cond, out);
-                stmt_sites(prog, body, out);
-            }
-            CStmt::Return | CStmt::Exit | CStmt::Cycle | CStmt::Nop | CStmt::ErrorStmt { .. } => {}
-        }
-    }
-}
-
-/// Call sites referenced anywhere in a procedure (body, declaration
-/// templates, array extents).
-pub fn proc_callees(prog: &Program, proc_index: u32) -> Vec<u32> {
-    let proc = &prog.ir_procs()[proc_index as usize];
-    let mut sites = Vec::new();
-    for (_, line, tmpl) in &proc.inits {
-        let _ = line;
-        match tmpl {
-            LocalTemplate::Int(Some(e))
-            | LocalTemplate::Logic(Some(e))
-            | LocalTemplate::Char(Some(e))
-            | LocalTemplate::RealVal(Some(e)) => expr_sites(prog, *e, &mut sites),
-            LocalTemplate::Array(extents) => {
-                for &e in extents {
-                    expr_sites(prog, e, &mut sites);
-                }
-            }
-            _ => {}
-        }
-    }
-    stmt_sites(prog, &proc.body, &mut sites);
-    let mut callees: Vec<u32> = sites
-        .into_iter()
-        .map(|s| prog.ir_sites()[s as usize].proc)
-        .collect();
-    callees.sort_unstable();
-    callees.dedup();
-    callees
-}
-
 /// Procedures reachable from the named entry points over resolved call
-/// targets.
+/// targets (every call site in a body, an init template, an argument or
+/// a subscript; [`Program::effects`]).
 pub fn reachable_procs(prog: &Program, roots: &[&str]) -> Vec<bool> {
-    let n = prog.ir_procs().len();
-    let mut seen = vec![false; n];
+    let effects = prog.effects();
+    let mut seen = vec![false; prog.ir_procs().len()];
     let mut stack: Vec<u32> = Vec::new();
-    for root in roots {
-        if let Some(i) = prog.entry_proc_index(root) {
-            if !seen[i as usize] {
-                seen[i as usize] = true;
-                stack.push(i);
-            }
+    for root in roots.iter().filter_map(|r| prog.entry_proc_index(r)) {
+        if !std::mem::replace(&mut seen[root as usize], true) {
+            stack.push(root);
         }
     }
     while let Some(p) = stack.pop() {
-        for c in proc_callees(prog, p) {
-            if !seen[c as usize] {
-                seen[c as usize] = true;
+        for &c in &effects.proc(p).callees {
+            if !std::mem::replace(&mut seen[c as usize], true) {
                 stack.push(c);
             }
         }

@@ -15,8 +15,8 @@ use rca_metagraph::NodeKind;
 use rca_model::{Component, Experiment, ModelFile, ModelSource};
 use rca_sim::{
     compile_model, compile_variant, parse_model, perturbations, run_ensemble_program, run_loaded,
-    run_program, specialize_for_history, specialize_with, EnsembleRuns, Interpreter, Program,
-    RunConfig, SampleSpec, SpecIndex,
+    run_program, specialize_for_history, specialize_for_samples, EnsembleRuns, Interpreter,
+    Program, RunConfig, SampleSpec, Specialized,
 };
 use serde::{Json, Serialize as _};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -454,9 +454,12 @@ end module kernbench
     // specialized to the backward slice of the capture set, truncated at
     // the sample step. Steady-state per-query cost is measured with the
     // specialized program pre-built, matching the sampler's per-spec-set
-    // cache; the one-time specialize cost is recorded separately. Both
-    // paths must produce identical difference verdicts — the bench
-    // cross-checks every query before trusting the timings.
+    // cache; the one-time specialize cost is recorded separately, on a
+    // freshly compiled program so that it includes building the
+    // program's effect summary (cached on the program after that), and
+    // the summary's own build time with it. Both paths must produce
+    // identical difference verdicts — the bench cross-checks every query
+    // before trusting the timings.
     let slice_nodes = 24.min(sample_cfg.samples.len());
     let slice_specs: Vec<SampleSpec> = sample_cfg.samples[..slice_nodes].to_vec();
     let oracle_steps = cfg.steps;
@@ -467,11 +470,17 @@ end module kernbench
         samples: slice_specs.clone(),
         ..Default::default()
     };
-    let t0 = Instant::now();
-    let spec_index = SpecIndex::build(&program);
-    let specialized = specialize_with(&spec_index, &program, &slice_specs)
-        .expect("refinement-shaped capture set must be separable");
-    let specialize_ms = t0.elapsed().as_secs_f64() * 1e3;
+    // `(specialized, total ms, effect summary ms)` on a cold program.
+    let specialize_cold = |specialize: &dyn Fn(&Arc<Program>) -> Option<Specialized>| {
+        let cold = compile_model(&model).expect("compile");
+        let t0 = Instant::now();
+        cold.effects();
+        let effects_ms = t0.elapsed().as_secs_f64() * 1e3;
+        let s = specialize(&cold).expect("the capture must be separable");
+        (s, t0.elapsed().as_secs_f64() * 1e3, effects_ms)
+    };
+    let (specialized, specialize_ms, effects_ms) =
+        specialize_cold(&|p| specialize_for_samples(p, &slice_specs));
     let spec_cfg = RunConfig {
         steps: oracle_steps.min(oracle_sample_step + 1),
         ..full_cfg.clone()
@@ -512,7 +521,8 @@ end module kernbench
     println!(
         "oracle fastpath ({slice_nodes}-node capture set): full {full_query_us:.0} us/query, \
          specialized {spec_query_us:.0} us/query ({fastpath_speedup:.2}x), \
-         {:.0}% stmts pruned, specialize {specialize_ms:.1} ms once",
+         {:.0}% stmts pruned, specialize {specialize_ms:.1} ms once \
+         (effect summary {effects_ms:.1} ms)",
         specialized.pruned_fraction() * 100.0
     );
     // Perf floor, CI-enforced: slice-specialized queries must beat the
@@ -530,10 +540,10 @@ end module kernbench
     // to the statements that can reach an `outfld`. Its data must equal
     // the full fill's by bits; the saving is the members/sec gain and the
     // VM instructions each member no longer retires. The slice is built
-    // once per program (timed here through the uncached form).
-    let t0 = Instant::now();
-    let history = specialize_for_history(&program).expect("the model must be separable");
-    let history_specialize_ms = t0.elapsed().as_secs_f64() * 1e3;
+    // once per program (timed here through the uncached form, on a cold
+    // program like the oracle's).
+    let (history, history_specialize_ms, history_effects_ms) =
+        specialize_cold(&specialize_for_history);
     let full_fill = || EnsembleRuns::run_resilient(&program, &cfg, &store_perts, 2);
     let history_fill = || EnsembleRuns::run_history(&program, &cfg, &store_perts, 2);
     let (full, fast) = (full_fill(), history_fill());
@@ -572,7 +582,8 @@ end module kernbench
         "history fill ({store_members} members): full {full_mps:.1} members/sec, \
          history slice {history_mps:.1} members/sec ({history_gain:.2}x), \
          {full_instr} -> {history_instr} VM instructions/member, \
-         {:.0}% stmts pruned, specialize {history_specialize_ms:.1} ms once",
+         {:.0}% stmts pruned, specialize {history_specialize_ms:.1} ms once \
+         (effect summary {history_effects_ms:.1} ms)",
         history.pruned_fraction() * 100.0
     );
     // Perf floor, CI-enforced: the slice may never be slower; at paper
@@ -734,6 +745,7 @@ end module kernbench
                 ("stmts_total", specialized.stmts_total.to_json()),
                 ("stmts_kept", specialized.stmts_kept.to_json()),
                 ("specialize_ms_once", specialize_ms.to_json()),
+                ("effects_ms_once", effects_ms.to_json()),
             ]),
         ),
         (
@@ -752,6 +764,7 @@ end module kernbench
                 ("stmts_total", history.stmts_total.to_json()),
                 ("stmts_kept", history.stmts_kept.to_json()),
                 ("specialize_ms_once", history_specialize_ms.to_json()),
+                ("effects_ms_once", history_effects_ms.to_json()),
             ]),
         ),
         (

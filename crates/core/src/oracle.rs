@@ -73,8 +73,7 @@ use rca_graph::{bfs_multi, BfsResult, Direction, NodeId};
 use rca_metagraph::{MetaGraph, NodeKind};
 use rca_model::ModelSource;
 use rca_sim::{
-    compile_model, specialize_with, Executor, Program, RunConfig, RuntimeError, SampleSpec,
-    SpecIndex,
+    compile_model, specialize_for_samples, Executor, Program, RunConfig, RuntimeError, SampleSpec,
 };
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -206,10 +205,6 @@ pub struct RuntimeSampler {
     /// `true`). Off, every query is two full pooled executions — the
     /// pre-fastpath behavior, bit for bit.
     pub fastpath: bool,
-    /// Program-dependent specialization state (effect summaries, call
-    /// graph), built once on the first cache-miss query and reused for
-    /// every spec set after that.
-    spec_index: Option<(SpecIndex, SpecIndex)>,
     /// Specialized (control, experimental) program pair per spec-set key;
     /// `None` records a set the specializer proved unseparable, so those
     /// queries go straight to the generic path.
@@ -263,7 +258,6 @@ impl RuntimeSampler {
             tolerance: 1e-12,
             errors: Vec::new(),
             fastpath: true,
-            spec_index: None,
             spec_cache: HashMap::new(),
             node_memo: HashMap::new(),
             poisoned: false,
@@ -273,8 +267,9 @@ impl RuntimeSampler {
     /// Forgets all memoized per-node verdicts and specialized programs.
     /// Call after mutating [`RuntimeSampler::tolerance`] or
     /// [`RuntimeSampler::sample_step`] once queries have run (benchmarks
-    /// re-measuring cold queries want this too). The program-dependent
-    /// [`SpecIndex`] survives — the programs themselves cannot change.
+    /// re-measuring cold queries want this too). Each program's effect
+    /// summary ([`Program::effects`]) survives: it is cached on the
+    /// program, which cannot change.
     pub fn clear_memo(&mut self) {
         self.spec_cache.clear();
         self.node_memo.clear();
@@ -449,15 +444,9 @@ impl Oracle for RuntimeSampler {
         let pair = match self.spec_cache.get(&key) {
             Some(pair) => pair.clone(),
             None => {
-                let (ctl_ix, exp_ix) = self.spec_index.get_or_insert_with(|| {
-                    (
-                        SpecIndex::build(&ctl_program),
-                        SpecIndex::build(&exp_program),
-                    )
-                });
                 let pair = (|| {
-                    let c = specialize_with(ctl_ix, &ctl_program, &miss_specs)?;
-                    let e = specialize_with(exp_ix, &exp_program, &miss_specs)?;
+                    let c = specialize_for_samples(&ctl_program, &miss_specs)?;
+                    let e = specialize_for_samples(&exp_program, &miss_specs)?;
                     Some((c.program, e.program))
                 })();
                 self.spec_cache.insert(key, pair.clone());

@@ -909,7 +909,7 @@ impl<'a> FnEmitter<'a> {
                 });
                 self.release(m);
             }
-            CExpr::MaybeFma { op, a, b, c, l, r } => {
+            CExpr::MaybeFma { op, a, b, c, l } => {
                 let br = self.emit(Instr::BranchFmaOff {
                     module: self.module_id,
                     to: PATCH,
@@ -932,7 +932,7 @@ impl<'a> FnEmitter<'a> {
                 self.patch(br, plain);
                 self.patch(ft, plain);
                 let m = self.mark();
-                let [ls, rs] = self.emit_operands([*l, *r]);
+                let [ls, rs] = self.emit_operands([*l, *c]);
                 self.emit(Instr::Binary {
                     op: *op,
                     dst,
@@ -1563,7 +1563,7 @@ impl<'a> FnEmitter<'a> {
                 out.push(k);
                 kb.depth -= 1;
             }
-            CExpr::MaybeFma { op, a, b, c, l, r } => {
+            CExpr::MaybeFma { op, a, b, c, l } => {
                 if on {
                     if !matches!(op, Op::Add | Op::Sub) {
                         return None;
@@ -1580,7 +1580,7 @@ impl<'a> FnEmitter<'a> {
                     // reassociated (NaN payloads and -0.0 would differ).
                     let k = kop_bin(*op)?;
                     self.kexpr(*l, var, on, kb, out)?;
-                    self.kexpr(*r, var, on, kb, out)?;
+                    self.kexpr(*c, var, on, kb, out)?;
                     out.push(k);
                     kb.depth -= 1;
                 }

@@ -1053,14 +1053,13 @@ impl<'a> Compiler<'a> {
                         let a = self.lower_expr(cx, proc_idx, ma);
                         let b = self.lower_expr(cx, proc_idx, mb);
                         let l = self.push_binary(Op::Mul, a, b);
-                        let r = self.lower_expr(cx, proc_idx, rhs);
+                        let c = self.lower_expr(cx, proc_idx, rhs);
                         return self.push(CExpr::MaybeFma {
                             op: *op,
                             a,
                             b,
-                            c: r,
+                            c,
                             l,
-                            r,
                         });
                     }
                 }
@@ -1215,6 +1214,7 @@ impl<'a> Compiler<'a> {
             syms: Arc::new(self.syms),
             bc: crate::bytecode::Bytecode::default(),
             history: Default::default(),
+            effects: Default::default(),
         };
         // Lower to the bytecode tier once the tree IR is sealed; the
         // register VM in `exec` runs this form.

@@ -56,6 +56,7 @@
 
 pub(crate) mod bytecode;
 pub mod compile;
+pub mod effects;
 pub mod exec;
 pub mod fault;
 pub mod interp;
@@ -86,8 +87,6 @@ pub use runner::{
     compile_model, compile_variant, finite_outputs_at, outputs_matrix, parse_model, perturbations,
     run_ensemble, run_ensemble_program, run_loaded, run_model, run_program, RunOutput,
 };
-pub use specialize::{
-    specialize_for_history, specialize_for_samples, specialize_with, SpecIndex, Specialized,
-};
+pub use specialize::{specialize_for_history, specialize_for_samples, Specialized};
 pub use store::{EnsembleRuns, MemberHealth, RunCoverage, RunView};
 pub use value::Value;

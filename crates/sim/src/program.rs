@@ -21,6 +21,7 @@
 //! or an N-scenario campaign compiles each distinct source variant once
 //! and fans out executors that only clone the initial global arena.
 
+use crate::effects::Effects;
 use crate::value::Value;
 use rca_fortran::token::Op;
 use rca_ident::SymbolTable;
@@ -229,15 +230,15 @@ pub enum CExpr {
         r: EId,
     },
     /// `a*b ± c` — FMA-contractible when the executing module is compiled
-    /// with AVX2. `l`/`r` are the plain operands for the unfused path
-    /// (re-evaluated on fallback, exactly as the tree-walker does).
+    /// with AVX2. The unfused path evaluates `l op c`, where `l` is the
+    /// plain product `a*b` (or its folded literal), re-evaluated on
+    /// fallback exactly as the tree-walker does.
     MaybeFma {
         op: Op,
         a: EId,
         b: EId,
         c: EId,
         l: EId,
-        r: EId,
     },
     /// Deferred runtime error (the tree-walker reports these lazily, only
     /// when the expression actually evaluates).
@@ -453,6 +454,8 @@ pub struct Program {
     /// ([`Program::history_program`]). Never this program itself: that
     /// would be an `Arc` cycle.
     pub(crate) history: OnceLock<Option<Arc<Program>>>,
+    /// The effect summary, computed on first use ([`Program::effects`]).
+    pub(crate) effects: OnceLock<Effects>,
 }
 
 impl Program {
@@ -503,6 +506,18 @@ impl Program {
                 crate::specialize::history_slice(self)
             })
             .as_ref()
+    }
+
+    /// The per-proc effect summary ([`Effects`]: callees, global writes,
+    /// history, PRNG, physics buffer, deferred errors), built once under a
+    /// `compile.effects` span on first use and kept for the program's
+    /// lifetime. The specializer, reachability, the lint catalog and
+    /// constant-global detection all read it.
+    pub fn effects(&self) -> &Effects {
+        self.effects.get_or_init(|| {
+            let _span = rca_obs::span("compile.effects");
+            Effects::build(self)
+        })
     }
 
     /// Sorted distinct history output names; `OutputId` indexes this

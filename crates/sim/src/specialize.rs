@@ -16,10 +16,13 @@
 //! [`SampleSpec`] set, or the operands of every history write — they keep
 //! exactly the statements whose effects can reach those locations (plus
 //! everything needed to preserve control flow, the PRNG stream, and error
-//! semantics) and drop the rest. The pruned tree IR is re-lowered through
-//! the standard bytecode pipeline, so the specialized program runs on the
-//! unmodified [`crate::Executor`] VM tier with all of its kernels and
-//! pooling.
+//! semantics) and drop the rest. Keep decisions read each statement's
+//! effects from the IR effect walker ([`crate::effects`]) and judge a
+//! call by its callee's summary ([`Program::effects`], built once per
+//! program and shared by every query). The pruned tree IR is re-lowered
+//! through the standard bytecode pipeline, so the specialized program
+//! runs on the unmodified [`crate::Executor`] VM tier with all of its
+//! kernels and pooling.
 //!
 //! # Soundness contract
 //!
@@ -82,20 +85,12 @@
 //! use the full program.
 
 use crate::bytecode;
+use crate::effects::{walk_expr, walk_stmt, walk_template, BitSet, Effect, Effects, Flow};
 use crate::interp::SampleSpec;
-use crate::program::{
-    CExpr, CPlace, CProc, CStmt, CallForm, CallSite, EId, LocalTemplate, Program, VarBind,
-};
+use crate::program::{CProc, CStmt, EId, Program, VarBind};
 use crate::value::Value;
-use std::collections::HashMap;
+use std::ops::ControlFlow::{Break, Continue};
 use std::sync::Arc;
-
-/// A pruned proc body: the surviving statements plus the live-local
-/// init templates `(slot, line, template)` the executor still runs.
-type ProcBodyParts = (Box<[CStmt]>, Box<[(u32, u32, LocalTemplate)]>);
-
-/// Pruned `if` arms: `(condition, pruned block)` per arm.
-type PrunedArms = Box<[(Option<EId>, Box<[CStmt]>)]>;
 
 /// A slice-specialized program plus its pruning statistics.
 #[derive(Debug, Clone)]
@@ -155,20 +150,11 @@ impl Pruned {
 /// equivalent for this capture set (callers fall back to the full
 /// program — the generic path owns all error semantics). Returns a
 /// [`Specialized`] with `identical == true` (and the input `Arc`) when
-/// the analysis keeps everything.
+/// the analysis keeps everything. The program's effect summary
+/// ([`Program::effects`]) is built on the first query and shared by
+/// every later one.
 pub fn specialize_for_samples(program: &Arc<Program>, specs: &[SampleSpec]) -> Option<Specialized> {
-    specialize_with(&SpecIndex::build(program), program, specs)
-}
-
-/// [`specialize_for_samples`] against a prebuilt [`SpecIndex`] — the
-/// repeated-query form. The index must have been built from this exact
-/// `program`.
-pub fn specialize_with(
-    index: &SpecIndex,
-    program: &Arc<Program>,
-    specs: &[SampleSpec],
-) -> Option<Specialized> {
-    prune(index, program, Capture::Samples(specs)).map(|p| p.into_specialized(program))
+    prune(program, Capture::Samples(specs)).map(|p| p.into_specialized(program))
 }
 
 /// Specializes `program` for its history writes: every `outfld` stays,
@@ -178,24 +164,17 @@ pub fn specialize_with(
 /// [`Program::history_program`] keeps one per program; this uncached
 /// form reports the pruning statistics.
 pub fn specialize_for_history(program: &Arc<Program>) -> Option<Specialized> {
-    prune(&SpecIndex::build(program), program, Capture::History)
-        .map(|p| p.into_specialized(program))
+    prune(program, Capture::History).map(|p| p.into_specialized(program))
 }
 
 /// The history slice behind [`Program::history_program`]: `None` when
 /// the program is unseparable or nothing prunes.
 pub(crate) fn history_slice(program: &Program) -> Option<Arc<Program>> {
-    prune(&SpecIndex::build(program), program, Capture::History)?
-        .program
-        .map(Arc::new)
+    prune(program, Capture::History)?.program.map(Arc::new)
 }
 
-fn prune(index: &SpecIndex, program: &Program, capture: Capture<'_>) -> Option<Pruned> {
-    let ctx = Ctx {
-        p: program,
-        ix: index,
-        history: matches!(capture, Capture::History),
-    };
+fn prune(program: &Program, capture: Capture<'_>) -> Option<Pruned> {
+    let fx = program.effects();
     let mut rel = Rel::new(program);
 
     // Driver entry points: the sampler only ever runs `drive`
@@ -206,14 +185,20 @@ fn prune(index: &SpecIndex, program: &Program, capture: Capture<'_>) -> Option<P
     rel.live[root_init as usize] = true;
     rel.live[root_step as usize] = true;
 
-    let reaches_cap = match capture {
+    let reach = match capture {
         Capture::Samples(specs) => {
             let mut capture_procs = vec![false; program.procs.len()];
-            ctx.seed(&mut rel, specs, &mut capture_procs);
-            ctx.reaches_capture(&capture_procs)
+            seed(program, fx, &mut rel, specs, &mut capture_procs);
+            reaches_capture(fx, capture_procs)
         }
         // Every proc that can reach a history write keeps its calls.
-        Capture::History => index.summaries.iter().map(|s| s.writes_history).collect(),
+        Capture::History => fx.procs().iter().map(|s| s.writes_history).collect(),
+    };
+    let ctx = Ctx {
+        p: program,
+        fx,
+        reach,
+        history: matches!(capture, Capture::History),
     };
 
     // Monotone fixpoint: relevance, liveness, and keep decisions only
@@ -224,7 +209,7 @@ fn prune(index: &SpecIndex, program: &Program, capture: Capture<'_>) -> Option<P
         rel.changed = false;
         for p in 0..program.procs.len() {
             if rel.live[p] {
-                ctx.pass_proc(&mut rel, &reaches_cap, p as u32);
+                ctx.pass_proc(&mut rel, p as u32);
             }
         }
         if !rel.changed {
@@ -236,27 +221,17 @@ fn prune(index: &SpecIndex, program: &Program, capture: Capture<'_>) -> Option<P
         return None;
     }
 
-    // Materialize: prune live bodies against the stable relevance set,
-    // empty dead procs (metadata stays — sample-plan resolution and
-    // host lookups still need names and slot counts).
+    // Materialize: prune live bodies to the statements the fixpoint
+    // kept, empty dead procs (metadata stays — sample-plan resolution
+    // and host lookups still need names and slot counts).
     let mut total = 0usize;
     let mut kept = 0usize;
     let mut procs = Vec::with_capacity(program.procs.len());
     for (i, proc) in program.procs.iter().enumerate() {
-        let (body, inits): ProcBodyParts = if rel.live[i] {
-            let body = ctx.prune_block(
-                &mut rel,
-                &reaches_cap,
-                i as u32,
-                &proc.body,
-                &mut total,
-                &mut kept,
-            );
-            (body, proc.inits.clone())
-        } else {
-            total += count_stmts(&proc.body);
-            (Box::from([]), Box::from([]))
-        };
+        let live = rel.live[i];
+        let mut next = 0;
+        let body = prune_block(&proc.body, &rel.kept[i], &mut next, &mut kept);
+        total += next;
         // Metadata only — never `..proc.clone()`, which would deep-copy
         // the body we are about to replace.
         procs.push(CProc {
@@ -267,7 +242,11 @@ fn prune(index: &SpecIndex, program: &Program, capture: Capture<'_>) -> Option<P
             arg_flows: proc.arg_flows.clone(),
             n_locals: proc.n_locals,
             local_names: proc.local_names.clone(),
-            inits,
+            inits: if live {
+                proc.inits.clone()
+            } else {
+                Box::from([])
+            },
             result_slot: proc.result_slot,
             body,
             declared_locals: proc.declared_locals.clone(),
@@ -298,6 +277,7 @@ fn prune(index: &SpecIndex, program: &Program, capture: Capture<'_>) -> Option<P
         syms: Arc::clone(&program.syms),
         bc: Default::default(),
         history: Default::default(),
+        effects: Default::default(),
     };
     sp.bc = bytecode::lower(&sp);
     Some(Pruned {
@@ -307,94 +287,118 @@ fn prune(index: &SpecIndex, program: &Program, capture: Capture<'_>) -> Option<P
     })
 }
 
-fn count_stmts(body: &[CStmt]) -> usize {
-    let mut n = 0;
-    for s in body {
-        n += 1;
-        match s {
-            CStmt::If { arms, .. } => {
-                for (_, b) in arms {
-                    n += count_stmts(b);
+/// Seeds `R` from the spec set, mirroring the executor's capture
+/// resolution exactly ([`crate::exec`]'s `build_sample_plans` +
+/// `capture_module_samples`): module specs read the resolved global
+/// slot *and* — through the derived-field scan fallback — any derived
+/// global carrying the field; local specs read one frame slot of one
+/// capture proc. Unresolvable specs capture nothing in both programs
+/// and seed nothing.
+fn seed(
+    p: &Program,
+    fx: &Effects,
+    rel: &mut Rel,
+    specs: &[SampleSpec],
+    capture_procs: &mut [bool],
+) {
+    for spec in specs {
+        match &spec.subprogram {
+            None => {
+                if let Some(g) = p.global_slot(&spec.module, &spec.name) {
+                    rel.add_global(g);
+                }
+                for (slot, val) in p.globals.iter().enumerate() {
+                    if let Value::Derived(fields) = val {
+                        if fields.contains_key(&*spec.name) {
+                            rel.add_global(slot as u32);
+                        }
+                    }
+                }
+                for &g in fx.derived_writers(&spec.name) {
+                    rel.add_global(g);
                 }
             }
-            CStmt::Do { body, .. } | CStmt::DoWhile { body, .. } => n += count_stmts(body),
-            _ => {}
+            Some(sub) => {
+                let Some(q) = p.proc_slot(&spec.module, sub) else {
+                    continue;
+                };
+                let proc = &p.procs[q as usize];
+                let Some(slot) = proc.local_names.iter().position(|n| **n == *spec.name) else {
+                    continue;
+                };
+                rel.add_local(q, slot as u32);
+                capture_procs[q as usize] = true;
+            }
         }
     }
-    n
+}
+
+/// Procs that are (or can transitively call) a capture proc — their
+/// invocation counts are observable, so calls to them stay.
+fn reaches_capture(fx: &Effects, mut reach: Vec<bool>) -> Vec<bool> {
+    loop {
+        let mut changed = false;
+        for i in 0..reach.len() {
+            if !reach[i] && fx.procs()[i].callees.iter().any(|&q| reach[q as usize]) {
+                reach[i] = true;
+                changed = true;
+            }
+        }
+        if !changed {
+            return reach;
+        }
+    }
 }
 
 // ----- relevance state ---------------------------------------------------
 
-/// Dense bitset (globals are a few hundred slots, frames a few dozen).
-#[derive(Clone, Debug)]
-struct Bits {
-    words: Vec<u64>,
-}
-
-impl Bits {
-    fn new(n: usize) -> Bits {
-        Bits {
-            words: vec![0; n.div_ceil(64)],
-        }
-    }
-
-    fn set(&mut self, i: u32) -> bool {
-        let (w, b) = (i as usize / 64, i as usize % 64);
-        let prev = self.words[w];
-        self.words[w] |= 1 << b;
-        self.words[w] != prev
-    }
-
-    fn get(&self, i: u32) -> bool {
-        let (w, b) = (i as usize / 64, i as usize % 64);
-        self.words.get(w).is_some_and(|&x| x >> b & 1 == 1)
-    }
-
-    fn intersects(&self, other: &Bits) -> bool {
-        self.words.iter().zip(&other.words).any(|(a, b)| a & b != 0)
-    }
-
-    fn union_from(&mut self, other: &Bits) -> bool {
-        let mut changed = false;
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
-            let prev = *a;
-            *a |= b;
-            changed |= *a != prev;
-        }
-        changed
-    }
-}
-
-/// The growing relevant-location set `R` plus proc liveness.
+/// The growing relevant-location set `R`, proc liveness, and the
+/// statements already kept.
 struct Rel {
-    globals: Bits,
+    globals: BitSet,
     /// Per proc, by frame slot.
-    locals: Vec<Bits>,
+    locals: Vec<BitSet>,
     pbuf: bool,
     prng: bool,
     live: Vec<bool>,
+    /// Per proc, by preorder statement index: kept, and its effects
+    /// joined. Keep decisions only grow and joins are idempotent, so a
+    /// kept statement is never decided or joined again.
+    kept: Vec<Vec<bool>>,
     changed: bool,
 }
 
 impl Rel {
     fn new(p: &Program) -> Rel {
         Rel {
-            globals: Bits::new(p.globals.len()),
-            locals: p.procs.iter().map(|pr| Bits::new(pr.n_locals)).collect(),
+            globals: BitSet::new(p.globals.len()),
+            locals: p.procs.iter().map(|pr| BitSet::new(pr.n_locals)).collect(),
             pbuf: false,
             prng: false,
             live: vec![false; p.procs.len()],
+            kept: vec![Vec::new(); p.procs.len()],
             changed: false,
         }
     }
 
+    fn is_kept(&self, proc: u32, stmt: usize) -> bool {
+        self.kept[proc as usize].get(stmt) == Some(&true)
+    }
+
+    fn keep(&mut self, proc: u32, stmt: usize) {
+        let kept = &mut self.kept[proc as usize];
+        if kept.len() <= stmt {
+            kept.resize(stmt + 1, false);
+        }
+        kept[stmt] = true;
+    }
+
     fn add_global(&mut self, g: u32) {
-        self.changed |= self.globals.set(g);
+        self.changed |= self.globals.insert(g as usize);
     }
 
     fn add_local(&mut self, proc: u32, slot: u32) {
-        self.changed |= self.locals[proc as usize].set(slot);
+        self.changed |= self.locals[proc as usize].insert(slot as usize);
     }
 
     fn add_pbuf(&mut self) {
@@ -411,206 +415,60 @@ impl Rel {
         self.changed |= !self.live[proc as usize];
         self.live[proc as usize] = true;
     }
-}
 
-// ----- per-proc transitive effect summaries ------------------------------
-
-/// Full-body effect summary of one proc, transitively closed over the
-/// static call graph. Computed once, independent of `R`: whether a call
-/// must be kept is decided against what the callee *could* do, and every
-/// relevant effect inside it is then kept by the callee's own pass.
-#[derive(Clone, Debug)]
-struct Summary {
-    /// Module globals the proc (or any transitive callee) may write —
-    /// direct places, caller-side copy-out targets, `LocalOrGlobal`
-    /// fallbacks included.
-    gwrites: Bits,
-    writes_pbuf: bool,
-    draws: bool,
-    /// Writes history (`outfld`).
-    writes_history: bool,
-    /// May raise a deferred compile error (`ErrorStmt`/`ErrorExpr`,
-    /// invalid places, unknown-function fallbacks, failing init
-    /// templates) — calls to it must stay so failures still fire.
-    may_error: bool,
-}
-
-/// The program-dependent half of the analysis — per-proc transitive
-/// effect summaries, the static call graph, and the derived-field writer
-/// map. Everything here is independent of any particular spec set, so a
-/// caller issuing many queries against one program (the runtime sampler)
-/// builds it once and amortizes it across every
-/// [`specialize_with`] call.
-#[derive(Debug)]
-pub struct SpecIndex {
-    summaries: Vec<Summary>,
-    callees: Vec<Vec<u32>>,
-    /// Module globals written through a `CPlace::Derived` with a given
-    /// field name anywhere in the program — the module-level capture
-    /// scan can observe these through any derived global, so a module
-    /// spec seeds all of them.
-    derived_writers: HashMap<Arc<str>, Vec<u32>>,
-}
-
-impl SpecIndex {
-    /// Scans every proc once and closes the effect summaries over the
-    /// call graph.
-    pub fn build(p: &Program) -> SpecIndex {
-        let mut summaries = Vec::with_capacity(p.procs.len());
-        let mut callees = Vec::with_capacity(p.procs.len());
-        let mut derived_writers: HashMap<Arc<str>, Vec<u32>> = HashMap::new();
-        for proc in &p.procs {
-            let mut f = Facts {
-                p,
-                sum: Summary {
-                    gwrites: Bits::new(p.globals.len()),
-                    writes_pbuf: false,
-                    draws: false,
-                    writes_history: false,
-                    may_error: false,
-                },
-                callees: Vec::new(),
-                derived_writers: &mut derived_writers,
-            };
-            for (_, _, tpl) in &proc.inits {
-                f.template(tpl);
-            }
-            f.block(&proc.body);
-            summaries.push(f.sum);
-            let mut c = f.callees;
-            c.sort_unstable();
-            c.dedup();
-            callees.push(c);
+    /// Does binding `bind` of `proc` touch a location already in `R`?
+    fn hits(&self, proc: u32, bind: VarBind) -> bool {
+        let local = |s: u32| self.locals[proc as usize].contains(s as usize);
+        match bind {
+            VarBind::Local(s) => local(s),
+            VarBind::LocalOrGlobal(s, g) => local(s) || self.globals.contains(g as usize),
+            VarBind::Global(g) => self.globals.contains(g as usize),
         }
-        // Transitive closure over the call graph (cycle-safe fixpoint).
-        loop {
-            let mut changed = false;
-            for i in 0..summaries.len() {
-                for &q in &callees[i] {
-                    if q as usize == i {
-                        continue;
-                    }
-                    let callee = summaries[q as usize].clone();
-                    let s = &mut summaries[i];
-                    changed |= s.gwrites.union_from(&callee.gwrites);
-                    changed |= callee.writes_pbuf && !s.writes_pbuf;
-                    s.writes_pbuf |= callee.writes_pbuf;
-                    changed |= callee.draws && !s.draws;
-                    s.draws |= callee.draws;
-                    changed |= callee.writes_history && !s.writes_history;
-                    s.writes_history |= callee.writes_history;
-                    changed |= callee.may_error && !s.may_error;
-                    s.may_error |= callee.may_error;
-                }
+    }
+
+    /// Binding read/write: `LocalOrGlobal` dispatches on slot liveness at
+    /// runtime, so both locations join (definedness must match the full
+    /// program for the dispatch — and therefore the access — to agree).
+    fn add_bind(&mut self, proc: u32, bind: VarBind) {
+        match bind {
+            VarBind::Local(s) => self.add_local(proc, s),
+            VarBind::LocalOrGlobal(s, g) => {
+                self.add_local(proc, s);
+                self.add_global(g);
             }
-            if !changed {
-                break;
-            }
-        }
-        SpecIndex {
-            summaries,
-            callees,
-            derived_writers,
+            VarBind::Global(g) => self.add_global(g),
         }
     }
 }
 
 struct Ctx<'p> {
     p: &'p Program,
-    ix: &'p SpecIndex,
+    fx: &'p Effects,
+    /// Per proc: calls to it must stay (it is or reaches a capture proc).
+    reach: Vec<bool>,
     /// The history capture: every `outfld` is kept.
     history: bool,
 }
 
-impl<'p> Ctx<'p> {
-    /// Procs that are (or can transitively call) a capture proc —
-    /// their invocation counts are observable, so calls to them stay.
-    fn reaches_capture(&self, capture_procs: &[bool]) -> Vec<bool> {
-        let mut reach = capture_procs.to_vec();
-        loop {
-            let mut changed = false;
-            for i in 0..reach.len() {
-                if !reach[i] && self.ix.callees[i].iter().any(|&q| reach[q as usize]) {
-                    reach[i] = true;
-                    changed = true;
-                }
-            }
-            if !changed {
-                return reach;
-            }
-        }
-    }
-
-    /// Seeds `R` from the spec set, mirroring the executor's capture
-    /// resolution exactly ([`crate::exec`]'s `build_sample_plans` +
-    /// `capture_module_samples`): module specs read the resolved global
-    /// slot *and* — through the derived-field scan fallback — any
-    /// derived global carrying the field; local specs read one frame
-    /// slot of one capture proc. Unresolvable specs capture nothing in
-    /// both programs and seed nothing.
-    fn seed(&self, rel: &mut Rel, specs: &[SampleSpec], capture_procs: &mut [bool]) {
-        for spec in specs {
-            match &spec.subprogram {
-                None => {
-                    if let Some(g) = self.p.global_slot(&spec.module, &spec.name) {
-                        rel.add_global(g);
-                    }
-                    for (slot, val) in self.p.globals.iter().enumerate() {
-                        if let Value::Derived(fields) = val {
-                            if fields.contains_key(&*spec.name) {
-                                rel.add_global(slot as u32);
-                            }
-                        }
-                    }
-                    if let Some(slots) = self.ix.derived_writers.get(&spec.name) {
-                        for &g in slots {
-                            rel.add_global(g);
-                        }
-                    }
-                }
-                Some(sub) => {
-                    let Some(q) = self.p.proc_slot(&spec.module, sub) else {
-                        continue;
-                    };
-                    let proc = &self.p.procs[q as usize];
-                    let Some(slot) = proc.local_names.iter().position(|n| **n == *spec.name) else {
-                        continue;
-                    };
-                    rel.add_local(q, slot as u32);
-                    capture_procs[q as usize] = true;
-                }
-            }
-        }
-    }
-
+impl Ctx<'_> {
     // ----- keep decisions + closure (one round over a live proc) ---------
 
-    fn pass_proc(&self, rel: &mut Rel, reach: &[bool], proc: u32) {
+    fn pass_proc(&self, rel: &mut Rel, proc: u32) {
         // Frame initialization always runs for a live proc; its extent
         // and initializer expressions are evaluated unconditionally, so
         // their reads must hold full-program values.
-        let inits: &[(u32, u32, LocalTemplate)] = &self.p.procs[proc as usize].inits;
-        for (_, _, tpl) in inits {
-            match tpl {
-                LocalTemplate::Array(extents) => {
-                    for &e in extents {
-                        self.join_expr(rel, reach, proc, e);
-                    }
-                }
-                LocalTemplate::Int(Some(e))
-                | LocalTemplate::Logic(Some(e))
-                | LocalTemplate::Char(Some(e))
-                | LocalTemplate::RealVal(Some(e)) => self.join_expr(rel, reach, proc, *e),
-                _ => {}
-            }
+        let p = self.p;
+        for (_, _, tpl) in &p.procs[proc as usize].inits {
+            let _ = walk_template(p, tpl, &mut |e| self.join(rel, proc, e));
         }
-        self.pass_block(rel, reach, proc, &self.p.procs[proc as usize].body);
+        self.pass_block(rel, proc, &p.procs[proc as usize].body, &mut 0);
     }
 
-    fn pass_block(&self, rel: &mut Rel, reach: &[bool], proc: u32, body: &[CStmt]) -> bool {
+    /// `next` is the preorder index of the block's first statement.
+    fn pass_block(&self, rel: &mut Rel, proc: u32, body: &[CStmt], next: &mut usize) -> bool {
         let mut any = false;
         for s in body {
-            any |= self.pass_stmt(rel, reach, proc, s);
+            any |= self.pass_stmt(rel, proc, s, next);
         }
         any
     }
@@ -618,105 +476,26 @@ impl<'p> Ctx<'p> {
     /// Decides whether `s` must stay and, if so, joins everything it
     /// reads and writes into `R` (the closed-set induction of the module
     /// docs). Monotone in `R`, so round order cannot change the fixpoint.
-    fn pass_stmt(&self, rel: &mut Rel, reach: &[bool], proc: u32, s: &CStmt) -> bool {
-        match s {
-            CStmt::Nop => false,
+    /// A statement kept in an earlier round only passes its nested
+    /// blocks on.
+    fn pass_stmt(&self, rel: &mut Rel, proc: u32, s: &CStmt, next: &mut usize) -> bool {
+        let id = *next;
+        *next += 1;
+        let kept = rel.is_kept(proc, id);
+        let keep = match s {
             // Control-transfer statements shape which kept statements
             // run; always preserved (their containers may still drop).
             CStmt::Return | CStmt::Exit | CStmt::Cycle => true,
-            CStmt::ErrorStmt { .. } => true,
-            CStmt::Assign { place, value, .. } => {
-                let keep = self.place_hits(rel, proc, place)
-                    || matches!(place, CPlace::Invalid { .. })
-                    || self.expr_relevant(rel, reach, proc, *value)
-                    || self.place_sub_relevant(rel, reach, proc, place);
-                if keep {
-                    self.join_place(rel, reach, proc, place);
-                    self.join_expr(rel, reach, proc, *value);
-                }
-                keep
-            }
-            CStmt::Call { site, .. } => {
-                let keep = self.call_relevant(rel, reach, proc, *site);
-                if keep {
-                    self.join_call(rel, reach, proc, *site);
-                }
-                keep
-            }
-            // The history capture keeps every history write; sampling
-            // queries never read histories, so there a history write is
-            // kept only for the side effects of its operand expressions.
-            CStmt::Outfld { data, ncol, .. } => {
-                let keep = self.history
-                    || self.expr_relevant(rel, reach, proc, *data)
-                    || ncol.is_some_and(|n| self.expr_relevant(rel, reach, proc, n));
-                if keep {
-                    self.join_expr(rel, reach, proc, *data);
-                    if let Some(n) = ncol {
-                        self.join_expr(rel, reach, proc, *n);
-                    }
-                }
-                keep
-            }
-            // The PRNG stream is one shared location: once any draw is
-            // relevant, every draw stays (sequence positions matter).
-            CStmt::RandomNumber { current, place, .. } => {
-                let keep = rel.prng
-                    || self.place_hits(rel, proc, place)
-                    || matches!(place, CPlace::Invalid { .. })
-                    || self.expr_relevant(rel, reach, proc, *current)
-                    || self.place_sub_relevant(rel, reach, proc, place);
-                if keep {
-                    rel.add_prng();
-                    self.join_place(rel, reach, proc, place);
-                    self.join_expr(rel, reach, proc, *current);
-                }
-                keep
-            }
-            CStmt::PbufSet { idx, data, .. } => {
-                let keep = rel.pbuf
-                    || self.expr_relevant(rel, reach, proc, *idx)
-                    || self.expr_relevant(rel, reach, proc, *data);
-                if keep {
-                    self.join_expr(rel, reach, proc, *idx);
-                    self.join_expr(rel, reach, proc, *data);
-                }
-                keep
-            }
-            CStmt::PbufGet {
-                idx,
-                current,
-                place,
-                ..
-            } => {
-                let keep = self.place_hits(rel, proc, place)
-                    || matches!(place, CPlace::Invalid { .. })
-                    || self.expr_relevant(rel, reach, proc, *idx)
-                    || self.expr_relevant(rel, reach, proc, *current)
-                    || self.place_sub_relevant(rel, reach, proc, place);
-                if keep {
-                    rel.add_pbuf();
-                    self.join_place(rel, reach, proc, place);
-                    self.join_expr(rel, reach, proc, *idx);
-                    self.join_expr(rel, reach, proc, *current);
-                }
-                keep
-            }
             // A kept `if` evaluates every guard on the path to the taken
             // arm, so all conditions join `R`; bodies prune per arm.
             CStmt::If { arms, .. } => {
-                let mut keep = arms
-                    .iter()
-                    .any(|(c, _)| c.is_some_and(|c| self.expr_relevant(rel, reach, proc, c)));
+                let guards = || arms.iter().filter_map(|(c, _)| *c);
+                let mut keep = kept || guards().any(|c| self.expr_relevant(rel, proc, c));
                 for (_, b) in arms {
-                    keep |= self.pass_block(rel, reach, proc, b);
+                    keep |= self.pass_block(rel, proc, b, next);
                 }
-                if keep {
-                    for (c, _) in arms {
-                        if let Some(c) = c {
-                            self.join_expr(rel, reach, proc, *c);
-                        }
-                    }
+                if keep && !kept {
+                    guards().for_each(|c| self.join_expr(rel, proc, c));
                 }
                 keep
             }
@@ -728,523 +507,170 @@ impl<'p> Ctx<'p> {
                 body,
                 ..
             } => {
-                let mut keep = rel.locals[proc as usize].get(*var)
-                    || self.expr_relevant(rel, reach, proc, *start)
-                    || self.expr_relevant(rel, reach, proc, *end)
-                    || step.is_some_and(|e| self.expr_relevant(rel, reach, proc, e));
-                keep |= self.pass_block(rel, reach, proc, body);
-                if keep {
+                let bounds = || [*start, *end].into_iter().chain(*step);
+                let mut keep = kept
+                    || rel.locals[proc as usize].contains(*var as usize)
+                    || bounds().any(|e| self.expr_relevant(rel, proc, e));
+                keep |= self.pass_block(rel, proc, body, next);
+                if keep && !kept {
                     rel.add_local(proc, *var);
-                    self.join_expr(rel, reach, proc, *start);
-                    self.join_expr(rel, reach, proc, *end);
-                    if let Some(e) = step {
-                        self.join_expr(rel, reach, proc, *e);
-                    }
+                    bounds().for_each(|e| self.join_expr(rel, proc, e));
                 }
                 keep
             }
             CStmt::DoWhile { cond, body, .. } => {
-                let mut keep = self.expr_relevant(rel, reach, proc, *cond);
-                keep |= self.pass_block(rel, reach, proc, body);
-                if keep {
+                let mut keep = kept || self.expr_relevant(rel, proc, *cond);
+                keep |= self.pass_block(rel, proc, body, next);
+                if keep && !kept {
                     // Guard reads join R, which keeps every statement
                     // defining them — including inside this body — so
                     // the loop terminates exactly as the full program.
-                    self.join_expr(rel, reach, proc, *cond);
+                    self.join_expr(rel, proc, *cond);
                 }
                 keep
             }
-        }
-    }
-
-    /// Does executing a call to `site` have effects the slice observes?
-    fn call_relevant(&self, rel: &Rel, reach: &[bool], proc: u32, site: u32) -> bool {
-        let cs: &CallSite = &self.p.sites[site as usize];
-        self.summary_relevant(rel, reach, cs.proc)
-            || cs.copyout.iter().any(|(_, pl)| {
-                self.place_hits(rel, proc, pl) || matches!(pl, CPlace::Invalid { .. })
-            })
-            || cs
-                .args
-                .iter()
-                .any(|&a| self.expr_relevant(rel, reach, proc, a))
-            || cs
-                .copyout
-                .iter()
-                .any(|(_, pl)| self.place_sub_relevant(rel, reach, proc, pl))
-    }
-
-    fn summary_relevant(&self, rel: &Rel, reach: &[bool], callee: u32) -> bool {
-        let s = &self.ix.summaries[callee as usize];
-        s.may_error
-            || reach[callee as usize]
-            || (s.writes_pbuf && rel.pbuf)
-            || (s.draws && rel.prng)
-            || s.gwrites.intersects(&rel.globals)
-    }
-
-    /// Whether evaluating `e` has effects that force keeping its
-    /// statement: a deferred error, or a (possibly nested) call whose
-    /// callee's transitive summary is relevant or whose copy-out writes
-    /// a relevant caller location.
-    fn expr_relevant(&self, rel: &Rel, reach: &[bool], proc: u32, e: EId) -> bool {
-        match &self.p.exprs[e as usize] {
-            CExpr::ErrorExpr { .. } => true,
-            CExpr::CallFn { site } => self.call_relevant(rel, reach, proc, *site),
-            CExpr::Index { sub, fallback, .. } => {
-                self.expr_relevant(rel, reach, proc, *sub)
-                    || match fallback.as_deref() {
-                        Some(CallForm::Function(site)) => {
-                            self.call_relevant(rel, reach, proc, *site)
-                        }
-                        Some(CallForm::Intrinsic(_, args)) => args
-                            .iter()
-                            .any(|&a| self.expr_relevant(rel, reach, proc, a)),
-                        // Unresolvable name: errors if the fallback ever
-                        // triggers — keep so failures still fire.
-                        Some(CallForm::Unknown) => true,
-                        None => false,
-                    }
-            }
-            CExpr::Intrinsic { args, .. } => args
-                .iter()
-                .any(|&a| self.expr_relevant(rel, reach, proc, a)),
-            CExpr::DerivedVar { sub, .. } => {
-                sub.is_some_and(|s| self.expr_relevant(rel, reach, proc, s))
-            }
-            CExpr::DerivedExpr { base, sub, .. } => {
-                self.expr_relevant(rel, reach, proc, *base)
-                    || sub.is_some_and(|s| self.expr_relevant(rel, reach, proc, s))
-            }
-            CExpr::Unary { e, .. } => self.expr_relevant(rel, reach, proc, *e),
-            CExpr::Binary { l, r, .. } => {
-                self.expr_relevant(rel, reach, proc, *l) || self.expr_relevant(rel, reach, proc, *r)
-            }
-            CExpr::MaybeFma { a, b, c, l, r, .. } => [*a, *b, *c, *l, *r]
-                .iter()
-                .any(|&x| self.expr_relevant(rel, reach, proc, x)),
-            CExpr::Real(_)
-            | CExpr::Int(_)
-            | CExpr::Str(_)
-            | CExpr::Logical(_)
-            | CExpr::Var { .. } => false,
-        }
-    }
-
-    /// Does `place` write at least one location already in `R`?
-    fn place_hits(&self, rel: &Rel, proc: u32, place: &CPlace) -> bool {
-        match place {
-            CPlace::Var { bind } | CPlace::Elem { bind, .. } | CPlace::Derived { bind, .. } => {
-                self.bind_hits(rel, proc, *bind)
-            }
-            CPlace::Invalid { .. } => false,
-        }
-    }
-
-    fn bind_hits(&self, rel: &Rel, proc: u32, bind: VarBind) -> bool {
-        match bind {
-            VarBind::Local(s) => rel.locals[proc as usize].get(s),
-            VarBind::LocalOrGlobal(s, g) => rel.locals[proc as usize].get(s) || rel.globals.get(g),
-            VarBind::Global(g) => rel.globals.get(g),
-        }
-    }
-
-    /// Do a place's subscript expressions carry relevant effects?
-    fn place_sub_relevant(&self, rel: &Rel, reach: &[bool], proc: u32, place: &CPlace) -> bool {
-        match place {
-            CPlace::Elem { sub, .. } => self.expr_relevant(rel, reach, proc, *sub),
-            CPlace::Derived { sub, .. } => {
-                sub.is_some_and(|s| self.expr_relevant(rel, reach, proc, s))
-            }
-            _ => false,
-        }
-    }
-
-    // ----- closure joins --------------------------------------------------
-
-    /// Binding read/write: `LocalOrGlobal` dispatches on slot liveness at
-    /// runtime, so both locations join (definedness must match the full
-    /// program for the dispatch — and therefore the access — to agree).
-    fn join_bind(&self, rel: &mut Rel, proc: u32, bind: VarBind) {
-        match bind {
-            VarBind::Local(s) => rel.add_local(proc, s),
-            VarBind::LocalOrGlobal(s, g) => {
-                rel.add_local(proc, s);
-                rel.add_global(g);
-            }
-            VarBind::Global(g) => rel.add_global(g),
-        }
-    }
-
-    /// Kept-statement write targets join `R` (write-closure): partial
-    /// updates (`a(i) = v`, `x%f = v`) read their container, and keeping
-    /// every def of a written location is what makes `R` self-consistent.
-    fn join_place(&self, rel: &mut Rel, reach: &[bool], proc: u32, place: &CPlace) {
-        match place {
-            CPlace::Var { bind } => self.join_bind(rel, proc, *bind),
-            CPlace::Elem { bind, sub, .. } => {
-                self.join_bind(rel, proc, *bind);
-                self.join_expr(rel, reach, proc, *sub);
-            }
-            CPlace::Derived { bind, sub, .. } => {
-                self.join_bind(rel, proc, *bind);
-                if let Some(s) = sub {
-                    self.join_expr(rel, reach, proc, *s);
+            _ if kept => true,
+            // Straight-line statements stay when any of their effects is
+            // relevant, and then everything they touch joins `R`.
+            _ => {
+                let p = self.p;
+                let keep = walk_stmt(p, s, &mut |e| self.relevant(rel, proc, e)).is_break();
+                if keep {
+                    let _ = walk_stmt(p, s, &mut |e| self.join(rel, proc, e));
                 }
+                keep
             }
-            CPlace::Invalid { .. } => {}
+        };
+        if keep && !kept {
+            rel.keep(proc, id);
         }
+        keep
     }
 
-    /// An executed call: callee becomes live, its result and copy-out
-    /// source slots are read, argument expressions are evaluated in the
-    /// caller, and copy-out targets are caller writes.
-    fn join_call(&self, rel: &mut Rel, reach: &[bool], proc: u32, site: u32) {
-        let cs: &CallSite = &self.p.sites[site as usize];
-        rel.mark_live(cs.proc);
-        if let Some(r) = self.p.procs[cs.proc as usize].result_slot {
-            rel.add_local(cs.proc, r);
-        }
-        for &a in &cs.args {
-            self.join_expr(rel, reach, proc, a);
-        }
-        for (dummy, pl) in &cs.copyout {
-            rel.add_local(cs.proc, *dummy);
-            self.join_place(rel, reach, proc, pl);
-        }
+    /// Whether evaluating `e` has an effect that forces keeping its
+    /// statement.
+    fn expr_relevant(&self, rel: &Rel, proc: u32, e: EId) -> bool {
+        walk_expr(self.p, e, &mut |ef| self.relevant(rel, proc, ef)).is_break()
     }
 
     /// Joins every location an executed expression reads (full
     /// read-closure: kept code must never read a location outside `R`,
     /// or its value — and even its definedness — could diverge).
-    fn join_expr(&self, rel: &mut Rel, reach: &[bool], proc: u32, e: EId) {
-        match &self.p.exprs[e as usize] {
-            CExpr::Var { bind, .. } => self.join_bind(rel, proc, *bind),
-            CExpr::Index {
-                bind,
-                sub,
-                fallback,
-                ..
-            } => {
-                self.join_bind(rel, proc, *bind);
-                self.join_expr(rel, reach, proc, *sub);
-                match fallback.as_deref() {
-                    Some(CallForm::Function(site)) => self.join_call(rel, reach, proc, *site),
-                    Some(CallForm::Intrinsic(_, args)) => {
-                        for &a in args {
-                            self.join_expr(rel, reach, proc, a);
-                        }
-                    }
-                    _ => {}
-                }
+    fn join_expr(&self, rel: &mut Rel, proc: u32, e: EId) {
+        let _ = walk_expr(self.p, e, &mut |ef| self.join(rel, proc, ef));
+    }
+
+    /// `Break` when one effect forces keeping its statement: a write to a
+    /// location in `R`; a call whose callee may raise, reaches a capture
+    /// proc, or may write a location in `R`; a draw once the PRNG stream
+    /// is relevant; a physics-buffer write once the buffer is; any
+    /// history write under the history capture (sampling queries never
+    /// read histories, so there an `outfld` stays only for its operands'
+    /// effects); a deferred error, so that failures still fire.
+    fn relevant(&self, rel: &Rel, proc: u32, e: Effect<'_>) -> Flow {
+        let keep = match e {
+            Effect::Write { bind, .. } => rel.hits(proc, bind),
+            Effect::Call(site) => {
+                let callee = self.p.sites[site as usize].proc;
+                let s = self.fx.proc(callee);
+                s.may_raise
+                    || self.reach[callee as usize]
+                    || (s.writes_pbuf && rel.pbuf)
+                    || (s.draws && rel.prng)
+                    || s.global_writes.intersects(&rel.globals)
             }
-            CExpr::CallFn { site } => self.join_call(rel, reach, proc, *site),
-            CExpr::Intrinsic { args, .. } => {
-                for &a in args {
-                    self.join_expr(rel, reach, proc, a);
-                }
-            }
-            CExpr::DerivedVar { bind, sub, .. } => {
-                self.join_bind(rel, proc, *bind);
-                if let Some(s) = sub {
-                    self.join_expr(rel, reach, proc, *s);
-                }
-            }
-            CExpr::DerivedExpr { base, sub, .. } => {
-                self.join_expr(rel, reach, proc, *base);
-                if let Some(s) = sub {
-                    self.join_expr(rel, reach, proc, *s);
-                }
-            }
-            CExpr::Unary { e, .. } => self.join_expr(rel, reach, proc, *e),
-            CExpr::Binary { l, r, .. } => {
-                self.join_expr(rel, reach, proc, *l);
-                self.join_expr(rel, reach, proc, *r);
-            }
-            CExpr::MaybeFma { a, b, c, l, r, .. } => {
-                for &x in &[*a, *b, *c, *l, *r] {
-                    self.join_expr(rel, reach, proc, x);
-                }
-            }
-            CExpr::Real(_)
-            | CExpr::Int(_)
-            | CExpr::Str(_)
-            | CExpr::Logical(_)
-            | CExpr::ErrorExpr { .. } => {}
+            Effect::Outfld(_) => self.history,
+            // The PRNG stream is one shared location: once any draw is
+            // relevant, every draw stays (sequence positions matter).
+            Effect::Draw => rel.prng,
+            Effect::PbufWrite => rel.pbuf,
+            Effect::Error => true,
+            Effect::Read { .. } | Effect::PbufRead => false,
+        };
+        if keep {
+            Break(())
+        } else {
+            Continue(())
         }
     }
 
-    // ----- materialization ------------------------------------------------
+    /// Joins what one executed effect touches into `R` (write-closure
+    /// too: partial updates read their container, and keeping every def
+    /// of a written location is what makes `R` self-consistent). An
+    /// executed call makes the callee live and reads its result and
+    /// copy-out source slots; a draw makes the PRNG stream relevant, a
+    /// `pbuf_get` the physics buffer.
+    fn join(&self, rel: &mut Rel, proc: u32, e: Effect<'_>) -> Flow {
+        match e {
+            Effect::Read { bind, .. } | Effect::Write { bind, .. } => rel.add_bind(proc, bind),
+            Effect::Call(site) => {
+                let cs = &self.p.sites[site as usize];
+                rel.mark_live(cs.proc);
+                if let Some(r) = self.p.procs[cs.proc as usize].result_slot {
+                    rel.add_local(cs.proc, r);
+                }
+                for (dummy, _) in &cs.copyout {
+                    rel.add_local(cs.proc, *dummy);
+                }
+            }
+            Effect::Draw => rel.add_prng(),
+            Effect::PbufRead => rel.add_pbuf(),
+            Effect::Outfld(_) | Effect::PbufWrite | Effect::Error => {}
+        }
+        Continue(())
+    }
+}
 
-    /// Rebuilds a block keeping exactly the statements the (stable)
-    /// relevance set decided on. `rel` is passed mutably only so the keep
-    /// logic is shared verbatim with the fixpoint pass; at a stable
-    /// fixpoint the joins are no-ops.
-    fn prune_block(
-        &self,
-        rel: &mut Rel,
-        reach: &[bool],
-        proc: u32,
-        body: &[CStmt],
-        total: &mut usize,
-        kept: &mut usize,
-    ) -> Box<[CStmt]> {
-        let mut out = Vec::new();
-        for s in body {
-            *total += 1;
-            let keep = self.pass_stmt(rel, reach, proc, s);
+/// Rebuilds a block keeping exactly the statements the fixpoint kept
+/// (`keep`, by preorder index within the proc; a dead proc keeps
+/// nothing). `next` counts the statements visited.
+fn prune_block(body: &[CStmt], keep: &[bool], next: &mut usize, kept: &mut usize) -> Box<[CStmt]> {
+    let mut out = Vec::new();
+    for s in body {
+        let k = keep.get(*next) == Some(&true);
+        *next += 1;
+        let mut prune = |b: &[CStmt]| prune_block(b, keep, next, kept);
+        if !k {
+            // A dropped statement's nested statements are dropped too:
+            // count them without building anything.
             match s {
-                CStmt::If { arms, line } => {
-                    let pruned: PrunedArms = arms
-                        .iter()
-                        .map(|(c, b)| (*c, self.prune_block(rel, reach, proc, b, total, kept)))
-                        .collect();
-                    if keep {
-                        *kept += 1;
-                        out.push(CStmt::If {
-                            arms: pruned,
-                            line: *line,
-                        });
-                    }
-                }
-                CStmt::Do {
-                    var,
-                    start,
-                    end,
-                    step,
-                    body,
-                    line,
-                } => {
-                    let pruned = self.prune_block(rel, reach, proc, body, total, kept);
-                    if keep {
-                        *kept += 1;
-                        out.push(CStmt::Do {
-                            var: *var,
-                            start: *start,
-                            end: *end,
-                            step: *step,
-                            body: pruned,
-                            line: *line,
-                        });
-                    }
-                }
-                CStmt::DoWhile { cond, body, line } => {
-                    let pruned = self.prune_block(rel, reach, proc, body, total, kept);
-                    if keep {
-                        *kept += 1;
-                        out.push(CStmt::DoWhile {
-                            cond: *cond,
-                            body: pruned,
-                            line: *line,
-                        });
-                    }
-                }
-                other => {
-                    if keep {
-                        *kept += 1;
-                        out.push(other.clone());
-                    }
-                }
+                CStmt::If { arms, .. } => arms.iter().for_each(|(_, b)| drop(prune(b))),
+                CStmt::Do { body, .. } | CStmt::DoWhile { body, .. } => drop(prune(body)),
+                _ => {}
             }
+            continue;
         }
-        out.into_boxed_slice()
-    }
-}
-
-// ----- direct per-proc fact collection -----------------------------------
-
-/// One proc's direct (non-transitive) effect facts, gathered in a single
-/// walk over its body, init templates, and every call site it references
-/// (including argument and copy-out subexpressions).
-struct Facts<'a, 'p> {
-    p: &'p Program,
-    sum: Summary,
-    callees: Vec<u32>,
-    derived_writers: &'a mut HashMap<Arc<str>, Vec<u32>>,
-}
-
-impl Facts<'_, '_> {
-    fn template(&mut self, tpl: &LocalTemplate) {
-        match tpl {
-            LocalTemplate::Array(extents) => {
-                for &e in extents {
-                    self.expr(e);
-                }
-            }
-            LocalTemplate::Int(Some(e))
-            | LocalTemplate::Logic(Some(e))
-            | LocalTemplate::Char(Some(e))
-            | LocalTemplate::RealVal(Some(e)) => self.expr(*e),
-            LocalTemplate::Error(..) => self.sum.may_error = true,
-            _ => {}
-        }
-    }
-
-    fn block(&mut self, body: &[CStmt]) {
-        for s in body {
-            self.stmt(s);
-        }
-    }
-
-    fn stmt(&mut self, s: &CStmt) {
-        match s {
-            CStmt::Assign { place, value, .. } => {
-                self.place(place);
-                self.expr(*value);
-            }
-            CStmt::Call { site, .. } => self.site(*site),
-            CStmt::Outfld { data, ncol, .. } => {
-                self.sum.writes_history = true;
-                self.expr(*data);
-                if let Some(n) = ncol {
-                    self.expr(*n);
-                }
-            }
-            CStmt::RandomNumber { current, place, .. } => {
-                self.sum.draws = true;
-                self.place(place);
-                self.expr(*current);
-            }
-            CStmt::PbufSet { idx, data, .. } => {
-                self.sum.writes_pbuf = true;
-                self.expr(*idx);
-                self.expr(*data);
-            }
-            CStmt::PbufGet {
-                idx,
-                current,
-                place,
-                ..
-            } => {
-                self.place(place);
-                self.expr(*idx);
-                self.expr(*current);
-            }
-            CStmt::If { arms, .. } => {
-                for (c, b) in arms {
-                    if let Some(c) = c {
-                        self.expr(*c);
-                    }
-                    self.block(b);
-                }
-            }
+        let pruned = match s {
+            CStmt::If { arms, line } => CStmt::If {
+                arms: arms.iter().map(|(c, b)| (*c, prune(b))).collect(),
+                line: *line,
+            },
             CStmt::Do {
+                var,
                 start,
                 end,
                 step,
                 body,
-                ..
-            } => {
-                self.expr(*start);
-                self.expr(*end);
-                if let Some(e) = step {
-                    self.expr(*e);
-                }
-                self.block(body);
-            }
-            CStmt::DoWhile { cond, body, .. } => {
-                self.expr(*cond);
-                self.block(body);
-            }
-            CStmt::ErrorStmt { .. } => self.sum.may_error = true,
-            CStmt::Return | CStmt::Exit | CStmt::Cycle | CStmt::Nop => {}
-        }
+                line,
+            } => CStmt::Do {
+                var: *var,
+                start: *start,
+                end: *end,
+                step: *step,
+                body: prune(body),
+                line: *line,
+            },
+            CStmt::DoWhile { cond, body, line } => CStmt::DoWhile {
+                cond: *cond,
+                body: prune(body),
+                line: *line,
+            },
+            other => other.clone(),
+        };
+        *kept += 1;
+        out.push(pruned);
     }
-
-    fn site(&mut self, site: u32) {
-        let cs: &CallSite = &self.p.sites[site as usize];
-        self.callees.push(cs.proc);
-        for &a in &cs.args {
-            self.expr(a);
-        }
-        for (_, pl) in &cs.copyout {
-            self.place(pl);
-        }
-    }
-
-    fn place(&mut self, place: &CPlace) {
-        match place {
-            CPlace::Var { bind } => self.bind_write(*bind),
-            CPlace::Elem { bind, sub, .. } => {
-                self.bind_write(*bind);
-                self.expr(*sub);
-            }
-            CPlace::Derived {
-                bind, field, sub, ..
-            } => {
-                self.bind_write(*bind);
-                if let Some(s) = sub {
-                    self.expr(*s);
-                }
-                // The module-level capture scan can observe this field
-                // through any derived global: remember the write target.
-                if let VarBind::LocalOrGlobal(_, g) | VarBind::Global(g) = bind {
-                    let slots = self.derived_writers.entry(field.clone()).or_default();
-                    if !slots.contains(g) {
-                        slots.push(*g);
-                    }
-                }
-            }
-            CPlace::Invalid { .. } => self.sum.may_error = true,
-        }
-    }
-
-    fn bind_write(&mut self, bind: VarBind) {
-        if let VarBind::LocalOrGlobal(_, g) | VarBind::Global(g) = bind {
-            self.sum.gwrites.set(g);
-        }
-    }
-
-    fn expr(&mut self, e: EId) {
-        match &self.p.exprs[e as usize] {
-            CExpr::ErrorExpr { .. } => self.sum.may_error = true,
-            CExpr::CallFn { site } => self.site(*site),
-            CExpr::Index { sub, fallback, .. } => {
-                self.expr(*sub);
-                match fallback.as_deref() {
-                    Some(CallForm::Function(site)) => self.site(*site),
-                    Some(CallForm::Intrinsic(_, args)) => {
-                        for &a in args {
-                            self.expr(a);
-                        }
-                    }
-                    Some(CallForm::Unknown) => self.sum.may_error = true,
-                    None => {}
-                }
-            }
-            CExpr::Intrinsic { args, .. } => {
-                for &a in args {
-                    self.expr(a);
-                }
-            }
-            CExpr::DerivedVar { sub, .. } => {
-                if let Some(s) = sub {
-                    self.expr(*s);
-                }
-            }
-            CExpr::DerivedExpr { base, sub, .. } => {
-                self.expr(*base);
-                if let Some(s) = sub {
-                    self.expr(*s);
-                }
-            }
-            CExpr::Unary { e, .. } => self.expr(*e),
-            CExpr::Binary { l, r, .. } => {
-                self.expr(*l);
-                self.expr(*r);
-            }
-            CExpr::MaybeFma { a, b, c, l, r, .. } => {
-                for &x in &[*a, *b, *c, *l, *r] {
-                    self.expr(x);
-                }
-            }
-            CExpr::Real(_)
-            | CExpr::Int(_)
-            | CExpr::Str(_)
-            | CExpr::Logical(_)
-            | CExpr::Var { .. } => {}
-        }
-    }
+    out.into_boxed_slice()
 }
 
 #[cfg(test)]

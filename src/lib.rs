@@ -82,9 +82,10 @@
 //! of what it captures, through three stacked mechanisms that live
 //! entirely behind the unchanged [`rca::Oracle`] surface:
 //!
-//! - **Slice specialization** ([`sim::specialize_with`] over a cached
-//!   [`sim::SpecIndex`]): the query's capture set is backward-sliced at
-//!   the statement level and the program is re-materialized with every
+//! - **Slice specialization** ([`sim::specialize_for_samples`] over the
+//!   program's cached effect summary, [`sim::Program::effects`]): the
+//!   query's capture set is backward-sliced at the statement level and
+//!   the program is re-materialized with every
 //!   statement outside the slice pruned (control flow, PRNG draw
 //!   positions, and capture-procedure invocation counts preserved), then
 //!   re-lowered to bytecode. Specialized programs share the base
@@ -370,7 +371,9 @@
 //!   once per session; `statistics.experiment_fill`, `statistics.ect`,
 //!   `statistics.ranking`, `statistics.lasso` under `phase.statistics`;
 //!   `compile.history`, a program's history slice, under the fill that
-//!   first runs it; `refine.communities`, `refine.centrality`,
+//!   first runs it; `compile.effects`, a program's effect summary, under
+//!   whatever first needs it — the history slice, the oracle's first
+//!   specialized query or `phase.analysis_build`; `refine.communities`, `refine.centrality`,
 //!   `refine.oracle`, `refine.reinduce` under `phase.refine`). One
 //!   diagnosis runs under a `diagnose` span; progress points are
 //!   dot-namespaced events (`refine.iter`, `scenario`,

@@ -54,6 +54,7 @@ fn span_tree_covers_every_pipeline_phase() {
         "compile.lower",
         "compile.bytecode",
         "compile.history",
+        "compile.effects",
         "refine.communities",
         "refine.centrality",
         "refine.oracle",
@@ -87,7 +88,8 @@ fn span_tree_covers_every_pipeline_phase() {
     // `phase.statistics`; the compile steps under `phase.compile`
     // (bytecode emission inside lowering); and each program's history
     // slice under the fill that first runs it (the base program's under
-    // the control fill, the mutant's under the experimental fill).
+    // the control fill, the mutant's under the experimental fill), with
+    // the program's effect summary built inside it.
     for (parent, children) in [
         (
             "phase.refine",
@@ -112,6 +114,7 @@ fn span_tree_covers_every_pipeline_phase() {
         ("compile.lower", &["compile.bytecode"][..]),
         ("phase.ensemble_fill", &["compile.history"][..]),
         ("statistics.experiment_fill", &["compile.history"][..]),
+        ("compile.history", &["compile.effects"][..]),
     ] {
         let under = collector.children_of(parent);
         for child in children {
