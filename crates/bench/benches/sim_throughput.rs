@@ -14,9 +14,9 @@ use rca_core::{PipelineOptions, RcaPipeline};
 use rca_metagraph::NodeKind;
 use rca_model::{Component, Experiment, ModelFile, ModelSource};
 use rca_sim::{
-    compile_model, compile_variant, parse_model, perturbations, run_ensemble_program, run_loaded,
-    run_program, specialize_for_history, specialize_for_samples, EnsembleRuns, Interpreter,
-    Program, RunConfig, SampleSpec, Specialized,
+    compile_model, compile_variant, parse_model, perturbations, run_loaded, run_program,
+    specialize_for_history, specialize_for_samples, EnsembleRuns, Interpreter, Program, RunConfig,
+    SampleSpec, Specialized,
 };
 use serde::{Json, Serialize as _};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -107,14 +107,13 @@ fn main() {
     }
     let tree_s = t0.elapsed().as_secs_f64() / repeat as f64;
 
-    // Ensemble over the shared program (legacy-compatible materializing
-    // path, still store-backed underneath).
+    // Ensemble over the shared program, filled into the columnar store.
     let n_members = 16usize;
     let perts = perturbations(n_members, 1e-14, 0xC1);
     let t0 = Instant::now();
-    let ens = run_ensemble_program(&program, &cfg, &perts).expect("ensemble");
+    let ens = EnsembleRuns::run(&program, &cfg, &perts).expect("ensemble");
     let ens_s = t0.elapsed().as_secs_f64();
-    assert_eq!(ens.len(), n_members);
+    assert_eq!(ens.members(), n_members);
 
     // ----- ensemble memory + throughput: store vs clone-per-run ---------
     //

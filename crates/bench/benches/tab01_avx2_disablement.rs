@@ -7,8 +7,9 @@
 
 use rca_bench::{bench_pipeline, header};
 use rca_core::{avx2_policy, DisablementPolicy, ModuleRanking};
-use rca_sim::{outputs_matrix, perturbations, run_ensemble, RunConfig};
-use rca_stats::{Ect, EctConfig, Matrix};
+use rca_sim::{compile_model, perturbations, EnsembleRuns, Program, RunConfig};
+use rca_stats::{Ect, EctConfig};
+use std::sync::Arc;
 
 fn main() {
     header(
@@ -27,13 +28,17 @@ fn main() {
         steps,
         ..Default::default()
     };
-    let ens = run_ensemble(&model, &ctl, &perturbations(48, 1e-14, 0xC1)).expect("ensemble");
-    let (_, rows) = outputs_matrix(&ens, steps - 1);
+    // One compile serves the control ensemble and every policy's runs;
+    // every matrix gathers the control ensemble's keep set, so each
+    // evaluated column is the column the ECT was fitted on.
+    let program = compile_model(&model).expect("compile");
+    let ens = EnsembleRuns::run(&program, &ctl, &perturbations(48, 1e-14, 0xC1)).expect("ensemble");
+    let kept = ens.finite_outputs_at(steps - 1);
     // Calibration: the FMA signal lives in the mid PCs (10-15); a 3-sigma
     // bound keeps the false-positive (all-off) rate at the paper's ~2%
     // level across unseen initial-condition seeds.
     let ect = Ect::fit(
-        &Matrix::from_row_slices(&rows),
+        &ens.matrix_at(steps - 1, &kept),
         EctConfig {
             n_pcs: 15,
             sigma_factor: 3.0,
@@ -73,34 +78,41 @@ fn main() {
                 let mut total = 0.0;
                 for seed in 1..=4u64 {
                     total += failure_rate(
-                        &model,
+                        &program,
+                        &kept,
                         &ect,
                         &ctl,
                         avx2_policy(DisablementPolicy::DisableRandom(k, seed), &ranking, &loc),
-                        steps,
                         seed,
                     );
                 }
                 total / 4.0
             }
-            p => failure_rate(&model, &ect, &ctl, avx2_policy(p, &ranking, &loc), steps, 7),
+            p => failure_rate(
+                &program,
+                &kept,
+                &ect,
+                &ctl,
+                avx2_policy(p, &ranking, &loc),
+                7,
+            ),
         };
         println!("{:<44} {:>13.0}%", label, rate * 100.0);
     }
 }
 
 fn failure_rate(
-    model: &rca_model::ModelSource,
+    program: &Arc<Program>,
+    kept: &[u32],
     ect: &Ect,
     ctl: &RunConfig,
     avx2: rca_sim::Avx2Policy,
-    steps: u32,
     seed: u64,
 ) -> f64 {
     let mut cfg = ctl.clone();
     cfg.avx2 = avx2;
     cfg.fma_scale = 1.0; // bit-true FMA
-    let runs = run_ensemble(model, &cfg, &perturbations(12, 1e-14, 0xE0 ^ seed)).expect("runs");
-    let (_, rows) = outputs_matrix(&runs, steps - 1);
-    ect.failure_rate(&Matrix::from_row_slices(&rows), 3)
+    let runs =
+        EnsembleRuns::run(program, &cfg, &perturbations(12, 1e-14, 0xE0 ^ seed)).expect("runs");
+    ect.failure_rate(&runs.matrix_at(ctl.steps - 1, kept), 3)
 }

@@ -1,18 +1,20 @@
 //! Resumable campaigns: the append-only JSONL checkpoint.
 //!
-//! A campaign is a pure function of `(model, options, seed)`, so any
-//! prefix of its per-scenario results is reusable as long as the plan it
-//! came from is provably the same. This module makes that concrete:
+//! A campaign is a pure function of `(model, options, seed)` and the
+//! session settings, so any prefix of its per-scenario results is
+//! reusable as long as all of those are provably the same. This module
+//! makes that concrete:
 //!
-//! - [`plan_digest`] fingerprints the generation parameters **and** the
-//!   planned scenario names (FNV-1a), so a checkpoint written under one
-//!   plan can never silently feed a different one;
+//! - [`run_digest`] fingerprints the generation parameters, the planned
+//!   scenario names, the model source and every session setting that can
+//!   change a result (FNV-1a), so a checkpoint written under one plan or
+//!   setting can never silently feed another;
 //! - [`Checkpoint`] appends one self-describing JSONL line per finished
 //!   scenario — `{"v":1,"seed":…,"digest":…,"index":…,"result":{…}}` —
 //!   flushed per record so a killed process loses at most the line it
 //!   was writing;
 //! - [`load_checkpoint`] replays a checkpoint file, keeping only lines
-//!   whose `(seed, digest)` key matches the current plan and silently
+//!   whose `(seed, digest)` key matches the current run and silently
 //!   dropping a torn final line (the crash case it exists for).
 //!
 //! The `result` payload is the scorecard's own deterministic JSON export
@@ -23,8 +25,10 @@
 //! scorecard is byte-identical to an uninterrupted run's.
 
 use crate::mutate::{CampaignOptions, CampaignScenario};
+use crate::runner::RunnerOptions;
 use crate::scorecard::{AbsorbedError, ScenarioResult};
 use rca_core::StopReason;
+use rca_model::ModelSource;
 use rca_stats::Verdict;
 use serde::{Json, Serialize};
 use serde_json::Value;
@@ -56,11 +60,21 @@ impl Fnv {
     }
 }
 
-/// Fingerprints a campaign plan: every generation knob plus the planned
-/// scenario identities. Two campaigns share a digest iff their plans are
+/// Fingerprints a campaign run: every generation knob, the planned
+/// scenario identities, the model source ([`ModelSource::content_hash`])
+/// and the runner settings that can change a result (`setup`, `oracle`,
+/// `wall_budget`). Two runs share a digest iff their results are
 /// interchangeable, which is the precondition for reusing each other's
-/// checkpointed results.
-pub fn plan_digest(opts: &CampaignOptions, plan: &[CampaignScenario]) -> u64 {
+/// checkpointed results; `checkpoint`, `stop_after` and `oracle_fastpath`
+/// stay out because by contract they never change a result. The settings
+/// enter through their `Debug` rendering, which prints every field, so a
+/// field added to `ExperimentSetup` joins the key by itself.
+pub fn run_digest(
+    model: &ModelSource,
+    runner: &RunnerOptions,
+    opts: &CampaignOptions,
+    plan: &[CampaignScenario],
+) -> u64 {
     let mut h = Fnv::new();
     h.write_u64(opts.scenarios as u64);
     h.write_u64(opts.seed);
@@ -75,6 +89,12 @@ pub fn plan_digest(opts: &CampaignOptions, plan: &[CampaignScenario]) -> u64 {
         h.write(cs.detail.as_bytes());
         h.write_u64(cs.scenario.config.faults.digest());
     }
+    h.write_u64(model.content_hash());
+    let settings = format!(
+        "{:?}|{:?}|{:?}",
+        runner.setup, runner.oracle, runner.wall_budget
+    );
+    h.write(settings.as_bytes());
     h.0
 }
 

@@ -26,7 +26,7 @@
 //!    [`AbsorbedError`] taxonomy (kind slug + retryability), and
 //!    scenarios diagnosed from a degraded ensemble quorum are flagged.
 //! 4. [`checkpoint`] — resumable campaigns: an append-only JSONL
-//!    checkpoint keyed by `(seed, plan digest, index)` streams results
+//!    checkpoint keyed by `(seed, run digest, index)` streams results
 //!    as they complete; a restarted campaign skips what already ran and
 //!    its merged scorecard is byte-identical to an uninterrupted run's.
 //!
@@ -67,7 +67,7 @@ pub mod mutate;
 pub mod runner;
 pub mod scorecard;
 
-pub use checkpoint::{load_checkpoint, plan_digest, Checkpoint};
+pub use checkpoint::{load_checkpoint, run_digest, Checkpoint};
 pub use mutate::{
     campaign_sites, mutate_site, paper_scenario, plan_campaign, CampaignOptions, CampaignRng,
     CampaignScenario, MutationKind, ScenarioClass,

@@ -25,9 +25,10 @@
 //! fastpath cross-check).
 //!
 //! `--checkpoint PATH` makes the campaign resumable: finished scenarios
-//! stream to an append-only JSONL file and a rerun with the same plan
-//! skips them (`--stop-after N` is the deterministic interruption used
-//! by the CI kill-and-resume gate).
+//! stream to an append-only JSONL file and a rerun with the same plan,
+//! model and result-changing settings (scale, `--oracle`, `--fuel`,
+//! `--wall-budget-ms`) skips them (`--stop-after N` is the deterministic
+//! interruption used by the CI kill-and-resume gate).
 //!
 //! The JSON artifact is deterministic for a given seed (timing excluded),
 //! so CI can both diff it and assert quality floors via the `--assert-*`

@@ -24,7 +24,7 @@
 //! plan order on restart, and the merged scorecard is byte-identical to
 //! an uninterrupted run's.
 
-use crate::checkpoint::{load_checkpoint, plan_digest, Checkpoint};
+use crate::checkpoint::{load_checkpoint, run_digest, Checkpoint};
 use crate::mutate::{plan_campaign, CampaignOptions, CampaignScenario};
 use crate::scorecard::{AbsorbedError, ScenarioResult, Scorecard};
 use rayon::prelude::*;
@@ -49,10 +49,10 @@ pub struct RunnerOptions {
     pub oracle_fastpath: bool,
     /// Append-only JSONL checkpoint path. When set, every finished
     /// scenario is streamed to this file as it completes, and scenarios
-    /// already recorded there (for the same seed and plan digest) are
-    /// restored instead of re-run — an interrupted campaign resumes
-    /// where it stopped, and the merged scorecard is byte-identical to
-    /// an uninterrupted run's.
+    /// already recorded there (for the same seed and run digest: plan,
+    /// model and result-changing settings) are restored instead of
+    /// re-run — an interrupted campaign resumes where it stopped, and the
+    /// merged scorecard is byte-identical to an uninterrupted run's.
     pub checkpoint: Option<PathBuf>,
     /// Diagnose at most this many **new** scenarios (checkpoint-restored
     /// ones don't count), then stop. The deterministic interruption
@@ -99,8 +99,8 @@ pub fn run_campaign(
     rca_obs::event("campaign.plan", &[("scenarios", plan.len().into())]);
 
     // Checkpoint restore: results recorded under the identical (seed,
-    // plan digest) key are reused; everything else runs fresh.
-    let digest = plan_digest(opts, &plan);
+    // run digest) key are reused; everything else runs fresh.
+    let digest = run_digest(model, runner, opts, &plan);
     let ckpt_io = |e: std::io::Error| RcaError::Config(format!("checkpoint unusable: {e}"));
     let (mut completed, ckpt) = match &runner.checkpoint {
         Some(path) => {

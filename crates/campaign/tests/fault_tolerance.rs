@@ -6,7 +6,7 @@
 
 use proptest::prelude::*;
 use rca_campaign::{run_campaign, CampaignOptions, RunnerOptions};
-use rca_core::{ExperimentSetup, RcaError, RcaSession, Scenario};
+use rca_core::{ExperimentSetup, OracleKind, RcaError, RcaSession, Scenario};
 use rca_model::{generate, ModelConfig, ModelSource};
 use rca_sim::{Fault, FaultKind, FaultPlan};
 use std::sync::{Arc, OnceLock};
@@ -190,6 +190,60 @@ fn interrupted_checkpointed_campaign_resumes_byte_identically() {
         serde_json::to_string_pretty(&replayed).unwrap(),
         serde_json::to_string_pretty(&reference).unwrap()
     );
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn checkpoint_never_restores_results_of_other_session_settings() {
+    let (model, _) = fixture();
+    let opts = CampaignOptions {
+        scenarios: 6,
+        seed: 0xFACE,
+        ..Default::default()
+    };
+    let path = std::env::temp_dir().join(format!("rca-foreign-{}.jsonl", std::process::id()));
+    let _ = std::fs::remove_file(&path);
+    let written = RunnerOptions {
+        checkpoint: Some(path.clone()),
+        stop_after: Some(3),
+        ..Default::default()
+    };
+    let partial = run_campaign(model, &opts, &written).expect("campaign");
+    assert_eq!(partial.results.len(), 3);
+    // Same plan, same settings: the three results come back without a
+    // fresh run.
+    let same = RunnerOptions {
+        stop_after: Some(0),
+        ..written.clone()
+    };
+    let restored = run_campaign(model, &opts, &same).expect("campaign");
+    assert_eq!(restored.results.len(), 3, "same settings restore");
+    // Same plan under a setting that can change a result: nothing of the
+    // recorded results may be restored.
+    let mut fueled = ExperimentSetup::quick();
+    fueled.fuel = Some(2_000_000);
+    let foreign = [
+        RunnerOptions {
+            oracle: OracleKind::Runtime,
+            ..same.clone()
+        },
+        RunnerOptions {
+            setup: fueled,
+            ..same.clone()
+        },
+        RunnerOptions {
+            wall_budget: Some(Duration::from_secs(3600)),
+            ..same.clone()
+        },
+    ];
+    for runner in &foreign {
+        let card = run_campaign(model, &opts, runner).expect("campaign");
+        assert!(
+            card.results.is_empty(),
+            "restored {} results recorded under other settings",
+            card.results.len()
+        );
+    }
     let _ = std::fs::remove_file(&path);
 }
 

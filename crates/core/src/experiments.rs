@@ -243,11 +243,6 @@ pub struct EnsembleStats {
     pub matrix: Matrix,
     /// The ECT fitted to the full ensemble output set.
     pub(crate) ect: Ect,
-    /// The base program's sorted output table (`OutputId` space).
-    pub(crate) table: Arc<[Arc<str>]>,
-    /// Kept column ids (indices into `table`): finite at the evaluation
-    /// step in every surviving ensemble run.
-    pub(crate) kept: Vec<u32>,
     /// Control-fill health (all-healthy on the zero-fault path).
     pub health: EnsembleHealth,
 }
@@ -288,7 +283,7 @@ pub(crate) fn collect_ensemble(
     }
     let eval_step = setup.steps - 1;
     let kept = store.finite_outputs_at(eval_step);
-    let table = Arc::clone(base_program.output_names());
+    let table = base_program.output_names();
     let names = kept
         .iter()
         .map(|&i| table[i as usize].to_string())
@@ -302,8 +297,6 @@ pub(crate) fn collect_ensemble(
         names,
         matrix,
         ect,
-        table,
-        kept,
         health,
     })
 }
@@ -372,76 +365,45 @@ pub(crate) fn evaluate_against_ensemble(
     };
 
     let eval_step = setup.steps - 1;
-    let kept_b = exp_store.finite_outputs_at(eval_step);
-    // The experimental program almost always shares the base program's
-    // output table (mutations patch assignments, not `outfld` calls), so
-    // column intersection is pure id arithmetic and the experimental
-    // matrix memcpy-gathers straight from the store's contiguous
-    // evaluation-step planes — zero hashing, no name resolution, no
-    // per-run buffers. A variant with a different output set falls back
-    // to intersecting by name.
-    let same_table = *exp_store.output_names() == ens.table;
-    let (names, ensemble, experimental, full_match) = if same_table {
-        let mut in_b = vec![false; ens.table.len()];
-        for &i in &kept_b {
-            in_b[i as usize] = true;
-        }
-        let kept: Vec<u32> = ens
-            .kept
-            .iter()
-            .copied()
-            .filter(|&i| in_b[i as usize])
-            .collect();
-        let full_match = kept == ens.kept;
-        let names: Vec<String> = kept
-            .iter()
-            .map(|&i| ens.table[i as usize].to_string())
-            .collect();
-        let ensemble = if full_match {
-            ens.matrix.clone()
-        } else {
-            let mut pos_of = vec![usize::MAX; ens.table.len()];
-            for (p, &i) in ens.kept.iter().enumerate() {
-                pos_of[i as usize] = p;
-            }
-            let positions: Vec<usize> = kept.iter().map(|&i| pos_of[i as usize]).collect();
-            ens.matrix.gather_cols(&positions)
-        };
-        let experimental = exp_store.matrix_at(eval_step, &kept);
-        (names, ensemble, experimental, full_match)
+    // One merge over the two sorted output tables pairs each kept
+    // ensemble column with the experimental column of the same name —
+    // id for id when the tables are equal, which they almost always are
+    // (mutations patch assignments, not `outfld` calls). A column that is
+    // missing from the experiment or not finite in every surviving
+    // experimental run drops out on both sides.
+    let exp_table = exp_store.output_names();
+    let mut exp_kept = exp_store
+        .finite_outputs_at(eval_step)
+        .into_iter()
+        .peekable();
+    let (positions, exp_cols): (Vec<usize>, Vec<u32>) = ens
+        .names
+        .iter()
+        .enumerate()
+        .filter_map(|(p, name)| {
+            while exp_kept
+                .next_if(|&j| *exp_table[j as usize] < **name)
+                .is_some()
+            {}
+            exp_kept
+                .next_if(|&j| *exp_table[j as usize] == **name)
+                .map(|j| (p, j))
+        })
+        .unzip();
+    let full_match = positions.len() == ens.names.len();
+    let names: Vec<String> = positions.iter().map(|&p| ens.names[p].clone()).collect();
+    let ensemble = if full_match {
+        ens.matrix.clone()
     } else {
-        let exp_table = Arc::clone(exp_store.output_names());
-        let names_b: Vec<String> = kept_b
-            .iter()
-            .map(|&i| exp_table[i as usize].to_string())
-            .collect();
-        let names: Vec<String> = ens
-            .names
-            .iter()
-            .filter(|n| names_b.contains(n))
-            .cloned()
-            .collect();
-        let ens_pos: Vec<usize> = names
-            .iter()
-            .map(|n| ens.names.iter().position(|m| m == n).expect("intersected"))
-            .collect();
-        let ensemble = ens.matrix.gather_cols(&ens_pos);
-        let exp_cols: Vec<u32> = names
-            .iter()
-            .map(|n| {
-                let p = names_b.iter().position(|m| m == n).expect("intersected");
-                kept_b[p]
-            })
-            .collect();
-        let experimental = exp_store.matrix_at(eval_step, &exp_cols);
-        // Foreign table: the prefit ECT's column space does not apply.
-        (names, ensemble, experimental, false)
+        ens.matrix.gather_cols(&positions)
     };
+    let experimental = exp_store.matrix_at(eval_step, &exp_cols);
 
     // ECT: verdict on the first 3 experimental runs, failure rate over all
-    // 3-run sets. The prefit ECT is reusable whenever the output sets
-    // match (the overwhelmingly common case); a mismatch refits on the
-    // intersected ensemble columns, exactly as the one-shot path did.
+    // 3-run sets. The prefit ECT is reused when every kept ensemble column
+    // survives the merge (then `ensemble` is the fitted matrix and a
+    // refit, `Ect::fit` being deterministic, would return the same
+    // model); otherwise it refits on the surviving columns.
     let (verdict, failure_rate) = {
         let _span = rca_obs::span("statistics.ect");
         let refit;

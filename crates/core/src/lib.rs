@@ -32,7 +32,7 @@
 //!    shrinkage until the bug is instrumented or the graph is small enough
 //!    to read (§5.2–5.4).
 //! 5. [`oracle`]: the sampling step behind the object-safe [`Oracle`]
-//!    trait — the paper's reachability simulation and real interpreter
+//!    trait — the paper's reachability simulation and real bytecode VM
 //!    instrumentation are interchangeable evidence sources.
 //! 6. [`module_rank`]: module-quotient centrality and the selective AVX2
 //!    disablement policies of Table 1 (§6.5).

@@ -5,8 +5,8 @@
 //! known bug locations, "we can deduce whether a difference can be
 //! detected" from directed-path reachability (§5.2). That simulation is
 //! [`ReachabilityOracle`]. [`RuntimeSampler`] is the real thing the paper
-//! leaves as future work: it instruments the chosen variables in the
-//! running interpreter and compares values between a control run and an
+//! leaves as future work: it instruments the chosen variables in
+//! bytecode VM runs and compares values between a control run and an
 //! experimental run.
 //!
 //! # The `Oracle` contract

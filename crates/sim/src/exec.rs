@@ -429,17 +429,6 @@ impl Executor {
         RunCoverage::from_program(&self.program, &self.covered)
     }
 
-    /// Flat step-major history written so far (`step * outputs + out`);
-    /// rows exist up to the last step any output was written at.
-    pub fn history_flat(&self) -> &[f64] {
-        &self.history
-    }
-
-    /// Per-output series lengths (`OutputId`-indexed).
-    pub fn written(&self) -> &[u32] {
-        &self.written
-    }
-
     /// One output's series this run (steps `0..written`, NaN where a step
     /// was skipped), gathered out of the step-major block.
     pub fn series_of(&self, out: usize) -> Vec<f64> {

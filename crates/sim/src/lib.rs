@@ -46,13 +46,13 @@
 //! checks seeded faulted ensembles against the plan applied to
 //! zero-fault runs, and a golden table pins fuel exhaustion.
 //!
-//! [`runner`] drives single runs and rayon-parallel ensembles;
-//! [`store`] holds whole ensembles as **one contiguous columnar block**
-//! ([`EnsembleRuns`]) filled in place by pooled, reset-reused executors —
-//! [`RunView`] is the cheap per-member view, [`RunOutput`] the
-//! materialize-on-demand edge type; [`kernel`] reproduces the KGen
-//! normalized-RMS comparison that flags FMA-affected Morrison–Gettelman
-//! variables (§6.4).
+//! [`runner`] parses, compiles and drives single runs, each returning the
+//! owned [`RunOutput`] edge type; [`store`] holds whole ensembles as
+//! **one contiguous columnar block** ([`EnsembleRuns`], the only
+//! multi-run container) filled in place by pooled, reset-reused
+//! executors, and materializes one member as a `RunOutput` on demand;
+//! [`kernel`] reproduces the KGen normalized-RMS comparison that flags
+//! FMA-affected Morrison–Gettelman variables (§6.4).
 
 pub(crate) mod bytecode;
 pub mod compile;
@@ -84,9 +84,9 @@ pub use program::{
 pub use rca_fortran::token::Op;
 pub use rca_ident::{ModuleId, OutputId, SymbolTable, VarId};
 pub use runner::{
-    compile_model, compile_variant, finite_outputs_at, outputs_matrix, parse_model, perturbations,
-    run_ensemble, run_ensemble_program, run_loaded, run_model, run_program, RunOutput,
+    compile_model, compile_variant, parse_model, perturbations, run_loaded, run_model, run_program,
+    RunOutput,
 };
 pub use specialize::{specialize_for_history, specialize_for_samples, Specialized};
-pub use store::{EnsembleRuns, MemberHealth, RunCoverage, RunView};
+pub use store::{EnsembleRuns, MemberHealth, RunCoverage};
 pub use value::Value;

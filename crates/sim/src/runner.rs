@@ -1,4 +1,4 @@
-//! Model execution driver: single runs, ensembles, and output matrices.
+//! Model execution driver: parsing, compiling and single runs.
 //!
 //! Mirrors the paper's experimental setup: an *ensemble* of runs differing
 //! only in O(10⁻¹⁴) initial-condition perturbations (the CESM-ECT
@@ -8,15 +8,16 @@
 //! Execution goes through the **parse → compile → execute** pipeline:
 //! [`compile_model`] lowers the source into a shared [`Program`] exactly
 //! once, and every run — each ensemble member, each refinement-oracle
-//! sample — is an [`Executor`] over that program. Ensembles execute in
-//! parallel through the columnar [`EnsembleRuns`] store: each rayon
-//! worker leases one pooled executor, resets it between members, and
-//! publishes every run into one contiguous history block.
+//! sample — is an [`Executor`] over that program. A single run comes
+//! back as the owned [`RunOutput`]; ensembles live only in the columnar
+//! [`crate::EnsembleRuns`] store, where each rayon worker leases one
+//! pooled executor, resets it between members, and publishes every run
+//! into one contiguous history block.
 
 use crate::exec::Executor;
 use crate::interp::{Interpreter, RunConfig, RuntimeError};
 use crate::program::Program;
-use crate::store::{EnsembleRuns, RunCoverage};
+use crate::store::RunCoverage;
 use crate::value::Value;
 use rca_fortran::{ParseError, SourceFile};
 use rca_ident::OutputId;
@@ -30,10 +31,10 @@ use std::sync::Arc;
 /// copies no name strings, and downstream matrix assembly indexes
 /// columns without hashing a single key.
 ///
-/// This is the **materialize-on-demand edge type**: hot paths (ensemble
-/// statistics, oracle sampling) run on [`crate::EnsembleRuns`] /
-/// [`crate::RunView`] or directly on executor state and never build one;
-/// a `RunOutput` exists where a caller owns a single run's results.
+/// This is the **single-run edge type** ([`run_program`],
+/// [`run_loaded`], [`crate::EnsembleRuns::materialize`]): hot paths
+/// (ensemble statistics, oracle sampling) run on the columnar store or
+/// directly on executor state and never build one.
 #[derive(Debug, Clone)]
 pub struct RunOutput {
     /// Sorted output-name table (shared `Arc` across every run of one
@@ -158,9 +159,9 @@ pub fn parse_model(
 /// Parses and compiles a model into a shareable [`Program`].
 ///
 /// This is the expensive, once-per-variant step; see [`run_program`] /
-/// [`run_ensemble_program`] for the cheap, many-times-per-variant part.
-/// Every file is parsed; [`compile_variant`] shares the unchanged files'
-/// ASTs with a base model instead.
+/// [`crate::EnsembleRuns::run`] for the cheap, many-times-per-variant
+/// part. Every file is parsed; [`compile_variant`] shares the unchanged
+/// files' ASTs with a base model instead.
 pub fn compile_model(model: &ModelSource) -> Result<Arc<Program>, RuntimeError> {
     compile_variant(model, None)
 }
@@ -203,7 +204,8 @@ pub fn run_model(
 /// Runs a compiled program once through the standard driver sequence and
 /// materializes the owned edge type. Callers running many variants of one
 /// configuration should pool an [`Executor`] ([`Executor::reset`] /
-/// [`Executor::reset_with`]) or fill an [`EnsembleRuns`] store instead.
+/// [`Executor::reset_with`]) or fill a [`crate::EnsembleRuns`] store
+/// instead.
 pub fn run_program(
     program: &Arc<Program>,
     config: &RunConfig,
@@ -283,104 +285,6 @@ pub fn perturbations(n: usize, magnitude: f64, seed: u64) -> Vec<f64> {
             magnitude * (2.0 * u - 1.0)
         })
         .collect()
-}
-
-/// Runs an ensemble in parallel: the model is parsed and compiled exactly
-/// once, then every member executes the shared program.
-pub fn run_ensemble(
-    model: &ModelSource,
-    config: &RunConfig,
-    perts: &[f64],
-) -> Result<Vec<RunOutput>, RuntimeError> {
-    let program = compile_model(model)?;
-    run_ensemble_program(&program, config, perts)
-}
-
-/// Runs an ensemble of a pre-compiled program in parallel through the
-/// columnar [`EnsembleRuns`] store (pooled executors, one contiguous
-/// history block), then materializes the legacy owned per-run outputs.
-/// Callers that only need matrices or views should use
-/// [`EnsembleRuns::run`] directly and skip the materialization.
-pub fn run_ensemble_program(
-    program: &Arc<Program>,
-    config: &RunConfig,
-    perts: &[f64],
-) -> Result<Vec<RunOutput>, RuntimeError> {
-    Ok(EnsembleRuns::run(program, config, perts)?.to_run_outputs())
-}
-
-/// Whether every run shares one output table (the same-program case, by
-/// pointer or content).
-fn uniform_tables(runs: &[RunOutput]) -> bool {
-    let Some(first) = runs.first() else {
-        return true;
-    };
-    runs.iter().all(|r| {
-        Arc::ptr_eq(&r.output_names, &first.output_names) || r.output_names == first.output_names
-    })
-}
-
-/// Dense column ids (indices into the **first run's** output table) whose
-/// series are present and finite at `step` in every run — the keep-set
-/// the ensemble/ECT matrices are built from. When all runs come from one
-/// program (the ensemble case) this is pure dense indexing with zero
-/// hashing; runs with differing output tables (e.g. tree-walker outputs
-/// of different variants) fall back to per-name binary search, so a
-/// variable missing from any run is dropped, never misaligned.
-pub fn finite_outputs_at(runs: &[RunOutput], step: u32) -> Vec<u32> {
-    let Some(first) = runs.first() else {
-        return Vec::new();
-    };
-    let finite = |r: &RunOutput, i: usize| {
-        r.history[i]
-            .get(step as usize)
-            .is_some_and(|x| x.is_finite())
-    };
-    if uniform_tables(runs) {
-        (0..first.output_names.len() as u32)
-            .filter(|&i| runs.iter().all(|r| finite(r, i as usize)))
-            .collect()
-    } else {
-        (0..first.output_names.len() as u32)
-            .filter(|&i| {
-                let name = &first.output_names[i as usize];
-                runs.iter()
-                    .all(|r| r.index_of(name).is_some_and(|j| finite(r, j)))
-            })
-            .collect()
-    }
-}
-
-/// Assembles the `runs × variables` output matrix at a step, returning the
-/// shared sorted variable-name list and row data. Variables missing from
-/// any run are dropped (column order follows the first run's table).
-pub fn outputs_matrix(runs: &[RunOutput], step: u32) -> (Vec<String>, Vec<Vec<f64>>) {
-    let Some(first) = runs.first() else {
-        return (Vec::new(), Vec::new());
-    };
-    let keep = finite_outputs_at(runs, step);
-    let names: Vec<String> = keep
-        .iter()
-        .map(|&i| first.output_names[i as usize].to_string())
-        .collect();
-    let uniform = uniform_tables(runs);
-    let rows = runs
-        .iter()
-        .map(|r| {
-            keep.iter()
-                .map(|&i| {
-                    let j = if uniform {
-                        i as usize
-                    } else {
-                        r.index_of(&first.output_names[i as usize])
-                            .expect("kept columns are present in every run")
-                    };
-                    r.history[j][step as usize]
-                })
-                .collect::<Vec<f64>>()
-        })
-        .collect();
-    (names, rows)
 }
 
 #[cfg(test)]
@@ -480,47 +384,11 @@ mod tests {
     #[test]
     fn ensemble_parallel_matches_serial() {
         let model = generate(&ModelConfig::test());
+        let program = compile_model(&model).expect("compile");
         let perts = perturbations(4, 1e-14, 42);
-        let ens = run_ensemble(&model, &cfg(), &perts).unwrap();
+        let ens = crate::EnsembleRuns::run(&program, &cfg(), &perts).unwrap();
         let serial = run_model(&model, &cfg(), perts[2]).unwrap();
-        assert_eq!(ens[2].series("flds"), serial.series("flds"));
-    }
-
-    #[test]
-    fn outputs_matrix_shape() {
-        let model = generate(&ModelConfig::test());
-        let perts = perturbations(3, 1e-14, 7);
-        let ens = run_ensemble(&model, &cfg(), &perts).unwrap();
-        let (names, rows) = outputs_matrix(&ens, 2);
-        assert_eq!(rows.len(), 3);
-        assert!(
-            names.len() > 20,
-            "expected many outputs, got {}",
-            names.len()
-        );
-        assert!(rows.iter().all(|r| r.len() == names.len()));
-    }
-
-    #[test]
-    fn outputs_matrix_drops_missing_columns_across_differing_tables() {
-        // Runs whose output tables differ (tree-walker outputs of
-        // different variants) must intersect by name, never misalign or
-        // index out of bounds.
-        let a = RunOutput {
-            output_names: vec![Arc::from("alpha"), Arc::from("beta"), Arc::from("gamma")].into(),
-            history: vec![vec![1.0], vec![2.0], vec![3.0]],
-            samples: Vec::new(),
-            coverage: RunCoverage::empty(),
-        };
-        let b = RunOutput {
-            output_names: vec![Arc::from("beta"), Arc::from("gamma")].into(),
-            history: vec![vec![20.0], vec![30.0]],
-            samples: Vec::new(),
-            coverage: RunCoverage::empty(),
-        };
-        let (names, rows) = outputs_matrix(&[a, b], 0);
-        assert_eq!(names, vec!["beta".to_string(), "gamma".to_string()]);
-        assert_eq!(rows, vec![vec![2.0, 3.0], vec![20.0, 30.0]]);
+        assert_eq!(ens.materialize(2).series("flds"), serial.series("flds"));
     }
 
     #[test]
@@ -569,12 +437,13 @@ mod tests {
         let model = generate(&ModelConfig::test());
         let program = compile_model(&model).expect("compile");
         let perts = perturbations(3, 1e-14, 9);
-        let ens = run_ensemble_program(&program, &cfg(), &perts).unwrap();
-        assert_eq!(ens.len(), 3);
+        let ens = crate::EnsembleRuns::run(&program, &cfg(), &perts).unwrap();
+        assert_eq!(ens.members(), 3);
         // Same program, same pert => identical bits; the output table is
         // the program's own, shared by reference.
+        let first = ens.materialize(0);
         let again = run_program(&program, &cfg(), perts[0]).unwrap();
-        assert_eq!(ens[0].history, again.history);
-        assert!(Arc::ptr_eq(&ens[0].output_names, program.output_names()));
+        assert_eq!(first.history, again.history);
+        assert!(Arc::ptr_eq(&first.output_names, program.output_names()));
     }
 }

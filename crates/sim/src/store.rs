@@ -19,9 +19,10 @@
 //!   via [`rca_stats::Matrix`]'s borrowed-row constructors without
 //!   hashing a name or allocating intermediate rows.
 //!
-//! [`RunView`] is the cheap indexed view into one member;
-//! [`crate::RunOutput`] remains the materialize-on-demand edge type
-//! ([`RunView::materialize`] reconstructs it bit-identically).
+//! The store is the only multi-run container: a caller that wants one
+//! member as the owned single-run edge type calls
+//! [`EnsembleRuns::materialize`], which reconstructs the
+//! [`crate::RunOutput`] `run_program` would have produced, bit for bit.
 //!
 //! [`RunCoverage`] is the id-keyed executed-subprogram set — coverage
 //! pairs are `(ModuleId, VarId)` over the program's interner, and strings
@@ -32,7 +33,7 @@ use crate::interp::{RunConfig, RuntimeError};
 use crate::program::Program;
 use crate::runner::RunOutput;
 use rayon::prelude::*;
-use rca_ident::{ModuleId, OutputId, SymbolTable, VarId};
+use rca_ident::{ModuleId, SymbolTable, VarId};
 use rca_stats::Matrix;
 use std::sync::Arc;
 
@@ -75,14 +76,6 @@ impl RunCoverage {
             .filter_map(|(i, _)| program.proc_identity(i, &syms))
             .collect();
         Self::finish(syms, ids)
-    }
-
-    /// An empty coverage set (synthetic runs in tests).
-    pub fn empty() -> RunCoverage {
-        RunCoverage {
-            syms: Arc::new(SymbolTable::new()),
-            ids: Vec::new(),
-        }
     }
 
     /// Builds from string pairs (the tree-walking reference engine, which
@@ -634,24 +627,30 @@ impl EnsembleRuns {
         None
     }
 
-    /// Cheap indexed view of one member.
-    pub fn view(&self, member: usize) -> RunView<'_> {
+    /// Materializes one member as the owned single-run edge type:
+    /// ragged per-output series, cloned samples, rendered-sorted coverage
+    /// — bit-identical to what [`crate::run_program`] produces for that
+    /// member's perturbation.
+    pub fn materialize(&self, member: usize) -> RunOutput {
         assert!(member < self.members, "member {member} out of range");
-        RunView {
-            store: self,
-            member,
+        let written = self.written_of(member);
+        let history = (0..self.outputs)
+            .map(|o| {
+                (0..written[o] as usize)
+                    .map(|s| self.step_plane(member, s)[o])
+                    .collect()
+            })
+            .collect();
+        let procs = self.program.proc_count();
+        RunOutput {
+            output_names: Arc::clone(self.output_names()),
+            history,
+            samples: self.samples[member].clone(),
+            coverage: RunCoverage::from_program(
+                &self.program,
+                &self.covered[member * procs..(member + 1) * procs],
+            ),
         }
-    }
-
-    /// Views over every member, in perturbation order.
-    pub fn views(&self) -> impl Iterator<Item = RunView<'_>> {
-        (0..self.members).map(|m| self.view(m))
-    }
-
-    /// Materializes every member into the legacy owned edge type (the
-    /// compatibility path behind [`crate::run_ensemble_program`]).
-    pub fn to_run_outputs(&self) -> Vec<RunOutput> {
-        self.views().map(|v| v.materialize()).collect()
     }
 }
 
@@ -661,100 +660,6 @@ impl std::fmt::Debug for EnsembleRuns {
             .field("members", &self.members)
             .field("steps", &self.steps)
             .field("outputs", &self.outputs)
-            .finish()
-    }
-}
-
-// ---------------------------------------------------------------------------
-// RunView
-// ---------------------------------------------------------------------------
-
-/// A borrowed, zero-copy view of one ensemble member inside an
-/// [`EnsembleRuns`] store — the hot-path replacement for an owned
-/// [`RunOutput`]. Reads index straight into the shared block;
-/// [`RunView::materialize`] reconstructs the owned edge type bit-for-bit
-/// when a caller genuinely needs one.
-#[derive(Clone, Copy)]
-pub struct RunView<'a> {
-    store: &'a EnsembleRuns,
-    member: usize,
-}
-
-impl<'a> RunView<'a> {
-    /// Which member this views.
-    pub fn member(&self) -> usize {
-        self.member
-    }
-
-    /// The shared sorted output table.
-    pub fn output_names(&self) -> &Arc<[Arc<str>]> {
-        self.store.output_names()
-    }
-
-    /// Series length of one output (0 = never written).
-    pub fn written_len(&self, out: OutputId) -> usize {
-        self.store.written_of(self.member)[out.index()] as usize
-    }
-
-    /// Value of `out` at `step`, if within the written series.
-    pub fn value_at(&self, out: OutputId, step: u32) -> Option<f64> {
-        self.store.value(self.member, out.index(), step as usize)
-    }
-
-    /// One output's series as a (strided) iterator over the block.
-    pub fn series_iter(&self, out: OutputId) -> impl Iterator<Item = f64> + 'a {
-        let store = self.store;
-        let member = self.member;
-        let len = self.written_len(out);
-        (0..len).map(move |s| store.step_plane(member, s)[out.index()])
-    }
-
-    /// `(OutputId, value)` pairs at `step` for every output written there,
-    /// in id (= sorted-name) order — non-allocating.
-    pub fn outputs_at_ids(&self, step: u32) -> impl Iterator<Item = (OutputId, f64)> + 'a {
-        let v = *self;
-        (0..self.store.outputs as u32)
-            .map(OutputId)
-            .filter_map(move |o| v.value_at(o, step).map(|x| (o, x)))
-    }
-
-    /// Captured samples, positional over the run's `config.samples`.
-    pub fn samples(&self) -> &'a [Option<Vec<f64>>] {
-        &self.store.samples[self.member]
-    }
-
-    /// Id-keyed coverage of this member's run.
-    pub fn coverage(&self) -> RunCoverage {
-        let procs = self.store.program.proc_count();
-        let bits = &self.store.covered[self.member * procs..(self.member + 1) * procs];
-        RunCoverage::from_program(&self.store.program, bits)
-    }
-
-    /// Materializes the owned edge type: ragged per-output series, cloned
-    /// samples, rendered-sorted coverage — bit-identical to what
-    /// [`crate::run_program`] would have produced for this member.
-    pub fn materialize(&self) -> RunOutput {
-        let history = (0..self.store.outputs)
-            .map(|i| {
-                let n = self.store.written_of(self.member)[i] as usize;
-                (0..n)
-                    .map(|s| self.store.step_plane(self.member, s)[i])
-                    .collect()
-            })
-            .collect();
-        RunOutput {
-            output_names: Arc::clone(self.store.output_names()),
-            history,
-            samples: self.store.samples[self.member].clone(),
-            coverage: self.coverage(),
-        }
-    }
-}
-
-impl std::fmt::Debug for RunView<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("RunView")
-            .field("member", &self.member)
             .finish()
     }
 }
@@ -780,45 +685,47 @@ mod tests {
         let perts = perturbations(4, 1e-14, 0xAB);
         let store = EnsembleRuns::run(&program, &cfg(), &perts).expect("store");
         assert_eq!(store.members(), 4);
+        let bits = |s: &[f64]| -> Vec<u64> { s.iter().map(|x| x.to_bits()).collect() };
         for (i, &p) in perts.iter().enumerate() {
             let direct = run_program(&program, &cfg(), p).expect("run");
-            let view = store.view(i);
-            let materialized = view.materialize();
-            let bits = |h: &Vec<Vec<f64>>| -> Vec<Vec<u64>> {
-                h.iter()
-                    .map(|s| s.iter().map(|x| x.to_bits()).collect())
-                    .collect()
-            };
-            assert_eq!(
-                bits(&materialized.history),
-                bits(&direct.history),
-                "member {i}"
-            );
+            let materialized = store.materialize(i);
+            assert_eq!(materialized.history.len(), direct.history.len());
+            for (o, series) in direct.history.iter().enumerate() {
+                assert_eq!(bits(&materialized.history[o]), bits(series), "member {i}");
+                // Indexed store reads agree with the standalone series.
+                assert_eq!(store.written_of(i)[o] as usize, series.len());
+                let read: Vec<f64> = (0..series.len())
+                    .map(|s| store.value(i, o, s).expect("written"))
+                    .collect();
+                assert_eq!(bits(&read), bits(series), "member {i} output {o}");
+            }
             assert_eq!(materialized.samples, direct.samples);
             assert_eq!(materialized.coverage, direct.coverage);
-            // View reads agree with the materialized series.
-            for (o, series) in direct.history.iter().enumerate() {
-                let o = OutputId(o as u32);
-                assert_eq!(view.written_len(o), series.len());
-                let viewed: Vec<f64> = view.series_iter(o).collect();
-                assert_eq!(
-                    viewed.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                    series.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
-                );
-            }
         }
     }
 
     #[test]
     fn finite_keep_set_and_matrix_agree_with_legacy_assembly() {
+        // The legacy assembly, rebuilt from standalone runs: a column is
+        // kept when its series is written and finite at the step in every
+        // run, and matrix cells index the per-run series directly.
         let model = generate(&ModelConfig::test());
         let program = compile_model(&model).expect("compile");
         let perts = perturbations(3, 1e-14, 0xEE);
         let store = EnsembleRuns::run(&program, &cfg(), &perts).expect("store");
-        let runs = store.to_run_outputs();
-        let legacy = crate::runner::finite_outputs_at(&runs, 2);
-        assert_eq!(store.finite_outputs_at(2), legacy);
+        let runs: Vec<RunOutput> = perts
+            .iter()
+            .map(|&p| run_program(&program, &cfg(), p).expect("run"))
+            .collect();
+        let legacy: Vec<u32> = (0..program.output_count() as u32)
+            .filter(|&o| {
+                runs.iter()
+                    .all(|r| r.history[o as usize].get(2).is_some_and(|x| x.is_finite()))
+            })
+            .collect();
         let kept = store.finite_outputs_at(2);
+        assert_eq!(kept, legacy);
+        assert!(kept.len() > 20, "expected many outputs, got {}", kept.len());
         let m = store.matrix_at(2, &kept);
         assert_eq!(m.rows(), 3);
         assert_eq!(m.cols(), kept.len());
@@ -834,7 +741,7 @@ mod tests {
         let model = generate(&ModelConfig::test());
         let program = compile_model(&model).expect("compile");
         let store = EnsembleRuns::run(&program, &cfg(), &[0.0]).expect("store");
-        let cov = store.view(0).coverage();
+        let cov = store.materialize(0).coverage;
         assert!(!cov.is_empty());
         assert!(cov.contains("micro_mg", "micro_mg_tend"));
         assert!(!cov.contains("micro_mg", "no_such_subprogram"));
@@ -855,7 +762,7 @@ mod tests {
         let store = EnsembleRuns::run(&program, &cfg(), &[]).expect("store");
         assert_eq!(store.members(), 0);
         assert!(store.finite_outputs_at(0).is_empty());
-        assert!(store.to_run_outputs().is_empty());
+        assert_eq!(store.matrix_at(0, &[]).rows(), 0);
     }
 
     #[test]

@@ -133,7 +133,7 @@ fn columnar_store_is_bit_identical_to_run_outputs_on_all_paper_experiments() {
         let store = EnsembleRuns::run(&program, &cfg, &perts).expect("store");
         for (i, &p) in perts.iter().enumerate() {
             let direct = run_program(&program, &cfg, p).expect("direct run");
-            let via_store = store.view(i).materialize();
+            let via_store = store.materialize(i);
             assert_identical(&format!("{}/member {i}", e.name()), &direct, &via_store);
             // Raw dense buffers must match too (bit-level: unwritten
             // intermediate steps are NaN on both sides).
@@ -245,7 +245,7 @@ fn tree_and_vm_agree_under_seeded_faults() {
                         retries => MemberHealth::Recovered { retries },
                     };
                     assert_eq!(health, &want, "{label}: member health differs");
-                    let got = vm.view(m).materialize().history;
+                    let got = vm.materialize(m).history;
                     for (o, (a, b)) in got.iter().zip(&history).enumerate() {
                         assert_eq!(a.len(), b.len(), "{label}/output {o}: written differs");
                         for (step, (x, y)) in a.iter().zip(b).enumerate() {

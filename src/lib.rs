@@ -224,12 +224,13 @@
 //!   store itself. [`sim::Executor::reset_with`] additionally swaps the
 //!   run configuration — the `RuntimeSampler` oracle keeps one pooled
 //!   executor pair for every refinement query this way.
-//! - **When to materialize**: [`sim::RunOutput`] is the
-//!   materialize-on-demand edge type. Hot paths read [`sim::RunView`]s
-//!   (cheap indexed views into the store) or executor state directly;
-//!   `RunView::materialize` reconstructs the owned ragged form
-//!   bit-identically for callers that own a single run's results
-//!   (single-run drivers, the differential harness, external tooling).
+//! - **When to materialize**: the store is the only multi-run container,
+//!   and [`sim::RunOutput`] is the single-run edge type. Hot paths read
+//!   the store's step planes or executor state directly;
+//!   [`sim::EnsembleRuns::materialize`] reconstructs one member's owned
+//!   ragged form bit-identically for callers that own a single run's
+//!   results (single-run drivers, the differential harness, external
+//!   tooling).
 //!   Run coverage follows the same rule: [`sim::RunCoverage`] keys
 //!   executed subprograms by `(ModuleId, VarId)` and renders strings only
 //!   at the edges (calibration marking, reports, tests).

@@ -107,3 +107,80 @@ fn skip_coverage_session_reaches_identical_verdicts() {
         "both sessions must locate the wsub bug"
     );
 }
+
+#[test]
+fn foreign_output_table_pairs_columns_by_name() {
+    // A variant whose program writes a different output set from the
+    // base program: GOFFGRATCH without its `CLDTOT` history write. The
+    // statistics stage pairs ensemble and experimental columns by name,
+    // drops `cldtot`, and fits the ECT on the surviving ensemble columns.
+    let m = model();
+    let session = RcaSession::builder(&m)
+        .setup(ExperimentSetup::quick())
+        .build()
+        .expect("session");
+    let mut variant = m.apply(Experiment::GoffGratch);
+    let line = "call outfld('CLDTOT', cltot, ncol)";
+    let file = variant
+        .files
+        .iter_mut()
+        .find(|f| f.source.contains(line))
+        .expect("CLDTOT history write");
+    file.source = file.source.replacen(line, "", 1);
+    let scenario = rca::Scenario::new(
+        "goffgratch-without-cldtot",
+        std::sync::Arc::new(variant),
+        session.control_config(),
+    );
+    let ens = session.ensemble().expect("ensemble");
+    let stats = session.statistics_scenario(&scenario).expect("statistics");
+    let data = &stats.data;
+    let want: Vec<String> = ens
+        .names
+        .iter()
+        .filter(|n| n.as_str() != "cldtot")
+        .cloned()
+        .collect();
+    assert_eq!(
+        want.len() + 1,
+        ens.names.len(),
+        "cldtot is an ensemble output"
+    );
+    assert_eq!(data.output_names, want);
+    // Every ensemble-matrix column is the session ensemble's column of
+    // the same name, by bits.
+    assert_eq!(data.ensemble.rows(), ens.matrix.rows());
+    assert_eq!(data.ensemble.cols(), want.len());
+    for (c, name) in want.iter().enumerate() {
+        let e = ens
+            .names
+            .iter()
+            .position(|n| n == name)
+            .expect("ensemble name");
+        for r in 0..ens.matrix.rows() {
+            assert_eq!(
+                data.ensemble[(r, c)].to_bits(),
+                ens.matrix[(r, e)].to_bits(),
+                "{name} row {r}"
+            );
+        }
+    }
+    // Verdict and failure rate are the ECT fitted on exactly those
+    // columns, evaluated on the experimental matrix.
+    let ect = stats::Ect::fit(&data.ensemble, session.setup().ect);
+    let head: Vec<Vec<f64>> = (0..3.min(data.experimental.rows()))
+        .map(|i| data.experimental.row(i).to_vec())
+        .collect();
+    assert_eq!(
+        data.verdict,
+        ect.evaluate(&stats::Matrix::from_row_slices(&head))
+    );
+    assert_eq!(
+        data.failure_rate.to_bits(),
+        ect.failure_rate(&data.experimental, 3).to_bits()
+    );
+    assert_eq!(data.verdict, stats::Verdict::Fail);
+    session
+        .diagnose_scenario(&scenario)
+        .expect("the pipeline runs on a foreign output table");
+}

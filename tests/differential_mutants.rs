@@ -89,7 +89,7 @@ proptest! {
         };
         let program = sim::compile_model(&mutant).expect("compile");
         let store = sim::EnsembleRuns::run(&program, &cfg, &[0.0]).expect("store");
-        let via_store = store.view(0).materialize();
+        let via_store = store.materialize(0);
         let bits = |h: &Vec<Vec<f64>>| -> Vec<Vec<u64>> {
             h.iter()
                 .map(|s| s.iter().map(|x| x.to_bits()).collect())
@@ -148,7 +148,7 @@ proptest! {
                     };
                     prop_assert_eq!(health, &want, "member {}", m);
                     prop_assert_eq!(
-                        bits(&vm.view(m).materialize().history),
+                        bits(&vm.materialize(m).history),
                         bits(&history),
                         "member {}", m
                     );

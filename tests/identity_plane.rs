@@ -120,26 +120,38 @@ fn id_keyed_slice_equals_string_keyed_slice() {
 #[test]
 fn columnar_ensemble_matrix_is_byte_identical_to_per_run_assembly() {
     // The session's cached control ensemble is assembled straight from
-    // the columnar run store (contiguous evaluation-step planes, memcpy
-    // row gathers). Recomputing the same matrix the legacy way — owned
-    // per-run outputs, per-element indexing — must give the same bytes,
-    // column names, and keep-set.
+    // the columnar run store (history-slice fill, contiguous
+    // evaluation-step planes, memcpy row gathers). Recomputing the same
+    // matrix the legacy way — one standalone full-program run per member,
+    // per-element indexing — must give the same bytes, column names, and
+    // keep-set.
     let session = session();
     let ens = session.ensemble().expect("ensemble");
     let setup = session.setup();
     let program = session.program_for(session.model()).expect("base program");
+    let config = session.control_config();
     let perts = sim::perturbations(setup.n_ensemble, setup.ic_magnitude, setup.seed);
-    let runs =
-        sim::run_ensemble_program(&program, &session.control_config(), &perts).expect("runs");
+    let runs: Vec<sim::RunOutput> = perts
+        .iter()
+        .map(|&p| sim::run_program(&program, &config, p).expect("run"))
+        .collect();
     let eval_step = setup.steps - 1;
-    let kept = sim::finite_outputs_at(&runs, eval_step);
+    let kept: Vec<usize> = (0..program.output_count())
+        .filter(|&o| {
+            runs.iter().all(|r| {
+                r.history[o]
+                    .get(eval_step as usize)
+                    .is_some_and(|x| x.is_finite())
+            })
+        })
+        .collect();
     let legacy_names: Vec<String> = kept
         .iter()
-        .map(|&i| runs[0].output_names[i as usize].to_string())
+        .map(|&i| runs[0].output_names[i].to_string())
         .collect();
     assert_eq!(ens.names, legacy_names);
     let legacy = stats::Matrix::from_fn(runs.len(), kept.len(), |r, c| {
-        runs[r].history[kept[c] as usize][eval_step as usize]
+        runs[r].history[kept[c]][eval_step as usize]
     });
     assert_eq!(ens.matrix.rows(), legacy.rows());
     assert_eq!(ens.matrix.cols(), legacy.cols());

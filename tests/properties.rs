@@ -198,13 +198,13 @@ proptest! {
         }
     }
 
-    /// `RunView` materialization round-trips: for arbitrary perturbation
+    /// Store materialization round-trips: for arbitrary perturbation
     /// seeds, member counts, and step counts, every member of a columnar
     /// `EnsembleRuns` store materializes bit-identically to a standalone
-    /// compiled run, and the view's indexed reads agree with the
-    /// materialized series.
+    /// compiled run, and the store's indexed reads (written lengths,
+    /// per-step values) agree with the standalone series.
     #[test]
-    fn run_view_materialization_round_trips(
+    fn store_materialization_round_trips(
         seed in 0u64..1000,
         members in 1usize..4,
         steps in 2u32..5,
@@ -221,21 +221,21 @@ proptest! {
         prop_assert_eq!(store.members(), members);
         for (i, &p) in perts.iter().enumerate() {
             let direct = sim::run_program(program, &cfg, p).expect("run");
-            let view = store.view(i);
-            let materialized = view.materialize();
+            let materialized = store.materialize(i);
             prop_assert_eq!(&materialized.output_names, &direct.output_names);
             prop_assert_eq!(materialized.history.len(), direct.history.len());
             for (o, series) in direct.history.iter().enumerate() {
-                let id = metagraph::OutputId(o as u32);
-                prop_assert_eq!(view.written_len(id), series.len());
-                let via_view: Vec<u64> =
-                    view.series_iter(id).map(f64::to_bits).collect();
+                prop_assert_eq!(store.written_of(i)[o] as usize, series.len());
+                let via_store: Vec<u64> = (0..series.len())
+                    .map(|s| store.value(i, o, s).expect("written").to_bits())
+                    .collect();
                 let direct_bits: Vec<u64> = series.iter().map(|x| x.to_bits()).collect();
-                prop_assert_eq!(&via_view, &direct_bits);
+                prop_assert_eq!(&via_store, &direct_bits);
                 let mat_bits: Vec<u64> =
                     materialized.history[o].iter().map(|x| x.to_bits()).collect();
                 prop_assert_eq!(&mat_bits, &direct_bits);
             }
+            prop_assert_eq!(&materialized.samples, &direct.samples);
             prop_assert_eq!(&materialized.coverage, &direct.coverage);
         }
     }
