@@ -41,7 +41,7 @@ pub mod reach;
 
 use std::sync::Arc;
 
-use rca_sim::{Program, SampleSpec};
+use rca_sim::Program;
 
 pub use deps::{DepGraph, SiteClass, Triple};
 pub use lints::{Finding, LintReport, Severity};
@@ -95,11 +95,6 @@ impl ModelAnalysis {
         &self.flows
     }
 
-    /// Whether procedure `i` is reachable from the host entry points.
-    pub fn proc_reachable(&self, i: u32) -> bool {
-        self.reachable[i as usize]
-    }
-
     /// The independent backward slice (see [`DepGraph::static_slice`]).
     pub fn static_slice(
         &self,
@@ -124,37 +119,6 @@ impl ModelAnalysis {
         self.lint_dataflow(&mut findings);
         self.lint_reachability(&mut findings);
         self.lint_hazards(&mut findings);
-        LintReport::seal(findings)
-    }
-
-    /// Validates runtime sample specs against the program: unknown
-    /// modules, subprograms, or variables are findings (specs silently
-    /// sampling nothing corrupt Algorithm 5.4 step 7).
-    pub fn check_sample_specs(&self, specs: &[SampleSpec]) -> LintReport {
-        let mut findings = Vec::new();
-        for spec in specs {
-            let ok = match &spec.subprogram {
-                None => self.program.global_slot(&spec.module, &spec.name).is_some(),
-                Some(sub) => match self.program.proc_index(&spec.module, sub) {
-                    None => false,
-                    Some(p) => self.program.ir_procs()[p as usize]
-                        .local_names
-                        .iter()
-                        .any(|n| n.as_ref() == spec.name.as_ref()),
-                },
-            };
-            if !ok {
-                findings.push(Finding {
-                    lint: "unused-sample-spec",
-                    module: spec.module.to_string(),
-                    subprogram: spec.subprogram.as_deref().unwrap_or("").to_string(),
-                    line: 0,
-                    variable: spec.name.to_string(),
-                    message: "sample spec resolves to no variable in the program".to_string(),
-                    severity: Severity::Warning,
-                });
-            }
-        }
         LintReport::seal(findings)
     }
 

@@ -445,7 +445,7 @@ end module kernbench
         nodes.len()
     );
 
-    // ----- oracle fastpath microbench: specialized vs full query --------
+    // ----- oracle microbench: specialized vs full query ----------------
     //
     // The refinement hot loop's whole-query cost. A full `differs` query
     // is two complete model runs (control + experimental) with capture
@@ -516,10 +516,10 @@ end module kernbench
         full_verdicts, spec_verdicts,
         "specialized query verdicts diverged from the full program"
     );
-    let fastpath_speedup = full_query_us / spec_query_us;
+    let specialized_speedup = full_query_us / spec_query_us;
     println!(
-        "oracle fastpath ({slice_nodes}-node capture set): full {full_query_us:.0} us/query, \
-         specialized {spec_query_us:.0} us/query ({fastpath_speedup:.2}x), \
+        "oracle specialized query ({slice_nodes}-node capture set): full {full_query_us:.0} us/query, \
+         specialized {spec_query_us:.0} us/query ({specialized_speedup:.2}x), \
          {:.0}% stmts pruned, specialize {specialize_ms:.1} ms once \
          (effect summary {effects_ms:.1} ms)",
         specialized.pruned_fraction() * 100.0
@@ -529,8 +529,8 @@ end module kernbench
     // scale, ~75x at paper scale — the floor leaves headroom for noisy
     // shared runners, not for a regression).
     assert!(
-        fastpath_speedup >= 2.0,
-        "specialized query speedup {fastpath_speedup:.2}x fell below the 2x floor"
+        specialized_speedup >= 2.0,
+        "specialized query speedup {specialized_speedup:.2}x fell below the 2x floor"
     );
 
     // ----- history fill: statistics-side ensembles on the history slice
@@ -734,12 +734,12 @@ end module kernbench
             ]),
         ),
         (
-            "oracle_fastpath",
+            "oracle_specialized",
             Json::obj([
                 ("capture_nodes", slice_nodes.to_json()),
                 ("full_us_per_query", full_query_us.to_json()),
                 ("specialized_us_per_query", spec_query_us.to_json()),
-                ("speedup", fastpath_speedup.to_json()),
+                ("speedup", specialized_speedup.to_json()),
                 ("pruned_fraction", specialized.pruned_fraction().to_json()),
                 ("stmts_total", specialized.stmts_total.to_json()),
                 ("stmts_kept", specialized.stmts_kept.to_json()),

@@ -65,10 +65,10 @@ impl Fnv {
 /// and the runner settings that can change a result (`setup`, `oracle`,
 /// `wall_budget`). Two runs share a digest iff their results are
 /// interchangeable, which is the precondition for reusing each other's
-/// checkpointed results; `checkpoint`, `stop_after` and `oracle_fastpath`
-/// stay out because by contract they never change a result. The settings
-/// enter through their `Debug` rendering, which prints every field, so a
-/// field added to `ExperimentSetup` joins the key by itself.
+/// checkpointed results; `checkpoint` and `stop_after` stay out because
+/// they never change a result. The settings enter through their `Debug`
+/// rendering, which prints every field, so a field added to
+/// `ExperimentSetup` joins the key by itself.
 pub fn run_digest(
     model: &ModelSource,
     runner: &RunnerOptions,

@@ -2,8 +2,7 @@
 //!
 //! ```text
 //! rca-campaign [--scenarios N] [--seed S] [--scale test|medium|paper]
-//!              [--oracle reachability|runtime] [--oracle-fastpath on|off]
-//!              [--clean-every K] [--paper]
+//!              [--oracle reachability|runtime] [--clean-every K] [--paper]
 //!              [--signflip] [--fma-scale F] [--runtime-faults S]
 //!              [--checkpoint PATH] [--stop-after N] [--fuel N]
 //!              [--wall-budget-ms MS] [--threads N] [--json PATH]
@@ -19,10 +18,7 @@
 //! retry, quarantine, and quorum fitting — like `--signflip`, off by
 //! default and independent of the mutation plan. `--fuel` and
 //! `--wall-budget-ms` bound each run / diagnosis, surfacing as retryable
-//! budget errors instead of hangs. `--oracle-fastpath off` disables the
-//! runtime oracle's slice-specialized fast path — fast paths never change
-//! evidence, so the on/off scorecards must match byte-for-byte (the CI
-//! fastpath cross-check).
+//! budget errors instead of hangs.
 //!
 //! `--checkpoint PATH` makes the campaign resumable: finished scenarios
 //! stream to an append-only JSONL file and a rerun with the same plan,
@@ -68,8 +64,7 @@ struct Args {
 fn usage() -> ! {
     eprintln!(
         "usage: rca-campaign [--scenarios N] [--seed S] [--scale test|medium|paper]\n\
-         \x20                   [--oracle reachability|runtime] [--oracle-fastpath on|off]\n\
-         \x20                   [--clean-every K] [--paper]\n\
+         \x20                   [--oracle reachability|runtime] [--clean-every K] [--paper]\n\
          \x20                   [--signflip] [--fma-scale F] [--runtime-faults S]\n\
          \x20                   [--checkpoint PATH] [--stop-after N] [--fuel N]\n\
          \x20                   [--wall-budget-ms MS] [--threads N] [--json PATH]\n\
@@ -147,16 +142,6 @@ fn parse_args() -> Args {
                     }
                 }
             }
-            "--oracle-fastpath" => {
-                args.runner.oracle_fastpath = match value("--oracle-fastpath").as_str() {
-                    "on" => true,
-                    "off" => false,
-                    other => {
-                        eprintln!("unknown --oracle-fastpath value: {other}");
-                        usage()
-                    }
-                }
-            }
             "--threads" => {
                 // The rayon compat layer reads this per fan-out.
                 std::env::set_var("RAYON_NUM_THREADS", value("--threads"));
@@ -213,7 +198,6 @@ fn main() -> ExitCode {
             ..setup
         },
         oracle: args.runner.oracle,
-        oracle_fastpath: args.runner.oracle_fastpath,
         checkpoint: args.runner.checkpoint.clone(),
         stop_after: args.runner.stop_after,
         wall_budget: args.runner.wall_budget,

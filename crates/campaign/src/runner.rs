@@ -42,11 +42,6 @@ pub struct RunnerOptions {
     pub setup: rca_core::ExperimentSetup,
     /// Evidence source for refinement.
     pub oracle: OracleKind,
-    /// Runtime-oracle fast path (slice-specialized programs, per-node
-    /// memoization, early exit). On by default; `--oracle-fastpath off`
-    /// forces full-program queries so the byte-identity fence can compare
-    /// the two scorecards.
-    pub oracle_fastpath: bool,
     /// Append-only JSONL checkpoint path. When set, every finished
     /// scenario is streamed to this file as it completes, and scenarios
     /// already recorded there (for the same seed and run digest: plan,
@@ -69,7 +64,6 @@ impl Default for RunnerOptions {
         RunnerOptions {
             setup: rca_core::ExperimentSetup::quick(),
             oracle: OracleKind::Reachability,
-            oracle_fastpath: true,
             checkpoint: None,
             stop_after: None,
             wall_budget: None,
@@ -85,8 +79,7 @@ pub fn run_campaign(
 ) -> Result<Scorecard, RcaError> {
     let mut builder = RcaSession::builder(model)
         .setup(runner.setup.clone())
-        .oracle(runner.oracle)
-        .oracle_fastpath(runner.oracle_fastpath);
+        .oracle(runner.oracle);
     if let Some(budget) = runner.wall_budget {
         builder = builder.wall_budget(budget);
     }

@@ -147,7 +147,6 @@ pub struct RcaSessionBuilder<'m> {
     model: &'m ModelSource,
     setup: ExperimentSetup,
     oracle: OracleKind,
-    oracle_fastpath: bool,
     pipeline_opts: PipelineOptions,
     refine_opts: RefineOptions,
     max_outputs: usize,
@@ -165,16 +164,6 @@ impl<'m> RcaSessionBuilder<'m> {
     /// Evidence source for refinement (default: reachability).
     pub fn oracle(mut self, oracle: OracleKind) -> Self {
         self.oracle = oracle;
-        self
-    }
-
-    /// Escape hatch for the runtime-oracle fast path (default: on).
-    /// With `false`, every [`OracleKind::Runtime`] query executes the
-    /// full program pair — the pre-specialization behavior. Evidence is
-    /// identical either way ("fast paths never change evidence"); the
-    /// switch exists so that property can be audited end to end.
-    pub fn oracle_fastpath(mut self, on: bool) -> Self {
-        self.oracle_fastpath = on;
         self
     }
 
@@ -244,7 +233,6 @@ impl<'m> RcaSessionBuilder<'m> {
             pipeline,
             setup: self.setup,
             oracle: self.oracle,
-            oracle_fastpath: self.oracle_fastpath,
             refine_opts: self.refine_opts,
             max_outputs: self.max_outputs,
             scope: self.scope,
@@ -275,9 +263,6 @@ pub struct RcaSession<'m> {
     pipeline: RcaPipeline,
     setup: ExperimentSetup,
     oracle: OracleKind,
-    /// Whether runtime-oracle queries may take the slice-specialized
-    /// fast path (see [`crate::oracle`] module docs).
-    oracle_fastpath: bool,
     refine_opts: RefineOptions,
     max_outputs: usize,
     scope: SliceScope,
@@ -300,7 +285,6 @@ impl<'m> RcaSession<'m> {
             model,
             setup: ExperimentSetup::default(),
             oracle: OracleKind::Reachability,
-            oracle_fastpath: true,
             pipeline_opts: PipelineOptions::default(),
             refine_opts: RefineOptions::default(),
             max_outputs: 10,
@@ -372,6 +356,11 @@ impl<'m> RcaSession<'m> {
     /// files it changed (one for a seeded mutant). The program and any
     /// parse error are those of [`rca_sim::compile_model`].
     pub fn program_for(&self, model: &ModelSource) -> Result<Arc<Program>, RcaError> {
+        Ok(self.compile_cached(model)?)
+    }
+
+    /// [`RcaSession::program_for`] with the untyped compile error.
+    fn compile_cached(&self, model: &ModelSource) -> Result<Arc<Program>, RuntimeError> {
         let hash = model.content_hash();
         if let Some(p) = self.programs.lock().expect("program cache lock").get(&hash) {
             return Ok(Arc::clone(p));
@@ -519,27 +508,17 @@ impl<'m> RcaSession<'m> {
                 let exp_config = subject.exp_config.without_faults();
                 // Both programs come from the session cache: the control
                 // program is shared with the ensemble, the experimental
-                // one with this subject's statistics stage.
-                let mut sampler = match (self.program_for(self.model), self.program_for(&exp_model))
-                {
-                    (Ok(ctl), Ok(exp)) => {
-                        RuntimeSampler::from_programs(ctl, exp, self.control_config(), exp_config)
-                    }
-                    // A variant that fails to compile still yields a
-                    // best-effort sampler that reports the failure per
-                    // query instead of panicking here.
-                    _ => RuntimeSampler::new(
-                        self.model.clone(),
-                        (*exp_model).clone(),
-                        self.control_config(),
-                        exp_config,
-                    ),
-                };
+                // one with this subject's statistics stage. A variant
+                // that fails to compile still yields a best-effort
+                // sampler, which reports that compile error per query.
+                let programs = self
+                    .compile_cached(self.model)
+                    .and_then(|ctl| Ok((ctl, self.compile_cached(&exp_model)?)));
+                let sampler =
+                    RuntimeSampler::from_compiled(programs, self.control_config(), exp_config);
                 // Sample as early as the discrepancy can be observed (the
                 // paper instruments early steps); stay within the run.
-                sampler.sample_step = self.setup.steps.saturating_sub(1).min(2);
-                sampler.fastpath = self.oracle_fastpath;
-                Box::new(sampler)
+                Box::new(sampler.with_sample_step(self.setup.steps.saturating_sub(1).min(2)))
             }
         }
     }

@@ -212,15 +212,6 @@ impl MetaGraph {
         self.module_class[self.meta_of(node).module.index()]
     }
 
-    /// Graph-local class of a module id, if the module appears in this
-    /// graph.
-    pub fn class_of_module(&self, module: ModuleId) -> Option<u32> {
-        match self.module_class.get(module.index()) {
-            Some(&c) if c != u32::MAX => Some(c),
-            _ => None,
-        }
-    }
-
     /// Module class labels for every node plus class count — feed directly
     /// to [`rca_graph::quotient_graph`] to get the paper's §6.5 module
     /// digraph.

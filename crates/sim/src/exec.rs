@@ -3,10 +3,10 @@
 //!
 //! An [`Executor`] is one simulation run over a shared [`Program`] — or,
 //! through the reset-and-reuse protocol, many runs: construction clones
-//! the initial global arena once, and [`Executor::reset`] /
-//! [`Executor::reset_with`] restore it in place (allocation-reusing deep
-//! copy, reseeded PRNG, pooled frames and array buffers) for the next
-//! run. Every host call runs the program's lowered bytecode (see
+//! the initial global arena once, and [`Executor::reset`] restores it in
+//! place (allocation-reusing deep copy, reseeded PRNG, pooled frames and
+//! array buffers) for the next run of the same configuration. Every host
+//! call runs the program's lowered bytecode (see
 //! [`Program::disassemble`]): one flat instruction array per subprogram
 //! over a register frame, nested calls on an explicit frame stack instead
 //! of the host stack, and counted elementwise loops as column
@@ -36,7 +36,7 @@ use crate::bytecode::{Bytecode, Instr, KArr, KOp, KScalar, Kernel, Src, SrcKind,
 use crate::fault::{Fault, FaultKind, FaultPlan, BUDGET_CONTEXT, FAULT_CONTEXT};
 use crate::interp::{RunConfig, RuntimeError};
 use crate::ops::{self, RunResult};
-use crate::prng::{make_prng, Prng, PrngKind};
+use crate::prng::{make_prng, Prng};
 use crate::program::{Intrin, Program, VarBind};
 use crate::store::RunCoverage;
 use crate::value::Value;
@@ -127,7 +127,7 @@ impl VmState {
 
 /// Executes a compiled [`Program`]: load once (cheap — the program is
 /// shared), run one simulation — or, through the reset-and-reuse
-/// protocol ([`Executor::reset`] / [`Executor::reset_with`]), run many.
+/// protocol ([`Executor::reset`]), run many.
 ///
 /// The history buffer is **flat and step-major**: one contiguous
 /// `steps × outputs` block where row `s` holds every output's global mean
@@ -144,7 +144,6 @@ pub struct Executor {
     fma: Vec<bool>,
     fma_scale: f64,
     prng: Box<dyn Prng>,
-    prng_kind: PrngKind,
     prng_seed: u32,
     step: u32,
     steps: u32,
@@ -189,7 +188,6 @@ pub struct Executor {
 impl std::fmt::Debug for Executor {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Executor")
-            .field("prng_kind", &self.prng_kind)
             .field("prng_seed", &self.prng_seed)
             .field("step", &self.step)
             .field("steps", &self.steps)
@@ -214,7 +212,6 @@ impl Executor {
             fma,
             fma_scale: config.fma_scale,
             prng: make_prng(config.prng, config.prng_seed),
-            prng_kind: config.prng,
             prng_seed: config.prng_seed,
             step: 0,
             steps: config.steps,
@@ -333,38 +330,10 @@ impl Executor {
         mean
     }
 
-    /// [`Executor::reset`] plus a configuration change: FMA policy, PRNG
-    /// kind/seed, step counts, and the sampling plans are rebuilt for
-    /// `config`. This is the oracle path — one pooled executor pair serves
-    /// every refinement query, each with a fresh instrumentation list.
-    pub fn reset_with(&mut self, config: &RunConfig) {
-        let p = Arc::clone(&self.program);
-        if config.prng != self.prng_kind {
-            self.prng = make_prng(config.prng, config.prng_seed);
-            self.prng_kind = config.prng;
-        }
-        self.prng_seed = config.prng_seed;
-        for (f, m) in self.fma.iter_mut().zip(p.module_names.iter()) {
-            *f = config.avx2.enabled_for(m);
-        }
-        self.fma_scale = config.fma_scale;
-        self.steps = config.steps;
-        self.sample_step = config.sample_step;
-        let (module_plan, local_dense) = build_sample_plans(&p, config);
-        self.module_plan = module_plan;
-        self.vm.local_dense = local_dense;
-        self.samples.clear();
-        self.samples.resize(config.samples.len(), None);
-        self.plan = config.faults.clone();
-        self.fuel_limit = config.fuel.unwrap_or(u64::MAX);
-        self.resolve_faults();
-        self.reset();
-    }
-
     /// Runs the standard driver sequence (`cam_init(pert)` then one
     /// `cam_run_step` per configured step, sampling at the sample step)
     /// against the executor's current state. Callers reusing an executor
-    /// must [`Executor::reset`] / [`Executor::reset_with`] first.
+    /// must [`Executor::reset`] first.
     pub fn drive(&mut self, pert: f64) -> RunResult<()> {
         rca_obs::counter_inc!("executor.runs", 1);
         self.call("cam_init", &[Value::Real(pert)])?;

@@ -203,9 +203,8 @@ pub fn run_model(
 
 /// Runs a compiled program once through the standard driver sequence and
 /// materializes the owned edge type. Callers running many variants of one
-/// configuration should pool an [`Executor`] ([`Executor::reset`] /
-/// [`Executor::reset_with`]) or fill a [`crate::EnsembleRuns`] store
-/// instead.
+/// configuration should pool an [`Executor`] ([`Executor::reset`]) or fill
+/// a [`crate::EnsembleRuns`] store instead.
 pub fn run_program(
     program: &Arc<Program>,
     config: &RunConfig,

@@ -66,19 +66,20 @@
 //! Residual divergence: a runtime error (out-of-bounds subscript, fuel
 //! exhaustion) raised only inside a *dropped* statement — one that
 //! cannot reach the capture — or after the truncated horizon never fires
-//! in the specialized run. Callers own it with one rule: a specialized
-//! result counts only when every specialized run succeeded, and any
-//! error re-executes through the generic full-program path, which owns
-//! all error semantics (the same shape as the bytecode tier's
-//! kernel-validation fallback). The runtime oracle re-runs the full pair;
-//! the history fill runs its members with zero retries and refills on the
-//! full program under the caller's retry policy. What stays unseen is an
-//! error the full program raises only in dropped code: the oracle would
-//! have answered from a failing pair, a full fill would have retried or
-//! quarantined the member. The history capture shares this residual with
-//! the oracle's. The differential equivalence suites, the fastpath-on/off
-//! scorecard gate, and the history-fill sweeps over seeded campaign
-//! mutants fence the contract end to end.
+//! in the specialized run. Callers own it with two rules. A fuel budget
+//! keeps the full program, since a pruned run spends less fuel. And a
+//! specialized result counts only when every specialized run succeeded:
+//! any error re-executes through the full program, which owns all error
+//! semantics (the same shape as the bytecode tier's kernel-validation
+//! fallback). The runtime oracle re-runs the full pair; the history fill
+//! runs its members with zero retries and refills on the full program
+//! under the caller's retry policy. What stays unseen is an error the
+//! full program raises only in dropped code, or, for the oracle, after
+//! the sample step: the oracle would have answered from a failing pair,
+//! a full fill would have retried or quarantined the member. The
+//! differential equivalence suites, the runtime-oracle fence (whole
+//! diagnoses against a full-pair reference oracle) and the history-fill
+//! sweeps over seeded campaign mutants fence the contract end to end.
 //!
 //! Anything the pass cannot prove separable (missing driver entry
 //! points, a fixpoint that fails to settle) returns `None`; callers then

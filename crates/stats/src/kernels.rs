@@ -86,11 +86,6 @@ pub fn publish(dst: &mut [f64], src: &[f64]) -> usize {
     n
 }
 
-/// Fills a plane with NaN — quarantined-member chunks, reset buffers.
-pub fn fill_nan(dst: &mut [f64]) {
-    dst.fill(f64::NAN);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -265,16 +265,6 @@ impl Matrix {
         }
         cov
     }
-
-    /// Maximum absolute entry difference with `other` (for tests).
-    pub fn max_abs_diff(&self, other: &Matrix) -> f64 {
-        assert_eq!((self.rows, self.cols), (other.rows, other.cols));
-        self.data
-            .iter()
-            .zip(&other.data)
-            .map(|(a, b)| (a - b).abs())
-            .fold(0.0, f64::max)
-    }
 }
 
 impl std::ops::Index<(usize, usize)> for Matrix {

@@ -97,18 +97,20 @@
 //!   specialized runs truncate at `sample_step + 1` instead of the full
 //!   horizon.
 //!
-//! The contract is **fast paths never change evidence**: specialization
-//! falls back to the full program whenever a capture set is not provably
-//! separable, any specialized-run error permanently poisons the fast
-//! path and re-runs the full pair (the generic path owns all error
-//! semantics, exactly like the VM's kernel fallback), and oracle runs
-//! are always fault-free (`RunConfig::without_faults`) so a scenario's
-//! [`sim::FaultPlan`] can never shift verdicts. CI enforces the contract
-//! end to end: a fixed-seed `--oracle runtime` campaign with
-//! `--oracle-fastpath off` ([`rca::RcaSessionBuilder::oracle_fastpath`])
-//! must produce a byte-identical scorecard to the default fastpath-on
-//! run, and `sim_throughput`'s `oracle_fastpath` entry asserts the
-//! specialized query pair stays ≥2× faster than the full pair.
+//! The contract is **fast paths never change evidence**, and there is
+//! one query path, with no switch: memo, then the specialized pair, and
+//! the full program pair only when the programs failed to compile, when
+//! a capture set is not provably separable, when a run carries a fuel
+//! budget (a pruned, truncated run spends less fuel than the full one),
+//! or — permanently — once a specialized run failed (the full pair owns
+//! all error semantics, exactly like the VM's kernel fallback). Oracle
+//! runs are always fault-free (`RunConfig::without_faults`) so a
+//! scenario's [`sim::FaultPlan`] can never shift verdicts. An rca-core
+//! test fence enforces the contract end to end: it diffs whole diagnoses
+//! against an independent full-pair reference oracle written on
+//! [`sim::run_program`], at test and paper scale, and `sim_throughput`'s
+//! `oracle_specialized` entry asserts the specialized query pair stays
+//! ≥2× faster than the full pair.
 //!
 //! The statistics fills use the same specializer with a history capture
 //! ([`sim::EnsembleRuns::run_history`]): every control and experimental
@@ -221,9 +223,8 @@
 //!   experiment and on seeded campaign mutants), and a store fill gives
 //!   each rayon worker one pooled executor for its whole chunk of
 //!   members, so the steady-state ensemble allocates nothing beyond the
-//!   store itself. [`sim::Executor::reset_with`] additionally swaps the
-//!   run configuration — the `RuntimeSampler` oracle keeps one pooled
-//!   executor pair for every refinement query this way.
+//!   store itself. Oracle queries change the instrumentation list every
+//!   time, so each runs its pair on fresh executors.
 //! - **When to materialize**: the store is the only multi-run container,
 //!   and [`sim::RunOutput`] is the single-run edge type. Hot paths read
 //!   the store's step planes or executor state directly;
@@ -283,8 +284,8 @@
 //!   hazards.
 //! - **Lint catalog** ([`analysis::ModelAnalysis::lint`], `rca-lint`
 //!   CLI): uninitialized-read, dead-store/redundant-store, unreachable
-//!   procedure, unused output, unused sample spec, division-by-zero /
-//!   sqrt/log domain hazards, and const-foldable subexpressions —
+//!   procedure, unused output, division-by-zero / sqrt/log domain
+//!   hazards, and const-foldable subexpressions —
 //!   deterministic string-keyed JSON, byte-identical across runs and
 //!   thread counts. CI gates the bundled paper models at zero warnings
 //!   and proves a seeded mutant still raises one.

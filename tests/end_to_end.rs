@@ -92,8 +92,8 @@ fn oracles_agree_on_reachable_detections() {
     let session = session_for(&m, OracleKind::Reachability, 10);
     let mut reach = session.make_oracle(experiment);
     let (ctl, exp) = rca::experiment_configs(experiment, session.setup());
-    let mut runtime = rca::RuntimeSampler::new(m.clone(), m.apply(experiment), ctl, exp);
-    runtime.sample_step = 2;
+    let mut runtime =
+        rca::RuntimeSampler::new(m.clone(), m.apply(experiment), ctl, exp).with_sample_step(2);
 
     let mg = session.metagraph();
     let probes: Vec<graph::NodeId> = ["cld", "relhum", "wsub", "flwds", "tlat", "snowhland"]
