@@ -16,5 +16,5 @@ fn main() {
     );
     let model = bench_model();
     let session = bench_session(&model, true);
-    experiment_figure(&session, Experiment::RandMt);
+    experiment_figure(&session, &model, Experiment::RandMt);
 }

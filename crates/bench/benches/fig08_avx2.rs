@@ -8,6 +8,7 @@
 //! in the paper's REPL format with flags marked.
 
 use rca_bench::{bench_model, bench_session, header};
+use rca_core::Scenario;
 use rca_graph::{communities, eigenvector_centrality, Direction, PowerIterOptions};
 use rca_model::Experiment;
 use rca_sim::{compare_kernel, Avx2Policy, RunConfig};
@@ -47,7 +48,8 @@ fn main() {
         .collect();
 
     // Statistics + slice for the AVX2 experiment, via the typed stages.
-    let mut stats = session.statistics(Experiment::Avx2).expect("statistics");
+    let avx2 = Scenario::paper(&model, session.setup(), Experiment::Avx2);
+    let mut stats = session.statistics_scenario(&avx2).expect("statistics");
     println!(
         "UF-ECT: {} (failure rate {:.0}%)",
         stats.data.verdict,

@@ -8,6 +8,7 @@
 //! sharply at the end (nodes excluded by the line graph) (Fig. 11).
 
 use rca_bench::{bench_model, bench_session, header};
+use rca_core::Scenario;
 use rca_graph::{
     degree_distribution, eigenvector_centrality, fit_power_law, log_rank_series,
     nonbacktracking_centrality, DegreeKind, Direction, PowerIterOptions,
@@ -21,8 +22,9 @@ fn main() {
     );
     let model = bench_model();
     let session = bench_session(&model, true);
+    let goffgratch = Scenario::paper(&model, session.setup(), Experiment::GoffGratch);
     let sliced = session
-        .statistics(Experiment::GoffGratch)
+        .statistics_scenario(&goffgratch)
         .expect("statistics")
         .slice()
         .expect("slice");

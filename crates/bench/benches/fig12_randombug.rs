@@ -15,5 +15,5 @@ fn main() {
     );
     let model = bench_model();
     let session = bench_session(&model, true);
-    experiment_figure(&session, Experiment::RandomBug);
+    experiment_figure(&session, &model, Experiment::RandomBug);
 }

@@ -16,5 +16,5 @@ fn main() {
     );
     let model = bench_model();
     let session = bench_session(&model, false);
-    experiment_figure(&session, Experiment::Avx2);
+    experiment_figure(&session, &model, Experiment::Avx2);
 }

@@ -12,7 +12,7 @@
 //! `RCA_BENCH_SCALE=test|medium|paper` sizes the model.
 
 use rca_bench::{bench_model, header};
-use rca_core::{reinduce, ExperimentSetup, RcaSession};
+use rca_core::{reinduce, ExperimentSetup, RcaSession, Scenario};
 use rca_graph::{community::girvan_newman_counted, reference, DiGraph};
 use rca_model::Experiment;
 use rca_stats::Verdict;
@@ -49,7 +49,8 @@ fn main() {
 
     let mut slices: Vec<(&str, DiGraph)> = Vec::new();
     for e in Experiment::ALL {
-        let stats = session.statistics(e).expect("statistics");
+        let scenario = Scenario::paper(&model, session.setup(), e);
+        let stats = session.statistics_scenario(&scenario).expect("statistics");
         if stats.verdict() == Verdict::Fail {
             let sliced = stats.slice().expect("slice");
             let start = reinduce(session.metagraph(), &sliced.slice, &sliced.slice.mapping);

@@ -111,7 +111,6 @@ fn failure_rate(
 ) -> f64 {
     let mut cfg = ctl.clone();
     cfg.avx2 = avx2;
-    cfg.fma_scale = 1.0; // bit-true FMA
     let runs =
         EnsembleRuns::run(program, &cfg, &perturbations(12, 1e-14, 0xE0 ^ seed)).expect("runs");
     ect.failure_rate(&runs.matrix_at(ctl.steps - 1, kept), 3)

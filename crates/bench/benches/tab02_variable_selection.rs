@@ -7,6 +7,7 @@
 //! AVX2→taux, trefht, snowhlnd, ps, u10, shflx.
 
 use rca_bench::{bench_model, bench_session, header};
+use rca_core::Scenario;
 use rca_model::Experiment;
 
 fn main() {
@@ -30,7 +31,8 @@ fn main() {
         Experiment::RandMt,
         Experiment::Avx2,
     ] {
-        let stats = session.statistics(experiment).expect("statistics");
+        let scenario = Scenario::paper(&model, session.setup(), experiment);
+        let stats = session.statistics_scenario(&scenario).expect("statistics");
         let n = experiment.table2_outputs().len().clamp(1, 10);
         let selected = stats.data.affected_outputs(n);
         let internal = session.pipeline().outputs_to_internal(&selected);

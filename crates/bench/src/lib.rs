@@ -6,9 +6,10 @@
 //! Criterion benches (`perf_*`) measure the pipeline's computational
 //! kernels.
 
-use rca_core::{ExperimentSetup, RcaPipeline, RcaSession, RefineOptions, SliceScope};
+use rca_core::{ExperimentSetup, RcaPipeline, RcaSession, Scenario, SliceScope};
 use rca_model::{generate, Experiment, ModelConfig, ModelSource};
 use serde::Json;
+use std::sync::Arc;
 
 /// Scale used by the figure/table harnesses. Override with
 /// `RCA_BENCH_SCALE=test|medium|paper`.
@@ -20,14 +21,15 @@ pub fn bench_config() -> ModelConfig {
     }
 }
 
-/// Generates the model every harness starts from.
-pub fn bench_model() -> ModelSource {
-    generate(&bench_config())
+/// Generates the model every harness starts from, shared so that
+/// [`Scenario::paper`] can hand it to config-only experiments.
+pub fn bench_model() -> Arc<ModelSource> {
+    Arc::new(generate(&bench_config()))
 }
 
 /// Builds the model + pipeline pair for harnesses that work on the raw
 /// metagraph (degree distributions, module ranking).
-pub fn bench_pipeline() -> (ModelSource, RcaPipeline) {
+pub fn bench_pipeline() -> (Arc<ModelSource>, RcaPipeline) {
     let model = bench_model();
     let pipeline = RcaPipeline::build(&model).expect("pipeline build");
     (model, pipeline)
@@ -38,7 +40,6 @@ pub fn bench_pipeline() -> (ModelSource, RcaPipeline) {
 pub fn bench_session(model: &ModelSource, restrict_cam: bool) -> RcaSession<'_> {
     RcaSession::builder(model)
         .setup(ExperimentSetup::default())
-        .refine_options(bench_refine_options())
         .scope(if restrict_cam {
             SliceScope::Cam
         } else {
@@ -46,11 +47,6 @@ pub fn bench_session(model: &ModelSource, restrict_cam: bool) -> RcaSession<'_> 
         })
         .build()
         .expect("session build")
-}
-
-/// Refinement options used by the figure harnesses.
-pub fn bench_refine_options() -> RefineOptions {
-    RefineOptions::default()
 }
 
 /// Writes one `BENCH_*.json` record, pretty-printed with a trailing
@@ -73,10 +69,16 @@ pub fn header(id: &str, paper_claim: &str) {
     println!();
 }
 
-/// Runs one paper experiment end-to-end (statistics → slice → Algorithm
-/// 5.4 with the session's oracle) and prints the figure's trace.
-pub fn experiment_figure(session: &RcaSession<'_>, experiment: Experiment) {
-    let mut stats = session.statistics(experiment).expect("statistics");
+/// Runs one paper experiment on `model`, the session's model, end-to-end
+/// (statistics → slice → Algorithm 5.4 with the session's oracle) and
+/// prints the figure's trace.
+pub fn experiment_figure(
+    session: &RcaSession<'_>,
+    model: &Arc<ModelSource>,
+    experiment: Experiment,
+) {
+    let scenario = Scenario::paper(model, session.setup(), experiment);
+    let mut stats = session.statistics_scenario(&scenario).expect("statistics");
     println!(
         "UF-ECT: {} (failure rate {:.0}%)",
         stats.data.verdict,
@@ -94,7 +96,7 @@ pub fn experiment_figure(session: &RcaSession<'_>, experiment: Experiment) {
         sliced.slice.graph.edge_count()
     );
 
-    for &b in &session.bug_nodes(experiment) {
+    for &b in &session.scenario_bug_nodes(&scenario) {
         println!("bug node: {}", session.metagraph().display(b));
     }
     let diagnosis = sliced.refine().into_diagnosis();

@@ -80,7 +80,6 @@ pub fn run_digest(
     h.write_u64(opts.seed);
     h.write_u64(opts.clean_every as u64);
     h.write_u64(u64::from(opts.include_paper));
-    h.write_u64(opts.fma_scale.to_bits());
     h.write_u64(u64::from(opts.sign_flip));
     h.write_u64(opts.runtime_faults);
     for cs in plan {

@@ -3,7 +3,7 @@
 //! ```text
 //! rca-campaign [--scenarios N] [--seed S] [--scale test|medium|paper]
 //!              [--oracle reachability|runtime] [--clean-every K] [--paper]
-//!              [--signflip] [--fma-scale F] [--runtime-faults S]
+//!              [--signflip] [--runtime-faults S]
 //!              [--checkpoint PATH] [--stop-after N] [--fuel N]
 //!              [--wall-budget-ms MS] [--threads N] [--json PATH]
 //!              [--trace-out PATH] [--metrics] [--quiet]
@@ -32,11 +32,10 @@
 //! (per-scenario progress, every pipeline phase span, diagnosed
 //! sequentially) and writes it as a JSONL trace when the run ends — the
 //! scorecard bytes are identical with or without it, which the CI
-//! trace-smoke gate asserts. `--metrics` prints the counter/gauge/
-//! histogram snapshot to stderr after the run plus, with `--trace-out`,
-//! the phase profile folded from the trace (count, inclusive and self
-//! time per span name); alone it installs no sink, so the scenario
-//! fan-out stays parallel.
+//! trace-smoke gate asserts. `--metrics` prints the counter snapshot to
+//! stderr after the run plus, with `--trace-out`, the phase profile
+//! folded from the trace (count, inclusive and self time per span name);
+//! alone it installs no sink, so the scenario fan-out stays parallel.
 //!
 //! Exit codes: `0` clean, `1` assertion-floor violation, `2` usage,
 //! `3` completed but some scenario failures were absorbed into the
@@ -65,7 +64,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: rca-campaign [--scenarios N] [--seed S] [--scale test|medium|paper]\n\
          \x20                   [--oracle reachability|runtime] [--clean-every K] [--paper]\n\
-         \x20                   [--signflip] [--fma-scale F] [--runtime-faults S]\n\
+         \x20                   [--signflip] [--runtime-faults S]\n\
          \x20                   [--checkpoint PATH] [--stop-after N] [--fuel N]\n\
          \x20                   [--wall-budget-ms MS] [--threads N] [--json PATH]\n\
          \x20                   [--trace-out PATH] [--metrics] [--quiet]\n\
@@ -106,9 +105,6 @@ fn parse_args() -> Args {
             "--seed" => args.opts.seed = value("--seed").parse().unwrap_or_else(|_| usage()),
             "--clean-every" => {
                 args.opts.clean_every = value("--clean-every").parse().unwrap_or_else(|_| usage());
-            }
-            "--fma-scale" => {
-                args.opts.fma_scale = value("--fma-scale").parse().unwrap_or_else(|_| usage());
             }
             "--paper" => args.opts.include_paper = true,
             "--signflip" => args.opts.sign_flip = true,

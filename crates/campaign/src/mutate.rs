@@ -21,7 +21,7 @@
 //! campaign seed reproduces byte-identical mutations, which is what makes
 //! a scorecard a regression benchmark.
 
-use rca_core::{experiment_configs, ExperimentSetup, RcaSession, Scenario};
+use rca_core::{ExperimentSetup, RcaSession, Scenario};
 use rca_model::{BugSite, Experiment, ModelSource, PatchSite};
 use rca_sim::{Avx2Policy, PrngKind, RunConfig};
 use std::collections::HashSet;
@@ -167,9 +167,6 @@ pub struct CampaignOptions {
     pub clean_every: usize,
     /// Also queue the paper's six experiments as scenarios.
     pub include_paper: bool,
-    /// FMA delta amplification for `FmaToggle` scenarios (site-count
-    /// bridging, as in [`ExperimentSetup::fma_scale`]).
-    pub fma_scale: f64,
     /// Include the additive [`MutationKind::SignFlip`] operator in the
     /// weighted kind choice. Off by default so recorded fixed-seed
     /// baselines (the CI scorecard diff) stay byte-identical; enabling it
@@ -194,7 +191,6 @@ impl Default for CampaignOptions {
             seed: 0xCAFE,
             clean_every: 5,
             include_paper: false,
-            fma_scale: 1.0,
             sign_flip: false,
             runtime_faults: 0,
         }
@@ -479,7 +475,6 @@ fn plan_mutant(
             let module = fma_modules[rng.below(fma_modules.len())].clone();
             let mut config = control.clone();
             config.avx2 = Avx2Policy::Only(HashSet::from([module.clone()]));
-            config.fma_scale = opts.fma_scale;
             let bug_sites: Vec<BugSite> = sites
                 .iter()
                 .filter(|s| s.fma_shape && s.module == module)
@@ -533,33 +528,28 @@ fn plan_mutant(
 }
 
 /// One of the paper's six experiments, packaged as a campaign scenario so
-/// the batch runner and scorecard treat it uniformly.
+/// the batch runner and scorecard treat it uniformly: the
+/// [`Scenario::paper`] of `experiment`, named `paper-<NAME>`, with the
+/// modules of its bug sites as module-level ground truth.
 pub fn paper_scenario(
     model: &Arc<ModelSource>,
     setup: &ExperimentSetup,
     experiment: Experiment,
 ) -> CampaignScenario {
-    let (_, config) = experiment_configs(experiment, setup);
-    let bug_sites = experiment.bug_sites();
-    let mut bug_modules: Vec<String> = bug_sites.iter().map(|s| s.module.clone()).collect();
+    let mut scenario = Scenario::paper(model, setup, experiment);
+    scenario.name = format!("paper-{}", scenario.name);
+    let mut bug_modules: Vec<String> = scenario
+        .bug_sites
+        .iter()
+        .map(|s| s.module.clone())
+        .collect();
     bug_modules.sort();
     bug_modules.dedup();
-    let injected_module = bug_modules.first().cloned();
-    let exp_model = if experiment.source_patches().is_empty() {
-        model.clone()
-    } else {
-        Arc::new(model.apply(experiment))
-    };
+    scenario.bug_modules = bug_modules;
     CampaignScenario {
-        scenario: Scenario {
-            name: format!("paper-{}", experiment.name()),
-            model: exp_model,
-            config,
-            bug_sites,
-            bug_modules,
-        },
+        injected_module: scenario.bug_modules.first().cloned(),
+        scenario,
         class: ScenarioClass::Paper(experiment),
-        injected_module,
         detail: format!("paper experiment {}", experiment.name()),
     }
 }
@@ -821,5 +811,30 @@ mod tests {
         assert!(cs.class.expects_fail());
         let control = paper_scenario(model, session.setup(), Experiment::Control);
         assert!(!control.class.expects_fail());
+    }
+
+    #[test]
+    fn paper_scenario_is_the_core_paper_scenario_renamed_with_modules() {
+        let (model, session) = fixture();
+        for e in Experiment::ALL {
+            let cs = paper_scenario(model, session.setup(), e).scenario;
+            let core = Scenario::paper(model, session.setup(), e);
+            assert_eq!(cs.name, format!("paper-{}", core.name));
+            assert_eq!(cs.model.content_hash(), core.model.content_hash());
+            assert_eq!(
+                Arc::ptr_eq(&cs.model, model),
+                Arc::ptr_eq(&core.model, model),
+                "{}",
+                e.name()
+            );
+            assert_eq!(format!("{:?}", cs.config), format!("{:?}", core.config));
+            assert_eq!(cs.bug_sites, core.bug_sites);
+            assert!(core.bug_modules.is_empty());
+            let mut modules: Vec<String> =
+                core.bug_sites.iter().map(|s| s.module.clone()).collect();
+            modules.sort();
+            modules.dedup();
+            assert_eq!(cs.bug_modules, modules, "{}", e.name());
+        }
     }
 }

@@ -11,6 +11,7 @@
 //! lengths, the output table and every step plane.
 
 use rca_campaign::{plan_campaign, CampaignOptions, ScenarioClass};
+use rca_core::experiments::IC_MAGNITUDE;
 use rca_core::{ExperimentSetup, RcaSession};
 use rca_model::{generate, ModelConfig};
 use rca_sim::{compile_model, perturbations, EnsembleRuns};
@@ -36,7 +37,7 @@ fn sweep(config: &ModelConfig, setup: ExperimentSetup, scenarios: usize) -> usiz
         },
     );
     // The experimental side of `RcaSession::statistics_scenario`.
-    let perts = perturbations(setup.n_experiment, setup.ic_magnitude, setup.seed ^ 0xDEAD);
+    let perts = perturbations(setup.n_experiment, IC_MAGNITUDE, setup.seed ^ 0xDEAD);
     let mut compared = 0;
     for cs in plan.iter().filter(|cs| cs.class != ScenarioClass::Clean) {
         let label = format!("{} ({})", cs.scenario.name, cs.detail);

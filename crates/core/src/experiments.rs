@@ -2,10 +2,18 @@
 //! selection — the statistical front end of every paper experiment.
 
 use crate::error::RcaError;
-use rca_model::{Experiment, ModelConfig, ModelSource};
+use rca_model::Experiment;
 use rca_sim::{perturbations, Avx2Policy, EnsembleRuns, PrngKind, Program, RunConfig};
 use rca_stats::{fit_lasso_path, median_distance_selection, Ect, EctConfig, Matrix, Verdict};
 use std::sync::Arc;
+
+/// Initial-condition perturbation magnitude of every ensemble and
+/// experimental member (CESM: O(10⁻¹⁴)).
+pub const IC_MAGNITUDE: f64 = 1e-14;
+
+/// Lasso sparsity target of the affected-output selection (paper: "about
+/// five variables").
+const LASSO_TARGET: usize = 5;
 
 /// Sizing and statistical parameters for an experiment campaign.
 #[derive(Debug, Clone)]
@@ -16,14 +24,8 @@ pub struct ExperimentSetup {
     pub n_ensemble: usize,
     /// Experimental-set size.
     pub n_experiment: usize,
-    /// Initial-condition perturbation magnitude (CESM: O(10⁻¹⁴)).
-    pub ic_magnitude: f64,
-    /// FMA delta amplification for AVX2 runs (site-count bridging).
-    pub fma_scale: f64,
     /// ECT configuration.
     pub ect: EctConfig,
-    /// Lasso sparsity target (paper: "about five variables").
-    pub lasso_target: usize,
     /// Ensemble/experiment perturbation seeds.
     pub seed: u64,
     /// Member retry/quarantine policy for run failures.
@@ -40,10 +42,7 @@ impl Default for ExperimentSetup {
             steps: 9,
             n_ensemble: 36,
             n_experiment: 12,
-            ic_magnitude: 1e-14,
-            fma_scale: 1.0,
             ect: EctConfig::default(),
-            lasso_target: 5,
             seed: 0xC1,
             retry: RetryPolicy::default(),
             fuel: None,
@@ -56,48 +55,32 @@ impl Default for ExperimentSetup {
 ///
 /// A member whose run fails is retried with a derived perturbation up to
 /// `max_retries` times, then quarantined; the ECT is fitted from the
-/// surviving quorum as long as it meets the configured minimum, with a
+/// surviving quorum as long as it meets the minimum, with a
 /// `DegradedEnsemble` note recorded on the diagnosis. Below quorum the
 /// pipeline errors (structured, not a panic).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Retry attempts per failed member before quarantine.
     pub max_retries: u32,
-    /// Minimum surviving control-ensemble members for an ECT fit;
-    /// `0` = automatic (half the ensemble, at least 3).
-    pub min_control_members: usize,
-    /// Minimum surviving experimental runs for a verdict;
-    /// `0` = automatic (a pyCECT run-set of 3, capped at the set size).
-    pub min_experiment_members: usize,
 }
 
 impl Default for RetryPolicy {
     fn default() -> Self {
-        RetryPolicy {
-            max_retries: 2,
-            min_control_members: 0,
-            min_experiment_members: 0,
-        }
+        RetryPolicy { max_retries: 2 }
     }
 }
 
 impl RetryPolicy {
-    /// Effective control quorum for an ensemble of `total` members.
+    /// Minimum surviving control-ensemble members for an ECT fit out of
+    /// `total`: half the ensemble, at least 3 (capped at the ensemble).
     pub fn control_quorum(&self, total: usize) -> usize {
-        if self.min_control_members > 0 {
-            self.min_control_members
-        } else {
-            (total / 2).max(3).min(total.max(1))
-        }
+        (total / 2).max(3).min(total.max(1))
     }
 
-    /// Effective experimental quorum for a set of `total` runs.
+    /// Minimum surviving experimental runs for a verdict out of `total`:
+    /// a pyCECT run-set of 3, capped at the set size.
     pub fn experiment_quorum(&self, total: usize) -> usize {
-        if self.min_experiment_members > 0 {
-            self.min_experiment_members
-        } else {
-            3.min(total).max(1)
-        }
+        3.min(total).max(1)
     }
 }
 
@@ -222,7 +205,6 @@ pub fn experiment_configs(
     }
     if experiment.enables_avx2() {
         exp.avx2 = Avx2Policy::AllModules;
-        exp.fma_scale = setup.fma_scale;
     }
     (control, exp)
 }
@@ -259,7 +241,7 @@ pub(crate) fn collect_ensemble(
     base_program: &Arc<Program>,
     setup: &ExperimentSetup,
 ) -> Result<EnsembleStats, RcaError> {
-    let perts = perturbations(setup.n_ensemble, setup.ic_magnitude, setup.seed);
+    let perts = perturbations(setup.n_ensemble, IC_MAGNITUDE, setup.seed);
     let store = {
         let _span = rca_obs::span("phase.ensemble_fill");
         EnsembleRuns::run_history(
@@ -329,16 +311,16 @@ pub struct ExperimentData {
 /// `exp_cfg`, the ECT verdict/failure rate, and affected-output selection
 /// with both §3 methods.
 ///
-/// This is the engine behind [`crate::RcaSession::statistics`] and
-/// [`crate::RcaSession::diagnose_scenario`]: the same cached ensemble
-/// serves every experiment and every injected-fault scenario.
+/// This is the engine behind [`crate::RcaSession::statistics_scenario`]
+/// and [`crate::RcaSession::diagnose_scenario`]: the same cached ensemble
+/// serves every paper experiment and every injected-fault scenario.
 pub(crate) fn evaluate_against_ensemble(
     ens: &EnsembleStats,
     exp_program: &Arc<Program>,
     exp_cfg: &RunConfig,
     setup: &ExperimentSetup,
 ) -> Result<ExperimentData, RcaError> {
-    let exp_perts = perturbations(setup.n_experiment, setup.ic_magnitude, setup.seed ^ 0xDEAD);
+    let exp_perts = perturbations(setup.n_experiment, IC_MAGNITUDE, setup.seed ^ 0xDEAD);
     let exp_store = {
         let _span = rca_obs::span("statistics.experiment_fill");
         EnsembleRuns::run_history(exp_program, exp_cfg, &exp_perts, setup.retry.max_retries)
@@ -446,7 +428,7 @@ pub(crate) fn evaluate_against_ensemble(
         let lasso = fit_lasso_path(
             &Matrix::from_row_slices(&all_rows),
             &labels,
-            setup.lasso_target,
+            LASSO_TARGET,
             30,
             500,
         );
@@ -470,20 +452,19 @@ pub(crate) fn evaluate_against_ensemble(
 }
 
 /// One-shot convenience over [`collect_ensemble`] +
-/// [`evaluate_against_ensemble`] for a built-in experiment (tests and
-/// callers without a session cache).
+/// [`evaluate_against_ensemble`] for a paper experiment on the test-scale
+/// model, without a session cache.
 #[cfg(test)]
-pub(crate) fn collect_statistics(
-    base_model: &ModelSource,
+fn collect_statistics(
     experiment: Experiment,
     setup: &ExperimentSetup,
 ) -> Result<ExperimentData, RcaError> {
-    let base_program = rca_sim::compile_model(base_model)?;
+    let base_model = Arc::new(rca_model::generate(&rca_model::ModelConfig::test()));
+    let base_program = rca_sim::compile_model(&base_model)?;
     let ens = collect_ensemble(&base_program, setup)?;
-    let exp_model = base_model.apply(experiment);
-    let exp_program = rca_sim::compile_model(&exp_model)?;
-    let (_, exp_cfg) = experiment_configs(experiment, setup);
-    evaluate_against_ensemble(&ens, &exp_program, &exp_cfg, setup)
+    let scenario = crate::Scenario::paper(&base_model, setup, experiment);
+    let exp_program = rca_sim::compile_model(&scenario.model)?;
+    evaluate_against_ensemble(&ens, &exp_program, &scenario.config, setup)
 }
 
 impl ExperimentData {
@@ -506,11 +487,6 @@ impl ExperimentData {
     }
 }
 
-/// Per-model-config campaign used by tests/benches to share setup.
-pub fn default_model() -> ModelSource {
-    rca_model::generate(&ModelConfig::test())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -524,37 +500,24 @@ mod tests {
         assert_eq!(p.control_quorum(2), 2, "floor capped at the set size");
         assert_eq!(p.experiment_quorum(12), 3, "one pyCECT run-set");
         assert_eq!(p.experiment_quorum(2), 2);
-        let explicit = RetryPolicy {
-            min_control_members: 5,
-            min_experiment_members: 4,
-            ..Default::default()
-        };
-        assert_eq!(explicit.control_quorum(36), 5);
-        assert_eq!(explicit.experiment_quorum(12), 4);
     }
 
     #[test]
     fn zero_fault_statistics_report_no_degradation() {
-        let model = default_model();
-        let data =
-            collect_statistics(&model, Experiment::Control, &ExperimentSetup::quick()).unwrap();
+        let data = collect_statistics(Experiment::Control, &ExperimentSetup::quick()).unwrap();
         assert_eq!(data.degraded, None, "healthy fills must not be flagged");
     }
 
     #[test]
     fn control_passes_ect() {
-        let model = default_model();
-        let data =
-            collect_statistics(&model, Experiment::Control, &ExperimentSetup::quick()).unwrap();
+        let data = collect_statistics(Experiment::Control, &ExperimentSetup::quick()).unwrap();
         assert_eq!(data.verdict, Verdict::Pass, "control must be consistent");
         assert!(data.failure_rate < 0.5, "rate {}", data.failure_rate);
     }
 
     #[test]
     fn wsubbug_fails_ect_and_median_dominates() {
-        let model = default_model();
-        let data =
-            collect_statistics(&model, Experiment::WsubBug, &ExperimentSetup::quick()).unwrap();
+        let data = collect_statistics(Experiment::WsubBug, &ExperimentSetup::quick()).unwrap();
         assert_eq!(data.verdict, Verdict::Fail);
         // §6.1: "the distance between the experimental and ensemble
         // medians for this variable is more than 1,000 times greater than
@@ -566,9 +529,7 @@ mod tests {
 
     #[test]
     fn goffgratch_fails_and_selects_cloud_outputs() {
-        let model = default_model();
-        let data =
-            collect_statistics(&model, Experiment::GoffGratch, &ExperimentSetup::quick()).unwrap();
+        let data = collect_statistics(Experiment::GoffGratch, &ExperimentSetup::quick()).unwrap();
         assert_eq!(data.verdict, Verdict::Fail);
         let affected = data.affected_outputs(10);
         assert!(!affected.is_empty());
@@ -584,9 +545,7 @@ mod tests {
 
     #[test]
     fn randmt_fails_ect() {
-        let model = default_model();
-        let data =
-            collect_statistics(&model, Experiment::RandMt, &ExperimentSetup::quick()).unwrap();
+        let data = collect_statistics(Experiment::RandMt, &ExperimentSetup::quick()).unwrap();
         assert_eq!(data.verdict, Verdict::Fail);
         let affected = data.affected_outputs(5);
         // Longwave outputs must appear (flds/flns/qrl are directly
@@ -601,9 +560,7 @@ mod tests {
 
     #[test]
     fn dyn3bug_selects_dynamics_outputs() {
-        let model = default_model();
-        let data =
-            collect_statistics(&model, Experiment::Dyn3Bug, &ExperimentSetup::quick()).unwrap();
+        let data = collect_statistics(Experiment::Dyn3Bug, &ExperimentSetup::quick()).unwrap();
         assert_eq!(data.verdict, Verdict::Fail);
         let affected = data.affected_outputs(6);
         let dyn_outputs = ["vv", "omega", "z3", "uu", "omegat", "ps"];

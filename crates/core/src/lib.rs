@@ -4,18 +4,24 @@
 //! (HPDC 2019), Fig. 1, behind the [`RcaSession`] facade:
 //!
 //! ```no_run
-//! use rca_core::{ExperimentSetup, OracleKind, RcaSession};
+//! use rca_core::{ExperimentSetup, OracleKind, RcaSession, Scenario};
 //! use rca_model::{generate, Experiment, ModelConfig};
+//! use std::sync::Arc;
 //!
-//! let model = generate(&ModelConfig::test());
+//! let model = Arc::new(generate(&ModelConfig::test()));
 //! let session = RcaSession::builder(&model)
 //!     .setup(ExperimentSetup::quick())
 //!     .oracle(OracleKind::Reachability)
 //!     .build()?;
-//! let diagnosis = session.diagnose(Experiment::GoffGratch)?;
+//! let goffgratch = Scenario::paper(&model, session.setup(), Experiment::GoffGratch);
+//! let diagnosis = session.diagnose_scenario(&goffgratch)?;
 //! println!("{}", diagnosis.render());
 //! # Ok::<(), rca_core::RcaError>(())
 //! ```
+//!
+//! A session diagnoses [`Scenario`]s: a model variant, a run
+//! configuration and optional ground truth. [`Scenario::paper`] turns one
+//! of the paper's experiments into one; campaigns build the rest.
 //!
 //! The stages behind the facade (each also reachable through the typed
 //! stage handles in [`session`]):

@@ -48,24 +48,16 @@ pub struct RcaPipeline {
     filtered: Vec<Arc<SourceFile>>,
 }
 
+/// Steps of the coverage calibration run (the paper examines coverage by
+/// the second time step).
+const COVERAGE_STEPS: u32 = 2;
+
 /// Options for pipeline construction.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct PipelineOptions {
-    /// Steps of the coverage calibration run (the paper examines coverage
-    /// by the second time step).
-    pub coverage_steps: u32,
     /// Skip the coverage run and graph all source (for comparisons of
     /// hybrid vs. purely static slicing).
     pub skip_coverage: bool,
-}
-
-impl Default for PipelineOptions {
-    fn default() -> Self {
-        PipelineOptions {
-            coverage_steps: 2,
-            skip_coverage: false,
-        }
-    }
 }
 
 impl RcaPipeline {
@@ -139,7 +131,7 @@ impl RcaPipeline {
         } else {
             let _span = rca_obs::span("phase.coverage");
             let cfg = RunConfig {
-                steps: opts.coverage_steps,
+                steps: COVERAGE_STEPS,
                 ..Default::default()
             };
             let out = run_program(program.expect("calibration needs a program"), &cfg, 0.0)?;
@@ -161,7 +153,6 @@ impl RcaPipeline {
             let _span = rca_obs::span("phase.metagraph");
             build_metagraph_seeded(&filtered, &BuildOptions::default(), seed)
         };
-        rca_obs::gauge("session.metagraph_nodes").set(metagraph.node_count() as f64);
         let components = model.component_map();
         let syms = metagraph.symbols();
         let mut cam_mask = vec![false; syms.module_count()];
@@ -280,7 +271,6 @@ mod tests {
             &model,
             &PipelineOptions {
                 skip_coverage: true,
-                ..Default::default()
             },
         )
         .unwrap();
@@ -298,7 +288,6 @@ mod tests {
             &model,
             &PipelineOptions {
                 skip_coverage: true,
-                ..Default::default()
             },
         )
         .unwrap();

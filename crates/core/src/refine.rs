@@ -24,31 +24,31 @@ use rca_graph::{
 use rca_metagraph::MetaGraph;
 use serde::Json;
 
+/// Nodes sampled per community (the paper samples the top 10, three for
+/// very small subgraphs).
+const SAMPLES_PER_COMMUNITY: usize = 10;
+
+/// Girvan–Newman iterations per refinement round (paper: 1).
+const GN_LEVELS: usize = 1;
+
+/// Hard cap on refinement iterations.
+const MAX_ITERATIONS: usize = 12;
+
 /// Tuning knobs for Algorithm 5.4.
 #[derive(Debug, Clone)]
 pub struct RefineOptions {
-    /// Nodes sampled per community (the paper samples the top 10, three
-    /// for very small subgraphs).
-    pub samples_per_community: usize,
     /// Communities smaller than this are omitted (paper: 3).
     pub min_community: usize,
-    /// Girvan–Newman iterations per refinement round (paper: 1).
-    pub gn_levels: usize,
     /// Stop when the subgraph reaches this size ("small enough for manual
     /// analysis").
     pub manual_threshold: usize,
-    /// Hard iteration cap.
-    pub max_iterations: usize,
 }
 
 impl Default for RefineOptions {
     fn default() -> Self {
         RefineOptions {
-            samples_per_community: 10,
             min_community: 3,
-            gn_levels: 1,
             manual_threshold: 25,
-            max_iterations: 12,
         }
     }
 }
@@ -183,9 +183,6 @@ impl serde::Serialize for RefinementReport {
     }
 }
 
-/// Refinement iteration-count histogram bounds.
-const REFINE_ITER_BOUNDS: &[f64] = &[1.0, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0];
-
 /// Runs Algorithm 5.4 on a suspect slice with the given oracle.
 ///
 /// `bug_nodes` (metagraph ids) are optional ground truth used only for
@@ -206,7 +203,7 @@ pub fn refine(
     let mut all_sampled: Vec<NodeId> = Vec::new();
     let mut stop = StopReason::MaxIterations;
 
-    for _ in 0..opts.max_iterations {
+    for _ in 0..MAX_ITERATIONS {
         if current.graph.node_count() <= opts.manual_threshold {
             stop = StopReason::SmallEnough;
             break;
@@ -214,7 +211,7 @@ pub fn refine(
         // Step 5: communities of the undirected view.
         let comms = {
             let _span = rca_obs::span("refine.communities");
-            communities(&current.graph, opts.gn_levels, opts.min_community)
+            communities(&current.graph, GN_LEVELS, opts.min_community)
         };
         if comms.is_empty() {
             stop = StopReason::Disconnected;
@@ -229,7 +226,7 @@ pub fn refine(
                     let (cg, cmap) = current.graph.induced_subgraph(comm);
                     let cent =
                         eigenvector_centrality(&cg, Direction::In, PowerIterOptions::default());
-                    top_m(&cent, opts.samples_per_community)
+                    top_m(&cent, SAMPLES_PER_COMMUNITY)
                         .into_iter()
                         .map(|local| current.to_meta(cmap[local.index()]))
                         .collect()
@@ -363,7 +360,7 @@ pub fn refine(
 
     all_sampled.sort();
     all_sampled.dedup();
-    rca_obs::histogram("refine.iterations", REFINE_ITER_BOUNDS).observe(iterations.len() as f64);
+    rca_obs::counter_inc!("refine.iterations", iterations.len() as u64);
     RefinementReport {
         iterations,
         stop,

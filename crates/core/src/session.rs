@@ -3,42 +3,45 @@
 //! The pipeline of Milroy et al. (HPDC 2019, Fig. 1) is a fixed staged
 //! sequence — statistics → graph compilation → slicing → Algorithm 5.4
 //! refinement — and this module packages it behind a builder-configured
-//! session:
+//! session that diagnoses [`Scenario`]s:
 //!
 //! ```no_run
-//! use rca_core::{ExperimentSetup, OracleKind, RcaSession};
+//! use rca_core::{ExperimentSetup, OracleKind, RcaSession, Scenario};
 //! use rca_model::{generate, Experiment, ModelConfig};
+//! use std::sync::Arc;
 //!
-//! let model = generate(&ModelConfig::test());
+//! let model = Arc::new(generate(&ModelConfig::test()));
 //! let session = RcaSession::builder(&model)
 //!     .setup(ExperimentSetup::quick())
 //!     .oracle(OracleKind::Runtime)
 //!     .build()?;
-//! let diagnosis = session.diagnose(Experiment::GoffGratch)?;
+//! let goffgratch = Scenario::paper(&model, session.setup(), Experiment::GoffGratch);
+//! let diagnosis = session.diagnose_scenario(&goffgratch)?;
 //! println!("{}", diagnosis.render());
 //! # Ok::<(), rca_core::RcaError>(())
 //! ```
 //!
 //! Callers that need the granular control of the old free functions use
-//! the **typed stage handles** instead: [`RcaSession::statistics`] returns
-//! a [`Statistics`] stage, whose [`Statistics::slice`] consumes it into a
-//! [`Sliced`] stage, whose [`Sliced::refine`]/[`Sliced::refine_with`]
+//! the **typed stage handles** instead: [`RcaSession::statistics_scenario`]
+//! returns a [`Statistics`] stage, whose [`Statistics::slice`] consumes it
+//! into a [`Sliced`] stage, whose [`Sliced::refine`]/[`Sliced::refine_with`]
 //! consume it into [`Refined`]. Because each stage is only constructible
 //! from its predecessor, the pipeline cannot be run out of order at
 //! compile time — there is no way to refine before slicing or slice
 //! before the statistics exist.
 //!
-//! # Beyond the six paper experiments: scenarios
+//! # Scenarios
 //!
-//! [`RcaSession::diagnose_scenario`] runs the identical pipeline against a
-//! caller-supplied [`Scenario`] — any experimental model variant plus run
-//! configuration, with optional ground truth. This is the substrate of the
-//! `rca-campaign` fault-injection engine: the session's expensive
-//! experiment-independent state (parse, coverage, metagraph, **and the
-//! control ensemble + fitted ECT**) is computed once and shared by every
-//! scenario, so N-scenario campaigns scale with the per-scenario work
-//! only. Sessions are `Sync`; scenarios can be diagnosed from parallel
-//! threads against one shared session.
+//! A [`Scenario`] is any experimental model variant plus run
+//! configuration, with optional ground truth; [`Scenario::paper`] builds
+//! one of the paper's six experiments (and the control). The same
+//! pipeline serves the paper's experiments and the `rca-campaign`
+//! fault-injection engine: the session's expensive experiment-independent
+//! state (parse, coverage, metagraph, **and the control ensemble + fitted
+//! ECT**) is computed once and shared by every scenario, so N-scenario
+//! campaigns scale with the per-scenario work only. Sessions are `Sync`;
+//! scenarios can be diagnosed from parallel threads against one shared
+//! session.
 
 use crate::error::RcaError;
 use crate::experiments::{
@@ -87,9 +90,9 @@ pub enum SliceScope {
     AllComponents,
 }
 
-/// A caller-defined experimental condition: one model variant plus run
-/// configuration, diagnosed through the same session pipeline as the
-/// paper's built-in experiments.
+/// What a session diagnoses: one model variant plus run configuration —
+/// a paper experiment ([`Scenario::paper`]), a campaign mutant, or any
+/// caller-defined condition.
 ///
 /// The model is `Arc`-shared so fault-injection campaigns can fan hundreds
 /// of scenarios out across threads without cloning source trees. Ground
@@ -122,23 +125,32 @@ impl Scenario {
             bug_modules: Vec::new(),
         }
     }
-}
 
-/// What one pipeline run is diagnosing: a built-in experiment or a custom
-/// scenario, resolved to the data every stage needs.
-#[derive(Debug, Clone)]
-pub(crate) struct Subject {
-    name: String,
-    experiment: Option<Experiment>,
-    /// `None` for built-in experiments (patched lazily from the base
-    /// model); always `Some` for scenarios.
-    exp_model: Option<Arc<ModelSource>>,
-    exp_config: RunConfig,
-    bug_sites: Vec<BugSite>,
-    /// Ground-truth modules resolved to ids once at subject construction
-    /// (a module the session's graph never interned cannot host a bug
-    /// node, so unresolvable names simply drop out here).
-    bug_module_ids: Vec<ModuleId>,
+    /// One of the paper's experiments over `model`, named
+    /// `experiment.name()`: the shared `model` itself when the experiment
+    /// patches no source (a config-only variant such as RAND-MT or AVX2
+    /// then reuses the base program in a session's cache), otherwise
+    /// `model.apply(experiment)`; the experimental configuration of
+    /// [`experiment_configs`]; and the experiment's bug sites as ground
+    /// truth, with no bug modules.
+    pub fn paper(
+        model: &Arc<ModelSource>,
+        setup: &ExperimentSetup,
+        experiment: Experiment,
+    ) -> Scenario {
+        let model = if experiment.source_patches().is_empty() {
+            Arc::clone(model)
+        } else {
+            Arc::new(model.apply(experiment))
+        };
+        Scenario {
+            name: experiment.name().to_string(),
+            model,
+            config: experiment_configs(experiment, setup).1,
+            bug_sites: experiment.bug_sites(),
+            bug_modules: Vec::new(),
+        }
+    }
 }
 
 /// Configures and builds an [`RcaSession`].
@@ -248,8 +260,8 @@ impl<'m> RcaSessionBuilder<'m> {
 ///
 /// Building the session performs the experiment-independent work (parse,
 /// coverage calibration, metagraph compilation) once; each
-/// [`RcaSession::diagnose`] / [`RcaSession::diagnose_scenario`] call then
-/// runs the per-experiment pipeline. The control ensemble and its fitted
+/// [`RcaSession::diagnose_scenario`] call then runs the per-scenario
+/// pipeline. The control ensemble and its fitted
 /// ECT are computed lazily on first use and cached for the session's
 /// lifetime — the cache is thread-safe, so one session can serve parallel
 /// scenario fan-outs.
@@ -325,11 +337,6 @@ impl<'m> RcaSession<'m> {
     /// The statistical campaign parameters.
     pub fn setup(&self) -> &ExperimentSetup {
         &self.setup
-    }
-
-    /// The configured evidence source.
-    pub fn oracle_kind(&self) -> OracleKind {
-        self.oracle
     }
 
     /// The control-side statistics (perturbed ensemble runs + fitted ECT),
@@ -411,109 +418,50 @@ impl<'m> RcaSession<'m> {
         crate::experiments::control_config(&self.setup)
     }
 
-    /// Metagraph nodes of the experiment's ground-truth bug sites (empty
-    /// for experiments without injected bugs, e.g. `Control`).
-    pub fn bug_nodes(&self, experiment: Experiment) -> Vec<NodeId> {
-        self.bug_nodes_for(&self.subject_of(experiment))
-    }
-
     /// Metagraph nodes of a scenario's ground truth: its `bug_sites` plus
-    /// every node of its `bug_modules`.
+    /// every node of its `bug_modules` (a module the session's graph never
+    /// interned cannot host a bug node, so its name drops out).
     pub fn scenario_bug_nodes(&self, scenario: &Scenario) -> Vec<NodeId> {
-        self.bug_nodes_for(&self.subject_of_scenario(scenario))
-    }
-
-    /// All metagraph nodes belonging to `module` — the module-level
-    /// ground-truth helper for campaign scoring ("is the injected module
-    /// in the final slice?").
-    pub fn module_nodes(&self, module: &str) -> Vec<NodeId> {
-        match self.symbols().module_id(module) {
-            Some(id) => self.pipeline.metagraph.nodes_in_module_ids(&[id]),
-            None => Vec::new(),
-        }
-    }
-
-    fn subject_of(&self, experiment: Experiment) -> Subject {
-        let (_, exp_config) = experiment_configs(experiment, &self.setup);
-        Subject {
-            name: experiment.name().to_string(),
-            experiment: Some(experiment),
-            exp_model: None,
-            exp_config,
-            bug_sites: experiment.bug_sites(),
-            bug_module_ids: Vec::new(),
-        }
-    }
-
-    fn subject_of_scenario(&self, scenario: &Scenario) -> Subject {
-        let syms = self.symbols();
-        Subject {
-            name: scenario.name.clone(),
-            experiment: None,
-            exp_model: Some(scenario.model.clone()),
-            exp_config: scenario.config.clone(),
-            bug_sites: scenario.bug_sites.clone(),
-            bug_module_ids: scenario
-                .bug_modules
-                .iter()
-                .filter_map(|m| syms.module_id(m))
-                .collect(),
-        }
-    }
-
-    fn exp_model_of(&self, subject: &Subject) -> Arc<ModelSource> {
-        match (&subject.exp_model, subject.experiment) {
-            (Some(m), _) => m.clone(),
-            (None, Some(e)) => Arc::new(self.model.apply(e)),
-            (None, None) => unreachable!("subject carries a model or an experiment"),
-        }
-    }
-
-    fn bug_nodes_for(&self, subject: &Subject) -> Vec<NodeId> {
         let mg = &self.pipeline.metagraph;
-        let mut nodes = ReachabilityOracle::from_sites(mg, &subject.bug_sites).bug_nodes;
-        if !subject.bug_module_ids.is_empty() {
-            nodes.extend(mg.nodes_in_module_ids(&subject.bug_module_ids));
+        let mut nodes = ReachabilityOracle::from_sites(mg, &scenario.bug_sites).bug_nodes;
+        let syms = self.symbols();
+        let modules: Vec<ModuleId> = scenario
+            .bug_modules
+            .iter()
+            .filter_map(|m| syms.module_id(m))
+            .collect();
+        if !modules.is_empty() {
+            nodes.extend(mg.nodes_in_module_ids(&modules));
         }
         nodes.sort();
         nodes.dedup();
         nodes
     }
 
-    /// Instantiates the session's configured oracle for one experiment.
+    /// Instantiates the session's configured oracle for one scenario.
     ///
     /// Exposed so callers can drive [`crate::refine()`] (or
     /// [`Sliced::refine_with`]) with a built-in oracle while owning its
-    /// lifecycle — e.g. to interleave queries across experiments.
-    pub fn make_oracle(&self, experiment: Experiment) -> Box<dyn Oracle> {
-        self.make_oracle_for(&self.subject_of(experiment))
-    }
-
-    /// Instantiates the session's configured oracle for one scenario.
+    /// lifecycle — e.g. to interleave queries across scenarios.
     pub fn scenario_oracle(&self, scenario: &Scenario) -> Box<dyn Oracle> {
-        self.make_oracle_for(&self.subject_of_scenario(scenario))
-    }
-
-    fn make_oracle_for(&self, subject: &Subject) -> Box<dyn Oracle> {
         match self.oracle {
             OracleKind::Reachability => {
-                Box::new(ReachabilityOracle::new(self.bug_nodes_for(subject)))
+                Box::new(ReachabilityOracle::new(self.scenario_bug_nodes(scenario)))
             }
             OracleKind::Runtime => {
-                let exp_model = self.exp_model_of(subject);
                 // Oracle queries run fault-free: evidence must reflect
                 // what the *program* computes, not the injected runtime
                 // environment of the scenario under diagnosis (budgets
                 // stay — a runaway variant should still be killed).
-                let exp_config = subject.exp_config.without_faults();
+                let exp_config = scenario.config.without_faults();
                 // Both programs come from the session cache: the control
                 // program is shared with the ensemble, the experimental
-                // one with this subject's statistics stage. A variant
+                // one with this scenario's statistics stage. A variant
                 // that fails to compile still yields a best-effort
                 // sampler, which reports that compile error per query.
                 let programs = self
                     .compile_cached(self.model)
-                    .and_then(|ctl| Ok((ctl, self.compile_cached(&exp_model)?)));
+                    .and_then(|ctl| Ok((ctl, self.compile_cached(&scenario.model)?)));
                 let sampler =
                     RuntimeSampler::from_compiled(programs, self.control_config(), exp_config);
                 // Sample as early as the discrepancy can be observed (the
@@ -524,26 +472,17 @@ impl<'m> RcaSession<'m> {
     }
 
     /// Stage 1 — the statistical front end (§3): ensemble + experimental
-    /// runs, UF-ECT verdict, affected-output selection.
-    pub fn statistics(&self, experiment: Experiment) -> Result<Statistics<'_, 'm>, RcaError> {
-        self.statistics_for(self.subject_of(experiment))
-    }
-
-    /// Stage 1 for a custom scenario; the cached control ensemble is
-    /// shared with every other statistics call on this session.
+    /// runs, UF-ECT verdict, affected-output selection. The cached control
+    /// ensemble is shared with every other statistics call on this
+    /// session.
     pub fn statistics_scenario(&self, scenario: &Scenario) -> Result<Statistics<'_, 'm>, RcaError> {
-        self.statistics_for(self.subject_of_scenario(scenario))
-    }
-
-    fn statistics_for(&self, subject: Subject) -> Result<Statistics<'_, 'm>, RcaError> {
         // The ensemble is a session-level cost: pay it before the
-        // per-subject statistics phase starts.
+        // per-scenario statistics phase starts.
         let ens = self.ensemble()?;
-        let exp_model = self.exp_model_of(&subject);
         let data = {
             let _span = rca_obs::span("phase.statistics");
-            let exp_program = self.program_for(&exp_model)?;
-            evaluate_against_ensemble(ens, &exp_program, &subject.exp_config, &self.setup)?
+            let exp_program = self.program_for(&scenario.model)?;
+            evaluate_against_ensemble(ens, &exp_program, &scenario.config, &self.setup)?
         };
         if data.output_names.is_empty() {
             return Err(RcaError::Stats(
@@ -553,58 +492,94 @@ impl<'m> RcaSession<'m> {
         let affected = data.affected_outputs(self.max_outputs);
         Ok(Statistics {
             session: self,
-            subject,
+            scenario: scenario.clone(),
             data,
             affected,
         })
     }
 
-    /// Runs the full pipeline for one experiment: statistics → slicing →
-    /// Algorithm 5.4, consolidated into a [`Diagnosis`].
+    /// Runs the full pipeline for one [`Scenario`]: statistics → slicing
+    /// → Algorithm 5.4, consolidated into a [`Diagnosis`].
     ///
     /// A passing ECT verdict short-circuits: the model is statistically
     /// consistent with the ensemble, so there is no discrepancy to chase
     /// and the diagnosis carries no refinement.
-    pub fn diagnose(&self, experiment: Experiment) -> Result<Diagnosis, RcaError> {
-        self.diagnose_for(self.subject_of(experiment))
-    }
-
-    /// Runs the full pipeline for a custom [`Scenario`] — the entry point
-    /// of fault-injection campaigns.
     pub fn diagnose_scenario(&self, scenario: &Scenario) -> Result<Diagnosis, RcaError> {
-        self.diagnose_for(self.subject_of_scenario(scenario))
-    }
-
-    fn diagnose_for(&self, subject: Subject) -> Result<Diagnosis, RcaError> {
-        let _span = rca_obs::span_with("diagnose", &[("subject", subject.name.as_str().into())]);
+        let _span = rca_obs::span_with("diagnose", &[("subject", scenario.name.as_str().into())]);
         let deadline = self.wall_budget.map(|b| Instant::now() + b);
-        let stats = self.statistics_for(subject)?;
+        let stats = self.statistics_scenario(scenario)?;
         self.check_deadline(deadline, "statistics")?;
         if stats.data.verdict == Verdict::Pass {
-            let subject = stats.subject;
-            return Ok(Diagnosis {
-                bug_nodes: self.bug_nodes_for(&subject),
-                subject: subject.name,
-                experiment: subject.experiment,
-                verdict: Verdict::Pass,
-                failure_rate: stats.data.failure_rate,
-                affected_outputs: stats.affected,
-                slicing_criteria: Vec::new(),
-                slice_nodes: 0,
-                slice_edges: 0,
+            let passed = Refinement {
                 oracle: oracle_label(self.oracle),
-                refinement: None,
-                suspects: Vec::new(),
-                suspect_modules: Vec::new(),
-                suspect_module_ids: Vec::new(),
-                sampling_errors: Vec::new(),
-                degraded: stats.data.degraded,
-                trace: String::new(),
-            });
+                ..Refinement::default()
+            };
+            let bug_nodes = self.scenario_bug_nodes(scenario);
+            return Ok(self.diagnosis(
+                stats.scenario.name,
+                stats.data,
+                stats.affected,
+                bug_nodes,
+                passed,
+            ));
         }
         let sliced = stats.slice()?;
         self.check_deadline(deadline, "slice")?;
         Ok(sliced.refine().into_diagnosis())
+    }
+
+    /// Builds every [`Diagnosis`] — the string edge: every id carried
+    /// through the pipeline resolves to its display name exactly once,
+    /// here.
+    fn diagnosis(
+        &self,
+        subject: String,
+        data: ExperimentData,
+        affected_outputs: Vec<String>,
+        bug_nodes: Vec<NodeId>,
+        r: Refinement,
+    ) -> Diagnosis {
+        let mg = &self.pipeline.metagraph;
+        let syms = mg.symbols();
+        let final_nodes = r.report.as_ref().map_or(&[][..], |rep| &rep.final_nodes);
+        let suspects = final_nodes.iter().map(|&n| mg.display(n)).collect();
+        let mut suspect_module_ids: Vec<ModuleId> =
+            final_nodes.iter().map(|&n| mg.meta_of(n).module).collect();
+        suspect_module_ids.sort();
+        suspect_module_ids.dedup();
+        // Rendered module list stays name-sorted (stable report/JSON
+        // shape); the id list next to it is what campaigns match on.
+        let mut suspect_modules: Vec<String> = suspect_module_ids
+            .iter()
+            .map(|&m| syms.module(m).to_string())
+            .collect();
+        suspect_modules.sort();
+        Diagnosis {
+            subject,
+            verdict: data.verdict,
+            failure_rate: data.failure_rate,
+            affected_outputs,
+            slicing_criteria: r
+                .criteria
+                .iter()
+                .map(|&v| syms.var(v).to_string())
+                .collect(),
+            slice_nodes: r.slice_nodes,
+            slice_edges: r.slice_edges,
+            oracle: r.oracle,
+            trace: r
+                .report
+                .as_ref()
+                .map(|rep| refinement_trace(mg, rep))
+                .unwrap_or_default(),
+            refinement: r.report,
+            bug_nodes,
+            suspects,
+            suspect_modules,
+            suspect_module_ids,
+            sampling_errors: r.sampling_errors,
+            degraded: data.degraded,
+        }
     }
 
     /// Surfaces an exceeded per-diagnosis wall budget as the retryable
@@ -642,16 +617,25 @@ fn oracle_label(kind: OracleKind) -> &'static str {
     }
 }
 
-/// Fixed bucket bounds for the slice-size histogram (nodes).
-const SLICE_SIZE_BOUNDS: &[f64] = &[10.0, 25.0, 50.0, 100.0, 200.0, 400.0, 800.0];
+/// What slicing and Algorithm 5.4 add to a [`Diagnosis`]. The default,
+/// with the session's oracle label, is a passing verdict's: nothing
+/// sliced, no refinement.
+#[derive(Default)]
+struct Refinement {
+    criteria: Vec<VarId>,
+    slice_nodes: usize,
+    slice_edges: usize,
+    report: Option<RefinementReport>,
+    oracle: &'static str,
+    sampling_errors: Vec<RuntimeError>,
+}
 
 /// Typed stage handle: statistics have run. Produced by
-/// [`RcaSession::statistics`] / [`RcaSession::statistics_scenario`];
-/// consumed by [`Statistics::slice`].
+/// [`RcaSession::statistics_scenario`]; consumed by [`Statistics::slice`].
 #[derive(Debug)]
 pub struct Statistics<'s, 'm> {
     session: &'s RcaSession<'m>,
-    pub(crate) subject: Subject,
+    scenario: Scenario,
     /// Full statistical results (verdict, rankings, matrices).
     pub data: ExperimentData,
     /// Affected outputs selected for slicing (lasso first, topped up by
@@ -661,14 +645,9 @@ pub struct Statistics<'s, 'm> {
 }
 
 impl<'s, 'm> Statistics<'s, 'm> {
-    /// Name of the subject under diagnosis (experiment or scenario).
+    /// Name of the scenario under diagnosis.
     pub fn subject(&self) -> &str {
-        &self.subject.name
-    }
-
-    /// The built-in experiment under diagnosis, if this is not a scenario.
-    pub fn experiment(&self) -> Option<Experiment> {
-        self.subject.experiment
+        &self.scenario.name
     }
 
     /// The UF-ECT verdict.
@@ -703,11 +682,10 @@ impl<'s, 'm> Statistics<'s, 'm> {
             }
             (criteria, slice)
         };
-        rca_obs::histogram("slice.nodes", SLICE_SIZE_BOUNDS)
-            .observe(slice.graph.node_count() as f64);
+        rca_obs::counter_inc!("slice.nodes", slice.graph.node_count() as u64);
         Ok(Sliced {
             session: self.session,
-            subject: self.subject,
+            scenario: self.scenario,
             data: self.data,
             affected: self.affected,
             criteria,
@@ -722,7 +700,7 @@ impl<'s, 'm> Statistics<'s, 'm> {
 #[derive(Debug)]
 pub struct Sliced<'s, 'm> {
     session: &'s RcaSession<'m>,
-    pub(crate) subject: Subject,
+    scenario: Scenario,
     /// Statistical results carried forward.
     pub data: ExperimentData,
     /// Affected outputs that produced the criteria.
@@ -735,9 +713,9 @@ pub struct Sliced<'s, 'm> {
 }
 
 impl<'s, 'm> Sliced<'s, 'm> {
-    /// Name of the subject under diagnosis (experiment or scenario).
+    /// Name of the scenario under diagnosis.
     pub fn subject(&self) -> &str {
-        &self.subject.name
+        &self.scenario.name
     }
 
     /// Slicing criteria as display strings (rendering edge).
@@ -749,21 +727,16 @@ impl<'s, 'm> Sliced<'s, 'm> {
             .collect()
     }
 
-    /// The built-in experiment under diagnosis, if this is not a scenario.
-    pub fn experiment(&self) -> Option<Experiment> {
-        self.subject.experiment
-    }
-
     /// Stage 3 — Algorithm 5.4 with the session's configured oracle.
     pub fn refine(self) -> Refined<'s, 'm> {
-        let mut oracle = self.session.make_oracle_for(&self.subject);
+        let mut oracle = self.session.scenario_oracle(&self.scenario);
         self.refine_with(oracle.as_mut())
     }
 
     /// Stage 3 with a caller-supplied evidence source — any
     /// [`Oracle`] implementation, including ones outside this crate.
     pub fn refine_with(self, oracle: &mut dyn Oracle) -> Refined<'s, 'm> {
-        let bug_nodes = self.session.bug_nodes_for(&self.subject);
+        let bug_nodes = self.session.scenario_bug_nodes(&self.scenario);
         let report = {
             let _span = rca_obs::span("phase.refine");
             refine(
@@ -776,7 +749,7 @@ impl<'s, 'm> Sliced<'s, 'm> {
         };
         Refined {
             session: self.session,
-            subject: self.subject,
+            scenario: self.scenario,
             data: self.data,
             affected: self.affected,
             criteria: self.criteria,
@@ -796,7 +769,7 @@ impl<'s, 'm> Sliced<'s, 'm> {
 #[derive(Debug)]
 pub struct Refined<'s, 'm> {
     session: &'s RcaSession<'m>,
-    pub(crate) subject: Subject,
+    scenario: Scenario,
     /// Statistical results carried forward.
     pub data: ExperimentData,
     /// Affected outputs carried forward.
@@ -817,81 +790,38 @@ pub struct Refined<'s, 'm> {
 }
 
 impl Refined<'_, '_> {
-    /// Name of the subject under diagnosis (experiment or scenario).
+    /// Name of the scenario under diagnosis.
     pub fn subject(&self) -> &str {
-        &self.subject.name
+        &self.scenario.name
     }
 
-    /// The built-in experiment under diagnosis, if this is not a scenario.
-    pub fn experiment(&self) -> Option<Experiment> {
-        self.subject.experiment
-    }
-
-    /// Consolidates everything into the final [`Diagnosis`] — the string
-    /// edge: every id carried through the pipeline resolves to its display
-    /// name exactly once, here.
+    /// Consolidates everything into the final [`Diagnosis`].
     pub fn into_diagnosis(self) -> Diagnosis {
-        let mg = &self.session.pipeline.metagraph;
-        let syms = mg.symbols();
-        let suspects: Vec<String> = self
-            .report
-            .final_nodes
-            .iter()
-            .map(|&n| mg.display(n))
-            .collect();
-        let mut suspect_module_ids: Vec<ModuleId> = self
-            .report
-            .final_nodes
-            .iter()
-            .map(|&n| mg.meta_of(n).module)
-            .collect();
-        suspect_module_ids.sort();
-        suspect_module_ids.dedup();
-        // Rendered module list stays name-sorted (stable report/JSON
-        // shape); the id list next to it is what campaigns match on.
-        let mut suspect_modules: Vec<String> = suspect_module_ids
-            .iter()
-            .map(|&m| syms.module(m).to_string())
-            .collect();
-        suspect_modules.sort();
-        let slicing_criteria = self
-            .criteria
-            .iter()
-            .map(|&v| syms.var(v).to_string())
-            .collect();
-        let trace = refinement_trace(mg, &self.report);
-        Diagnosis {
-            subject: self.subject.name,
-            experiment: self.subject.experiment,
-            verdict: self.data.verdict,
-            failure_rate: self.data.failure_rate,
-            affected_outputs: self.affected,
-            slicing_criteria,
+        let refinement = Refinement {
+            criteria: self.criteria,
             slice_nodes: self.slice_nodes,
             slice_edges: self.slice_edges,
+            report: Some(self.report),
             oracle: self.oracle_name,
-            refinement: Some(self.report),
-            bug_nodes: self.bug_nodes,
-            suspects,
-            suspect_modules,
-            suspect_module_ids,
             sampling_errors: self.sampling_errors,
-            degraded: self.data.degraded,
-            trace,
-        }
+        };
+        self.session.diagnosis(
+            self.scenario.name,
+            self.data,
+            self.affected,
+            self.bug_nodes,
+            refinement,
+        )
     }
 }
 
-/// The consolidated result of one [`RcaSession::diagnose`] /
-/// [`RcaSession::diagnose_scenario`] run: verdict, selected outputs, slice
-/// statistics, refinement trace, and stop reason.
+/// The consolidated result of one [`RcaSession::diagnose_scenario`] run:
+/// verdict, selected outputs, slice statistics, refinement trace, and
+/// stop reason.
 #[derive(Debug, Clone)]
 pub struct Diagnosis {
-    /// Name of what was diagnosed (experiment name or scenario name).
+    /// Name of the diagnosed scenario.
     pub subject: String,
-    /// The built-in experiment, when the subject was one (`None` for
-    /// custom scenarios).
-    pub experiment: Option<Experiment>,
     /// UF-ECT verdict (a `Pass` carries no refinement).
     pub verdict: Verdict,
     /// ECT failure rate over all experimental run-sets.
@@ -960,12 +890,7 @@ impl Diagnosis {
         self.instrumented() || self.localized()
     }
 
-    /// Whether `module` is among the final suspect modules.
-    pub fn suspects_module(&self, module: &str) -> bool {
-        self.suspect_modules.iter().any(|m| m == module)
-    }
-
-    /// Id-keyed variant of [`Diagnosis::suspects_module`] (binary search
+    /// Whether `module` is among the final suspect modules (binary search
     /// over the id-sorted list — the campaign scoring path).
     pub fn suspects_module_id(&self, module: ModuleId) -> bool {
         self.suspect_module_ids.binary_search(&module).is_ok()
@@ -1043,10 +968,6 @@ impl serde::Serialize for Diagnosis {
     fn to_json(&self) -> Json {
         let mut fields: Vec<(&str, Json)> = vec![
             ("subject", self.subject.to_json()),
-            (
-                "experiment",
-                self.experiment.map(|e| e.name().to_string()).to_json(),
-            ),
             ("verdict", self.verdict.to_json()),
             ("failure_rate", self.failure_rate.to_json()),
             ("affected_outputs", self.affected_outputs.to_json()),
@@ -1096,8 +1017,20 @@ mod tests {
     use super::*;
     use rca_model::{generate, ModelConfig};
 
-    fn model() -> ModelSource {
-        generate(&ModelConfig::test())
+    fn model() -> Arc<ModelSource> {
+        Arc::new(generate(&ModelConfig::test()))
+    }
+
+    fn session(m: &ModelSource) -> RcaSession<'_> {
+        RcaSession::builder(m)
+            .setup(ExperimentSetup::quick())
+            .build()
+            .expect("session")
+    }
+
+    fn diagnose(session: &RcaSession<'_>, m: &Arc<ModelSource>, e: Experiment) -> Diagnosis {
+        let scenario = Scenario::paper(m, session.setup(), e);
+        session.diagnose_scenario(&scenario).expect("diagnosis")
     }
 
     #[test]
@@ -1121,26 +1054,39 @@ mod tests {
     #[test]
     fn builder_defaults_and_accessors() {
         let m = model();
-        let session = RcaSession::builder(&m)
-            .setup(ExperimentSetup::quick())
-            .build()
-            .expect("session");
-        assert_eq!(session.oracle_kind(), OracleKind::Reachability);
+        let session = session(&m);
         assert!(session.metagraph().node_count() > 300);
         assert!(session.pipeline().filter_stats.subprograms_after > 0);
         assert_eq!(session.setup().steps, 5);
     }
 
     #[test]
+    fn paper_scenario_shares_the_model_unless_the_experiment_patches_it() {
+        let m = model();
+        let setup = ExperimentSetup::quick();
+        for e in Experiment::ALL {
+            let s = Scenario::paper(&m, &setup, e);
+            assert_eq!(s.name, e.name());
+            if e.source_patches().is_empty() {
+                assert!(Arc::ptr_eq(&s.model, &m), "{}", e.name());
+            } else {
+                assert_eq!(s.model.content_hash(), m.apply(e).content_hash());
+                assert_ne!(s.model.content_hash(), m.content_hash(), "{}", e.name());
+            }
+            let (_, config) = experiment_configs(e, &setup);
+            assert_eq!(format!("{:?}", s.config), format!("{config:?}"));
+            assert_eq!(s.bug_sites, e.bug_sites());
+            assert!(s.bug_modules.is_empty());
+        }
+    }
+
+    #[test]
     fn wsub_diagnose_end_to_end_and_renders() {
         let m = model();
-        let session = RcaSession::builder(&m)
-            .setup(ExperimentSetup::quick())
-            .build()
-            .expect("session");
-        let d = session.diagnose(Experiment::WsubBug).expect("diagnosis");
+        let session = session(&m);
+        let d = diagnose(&session, &m, Experiment::WsubBug);
         assert_eq!(d.verdict, Verdict::Fail);
-        assert_eq!(d.experiment, Some(Experiment::WsubBug));
+        assert_eq!(d.subject, "WSUBBUG");
         assert!(d.slice_nodes > 0);
         assert!(
             d.located(),
@@ -1148,12 +1094,12 @@ mod tests {
             d.stop()
         );
         assert!(
-            d.suspects_module("microp_aero"),
+            d.suspect_modules.iter().any(|m| m == "microp_aero"),
             "module-level check: {:?}",
             d.suspect_modules
         );
         let report = d.render();
-        assert!(report.contains("WSUBBUG") || report.contains(&d.subject));
+        assert!(report.contains("WSUBBUG"));
         assert!(report.contains("stop reason:"));
         assert!(report.contains("final suspects"));
     }
@@ -1161,19 +1107,16 @@ mod tests {
     #[test]
     fn typed_stages_expose_granular_control() {
         let m = model();
-        let session = RcaSession::builder(&m)
-            .setup(ExperimentSetup::quick())
-            .build()
-            .expect("session");
-        let stats = session.statistics(Experiment::WsubBug).expect("stage 1");
+        let session = session(&m);
+        let wsub = Scenario::paper(&m, session.setup(), Experiment::WsubBug);
+        let stats = session.statistics_scenario(&wsub).expect("stage 1");
         assert_eq!(stats.verdict(), Verdict::Fail);
         assert_eq!(stats.subject(), "WSUBBUG");
-        assert_eq!(stats.experiment(), Some(Experiment::WsubBug));
         let sliced = stats.slice().expect("stage 2");
         assert!(sliced.slice.graph.node_count() > 0);
         assert!(!sliced.criteria.is_empty());
         // Caller-supplied oracle through the object-safe interface.
-        let mut oracle = session.make_oracle(Experiment::WsubBug);
+        let mut oracle = session.scenario_oracle(&wsub);
         let refined = sliced.refine_with(oracle.as_mut());
         assert_eq!(refined.oracle_name, "reachability");
         let d = refined.into_diagnosis();
@@ -1183,11 +1126,8 @@ mod tests {
     #[test]
     fn control_short_circuits_on_pass() {
         let m = model();
-        let session = RcaSession::builder(&m)
-            .setup(ExperimentSetup::quick())
-            .build()
-            .expect("session");
-        let d = session.diagnose(Experiment::Control).expect("diagnosis");
+        let session = session(&m);
+        let d = diagnose(&session, &m, Experiment::Control);
         assert_eq!(d.verdict, Verdict::Pass);
         assert!(d.refinement.is_none());
         assert_eq!(d.iterations(), 0);
@@ -1198,12 +1138,9 @@ mod tests {
     #[test]
     fn ensemble_is_cached_across_diagnoses() {
         let m = model();
-        let session = RcaSession::builder(&m)
-            .setup(ExperimentSetup::quick())
-            .build()
-            .expect("session");
+        let session = session(&m);
         let a = session.ensemble().expect("ensemble") as *const EnsembleStats;
-        let _ = session.diagnose(Experiment::Control).expect("diagnosis");
+        let _ = diagnose(&session, &m, Experiment::Control);
         let b = session.ensemble().expect("ensemble") as *const EnsembleStats;
         assert_eq!(a, b, "the control ensemble must be computed once");
     }
@@ -1211,27 +1148,20 @@ mod tests {
     #[test]
     fn clean_scenario_passes_like_control() {
         let m = model();
-        let session = RcaSession::builder(&m)
-            .setup(ExperimentSetup::quick())
-            .build()
-            .expect("session");
-        let scenario = Scenario::new("clean", Arc::new(m.clone()), session.control_config());
+        let session = session(&m);
+        let scenario = Scenario::new("clean", Arc::clone(&m), session.control_config());
         let d = session.diagnose_scenario(&scenario).expect("diagnosis");
         assert_eq!(d.verdict, Verdict::Pass);
         assert_eq!(d.subject, "clean");
-        assert_eq!(d.experiment, None);
     }
 
     #[test]
     fn scenario_with_injected_wsub_bug_is_located() {
-        // Recreate WSUBBUG as a *scenario* (patched model + ground truth)
-        // and require the custom-scenario path to localize it exactly like
-        // the built-in experiment path does.
+        // Recreate WSUBBUG by hand (patched model + ground truth, control
+        // configuration) and require it to localize like the paper
+        // experiment does.
         let m = model();
-        let session = RcaSession::builder(&m)
-            .setup(ExperimentSetup::quick())
-            .build()
-            .expect("session");
+        let session = session(&m);
         let scenario = Scenario {
             name: "wsub-as-scenario".into(),
             model: Arc::new(m.apply(Experiment::WsubBug)),
@@ -1243,24 +1173,23 @@ mod tests {
         let d = session.diagnose_scenario(&scenario).expect("diagnosis");
         assert_eq!(d.verdict, Verdict::Fail);
         assert!(d.located(), "stop {:?}", d.stop());
-        assert!(d.suspects_module("microp_aero"));
+        let microp = session.symbols().module_id("microp_aero").expect("module");
+        assert!(d.suspects_module_id(microp));
     }
 
     #[test]
     fn module_level_ground_truth_counts_whole_module() {
         let m = model();
-        let session = RcaSession::builder(&m)
-            .setup(ExperimentSetup::quick())
-            .build()
-            .expect("session");
-        let by_module = session.module_nodes("microp_aero");
+        let session = session(&m);
+        let microp = session.symbols().module_id("microp_aero").expect("module");
+        let by_module = session.metagraph().nodes_in_module_ids(&[microp]);
         assert!(!by_module.is_empty());
         let scenario = Scenario {
             name: "module-truth".into(),
             model: Arc::new(m.apply(Experiment::WsubBug)),
             config: session.control_config(),
             bug_sites: Vec::new(),
-            bug_modules: vec!["microp_aero".into()],
+            bug_modules: vec!["microp_aero".into(), "no_such_module".into()],
         };
         let nodes = session.scenario_bug_nodes(&scenario);
         assert_eq!(nodes, by_module);
@@ -1269,10 +1198,7 @@ mod tests {
     #[test]
     fn program_cache_compiles_each_variant_once() {
         let m = model();
-        let session = RcaSession::builder(&m)
-            .setup(ExperimentSetup::quick())
-            .build()
-            .expect("session");
+        let session = session(&m);
         // The base model was compiled during build.
         assert_eq!(session.compiled_programs(), 1);
         let base = session.program_for(&m).expect("base program");
@@ -1282,25 +1208,23 @@ mod tests {
         );
         // Config-only experiments (Control, RandMt, Avx2) share the base
         // program: diagnosing them adds no cache entries.
-        let _ = session.diagnose(Experiment::Control).expect("control");
-        let _ = session.diagnose(Experiment::RandMt).expect("randmt");
+        for e in [Experiment::Control, Experiment::RandMt, Experiment::Avx2] {
+            let _ = diagnose(&session, &m, e);
+        }
         assert_eq!(session.compiled_programs(), 1);
         // A source patch is a new variant — exactly one more entry, even
         // if diagnosed twice.
-        let _ = session.diagnose(Experiment::WsubBug).expect("wsub");
+        let _ = diagnose(&session, &m, Experiment::WsubBug);
         assert_eq!(session.compiled_programs(), 2);
-        let _ = session.diagnose(Experiment::WsubBug).expect("wsub again");
+        let _ = diagnose(&session, &m, Experiment::WsubBug);
         assert_eq!(session.compiled_programs(), 2);
     }
 
     #[test]
     fn diagnosis_serializes_deterministically() {
         let m = model();
-        let session = RcaSession::builder(&m)
-            .setup(ExperimentSetup::quick())
-            .build()
-            .expect("session");
-        let d = session.diagnose(Experiment::WsubBug).expect("diagnosis");
+        let session = session(&m);
+        let d = diagnose(&session, &m, Experiment::WsubBug);
         let a = serde_json::to_string(&d).expect("serialize");
         let b = serde_json::to_string(&d).expect("serialize");
         assert_eq!(a, b);

@@ -8,7 +8,7 @@
 //! plan whose ECT verdict fails (the ones a campaign refines).
 
 use rca_campaign::{plan_campaign, CampaignOptions};
-use rca_core::{reinduce, ExperimentSetup, RcaSession, Statistics};
+use rca_core::{reinduce, ExperimentSetup, RcaSession, Scenario, Statistics};
 use rca_graph::{girvan_newman, reference, DiGraph};
 use rca_model::{generate, Experiment, ModelConfig};
 use rca_stats::Verdict;
@@ -37,13 +37,15 @@ fn start_graph(session: &RcaSession<'_>, stats: Statistics<'_, '_>) -> DiGraph {
 
 /// Every paper experiment's slice, refined or not.
 fn experiments_match(config: ModelConfig, setup: ExperimentSetup) {
-    let model = generate(&config);
+    let model = Arc::new(generate(&config));
     let session = RcaSession::builder(&model)
         .setup(setup)
         .build()
         .expect("session");
     for e in Experiment::ALL {
-        let g = start_graph(&session, session.statistics(e).expect("statistics"));
+        let scenario = Scenario::paper(&model, session.setup(), e);
+        let stats = session.statistics_scenario(&scenario).expect("statistics");
+        let g = start_graph(&session, stats);
         assert_matches_reference(e.name(), &g);
     }
 }
@@ -51,7 +53,7 @@ fn experiments_match(config: ModelConfig, setup: ExperimentSetup) {
 /// The refined slices of the seed-51966 16-scenario campaign plan (paper
 /// experiments included, as in the CI campaign). Returns how many.
 fn campaign_matches(config: ModelConfig, setup: ExperimentSetup) -> usize {
-    let model = generate(&config);
+    let model = Arc::new(generate(&config));
     let session = RcaSession::builder(&model)
         .setup(setup)
         .build()
@@ -63,7 +65,7 @@ fn campaign_matches(config: ModelConfig, setup: ExperimentSetup) -> usize {
         ..CampaignOptions::default()
     };
     let mut refined = 0;
-    for cs in plan_campaign(&Arc::new(model.clone()), &session, &opts) {
+    for cs in plan_campaign(&model, &session, &opts) {
         let stats = session
             .statistics_scenario(&cs.scenario)
             .expect("statistics");

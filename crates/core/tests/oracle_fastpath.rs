@@ -15,10 +15,7 @@
 
 use proptest::prelude::*;
 use rca_campaign::{plan_campaign, CampaignOptions};
-use rca_core::{
-    experiment_configs, Diagnosis, ExperimentSetup, Oracle, OracleKind, RcaError, RcaSession,
-    Scenario,
-};
+use rca_core::{Diagnosis, ExperimentSetup, Oracle, OracleKind, RcaError, RcaSession, Scenario};
 use rca_graph::NodeId;
 use rca_metagraph::{MetaGraph, NodeKind};
 use rca_model::{generate, Experiment, ModelConfig, ModelSource};
@@ -138,51 +135,28 @@ impl Oracle for Reference {
     }
 }
 
-/// What a fence diagnoses: a built-in experiment or a scenario.
-#[derive(Clone, Copy)]
-enum Subject<'a> {
-    Experiment(Experiment),
-    Scenario(&'a Scenario),
+/// The reference oracle for `scenario`.
+fn reference(session: &RcaSession<'_>, scenario: &Scenario) -> Reference {
+    Reference::new(session, &scenario.model, &scenario.config)
 }
 
-impl Subject<'_> {
-    fn reference(&self, session: &RcaSession<'_>) -> Reference {
-        match *self {
-            Subject::Experiment(exp) => {
-                let (_, config) = experiment_configs(exp, session.setup());
-                Reference::new(session, &session.model().apply(exp), &config)
-            }
-            Subject::Scenario(s) => Reference::new(session, &s.model, &s.config),
-        }
+/// The diagnosis with every oracle query answered by [`Reference`].
+fn diagnose_reference(
+    session: &RcaSession<'_>,
+    scenario: &Scenario,
+) -> Result<Diagnosis, RcaError> {
+    let stats = session.statistics_scenario(scenario)?;
+    if stats.verdict() == Verdict::Pass {
+        // A passing verdict never queries an oracle.
+        return session.diagnose_scenario(scenario);
     }
+    let mut reference = reference(session, scenario);
+    Ok(stats.slice()?.refine_with(&mut reference).into_diagnosis())
+}
 
-    fn oracle(&self, session: &RcaSession<'_>) -> Box<dyn Oracle> {
-        match *self {
-            Subject::Experiment(exp) => session.make_oracle(exp),
-            Subject::Scenario(s) => session.scenario_oracle(s),
-        }
-    }
-
-    fn diagnose(&self, session: &RcaSession<'_>) -> Result<Diagnosis, RcaError> {
-        match *self {
-            Subject::Experiment(exp) => session.diagnose(exp),
-            Subject::Scenario(s) => session.diagnose_scenario(s),
-        }
-    }
-
-    /// The diagnosis with every oracle query answered by [`Reference`].
-    fn diagnose_reference(&self, session: &RcaSession<'_>) -> Result<Diagnosis, RcaError> {
-        let stats = match *self {
-            Subject::Experiment(exp) => session.statistics(exp)?,
-            Subject::Scenario(s) => session.statistics_scenario(s)?,
-        };
-        if stats.verdict() == Verdict::Pass {
-            // A passing verdict never queries an oracle.
-            return self.diagnose(session);
-        }
-        let mut reference = self.reference(session);
-        Ok(stats.slice()?.refine_with(&mut reference).into_diagnosis())
-    }
+/// The paper experiment `e` over the test model.
+fn paper(session: &RcaSession<'_>, e: Experiment) -> Scenario {
+    Scenario::paper(test_model(), session.setup(), e)
 }
 
 fn runtime_session(model: &ModelSource, setup: ExperimentSetup) -> RcaSession<'_> {
@@ -193,21 +167,21 @@ fn runtime_session(model: &ModelSource, setup: ExperimentSetup) -> RcaSession<'_
         .expect("session")
 }
 
-fn test_model() -> &'static ModelSource {
-    static MODEL: OnceLock<ModelSource> = OnceLock::new();
-    MODEL.get_or_init(|| generate(&ModelConfig::test()))
+fn test_model() -> &'static Arc<ModelSource> {
+    static MODEL: OnceLock<Arc<ModelSource>> = OnceLock::new();
+    MODEL.get_or_init(|| Arc::new(generate(&ModelConfig::test())))
 }
 
 fn json(d: &Diagnosis) -> String {
     serde_json::to_string_pretty(d).expect("serialize")
 }
 
-/// Diagnoses `subject` through the session and through the reference;
+/// Diagnoses `scenario` through the session and through the reference;
 /// returns whether it refined.
-fn assert_diagnosis_matches(session: &RcaSession<'_>, subject: Subject<'_>, label: &str) -> bool {
+fn assert_diagnosis_matches(session: &RcaSession<'_>, scenario: &Scenario, label: &str) -> bool {
     match (
-        subject.diagnose(session),
-        subject.diagnose_reference(session),
+        session.diagnose_scenario(scenario),
+        diagnose_reference(session, scenario),
     ) {
         (Ok(a), Ok(b)) => {
             assert_eq!(json(&a), json(&b), "{label}: diagnosis diverged");
@@ -225,13 +199,13 @@ fn assert_diagnosis_matches(session: &RcaSession<'_>, subject: Subject<'_>, labe
 /// batches and compares every answer and every recorded error.
 fn assert_batches_match(
     session: &RcaSession<'_>,
-    subject: Subject<'_>,
+    scenario: &Scenario,
     batches: &[&[NodeId]],
     label: &str,
 ) -> Vec<RuntimeError> {
     let mg = session.metagraph();
-    let mut oracle = subject.oracle(session);
-    let mut reference = subject.reference(session);
+    let mut oracle = session.scenario_oracle(scenario);
+    let mut reference = reference(session, scenario);
     for (i, batch) in batches.iter().enumerate() {
         assert_eq!(
             oracle.differs(mg, batch),
@@ -266,7 +240,7 @@ fn fastpath_verdicts_match_full_on_paper_experiments() {
         &nodes[0..30],
     ];
     for exp in EXPERIMENTS {
-        assert_batches_match(&session, Subject::Experiment(exp), &batches, exp.name());
+        assert_batches_match(&session, &paper(&session, exp), &batches, exp.name());
     }
 }
 
@@ -280,7 +254,7 @@ fn diagnosis_artifacts_match_the_reference() {
         Experiment::GoffGratch,
         Experiment::RandMt,
     ] {
-        assert_diagnosis_matches(&session, Subject::Experiment(exp), exp.name());
+        assert_diagnosis_matches(&session, &paper(&session, exp), exp.name());
     }
 }
 
@@ -301,7 +275,7 @@ fn fault_plans_never_reach_oracle_evidence() {
 
     let faulted = Scenario::new("goffgratch-faulted", Arc::clone(&base), faulted_config);
     let clean = Scenario::new("goffgratch-faulted", base, config);
-    assert_diagnosis_matches(&session, Subject::Scenario(&faulted), "faulted scenario");
+    assert_diagnosis_matches(&session, &faulted, "faulted scenario");
 
     // The oracle's evidence (refinement + sampling errors) must match
     // the fault-free run of the same mutant — the statistics stage may
@@ -337,16 +311,16 @@ proptest! {
         exp in prop::sample::select(EXPERIMENTS.to_vec()),
     ) {
         let session = runtime_session(test_model(), ExperimentSetup::quick());
-        assert_diagnosis_matches(&session, Subject::Experiment(exp), exp.name());
+        assert_diagnosis_matches(&session, &paper(&session, exp), exp.name());
         let plan = plan_campaign(
-            &Arc::new(test_model().clone()),
+            test_model(),
             &session,
             &CampaignOptions { scenarios: 4, seed, clean_every: 3, ..Default::default() },
         );
         prop_assert!(!plan.is_empty(), "seed {seed}: empty campaign plan");
         for entry in &plan {
             let label = format!("{} ({})", entry.scenario.name, entry.detail);
-            assert_diagnosis_matches(&session, Subject::Scenario(&entry.scenario), &label);
+            assert_diagnosis_matches(&session, &entry.scenario, &label);
         }
     }
 }
@@ -355,11 +329,11 @@ proptest! {
 /// diagnoses to the reference's artifact; returns `(scenarios, refined)`.
 fn fence_paper_plan(
     session: &RcaSession<'_>,
-    model: &ModelSource,
+    model: &Arc<ModelSource>,
     scenarios: usize,
 ) -> (usize, usize) {
     let plan = plan_campaign(
-        &Arc::new(model.clone()),
+        model,
         session,
         &CampaignOptions {
             scenarios,
@@ -371,11 +345,7 @@ fn fence_paper_plan(
     let mut refined = 0;
     for cs in &plan {
         let label = format!("{} ({})", cs.scenario.name, cs.detail);
-        refined += usize::from(assert_diagnosis_matches(
-            session,
-            Subject::Scenario(&cs.scenario),
-            &label,
-        ));
+        refined += usize::from(assert_diagnosis_matches(session, &cs.scenario, &label));
     }
     (plan.len(), refined)
 }
@@ -397,7 +367,7 @@ fn fixed_seed_paper_plan_matches_the_reference() {
 #[test]
 #[ignore = "paper scale; run in release"]
 fn fixed_seed_paper_plan_matches_the_reference_at_paper_scale() {
-    let model = generate(&ModelConfig::paper());
+    let model = Arc::new(generate(&ModelConfig::paper()));
     let session = runtime_session(&model, ExperimentSetup::default());
     let (scenarios, refined) = fence_paper_plan(&session, &model, 6);
     assert!(
@@ -425,12 +395,7 @@ fn compile_failure_is_reported_per_query_without_recompiling() {
     );
 
     let nodes: Vec<NodeId> = session.metagraph().graph.nodes().collect();
-    let errors = assert_batches_match(
-        &session,
-        Subject::Scenario(&broken),
-        &[&nodes[0..30], &nodes[0..30]],
-        "broken",
-    );
+    let errors = assert_batches_match(&session, &broken, &[&nodes[0..30], &nodes[0..30]], "broken");
     let Err(RcaError::Runtime(loader)) = session.statistics_scenario(&broken) else {
         panic!("the variant must fail to compile");
     };
@@ -457,12 +422,7 @@ fn fuel_budget_is_answered_by_the_full_pair() {
             },
         );
         let label = format!("fuel {fuel}");
-        let errors = assert_batches_match(
-            &session,
-            Subject::Scenario(&fueled),
-            &[&nodes[0..30]],
-            &label,
-        );
+        let errors = assert_batches_match(&session, &fueled, &[&nodes[0..30]], &label);
         if fuel == 30_365 {
             assert!(errors.is_empty(), "{label}: {errors:?}");
         } else {
@@ -483,7 +443,7 @@ fn fuel_budget_is_answered_by_the_full_pair() {
 #[test]
 fn failed_specialized_run_falls_back_to_the_full_pair() {
     let session = runtime_session(test_model(), ExperimentSetup::quick());
-    let mut patched = test_model().clone();
+    let mut patched = ModelSource::clone(test_model());
     let f = patched
         .files
         .iter_mut()
@@ -507,7 +467,7 @@ fn failed_specialized_run_falls_back_to_the_full_pair() {
     let poisoned = rca_obs::counter("oracle.fastpath_poisoned").get();
     let errors = assert_batches_match(
         &session,
-        Subject::Scenario(&failing),
+        &failing,
         &[&first, &nodes[30..60], &first],
         "poisoned",
     );
@@ -521,7 +481,7 @@ fn failed_specialized_run_falls_back_to_the_full_pair() {
 #[test]
 fn unseparable_spec_set_is_answered_by_the_full_pair() {
     let session = runtime_session(test_model(), ExperimentSetup::quick());
-    let mut renamed = test_model().clone();
+    let mut renamed = ModelSource::clone(test_model());
     for f in &mut renamed.files {
         f.source = f.source.replace("cam_run_step", "cam_run_once");
     }
@@ -531,7 +491,7 @@ fn unseparable_spec_set_is_answered_by_the_full_pair() {
     let fallbacks = rca_obs::counter("oracle.fastpath_fallbacks").get();
     let errors = assert_batches_match(
         &session,
-        Subject::Scenario(&renamed),
+        &renamed,
         &[&nodes[0..30], &nodes[30..60]],
         "unseparable",
     );

@@ -15,9 +15,8 @@
 //!   profile is a fold over collected spans
 //!   ([`PhaseProfile::from_records`]) giving each span name its count,
 //!   inclusive time, and self time.
-//! - **Metrics** ([`counter`], [`gauge`], [`histogram`]) — always-on
-//!   relaxed-atomic registry, rendered deterministically by
-//!   [`metrics_snapshot`].
+//! - **Metrics** ([`counter`]) — always-on relaxed-atomic counters,
+//!   rendered deterministically by [`metrics_snapshot`].
 //!
 //! **The invariant:** telemetry never leaks into deterministic
 //! artifacts. Scorecard JSON, lint JSON, and `Diagnosis`
@@ -38,8 +37,7 @@ mod profile;
 mod sink;
 
 pub use metrics::{
-    counter, gauge, histogram, metrics_snapshot, reset_metrics, Counter, Gauge, Histogram,
-    MetricReading, MetricsSnapshot,
+    counter, metrics_snapshot, reset_metrics, Counter, MetricReading, MetricsSnapshot,
 };
 pub use profile::{PhaseEntry, PhaseProfile};
 pub use sink::{strip_timing, Collector, FieldValue, TraceRecord};

@@ -1,5 +1,6 @@
-//! Thread-safe metrics registry: counters, gauges, fixed-bucket
-//! histograms.
+//! Thread-safe metrics registry: monotonic counters, the one metric
+//! kind. A size or a count of iterations is a counter that sums its
+//! values.
 //!
 //! Metrics are **always on** — unlike spans they cost one relaxed
 //! atomic op when bumped, so call sites don't gate them on an
@@ -39,173 +40,20 @@ impl Counter {
     }
 }
 
-/// A last-write-wins gauge (f64 stored as bits).
-#[derive(Debug, Default)]
-pub struct Gauge {
-    bits: AtomicU64,
-}
-
-impl Gauge {
-    /// Sets the gauge.
-    #[inline]
-    pub fn set(&self, v: f64) {
-        self.bits.store(v.to_bits(), Ordering::Relaxed);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> f64 {
-        f64::from_bits(self.bits.load(Ordering::Relaxed))
-    }
-
-    fn reset(&self) {
-        self.bits.store(0.0_f64.to_bits(), Ordering::Relaxed);
-    }
-}
-
-/// A fixed-bucket histogram: cumulative-style upper bounds plus an
-/// implicit overflow bucket, a total count, and a running sum.
-#[derive(Debug)]
-pub struct Histogram {
-    bounds: Vec<f64>,
-    counts: Vec<AtomicU64>,
-    total: AtomicU64,
-    sum_bits: AtomicU64,
-}
-
-impl Histogram {
-    fn with_bounds(bounds: &[f64]) -> Histogram {
-        Histogram {
-            bounds: bounds.to_vec(),
-            counts: (0..=bounds.len()).map(|_| AtomicU64::new(0)).collect(),
-            total: AtomicU64::new(0),
-            sum_bits: AtomicU64::new(0.0_f64.to_bits()),
-        }
-    }
-
-    /// Records one observation.
-    pub fn observe(&self, v: f64) {
-        let idx = self
-            .bounds
-            .iter()
-            .position(|b| v <= *b)
-            .unwrap_or(self.bounds.len());
-        self.counts[idx].fetch_add(1, Ordering::Relaxed);
-        self.total.fetch_add(1, Ordering::Relaxed);
-        // CAS loop: f64 sums have no native atomic add.
-        let mut cur = self.sum_bits.load(Ordering::Relaxed);
-        loop {
-            let next = (f64::from_bits(cur) + v).to_bits();
-            match self.sum_bits.compare_exchange_weak(
-                cur,
-                next,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => break,
-                Err(seen) => cur = seen,
-            }
-        }
-    }
-
-    /// Total observation count.
-    pub fn count(&self) -> u64 {
-        self.total.load(Ordering::Relaxed)
-    }
-
-    /// Sum of all observations.
-    pub fn sum(&self) -> f64 {
-        f64::from_bits(self.sum_bits.load(Ordering::Relaxed))
-    }
-
-    /// Upper bounds (the final `+Inf` bucket is implicit).
-    pub fn bounds(&self) -> &[f64] {
-        &self.bounds
-    }
-
-    /// Per-bucket counts, one per bound plus the overflow bucket.
-    pub fn bucket_counts(&self) -> Vec<u64> {
-        self.counts
-            .iter()
-            .map(|c| c.load(Ordering::Relaxed))
-            .collect()
-    }
-
-    fn reset(&self) {
-        for c in &self.counts {
-            c.store(0, Ordering::Relaxed);
-        }
-        self.total.store(0, Ordering::Relaxed);
-        self.sum_bits.store(0.0_f64.to_bits(), Ordering::Relaxed);
-    }
-}
-
-enum Entry {
-    Counter(&'static Counter),
-    Gauge(&'static Gauge),
-    Histogram(&'static Histogram),
-}
-
-fn registry() -> &'static Mutex<Vec<(&'static str, Entry)>> {
-    static REGISTRY: OnceLock<Mutex<Vec<(&'static str, Entry)>>> = OnceLock::new();
+fn registry() -> &'static Mutex<Vec<(&'static str, &'static Counter)>> {
+    static REGISTRY: OnceLock<Mutex<Vec<(&'static str, &'static Counter)>>> = OnceLock::new();
     REGISTRY.get_or_init(|| Mutex::new(Vec::new()))
 }
 
 /// The counter named `name`, registering (and leaking) it on first
 /// use. Handles are cheap to cache; see [`counter_inc!`](crate::counter_inc).
-///
-/// # Panics
-/// If `name` is already registered as a different metric kind.
 pub fn counter(name: &'static str) -> &'static Counter {
     let mut reg = registry().lock().unwrap();
-    for (n, e) in reg.iter() {
-        if *n == name {
-            match e {
-                Entry::Counter(c) => return c,
-                _ => panic!("metric {name:?} already registered as a non-counter"),
-            }
-        }
+    if let Some((_, c)) = reg.iter().find(|(n, _)| *n == name) {
+        return c;
     }
     let handle: &'static Counter = Box::leak(Box::new(Counter::default()));
-    reg.push((name, Entry::Counter(handle)));
-    handle
-}
-
-/// The gauge named `name`, registering it on first use.
-///
-/// # Panics
-/// If `name` is already registered as a different metric kind.
-pub fn gauge(name: &'static str) -> &'static Gauge {
-    let mut reg = registry().lock().unwrap();
-    for (n, e) in reg.iter() {
-        if *n == name {
-            match e {
-                Entry::Gauge(g) => return g,
-                _ => panic!("metric {name:?} already registered as a non-gauge"),
-            }
-        }
-    }
-    let handle: &'static Gauge = Box::leak(Box::new(Gauge::default()));
-    reg.push((name, Entry::Gauge(handle)));
-    handle
-}
-
-/// The histogram named `name` with the given bucket upper bounds,
-/// registering it on first use (later calls ignore `bounds`).
-///
-/// # Panics
-/// If `name` is already registered as a different metric kind.
-pub fn histogram(name: &'static str, bounds: &[f64]) -> &'static Histogram {
-    let mut reg = registry().lock().unwrap();
-    for (n, e) in reg.iter() {
-        if *n == name {
-            match e {
-                Entry::Histogram(h) => return h,
-                _ => panic!("metric {name:?} already registered as a non-histogram"),
-            }
-        }
-    }
-    let handle: &'static Histogram = Box::leak(Box::new(Histogram::with_bounds(bounds)));
-    reg.push((name, Entry::Histogram(handle)));
+    reg.push((name, handle));
     handle
 }
 
@@ -220,49 +68,16 @@ macro_rules! counter_inc {
     }};
 }
 
-/// One metric's value at snapshot time.
-#[derive(Debug, Clone, PartialEq)]
-pub enum MetricReading {
-    /// A counter's value.
-    Counter {
-        /// Metric name.
-        name: &'static str,
-        /// Current count.
-        value: u64,
-    },
-    /// A gauge's value.
-    Gauge {
-        /// Metric name.
-        name: &'static str,
-        /// Current value.
-        value: f64,
-    },
-    /// A histogram's state.
-    Histogram {
-        /// Metric name.
-        name: &'static str,
-        /// Total observations.
-        count: u64,
-        /// Sum of observations.
-        sum: f64,
-        /// `(upper_bound, count)` pairs; the final pair uses
-        /// `f64::INFINITY` for the overflow bucket.
-        buckets: Vec<(f64, u64)>,
-    },
+/// One counter's value at snapshot time.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct MetricReading {
+    /// Metric name.
+    pub name: &'static str,
+    /// Current count.
+    pub value: u64,
 }
 
-impl MetricReading {
-    /// The metric's name.
-    pub fn name(&self) -> &'static str {
-        match self {
-            MetricReading::Counter { name, .. }
-            | MetricReading::Gauge { name, .. }
-            | MetricReading::Histogram { name, .. } => name,
-        }
-    }
-}
-
-/// A name-sorted point-in-time view of every registered metric.
+/// A name-sorted point-in-time view of every registered counter.
 #[derive(Debug, Clone, Default)]
 pub struct MetricsSnapshot {
     /// Readings sorted by metric name.
@@ -272,30 +87,17 @@ pub struct MetricsSnapshot {
 impl MetricsSnapshot {
     /// The counter named `name`, if registered.
     pub fn counter(&self, name: &str) -> Option<u64> {
-        self.readings.iter().find_map(|r| match r {
-            MetricReading::Counter { name: n, value } if *n == name => Some(*value),
-            _ => None,
-        })
+        self.readings
+            .iter()
+            .find(|r| r.name == name)
+            .map(|r| r.value)
     }
 
     /// Deterministically ordered human-readable rendering.
     pub fn render(&self) -> String {
         let mut out = String::from("metrics:\n");
         for r in &self.readings {
-            match r {
-                MetricReading::Counter { name, value } => {
-                    let _ = writeln!(out, "  {name} = {value}");
-                }
-                MetricReading::Gauge { name, value } => {
-                    let _ = writeln!(out, "  {name} = {value}");
-                }
-                MetricReading::Histogram {
-                    name, count, sum, ..
-                } => {
-                    let mean = if *count > 0 { sum / *count as f64 } else { 0.0 };
-                    let _ = writeln!(out, "  {name}: count={count} sum={sum:.6} mean={mean:.6}");
-                }
-            }
+            let _ = writeln!(out, "  {} = {}", r.name, r.value);
         }
         out
     }
@@ -303,77 +105,30 @@ impl MetricsSnapshot {
 
 impl Serialize for MetricsSnapshot {
     fn to_json(&self) -> Json {
-        Json::obj(self.readings.iter().map(|r| {
-            match r {
-                MetricReading::Counter { name, value } => (*name, Json::Uint(*value)),
-                MetricReading::Gauge { name, value } => (*name, Json::Num(*value)),
-                MetricReading::Histogram {
-                    name,
-                    count,
-                    sum,
-                    buckets,
-                } => (
-                    *name,
-                    Json::obj([
-                        ("count", Json::Uint(*count)),
-                        ("sum", Json::Num(*sum)),
-                        (
-                            "buckets",
-                            Json::Arr(
-                                buckets
-                                    .iter()
-                                    .map(|(b, c)| Json::Arr(vec![Json::Num(*b), Json::Uint(*c)]))
-                                    .collect(),
-                            ),
-                        ),
-                    ]),
-                ),
-            }
-        }))
+        Json::obj(self.readings.iter().map(|r| (r.name, Json::Uint(r.value))))
     }
 }
 
-/// Snapshot of every registered metric, sorted by name.
+/// Snapshot of every registered counter, sorted by name.
 pub fn metrics_snapshot() -> MetricsSnapshot {
     let reg = registry().lock().unwrap();
     let mut readings: Vec<MetricReading> = reg
         .iter()
-        .map(|(name, e)| match e {
-            Entry::Counter(c) => MetricReading::Counter {
-                name,
-                value: c.get(),
-            },
-            Entry::Gauge(g) => MetricReading::Gauge {
-                name,
-                value: g.get(),
-            },
-            Entry::Histogram(h) => {
-                let mut buckets: Vec<(f64, u64)> =
-                    h.bounds().iter().copied().zip(h.bucket_counts()).collect();
-                buckets.push((f64::INFINITY, *h.bucket_counts().last().unwrap_or(&0)));
-                MetricReading::Histogram {
-                    name,
-                    count: h.count(),
-                    sum: h.sum(),
-                    buckets,
-                }
-            }
+        .map(|&(name, c)| MetricReading {
+            name,
+            value: c.get(),
         })
         .collect();
-    readings.sort_by_key(MetricReading::name);
+    readings.sort_by_key(|r| r.name);
     MetricsSnapshot { readings }
 }
 
-/// Zeroes every registered metric (tests and benches only — production
+/// Zeroes every registered counter (tests and benches only — production
 /// counters are monotonic).
 pub fn reset_metrics() {
     let reg = registry().lock().unwrap();
-    for (_, e) in reg.iter() {
-        match e {
-            Entry::Counter(c) => c.reset(),
-            Entry::Gauge(g) => g.reset(),
-            Entry::Histogram(h) => h.reset(),
-        }
+    for (_, c) in reg.iter() {
+        c.reset();
     }
 }
 
@@ -382,39 +137,24 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counters_gauges_histograms_register_and_read_back() {
+    fn counters_register_and_read_back() {
         let c = counter("test.metrics.counter");
         c.inc(2);
         c.inc(3);
         assert!(c.get() >= 5);
         assert!(std::ptr::eq(c, counter("test.metrics.counter")));
-
-        let g = gauge("test.metrics.gauge");
-        g.set(2.5);
-        assert_eq!(g.get(), 2.5);
-
-        let h = histogram("test.metrics.hist", &[1.0, 10.0]);
-        h.observe(0.5);
-        h.observe(5.0);
-        h.observe(50.0);
-        assert_eq!(h.count(), 3);
-        assert_eq!(h.sum(), 55.5);
-        assert_eq!(h.bucket_counts(), vec![1, 1, 1]);
+        counter("test.metrics.another").inc(1);
 
         let snap = metrics_snapshot();
         assert!(snap.counter("test.metrics.counter").unwrap() >= 5);
-        let names: Vec<&str> = snap
-            .readings
-            .iter()
-            .map(super::MetricReading::name)
-            .collect();
+        let names: Vec<&str> = snap.readings.iter().map(|r| r.name).collect();
         let mut sorted = names.clone();
         sorted.sort_unstable();
         assert_eq!(names, sorted, "snapshot must be name-sorted");
-        assert!(snap.render().contains("test.metrics.hist: count=3"));
+        assert!(snap.render().contains("test.metrics.another = "));
         // JSON form parses back.
         let v = serde_json::from_str(&serde_json::to_string(&snap.to_json()).unwrap()).unwrap();
-        assert!(v["test.metrics.gauge"].as_f64().is_some());
+        assert!(v["test.metrics.another"].as_u64().is_some());
     }
 
     #[test]

@@ -166,7 +166,7 @@ pub(crate) enum Instr {
         l: Src,
         r: Src,
     },
-    /// Fused-multiply-add blend when all three operands are numeric;
+    /// Fused multiply-add (`mul_add`) when all three operands are numeric;
     /// jumps to `plain` (the re-evaluating unfused path) otherwise.
     FmaTry {
         op: Op,
@@ -462,7 +462,7 @@ pub(crate) enum KScalar {
 }
 
 /// One kernel statement: `arrays[dst](v) = rpn(v)` with the RPN compiled
-/// twice — `on` uses the FMA contraction blend for `MaybeFma` nodes,
+/// twice — `on` uses the FMA contraction (`mul_add`) for `MaybeFma` nodes,
 /// `off` compiles their plain operand trees literally (the two forms are
 /// *not* algebraically interchangeable bit-for-bit).
 #[derive(Debug, Clone)]
@@ -489,7 +489,7 @@ pub(crate) enum KOp {
     /// `x.powf(y)` (the `(Real, Real)` arm of `binary_op_ref`).
     Pow,
     Neg,
-    /// `fma_blend(a, b, ±c)` — the `FmaTry` contraction blend.
+    /// `a.mul_add(b, ±c)` — the `FmaTry` contraction.
     Fma {
         sub: bool,
     },

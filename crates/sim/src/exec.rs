@@ -142,7 +142,6 @@ pub struct Executor {
     globals: Vec<Value>,
     /// Per-module-id FMA enablement under this run's AVX2 policy.
     fma: Vec<bool>,
-    fma_scale: f64,
     prng: Box<dyn Prng>,
     prng_seed: u32,
     step: u32,
@@ -210,7 +209,6 @@ impl Executor {
         let mut ex = Executor {
             globals: program.globals.as_ref().clone(),
             fma,
-            fma_scale: config.fma_scale,
             prng: make_prng(config.prng, config.prng_seed),
             prng_seed: config.prng_seed,
             step: 0,
@@ -667,8 +665,7 @@ impl Executor {
                         } else {
                             z
                         };
-                        cur.regs[dst as usize] =
-                            Value::Real(ops::fma_blend(x, y, z, self.fma_scale));
+                        cur.regs[dst as usize] = Value::Real(x.mul_add(y, z));
                     } else {
                         // Non-numeric operand: jump to the unfused path,
                         // which re-evaluates the plain operands (the
@@ -1519,7 +1516,6 @@ impl Executor {
         }
         // ---- validated: the kernel is now infallible — run it all ----
         let on = self.fma[kern.module as usize];
-        let scale = self.fma_scale;
         let mut cols = std::mem::take(&mut self.vm.kcols);
         cols.resize(kern.max_depth as usize, [0.0; KCHUNK]);
         let mut base = lo;
@@ -1591,11 +1587,11 @@ impl Executor {
                             let (y, z) = (&b[0], &b[1]);
                             if sub {
                                 for j in 0..n {
-                                    x[j] = ops::fma_blend(x[j], y[j], -z[j], scale);
+                                    x[j] = x[j].mul_add(y[j], -z[j]);
                                 }
                             } else {
                                 for j in 0..n {
-                                    x[j] = ops::fma_blend(x[j], y[j], z[j], scale);
+                                    x[j] = x[j].mul_add(y[j], z[j]);
                                 }
                             }
                             sp -= 2;

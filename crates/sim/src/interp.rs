@@ -7,10 +7,7 @@
 //! 1. **FMA simulation** (§6.4): when a module is "compiled with AVX2",
 //!    `a*b ± c` patterns evaluate through `f64::mul_add`. The observable
 //!    effect of FMA on Broadwell is exactly this single-rounding
-//!    contraction. `fma_scale` amplifies the genuine fused-vs-unfused
-//!    delta to bridge site-count scale (our model has ~10² FMA sites where
-//!    CESM has ~10⁵⁺); with `fma_scale = 1.0` the arithmetic is bit-true
-//!    FMA.
+//!    contraction, so the arithmetic is bit-true FMA.
 //! 2. **PRNG substitution** (§6.2): `random_number` is backed by KISS by
 //!    default and MT19937 under the RAND-MT experiment.
 //! 3. **Coverage + sampling**: every executed `(module, subprogram)` is
@@ -130,9 +127,6 @@ pub struct RunConfig {
     pub prng_seed: u32,
     /// FMA policy.
     pub avx2: Avx2Policy,
-    /// Amplification of the fused-vs-unfused delta (site-count bridging;
-    /// 1.0 = bit-true FMA).
-    pub fma_scale: f64,
     /// Step at which instrumented variables are snapshotted.
     pub sample_step: Option<u32>,
     /// Instrumented variables.
@@ -157,7 +151,6 @@ impl Default for RunConfig {
             prng: PrngKind::Kiss,
             prng_seed: 112358,
             avx2: Avx2Policy::Disabled,
-            fma_scale: 1.0,
             sample_step: None,
             samples: Vec::new(),
             faults: crate::fault::FaultPlan::default(),
@@ -1322,8 +1315,6 @@ impl Interpreter {
         rhs: &Expr,
         line: u32,
     ) -> RunResult<Option<Value>> {
-        let scale = self.config.fma_scale;
-        let fuse = |a: f64, b: f64, c: f64| crate::ops::fma_blend(a, b, c, scale);
         if let Expr::Binary {
             op: Op::Mul,
             lhs: ma,
@@ -1335,7 +1326,7 @@ impl Interpreter {
             let c = self.eval(frame, rhs, line)?;
             if let (Some(a), Some(b), Some(c)) = (a.as_f64(), b.as_f64(), c.as_f64()) {
                 let c = if op == Op::Sub { -c } else { c };
-                return Ok(Some(Value::Real(fuse(a, b, c))));
+                return Ok(Some(Value::Real(a.mul_add(b, c))));
             }
             return Ok(None);
         }

@@ -160,7 +160,6 @@ mod tests {
         let variant = RunConfig {
             steps: 3,
             avx2: Avx2Policy::AllModules,
-            fma_scale: 1.0,
             ..Default::default()
         };
         let cmp = compare_kernel(&model, &base, &variant, "micro_mg", 1e-16).unwrap();

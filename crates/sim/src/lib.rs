@@ -6,9 +6,9 @@
 //! paper-critical capabilities:
 //!
 //! - **AVX2/FMA simulation**: per-module fused-multiply-add contraction of
-//!   `a*b ± c` (the actual mechanism by which Broadwell's FMA changes CESM
-//!   results), with a delta-amplification knob bridging the site-count gap
-//!   between this model and 1.5M-line CESM;
+//!   `a*b ± c` through `f64::mul_add` (the actual mechanism by which
+//!   Broadwell's FMA changes CESM results), bit-true in both engines and
+//!   the column kernels;
 //! - **PRNG substitution** ([`prng`]): Marsaglia KISS (the CESM default) vs
 //!   MT19937 for the RAND-MT experiment;
 //! - **coverage recording and runtime sampling**: the Intel-codecov and

@@ -287,17 +287,6 @@ pub(crate) fn unary_op(op: Op, v: Value, module: &str, line: u32) -> RunResult<V
     }
 }
 
-/// Blend of the fused and unfused forms of `x*y + z`, scaled by the
-/// run's FMA policy: `scale == 1.0` is full contraction, `0.0` is the
-/// plain product-then-add. Shared by the tree-walkers' `MaybeFma` and the
-/// VM's `FmaTry` so the contraction arithmetic exists exactly once.
-#[inline]
-pub(crate) fn fma_blend(x: f64, y: f64, z: f64, scale: f64) -> f64 {
-    let base = x * y + z;
-    let fused = x.mul_add(y, z);
-    base + (fused - base) * scale
-}
-
 pub(crate) fn binary_op(op: Op, a: Value, b: Value, module: &str, line: u32) -> RunResult<Value> {
     binary_op_ref(op, &a, &b, module, line)
 }

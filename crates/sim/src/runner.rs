@@ -422,7 +422,6 @@ mod tests {
         let base = run_model(&model, &cfg(), 0.0).unwrap();
         let mut fma_cfg = cfg();
         fma_cfg.avx2 = crate::interp::Avx2Policy::AllModules;
-        fma_cfg.fma_scale = 1.0;
         let fma = run_model(&model, &fma_cfg, 0.0).unwrap();
         let changed = base
             .history_iter()

@@ -93,7 +93,6 @@ fn experiment_config(e: Experiment, steps: u32) -> RunConfig {
     }
     if e.enables_avx2() {
         cfg.avx2 = Avx2Policy::AllModules;
-        cfg.fma_scale = 1.0;
     }
     cfg
 }
@@ -190,7 +189,6 @@ fn engines_agree_under_per_module_fma() {
         let cfg = RunConfig {
             steps: 3,
             avx2: Avx2Policy::Only([module.to_string()].into_iter().collect()),
-            fma_scale: 1.0,
             ..Default::default()
         };
         assert_engines_agree(&format!("fma-only-{module}"), &model, &cfg, 0.0);

@@ -13,7 +13,8 @@
 
 use rca_model::{generate, Component, ModelConfig, ModelFile, ModelSource};
 use rca_sim::{
-    compile_model, run_loaded, run_program, Interpreter, RunConfig, RunOutput, BUDGET_CONTEXT,
+    compile_model, run_loaded, run_program, Avx2Policy, Interpreter, RunConfig, RunOutput,
+    BUDGET_CONTEXT,
 };
 
 const KEDGE: &str = r#"
@@ -73,15 +74,59 @@ contains
 end module kedge
 "#;
 
-fn kedge_model() -> ModelSource {
+/// One scalar FMA site and one kernelized loop of them whose product
+/// overflows: the exact `a*b + c` is about 1e400, so a fused
+/// multiply-add rounds it to `+inf`, as the unfused form does.
+const FMA_OVERFLOW: &str = r#"
+module fmaover
+  implicit none
+  real :: a
+  real :: b
+  real :: c
+  real :: x
+  real :: va(3)
+  real :: vb(3)
+  real :: vc(3)
+  real :: vx(3)
+contains
+  subroutine cam_init(pert)
+    real, intent(in) :: pert
+    integer :: i
+    a = 1.0e200
+    b = 1.0e200
+    c = -1.0e300
+    do i = 1, 3
+      va(i) = 1.0e200
+      vb(i) = 1.0e200
+      vc(i) = -1.0e300
+    end do
+  end subroutine cam_init
+
+  subroutine cam_run_step()
+    integer :: i
+    x = a * b + c
+    do i = 1, 3
+      vx(i) = va(i) * vb(i) + vc(i)
+    end do
+    call outfld('FMAX', x, 1)
+    call outfld('FMAVX', vx, 3)
+  end subroutine cam_run_step
+end module fmaover
+"#;
+
+fn single_file_model(name: &str, source: &str) -> ModelSource {
     ModelSource {
         files: vec![ModelFile {
-            name: "kedge.F90".to_string(),
+            name: name.to_string(),
             component: Component::Cam,
-            source: KEDGE.to_string(),
+            source: source.to_string(),
         }],
         config: ModelConfig::test(),
     }
+}
+
+fn kedge_model() -> ModelSource {
+    single_file_model("kedge.F90", KEDGE)
 }
 
 fn assert_series_identical(label: &str, a: &RunOutput, b: &RunOutput) {
@@ -138,6 +183,41 @@ fn kernel_edge_cases_match_the_interpreter() {
     let vm = run_program(&program, &cfg, 1.0e-14).expect("vm run");
 
     assert_series_identical("interp-vs-vm", &reference, &vm);
+}
+
+/// FMA contraction is `mul_add`, bit for bit, in the interpreter, the
+/// VM's scalar site and its column kernel — also where the product
+/// overflows and the fused result is `+inf`, the value AVX2-off runs
+/// record too.
+#[test]
+fn fma_overflow_is_a_fused_multiply_add_in_both_engines() {
+    let model = single_file_model("fmaover.F90", FMA_OVERFLOW);
+    let program = compile_model(&model).expect("compile");
+    // The initialization loop and the FMA loop.
+    assert_eq!(program.kernel_count(), 2, "the FMA loop did not kernelize");
+    let (asts, errs) = model.parse();
+    assert!(errs.is_empty(), "{errs:?}");
+    let fused = 1.0e200_f64.mul_add(1.0e200, -1.0e300);
+    assert_eq!(fused, f64::INFINITY);
+    for avx2 in [Avx2Policy::AllModules, Avx2Policy::Disabled] {
+        let cfg = RunConfig {
+            steps: 2,
+            avx2,
+            ..Default::default()
+        };
+        let label = format!("{:?}", cfg.avx2);
+        let mut interp = Interpreter::load(&asts, cfg.clone()).expect("load");
+        let reference = run_loaded(&mut interp, &cfg, 0.0).expect("tree-walk run");
+        let vm = run_program(&program, &cfg, 0.0).expect("vm run");
+        assert_series_identical(&label, &reference, &vm);
+        for name in ["fmax", "fmavx"] {
+            let series = vm.series(name).expect("recorded");
+            assert!(
+                series.iter().all(|v| v.to_bits() == fused.to_bits()),
+                "{label}/{name}: {series:?}"
+            );
+        }
+    }
 }
 
 /// The kedge run's fuel outcomes: `None` = completes, `Some(s)` = the

@@ -2,17 +2,18 @@
 //!
 //! For each of the paper's experiments (§6, §8.2) this example asks one
 //! `RcaSession` — configured with **real runtime sampling**, not the
-//! reachability simulation — for a diagnosis: the instrumented variables
-//! are captured in actual interpreter runs of the control and
-//! experimental models.
+//! reachability simulation — to diagnose the experiment's
+//! `Scenario::paper`: the instrumented variables are captured in actual
+//! bytecode VM runs of the control and experimental models.
 //!
 //! Run with: `cargo run --release --example bug_hunt`
 
 use climate_rca::prelude::*;
 use model::{generate, Experiment, ModelConfig};
+use std::sync::Arc;
 
 fn main() -> Result<(), RcaError> {
-    let model = generate(&ModelConfig::test());
+    let model = Arc::new(generate(&ModelConfig::test()));
     let session = RcaSession::builder(&model)
         .setup(ExperimentSetup::quick())
         .oracle(OracleKind::Runtime)
@@ -30,7 +31,7 @@ fn main() -> Result<(), RcaError> {
         Experiment::RandomBug,
         Experiment::RandMt,
     ] {
-        let d = session.diagnose(experiment)?;
+        let d = session.diagnose_scenario(&Scenario::paper(&model, session.setup(), experiment))?;
         let outcome = if d.instrumented() {
             "bug instrumented"
         } else if d.localized() {

@@ -12,9 +12,10 @@
 use climate_rca::prelude::*;
 use model::{generate, Experiment, ModelConfig};
 use sim::{compare_kernel, Avx2Policy, RunConfig};
+use std::sync::Arc;
 
 fn main() -> Result<(), RcaError> {
-    let model = generate(&ModelConfig::test());
+    let model = Arc::new(generate(&ModelConfig::test()));
     let session = RcaSession::builder(&model)
         .setup(ExperimentSetup {
             steps: 9,
@@ -25,7 +26,8 @@ fn main() -> Result<(), RcaError> {
     // "Port" the model to a machine with AVX2/FMA enabled and test its
     // output against the accepted (FMA-disabled) ensemble — the typed
     // statistics stage alone, no slicing needed for this question.
-    let stats = session.statistics(Experiment::Avx2)?;
+    let port = Scenario::paper(&model, session.setup(), Experiment::Avx2);
+    let stats = session.statistics_scenario(&port)?;
     println!(
         "UF-ECT on the FMA-enabled port: {} (failure rate {:.0}%)",
         stats.verdict(),

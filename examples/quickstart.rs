@@ -3,13 +3,14 @@
 //! Reproduces the paper's workflow end-to-end for the GOFFGRATCH
 //! experiment (§6.3): a one-character typo in the Goff–Gratch saturation
 //! vapor pressure coefficient, located by slicing + community detection +
-//! centrality-guided sampling — all through one `RcaSession::diagnose`
-//! call.
+//! centrality-guided sampling — all through one
+//! `RcaSession::diagnose_scenario` call.
 //!
 //! Run with: `cargo run --release --example quickstart`
 
 use climate_rca::prelude::*;
 use model::{generate, Experiment, ModelConfig};
+use std::sync::Arc;
 
 fn main() -> Result<(), RcaError> {
     // ------------------------------------------------------------------
@@ -17,7 +18,7 @@ fn main() -> Result<(), RcaError> {
     //    the paper's bug.
     // ------------------------------------------------------------------
     let config = ModelConfig::medium();
-    let model = generate(&config);
+    let model = Arc::new(generate(&config));
     let experiment = Experiment::GoffGratch;
     println!(
         "model: {} modules, {} lines of Fortran",
@@ -48,7 +49,8 @@ fn main() -> Result<(), RcaError> {
     // ------------------------------------------------------------------
     // 2. Diagnose: statistics (§3) → slice (§5.1) → Algorithm 5.4.
     // ------------------------------------------------------------------
-    let diagnosis = session.diagnose(experiment)?;
+    let scenario = Scenario::paper(&model, session.setup(), experiment);
+    let diagnosis = session.diagnose_scenario(&scenario)?;
     print!("\n{}", diagnosis.render());
 
     println!(

@@ -16,22 +16,26 @@
 //!
 //! The whole workflow lives behind [`rca::RcaSession`]: build a session
 //! once per model (parsing, coverage calibration, and graph compilation
-//! happen here), then [`diagnose`](rca::RcaSession::diagnose) any number
-//! of experiments.
+//! happen here), then
+//! [`diagnose_scenario`](rca::RcaSession::diagnose_scenario) any number of
+//! [`Scenario`](rca::Scenario)s. A paper experiment is one such scenario,
+//! built by [`Scenario::paper`](rca::Scenario::paper).
 //!
 //! ```no_run
 //! use climate_rca::prelude::*;
+//! use std::sync::Arc;
 //!
 //! // Generate the synthetic climate model; experiments inject the
 //! // paper's bugs (e.g. the GOFFGRATCH typo 8.1328e-3 -> 8.1828e-3).
-//! let model = model::generate(&model::ModelConfig::test());
+//! let model = Arc::new(model::generate(&model::ModelConfig::test()));
 //!
 //! let session = RcaSession::builder(&model)
 //!     .setup(ExperimentSetup::quick())
 //!     .oracle(OracleKind::Runtime) // sample real instrumented runs
 //!     .build()?;
 //!
-//! let diagnosis = session.diagnose(model::Experiment::GoffGratch)?;
+//! let goffgratch = Scenario::paper(&model, session.setup(), model::Experiment::GoffGratch);
+//! let diagnosis = session.diagnose_scenario(&goffgratch)?;
 //! assert_eq!(diagnosis.verdict, stats::Verdict::Fail);
 //! println!("{}", diagnosis.render());
 //! # Ok::<(), RcaError>(())
@@ -44,12 +48,13 @@
 //!
 //! ```no_run
 //! # use climate_rca::prelude::*;
-//! # let model = model::generate(&model::ModelConfig::test());
+//! # let model = std::sync::Arc::new(model::generate(&model::ModelConfig::test()));
 //! # let session = RcaSession::builder(&model).build()?;
-//! let mut stats = session.statistics(model::Experiment::GoffGratch)?;
+//! let goffgratch = Scenario::paper(&model, session.setup(), model::Experiment::GoffGratch);
+//! let mut stats = session.statistics_scenario(&goffgratch)?;
 //! stats.affected.truncate(5);          // override the selection
 //! let sliced = stats.slice()?;          // Statistics -> Sliced
-//! let mut oracle = session.make_oracle(model::Experiment::GoffGratch);
+//! let mut oracle = session.scenario_oracle(&goffgratch);
 //! let refined = sliced.refine_with(oracle.as_mut()); // Sliced -> Refined
 //! let diagnosis = refined.into_diagnosis();
 //! # Ok::<(), RcaError>(())
@@ -129,7 +134,7 @@
 //!
 //! | removed 0.1 call | replacement |
 //! |---|---|
-//! | `run_statistics(&model, exp, &setup)` | `session.statistics(exp)` (or `diagnose`) |
+//! | `run_statistics(&model, exp, &setup)` | `session.statistics_scenario(&Scenario::paper(&model, &setup, exp))` (or `diagnose_scenario`) |
 //! | `affected_outputs(&data, n)` | `ExperimentData::affected_outputs(&data, n)`, or the `affected` field of the `Statistics` stage |
 //! | `induce_slice(&mg, &names, f)` | `stats.slice()` stage, or `backward_slice` for raw criteria |
 //! | `SamplingOracle` (trait) | renamed [`rca::Oracle`] |
@@ -144,10 +149,11 @@
 //!
 //! ## Beyond the paper's experiments: scenarios and campaigns
 //!
-//! [`rca::Scenario`] describes any experimental model variant (mutated
-//! source, PRNG swap, per-module FMA) with optional ground truth;
-//! [`rca::RcaSession::diagnose_scenario`] runs the identical pipeline on
-//! it, sharing the session's cached metagraph **and control ensemble**.
+//! [`rca::Scenario`] describes any experimental model variant (a paper
+//! experiment, mutated source, PRNG swap, per-module FMA) with optional
+//! ground truth; [`rca::RcaSession::diagnose_scenario`] runs the one
+//! pipeline on it, sharing the session's cached metagraph **and control
+//! ensemble**.
 //! The `rca-campaign` crate builds on this: it generates seeded random
 //! fault-injection scenarios, fans them out across threads, and scores
 //! module-level localization — see `examples/campaign.rs` and the
@@ -252,8 +258,8 @@
 //!   nodes). The table is append-only, so every program-assigned id stays
 //!   valid in the extended session table ([`rca::RcaSession::symbols`]).
 //! - **out** — [`rca::Diagnosis`] resolves ids back to display strings
-//!   (`render`, JSON export) exactly once, in
-//!   `Refined::into_diagnosis`.
+//!   (`render`, JSON export) exactly once, in the one function that
+//!   builds every diagnosis.
 //!
 //! Everything in between is id-keyed and `Vec`-backed: run histories are
 //! dense buffers indexed by `OutputId` over the program's sorted output
@@ -327,7 +333,8 @@
 //!   tracks per-member [`sim::MemberHealth`], retries failed members with
 //!   derived reseeds up to a bounded [`rca::RetryPolicy`], and
 //!   quarantines what never recovers; the statistics stages fit the ECT
-//!   from the surviving quorum (configurable minimums) and record a
+//!   from the surviving quorum (half the ensemble, at least 3; one
+//!   3-run set of experimental runs) and record a
 //!   [`rca::DegradedEnsemble`] note on the [`rca::Diagnosis`] instead of
 //!   erroring. Non-finite values that poison an output without killing
 //!   its member fall out of the keep set the ECT already intersects.
@@ -381,8 +388,9 @@
 //!   dot-namespaced events (`refine.iter`, `scenario`,
 //!   `scenario.error`, `campaign.plan`, `lint.report`, and
 //!   `parse.files`, the `parsed` and `reused` file counts of one
-//!   parse). Counters and
-//!   histograms use the same `subsystem.noun` convention
+//!   parse). Counters, the one metric kind (a size or an iteration
+//!   count is a counter summing its values), use the same
+//!   `subsystem.noun` convention
 //!   (`executor.runs`, `oracle.queries`, `slice.nodes`).
 //! - **Sink contract**: instrumentation is always on; the sink, an
 //!   in-memory [`obs::Collector`], is opt-in ([`obs::with_sink`]
@@ -391,8 +399,8 @@
 //!   `obs_overhead` bench holds the disabled cost under 2% of an
 //!   ensemble fill. Use a **span** for anything with duration and
 //!   structure, an **event** for a point-in-time progress fact, and a
-//!   **counter/histogram** for aggregates that must be cheap enough for
-//!   the hottest loops.
+//!   **counter** for aggregates that must be cheap enough for the
+//!   hottest loops.
 //!
 //! Spans are the only clock. [`obs::PhaseProfile::from_records`] folds
 //! collected spans into per-name counts, inclusive time, and self time
@@ -406,10 +414,11 @@
 //! use obs::{with_sink, Collector, PhaseProfile};
 //! use std::sync::Arc;
 //!
-//! let model = generate(&ModelConfig::test());
+//! let model = Arc::new(generate(&ModelConfig::test()));
 //! let session = RcaSession::builder(&model).build()?;
+//! let wsub = Scenario::paper(&model, session.setup(), Experiment::WsubBug);
 //! let collector = Arc::new(Collector::new());
-//! with_sink(collector.clone(), || session.diagnose(Experiment::WsubBug))?;
+//! with_sink(collector.clone(), || session.diagnose_scenario(&wsub))?;
 //! print!("{}", PhaseProfile::from_records(&collector.records()).render());
 //! # Ok::<(), RcaError>(())
 //! ```
@@ -460,5 +469,7 @@ pub use rca_stats as stats;
 /// session-facade types.
 pub mod prelude {
     pub use crate::{analysis, fortran, graph, metagraph, model, obs, rca, sim, stats};
-    pub use rca_core::{Diagnosis, ExperimentSetup, OracleKind, RcaError, RcaSession, SliceScope};
+    pub use rca_core::{
+        Diagnosis, ExperimentSetup, OracleKind, RcaError, RcaSession, Scenario, SliceScope,
+    };
 }

@@ -5,9 +5,14 @@ use climate_rca::prelude::*;
 use model::{generate, Experiment, ModelConfig};
 use rca::refine::StopReason;
 use rca::{PipelineOptions, RcaPipeline, RefineOptions};
+use std::sync::Arc;
 
-fn model() -> model::ModelSource {
-    generate(&ModelConfig::test())
+fn model() -> Arc<model::ModelSource> {
+    Arc::new(generate(&ModelConfig::test()))
+}
+
+fn wsub(session: &RcaSession<'_>, m: &Arc<model::ModelSource>) -> Scenario {
+    Scenario::paper(m, session.setup(), Experiment::WsubBug)
 }
 
 #[test]
@@ -35,7 +40,9 @@ fn session_reports_unknown_outputs_as_typed_error() {
         .setup(ExperimentSetup::quick())
         .build()
         .expect("session");
-    let mut stats = session.statistics(Experiment::WsubBug).expect("statistics");
+    let mut stats = session
+        .statistics_scenario(&wsub(&session, &m))
+        .expect("statistics");
     // Override the selection with outputs the I/O registry cannot map.
     stats.affected = vec!["definitely_not_an_output".into()];
     let err = stats.slice().expect_err("slice must fail");
@@ -60,7 +67,9 @@ fn zero_manual_threshold_still_terminates() {
         })
         .build()
         .expect("session");
-    let d = session.diagnose(Experiment::WsubBug).expect("diagnosis");
+    let d = session
+        .diagnose_scenario(&wsub(&session, &m))
+        .expect("diagnosis");
     let stop = d.stop().expect("refinement ran");
     assert_ne!(
         stop,
@@ -82,7 +91,6 @@ fn skip_coverage_session_reaches_identical_verdicts() {
         .setup(ExperimentSetup::quick())
         .pipeline_options(PipelineOptions {
             skip_coverage: true,
-            ..PipelineOptions::default()
         })
         .build()
         .expect("skip-coverage session");
@@ -96,8 +104,12 @@ fn skip_coverage_session_reaches_identical_verdicts() {
         filtered.pipeline().filter_stats.subprograms_before
     );
 
-    let a = filtered.diagnose(Experiment::WsubBug).expect("diagnosis");
-    let b = unfiltered.diagnose(Experiment::WsubBug).expect("diagnosis");
+    let a = filtered
+        .diagnose_scenario(&wsub(&filtered, &m))
+        .expect("diagnosis");
+    let b = unfiltered
+        .diagnose_scenario(&wsub(&unfiltered, &m))
+        .expect("diagnosis");
     assert_eq!(
         a.verdict, b.verdict,
         "coverage filtering must not change the verdict"
@@ -127,9 +139,9 @@ fn foreign_output_table_pairs_columns_by_name() {
         .find(|f| f.source.contains(line))
         .expect("CLDTOT history write");
     file.source = file.source.replacen(line, "", 1);
-    let scenario = rca::Scenario::new(
+    let scenario = Scenario::new(
         "goffgratch-without-cldtot",
-        std::sync::Arc::new(variant),
+        Arc::new(variant),
         session.control_config(),
     );
     let ens = session.ensemble().expect("ensemble");

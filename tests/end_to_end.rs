@@ -5,6 +5,7 @@
 use climate_rca::prelude::*;
 use model::{generate, Experiment, ModelConfig};
 use stats::Verdict;
+use std::sync::Arc;
 
 fn session_for(
     model: &model::ModelSource,
@@ -19,13 +20,18 @@ fn session_for(
         .expect("session builds")
 }
 
+fn diagnose(session: &RcaSession<'_>, m: &Arc<model::ModelSource>, e: Experiment) -> Diagnosis {
+    let scenario = Scenario::paper(m, session.setup(), e);
+    session.diagnose_scenario(&scenario).expect("diagnosis")
+}
+
 /// Runs the whole chain: statistics → selection → slice → refinement.
 /// Both built-in oracles go through the identical session entry point.
 fn full_chain(experiment: Experiment, oracle: OracleKind) -> (bool, Verdict) {
-    let m = generate(&ModelConfig::test());
+    let m = Arc::new(generate(&ModelConfig::test()));
     let n = experiment.table2_outputs().len().clamp(4, 10);
     let session = session_for(&m, oracle, n);
-    let d = session.diagnose(experiment).expect("diagnosis");
+    let d = diagnose(&session, &m, experiment);
     (d.located(), d.verdict)
 }
 
@@ -69,11 +75,11 @@ fn both_oracles_locate_the_same_wsub_bug() {
     // The acceptance bar for the Oracle abstraction: the same end-to-end
     // test passes with either built-in oracle plugged into the same
     // session pipeline, and the verdicts agree.
-    let m = generate(&ModelConfig::test());
+    let m = Arc::new(generate(&ModelConfig::test()));
     let mut verdicts = Vec::new();
     for oracle in [OracleKind::Reachability, OracleKind::Runtime] {
         let session = session_for(&m, oracle, 4);
-        let d = session.diagnose(Experiment::WsubBug).expect("diagnosis");
+        let d = diagnose(&session, &m, Experiment::WsubBug);
         assert!(d.located(), "oracle {oracle:?} must locate the wsub bug");
         verdicts.push(d.verdict);
     }
@@ -87,13 +93,17 @@ fn oracles_agree_on_reachable_detections() {
     // oracles query the SAME metagraph (node ids are only meaningful
     // within one compiled graph), built by one session; the runtime
     // sampler is constructed directly over that session's model.
-    let m = generate(&ModelConfig::test());
-    let experiment = Experiment::GoffGratch;
+    let m = Arc::new(generate(&ModelConfig::test()));
     let session = session_for(&m, OracleKind::Reachability, 10);
-    let mut reach = session.make_oracle(experiment);
-    let (ctl, exp) = rca::experiment_configs(experiment, session.setup());
-    let mut runtime =
-        rca::RuntimeSampler::new(m.clone(), m.apply(experiment), ctl, exp).with_sample_step(2);
+    let goffgratch = Scenario::paper(&m, session.setup(), Experiment::GoffGratch);
+    let mut reach = session.scenario_oracle(&goffgratch);
+    let mut runtime = rca::RuntimeSampler::new(
+        (*m).clone(),
+        (*goffgratch.model).clone(),
+        session.control_config(),
+        goffgratch.config.clone(),
+    )
+    .with_sample_step(2);
 
     let mg = session.metagraph();
     let probes: Vec<graph::NodeId> = ["cld", "relhum", "wsub", "flwds", "tlat", "snowhland"]
@@ -118,9 +128,9 @@ fn oracles_agree_on_reachable_detections() {
 
 #[test]
 fn control_experiment_passes_and_locates_nothing() {
-    let m = generate(&ModelConfig::test());
+    let m = Arc::new(generate(&ModelConfig::test()));
     let session = session_for(&m, OracleKind::Reachability, 10);
-    let d = session.diagnose(Experiment::Control).expect("diagnosis");
+    let d = diagnose(&session, &m, Experiment::Control);
     assert_eq!(d.verdict, Verdict::Pass);
     assert!(d.refinement.is_none(), "a passing verdict must not refine");
     assert!(!d.located());

@@ -13,14 +13,17 @@
 use climate_rca::prelude::*;
 use model::{generate, Experiment, ModelConfig};
 use rca_core::backward_slice_names;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
+
+fn model() -> &'static Arc<model::ModelSource> {
+    static MODEL: OnceLock<Arc<model::ModelSource>> = OnceLock::new();
+    MODEL.get_or_init(|| Arc::new(generate(&ModelConfig::test())))
+}
 
 fn session() -> &'static RcaSession<'static> {
-    static MODEL: OnceLock<model::ModelSource> = OnceLock::new();
     static SESSION: OnceLock<RcaSession<'static>> = OnceLock::new();
     SESSION.get_or_init(|| {
-        let m = MODEL.get_or_init(|| generate(&ModelConfig::test()));
-        RcaSession::builder(m)
+        RcaSession::builder(model())
             .setup(ExperimentSetup::quick())
             .build()
             .expect("session")
@@ -32,7 +35,8 @@ fn id_keyed_diagnosis_matches_legacy_string_rendering_on_all_paper_experiments()
     let session = session();
     let mg = session.metagraph();
     for e in Experiment::ALL {
-        let d = session.diagnose(e).expect("diagnosis");
+        let scenario = Scenario::paper(model(), session.setup(), e);
+        let d = session.diagnose_scenario(&scenario).expect("diagnosis");
         let Some(report) = &d.refinement else {
             // A passing verdict short-circuits before slicing.
             assert!(d.suspects.is_empty());
@@ -130,7 +134,7 @@ fn columnar_ensemble_matrix_is_byte_identical_to_per_run_assembly() {
     let setup = session.setup();
     let program = session.program_for(session.model()).expect("base program");
     let config = session.control_config();
-    let perts = sim::perturbations(setup.n_ensemble, setup.ic_magnitude, setup.seed);
+    let perts = sim::perturbations(setup.n_ensemble, rca::experiments::IC_MAGNITUDE, setup.seed);
     let runs: Vec<sim::RunOutput> = perts
         .iter()
         .map(|&p| sim::run_program(&program, &config, p).expect("run"))

@@ -10,7 +10,6 @@ use proptest::prelude::*;
 use rca_campaign::{
     run_campaign, run_scenario, CampaignOptions, CampaignScenario, RunnerOptions, ScenarioClass,
 };
-use rca_core::Scenario;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -26,11 +25,12 @@ fn test_session(model: &model::ModelSource) -> RcaSession<'_> {
 /// nested under the `diagnose` span and sub-phases under their phase.
 #[test]
 fn span_tree_covers_every_pipeline_phase() {
-    let m = generate(&ModelConfig::test());
+    let m = Arc::new(generate(&ModelConfig::test()));
     let collector = Arc::new(Collector::new());
     let d = obs::with_sink(collector.clone(), || {
         let session = test_session(&m);
-        session.diagnose(Experiment::WsubBug).expect("diagnosis")
+        let wsub = Scenario::paper(&m, session.setup(), Experiment::WsubBug);
+        session.diagnose_scenario(&wsub).expect("diagnosis")
     });
     assert!(d.located());
 
@@ -146,11 +146,12 @@ fn span_tree_covers_every_pipeline_phase() {
 /// and none of the session build it did not.
 #[test]
 fn diagnosis_profile_reports_nonzero_phase_timings() {
-    let m = generate(&ModelConfig::test());
+    let m = Arc::new(generate(&ModelConfig::test()));
     let session = test_session(&m);
+    let wsub = Scenario::paper(&m, session.setup(), Experiment::WsubBug);
     let collector = Arc::new(Collector::new());
     obs::with_sink(collector.clone(), || {
-        session.diagnose(Experiment::WsubBug).expect("diagnosis")
+        session.diagnose_scenario(&wsub).expect("diagnosis")
     });
     let profile = PhaseProfile::from_records(&collector.records());
     for phase in [

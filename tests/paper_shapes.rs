@@ -200,7 +200,6 @@ fn coverage_is_the_hybrid_in_hybrid_slicing() {
         &m,
         &rca::PipelineOptions {
             skip_coverage: true,
-            ..Default::default()
         },
     )
     .unwrap();
