@@ -24,7 +24,9 @@
 //! zero false positives.
 
 use rca_sim::effects::{walk_block, Effect};
-use rca_sim::{CExpr, CPlace, CStmt, EId, Intrin, LocalTemplate, Op, Program, Value, VarBind};
+use rca_sim::{
+    CExpr, CPlace, CProc, CStmt, EId, Intrin, LocalTemplate, Op, Program, Value, VarBind,
+};
 use std::ops::ControlFlow::Continue;
 
 /// A closed interval over f64 (`NEG_INFINITY..INFINITY` = ⊤).
@@ -190,7 +192,8 @@ pub fn const_globals(prog: &Program) -> Vec<Option<f64>> {
 }
 
 struct Walker<'p> {
-    prog: &'p Program,
+    /// The proc being walked: expression ids and sites index its pools.
+    proc: &'p CProc,
     global_const: &'p [Option<f64>],
     env: Vec<Option<Interval>>,
     hazards: Vec<Hazard>,
@@ -211,14 +214,14 @@ impl<'p> Walker<'p> {
     /// time — never reported as foldable).
     fn is_literal(&self, e: EId) -> bool {
         matches!(
-            self.prog.ir_exprs()[e as usize],
+            self.proc.exprs[e as usize],
             CExpr::Real(_) | CExpr::Int(_) | CExpr::Str(_) | CExpr::Logical(_)
         )
     }
 
     fn eval(&mut self, e: EId, line: u32) -> Interval {
-        let prog = self.prog;
-        match &prog.ir_exprs()[e as usize] {
+        let proc = self.proc;
+        match &proc.exprs[e as usize] {
             CExpr::Real(v) => Interval::constant(*v),
             CExpr::Int(v) => Interval::constant(*v as f64),
             CExpr::Str(_) | CExpr::Logical(_) => Interval::TOP,
@@ -228,7 +231,7 @@ impl<'p> Walker<'p> {
                 Interval::TOP
             }
             CExpr::CallFn { site } => {
-                for &a in &prog.ir_sites()[*site as usize].args {
+                for &a in &proc.sites[*site as usize].args {
                     self.eval(a, line);
                 }
                 Interval::TOP
@@ -445,7 +448,7 @@ impl<'p> Walker<'p> {
     /// writes, copy-outs of the calls it makes, nested `do` variables.
     fn widen_assigned(&mut self, body: &[CStmt]) {
         let env = &mut self.env;
-        let _ = walk_block(self.prog, body, &mut |e| {
+        let _ = walk_block(self.proc, body, &mut |e| {
             if let Effect::Write {
                 bind: VarBind::Local(s) | VarBind::LocalOrGlobal(s, _),
                 ..
@@ -465,11 +468,11 @@ impl<'p> Walker<'p> {
                     self.assign_place(place, v, *line);
                 }
                 CStmt::Call { site, line } => {
-                    for &a in &self.prog.ir_sites()[*site as usize].args {
+                    let site = &self.proc.sites[*site as usize];
+                    for &a in &site.args {
                         self.eval(a, *line);
                     }
-                    let copyout = self.prog.ir_sites()[*site as usize].copyout.clone();
-                    for (_, place) in &copyout {
+                    for (_, place) in &site.copyout {
                         self.invalidate_place(place);
                     }
                 }
@@ -581,7 +584,7 @@ fn join_env(a: &[Option<Interval>], b: &[Option<Interval>]) -> Vec<Option<Interv
 pub fn proc_hazards(prog: &Program, proc_index: u32, global_const: &[Option<f64>]) -> Vec<Hazard> {
     let proc = &prog.ir_procs()[proc_index as usize];
     let mut w = Walker {
-        prog,
+        proc,
         global_const,
         env: vec![None; proc.n_locals],
         hazards: Vec::new(),

@@ -171,7 +171,6 @@ pub struct ProcFlow {
 }
 
 struct CfgBuilder<'p> {
-    prog: &'p Program,
     proc: &'p CProc,
     blocks: Vec<Block>,
     cur: u32,
@@ -286,8 +285,7 @@ impl<'p> CfgBuilder<'p> {
     /// Everything evaluated before a statement acts is a use; calls embed
     /// their argument uses and copy-out defs.
     fn expr(&mut self, e: EId, line: u32) {
-        let prog = self.prog;
-        let _ = walk_expr(prog, e, &mut |ef| {
+        let _ = walk_expr(self.proc, e, &mut |ef| {
             self.effect(ef, line, DefOrigin::CopyOut);
             Continue(())
         });
@@ -295,8 +293,7 @@ impl<'p> CfgBuilder<'p> {
 
     /// Uses of a declaration template's initializer or extents.
     fn template(&mut self, tpl: &LocalTemplate, line: u32) {
-        let prog = self.prog;
-        let _ = walk_template(prog, tpl, &mut |ef| {
+        let _ = walk_template(self.proc, tpl, &mut |ef| {
             self.effect(ef, line, DefOrigin::CopyOut);
             Continue(())
         });
@@ -304,8 +301,7 @@ impl<'p> CfgBuilder<'p> {
 
     /// Events of a straight-line statement; its own writes take `origin`.
     fn simple_stmt(&mut self, s: &CStmt, line: u32, origin: DefOrigin) {
-        let prog = self.prog;
-        let _ = walk_stmt(prog, s, &mut |ef| {
+        let _ = walk_stmt(self.proc, s, &mut |ef| {
             self.effect(ef, line, origin);
             Continue(())
         });
@@ -450,7 +446,6 @@ impl<'p> CfgBuilder<'p> {
 pub fn build_cfg(prog: &Program, proc_index: u32) -> Cfg {
     let proc = &prog.ir_procs()[proc_index as usize];
     let mut b = CfgBuilder {
-        prog,
         proc,
         blocks: vec![Block::default(), Block::default()],
         cur: Cfg::ENTRY,

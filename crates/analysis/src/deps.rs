@@ -79,9 +79,9 @@ struct ProcCtx<'p> {
     module: ModuleId,
     sub: VarId,
     declared: HashSet<&'p str>,
-    /// Index of the proc being walked (place bindings name slots through
-    /// its `local_names`).
-    proc_index: usize,
+    /// The proc being walked: place bindings name slots through its
+    /// `local_names`, expression ids and sites index its pools.
+    proc: &'p CProc,
 }
 
 struct Mirror<'p> {
@@ -163,7 +163,7 @@ impl<'p> Mirror<'p> {
     /// candidate's dummies; each candidate's result node flows out.
     fn function_call(&mut self, ctx: &ProcCtx<'p>, site: u32, line: u32, out: &mut Vec<u32>) {
         let prog = self.prog;
-        let s = &prog.ir_sites()[site as usize];
+        let s = &ctx.proc.sites[site as usize];
         let name: &'p str = &prog.ir_procs()[s.proc as usize].name;
         let cands = self.fn_cands.get(name).cloned().unwrap_or_default();
         let mut arg_srcs: Vec<Vec<u32>> = Vec::with_capacity(s.args.len());
@@ -201,10 +201,9 @@ impl<'p> Mirror<'p> {
         }
     }
 
-    /// Mirrors `Builder::expr_sources` over the expression arena.
+    /// Mirrors `Builder::expr_sources` over the proc's expression pool.
     fn expr_sources(&mut self, ctx: &ProcCtx<'p>, e: EId, line: u32, out: &mut Vec<u32>) {
-        let prog = self.prog;
-        match &prog.ir_exprs()[e as usize] {
+        match &ctx.proc.exprs[e as usize] {
             CExpr::Real(_) | CExpr::Int(_) | CExpr::Str(_) | CExpr::Logical(_) => {}
             CExpr::Var { bind, name } => {
                 let n = self.resolve(ctx, *bind, name);
@@ -277,7 +276,7 @@ impl<'p> Mirror<'p> {
             CPlace::Var { bind } => {
                 let name: &'p str = match *bind {
                     VarBind::Local(s) | VarBind::LocalOrGlobal(s, _) => {
-                        &prog.ir_procs()[ctx.proc_index].local_names[s as usize]
+                        &ctx.proc.local_names[s as usize]
                     }
                     VarBind::Global(g) => &prog.global_origins()[g as usize].1,
                 };
@@ -299,12 +298,12 @@ impl<'p> Mirror<'p> {
     /// Mirrors `Builder::target_node` for out-intent actual arguments.
     fn target_from_expr(&mut self, ctx: &ProcCtx<'p>, e: EId) -> Option<u32> {
         let prog = self.prog;
-        match &prog.ir_exprs()[e as usize] {
+        match &ctx.proc.exprs[e as usize] {
             CExpr::Var { bind, name } => Some(self.resolve(ctx, *bind, name)),
             CExpr::Index { bind, name, .. } => Some(self.resolve(ctx, *bind, name)),
             CExpr::CallFn { site } => {
                 let name: &'p str =
-                    &prog.ir_procs()[prog.ir_sites()[*site as usize].proc as usize].name;
+                    &prog.ir_procs()[ctx.proc.sites[*site as usize].proc as usize].name;
                 Some(self.local_node(ctx, name))
             }
             CExpr::DerivedVar {
@@ -331,7 +330,7 @@ impl<'p> Mirror<'p> {
     /// skipped.
     fn subroutine_call(&mut self, ctx: &ProcCtx<'p>, site: u32, line: u32) {
         let prog = self.prog;
-        let s = &prog.ir_sites()[site as usize];
+        let s = &ctx.proc.sites[site as usize];
         let name: &'p str = &prog.ir_procs()[s.proc as usize].name;
         let cands = self.sub_cands.get(name).cloned().unwrap_or_default();
         for cand in cands {
@@ -371,13 +370,13 @@ impl<'p> Mirror<'p> {
     fn outfld(&mut self, ctx: &ProcCtx<'p>, data: EId, ncol: Option<EId>, line: u32) {
         let prog = self.prog;
         for cand in std::iter::once(data).chain(ncol) {
-            let canonical = match &prog.ir_exprs()[cand as usize] {
+            let canonical = match &ctx.proc.exprs[cand as usize] {
                 CExpr::Var { name, .. } | CExpr::Index { name, .. } => Some(name.clone()),
                 CExpr::DerivedVar { field, .. } | CExpr::DerivedExpr { field, .. } => {
                     Some(field.clone())
                 }
                 CExpr::CallFn { site } => Some(
-                    prog.ir_procs()[prog.ir_sites()[*site as usize].proc as usize]
+                    prog.ir_procs()[ctx.proc.sites[*site as usize].proc as usize]
                         .name
                         .clone(),
                 ),
@@ -507,7 +506,7 @@ impl DepGraph {
             m.edge(s, d);
         }
         // Subprogram bodies, declaration initializers first.
-        for (pi, p) in prog.ir_procs().iter().enumerate() {
+        for p in prog.ir_procs() {
             let module = m.module_sym[p.module_id as usize];
             let sub = m.syms.intern_var(&p.name);
             let mut declared: HashSet<&str> = HashSet::new();
@@ -524,7 +523,7 @@ impl DepGraph {
                 module,
                 sub,
                 declared,
-                proc_index: pi,
+                proc: p,
             };
             for (slot, decl_line, tmpl) in &p.inits {
                 let init = match tmpl {

@@ -21,28 +21,34 @@ use rca_sim::{
 use serde::{Json, Serialize as _};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
 /// Counts every heap allocation so the ensemble-memory entry can report
-/// allocations/member — the store's zero-steady-state claim, measured.
+/// allocations/member — the store's zero-steady-state claim, measured —
+/// and the live heap bytes, so the variant-compile entry can report what
+/// each program retains.
 struct CountingAlloc;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
+static LIVE_BYTES: AtomicI64 = AtomicI64::new(0);
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        LIVE_BYTES.fetch_add(layout.size() as i64, Ordering::Relaxed);
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE_BYTES.fetch_sub(layout.size() as i64, Ordering::Relaxed);
         unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        LIVE_BYTES.fetch_add(new_size as i64 - layout.size() as i64, Ordering::Relaxed);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -594,30 +600,40 @@ end module kernbench
         "history fill gain {history_gain:.2}x fell below the {history_floor}x floor"
     );
 
-    // ----- variant compile: full parse vs the session's shared parse ----
+    // ----- variant compile: full, shared parse, delta -------------------
     //
     // A one-line mutant (GOFFGRATCH's patched constant), compiled the way
-    // `compile_model` does — every file parsed — and the way a session
-    // does, against the base model's parse, so only the patched file is
-    // parsed and no unchanged AST is built or dropped. Both must emit the
-    // same bytecode.
+    // `compile_model` does — every file parsed, every proc lowered —, the
+    // way a session without a base program would, against the base
+    // model's parse (only the patched file parsed), and the way a session
+    // does, against the base parse and program (only the patched proc
+    // lowered, every other proc shared). All three must emit the same
+    // bytecode.
     let base_files = parse_model(&model, None).expect("the model parses");
+    let base_program =
+        compile_variant(&model, Some((&model, &base_files, None))).expect("base compile");
     let mutant = model.apply(Experiment::GoffGratch);
-    let shared_base = Some((&model, base_files.as_slice()));
-    let shared_files = parse_model(&mutant, shared_base).expect("the mutant parses");
+    let shared_base = Some((&model, base_files.as_slice(), None));
+    let delta_base = Some((&model, base_files.as_slice(), Some(&*base_program)));
+    let shared_files =
+        parse_model(&mutant, Some((&model, &base_files))).expect("the mutant parses");
     let shared_parsed = shared_files
         .iter()
         .zip(&base_files)
         .filter(|(v, b)| !Arc::ptr_eq(v, b))
         .count();
     drop(shared_files);
-    assert_eq!(
-        compile_model(&mutant).expect("full compile").disassemble(),
-        compile_variant(&mutant, shared_base)
-            .expect("shared-parse compile")
-            .disassemble(),
-        "the shared-parse compile emitted different bytecode"
-    );
+    let full_program = compile_model(&mutant).expect("full compile");
+    for (path, base) in [("shared-parse", shared_base), ("delta", delta_base)] {
+        assert_eq!(
+            full_program.disassemble(),
+            compile_variant(&mutant, base)
+                .expect("variant compile")
+                .disassemble(),
+            "the {path} compile emitted different bytecode"
+        );
+    }
+    drop(full_program);
     let compile_ms = |compile: &dyn Fn() -> Arc<Program>| {
         1e3 * best_run_seconds(|| {
             let t0 = Instant::now();
@@ -625,22 +641,60 @@ end module kernbench
             t0.elapsed().as_secs_f64()
         })
     };
-    let full_compile_ms = compile_ms(&|| compile_model(&mutant).expect("full compile"));
-    let shared_compile_ms =
-        compile_ms(&|| compile_variant(&mutant, shared_base).expect("shared-parse compile"));
-    let variant_gain = full_compile_ms / shared_compile_ms;
-    println!(
-        "variant compile (one-line mutant): full parse {full_compile_ms:.1} ms ({} files parsed), \
-         shared parse {shared_compile_ms:.1} ms ({shared_parsed} parsed), {variant_gain:.2}x",
-        mutant.files.len()
+    // Heap bytes a compiled program keeps alive once its temporaries are
+    // gone (what a session's program cache pays per variant).
+    let retained_bytes = |compile: &dyn Fn() -> Arc<Program>| {
+        let b0 = LIVE_BYTES.load(Ordering::Relaxed);
+        let program = compile();
+        let bytes = LIVE_BYTES.load(Ordering::Relaxed) - b0;
+        drop(program);
+        bytes
+    };
+    let full = || compile_model(&mutant).expect("full compile");
+    let shared = || compile_variant(&mutant, shared_base).expect("shared-parse compile");
+    let delta = || compile_variant(&mutant, delta_base).expect("delta compile");
+    let full_compile_ms = compile_ms(&full);
+    let shared_compile_ms = compile_ms(&shared);
+    let delta_compile_ms = compile_ms(&delta);
+    let (full_bytes, shared_bytes, delta_bytes) = (
+        retained_bytes(&full),
+        retained_bytes(&shared),
+        retained_bytes(&delta),
     );
-    // Perf floor, CI-enforced: sharing the parse may never be slower; at
+    let variant_gain = full_compile_ms / shared_compile_ms;
+    let delta_gain = shared_compile_ms / delta_compile_ms;
+    let delta_bytes_frac = delta_bytes as f64 / full_bytes as f64;
+    println!(
+        "variant compile (one-line mutant): full parse {full_compile_ms:.1} ms ({} files parsed, \
+         {:.1} MiB retained), shared parse {shared_compile_ms:.1} ms ({shared_parsed} parsed, \
+         {:.1} MiB), {variant_gain:.2}x; delta {delta_compile_ms:.2} ms ({:.3} MiB, \
+         {:.2}% of full), {delta_gain:.2}x over shared parse",
+        mutant.files.len(),
+        full_bytes as f64 / 1048576.0,
+        shared_bytes as f64 / 1048576.0,
+        delta_bytes as f64 / 1048576.0,
+        100.0 * delta_bytes_frac,
+    );
+    // Perf floors, CI-enforced: sharing the parse may never be slower; at
     // paper scale, where parsing and dropping the unchanged files costs
-    // more than lowering, it must at least halve the compile.
+    // more than lowering, it must at least halve the compile. Lowering
+    // only the changed proc may never be slower than lowering all of
+    // them, must be 3x faster at paper scale, and must retain at most a
+    // tenth of a full compile's bytes.
     let variant_floor = if scale == "paper" { 2.0 } else { 1.0 };
     assert!(
         variant_gain >= variant_floor,
         "variant compile gain {variant_gain:.2}x fell below the {variant_floor}x floor"
+    );
+    let delta_floor = if scale == "paper" { 3.0 } else { 1.0 };
+    assert!(
+        delta_gain >= delta_floor,
+        "delta compile gain {delta_gain:.2}x fell below the {delta_floor}x floor"
+    );
+    assert!(
+        delta_bytes_frac <= 0.1,
+        "a delta compile retained {delta_bytes} bytes, {:.1}% of a full compile's {full_bytes}",
+        100.0 * delta_bytes_frac
     );
 
     let record = Json::obj([
@@ -775,6 +829,11 @@ end module kernbench
                 ("shared_ms", shared_compile_ms.to_json()),
                 ("shared_files_parsed", shared_parsed.to_json()),
                 ("speedup", variant_gain.to_json()),
+                ("delta_ms", delta_compile_ms.to_json()),
+                ("delta_speedup_over_shared", delta_gain.to_json()),
+                ("full_retained_bytes", full_bytes.to_json()),
+                ("shared_retained_bytes", shared_bytes.to_json()),
+                ("delta_retained_bytes", delta_bytes.to_json()),
             ]),
         ),
     ]);

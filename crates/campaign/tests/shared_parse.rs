@@ -1,41 +1,101 @@
-//! Shared-parse compiles against fresh ones over seeded campaign mutants.
+//! Shared-parse and delta compiles against fresh ones over seeded
+//! campaign mutants.
 //!
 //! A session parses its base model once; [`RcaSession::program_for`]
 //! compiles a variant against that parse, keeping the base's AST for
 //! every file whose name and text equal the base file at the same
-//! position and parsing only the rest. This sweep fences the reuse on
-//! every source mutant of the fixed-seed campaign plan and on the paper's
-//! source-patched experiments: the shared parse must equal a fresh
-//! `ModelSource::parse` value for value, share exactly the unchanged
-//! files, and compile to the program `compile_model` builds (same
-//! bytecode disassembly, same output table). The edge cases below cover
-//! parse failures, renamed, added and removed files, and config-only
-//! variants.
+//! position and parsing only the rest, and lowers it against the base
+//! program, sharing every proc whose subprogram is unchanged when the
+//! interface is. This sweep fences both on every source mutant of the
+//! fixed-seed campaign plan and on the paper's source-patched
+//! experiments: the shared parse must equal a fresh `ModelSource::parse`
+//! value for value and share exactly the unchanged files, the program
+//! must equal the one `compile_model` builds (bytecode disassembly,
+//! output table, symbol table, global arena), and a one-line mutant
+//! lowers one proc and shares every other with the base program. The
+//! edge cases below cover parse failures, renamed, added and removed
+//! files, config-only variants, and one variant per reason a compile
+//! lowers every proc.
 
 use rca_campaign::{plan_campaign, CampaignOptions};
 use rca_core::{ExperimentSetup, RcaError, RcaSession};
 use rca_model::{generate, Experiment, ModelConfig, ModelFile, ModelSource};
 use rca_obs::{Collector, FieldValue};
-use rca_sim::{compile_model, parse_model};
+use rca_sim::{compile_model, parse_model, ModuleId, OutputId, Program, VarId};
 use std::collections::HashSet;
 use std::sync::{Arc, OnceLock};
 
-/// `(parsed, reused)` of every `parse.files` event `f` emits on this
-/// thread.
-fn parse_counts<R>(f: impl FnOnce() -> R) -> (R, Vec<(u64, u64)>) {
+/// `f`'s result and the events it emitted on this thread.
+fn traced<R>(f: impl FnOnce() -> R) -> (R, Arc<Collector>) {
     let collector = Arc::new(Collector::new());
     let out = rca_obs::with_sink(collector.clone(), f);
+    (out, collector)
+}
+
+/// The `(a, b)` counts of every `name` event in `collector`.
+fn counts(collector: &Collector, name: &str, [a, b]: [&str; 2]) -> Vec<(u64, u64)> {
     let field = |fields: &[(&str, FieldValue)], key: &str| match fields.iter().find(|f| f.0 == key)
     {
         Some((_, FieldValue::U64(n))) => *n,
-        other => panic!("parse.files without a {key} count: {other:?}"),
+        other => panic!("{name} without a {key} count: {other:?}"),
     };
-    let counts = collector
-        .events_named("parse.files")
+    collector
+        .events_named(name)
         .iter()
-        .map(|e| (field(e, "parsed"), field(e, "reused")))
-        .collect();
-    (out, counts)
+        .map(|e| (field(e, a), field(e, b)))
+        .collect()
+}
+
+/// `(parsed, reused)` of every `parse.files` event.
+fn parse_counts(collector: &Collector) -> Vec<(u64, u64)> {
+    counts(collector, "parse.files", ["parsed", "reused"])
+}
+
+/// `(lowered, reused)` of every `compile.procs` event.
+fn proc_counts(collector: &Collector) -> Vec<(u64, u64)> {
+    counts(collector, "compile.procs", ["lowered", "reused"])
+}
+
+/// `program` equals `reference` in bytecode, output table, symbol table
+/// and global arena.
+fn assert_same_program(label: &str, program: &Program, reference: &Program) {
+    assert_eq!(
+        program.disassemble(),
+        reference.disassemble(),
+        "{label}: bytecode differs from a fresh compile"
+    );
+    assert_eq!(
+        program.output_names(),
+        reference.output_names(),
+        "{label}: output table differs"
+    );
+    let table = |p: &Program| {
+        let s = p.symbols();
+        let vars: Vec<String> = (0..s.var_count() as u32)
+            .map(|i| s.var(VarId(i)).to_string())
+            .collect();
+        let modules: Vec<String> = (0..s.module_count() as u32)
+            .map(|i| s.module(ModuleId(i)).to_string())
+            .collect();
+        let outputs: Vec<String> = (0..s.output_count() as u32)
+            .map(|i| s.output(OutputId(i)).to_string())
+            .collect();
+        (vars, modules, outputs)
+    };
+    assert_eq!(table(program), table(reference), "{label}: symbol table");
+    assert_eq!(program.global_count(), reference.global_count(), "{label}");
+    assert_eq!(
+        program.global_origins(),
+        reference.global_origins(),
+        "{label}"
+    );
+    for g in 0..program.global_count() as u32 {
+        assert_eq!(
+            program.global_initial(g),
+            reference.global_initial(g),
+            "{label}: global {g}"
+        );
+    }
 }
 
 /// Positions where `variant` differs from the session's base model in
@@ -52,8 +112,8 @@ fn changed_positions(session: &RcaSession<'_>, variant: &ModelSource) -> Vec<usi
 }
 
 /// The three-way check on one source variant; returns how many files
-/// its compile parsed.
-fn check_variant(session: &RcaSession<'_>, label: &str, variant: &ModelSource) -> usize {
+/// its compile parsed and how many procs it lowered.
+fn check_variant(session: &RcaSession<'_>, label: &str, variant: &ModelSource) -> (usize, usize) {
     let base_files = session.parsed_sources();
     let changed = changed_positions(session, variant);
 
@@ -78,28 +138,36 @@ fn check_variant(session: &RcaSession<'_>, label: &str, variant: &ModelSource) -
         );
     }
 
-    // 3. The session compiles the program `compile_model` builds, and
-    // its compile parses only the changed files.
-    let (program, counts) = parse_counts(|| session.program_for(variant));
+    // 3. The session compiles the program `compile_model` builds; its
+    // compile parses only the changed files, and every proc it did not
+    // lower is the base program's own.
+    let (program, events) = traced(|| session.program_for(variant));
     let program = program.unwrap_or_else(|e| panic!("{label}: {e}"));
     let parsed = changed.len() as u64;
     assert_eq!(
-        counts,
+        parse_counts(&events),
         vec![(parsed, variant.files.len() as u64 - parsed)],
         "{label}: parse counts"
     );
     let reference = compile_model(variant).expect("the variant compiles");
+    assert_same_program(label, &program, &reference);
+    let procs = program.ir_procs().len();
+    let [(lowered, reused)] = proc_counts(&events)[..] else {
+        panic!("{label}: one compile.procs event expected")
+    };
+    assert_eq!(lowered + reused, procs as u64, "{label}: proc counts");
+    let base = session.program_for(session.model()).expect("base program");
+    let shared = program
+        .ir_procs()
+        .iter()
+        .zip(base.ir_procs())
+        .filter(|(p, b)| Arc::ptr_eq(p, b))
+        .count();
     assert_eq!(
-        program.disassemble(),
-        reference.disassemble(),
-        "{label}: bytecode differs from a fresh compile"
+        shared as u64, reused,
+        "{label}: reused procs are the base's"
     );
-    assert_eq!(
-        program.output_names(),
-        reference.output_names(),
-        "{label}: output table differs"
-    );
-    changed.len()
+    (changed.len(), lowered as usize)
 }
 
 /// Checks every source variant of the seed-51966 plan of `scenarios`
@@ -138,7 +206,7 @@ fn sweep(config: &ModelConfig, setup: ExperimentSetup, scenarios: usize) -> usiz
         let label = format!("{} ({})", cs.scenario.name, cs.detail);
         assert_eq!(
             check_variant(&session, &label, &cs.scenario.model),
-            1,
+            (1, 1),
             "{label}"
         );
         compared += 1;
@@ -163,7 +231,7 @@ fn check_experiments(config: &ModelConfig) {
         let variant = model.apply(e);
         assert_eq!(
             check_variant(&session, e.name(), &variant),
-            1,
+            (1, 1),
             "{}",
             e.name()
         );
@@ -213,23 +281,25 @@ fn unparseable_variant_fails_like_compile_model_and_leaves_the_session_intact() 
     let model = test_model();
     let file = &model.files[model.files.len() / 2].name;
     let broken = model.with_patched_line(file, 3, "this is not fortran ((");
-    let (shared, counts) = parse_counts(|| session.program_for(&broken));
+    let (shared, events) = traced(|| session.program_for(&broken));
     let Err(RcaError::Runtime(shared)) = shared else {
         panic!("an unparseable variant must fail as a runtime error: {shared:?}");
     };
     let fresh = compile_model(&broken).expect_err("the variant does not parse");
     assert_eq!(shared, fresh, "same message, line and context");
     assert_eq!(shared.context, "loader");
-    assert_eq!(counts, vec![]);
+    assert_eq!(parse_counts(&events), vec![]);
+    assert_eq!(proc_counts(&events), vec![]);
     assert_eq!(
         session.compiled_programs(),
         1,
         "a failed compile is not cached"
     );
 
-    // A valid variant compiled afterwards still parses only its own file.
+    // A valid variant compiled afterwards still parses only its own file
+    // and lowers only its own proc.
     let valid = model.apply(Experiment::GoffGratch);
-    assert_eq!(check_variant(&session, "after the failure", &valid), 1);
+    assert_eq!(check_variant(&session, "after the failure", &valid), (1, 1));
 }
 
 #[test]
@@ -239,9 +309,19 @@ fn renamed_added_and_removed_files_parse_every_shifted_position() {
     let n = model.files.len();
     let k = n / 3;
 
+    // A renamed file parses again but lowers nothing: the compiler never
+    // reads file names.
     let mut renamed = model.clone();
     renamed.files[k].name = "renamed.F90".to_string();
-    assert_eq!(check_variant(&session, "renamed", &renamed), 1);
+    assert_eq!(check_variant(&session, "renamed", &renamed), (1, 0));
+
+    // Every other change of the file list changes the module list, so
+    // every proc is lowered.
+    let procs = session
+        .program_for(model)
+        .expect("base program")
+        .ir_procs()
+        .len();
 
     let mut added = model.clone();
     added.files.insert(
@@ -252,20 +332,84 @@ fn renamed_added_and_removed_files_parse_every_shifted_position() {
             source: "module extra\n  real :: spare = 1.0\nend module extra\n".to_string(),
         },
     );
-    assert_eq!(check_variant(&session, "added", &added), n + 1 - k);
+    assert_eq!(check_variant(&session, "added", &added), (n + 1 - k, procs));
 
     // Moving the driver (the last file) to the front shifts every file.
     let mut moved = model.clone();
     let driver = moved.files.pop().expect("the model has files");
     moved.files.insert(0, driver);
-    assert_eq!(check_variant(&session, "moved", &moved), n);
+    assert_eq!(check_variant(&session, "moved", &moved), (n, procs));
 
     // Removing the last filler shifts the driver into its position; the
     // driver's calls into it lower to deferred errors, so both compiles
     // still succeed.
     let mut removed = model.clone();
     removed.files.remove(n - 2);
-    assert_eq!(check_variant(&session, "removed", &removed), 1);
+    let remaining = compile_model(&removed).expect("compiles").ir_procs().len();
+    assert!(remaining < procs);
+    assert_eq!(check_variant(&session, "removed", &removed), (1, remaining));
+}
+
+/// One variant per reason a variant compile lowers every proc; each still
+/// builds the program `compile_model` builds.
+#[test]
+fn interface_changes_lower_every_proc() {
+    let session = test_session();
+    let model = test_model();
+    let procs = session
+        .program_for(model)
+        .expect("base program")
+        .ir_procs()
+        .len();
+    let file = "phys_aux_004.F90";
+    let edit = |label: &str, from: &str, to: &str| {
+        let mut variant = model.clone();
+        let f = variant
+            .files
+            .iter_mut()
+            .find(|f| f.name == file)
+            .expect("the test model has the file");
+        assert!(f.source.contains(from), "{label}: {from:?} not in {file}");
+        f.source = f.source.replacen(from, to, 1);
+        assert_eq!(
+            check_variant(&session, label, &variant),
+            (1, procs),
+            "{label}"
+        );
+    };
+    // A new module variable, declared on an existing line.
+    edit(
+        "new module variable",
+        "  real(r8) :: pa004_a(pcols)\n",
+        "  real(r8) :: pa004_a(pcols), pa004_spare(pcols)\n",
+    );
+    // A new history output name.
+    edit(
+        "new outfld name",
+        "call outfld('AUX001', pa004_a, ncol)",
+        "call outfld('AUXNEW', pa004_a, ncol)",
+    );
+    // A body write to a name nothing declares: a new implicit local, so
+    // the frame layout changes.
+    edit(
+        "implicit local with a new name",
+        "      pa004_a(i) = pa004_a(i) + 0.0658_r8",
+        "      spare_new = pa004_a(i) + 0.0658_r8",
+    );
+    // A renamed subprogram (its caller's call now lowers to a deferred
+    // error in both compiles).
+    edit(
+        "renamed subprogram",
+        "subroutine phys_aux_004_run2(ncol)",
+        "subroutine phys_aux_004_run9(ncol)",
+    );
+    // An inserted body line: every later subprogram of the file moves,
+    // declaration lines included.
+    edit(
+        "inserted body line",
+        "    call outfld('AUX001', pa004_a, ncol)\n",
+        "    call outfld('AUX001', pa004_a, ncol)\n    pa004_b(1) = pa004_b(1)\n",
+    );
 }
 
 #[test]
@@ -275,8 +419,13 @@ fn config_only_variant_parses_nothing() {
     let rand_mt = model.apply(Experiment::RandMt);
     assert_eq!(rand_mt.content_hash(), model.content_hash());
     let base = session.program_for(model).expect("base program");
-    let (program, counts) = parse_counts(|| session.program_for(&rand_mt));
+    let (program, events) = traced(|| session.program_for(&rand_mt));
     assert!(Arc::ptr_eq(&program.expect("cached"), &base));
-    assert_eq!(counts, vec![], "a config-only variant parses nothing");
+    assert_eq!(
+        parse_counts(&events),
+        vec![],
+        "a config-only variant parses nothing"
+    );
+    assert_eq!(proc_counts(&events), vec![], "and lowers nothing");
     assert_eq!(session.compiled_programs(), 1);
 }

@@ -78,7 +78,7 @@ impl RcaPipeline {
         let program = if opts.skip_coverage {
             None
         } else {
-            Some(compile_variant(model, Some((model, &files)))?)
+            Some(compile_variant(model, Some((model, &files, None)))?)
         };
         Self::build_parsed(model, &files, program.as_ref(), opts)
     }

@@ -230,7 +230,7 @@ impl<'m> RcaSessionBuilder<'m> {
             ));
         }
         let base_files = RcaPipeline::parse(self.model)?;
-        let base_program = compile_variant(self.model, Some((self.model, &base_files)))?;
+        let base_program = compile_variant(self.model, Some((self.model, &base_files, None)))?;
         let pipeline = RcaPipeline::build_parsed(
             self.model,
             &base_files,
@@ -238,10 +238,11 @@ impl<'m> RcaSessionBuilder<'m> {
             &self.pipeline_opts,
         )?;
         let mut programs = HashMap::new();
-        programs.insert(self.model.content_hash(), base_program);
+        programs.insert(self.model.content_hash(), Arc::clone(&base_program));
         Ok(RcaSession {
             model: self.model,
             base_files,
+            base_program,
             pipeline,
             setup: self.setup,
             oracle: self.oracle,
@@ -272,6 +273,9 @@ pub struct RcaSession<'m> {
     /// `model.files[i]`: every variant compile and the pipeline's
     /// filtered view share these `Arc`s.
     base_files: Vec<Arc<SourceFile>>,
+    /// The program compiled from `base_files`: every variant is lowered
+    /// against it and shares its unchanged procs.
+    base_program: Arc<Program>,
     pipeline: RcaPipeline,
     setup: ExperimentSetup,
     oracle: OracleKind,
@@ -360,8 +364,14 @@ impl<'m> RcaSession<'m> {
     /// parsed at most once per session too: a variant takes the base
     /// model's AST for every file whose name and text equal the base
     /// file at the same position, so its `compile.parse` covers only the
-    /// files it changed (one for a seeded mutant). The program and any
-    /// parse error are those of [`rca_sim::compile_model`].
+    /// files it changed (one for a seeded mutant). Each proc is lowered
+    /// at most once per session as well: a variant is lowered against the
+    /// base program ([`rca_sim::compile_variant`]), so when its interface
+    /// equals the base's it shares every unchanged proc's IR and bytecode
+    /// and the program-wide tables by `Arc`, and lowers only the procs it
+    /// changed (one for a seeded mutant; a `compile.procs` event counts
+    /// them). The program and any parse error are those of
+    /// [`rca_sim::compile_model`].
     pub fn program_for(&self, model: &ModelSource) -> Result<Arc<Program>, RcaError> {
         Ok(self.compile_cached(model)?)
     }
@@ -374,7 +384,8 @@ impl<'m> RcaSession<'m> {
         }
         // Compile outside the lock: mutants compile concurrently and a
         // poisoned cache is impossible.
-        let program = compile_variant(model, Some((self.model, &self.base_files)))?;
+        let base = (self.model, &self.base_files[..], Some(&*self.base_program));
+        let program = compile_variant(model, Some(base))?;
         let mut cache = self.programs.lock().expect("program cache lock");
         Ok(Arc::clone(cache.entry(hash).or_insert(program)))
     }

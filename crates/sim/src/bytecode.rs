@@ -1,13 +1,15 @@
 //! Bytecode tier: the [`Program`] statement/expression trees flattened
 //! into linear instruction arrays over a register frame.
 //!
-//! [`lower`] runs once per compiled program (attached by
-//! [`crate::compile_sources`]) and emits one [`BProc`] per subprogram: a
-//! flat `Vec<Instr>` executed by the register VM in [`crate::exec`] with
-//! an explicit instruction pointer — `if`/`do`/`do while` become jumps,
-//! calls push an explicit frame stack instead of recursing on the host
-//! stack, and every operand is a `u32` register index into a flat
-//! `Vec<Value>` frame.
+//! [`lower_procs`] runs once per lowered proc (from
+//! [`crate::compile_sources`] and the specializer) and emits one
+//! [`BProc`] per subprogram: a flat `Vec<Instr>` executed by the
+//! register VM in [`crate::exec`] with an explicit instruction pointer —
+//! `if`/`do`/`do while` become jumps, calls push an explicit frame stack
+//! instead of recursing on the host stack, and every operand is a `u32`
+//! register index into a flat `Vec<Value>` frame. A [`BProc`] is a function of its [`CProc`] alone:
+//! it owns its constant and name pools, so programs share bytecode by
+//! `Arc` wherever they share the proc.
 //!
 //! **Bit-identity is load-bearing.** The VM must be indistinguishable
 //! from the tree-walking reference interpreter: the emitter reproduces
@@ -116,7 +118,9 @@ impl Src {
 pub(crate) enum Instr {
     /// Per-statement budget check (check-then-decrement statement fuel).
     Fuel,
-    /// `regs[dst] <- consts[k]` (allocation-reusing clone).
+    /// `regs[dst] <- consts[k]` (allocation-reusing clone; `k` indexes
+    /// the running proc's [`BProc::consts`], as every name, message and
+    /// field index does its [`BProc::names`]).
     LoadConst {
         dst: u32,
         k: u32,
@@ -390,7 +394,7 @@ pub(crate) enum Instr {
     },
 }
 
-/// One lowered subprogram.
+/// One lowered subprogram, self-contained like its [`CProc`].
 #[derive(Debug, Clone, Default)]
 pub(crate) struct BProc {
     pub(crate) code: Vec<Instr>,
@@ -402,6 +406,10 @@ pub(crate) struct BProc {
     pub(crate) n_slots: u32,
     /// Column step-kernels referenced by [`Instr::Kernel`].
     pub(crate) kernels: Vec<Kernel>,
+    /// Literal pool (scalars deduplicated, derived prototypes appended).
+    pub(crate) consts: Box<[Value]>,
+    /// Interned names and pre-rendered error messages.
+    pub(crate) names: Box<[Arc<str>]>,
 }
 
 // ----- column step-kernels ------------------------------------------------
@@ -503,14 +511,10 @@ pub(crate) enum KOp {
     Sign2,
 }
 
-/// The lowered program: per-proc code plus shared side tables.
+/// The lowered program: one `Arc`-shared [`BProc`] per proc.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Bytecode {
-    pub(crate) procs: Vec<BProc>,
-    /// Literal pool (scalars deduplicated, derived prototypes appended).
-    pub(crate) consts: Vec<Value>,
-    /// Interned names and pre-rendered error messages.
-    pub(crate) names: Vec<Arc<str>>,
+    pub(crate) procs: Vec<Arc<BProc>>,
 }
 
 impl Bytecode {
@@ -627,8 +631,8 @@ fn bind_key(b: VarBind) -> (u8, u32, u32) {
 /// Accepts `e` only when it reads exactly the loop variable's slot (the
 /// slot is always live inside the body — `DoCheck` wrote it — so a
 /// shadowing `LocalOrGlobal` binding reads the local too).
-fn kernel_loop_var(pgm: &Program, e: EId, var: u32) -> Option<()> {
-    match &pgm.exprs[e as usize] {
+fn kernel_loop_var(pr: &CProc, e: EId, var: u32) -> Option<()> {
+    match &pr.exprs[e as usize] {
         CExpr::Var {
             bind: VarBind::Local(s) | VarBind::LocalOrGlobal(s, _),
             ..
@@ -651,8 +655,8 @@ fn kop_bin(op: Op) -> Option<KOp> {
 }
 
 struct FnEmitter<'a> {
-    pgm: &'a Program,
-    t: &'a mut Tables,
+    pr: &'a CProc,
+    t: Tables,
     module_id: u32,
     code: Vec<Instr>,
     lines: Vec<u32>,
@@ -708,8 +712,8 @@ impl<'a> FnEmitter<'a> {
 
     /// Interns a literal expression into the constant pool, if `e` is one.
     fn literal(&mut self, e: EId) -> Option<u32> {
-        let pgm = self.pgm;
-        let k = match &pgm.exprs[e as usize] {
+        let pr = self.pr;
+        let k = match &pr.exprs[e as usize] {
             CExpr::Real(v) => self.t.scalar(ConstKey::Real(v.to_bits()), Value::Real(*v)),
             CExpr::Int(v) => self.t.scalar(ConstKey::Int(*v), Value::Int(*v)),
             CExpr::Str(s) => self
@@ -724,7 +728,7 @@ impl<'a> FnEmitter<'a> {
     /// Classifies `e` as a deferrable operand without emitting anything
     /// (and without speculatively interning constants).
     fn classify(&self, e: EId) -> Option<Simple> {
-        match &self.pgm.exprs[e as usize] {
+        match &self.pr.exprs[e as usize] {
             CExpr::Real(_) | CExpr::Int(_) | CExpr::Str(_) | CExpr::Logical(_) => {
                 Some(Simple::Const)
             }
@@ -765,8 +769,8 @@ impl<'a> FnEmitter<'a> {
     /// Emits code leaving the value of `e` in `dst`. Internal temporaries
     /// are released before returning (the watermark is unchanged).
     fn emit_expr(&mut self, e: EId, dst: u32) {
-        let pgm = self.pgm;
-        match &pgm.exprs[e as usize] {
+        let pr = self.pr;
+        match &pr.exprs[e as usize] {
             CExpr::Real(_) | CExpr::Int(_) | CExpr::Str(_) | CExpr::Logical(_) => {
                 let k = self.literal(e).expect("literal arm");
                 self.emit(Instr::LoadConst { dst, k });
@@ -1030,8 +1034,8 @@ impl<'a> FnEmitter<'a> {
     /// Emits a call through `site`; `dst == NO_REG` is the subroutine
     /// form (with copy-out), otherwise the function form.
     fn emit_call(&mut self, site: u32, dst: u32) {
-        let pgm = self.pgm;
-        let s = &pgm.sites[site as usize];
+        let pr = self.pr;
+        let s = &pr.sites[site as usize];
         let n = s.args.len() as u32;
         let m = self.mark();
         let argv = self.next_reg;
@@ -1292,7 +1296,7 @@ impl<'a> FnEmitter<'a> {
                 // false arm (or the arms after a true one, which the
                 // tree-walker never evaluates) is unobservable.
                 Some(c) => {
-                    if let CExpr::Logical(b) = self.pgm.exprs[*c as usize] {
+                    if let CExpr::Logical(b) = self.pr.exprs[*c as usize] {
                         if b {
                             self.emit_block(block);
                             break;
@@ -1445,7 +1449,7 @@ impl<'a> FnEmitter<'a> {
             else {
                 return None;
             };
-            kernel_loop_var(self.pgm, *sub, var)?;
+            kernel_loop_var(self.pr, *sub, var)?;
             let dst = self.karr(*bind, None, &mut kb)?;
             let mut on = Vec::new();
             kb.depth = 0;
@@ -1522,8 +1526,8 @@ impl<'a> FnEmitter<'a> {
         if out.len() > 256 {
             return None;
         }
-        let pgm = self.pgm;
-        match &pgm.exprs[e as usize] {
+        let pr = self.pr;
+        match &pr.exprs[e as usize] {
             CExpr::Real(v) => {
                 out.push(KOp::Const(*v));
                 kb.push()?;
@@ -1534,7 +1538,7 @@ impl<'a> FnEmitter<'a> {
                 kb.push()?;
             }
             CExpr::Index { bind, sub, .. } => {
-                kernel_loop_var(pgm, *sub, var)?;
+                kernel_loop_var(pr, *sub, var)?;
                 let a = self.karr(*bind, None, kb)?;
                 out.push(KOp::Arr(a));
                 kb.push()?;
@@ -1545,7 +1549,7 @@ impl<'a> FnEmitter<'a> {
                 sub: Some(sb),
                 ..
             } => {
-                kernel_loop_var(pgm, *sb, var)?;
+                kernel_loop_var(pr, *sb, var)?;
                 let field = Arc::clone(field);
                 let a = self.karr(*bind, Some(&field), kb)?;
                 out.push(KOp::Arr(a));
@@ -1639,6 +1643,8 @@ impl<'a> FnEmitter<'a> {
             n_regs: self.n_regs,
             n_slots,
             kernels: self.kernels,
+            consts: self.t.consts.into_boxed_slice(),
+            names: self.t.names.into_boxed_slice(),
         }
     }
 }
@@ -1659,10 +1665,10 @@ fn stmt_line(s: &CStmt) -> Option<u32> {
     }
 }
 
-fn lower_proc(pgm: &Program, pr: &CProc, t: &mut Tables) -> BProc {
+fn lower_proc(pr: &CProc) -> BProc {
     let mut e = FnEmitter {
-        pgm,
-        t,
+        pr,
+        t: Tables::default(),
         module_id: pr.module_id,
         code: Vec::new(),
         lines: Vec::new(),
@@ -1746,18 +1752,15 @@ fn emit_scalar_init(
     }
 }
 
-/// Lowers every subprogram of `p` into bytecode (called from
-/// [`crate::compile_sources`] after the tree IR is sealed, and once per
-/// specialized oracle program).
-pub(crate) fn lower(p: &Program) -> Bytecode {
+/// Lowers each proc into bytecode, in order (called from
+/// [`crate::compile_sources`] for the procs it lowered, and by the
+/// specializer for the procs it pruned).
+pub(crate) fn lower_procs<'p>(procs: impl IntoIterator<Item = &'p CProc>) -> Vec<Arc<BProc>> {
     let _span = rca_obs::span("compile.bytecode");
-    let mut t = Tables::default();
-    let procs = p.procs.iter().map(|pr| lower_proc(p, pr, &mut t)).collect();
-    Bytecode {
-        procs,
-        consts: t.consts,
-        names: t.names,
-    }
+    let lowered: Vec<BProc> = procs.into_iter().map(lower_proc).collect();
+    // Wrapped back to back, so the procs the VM switches between on
+    // every call and return sit together in memory.
+    lowered.into_iter().map(Arc::new).collect()
 }
 
 // ----- peephole -----------------------------------------------------------
@@ -2134,9 +2137,8 @@ fn compact(code: &mut Vec<Instr>, lines: &mut Vec<u32>, keep: &[bool]) {
 /// Renders the whole program's bytecode — the debugging surface, pinned
 /// by the golden snapshot test.
 pub(crate) fn disassemble(p: &Program) -> String {
-    let bc = &p.bc;
     let mut out = String::new();
-    for (pi, (bp, pr)) in bc.procs.iter().zip(p.procs.iter()).enumerate() {
+    for (pi, (bp, pr)) in p.bc.procs.iter().zip(p.procs.iter()).enumerate() {
         let _ = writeln!(
             out,
             "proc {pi}: {}::{} (args {}, slots {}, regs {})",
@@ -2149,7 +2151,7 @@ pub(crate) fn disassemble(p: &Program) -> String {
         let mut last_line = u32::MAX;
         for (i, instr) in bp.code.iter().enumerate() {
             let line = bp.lines[i];
-            let text = render(instr, bc, p, pr, bp);
+            let text = render(instr, p, pr, bp);
             if line != last_line {
                 let _ = writeln!(out, "{i:4}  {text:<44}; line {line}");
                 last_line = line;
@@ -2161,8 +2163,8 @@ pub(crate) fn disassemble(p: &Program) -> String {
     out
 }
 
-fn rname(bc: &Bytecode, n: u32) -> String {
-    bc.names
+fn rname(bp: &BProc, n: u32) -> String {
+    bp.names
         .get(n as usize)
         .map_or_else(|| format!("?{n}"), std::string::ToString::to_string)
 }
@@ -2183,7 +2185,7 @@ fn rreg(r: u32) -> String {
     }
 }
 
-fn rsrc(s: Src, bc: &Bytecode, pr: &CProc) -> String {
+fn rsrc(s: Src, bp: &BProc, pr: &CProc) -> String {
     match s.kind() {
         SrcKind::Reg(r) => format!("r{r}"),
         SrcKind::Local(sl) => {
@@ -2194,7 +2196,7 @@ fn rsrc(s: Src, bc: &Bytecode, pr: &CProc) -> String {
             format!("local[{sl}] '{name}'")
         }
         SrcKind::Const(k) => {
-            let v = bc
+            let v = bp
                 .consts
                 .get(k as usize)
                 .map_or_else(|| format!("?{k}"), std::string::ToString::to_string);
@@ -2203,7 +2205,7 @@ fn rsrc(s: Src, bc: &Bytecode, pr: &CProc) -> String {
     }
 }
 
-fn render(i: &Instr, bc: &Bytecode, p: &Program, pr: &CProc, bp: &BProc) -> String {
+fn render(i: &Instr, p: &Program, pr: &CProc, bp: &BProc) -> String {
     match *i {
         Instr::Fuel => "fuel".to_string(),
         Instr::Kernel { k } => match bp.kernels.get(k as usize) {
@@ -2214,7 +2216,7 @@ fn render(i: &Instr, bc: &Bytecode, p: &Program, pr: &CProc, bp: &BProc) -> Stri
                     .map(|a| {
                         let mut s = rbind(a.bind);
                         if let Some(f) = a.field {
-                            let _ = write!(s, "%{}", rname(bc, f));
+                            let _ = write!(s, "%{}", rname(bp, f));
                         }
                         s
                     })
@@ -2228,14 +2230,14 @@ fn render(i: &Instr, bc: &Bytecode, p: &Program, pr: &CProc, bp: &BProc) -> Stri
             None => format!("kernel {k} ?"),
         },
         Instr::LoadConst { dst, k } => {
-            let v = bc
+            let v = bp
                 .consts
                 .get(k as usize)
                 .map_or_else(|| format!("?{k}"), std::string::ToString::to_string);
             format!("r{dst} <- const {v}")
         }
         Instr::LoadLocal { dst, slot, name } => {
-            format!("r{dst} <- local[{slot}] '{}'", rname(bc, name))
+            format!("r{dst} <- local[{slot}] '{}'", rname(bp, name))
         }
         Instr::LoadLocalOr { dst, slot, global } => {
             format!("r{dst} <- local[{slot}]|global[{global}]")
@@ -2247,7 +2249,7 @@ fn render(i: &Instr, bc: &Bytecode, p: &Program, pr: &CProc, bp: &BProc) -> Stri
         Instr::ToExtent { reg } => format!("toextent r{reg}"),
         Instr::Unary { op, dst, src } => format!("r{dst} <- {op} r{src}"),
         Instr::Binary { op, dst, l, r } => {
-            format!("r{dst} <- {} {op} {}", rsrc(l, bc, pr), rsrc(r, bc, pr))
+            format!("r{dst} <- {} {op} {}", rsrc(l, bp, pr), rsrc(r, bp, pr))
         }
         Instr::FmaTry {
             op,
@@ -2258,9 +2260,9 @@ fn render(i: &Instr, bc: &Bytecode, p: &Program, pr: &CProc, bp: &BProc) -> Stri
             plain,
         } => format!(
             "r{dst} <- fma {}*{} {op} {} else -> {plain}",
-            rsrc(a, bc, pr),
-            rsrc(b, bc, pr),
-            rsrc(c, bc, pr)
+            rsrc(a, bp, pr),
+            rsrc(b, bp, pr),
+            rsrc(c, bp, pr)
         ),
         Instr::Intrinsic {
             which,
@@ -2280,16 +2282,16 @@ fn render(i: &Instr, bc: &Bytecode, p: &Program, pr: &CProc, bp: &BProc) -> Stri
         } => format!(
             "r{dst} <- {}[{}] '{}'",
             rbind(bind),
-            rsrc(sub, bc, pr),
-            rname(bc, name)
+            rsrc(sub, bp, pr),
+            rname(bp, name)
         ),
         Instr::FieldCheck {
             bind, name, field, ..
         } => format!(
             "fieldcheck {} '{}' %{}",
             rbind(bind),
-            rname(bc, name),
-            rname(bc, field)
+            rname(bp, name),
+            rname(bp, field)
         ),
         Instr::LoadField {
             dst,
@@ -2300,8 +2302,8 @@ fn render(i: &Instr, bc: &Bytecode, p: &Program, pr: &CProc, bp: &BProc) -> Stri
         } => format!(
             "r{dst} <- {} '{}' %{}",
             rbind(bind),
-            rname(bc, name),
-            rname(bc, field)
+            rname(bp, name),
+            rname(bp, field)
         ),
         Instr::LoadFieldElem {
             dst,
@@ -2313,12 +2315,12 @@ fn render(i: &Instr, bc: &Bytecode, p: &Program, pr: &CProc, bp: &BProc) -> Stri
         } => format!(
             "r{dst} <- {} '{}' %{}[r{sub}]",
             rbind(bind),
-            rname(bc, name),
-            rname(bc, field)
+            rname(bp, name),
+            rname(bp, field)
         ),
         Instr::FieldOfValue {
             dst, src, field, ..
-        } => format!("r{dst} <- r{src} %{}", rname(bc, field)),
+        } => format!("r{dst} <- r{src} %{}", rname(bp, field)),
         Instr::IndexValue { dst, src, sub, .. } => format!("r{dst} <- r{src}[r{sub}]"),
         Instr::Jump { to } => format!("jump -> {to}"),
         Instr::BranchIfFalse { cond, to, is_while } => {
@@ -2345,7 +2347,7 @@ fn render(i: &Instr, bc: &Bytecode, p: &Program, pr: &CProc, bp: &BProc) -> Stri
             argv,
             keep,
         } => {
-            let callee = p
+            let callee = pr
                 .sites
                 .get(site as usize)
                 .and_then(|s| p.procs.get(s.proc as usize))
@@ -2377,9 +2379,9 @@ fn render(i: &Instr, bc: &Bytecode, p: &Program, pr: &CProc, bp: &BProc) -> Stri
         } => format!(
             "{}[{}] <- {} '{}'",
             rbind(bind),
-            rsrc(sub, bc, pr),
-            rsrc(val, bc, pr),
-            rname(bc, name)
+            rsrc(sub, bp, pr),
+            rsrc(val, bp, pr),
+            rname(bp, name)
         ),
         Instr::StoreField {
             bind,
@@ -2396,8 +2398,8 @@ fn render(i: &Instr, bc: &Bytecode, p: &Program, pr: &CProc, bp: &BProc) -> Stri
             format!(
                 "{} '{}' %{}{idx} <- r{val}",
                 rbind(bind),
-                rname(bc, name),
-                rname(bc, field)
+                rname(bp, name),
+                rname(bp, field)
             )
         }
         Instr::Outfld { out, data, ncol } => {
@@ -2411,7 +2413,7 @@ fn render(i: &Instr, bc: &Bytecode, p: &Program, pr: &CProc, bp: &BProc) -> Stri
         Instr::PbufStore { idx, data } => format!("pbuf[r{idx}] <- r{data}"),
         Instr::PbufLoad { dst, idx } => format!("r{dst} <- pbuf[r{idx}]"),
         Instr::PbufMerge { cur, data } => format!("pbufmerge r{cur} <- r{data}"),
-        Instr::Fail { msg } => format!("fail \"{}\"", rname(bc, msg)),
+        Instr::Fail { msg } => format!("fail \"{}\"", rname(bp, msg)),
     }
 }
 

@@ -22,6 +22,18 @@
 //! Conditions the tree-walker only reports when an offending statement
 //! actually executes are lowered to deferred error nodes, not compile
 //! failures, so a model that runs under the interpreter compiles here.
+//!
+//! **Delta compiles.** A proc's lowering reads its own subprogram and,
+//! outside it, only the program's *interface*: the module list; each
+//! module's `use`s, types, declarations and interfaces; each
+//! subprogram's name, kind, args, `use`s and declarations; the sorted
+//! `outfld` name set. Given a base program compiled from base files whose
+//! interface equals the variant's, every proc whose subprogram equals the
+//! base's is the base's `Arc` (tree IR and bytecode), the program-wide
+//! tables are the base's, and only the changed procs are lowered — as
+//! long as each of them keeps its base frame layout (a new implicit local
+//! would add a symbol). Any difference lowers every proc: a full compile
+//! is the same loop with nothing to reuse.
 
 use crate::interp::RuntimeError;
 use crate::ops::{self, RunResult};
@@ -35,7 +47,7 @@ use rca_fortran::ast::{
     SubprogramKind, UseStmt,
 };
 use rca_fortran::token::Op;
-use rca_ident::SymbolTable;
+use rca_ident::{OutputId, SymbolTable};
 use std::borrow::Borrow;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -43,21 +55,74 @@ use std::sync::Arc;
 /// Compiles parsed sources into an executable [`Program`]. Takes owned
 /// ASTs or the shared `Arc<SourceFile>`s of [`crate::parse_model`] alike.
 pub fn compile_sources<F: Borrow<SourceFile>>(files: &[F]) -> Result<Program, RuntimeError> {
+    compile_against(files, None)
+}
+
+/// [`compile_sources`], lowering against `base` — a program and the files
+/// it was compiled from — when the interface allows (see the module
+/// docs): the result equals `compile_sources(files)` bit for bit either
+/// way. Emits one `compile.procs` event with the `lowered` and `reused`
+/// proc counts.
+pub(crate) fn compile_against<F: Borrow<SourceFile>>(
+    files: &[F],
+    base: Option<(&[Arc<SourceFile>], &Program)>,
+) -> Result<Program, RuntimeError> {
     let _span = rca_obs::span("compile.lower");
     let mut c = Compiler::new(files);
     c.ingest();
-    c.force_globals()?;
-    c.frame_all_procs();
-    c.lower_all_procs();
-    Ok(c.finish())
+    let delta = base.and_then(|(base_files, base)| c.delta(files, base_files, base));
+    if delta.is_none() {
+        c.force_globals()?;
+    }
+    // One lowering loop: reuse the base's proc where the delta allows,
+    // lower it otherwise.
+    let reused = |i: usize| delta.as_ref().filter(|d| d.same[i]).map(|d| d.base);
+    let n = c.proc_asts.len();
+    let lowered: Vec<CProc> = (0..n)
+        .filter(|&i| reused(i).is_none())
+        .map(|i| c.lower_proc(i))
+        .collect();
+    rca_obs::event(
+        "compile.procs",
+        &[
+            ("lowered", lowered.len().into()),
+            ("reused", (n - lowered.len()).into()),
+        ],
+    );
+    let mut fresh_bc = crate::bytecode::lower_procs(&lowered).into_iter();
+    // The new procs are wrapped back to back, so a program's procs sit
+    // together in memory (the VM reads one on every call).
+    let mut fresh = lowered.into_iter().map(Arc::new);
+    let (procs, bc) = (0..n)
+        .map(|i| match reused(i) {
+            Some(base) => (
+                Arc::clone(&base.procs[i]),
+                Arc::clone(&base.bytecode().procs[i]),
+            ),
+            None => (
+                fresh.next().expect("one proc per lowered proc"),
+                fresh_bc.next().expect("one bytecode proc per lowered proc"),
+            ),
+        })
+        .unzip();
+    let bc = crate::bytecode::Bytecode { procs: bc };
+    Ok(match delta {
+        Some(d) => d.base.with_procs(procs, bc),
+        None => c.finish(procs, bc),
+    })
 }
 
-/// Per-proc frame layout, computed before bodies are lowered (call sites
-/// need callee slot information).
+/// What a delta compile takes from its base program: per proc, whether
+/// its subprogram equals the base's, so that its lowering is the base's.
+struct Delta<'b> {
+    base: &'b Program,
+    same: Vec<bool>,
+}
+
+/// Per-proc frame layout, computed before its body is lowered.
 struct FrameInfo {
     slot_names: Vec<Arc<str>>,
     slot_of: HashMap<String, u32>,
-    arg_slots: Vec<u32>,
     result_slot: Option<u32>,
     declared_locals: Vec<String>,
 }
@@ -68,6 +133,8 @@ struct Compiler<'a> {
     /// Module name → definition (a redefinition replaces the earlier one,
     /// as in the interpreter's ingest).
     module_map: HashMap<String, &'a Module>,
+    /// Module name → `(file, module)` position of its definition.
+    module_pos: HashMap<String, (usize, usize)>,
     module_ids: HashMap<String, u32>,
     types: HashMap<String, (String, &'a DerivedType)>,
     proc_asts: Vec<(String, &'a Subprogram)>,
@@ -76,16 +143,20 @@ struct Compiler<'a> {
     /// Declared per-dummy intents, parallel to `writeback` (analysis
     /// metadata carried into [`CProc::arg_flows`]).
     arg_flows: Vec<Vec<ArgFlow>>,
+    /// Per proc, argument position → frame slot (call sites read their
+    /// callee's).
+    arg_slots: Vec<Vec<u32>>,
     /// `(src, dst)` global slots where `dst`'s initializer reads `src` —
     /// the dataflow that load-time constant folding erases.
     global_init_deps: Vec<(u32, u32)>,
-    frames: Vec<FrameInfo>,
     interner: HashMap<String, Arc<str>>,
+    /// The pools of the proc being lowered.
     exprs: Vec<CExpr>,
     sites: Vec<CallSite>,
-    globals: Vec<Value>,
-    global_index: HashMap<(String, String), u32>,
-    compiled: Vec<CProc>,
+    /// The global arena and its module → variable → slot index: built by
+    /// `force_globals`, or a delta compile's base tables (`Arc`-shared).
+    globals: Arc<Vec<Value>>,
+    global_index: Arc<HashMap<String, HashMap<String, u32>>>,
     /// The workspace identity plane seeded here: modules/outputs interned
     /// up front (outputs sorted, so `OutputId` order is name order),
     /// variables as `finish` walks the frames and globals. This is the
@@ -99,24 +170,24 @@ impl<'a> Compiler<'a> {
         let mut c = Compiler {
             module_order: Vec::new(),
             module_map: HashMap::new(),
+            module_pos: HashMap::new(),
             module_ids: HashMap::new(),
             types: HashMap::new(),
             proc_asts: Vec::new(),
             procs_by_name: HashMap::new(),
             writeback: Vec::new(),
             arg_flows: Vec::new(),
+            arg_slots: Vec::new(),
             global_init_deps: Vec::new(),
-            frames: Vec::new(),
             interner: HashMap::new(),
             exprs: Vec::new(),
             sites: Vec::new(),
-            globals: Vec::new(),
-            global_index: HashMap::new(),
-            compiled: Vec::new(),
+            globals: Arc::default(),
+            global_index: Arc::default(),
             syms: SymbolTable::new(),
         };
-        for file in files {
-            for module in &file.borrow().modules {
+        for (fi, file) in files.iter().enumerate() {
+            for (mi, module) in file.borrow().modules.iter().enumerate() {
                 if !c.module_map.contains_key(&module.name) {
                     c.module_order.push(module.name.clone());
                     let id = c.module_ids.len() as u32;
@@ -125,6 +196,7 @@ impl<'a> Compiler<'a> {
                     c.syms.intern_module(&module.name);
                 }
                 c.module_map.insert(module.name.clone(), module);
+                c.module_pos.insert(module.name.clone(), (fi, mi));
             }
         }
         // Pre-scan `call outfld('NAME', ...)` literals so OutputId space is
@@ -144,6 +216,58 @@ impl<'a> Compiler<'a> {
             c.syms.intern_output(&name);
         }
         c
+    }
+
+    /// The delta against `base`, compiled from `base_files`, when the
+    /// interface allows one (see the module docs); `None` means lower
+    /// every proc. On success the compiler holds the base's global arena
+    /// and index, which every changed proc's frame was resolved against.
+    fn delta<'b, F: Borrow<SourceFile>>(
+        &mut self,
+        files: &[F],
+        base_files: &[Arc<SourceFile>],
+        base: &'b Program,
+    ) -> Option<Delta<'b>> {
+        let outputs = (0..self.syms.output_count() as u32).map(|i| self.syms.output(OutputId(i)));
+        if files.len() != base_files.len() || !base.output_names.iter().map(|n| &**n).eq(outputs) {
+            return None;
+        }
+        for (f, b) in files.iter().zip(base_files) {
+            let f = f.borrow();
+            let same = std::ptr::eq(f, &**b)
+                || (f.modules.len() == b.modules.len()
+                    && f.modules
+                        .iter()
+                        .zip(&b.modules)
+                        .all(|(m, n)| same_interface(m, n)));
+            if !same {
+                return None;
+            }
+        }
+        // Same module list, so each proc has the same index in both
+        // programs and its base subprogram sits at the same position.
+        let mut same = Vec::with_capacity(self.proc_asts.len());
+        for name in &self.module_order {
+            let (fi, mi) = self.module_pos[name];
+            let base_module = &base_files[fi].modules[mi];
+            for (s, b) in self.module_map[name]
+                .subprograms
+                .iter()
+                .zip(&base_module.subprograms)
+            {
+                same.push(std::ptr::eq(s, b) || s == b);
+            }
+        }
+        self.globals = Arc::clone(&base.globals);
+        self.global_index = Arc::clone(&base.globals_by_module);
+        for i in (0..same.len()).filter(|&i| !same[i]) {
+            if *self.frame_info(i).slot_names != *base.procs[i].local_names {
+                self.globals = Arc::default();
+                self.global_index = Arc::default();
+                return None;
+            }
+        }
+        Some(Delta { base, same })
     }
 
     fn intern(&mut self, s: &str) -> Arc<str> {
@@ -253,10 +377,25 @@ impl<'a> Compiler<'a> {
                         }
                     })
                     .collect();
+                // Dummies take the first frame slots, a repeated name its
+                // first occurrence's.
+                let mut distinct: Vec<&str> = Vec::new();
+                let arg_slots = sub
+                    .args
+                    .iter()
+                    .map(|a| match distinct.iter().position(|d| d == a) {
+                        Some(s) => s as u32,
+                        None => {
+                            distinct.push(a);
+                            (distinct.len() - 1) as u32
+                        }
+                    })
+                    .collect();
                 let idx = self.proc_asts.len() as u32;
                 self.proc_asts.push((module.name.clone(), sub));
                 self.writeback.push(writeback);
                 self.arg_flows.push(flows);
+                self.arg_slots.push(arg_slots);
                 self.procs_by_name
                     .entry(sub.name.clone())
                     .or_default()
@@ -291,10 +430,10 @@ impl<'a> Compiler<'a> {
         name: &str,
         in_progress: &mut HashSet<(String, String)>,
     ) -> RunResult<Option<u32>> {
-        let key = (module.to_string(), name.to_string());
-        if let Some(&slot) = self.global_index.get(&key) {
+        if let Some(&slot) = self.global_index.get(module).and_then(|m| m.get(name)) {
             return Ok(Some(slot));
         }
+        let key = (module.to_string(), name.to_string());
         let Some(mdef) = self.module_map.get(module) else {
             return Ok(None);
         };
@@ -321,8 +460,11 @@ impl<'a> Compiler<'a> {
         let value = self.build_value(module, decl, entity, in_progress)?;
         in_progress.remove(&key);
         let slot = self.globals.len() as u32;
-        self.globals.push(value);
-        self.global_index.insert(key, slot);
+        Arc::make_mut(&mut self.globals).push(value);
+        Arc::make_mut(&mut self.global_index)
+            .entry(key.0)
+            .or_default()
+            .insert(key.1, slot);
         // Preserve the initializer's dataflow: `build_value` just folded
         // it into a constant, but the variables it read are real
         // dependencies (module-scope resolution, same order const_eval
@@ -519,13 +661,6 @@ impl<'a> Compiler<'a> {
 
     // ----- frame layout ---------------------------------------------------
 
-    fn frame_all_procs(&mut self) {
-        for i in 0..self.proc_asts.len() {
-            let fi = self.frame_info(i);
-            self.frames.push(fi);
-        }
-    }
-
     /// Computes the frame layout: dummies, declared locals, the function
     /// result, then every name the body can *create* as an implicit local
     /// (`do` variables always; written names only when no global shadows
@@ -550,9 +685,8 @@ impl<'a> Compiler<'a> {
             slot_of.insert(name.to_string(), s);
             s
         };
-        let mut arg_slots = Vec::with_capacity(sub.args.len());
         for a in &sub.args {
-            arg_slots.push(add(self, &mut slot_names, &mut slot_of, a));
+            add(self, &mut slot_names, &mut slot_of, a);
         }
         for d in &sub.decls {
             for e in &d.entities {
@@ -583,7 +717,6 @@ impl<'a> Compiler<'a> {
         FrameInfo {
             slot_names,
             slot_of,
-            arg_slots,
             result_slot,
             declared_locals,
         }
@@ -591,14 +724,10 @@ impl<'a> Compiler<'a> {
 
     // ----- body lowering --------------------------------------------------
 
-    fn lower_all_procs(&mut self) {
-        for i in 0..self.proc_asts.len() {
-            let p = self.lower_proc(i);
-            self.compiled.push(p);
-        }
-    }
-
+    /// Lowers proc `proc_idx` into a self-contained [`CProc`] (its
+    /// expression and call-site pools start empty).
     fn lower_proc(&mut self, proc_idx: usize) -> CProc {
+        let frame = self.frame_info(proc_idx);
         let (module, sub) = {
             let (m, s) = &self.proc_asts[proc_idx];
             (m.clone(), *s)
@@ -608,37 +737,39 @@ impl<'a> Compiler<'a> {
             module: module.clone(),
             sub,
             binds: HashMap::new(),
+            frame,
         };
         // Local initializers, in declaration order, skipping dummies and
         // repeated names (the interpreter's "already in frame" rule).
         let mut inits: Vec<(u32, u32, LocalTemplate)> = Vec::new();
-        let mut seeded: HashSet<u32> = self.frames[proc_idx].arg_slots.iter().copied().collect();
+        let mut seeded: HashSet<u32> = self.arg_slots[proc_idx].iter().copied().collect();
         for d in &sub.decls {
             for e in &d.entities {
-                let slot = self.frames[proc_idx].slot_of[&e.name];
+                let slot = cx.frame.slot_of[&e.name];
                 if !seeded.insert(slot) {
                     continue;
                 }
-                let tmpl = self.local_template(&mut cx, proc_idx, d, e);
+                let tmpl = self.local_template(&mut cx, d, e);
                 inits.push((slot, d.line, tmpl));
             }
         }
-        let body = self.lower_block(&mut cx, proc_idx, &sub.body);
+        let body = self.lower_block(&mut cx, &sub.body);
         let name_sym = self.intern(&sub.name);
-        let frame = &self.frames[proc_idx];
-        let module_id = self.module_ids[&module];
+        let frame = cx.frame;
         CProc {
             module: module_sym,
             name: name_sym,
-            module_id,
-            arg_slots: frame.arg_slots.clone().into_boxed_slice(),
+            module_id: self.module_ids[&module],
+            arg_slots: self.arg_slots[proc_idx].clone().into_boxed_slice(),
             arg_flows: self.arg_flows[proc_idx].clone().into_boxed_slice(),
             n_locals: frame.slot_names.len(),
-            local_names: frame.slot_names.clone().into_boxed_slice(),
+            local_names: frame.slot_names.into_boxed_slice(),
             inits: inits.into_boxed_slice(),
             result_slot: frame.result_slot,
             body,
-            declared_locals: frame.declared_locals.clone().into_boxed_slice(),
+            declared_locals: frame.declared_locals.into_boxed_slice(),
+            exprs: std::mem::take(&mut self.exprs).into(),
+            sites: std::mem::take(&mut self.sites).into(),
         }
     }
 
@@ -647,7 +778,6 @@ impl<'a> Compiler<'a> {
     fn local_template(
         &mut self,
         cx: &mut ProcCx<'a>,
-        proc_idx: usize,
         decl: &'a Declaration,
         entity: &'a rca_fortran::ast::DeclEntity,
     ) -> LocalTemplate {
@@ -673,16 +803,10 @@ impl<'a> Compiler<'a> {
             return LocalTemplate::Derived(Value::derived(fields));
         }
         if let Some(shape) = decl.shape_of(entity) {
-            let extents: Vec<EId> = shape
-                .iter()
-                .map(|e| self.lower_expr(cx, proc_idx, e))
-                .collect();
+            let extents: Vec<EId> = shape.iter().map(|e| self.lower_expr(cx, e)).collect();
             return LocalTemplate::Array(extents.into_boxed_slice());
         }
-        let init = entity
-            .init
-            .as_ref()
-            .map(|e| self.lower_expr(cx, proc_idx, e));
+        let init = entity.init.as_ref().map(|e| self.lower_expr(cx, e));
         match decl.base {
             BaseType::Integer => LocalTemplate::Int(init),
             BaseType::Logical => LocalTemplate::Logic(init),
@@ -691,11 +815,11 @@ impl<'a> Compiler<'a> {
         }
     }
 
-    fn bind_of(&mut self, cx: &mut ProcCx<'a>, proc_idx: usize, name: &str) -> Option<VarBind> {
+    fn bind_of(&mut self, cx: &mut ProcCx<'a>, name: &str) -> Option<VarBind> {
         if let Some(b) = cx.binds.get(name) {
             return *b;
         }
-        let slot = self.frames[proc_idx].slot_of.get(name).copied();
+        let slot = cx.frame.slot_of.get(name).copied();
         let global = self.frame_global_slot(&cx.module.clone(), cx.sub, name);
         let bind = match (slot, global) {
             (Some(s), Some(g)) => Some(VarBind::LocalOrGlobal(s, g)),
@@ -707,41 +831,33 @@ impl<'a> Compiler<'a> {
         bind
     }
 
-    fn lower_block(
-        &mut self,
-        cx: &mut ProcCx<'a>,
-        proc_idx: usize,
-        stmts: &'a [Stmt],
-    ) -> Box<[CStmt]> {
-        stmts
-            .iter()
-            .map(|s| self.lower_stmt(cx, proc_idx, s))
-            .collect()
+    fn lower_block(&mut self, cx: &mut ProcCx<'a>, stmts: &'a [Stmt]) -> Box<[CStmt]> {
+        stmts.iter().map(|s| self.lower_stmt(cx, s)).collect()
     }
 
-    fn lower_stmt(&mut self, cx: &mut ProcCx<'a>, proc_idx: usize, stmt: &'a Stmt) -> CStmt {
+    fn lower_stmt(&mut self, cx: &mut ProcCx<'a>, stmt: &'a Stmt) -> CStmt {
         match stmt {
             Stmt::Assign {
                 target,
                 value,
                 line,
             } => {
-                let value = self.lower_expr(cx, proc_idx, value);
-                let place = self.lower_place(cx, proc_idx, target);
+                let value = self.lower_expr(cx, value);
+                let place = self.lower_place(cx, target);
                 CStmt::Assign {
                     place,
                     value,
                     line: *line,
                 }
             }
-            Stmt::Call { name, args, line } => self.lower_call(cx, proc_idx, name, args, *line),
+            Stmt::Call { name, args, line } => self.lower_call(cx, name, args, *line),
             Stmt::If { arms, line } => {
                 let arms = arms
                     .iter()
                     .map(|(cond, block)| {
                         (
-                            cond.as_ref().map(|c| self.lower_expr(cx, proc_idx, c)),
-                            self.lower_block(cx, proc_idx, block),
+                            cond.as_ref().map(|c| self.lower_expr(cx, c)),
+                            self.lower_block(cx, block),
                         )
                     })
                     .collect();
@@ -755,19 +871,19 @@ impl<'a> Compiler<'a> {
                 body,
                 line,
             } => {
-                let slot = self.frames[proc_idx].slot_of[var.as_str()];
+                let slot = cx.frame.slot_of[var.as_str()];
                 CStmt::Do {
                     var: slot,
-                    start: self.lower_expr(cx, proc_idx, start),
-                    end: self.lower_expr(cx, proc_idx, end),
-                    step: step.as_ref().map(|s| self.lower_expr(cx, proc_idx, s)),
-                    body: self.lower_block(cx, proc_idx, body),
+                    start: self.lower_expr(cx, start),
+                    end: self.lower_expr(cx, end),
+                    step: step.as_ref().map(|s| self.lower_expr(cx, s)),
+                    body: self.lower_block(cx, body),
                     line: *line,
                 }
             }
             Stmt::DoWhile { cond, body, line } => CStmt::DoWhile {
-                cond: self.lower_expr(cx, proc_idx, cond),
-                body: self.lower_block(cx, proc_idx, body),
+                cond: self.lower_expr(cx, cond),
+                body: self.lower_block(cx, body),
                 line: *line,
             },
             Stmt::Return { .. } => CStmt::Return,
@@ -779,7 +895,6 @@ impl<'a> Compiler<'a> {
     fn lower_call(
         &mut self,
         cx: &mut ProcCx<'a>,
-        proc_idx: usize,
         name: &str,
         args: &'a [Expr],
         line: u32,
@@ -807,8 +922,8 @@ impl<'a> Compiler<'a> {
                         line,
                     };
                 };
-                let data = self.lower_expr(cx, proc_idx, data);
-                let ncol = args.get(2).map(|e| self.lower_expr(cx, proc_idx, e));
+                let data = self.lower_expr(cx, data);
+                let ncol = args.get(2).map(|e| self.lower_expr(cx, e));
                 CStmt::Outfld {
                     out,
                     data,
@@ -823,8 +938,8 @@ impl<'a> Compiler<'a> {
                         line,
                     };
                 };
-                let current = self.lower_expr(cx, proc_idx, target);
-                let place = self.lower_place(cx, proc_idx, target);
+                let current = self.lower_expr(cx, target);
+                let place = self.lower_place(cx, target);
                 CStmt::RandomNumber {
                     current,
                     place,
@@ -840,8 +955,8 @@ impl<'a> Compiler<'a> {
                     };
                 };
                 CStmt::PbufSet {
-                    idx: self.lower_expr(cx, proc_idx, idx),
-                    data: self.lower_expr(cx, proc_idx, data),
+                    idx: self.lower_expr(cx, idx),
+                    data: self.lower_expr(cx, data),
                     line,
                 }
             }
@@ -853,9 +968,9 @@ impl<'a> Compiler<'a> {
                     };
                 };
                 CStmt::PbufGet {
-                    idx: self.lower_expr(cx, proc_idx, idx),
-                    current: self.lower_expr(cx, proc_idx, target),
-                    place: self.lower_place(cx, proc_idx, target),
+                    idx: self.lower_expr(cx, idx),
+                    current: self.lower_expr(cx, target),
+                    place: self.lower_place(cx, target),
                     line,
                 }
             }
@@ -868,23 +983,14 @@ impl<'a> Compiler<'a> {
                         line: 0,
                     };
                 };
-                let site = self.make_call_site(cx, proc_idx, callee, args);
+                let site = self.make_call_site(cx, callee, args);
                 CStmt::Call { site, line }
             }
         }
     }
 
-    fn make_call_site(
-        &mut self,
-        cx: &mut ProcCx<'a>,
-        proc_idx: usize,
-        callee: u32,
-        args: &'a [Expr],
-    ) -> u32 {
-        let arg_ids: Vec<EId> = args
-            .iter()
-            .map(|a| self.lower_expr(cx, proc_idx, a))
-            .collect();
+    fn make_call_site(&mut self, cx: &mut ProcCx<'a>, callee: u32, args: &'a [Expr]) -> u32 {
+        let arg_ids: Vec<EId> = args.iter().map(|a| self.lower_expr(cx, a)).collect();
         let (dummies, writeback) = {
             let (_, sub) = &self.proc_asts[callee as usize];
             (sub.args.clone(), self.writeback[callee as usize].clone())
@@ -903,8 +1009,8 @@ impl<'a> Compiler<'a> {
             ) {
                 continue;
             }
-            let dummy_slot = self.frames[callee as usize].arg_slots[i];
-            let place = self.lower_place(cx, proc_idx, arg);
+            let dummy_slot = self.arg_slots[callee as usize][i];
+            let place = self.lower_place(cx, arg);
             copyout.push((dummy_slot, place));
         }
         self.sites.push(CallSite {
@@ -917,17 +1023,8 @@ impl<'a> Compiler<'a> {
 
     /// Function-call site from an expression context (no copy-out: the
     /// interpreter's expression path only reads the result).
-    fn make_fn_site(
-        &mut self,
-        cx: &mut ProcCx<'a>,
-        proc_idx: usize,
-        callee: u32,
-        args: &'a [Expr],
-    ) -> u32 {
-        let arg_ids: Vec<EId> = args
-            .iter()
-            .map(|a| self.lower_expr(cx, proc_idx, a))
-            .collect();
+    fn make_fn_site(&mut self, cx: &mut ProcCx<'a>, callee: u32, args: &'a [Expr]) -> u32 {
+        let arg_ids: Vec<EId> = args.iter().map(|a| self.lower_expr(cx, a)).collect();
         self.sites.push(CallSite {
             proc: callee,
             args: arg_ids.into_boxed_slice(),
@@ -936,9 +1033,9 @@ impl<'a> Compiler<'a> {
         (self.sites.len() - 1) as u32
     }
 
-    fn lower_place(&mut self, cx: &mut ProcCx<'a>, proc_idx: usize, target: &'a Expr) -> CPlace {
+    fn lower_place(&mut self, cx: &mut ProcCx<'a>, target: &'a Expr) -> CPlace {
         match target {
-            Expr::Var(name) => match self.bind_of(cx, proc_idx, name) {
+            Expr::Var(name) => match self.bind_of(cx, name) {
                 Some(bind) => CPlace::Var { bind },
                 // Written plain names always received a frame slot, so a
                 // missing binding can only mean this place is never a
@@ -953,8 +1050,8 @@ impl<'a> Compiler<'a> {
                         msg: self.intern("missing subscript"),
                     };
                 };
-                let sub = self.lower_expr(cx, proc_idx, sub);
-                match self.bind_of(cx, proc_idx, name) {
+                let sub = self.lower_expr(cx, sub);
+                match self.bind_of(cx, name) {
                     Some(bind) => CPlace::Elem {
                         bind,
                         name: self.intern(name),
@@ -966,13 +1063,13 @@ impl<'a> Compiler<'a> {
                 }
             }
             Expr::DerivedRef { base, field, subs } => {
-                let sub = subs.first().map(|s| self.lower_expr(cx, proc_idx, s));
+                let sub = subs.first().map(|s| self.lower_expr(cx, s));
                 let Expr::Var(base_name) = base.as_ref() else {
                     return CPlace::Invalid {
                         msg: self.intern("only single-level derived-type writes are supported"),
                     };
                 };
-                match self.bind_of(cx, proc_idx, base_name) {
+                match self.bind_of(cx, base_name) {
                     Some(bind) => CPlace::Derived {
                         bind,
                         name: self.intern(base_name),
@@ -990,13 +1087,13 @@ impl<'a> Compiler<'a> {
         }
     }
 
-    fn lower_expr(&mut self, cx: &mut ProcCx<'a>, proc_idx: usize, expr: &'a Expr) -> EId {
+    fn lower_expr(&mut self, cx: &mut ProcCx<'a>, expr: &'a Expr) -> EId {
         let node = match expr {
             Expr::Real(v) => CExpr::Real(*v),
             Expr::Int(v) => CExpr::Int(*v),
             Expr::Str(s) => CExpr::Str(self.intern(s)),
             Expr::Logical(b) => CExpr::Logical(*b),
-            Expr::Var(name) => match self.bind_of(cx, proc_idx, name) {
+            Expr::Var(name) => match self.bind_of(cx, name) {
                 Some(bind) => CExpr::Var {
                     bind,
                     name: self.intern(name),
@@ -1005,15 +1102,13 @@ impl<'a> Compiler<'a> {
                     msg: self.intern(&format!("undefined variable '{name}'")),
                 },
             },
-            Expr::CallOrIndex { name, args } => {
-                return self.lower_call_or_index(cx, proc_idx, name, args)
-            }
+            Expr::CallOrIndex { name, args } => return self.lower_call_or_index(cx, name, args),
             Expr::DerivedRef { base, field, subs } => {
                 let err = self.intern(&format!("{base:?} is not a derived value"));
-                let sub = subs.first().map(|s| self.lower_expr(cx, proc_idx, s));
+                let sub = subs.first().map(|s| self.lower_expr(cx, s));
                 let field = self.intern(field);
                 if let Expr::Var(base_name) = base.as_ref() {
-                    match self.bind_of(cx, proc_idx, base_name) {
+                    match self.bind_of(cx, base_name) {
                         Some(bind) => CExpr::DerivedVar {
                             bind,
                             name: self.intern(base_name),
@@ -1026,7 +1121,7 @@ impl<'a> Compiler<'a> {
                         },
                     }
                 } else {
-                    let base = self.lower_expr(cx, proc_idx, base);
+                    let base = self.lower_expr(cx, base);
                     CExpr::DerivedExpr {
                         base,
                         field,
@@ -1036,7 +1131,7 @@ impl<'a> Compiler<'a> {
                 }
             }
             Expr::Unary { op, expr } => {
-                let e = self.lower_expr(cx, proc_idx, expr);
+                let e = self.lower_expr(cx, expr);
                 return self.push_unary(*op, e);
             }
             Expr::Binary { op, lhs, rhs } => {
@@ -1050,10 +1145,10 @@ impl<'a> Compiler<'a> {
                         rhs: mb,
                     } = lhs.as_ref()
                     {
-                        let a = self.lower_expr(cx, proc_idx, ma);
-                        let b = self.lower_expr(cx, proc_idx, mb);
+                        let a = self.lower_expr(cx, ma);
+                        let b = self.lower_expr(cx, mb);
                         let l = self.push_binary(Op::Mul, a, b);
-                        let c = self.lower_expr(cx, proc_idx, rhs);
+                        let c = self.lower_expr(cx, rhs);
                         return self.push(CExpr::MaybeFma {
                             op: *op,
                             a,
@@ -1063,8 +1158,8 @@ impl<'a> Compiler<'a> {
                         });
                     }
                 }
-                let l = self.lower_expr(cx, proc_idx, lhs);
-                let r = self.lower_expr(cx, proc_idx, rhs);
+                let l = self.lower_expr(cx, lhs);
+                let r = self.lower_expr(cx, rhs);
                 return self.push_binary(*op, l, r);
             }
             Expr::Range { .. } => CExpr::ErrorExpr {
@@ -1076,21 +1171,14 @@ impl<'a> Compiler<'a> {
 
     /// The call-vs-index ambiguity, resolved in the interpreter's order:
     /// visible variable → intrinsic → user function → error.
-    fn lower_call_or_index(
-        &mut self,
-        cx: &mut ProcCx<'a>,
-        proc_idx: usize,
-        name: &str,
-        args: &'a [Expr],
-    ) -> EId {
-        let bind = self.bind_of(cx, proc_idx, name);
+    fn lower_call_or_index(&mut self, cx: &mut ProcCx<'a>, name: &str, args: &'a [Expr]) -> EId {
+        let bind = self.bind_of(cx, name);
         // Compile the non-variable interpretation (used directly when the
         // name never resolves to a variable, or as the runtime fallback
         // when a local slot may be unset).
         let callable = |c: &mut Compiler<'a>, cx: &mut ProcCx<'a>| -> CallForm {
             if let Some(which) = Intrin::by_name(name) {
-                let arg_ids: Vec<EId> =
-                    args.iter().map(|a| c.lower_expr(cx, proc_idx, a)).collect();
+                let arg_ids: Vec<EId> = args.iter().map(|a| c.lower_expr(cx, a)).collect();
                 return CallForm::Intrinsic(which, arg_ids.into_boxed_slice());
             }
             if let Some(callee) = c.find_proc(name, Some(&cx.module.clone())) {
@@ -1099,7 +1187,7 @@ impl<'a> Compiler<'a> {
                     matches!(sub.kind, SubprogramKind::Function { .. })
                 };
                 if is_function {
-                    let site = c.make_fn_site(cx, proc_idx, callee, args);
+                    let site = c.make_fn_site(cx, callee, args);
                     return CallForm::Function(site);
                 }
             }
@@ -1108,7 +1196,7 @@ impl<'a> Compiler<'a> {
         match bind {
             Some(bind) => {
                 let sub = match args.first() {
-                    Some(s) => self.lower_expr(cx, proc_idx, s),
+                    Some(s) => self.lower_expr(cx, s),
                     None => {
                         let msg = self.intern("missing subscript");
                         self.push(CExpr::ErrorExpr { msg })
@@ -1139,7 +1227,9 @@ impl<'a> Compiler<'a> {
         }
     }
 
-    fn finish(mut self) -> Program {
+    /// Builds the program-wide tables of a full compile around `procs`
+    /// and their bytecode `bc`.
+    fn finish(mut self, procs: Vec<Arc<CProc>>, bc: crate::bytecode::Bytecode) -> Program {
         let order = self.module_order.clone();
         let module_names: Vec<Arc<str>> = order.iter().map(|m| self.intern(m)).collect();
         let entry_procs: HashMap<String, u32> = self
@@ -1167,18 +1257,12 @@ impl<'a> Compiler<'a> {
                 (m.clone(), vars)
             })
             .collect();
-        let mut globals_by_module: HashMap<String, HashMap<String, u32>> = HashMap::new();
         let mut global_origins: Vec<(u32, Arc<str>)> =
             vec![(u32::MAX, Arc::from("")); self.globals.len()];
-        for ((m, n), slot) in &self.global_index {
-            global_origins[*slot as usize] = (self.module_ids[m], {
-                let a: Arc<str> = Arc::from(n.as_str());
-                a
-            });
-            globals_by_module
-                .entry(m.clone())
-                .or_default()
-                .insert(n.clone(), *slot);
+        for (m, vars) in self.global_index.iter() {
+            for (n, slot) in vars {
+                global_origins[*slot as usize] = (self.module_ids[m], Arc::from(n.as_str()));
+            }
         }
         // Seed the variable namespace: module variables (declaration
         // order per module), then subprogram names and frame-local names
@@ -1189,7 +1273,7 @@ impl<'a> Compiler<'a> {
                 self.syms.intern_var(v);
             }
         }
-        for p in &self.compiled {
+        for p in &procs {
             self.syms.intern_var(&p.name);
             for local in &p.local_names {
                 self.syms.intern_var(local);
@@ -1198,12 +1282,10 @@ impl<'a> Compiler<'a> {
         let output_names: Vec<Arc<str>> = (0..self.syms.output_count())
             .map(|i| self.syms.output_arc(rca_ident::OutputId(i as u32)))
             .collect();
-        let mut program = Program {
-            exprs: Arc::new(self.exprs),
-            procs: self.compiled,
-            sites: Arc::new(self.sites),
-            globals: Arc::new(self.globals),
-            globals_by_module: Arc::new(globals_by_module),
+        Program {
+            procs,
+            globals: self.globals,
+            globals_by_module: self.global_index,
             module_names: Arc::new(module_names),
             entry_procs: Arc::new(entry_procs),
             procs_by_module: Arc::new(procs_by_module),
@@ -1212,22 +1294,39 @@ impl<'a> Compiler<'a> {
             global_init_deps: Arc::new(self.global_init_deps),
             global_origins: Arc::new(global_origins),
             syms: Arc::new(self.syms),
-            bc: crate::bytecode::Bytecode::default(),
+            bc,
             history: Default::default(),
             effects: Default::default(),
-        };
-        // Lower to the bytecode tier once the tree IR is sealed; the
-        // register VM in `exec` runs this form.
-        program.bc = crate::bytecode::lower(&program);
-        program
+        }
     }
 }
 
-/// Per-proc lowering context: binding memo plus identity.
+/// Per-proc lowering context: identity, frame layout, binding memo.
 struct ProcCx<'a> {
     module: String,
     sub: &'a Subprogram,
     binds: HashMap<String, Option<VarBind>>,
+    frame: FrameInfo,
+}
+
+/// Whether two modules at the same position have the same interface:
+/// name, `use`s, types, declarations, interfaces, and per subprogram its
+/// name, kind, args, `use`s and declarations.
+fn same_interface(a: &Module, b: &Module) -> bool {
+    std::ptr::eq(a, b)
+        || (a.name == b.name
+            && a.uses == b.uses
+            && a.types == b.types
+            && a.decls == b.decls
+            && a.interfaces == b.interfaces
+            && a.subprograms.len() == b.subprograms.len()
+            && a.subprograms.iter().zip(&b.subprograms).all(|(s, t)| {
+                s.name == t.name
+                    && s.kind == t.kind
+                    && s.args == t.args
+                    && s.uses == t.uses
+                    && s.decls == t.decls
+            }))
 }
 
 /// Collects lowercased `call outfld('NAME', ...)` name literals — the

@@ -21,8 +21,13 @@
 //! once per program: callees, globals written (closed over the call
 //! graph), history outputs, PRNG draws, physics-buffer writes, deferred
 //! errors and the derived-field writer map.
+//!
+//! The walk reads one proc: expression ids and call sites index that
+//! proc's own pools ([`CProc::exprs`], [`CProc::sites`]).
 
-use crate::program::{CExpr, CPlace, CStmt, CallForm, EId, LocalTemplate, Program, VarBind};
+use crate::program::{
+    CExpr, CPlace, CProc, CStmt, CallForm, CallSite, EId, LocalTemplate, Program, VarBind,
+};
 use std::collections::HashMap;
 use std::ops::ControlFlow::{self, Continue};
 use std::sync::Arc;
@@ -55,9 +60,9 @@ pub enum Effect<'p> {
         part: Part<'p>,
         copy_out: bool,
     },
-    /// A call through resolved site `site` ([`Program::ir_sites`]),
-    /// after its arguments and before its copy-out writes.
-    Call(u32),
+    /// A call through a resolved site of the walked proc, after its
+    /// arguments and before its copy-out writes.
+    Call(&'p CallSite),
     /// A history write (`outfld`) of output `out`, after its operands.
     Outfld(u32),
     /// A `random_number` draw from the PRNG stream.
@@ -72,7 +77,7 @@ pub enum Effect<'p> {
 }
 
 /// Walks one expression.
-pub fn walk_expr<'p, F>(p: &'p Program, e: EId, f: &mut F) -> Flow
+pub fn walk_expr<'p, F>(p: &'p CProc, e: EId, f: &mut F) -> Flow
 where
     F: FnMut(Effect<'p>) -> Flow,
 {
@@ -129,7 +134,7 @@ where
     }
 }
 
-fn walk_exprs<'p, F>(p: &'p Program, es: &[EId], f: &mut F) -> Flow
+fn walk_exprs<'p, F>(p: &'p CProc, es: &[EId], f: &mut F) -> Flow
 where
     F: FnMut(Effect<'p>) -> Flow,
 {
@@ -139,7 +144,7 @@ where
     Continue(())
 }
 
-fn walk_opt<'p, F>(p: &'p Program, e: Option<EId>, f: &mut F) -> Flow
+fn walk_opt<'p, F>(p: &'p CProc, e: Option<EId>, f: &mut F) -> Flow
 where
     F: FnMut(Effect<'p>) -> Flow,
 {
@@ -147,20 +152,20 @@ where
 }
 
 /// A call: arguments, the call, then the copy-out writes.
-fn walk_site<'p, F>(p: &'p Program, site: u32, f: &mut F) -> Flow
+fn walk_site<'p, F>(p: &'p CProc, site: u32, f: &mut F) -> Flow
 where
     F: FnMut(Effect<'p>) -> Flow,
 {
     let cs = &p.sites[site as usize];
     walk_exprs(p, &cs.args, f)?;
-    f(Effect::Call(site))?;
+    f(Effect::Call(cs))?;
     for (_, place) in &cs.copyout {
         walk_place(p, place, true, f)?;
     }
     Continue(())
 }
 
-fn walk_place<'p, F>(p: &'p Program, place: &'p CPlace, copy_out: bool, f: &mut F) -> Flow
+fn walk_place<'p, F>(p: &'p CProc, place: &'p CPlace, copy_out: bool, f: &mut F) -> Flow
 where
     F: FnMut(Effect<'p>) -> Flow,
 {
@@ -186,7 +191,7 @@ where
 }
 
 /// Walks one statement, nested blocks included.
-pub fn walk_stmt<'p, F>(p: &'p Program, s: &'p CStmt, f: &mut F) -> Flow
+pub fn walk_stmt<'p, F>(p: &'p CProc, s: &'p CStmt, f: &mut F) -> Flow
 where
     F: FnMut(Effect<'p>) -> Flow,
 {
@@ -256,7 +261,7 @@ where
 }
 
 /// Walks a statement list.
-pub fn walk_block<'p, F>(p: &'p Program, body: &'p [CStmt], f: &mut F) -> Flow
+pub fn walk_block<'p, F>(p: &'p CProc, body: &'p [CStmt], f: &mut F) -> Flow
 where
     F: FnMut(Effect<'p>) -> Flow,
 {
@@ -268,7 +273,7 @@ where
 
 /// Walks what frame initialization evaluates for one local: extents or
 /// the initializer, or the template's deferred error.
-pub fn walk_template<'p, F>(p: &'p Program, tpl: &'p LocalTemplate, f: &mut F) -> Flow
+pub fn walk_template<'p, F>(p: &'p CProc, tpl: &'p LocalTemplate, f: &mut F) -> Flow
 where
     F: FnMut(Effect<'p>) -> Flow,
 {
@@ -381,7 +386,6 @@ impl Effects {
     /// graph.
     pub(crate) fn build(p: &Program) -> Effects {
         let mut scan = Scan {
-            p,
             globals_written: BitSet::new(p.globals.len()),
             derived_writers: HashMap::new(),
         };
@@ -413,9 +417,9 @@ impl Effects {
                 Continue(())
             };
             for (_, _, tpl) in &proc.inits {
-                let _ = walk_template(p, tpl, &mut visit);
+                let _ = walk_template(proc, tpl, &mut visit);
             }
-            let _ = walk_block(p, &proc.body, &mut visit);
+            let _ = walk_block(proc, &proc.body, &mut visit);
             for ids in [&mut fx.callees, &mut fx.outputs] {
                 ids.sort_unstable();
                 ids.dedup();
@@ -480,13 +484,12 @@ impl Effects {
 }
 
 /// The program-wide half of [`Effects::build`]'s per-proc walk.
-struct Scan<'p> {
-    p: &'p Program,
+struct Scan {
     globals_written: BitSet,
     derived_writers: HashMap<Arc<str>, Vec<u32>>,
 }
 
-impl Scan<'_> {
+impl Scan {
     /// Folds one effect of the walking proc into its direct facts `fx`.
     #[inline(never)]
     fn note(&mut self, fx: &mut ProcEffects, e: Effect<'_>) {
@@ -506,7 +509,7 @@ impl Scan<'_> {
                     }
                 }
             }
-            Effect::Call(site) => fx.callees.push(self.p.sites[site as usize].proc),
+            Effect::Call(site) => fx.callees.push(site.proc),
             Effect::Outfld(out) => {
                 fx.outputs.push(out);
                 fx.writes_history = true;

@@ -32,12 +32,12 @@
 //! zero-fault runs, and `tests/kernels.rs` pins fuel exhaustion to a
 //! golden table.
 
-use crate::bytecode::{Bytecode, Instr, KArr, KOp, KScalar, Kernel, Src, SrcKind, NO_REG};
+use crate::bytecode::{BProc, Bytecode, Instr, KArr, KOp, KScalar, Kernel, Src, SrcKind, NO_REG};
 use crate::fault::{Fault, FaultKind, FaultPlan, BUDGET_CONTEXT, FAULT_CONTEXT};
 use crate::interp::{RunConfig, RuntimeError};
 use crate::ops::{self, RunResult};
 use crate::prng::{make_prng, Prng};
-use crate::program::{Intrin, Program, VarBind};
+use crate::program::{CProc, Intrin, Program, VarBind};
 use crate::store::RunCoverage;
 use crate::value::Value;
 use std::collections::HashMap;
@@ -516,10 +516,13 @@ impl Executor {
     ) -> RunResult<()> {
         let bc: &Bytecode = p.bytecode();
         let mut proc = entry;
-        let mut prx = &p.procs[proc as usize];
-        let mut bp = &bc.procs[proc as usize];
+        let mut prx: &CProc = &p.procs[proc as usize];
+        let mut bp: &BProc = &bc.procs[proc as usize];
+        // The running proc's code, lines and constant pool, re-pointed on
+        // every call and return.
         let mut code: &[Instr] = &bp.code;
         let mut lines: &[u32] = &bp.lines;
+        let mut consts: &[Value] = &bp.consts;
         let mut ip = 0usize;
 
         self.covered[proc as usize] = true;
@@ -553,13 +556,13 @@ impl Executor {
                     self.fuel -= 1;
                 }
                 Instr::LoadConst { dst, k } => {
-                    cur.regs[dst as usize].clone_from(&bc.consts[k as usize]);
+                    cur.regs[dst as usize].clone_from(&consts[k as usize]);
                 }
                 Instr::LoadLocal { dst, slot, name } => {
                     let sl = &cur.slots[slot as usize];
                     if !sl.live {
                         return Err(RuntimeError::new(
-                            format!("undefined variable '{}'", bc.names[name as usize]),
+                            format!("undefined variable '{}'", bp.names[name as usize]),
                             &prx.module,
                             lines[ip],
                         ));
@@ -618,7 +621,7 @@ impl Executor {
                         l,
                         &cur.regs,
                         &cur.slots,
-                        &bc.consts,
+                        consts,
                         &prx.local_names,
                         &prx.module,
                         lines[ip],
@@ -627,7 +630,7 @@ impl Executor {
                         r,
                         &cur.regs,
                         &cur.slots,
-                        &bc.consts,
+                        consts,
                         &prx.local_names,
                         &prx.module,
                         lines[ip],
@@ -651,7 +654,7 @@ impl Executor {
                             s,
                             &cur.regs,
                             &cur.slots,
-                            &bc.consts,
+                            consts,
                             &prx.local_names,
                             &prx.module,
                             lines[ip],
@@ -711,13 +714,12 @@ impl Executor {
                         sub,
                         &cur.regs,
                         &cur.slots,
-                        &bc.consts,
+                        consts,
                         &prx.local_names,
                         &prx.module,
                         lines[ip],
                     )?;
                     let idx = vm_index(sv, &prx.module, lines[ip])?;
-                    let name = &bc.names[name as usize];
                     let base: &Value = match bind {
                         VarBind::Local(s) => {
                             // BranchLocalSet guards this path: live.
@@ -737,8 +739,9 @@ impl Executor {
                             v.get(idx).copied().map(Value::Real).ok_or_else(|| {
                                 RuntimeError::new(
                                     format!(
-                                        "subscript {} out of bounds for {name} (len {})",
+                                        "subscript {} out of bounds for {} (len {})",
                                         idx + 1,
+                                        bp.names[name as usize],
                                         v.len()
                                     ),
                                     &prx.module,
@@ -748,7 +751,11 @@ impl Executor {
                         }
                         other => {
                             return Err(RuntimeError::new(
-                                format!("cannot index {} '{name}'", other.type_name()),
+                                format!(
+                                    "cannot index {} '{}'",
+                                    other.type_name(),
+                                    bp.names[name as usize]
+                                ),
                                 &prx.module,
                                 lines[ip],
                             ))
@@ -768,9 +775,9 @@ impl Executor {
                         bind,
                         &cur.slots,
                         &self.globals,
-                        &bc.names[name as usize],
-                        &bc.names[field as usize],
-                        &bc.names[err as usize],
+                        &bp.names[name as usize],
+                        &bp.names[field as usize],
+                        &bp.names[err as usize],
                         &prx.module,
                         lines[ip],
                     )?;
@@ -786,9 +793,9 @@ impl Executor {
                         bind,
                         &cur.slots,
                         &self.globals,
-                        &bc.names[name as usize],
-                        &bc.names[field as usize],
-                        &bc.names[err as usize],
+                        &bp.names[name as usize],
+                        &bp.names[field as usize],
+                        &bp.names[err as usize],
                         &prx.module,
                         lines[ip],
                     )?;
@@ -810,14 +817,14 @@ impl Executor {
                         bind,
                         &cur.slots,
                         &self.globals,
-                        &bc.names[name as usize],
-                        &bc.names[field as usize],
-                        &bc.names[err as usize],
+                        &bp.names[name as usize],
+                        &bp.names[field as usize],
+                        &bp.names[err as usize],
                         &prx.module,
                         lines[ip],
                     )?;
                     let v =
-                        index_in_place(fv, idx, &bc.names[field as usize], &prx.module, lines[ip])?;
+                        index_in_place(fv, idx, &bp.names[field as usize], &prx.module, lines[ip])?;
                     cur.regs[dst as usize] = v;
                 }
                 Instr::FieldOfValue {
@@ -829,12 +836,12 @@ impl Executor {
                     let basev = std::mem::replace(&mut cur.regs[src as usize], Value::Real(0.0));
                     let Value::Derived(fields) = basev else {
                         return Err(RuntimeError::new(
-                            bc.names[err as usize].to_string(),
+                            bp.names[err as usize].to_string(),
                             &prx.module,
                             lines[ip],
                         ));
                     };
-                    let field = &bc.names[field as usize];
+                    let field = &bp.names[field as usize];
                     let fv = fields.get(&**field).cloned().ok_or_else(|| {
                         RuntimeError::new(format!("no field {field}"), &prx.module, lines[ip])
                     })?;
@@ -850,7 +857,7 @@ impl Executor {
                     let v = index_in_place(
                         &cur.regs[src as usize],
                         idx,
-                        &bc.names[field as usize],
+                        &bp.names[field as usize],
                         &prx.module,
                         lines[ip],
                     )?;
@@ -914,7 +921,7 @@ impl Executor {
                     else {
                         unreachable!("Kernel not followed by its DoCheck")
                     };
-                    if self.vm_kernel(&bp.kernels[k as usize], bc, &mut cur, i, e, st, var) {
+                    if self.vm_kernel(&bp.kernels[k as usize], &bp.names, &mut cur, i, e, st, var) {
                         ip = exit as usize;
                         continue;
                     }
@@ -970,7 +977,7 @@ impl Executor {
                     argv,
                     keep,
                 } => {
-                    let s = &p.sites[site as usize];
+                    let s = &prx.sites[site as usize];
                     let callee = s.proc;
                     let callee_bp = &bc.procs[callee as usize];
                     self.covered[callee as usize] = true;
@@ -1003,6 +1010,7 @@ impl Executor {
                     bp = callee_bp;
                     code = &bp.code;
                     lines = &bp.lines;
+                    consts = &bp.consts;
                     ip = 0;
                     continue;
                 }
@@ -1043,6 +1051,7 @@ impl Executor {
                             bp = &bc.procs[proc as usize];
                             code = &bp.code;
                             lines = &bp.lines;
+                            consts = &bp.consts;
                             ip = sus.ip as usize;
                             if sus.dst != NO_REG {
                                 let rs = p.procs[fin_proc as usize]
@@ -1082,7 +1091,7 @@ impl Executor {
                     // allocation (typed-slot pooling); the value is the
                     // prototype either way.
                     let sl = &mut cur.slots[slot as usize];
-                    sl.val.clone_from(&bc.consts[k as usize]);
+                    sl.val.clone_from(&consts[k as usize]);
                     sl.live = true;
                 }
                 Instr::InitArray { slot, argv, n_ext } => {
@@ -1204,7 +1213,7 @@ impl Executor {
                         SrcKind::Reg(r) => {
                             std::mem::replace(&mut cur.regs[r as usize], Value::Real(0.0))
                         }
-                        SrcKind::Const(k) => bc.consts[k as usize].clone(),
+                        SrcKind::Const(k) => consts[k as usize].clone(),
                         SrcKind::Local(sl) => {
                             let slot = &cur.slots[sl as usize];
                             if !slot.live {
@@ -1224,7 +1233,7 @@ impl Executor {
                         sub,
                         &cur.regs,
                         &cur.slots,
-                        &bc.consts,
+                        consts,
                         &prx.local_names,
                         &prx.module,
                         lines[ip],
@@ -1267,7 +1276,7 @@ impl Executor {
                         Some(v) => ops::write_elem(v, idx, &value, &prx.module, lines[ip])?,
                         None => {
                             return Err(RuntimeError::new(
-                                format!("cannot index non-array {}", bc.names[name as usize]),
+                                format!("cannot index non-array {}", bp.names[name as usize]),
                                 &prx.module,
                                 lines[ip],
                             ))
@@ -1287,7 +1296,7 @@ impl Executor {
                         Some(vm_index(&cur.regs[sub as usize], &prx.module, lines[ip])?)
                     };
                     let value = std::mem::replace(&mut cur.regs[val as usize], Value::Real(0.0));
-                    let name = &bc.names[name as usize];
+                    let name = &bp.names[name as usize];
                     let target: &mut Value = match bind {
                         VarBind::Local(s) => {
                             let sl = &mut cur.slots[s as usize];
@@ -1316,7 +1325,7 @@ impl Executor {
                             lines[ip],
                         ));
                     };
-                    let field = &bc.names[field as usize];
+                    let field = &bp.names[field as usize];
                     let fv = fields.get_mut(&**field).ok_or_else(|| {
                         RuntimeError::new(format!("no field {field}"), &prx.module, lines[ip])
                     })?;
@@ -1428,7 +1437,7 @@ impl Executor {
                 }
                 Instr::Fail { msg } => {
                     return Err(RuntimeError::new(
-                        bc.names[msg as usize].to_string(),
+                        bp.names[msg as usize].to_string(),
                         &prx.module,
                         lines[ip],
                     ));
@@ -1450,7 +1459,7 @@ impl Executor {
     fn vm_kernel(
         &mut self,
         kern: &Kernel,
-        bc: &Bytecode,
+        names: &[Arc<str>],
         cur: &mut VmFrame,
         ri: u32,
         re: u32,
@@ -1480,7 +1489,7 @@ impl Executor {
         }
         // Arrays: live real arrays covering every subscript in [lo, hi].
         for a in &kern.arrays {
-            match karr_ref(a, &cur.slots, &self.globals, &bc.names) {
+            match karr_ref(a, &cur.slots, &self.globals, names) {
                 Some(arr) if arr.len() as u64 >= hi as u64 => {}
                 _ => return false,
             }
@@ -1546,7 +1555,7 @@ impl Executor {
                                 &kern.arrays[a as usize],
                                 &cur.slots,
                                 &self.globals,
-                                &bc.names,
+                                names,
                             )
                             .expect("validated kernel array");
                             cols[sp][..n].copy_from_slice(&src[off..off + n]);
@@ -1654,7 +1663,7 @@ impl Executor {
                     &kern.arrays[stmt.dst as usize],
                     &mut cur.slots,
                     &mut self.globals,
-                    &bc.names,
+                    names,
                 )
                 .expect("validated kernel array");
                 dst[off..off + n].copy_from_slice(&cols[0][..n]);

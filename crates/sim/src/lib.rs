@@ -85,7 +85,7 @@ pub use rca_fortran::token::Op;
 pub use rca_ident::{ModuleId, OutputId, SymbolTable, VarId};
 pub use runner::{
     compile_model, compile_variant, parse_model, perturbations, run_loaded, run_model, run_program,
-    RunOutput,
+    RunOutput, VariantBase,
 };
 pub use specialize::{specialize_for_history, specialize_for_samples, Specialized};
 pub use store::{EnsembleRuns, MemberHealth, RunCoverage};

@@ -9,7 +9,8 @@
 //!   `Arc<str>` held once in the program (kept only for diagnostics and
 //!   host lookups), while every *reference* is a `u32`: procedures are
 //!   indices into `Program::procs`, module globals are indices into the
-//!   global arena, subprogram locals are frame offsets;
+//!   global arena, subprogram locals are frame offsets, and expressions
+//!   and call sites index their own proc's pools;
 //! - **call targets are pre-resolved** — each call site carries the callee
 //!   procedure index, the lowered argument expressions, and the copy-out
 //!   plan (which dummy slots write back to which caller places);
@@ -20,6 +21,15 @@
 //! The program is `Send + Sync` and shared via `Arc`: an N-member ensemble
 //! or an N-scenario campaign compiles each distinct source variant once
 //! and fans out executors that only clone the initial global arena.
+//!
+//! Each lowered proc is self-contained: a [`CProc`] owns its expression
+//! and call-site pools, and its bytecode owns its constant and name
+//! pools. Every other index a proc holds is fixed by the program's
+//! interface (proc index, global slot, `OutputId`, module id), so procs
+//! are shared by `Arc` between programs: a source variant whose interface
+//! equals its base's reuses every unchanged proc
+//! ([`crate::compile_variant`]), and a slice-specialized program reuses
+//! every proc it keeps whole ([`crate::specialize`]).
 
 use crate::effects::Effects;
 use crate::value::Value;
@@ -28,7 +38,7 @@ use rca_ident::SymbolTable;
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
-/// Index into the expression pool ([`Program::ir_exprs`]).
+/// Index into the owning proc's expression pool ([`CProc::exprs`]).
 pub type EId = u32;
 
 /// Pre-resolved variable binding: how a name in some subprogram resolves,
@@ -343,7 +353,8 @@ pub enum CStmt {
     },
 }
 
-/// A resolved call site: callee + lowered arguments + copy-out plan.
+/// A resolved call site: callee + lowered arguments + copy-out plan. It
+/// lives in its calling proc's pool ([`CProc::sites`]).
 #[derive(Debug, Clone)]
 pub struct CallSite {
     /// Callee index into the procedure table ([`Program::ir_procs`]).
@@ -374,7 +385,12 @@ pub enum LocalTemplate {
     Error(Arc<str>, u32),
 }
 
-/// One compiled subprogram.
+/// One compiled subprogram, self-contained: its expressions and call
+/// sites live in its own pools, which [`EId`]s and site indices in its
+/// body index. The pools are `Arc`-shared, so a pruned copy of the proc
+/// (the slice-specialized programs) pays only for its new body. Programs
+/// hold procs by `Arc`: a variant or slice that keeps a proc whole shares
+/// it with its base.
 #[derive(Debug, Clone)]
 pub struct CProc {
     /// Owning module name (diagnostics context).
@@ -401,6 +417,11 @@ pub struct CProc {
     pub body: Box<[CStmt]>,
     /// Declared (non-dummy) local names, as the host API reports them.
     pub declared_locals: Box<[String]>,
+    /// Expression pool: every [`EId`] in this proc indexes it.
+    pub exprs: Arc<[CExpr]>,
+    /// Call-site pool: [`CStmt::Call`], [`CExpr::CallFn`] and
+    /// [`CallForm::Function`] carry indices into it.
+    pub sites: Arc<[CallSite]>,
 }
 
 /// The compiled model: everything a run needs, immutable and shareable.
@@ -408,16 +429,15 @@ pub struct CProc {
 /// Obtain one with [`crate::compile_model`] (or [`crate::compile_sources`]
 /// from already-parsed files) and execute it with
 /// [`crate::Executor`] / [`crate::run_program`].
+///
+/// A program is its procs plus program-wide tables. Both are `Arc`-shared:
+/// derived programs (source variants with an unchanged interface, the
+/// slice-specialized programs of [`crate::specialize`]) hold the same
+/// tables and the same `Arc<CProc>`/bytecode of every proc they do not
+/// lower again, so they cost refcount bumps, not deep clones.
 pub struct Program {
-    /// Expression arena (shared by all procedures). The big read-only
-    /// arenas are `Arc`-shared so derived programs (the slice-specialized
-    /// variants in [`crate::specialize`]) differ only in `procs` + `bc`
-    /// and cost refcount bumps, not deep clones.
-    pub(crate) exprs: Arc<Vec<CExpr>>,
-    /// All subprograms.
-    pub(crate) procs: Vec<CProc>,
-    /// Resolved call sites.
-    pub(crate) sites: Arc<Vec<CallSite>>,
+    /// All subprograms, each self-contained (see [`CProc`]).
+    pub(crate) procs: Vec<Arc<CProc>>,
     /// Initial module-global values (cloned per executor).
     pub(crate) globals: Arc<Vec<Value>>,
     /// Host lookup: module → variable → global slot (nested so `&str`
@@ -446,9 +466,9 @@ pub struct Program {
     /// table from this (append-only extension keeps these ids valid).
     pub(crate) syms: Arc<SymbolTable>,
     /// The lowered bytecode tier (one [`crate::bytecode::BProc`] per
-    /// entry of [`Program::procs`]), attached by `compile_sources` after
-    /// the tree IR is sealed. The register VM in [`crate::exec`] runs
-    /// this; the tree walkers ignore it.
+    /// entry of [`Program::procs`], shared by `Arc` like the procs). The
+    /// register VM in [`crate::exec`] runs this; the tree walkers ignore
+    /// it.
     pub(crate) bc: crate::bytecode::Bytecode,
     /// The history slice, computed on first use
     /// ([`Program::history_program`]). Never this program itself: that
@@ -470,6 +490,33 @@ impl Program {
     /// The lowered bytecode (always present after `compile_sources`).
     pub(crate) fn bytecode(&self) -> &crate::bytecode::Bytecode {
         &self.bc
+    }
+
+    /// A program of `procs` and their bytecode `bc` over this program's
+    /// tables (global arena, lookup maps, symbol and output tables),
+    /// shared by `Arc`. Sound only when every proc was lowered against
+    /// this program's interface: a delta compile's procs, or a slice's.
+    pub(crate) fn with_procs(
+        &self,
+        procs: Vec<Arc<CProc>>,
+        bc: crate::bytecode::Bytecode,
+    ) -> Program {
+        Program {
+            procs,
+            globals: Arc::clone(&self.globals),
+            globals_by_module: Arc::clone(&self.globals_by_module),
+            module_names: Arc::clone(&self.module_names),
+            entry_procs: Arc::clone(&self.entry_procs),
+            procs_by_module: Arc::clone(&self.procs_by_module),
+            module_vars: Arc::clone(&self.module_vars),
+            output_names: Arc::clone(&self.output_names),
+            global_init_deps: Arc::clone(&self.global_init_deps),
+            global_origins: Arc::clone(&self.global_origins),
+            syms: Arc::clone(&self.syms),
+            bc,
+            history: OnceLock::new(),
+            effects: OnceLock::new(),
+        }
     }
 
     /// Renders the program's bytecode as one deterministic listing — the
@@ -600,22 +647,11 @@ impl Program {
 
     // ----- read-only IR surface (the static-analysis plane) --------------
 
-    /// The expression arena. Indices ([`EId`]) in statements, places and
-    /// call sites point into this slice.
-    pub fn ir_exprs(&self) -> &[CExpr] {
-        &self.exprs
-    }
-
     /// All compiled subprograms; [`CallSite::proc`] and proc-index
-    /// accessors index this slice.
-    pub fn ir_procs(&self) -> &[CProc] {
+    /// accessors index this slice. Each proc carries its own expression
+    /// and call-site pools.
+    pub fn ir_procs(&self) -> &[Arc<CProc>] {
         &self.procs
-    }
-
-    /// All resolved call sites ([`CStmt::Call`] / [`CExpr::CallFn`] carry
-    /// indices into this slice).
-    pub fn ir_sites(&self) -> &[CallSite] {
-        &self.sites
     }
 
     /// Module-initializer dataflow `(src slot, dst slot)` pairs erased by
@@ -664,8 +700,6 @@ impl std::fmt::Debug for Program {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Program")
             .field("procs", &self.procs.len())
-            .field("exprs", &self.exprs.len())
-            .field("sites", &self.sites.len())
             .field("globals", &self.globals.len())
             .field("modules", &self.module_names.len())
             .field("outputs", &self.output_names.len())

@@ -160,32 +160,46 @@ pub fn parse_model(
 ///
 /// This is the expensive, once-per-variant step; see [`run_program`] /
 /// [`crate::EnsembleRuns::run`] for the cheap, many-times-per-variant
-/// part. Every file is parsed; [`compile_variant`] shares the unchanged
-/// files' ASTs with a base model instead.
+/// part. Every file is parsed and every proc lowered; [`compile_variant`]
+/// shares both with a base model instead.
 pub fn compile_model(model: &ModelSource) -> Result<Arc<Program>, RuntimeError> {
     compile_variant(model, None)
 }
 
-/// [`compile_model`] for a variant of an already-parsed `base` (see
-/// [`parse_model`]): only the files that differ from the base's are
-/// parsed, so a one-line mutant costs one file's parse plus the
-/// lowering. The program is the one [`compile_model`] builds, bit for
-/// bit, and a parse failure is the same `loader` error.
+/// What a variant compile shares with its base model: the model, the
+/// files [`parse_model`] returned for it and, once compiled, the program
+/// compiled from exactly those files.
+pub type VariantBase<'a> = (&'a ModelSource, &'a [Arc<SourceFile>], Option<&'a Program>);
+
+/// [`compile_model`] for a variant of an already-parsed base
+/// ([`VariantBase`]).
+///
+/// Only the files that differ from the base's are parsed. With a base
+/// program the variant is lowered against it: when the interface (module
+/// list, module `use`s, types, declarations and interfaces, subprogram
+/// signatures and declarations, the `outfld` name set) equals the base's,
+/// every proc whose subprogram is unchanged is the base's `Arc`, tree IR
+/// and bytecode alike, the program-wide tables are the base's, and only
+/// the changed procs are lowered — one proc for a one-line mutant.
+/// Otherwise every proc is lowered. The program is the one
+/// [`compile_model`] builds, bit for bit, and a parse failure is the same
+/// `loader` error.
 pub fn compile_variant(
     model: &ModelSource,
-    base: Option<(&ModelSource, &[Arc<SourceFile>])>,
+    base: Option<VariantBase<'_>>,
 ) -> Result<Arc<Program>, RuntimeError> {
     let _span = rca_obs::span("phase.compile");
     rca_obs::counter_inc!("sim.compiles", 1);
     let files = {
         let _span = rca_obs::span("compile.parse");
-        parse_model(model, base).map_err(|e| RuntimeError {
+        parse_model(model, base.map(|(m, f, _)| (m, f))).map_err(|e| RuntimeError {
             message: format!("model does not parse: {e}"),
             context: "loader".to_string(),
             line: e.line,
         })?
     };
-    Ok(Arc::new(crate::compile::compile_sources(&files)?))
+    let base = base.and_then(|(_, f, p)| Some((f, p?)));
+    Ok(Arc::new(crate::compile::compile_against(&files, base)?))
 }
 
 /// Runs the model once: `cam_init(pert)` then `steps` × `cam_run_step`.

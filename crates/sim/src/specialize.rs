@@ -19,10 +19,11 @@
 //! semantics) and drop the rest. Keep decisions read each statement's
 //! effects from the IR effect walker ([`crate::effects`]) and judge a
 //! call by its callee's summary ([`Program::effects`], built once per
-//! program and shared by every query). The pruned tree IR is re-lowered
-//! through the standard bytecode pipeline, so the specialized program
-//! runs on the unmodified [`crate::Executor`] VM tier with all of its
-//! kernels and pooling.
+//! program and shared by every query). Every proc the slice keeps whole
+//! is the parent's `Arc` (tree IR and bytecode alike); only the pruned
+//! procs are re-lowered, through the standard bytecode pipeline, so the
+//! specialized program runs on the unmodified [`crate::Executor`] VM tier
+//! with all of its kernels and pooling.
 //!
 //! # Soundness contract
 //!
@@ -222,20 +223,35 @@ fn prune(program: &Program, capture: Capture<'_>) -> Option<Pruned> {
         return None;
     }
 
-    // Materialize: prune live bodies to the statements the fixpoint
-    // kept, empty dead procs (metadata stays — sample-plan resolution
-    // and host lookups still need names and slot counts).
+    // Materialize: a proc the fixpoint kept whole (live with every
+    // statement, or dead with nothing to drop) is the parent's `Arc`;
+    // the others get their live bodies pruned to the kept statements,
+    // dead ones emptied (metadata stays — sample-plan resolution and
+    // host lookups still need names and slot counts), and new bytecode.
     let mut total = 0usize;
     let mut kept = 0usize;
     let mut procs = Vec::with_capacity(program.procs.len());
+    let mut pruned = Vec::new();
     for (i, proc) in program.procs.iter().enumerate() {
         let live = rel.live[i];
-        let mut next = 0;
-        let body = prune_block(&proc.body, &rel.kept[i], &mut next, &mut kept);
-        total += next;
-        // Metadata only — never `..proc.clone()`, which would deep-copy
-        // the body we are about to replace.
-        procs.push(CProc {
+        let n = stmt_count(&proc.body);
+        let k = rel.kept[i].iter().filter(|&&b| b).count();
+        total += n;
+        kept += k;
+        if k == n && (live || proc.inits.is_empty()) {
+            procs.push(Arc::clone(proc));
+            continue;
+        }
+        let (mut visited, mut kept_here) = (0, 0);
+        let body = prune_block(&proc.body, &rel.kept[i], &mut visited, &mut kept_here);
+        debug_assert_eq!(
+            (visited, kept_here),
+            (n, k),
+            "a kept statement's container is kept"
+        );
+        // Metadata and the shared pools only — never `..proc.clone()`,
+        // which would deep-copy the body we are about to replace.
+        procs.push(Arc::new(CProc {
             module: Arc::clone(&proc.module),
             name: Arc::clone(&proc.name),
             module_id: proc.module_id,
@@ -251,7 +267,10 @@ fn prune(program: &Program, capture: Capture<'_>) -> Option<Pruned> {
             result_slot: proc.result_slot,
             body,
             declared_locals: proc.declared_locals.clone(),
-        });
+            exprs: Arc::clone(&proc.exprs),
+            sites: Arc::clone(&proc.sites),
+        }));
+        pruned.push(i);
     }
 
     if kept == total {
@@ -262,30 +281,30 @@ fn prune(program: &Program, capture: Capture<'_>) -> Option<Pruned> {
         });
     }
 
-    let mut sp = Program {
-        exprs: program.exprs.clone(),
-        procs,
-        sites: program.sites.clone(),
-        globals: program.globals.clone(),
-        globals_by_module: program.globals_by_module.clone(),
-        module_names: program.module_names.clone(),
-        entry_procs: program.entry_procs.clone(),
-        procs_by_module: program.procs_by_module.clone(),
-        module_vars: program.module_vars.clone(),
-        output_names: Arc::clone(&program.output_names),
-        global_init_deps: program.global_init_deps.clone(),
-        global_origins: program.global_origins.clone(),
-        syms: Arc::clone(&program.syms),
-        bc: Default::default(),
-        history: Default::default(),
-        effects: Default::default(),
-    };
-    sp.bc = bytecode::lower(&sp);
+    let mut fresh = bytecode::lower_procs(pruned.iter().map(|&i| &*procs[i])).into_iter();
+    let mut bc = program.bytecode().clone();
+    for &i in &pruned {
+        bc.procs[i] = fresh.next().expect("one bytecode proc per pruned proc");
+    }
     Some(Pruned {
-        program: Some(sp),
+        program: Some(program.with_procs(procs, bc)),
         stmts_total: total,
         stmts_kept: kept,
     })
+}
+
+/// Statements in `body`, nested ones included (the preorder count the
+/// keep decisions index).
+fn stmt_count(body: &[CStmt]) -> usize {
+    body.iter()
+        .map(|s| {
+            1 + match s {
+                CStmt::If { arms, .. } => arms.iter().map(|(_, b)| stmt_count(b)).sum(),
+                CStmt::Do { body, .. } | CStmt::DoWhile { body, .. } => stmt_count(body),
+                _ => 0,
+            }
+        })
+        .sum()
 }
 
 /// Seeds `R` from the spec set, mirroring the executor's capture
@@ -458,11 +477,11 @@ impl Ctx<'_> {
         // Frame initialization always runs for a live proc; its extent
         // and initializer expressions are evaluated unconditionally, so
         // their reads must hold full-program values.
-        let p = self.p;
-        for (_, _, tpl) in &p.procs[proc as usize].inits {
-            let _ = walk_template(p, tpl, &mut |e| self.join(rel, proc, e));
+        let pr = &self.p.procs[proc as usize];
+        for (_, _, tpl) in &pr.inits {
+            let _ = walk_template(pr, tpl, &mut |e| self.join(rel, proc, e));
         }
-        self.pass_block(rel, proc, &p.procs[proc as usize].body, &mut 0);
+        self.pass_block(rel, proc, &pr.body, &mut 0);
     }
 
     /// `next` is the preorder index of the block's first statement.
@@ -534,10 +553,10 @@ impl Ctx<'_> {
             // Straight-line statements stay when any of their effects is
             // relevant, and then everything they touch joins `R`.
             _ => {
-                let p = self.p;
-                let keep = walk_stmt(p, s, &mut |e| self.relevant(rel, proc, e)).is_break();
+                let pr = &self.p.procs[proc as usize];
+                let keep = walk_stmt(pr, s, &mut |e| self.relevant(rel, proc, e)).is_break();
                 if keep {
-                    let _ = walk_stmt(p, s, &mut |e| self.join(rel, proc, e));
+                    let _ = walk_stmt(pr, s, &mut |e| self.join(rel, proc, e));
                 }
                 keep
             }
@@ -551,14 +570,17 @@ impl Ctx<'_> {
     /// Whether evaluating `e` has an effect that forces keeping its
     /// statement.
     fn expr_relevant(&self, rel: &Rel, proc: u32, e: EId) -> bool {
-        walk_expr(self.p, e, &mut |ef| self.relevant(rel, proc, ef)).is_break()
+        let pr = &self.p.procs[proc as usize];
+        walk_expr(pr, e, &mut |ef| self.relevant(rel, proc, ef)).is_break()
     }
 
     /// Joins every location an executed expression reads (full
     /// read-closure: kept code must never read a location outside `R`,
     /// or its value — and even its definedness — could diverge).
     fn join_expr(&self, rel: &mut Rel, proc: u32, e: EId) {
-        let _ = walk_expr(self.p, e, &mut |ef| self.join(rel, proc, ef));
+        let _ = walk_expr(&self.p.procs[proc as usize], e, &mut |ef| {
+            self.join(rel, proc, ef)
+        });
     }
 
     /// `Break` when one effect forces keeping its statement: a write to a
@@ -572,7 +594,7 @@ impl Ctx<'_> {
         let keep = match e {
             Effect::Write { bind, .. } => rel.hits(proc, bind),
             Effect::Call(site) => {
-                let callee = self.p.sites[site as usize].proc;
+                let callee = site.proc;
                 let s = self.fx.proc(callee);
                 s.may_raise
                     || self.reach[callee as usize]
@@ -604,8 +626,7 @@ impl Ctx<'_> {
     fn join(&self, rel: &mut Rel, proc: u32, e: Effect<'_>) -> Flow {
         match e {
             Effect::Read { bind, .. } | Effect::Write { bind, .. } => rel.add_bind(proc, bind),
-            Effect::Call(site) => {
-                let cs = &self.p.sites[site as usize];
+            Effect::Call(cs) => {
                 rel.mark_live(cs.proc);
                 if let Some(r) = self.p.procs[cs.proc as usize].result_slot {
                     rel.add_local(cs.proc, r);
