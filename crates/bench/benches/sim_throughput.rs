@@ -14,9 +14,9 @@ use rca_core::{PipelineOptions, RcaPipeline};
 use rca_metagraph::NodeKind;
 use rca_model::{Component, Experiment, ModelFile, ModelSource};
 use rca_sim::{
-    compile_model, compile_variant, parse_model, perturbations, run_loaded, run_program,
-    specialize_for_history, specialize_for_samples, EnsembleRuns, Interpreter, Program, RunConfig,
-    SampleSpec, Specialized,
+    compile_model, compile_variant, output_cone, parse_model, perturbations, run_loaded,
+    run_program, specialize_for_history, specialize_for_samples, EnsembleRuns, Interpreter,
+    Program, RunConfig, SampleSpec, Specialized,
 };
 use serde::{Json, Serialize as _};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -550,7 +550,7 @@ end module kernbench
     let (history, history_specialize_ms, history_effects_ms) =
         specialize_cold(&specialize_for_history);
     let full_fill = || EnsembleRuns::run_resilient(&program, &cfg, &store_perts, 2);
-    let history_fill = || EnsembleRuns::run_history(&program, &cfg, &store_perts, 2);
+    let history_fill = || EnsembleRuns::run_history(&program, &cfg, &store_perts, 2, None);
     let (full, fast) = (full_fill(), history_fill());
     assert!(
         !Arc::ptr_eq(fast.program(), &program),
@@ -600,6 +600,59 @@ end module kernbench
         "history fill gain {history_gain:.2}x fell below the {history_floor}x floor"
     );
 
+    // ----- cone fill: a one-output mutant's fill over the base fill -----
+    //
+    // Given the base program and its fill, `run_history` runs a delta
+    // variant's members only on the slice of its cone (the outputs whose
+    // slices keep a changed proc live) and splices those columns into the
+    // base fill. WSUBBUG's one-line patch changes one output's slice. The
+    // spliced data must equal the variant's own history fill by bits; the
+    // timed cone fill includes deciding the cone and building its slice,
+    // as every request pays them.
+    let base_files = parse_model(&model, None).expect("the model parses");
+    let base_program =
+        compile_variant(&model, Some((&model, &base_files, None))).expect("base compile");
+    let wsub = compile_variant(
+        &model.apply(Experiment::WsubBug),
+        Some((&model, &base_files, Some(&*base_program))),
+    )
+    .expect("delta compile");
+    let cone = output_cone(&wsub, &base_program).expect("the base masks describe the mutant");
+    assert_eq!(cone.len(), 1, "WSUBBUG changes one output's slice");
+    let base_fill = EnsembleRuns::run_history(&base_program, &cfg, &store_perts, 2, None);
+    let own_fill = || EnsembleRuns::run_history(&wsub, &cfg, &store_perts, 2, None);
+    let cone_fill = || {
+        let base = Some((&*base_program, &base_fill));
+        EnsembleRuns::run_history(&wsub, &cfg, &store_perts, 2, base)
+    };
+    let (own, spliced) = (own_fill(), cone_fill());
+    assert!(
+        !Arc::ptr_eq(spliced.program(), own.program())
+            && !Arc::ptr_eq(spliced.program(), base_fill.program()),
+        "the cone fill fell back"
+    );
+    if let Some(diff) = own.data_mismatch(&spliced) {
+        panic!("cone fill diverged from the history fill: {diff}");
+    }
+    let own_mps = store_members as f64 / fill_s(&own_fill);
+    let cone_mps = store_members as f64 / fill_s(&cone_fill);
+    let cone_gain = cone_mps / own_mps;
+    let (own_instr, cone_instr) = (retired(own.program()), retired(spliced.program()));
+    println!(
+        "cone fill ({store_members} members, WSUBBUG, cone of {} of {outputs} outputs): \
+         history slice {own_mps:.1} members/sec, cone slice {cone_mps:.1} members/sec \
+         ({cone_gain:.2}x), {own_instr} -> {cone_instr} VM instructions/member",
+        cone.len()
+    );
+    // Perf floor, CI-enforced: the cone fill may never be slower; at
+    // paper scale, where one output's slice is a sliver of the history
+    // slice, it must at least double the fill rate.
+    let cone_floor = if scale == "paper" { 2.0 } else { 1.0 };
+    assert!(
+        cone_gain >= cone_floor,
+        "cone fill gain {cone_gain:.2}x fell below the {cone_floor}x floor"
+    );
+
     // ----- variant compile: full, shared parse, delta -------------------
     //
     // A one-line mutant (GOFFGRATCH's patched constant), compiled the way
@@ -609,9 +662,6 @@ end module kernbench
     // does, against the base parse and program (only the patched proc
     // lowered, every other proc shared). All three must emit the same
     // bytecode.
-    let base_files = parse_model(&model, None).expect("the model parses");
-    let base_program =
-        compile_variant(&model, Some((&model, &base_files, None))).expect("base compile");
     let mutant = model.apply(Experiment::GoffGratch);
     let shared_base = Some((&model, base_files.as_slice(), None));
     let delta_base = Some((&model, base_files.as_slice(), Some(&*base_program)));
@@ -818,6 +868,20 @@ end module kernbench
                 ("stmts_kept", history.stmts_kept.to_json()),
                 ("specialize_ms_once", history_specialize_ms.to_json()),
                 ("effects_ms_once", history_effects_ms.to_json()),
+            ]),
+        ),
+        (
+            "cone_fill",
+            Json::obj([
+                ("mutant", "WSUBBUG one-line patch".to_json()),
+                ("members", store_members.to_json()),
+                ("cone_outputs", cone.len().to_json()),
+                ("outputs", outputs.to_json()),
+                ("history_members_per_sec", own_mps.to_json()),
+                ("cone_members_per_sec", cone_mps.to_json()),
+                ("members_per_sec_gain", cone_gain.to_json()),
+                ("history_vm_instructions_per_member", own_instr.to_json()),
+                ("cone_vm_instructions_per_member", cone_instr.to_json()),
             ]),
         ),
         (

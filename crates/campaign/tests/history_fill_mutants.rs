@@ -1,31 +1,89 @@
-//! History-slice fills against full fills over seeded campaign mutants.
+//! History-slice and cone fills against full fills over seeded campaign
+//! variants.
 //!
 //! The sim crate fences [`EnsembleRuns::run_history`] on the paper's
 //! experiments; this sweep fences it on the adversarial family — every
-//! non-clean scenario of the fixed-seed campaign plan (source mutants,
-//! PRNG and FMA config mutants, and the paper experiments), whose
-//! injected statements land anywhere in the model, including in
-//! statements the history slice drops. Each scenario's experimental fill
-//! — the statistics layer's members, perturbations and run configuration
-//! — must equal the full-program fill by bits: member health, written
-//! lengths, the output table and every step plane.
+//! scenario of the fixed-seed campaign plan (cleans, source mutants, PRNG
+//! and FMA config mutants, and the paper experiments), whose injected
+//! statements land anywhere in the model, including in statements the
+//! history slice drops. The programs are the session's own
+//! ([`RcaSession::program_for`]: source mutants compiled as deltas of the
+//! base program), and each scenario's experimental fill — the statistics
+//! layer's members, perturbations and run configuration — must equal the
+//! full-program fill by bits (member health, written lengths, the output
+//! table and every step plane) on both paths the statistics stage takes:
+//! the history slice, and the cone spliced onto the base program's fill.
+//! Every output outside a variant's cone must read the base fill's bits in
+//! the variant's own full fill, and each path of the cone fill is hit.
 
-use rca_campaign::{plan_campaign, CampaignOptions, ScenarioClass};
+use rca_campaign::{plan_campaign, CampaignOptions};
 use rca_core::experiments::IC_MAGNITUDE;
 use rca_core::{ExperimentSetup, RcaSession};
-use rca_model::{generate, ModelConfig};
-use rca_sim::{compile_model, perturbations, EnsembleRuns};
+use rca_model::{generate, Experiment, ModelConfig};
+use rca_sim::{
+    compile_model, output_cone, perturbations, EnsembleRuns, Fault, FaultKind, FaultPlan,
+    MemberHealth, Program, RunConfig,
+};
 use std::sync::Arc;
 
+/// The path a fill given a base took.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Path {
+    /// The members ran the cone slice.
+    Cone,
+    /// The base fill came back whole.
+    BaseReuse,
+    /// The history path: the variant's history slice or full program.
+    Fallback,
+}
+
+/// The path of `fill`, a fill of `program` given a base fill whose
+/// program is the full base program (so a reused base fill is told apart
+/// from the base program's own history fill).
+fn path_of(fill: &EnsembleRuns, program: &Arc<Program>, base_fill: &EnsembleRuns) -> Path {
+    let ran = fill.program();
+    if Arc::ptr_eq(ran, base_fill.program()) {
+        Path::BaseReuse
+    } else if Arc::ptr_eq(ran, program)
+        || program
+            .history_program()
+            .is_some_and(|h| Arc::ptr_eq(ran, h))
+    {
+        Path::Fallback
+    } else {
+        Path::Cone
+    }
+}
+
+/// Whether output `o` reads the same bits in every member of `a` and `b`.
+fn same_column(a: &EnsembleRuns, b: &EnsembleRuns, o: usize) -> bool {
+    (0..a.members()).all(|m| {
+        a.written_of(m)[o] == b.written_of(m)[o]
+            && (0..a.steps())
+                .all(|s| a.step_plane(m, s)[o].to_bits() == b.step_plane(m, s)[o].to_bits())
+    })
+}
+
+/// How often each path was taken.
+#[derive(Debug, Default)]
+struct Paths {
+    compared: usize,
+    cone: usize,
+    base_reuse: usize,
+    fallback: usize,
+}
+
 /// Sweeps the seed-51966 plan of `scenarios` entries plus the paper
-/// experiments and returns how many scenarios were compared.
-fn sweep(config: &ModelConfig, setup: ExperimentSetup, scenarios: usize) -> usize {
+/// experiments.
+fn sweep(config: &ModelConfig, setup: ExperimentSetup, scenarios: usize) -> Paths {
     let model = Arc::new(generate(config));
     let session = RcaSession::builder(&model)
         .setup(setup)
         .build()
         .expect("session");
     let setup = session.setup();
+    let retries = setup.retry.max_retries;
+    let base = session.program_for(&model).expect("base program");
     let plan = plan_campaign(
         &model,
         &session,
@@ -38,36 +96,90 @@ fn sweep(config: &ModelConfig, setup: ExperimentSetup, scenarios: usize) -> usiz
     );
     // The experimental side of `RcaSession::statistics_scenario`.
     let perts = perturbations(setup.n_experiment, IC_MAGNITUDE, setup.seed ^ 0xDEAD);
-    let mut compared = 0;
-    for cs in plan.iter().filter(|cs| cs.class != ScenarioClass::Clean) {
+    // Full fills by program and configuration: the base program's double
+    // as the base fills (equal to its history fill by bits, and told
+    // apart from it by program).
+    let mut fulls: Vec<(Arc<Program>, RunConfig, Arc<EnsembleRuns>)> = Vec::new();
+    let mut full_fill = |program: &Arc<Program>, cfg: &RunConfig| {
+        let hit = fulls
+            .iter()
+            .find(|(p, c, _)| Arc::ptr_eq(p, program) && c == cfg);
+        if let Some((_, _, fill)) = hit {
+            return Arc::clone(fill);
+        }
+        let fill = Arc::new(EnsembleRuns::run_resilient(program, cfg, &perts, retries));
+        fulls.push((Arc::clone(program), cfg.clone(), Arc::clone(&fill)));
+        fill
+    };
+    let mut paths = Paths::default();
+    for cs in &plan {
         let label = format!("{} ({})", cs.scenario.name, cs.detail);
-        let program = compile_model(&cs.scenario.model).expect("planned mutants compile");
+        let program = session
+            .program_for(&cs.scenario.model)
+            .expect("planned mutants compile");
         let cfg = &cs.scenario.config;
-        let full = EnsembleRuns::run_resilient(&program, cfg, &perts, setup.retry.max_retries);
-        let fast = EnsembleRuns::run_history(&program, cfg, &perts, setup.retry.max_retries);
-        if let Some(diff) = full.data_mismatch(&fast) {
+        let full = full_fill(&program, cfg);
+        let history = EnsembleRuns::run_history(&program, cfg, &perts, retries, None);
+        if let Some(diff) = full.data_mismatch(&history) {
             panic!("{label}: history fill differs from the full fill: {diff}");
         }
         // Non-vacuous: only a failing member sends the fill back to the
         // full program.
         assert_eq!(
-            Arc::ptr_eq(fast.program(), &program),
+            Arc::ptr_eq(history.program(), &program),
             full.first_failure().is_some(),
             "{label}: wrong fill path"
         );
-        compared += 1;
+        paths.compared += 1;
+        if !cfg.is_plain() {
+            continue;
+        }
+        let base_fill = full_fill(&base, cfg);
+        let spliced =
+            EnsembleRuns::run_history(&program, cfg, &perts, retries, Some((&base, &base_fill)));
+        if let Some(diff) = full.data_mismatch(&spliced) {
+            panic!("{label}: cone fill differs from the full fill: {diff}");
+        }
+        let path = path_of(&spliced, &program, &base_fill);
+        let cone = output_cone(&program, &base);
+        let expected = match &cone {
+            None => Path::Fallback,
+            Some(c) if c.is_empty() => Path::BaseReuse,
+            Some(c) if c.len() == base.output_count() => Path::Fallback,
+            // Only a failing cone member sends a partial cone back.
+            Some(_) if full.first_failure().is_some() => Path::Fallback,
+            Some(_) => Path::Cone,
+        };
+        assert_eq!(path, expected, "{label}: cone {cone:?}");
+        match path {
+            Path::Cone => paths.cone += 1,
+            Path::BaseReuse => paths.base_reuse += 1,
+            Path::Fallback => paths.fallback += 1,
+        }
+        // The cone covers every output the variant changes.
+        if let (Some(cone), None) = (&cone, full.first_failure()) {
+            for o in (0..base.output_count()).filter(|o| !cone.contains(&(*o as u32))) {
+                assert!(
+                    same_column(&full, &base_fill, o),
+                    "{label}: output {} outside the cone {cone:?} differs from the base fill",
+                    base.output_names()[o]
+                );
+            }
+        }
     }
-    compared
+    assert!(
+        paths.cone > 0 && paths.base_reuse > 0,
+        "the plan must fill cones and reuse the base fill: {paths:?}"
+    );
+    paths
 }
 
 #[test]
 fn history_fills_match_full_fills_over_the_seeded_plan() {
-    // 200 planned entries: 40 cleans, 160 mutants, plus 7 paper
+    // 200 planned entries (40 cleans, 160 mutants) plus the 7 paper
     // experiments.
-    assert_eq!(
-        sweep(&ModelConfig::test(), ExperimentSetup::quick(), 200),
-        167
-    );
+    let paths = sweep(&ModelConfig::test(), ExperimentSetup::quick(), 200);
+    assert_eq!(paths.compared, 207, "{paths:?}");
 }
 
 /// Paper scale (run in CI in release:
@@ -75,8 +187,119 @@ fn history_fills_match_full_fills_over_the_seeded_plan() {
 #[test]
 #[ignore = "paper scale: about half a minute in release"]
 fn history_fills_match_full_fills_over_the_seeded_plan_at_paper_scale() {
+    let paths = sweep(&ModelConfig::paper(), ExperimentSetup::default(), 30);
+    assert_eq!(paths.compared, 37, "{paths:?}");
+}
+
+/// Each way the base path of a cone fill gives up takes the history path
+/// and still equals the full fill: a configuration that is not plain, a
+/// variant compiled without the base's tables, a base fill with a member
+/// that is not healthy, a cone of every output, and a cone member that
+/// fails.
+#[test]
+fn cone_fills_fall_back_to_the_history_path() {
+    let model = Arc::new(generate(&ModelConfig::test()));
+    let session = RcaSession::builder(&model)
+        .setup(ExperimentSetup::quick())
+        .build()
+        .expect("session");
+    let setup = session.setup();
+    let retries = setup.retry.max_retries;
+    let base = session.program_for(&model).expect("base program");
+    let perts = perturbations(setup.n_experiment, IC_MAGNITUDE, setup.seed ^ 0xDEAD);
+    let cfg = session.control_config();
+    let base_fill = EnsembleRuns::run_resilient(&base, &cfg, &perts, retries);
+    let fall_back = |label: &str, program: &Arc<Program>, cfg: &RunConfig, base_fill| {
+        let full = EnsembleRuns::run_resilient(program, cfg, &perts, retries);
+        let fill =
+            EnsembleRuns::run_history(program, cfg, &perts, retries, Some((&base, base_fill)));
+        if let Some(diff) = full.data_mismatch(&fill) {
+            panic!("{label}: fill differs from the full fill: {diff}");
+        }
+        assert_eq!(
+            path_of(&fill, program, base_fill),
+            Path::Fallback,
+            "{label}"
+        );
+        full
+    };
+    let partial = |program: &Program| {
+        output_cone(program, &base).is_some_and(|c| !c.is_empty() && c.len() < base.output_count())
+    };
+
+    let wsub = session
+        .program_for(&model.apply(Experiment::WsubBug))
+        .expect("compiles");
+    assert!(partial(&wsub), "WSUBBUG's cone is partial");
+    let fuel = RunConfig {
+        fuel: Some(u64::MAX),
+        ..cfg.clone()
+    };
+    fall_back("fuel budget", &wsub, &fuel, &base_fill);
+    let own_tables = compile_model(&model.apply(Experiment::WsubBug)).expect("compiles");
+    assert!(output_cone(&own_tables, &base).is_none());
+    fall_back("own tables", &own_tables, &cfg, &base_fill);
+    let retried = RunConfig {
+        faults: FaultPlan {
+            faults: vec![Fault {
+                member: 0,
+                step: 1,
+                output: 0,
+                kind: FaultKind::Abort,
+                persistent: false,
+            }],
+        },
+        ..cfg.clone()
+    };
+    let sick = EnsembleRuns::run_resilient(&base, &retried, &perts, retries);
+    assert_ne!(sick.health()[0], MemberHealth::Healthy);
+    fall_back("recovered base member", &wsub, &cfg, &sick);
+
+    // `cam_init` is live for every output, so a constant changed in it
+    // puts every output in the cone.
+    let driver = &model
+        .files
+        .iter()
+        .find(|f| f.name == "cam_driver.F90")
+        .expect("driver");
+    let (line, text) = driver
+        .source
+        .lines()
+        .enumerate()
+        .find(|(_, l)| l.contains("state%omega(i) = 0.01_r8"))
+        .expect("cam_init sets omega");
+    let everything = session
+        .program_for(&model.with_patched_line(
+            &driver.name,
+            line,
+            &text.replace("0.01_r8", "0.02_r8"),
+        ))
+        .expect("compiles");
     assert_eq!(
-        sweep(&ModelConfig::paper(), ExperimentSetup::default(), 30),
-        31
+        output_cone(&everything, &base).map(|c| c.len()),
+        Some(base.output_count())
     );
+    fall_back("every output", &everything, &cfg, &base_fill);
+
+    // A loop one element past its arrays, in a proc some outputs but not
+    // all need: the effects are unchanged, so the cone stands, and its
+    // members fail.
+    let failing = model
+        .files
+        .iter()
+        .flat_map(|f| {
+            let lines = f.source.lines().enumerate();
+            lines
+                .filter(|(_, l)| l.trim() == "do i = 1, ncol")
+                .map(move |(i, l)| (f, i, l.replace("ncol", "ncol + 1")))
+        })
+        .map(|(f, i, l)| {
+            session
+                .program_for(&model.with_patched_line(&f.name, i, &l))
+                .expect("compiles")
+        })
+        .find(|p| partial(p))
+        .expect("a loop in a proc with a partial cone");
+    let full = fall_back("failing cone member", &failing, &cfg, &base_fill);
+    assert!(full.first_failure().is_some(), "the mutant fails");
 }

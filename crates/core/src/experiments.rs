@@ -5,7 +5,7 @@ use crate::error::RcaError;
 use rca_model::Experiment;
 use rca_sim::{perturbations, Avx2Policy, EnsembleRuns, PrngKind, Program, RunConfig};
 use rca_stats::{fit_lasso_path, median_distance_selection, Ect, EctConfig, Matrix, Verdict};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Initial-condition perturbation magnitude of every ensemble and
 /// experimental member (CESM: O(10⁻¹⁴)).
@@ -249,6 +249,7 @@ pub(crate) fn collect_ensemble(
             &control_config(setup),
             &perts,
             setup.retry.max_retries,
+            None,
         )
     };
     let health = EnsembleHealth::of(&store);
@@ -283,6 +284,51 @@ pub(crate) fn collect_ensemble(
     })
 }
 
+/// The base program's experimental fills, one per plain run
+/// configuration ([`RunConfig::is_plain`]): the fills
+/// [`evaluate_against_ensemble`] splices a variant's cone into
+/// ([`EnsembleRuns::run_history`]). Each is filled on first use and kept
+/// for the session's lifetime.
+#[derive(Debug, Default)]
+pub(crate) struct BaseFills(Mutex<Vec<(RunConfig, Arc<EnsembleRuns>)>>);
+
+impl BaseFills {
+    /// The fill of `base` under `config` over `perts`.
+    fn get(
+        &self,
+        base: &Arc<Program>,
+        config: &RunConfig,
+        perts: &[f64],
+        setup: &ExperimentSetup,
+    ) -> Arc<EnsembleRuns> {
+        let cached = |fills: &[(RunConfig, Arc<EnsembleRuns>)]| {
+            fills
+                .iter()
+                .find(|(c, _)| c == config)
+                .map(|(_, fill)| Arc::clone(fill))
+        };
+        if let Some(fill) = cached(&self.0.lock().expect("base fill lock")) {
+            return fill;
+        }
+        // Fill outside the lock, like a compile: parallel scenarios never
+        // wait on each other's fills.
+        let max_retries = setup.retry.max_retries;
+        let fill = Arc::new(EnsembleRuns::run_history(
+            base,
+            config,
+            perts,
+            max_retries,
+            None,
+        ));
+        let mut fills = self.0.lock().expect("base fill lock");
+        if let Some(fill) = cached(&fills) {
+            return fill;
+        }
+        fills.push((config.clone(), Arc::clone(&fill)));
+        fill
+    }
+}
+
 /// Statistical results for one experiment campaign.
 #[derive(Debug, Clone)]
 pub struct ExperimentData {
@@ -313,17 +359,31 @@ pub struct ExperimentData {
 ///
 /// This is the engine behind [`crate::RcaSession::statistics_scenario`]
 /// and [`crate::RcaSession::diagnose_scenario`]: the same cached ensemble
-/// serves every paper experiment and every injected-fault scenario.
+/// serves every paper experiment and every injected-fault scenario. Given
+/// the base program and its fills, a plain configuration fills only the
+/// variant's cone over the base's fill under that configuration (built
+/// here on first use), with the same bits as a fill of its own.
 pub(crate) fn evaluate_against_ensemble(
     ens: &EnsembleStats,
     exp_program: &Arc<Program>,
     exp_cfg: &RunConfig,
     setup: &ExperimentSetup,
+    base: Option<(&Arc<Program>, &BaseFills)>,
 ) -> Result<ExperimentData, RcaError> {
     let exp_perts = perturbations(setup.n_experiment, IC_MAGNITUDE, setup.seed ^ 0xDEAD);
     let exp_store = {
         let _span = rca_obs::span("statistics.experiment_fill");
-        EnsembleRuns::run_history(exp_program, exp_cfg, &exp_perts, setup.retry.max_retries)
+        let fill = |base| {
+            let retries = setup.retry.max_retries;
+            EnsembleRuns::run_history(exp_program, exp_cfg, &exp_perts, retries, base)
+        };
+        match base.filter(|_| exp_cfg.is_plain()) {
+            Some((program, fills)) => {
+                let base_fill = fills.get(program, exp_cfg, &exp_perts, setup);
+                fill(Some((program, &base_fill)))
+            }
+            None => fill(None),
+        }
     };
     let exp_health = EnsembleHealth::of(&exp_store);
     let quorum = setup.retry.experiment_quorum(setup.n_experiment);
@@ -464,7 +524,7 @@ fn collect_statistics(
     let ens = collect_ensemble(&base_program, setup)?;
     let scenario = crate::Scenario::paper(&base_model, setup, experiment);
     let exp_program = rca_sim::compile_model(&scenario.model)?;
-    evaluate_against_ensemble(&ens, &exp_program, &scenario.config, setup)
+    evaluate_against_ensemble(&ens, &exp_program, &scenario.config, setup, None)
 }
 
 impl ExperimentData {

@@ -45,7 +45,7 @@
 
 use crate::error::RcaError;
 use crate::experiments::{
-    collect_ensemble, evaluate_against_ensemble, experiment_configs, DegradedEnsemble,
+    collect_ensemble, evaluate_against_ensemble, experiment_configs, BaseFills, DegradedEnsemble,
     EnsembleStats, ExperimentData, ExperimentSetup,
 };
 use crate::oracle::{Oracle, ReachabilityOracle, RuntimeSampler};
@@ -253,6 +253,7 @@ impl<'m> RcaSessionBuilder<'m> {
             ensemble: OnceLock::new(),
             analysis: OnceLock::new(),
             programs: Mutex::new(programs),
+            base_fills: BaseFills::default(),
         })
     }
 }
@@ -292,6 +293,10 @@ pub struct RcaSession<'m> {
     /// model plus every experimental/scenario variant this session has
     /// diagnosed. Thread-safe: parallel campaign workers share it.
     programs: Mutex<HashMap<u64, Arc<Program>>>,
+    /// The base program's experimental fill per plain run configuration,
+    /// filled by the first scenario that needs it: a variant's statistics
+    /// fill runs only its cone and takes every other output from here.
+    base_fills: BaseFills,
 }
 
 impl<'m> RcaSession<'m> {
@@ -486,6 +491,15 @@ impl<'m> RcaSession<'m> {
     /// runs, UF-ECT verdict, affected-output selection. The cached control
     /// ensemble is shared with every other statistics call on this
     /// session.
+    ///
+    /// Under a plain run configuration ([`RunConfig::is_plain`]) the
+    /// experimental fill is a cone fill against the base model
+    /// ([`rca_sim::EnsembleRuns::run_history`] with a base): the session
+    /// fills the base program once per configuration, and a variant's
+    /// members run only the slice of the outputs its changed procs can
+    /// reach (none for the base model itself or a configuration-only
+    /// variant), every other output's columns coming from the base fill.
+    /// The data equal a fill of the variant's own by bits.
     pub fn statistics_scenario(&self, scenario: &Scenario) -> Result<Statistics<'_, 'm>, RcaError> {
         // The ensemble is a session-level cost: pay it before the
         // per-scenario statistics phase starts.
@@ -493,7 +507,13 @@ impl<'m> RcaSession<'m> {
         let data = {
             let _span = rca_obs::span("phase.statistics");
             let exp_program = self.program_for(&scenario.model)?;
-            evaluate_against_ensemble(ens, &exp_program, &scenario.config, &self.setup)?
+            evaluate_against_ensemble(
+                ens,
+                &exp_program,
+                &scenario.config,
+                &self.setup,
+                Some((&self.base_program, &self.base_fills)),
+            )?
         };
         if data.output_names.is_empty() {
             return Err(RcaError::Stats(

@@ -50,7 +50,7 @@ use rca_fortran::token::Op;
 use rca_ident::{OutputId, SymbolTable};
 use std::borrow::Borrow;
 use std::collections::{HashMap, HashSet};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Compiles parsed sources into an executable [`Program`]. Takes owned
 /// ASTs or the shared `Arc<SourceFile>`s of [`crate::parse_model`] alike.
@@ -770,6 +770,7 @@ impl<'a> Compiler<'a> {
             declared_locals: frame.declared_locals.into_boxed_slice(),
             exprs: std::mem::take(&mut self.exprs).into(),
             sites: std::mem::take(&mut self.sites).into(),
+            empty: OnceLock::new(),
         }
     }
 
@@ -1297,6 +1298,7 @@ impl<'a> Compiler<'a> {
             bc,
             history: Default::default(),
             effects: Default::default(),
+            masks: Default::default(),
         }
     }
 }

@@ -343,6 +343,24 @@ impl BitSet {
         self.words.iter().zip(&other.words).any(|(a, b)| a & b != 0)
     }
 
+    /// Indices of the bits set in both `self` and `other`, ascending.
+    pub fn ones_in<'a>(&'a self, other: &'a BitSet) -> impl Iterator<Item = usize> + 'a {
+        self.words
+            .iter()
+            .zip(&other.words)
+            .enumerate()
+            .flat_map(|(wi, (&a, &b))| {
+                let mut w = a & b;
+                std::iter::from_fn(move || {
+                    (w != 0).then(|| {
+                        let bit = w.trailing_zeros() as usize;
+                        w &= w - 1;
+                        wi * 64 + bit
+                    })
+                })
+            })
+    }
+
     /// Indices of set bits, ascending.
     pub fn iter_ones(&self) -> impl Iterator<Item = usize> + '_ {
         self.words.iter().enumerate().flat_map(|(wi, &w)| {

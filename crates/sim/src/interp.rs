@@ -62,7 +62,7 @@ impl fmt::Display for RuntimeError {
 impl std::error::Error for RuntimeError {}
 
 /// Per-module AVX2/FMA enablement (Table 1's selective disablement).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Avx2Policy {
     /// FMA nowhere (the paper's ensemble baseline).
     Disabled,
@@ -116,7 +116,7 @@ impl SampleSpec {
 }
 
 /// Run configuration.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RunConfig {
     /// Number of time steps (UF-CAM-ECT evaluates at step nine).
     pub steps: u32,
@@ -169,6 +169,14 @@ impl RunConfig {
         let mut c = self.clone();
         c.faults = crate::fault::FaultPlan::default();
         c
+    }
+
+    /// Whether a run under this configuration injects no faults, carries
+    /// no fuel budget and captures no samples, so that its history is all
+    /// it yields: the statistics fills may then run a slice of the
+    /// program ([`crate::EnsembleRuns::run_history`]).
+    pub fn is_plain(&self) -> bool {
+        self.faults.is_empty() && self.fuel.is_none() && self.samples.is_empty()
     }
 }
 

@@ -87,6 +87,6 @@ pub use runner::{
     compile_model, compile_variant, parse_model, perturbations, run_loaded, run_model, run_program,
     RunOutput, VariantBase,
 };
-pub use specialize::{specialize_for_history, specialize_for_samples, Specialized};
-pub use store::{EnsembleRuns, MemberHealth, RunCoverage};
+pub use specialize::{output_cone, specialize_for_history, specialize_for_samples, Specialized};
+pub use store::{EnsembleRuns, FillBase, MemberHealth, RunCoverage};
 pub use value::Value;

@@ -48,7 +48,7 @@ pub type EId = u32;
 /// after their first write; `do`-variables only after the loop header
 /// runs; declared locals only after frame initialization reaches them).
 /// The binding says what an access falls back to in that window.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum VarBind {
     /// Frame slot; when unset, the name is undefined (reads error,
     /// writes create the implicit local).
@@ -390,7 +390,8 @@ pub enum LocalTemplate {
 /// body index. The pools are `Arc`-shared, so a pruned copy of the proc
 /// (the slice-specialized programs) pays only for its new body. Programs
 /// hold procs by `Arc`: a variant or slice that keeps a proc whole shares
-/// it with its base.
+/// it with its base, and so does every slice that keeps none of it (the
+/// proc's emptied copy is built once and cached on the proc).
 #[derive(Debug, Clone)]
 pub struct CProc {
     /// Owning module name (diagnostics context).
@@ -422,6 +423,40 @@ pub struct CProc {
     /// Call-site pool: [`CStmt::Call`], [`CExpr::CallFn`] and
     /// [`CallForm::Function`] carry indices into it.
     pub sites: Arc<[CallSite]>,
+    /// This proc without body or frame initialization, with its bytecode:
+    /// what a slice that keeps none of the proc runs. Built on first use
+    /// ([`crate::specialize`]) and shared by every slice of every program
+    /// holding this proc.
+    pub(crate) empty: OnceLock<(Arc<CProc>, Arc<crate::bytecode::BProc>)>,
+}
+
+impl CProc {
+    /// A copy of this proc's metadata and pools with a new body and frame
+    /// initialization (a slice's pruned copy).
+    pub(crate) fn with_body(
+        &self,
+        inits: Box<[(u32, u32, LocalTemplate)]>,
+        body: Box<[CStmt]>,
+    ) -> CProc {
+        // Field by field — never `..self.clone()`, which would deep-copy
+        // the body being replaced.
+        CProc {
+            module: Arc::clone(&self.module),
+            name: Arc::clone(&self.name),
+            module_id: self.module_id,
+            arg_slots: self.arg_slots.clone(),
+            arg_flows: self.arg_flows.clone(),
+            n_locals: self.n_locals,
+            local_names: self.local_names.clone(),
+            inits,
+            result_slot: self.result_slot,
+            body,
+            declared_locals: self.declared_locals.clone(),
+            exprs: Arc::clone(&self.exprs),
+            sites: Arc::clone(&self.sites),
+            empty: OnceLock::new(),
+        }
+    }
 }
 
 /// The compiled model: everything a run needs, immutable and shareable.
@@ -476,6 +511,9 @@ pub struct Program {
     pub(crate) history: OnceLock<Option<Arc<Program>>>,
     /// The effect summary, computed on first use ([`Program::effects`]).
     pub(crate) effects: OnceLock<Effects>,
+    /// The per-output relevance masks, computed on first use
+    /// ([`Program::output_masks`]).
+    pub(crate) masks: OnceLock<Option<crate::specialize::Masks>>,
 }
 
 impl Program {
@@ -516,7 +554,24 @@ impl Program {
             bc,
             history: OnceLock::new(),
             effects: OnceLock::new(),
+            masks: OnceLock::new(),
         }
+    }
+
+    /// Whether `other` holds this program's tables (global arena, lookup
+    /// maps, symbol and output tables) by `Arc`: a delta variant of it,
+    /// a slice of it, or the program itself.
+    pub(crate) fn shares_tables(&self, other: &Program) -> bool {
+        Arc::ptr_eq(&self.globals, &other.globals)
+            && Arc::ptr_eq(&self.globals_by_module, &other.globals_by_module)
+            && Arc::ptr_eq(&self.module_names, &other.module_names)
+            && Arc::ptr_eq(&self.entry_procs, &other.entry_procs)
+            && Arc::ptr_eq(&self.procs_by_module, &other.procs_by_module)
+            && Arc::ptr_eq(&self.module_vars, &other.module_vars)
+            && Arc::ptr_eq(&self.output_names, &other.output_names)
+            && Arc::ptr_eq(&self.global_init_deps, &other.global_init_deps)
+            && Arc::ptr_eq(&self.global_origins, &other.global_origins)
+            && Arc::ptr_eq(&self.syms, &other.syms)
     }
 
     /// Renders the program's bytecode as one deterministic listing — the
@@ -539,8 +594,9 @@ impl Program {
     }
 
     /// This program pruned to the statements that can reach a history
-    /// write ([`crate::specialize::specialize_for_history`]), built once
-    /// under a `compile.history` span on first use and kept for the
+    /// write ([`crate::specialize::specialize_for_history`]: every
+    /// statement some output's mask keeps, see [`crate::specialize`]), built
+    /// once under a `compile.history` span on first use and kept for the
     /// program's lifetime. `None` when the specializer cannot separate
     /// the program or prunes nothing. A zero-fault, unbudgeted run of it
     /// writes this program's history bits whenever this program's run
@@ -552,6 +608,17 @@ impl Program {
                 let _span = rca_obs::span("compile.history");
                 crate::specialize::history_slice(self)
             })
+            .as_ref()
+    }
+
+    /// Which outputs' history each proc and statement can reach
+    /// ([`crate::specialize`]'s one relevance fixpoint), computed on
+    /// first use — by the history slice, or by the first variant filled
+    /// as a cone of this program — and kept for the program's lifetime.
+    /// `None` when the program is unseparable.
+    pub(crate) fn output_masks(&self) -> Option<&crate::specialize::Masks> {
+        self.masks
+            .get_or_init(|| crate::specialize::history_masks(self))
             .as_ref()
     }
 

@@ -170,6 +170,7 @@ impl std::fmt::Debug for RunCoverage {
 ///   semantics exactly;
 /// - `covered[member * procs + p]` is the coverage bitmap;
 /// - `samples[member]` is positional over `config.samples`.
+#[derive(Clone)]
 pub struct EnsembleRuns {
     program: Arc<Program>,
     members: usize,
@@ -263,6 +264,12 @@ fn count_fill(members: usize) {
     rca_obs::counter_inc!("ensemble.members", members as u64);
 }
 
+/// What a statistics fill shares with its base ([`EnsembleRuns::run_history`]):
+/// the base program, of which the filled program is a delta variant, and
+/// the base program's own fill under the same run configuration and
+/// perturbations.
+pub type FillBase<'a> = (&'a Program, &'a EnsembleRuns);
+
 impl EnsembleRuns {
     /// Runs one ensemble member per perturbation in parallel, writing
     /// every run into the store in place. Each rayon worker leases one
@@ -304,27 +311,56 @@ impl EnsembleRuns {
 
     /// The statistics-side fill: [`EnsembleRuns::run_resilient`] with the
     /// members run on `program`'s history slice
-    /// ([`Program::history_program`]) whenever that is safe.
+    /// ([`Program::history_program`]) whenever that is safe — and, given
+    /// a [`FillBase`], only on the slice of `program`'s cone.
     ///
     /// Member health, written lengths, the output table and every step
     /// plane equal `run_resilient(program, ..)`'s by bits, up to the
     /// specializer's residual: a runtime error the full program raises
     /// only in statements that cannot reach a history write
-    /// ([`crate::specialize`]). Coverage bits and
-    /// [`EnsembleRuns::program`] are the slice's, so callers that read
+    /// ([`crate::specialize`]). Coverage bits, samples and
+    /// [`EnsembleRuns::program`] are a slice's, so callers that read
     /// coverage use `run_resilient`. The full program stays the only path
-    /// for a non-empty fault plan, a fuel budget or sample captures, and
-    /// whenever any slice member fails: the slice runs with zero retries
-    /// and no retry or quarantine telemetry, and one failure discards it
-    /// (counted as `ensemble.history_fallback`) for a full refill that
-    /// owns every retry, quarantine and message.
+    /// for a configuration that is not plain ([`RunConfig::is_plain`]: a
+    /// fault plan, a fuel budget or sample captures), and whenever any
+    /// slice member fails: the slice runs with zero retries and no retry
+    /// or quarantine telemetry, and one failure discards it (counted as
+    /// `ensemble.history_fallback`) for a full refill that owns every
+    /// retry, quarantine and message.
+    ///
+    /// With a base, the cone ([`crate::specialize::output_cone`]: the
+    /// outputs whose slices keep a proc of `program` that is not the base
+    /// program's live) decides the fill. Every output outside it is
+    /// computed by procs `program` shares with the base, so its series is
+    /// the base fill's. An empty cone — no changed proc, or none any
+    /// output needs — returns a copy of the base fill
+    /// (`ensemble.base_fill_reuse`). Otherwise the members run on the cone
+    /// slice with zero retries, and their cone columns and written lengths
+    /// are spliced into a copy of the base fill (`ensemble.cone_fills`,
+    /// `ensemble.cone_outputs` summing the cone sizes). The base path
+    /// needs a plain configuration, the base's tables, an all-healthy base
+    /// fill of these members and steps, base masks that describe
+    /// `program`, and a cone short of every output; when any of these
+    /// fails, or any cone member fails, the fill counts
+    /// `ensemble.cone_fallback` and takes the history path. A statement
+    /// outside the cone slice reads no value `program` changes, so it
+    /// behaves as in the base, whose fill succeeded: the residual stays
+    /// the history slice's.
     pub fn run_history(
         program: &Arc<Program>,
         config: &RunConfig,
         perts: &[f64],
         max_retries: u32,
+        base: Option<FillBase<'_>>,
     ) -> EnsembleRuns {
-        let plain = config.faults.is_empty() && config.fuel.is_none() && config.samples.is_empty();
+        let plain = config.is_plain();
+        if let Some(base) = base {
+            let cone = plain.then(|| Self::run_cone(program, config, perts, base));
+            if let Some(store) = cone.flatten() {
+                return store;
+            }
+            rca_obs::counter_inc!("ensemble.cone_fallback", 1);
+        }
         if let Some(history) = plain.then(|| program.history_program()).flatten() {
             let store = Self::fill(history, config, perts, OnFailure::Discard);
             if store.first_failure().is_none() {
@@ -334,6 +370,58 @@ impl EnsembleRuns {
             rca_obs::counter_inc!("ensemble.history_fallback", 1);
         }
         Self::run_resilient(program, config, perts, max_retries)
+    }
+
+    /// The base path of [`EnsembleRuns::run_history`] (`None`: take the
+    /// history path).
+    fn run_cone(
+        program: &Arc<Program>,
+        config: &RunConfig,
+        perts: &[f64],
+        (base, base_fill): FillBase<'_>,
+    ) -> Option<EnsembleRuns> {
+        let fits = base_fill.members == perts.len()
+            && base_fill.steps == config.steps as usize
+            && base_fill.health.iter().all(|h| *h == MemberHealth::Healthy);
+        if !fits {
+            return None;
+        }
+        let (outputs, slice) = {
+            let _span = rca_obs::span("statistics.cone");
+            let cone = crate::specialize::cone(program, base)?;
+            let outputs = cone.outputs();
+            if outputs.is_empty() {
+                rca_obs::counter_inc!("ensemble.base_fill_reuse", 1);
+                return Some(base_fill.clone());
+            }
+            if cone.is_full() {
+                return None;
+            }
+            (outputs, cone.slice(program))
+        };
+        let cone_fill = Self::fill(&slice, config, perts, OnFailure::Discard);
+        if cone_fill.first_failure().is_some() {
+            return None;
+        }
+        count_fill(perts.len());
+        rca_obs::counter_inc!("ensemble.cone_fills", 1);
+        rca_obs::counter_inc!("ensemble.cone_outputs", outputs.len() as u64);
+        let mut store = base_fill.clone();
+        let width = store.outputs;
+        for member in 0..store.members {
+            for step in 0..store.steps {
+                let row = (member * store.steps + step) * width;
+                for &o in &outputs {
+                    store.data[row + o as usize] = cone_fill.data[row + o as usize];
+                }
+            }
+            for &o in &outputs {
+                let at = member * width + o as usize;
+                store.written[at] = cone_fill.written[at];
+            }
+        }
+        store.program = cone_fill.program;
+        Some(store)
     }
 
     /// One member per perturbation, in parallel, written into the store

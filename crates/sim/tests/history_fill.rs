@@ -39,7 +39,7 @@ fn assert_history_fill_matches(
     perts: &[f64],
 ) {
     let full = EnsembleRuns::run_resilient(program, cfg, perts, 2);
-    let fast = EnsembleRuns::run_history(program, cfg, perts, 2);
+    let fast = EnsembleRuns::run_history(program, cfg, perts, 2, None);
     let slice = program
         .history_program()
         .unwrap_or_else(|| panic!("{label}: the history slice must prune something"));
@@ -137,7 +137,7 @@ fn fault_plans_fuel_and_samples_never_fill_from_the_history_slice() {
         ("fuel", budgeted),
         ("samples", sampled),
     ] {
-        let store = EnsembleRuns::run_history(&program, &cfg, &perts, 2);
+        let store = EnsembleRuns::run_history(&program, &cfg, &perts, 2, None);
         assert!(
             Arc::ptr_eq(store.program(), &program),
             "{label}: must fill from the full program"
@@ -192,7 +192,7 @@ fn runtime_error_in_a_kept_statement_refills_on_the_full_program() {
     let c0 = counts();
     let full = EnsembleRuns::run_resilient(&program, &cfg, &perts, 2);
     let c1 = counts();
-    let fast = EnsembleRuns::run_history(&program, &cfg, &perts, 2);
+    let fast = EnsembleRuns::run_history(&program, &cfg, &perts, 2, None);
     let c2 = counts();
 
     assert!(

@@ -124,7 +124,14 @@
 //! ([`sim::Program::history_program`]). Member health, written lengths
 //! and every history value equal the full fill's by bits; fault plans,
 //! fuel budgets and any failing member keep the full program, which
-//! owns all retry and quarantine semantics.
+//! owns all retry and quarantine semantics. The slice comes from one
+//! fixpoint over per-output masks, so it also tells which outputs each
+//! proc can reach: a session fills the base program once per plain run
+//! configuration, and a source variant's experimental fill runs only the
+//! slice of its *cone* — the outputs whose slices keep one of its changed
+//! procs live — splicing those columns into the base fill, with the same
+//! bits (the base fill comes back whole for an empty cone: the base model
+//! itself, a configuration-only variant, a mutant of dead code).
 //!
 //! ## Migrating from the 0.1 free functions
 //!
@@ -398,6 +405,8 @@
 //!   files it re-parses — the base model's one parse is `phase.parse`,
 //!   once per session; `statistics.experiment_fill`, `statistics.ect`,
 //!   `statistics.ranking`, `statistics.lasso` under `phase.statistics`;
+//!   `statistics.cone` under the experimental fill that decides a
+//!   variant's cone and builds its slice;
 //!   `compile.history`, a program's history slice, under the fill that
 //!   first runs it; `compile.effects`, a program's effect summary, under
 //!   whatever first needs it — the history slice, the oracle's first
@@ -411,7 +420,11 @@
 //!   of one `compile.lower`). Counters, the one metric kind (a size or an iteration
 //!   count is a counter summing its values), use the same
 //!   `subsystem.noun` convention
-//!   (`executor.runs`, `oracle.queries`, `slice.nodes`).
+//!   (`executor.runs`, `oracle.queries`, `slice.nodes`; the cone fills
+//!   count `ensemble.cone_fills`, `ensemble.cone_outputs` summing the
+//!   cone sizes, `ensemble.base_fill_reuse` and `ensemble.cone_fallback`,
+//!   and `executor.runs` and `vm.instructions` count only members that
+//!   actually ran).
 //! - **Sink contract**: instrumentation is always on; the sink, an
 //!   in-memory [`obs::Collector`], is opt-in ([`obs::with_sink`]
 //!   thread-scoped, [`obs::install_global`] process-wide). With no sink

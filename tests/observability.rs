@@ -47,6 +47,7 @@ fn span_tree_covers_every_pipeline_phase() {
         "phase.refine",
         "diagnose",
         "statistics.experiment_fill",
+        "statistics.cone",
         "statistics.ect",
         "statistics.ranking",
         "statistics.lasso",
@@ -86,10 +87,11 @@ fn span_tree_covers_every_pipeline_phase() {
     // steps under `phase.refine`; the experimental fill, the source
     // mutant's compile, the ECT, the ranking and the lasso under
     // `phase.statistics`; the compile steps under `phase.compile`
-    // (bytecode emission inside lowering); and each program's history
-    // slice under the fill that first runs it (the base program's under
-    // the control fill, the mutant's under the experimental fill), with
-    // the program's effect summary built inside it.
+    // (bytecode emission inside lowering); the base program's history
+    // slice under the control fill that first runs it, with the program's
+    // effect summary built inside it; and the mutant's cone under its
+    // experimental fill (WSUBBUG's one-line patch changes one output's
+    // slice, so its members run the cone slice, not a history slice).
     for (parent, children) in [
         (
             "phase.refine",
@@ -113,7 +115,7 @@ fn span_tree_covers_every_pipeline_phase() {
         ("phase.compile", &["compile.parse", "compile.lower"][..]),
         ("compile.lower", &["compile.bytecode"][..]),
         ("phase.ensemble_fill", &["compile.history"][..]),
-        ("statistics.experiment_fill", &["compile.history"][..]),
+        ("statistics.experiment_fill", &["statistics.cone"][..]),
         ("compile.history", &["compile.effects"][..]),
     ] {
         let under = collector.children_of(parent);
