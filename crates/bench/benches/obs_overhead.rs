@@ -67,7 +67,10 @@ fn main() {
     let fill = || EnsembleRuns::run(&program, &cfg, &perts).expect("ensemble fill");
     let _ = fill(); // warm caches and the executor pool
 
+    // Each VM host call bumps three counters (`vm.dispatch`,
+    // `vm.instructions`, `vm.kernel_iterations`).
     let count_ops = |snap: &rca_obs::MetricsSnapshot| -> u64 {
+        let vm_ops = 3 * snap.counter("vm.dispatch").unwrap_or(0);
         [
             "sim.compiles",
             "executor.builds",
@@ -78,7 +81,8 @@ fn main() {
         ]
         .iter()
         .filter_map(|n| snap.counter(n))
-        .sum()
+        .sum::<u64>()
+            + vm_ops
     };
     let before = count_ops(&rca_obs::metrics_snapshot());
     let _ = fill();

@@ -15,9 +15,7 @@
 use crate::error::RcaError;
 use rca_fortran::SourceFile;
 use rca_ident::{ModuleId, SymbolTable};
-use rca_metagraph::{
-    build_metagraph_seeded, filter_sources, BuildOptions, Coverage, FilterStats, MetaGraph,
-};
+use rca_metagraph::{build_metagraph_seeded, filter_sources, Coverage, FilterStats, MetaGraph};
 use rca_model::{Component, ModelSource};
 use rca_sim::{compile_variant, parse_model, run_program, Program, RunConfig};
 use std::collections::HashMap;
@@ -151,7 +149,7 @@ impl RcaPipeline {
         };
         let metagraph = {
             let _span = rca_obs::span("phase.metagraph");
-            build_metagraph_seeded(&filtered, &BuildOptions::default(), seed)
+            build_metagraph_seeded(&filtered, seed)
         };
         let components = model.component_map();
         let syms = metagraph.symbols();

@@ -69,11 +69,6 @@ pub fn bfs_multi(graph: &DiGraph, sources: &[NodeId], dir: Direction) -> BfsResu
     BfsResult { dist }
 }
 
-/// Single-source BFS.
-pub fn bfs(graph: &DiGraph, source: NodeId, dir: Direction) -> BfsResult {
-    bfs_multi(graph, &[source], dir)
-}
-
 /// Union of the node sets of **all shortest directed paths terminating on
 /// `targets`** (paper Algorithm 5.4 step 3).
 ///
@@ -152,7 +147,7 @@ pub fn shortest_path(
     target: NodeId,
     dir: Direction,
 ) -> Option<Vec<NodeId>> {
-    let res = bfs(graph, source, dir);
+    let res = bfs_multi(graph, &[source], dir);
     res.distance(target)?;
     // Walk backwards from target along decreasing distances.
     let mut path = vec![target];
@@ -191,7 +186,7 @@ mod tests {
     #[test]
     fn bfs_distances_forward() {
         let g = diamond();
-        let r = bfs(&g, NodeId(4), Direction::Out);
+        let r = bfs_multi(&g, &[NodeId(4)], Direction::Out);
         assert_eq!(r.distance(NodeId(4)), Some(0));
         assert_eq!(r.distance(NodeId(0)), Some(1));
         assert_eq!(r.distance(NodeId(1)), Some(2));
@@ -201,7 +196,7 @@ mod tests {
     #[test]
     fn bfs_distances_backward() {
         let g = diamond();
-        let r = bfs(&g, NodeId(3), Direction::In);
+        let r = bfs_multi(&g, &[NodeId(3)], Direction::In);
         assert_eq!(r.distance(NodeId(3)), Some(0));
         assert_eq!(r.distance(NodeId(1)), Some(1));
         assert_eq!(r.distance(NodeId(2)), Some(1));
@@ -213,7 +208,7 @@ mod tests {
     fn unreachable_is_none() {
         let mut g = DiGraph::new();
         g.add_nodes(2);
-        let r = bfs(&g, NodeId(0), Direction::Out);
+        let r = bfs_multi(&g, &[NodeId(0)], Direction::Out);
         assert_eq!(r.distance(NodeId(1)), None);
         assert!(!r.reached(NodeId(1)));
     }

@@ -39,15 +39,6 @@ impl Partition {
         groups
     }
 
-    /// Sizes of each component.
-    pub fn sizes(&self) -> Vec<usize> {
-        let mut sizes = vec![0usize; self.count];
-        for &l in &self.labels {
-            sizes[l as usize] += 1;
-        }
-        sizes
-    }
-
     /// Whether two nodes share a component.
     #[inline]
     pub fn same(&self, a: NodeId, b: NodeId) -> bool {
@@ -165,7 +156,7 @@ mod tests {
         g.add_nodes(3);
         let p = weakly_connected_components(&g);
         assert_eq!(p.count, 3);
-        assert_eq!(p.sizes(), vec![1, 1, 1]);
+        assert!(p.groups().iter().all(|g| g.len() == 1));
     }
 
     #[test]

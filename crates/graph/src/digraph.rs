@@ -269,18 +269,6 @@ impl DiGraph {
         }
         g
     }
-
-    /// Number of undirected edges when this graph is a symmetric
-    /// (undirected-view) graph: directed edge count / 2.
-    pub fn undirected_edge_count(&self) -> usize {
-        debug_assert!(
-            self.edges
-                .iter()
-                .all(|&(u, v)| self.edges.contains(&(v, u))),
-            "undirected_edge_count called on a non-symmetric graph"
-        );
-        self.edge_count() / 2
-    }
 }
 
 #[cfg(test)]
@@ -383,7 +371,8 @@ mod tests {
         assert!(u.has_edge(NodeId(0), NodeId(1)));
         assert!(u.has_edge(NodeId(1), NodeId(0)));
         assert!(!u.has_edge(NodeId(1), NodeId(1)));
-        assert_eq!(u.undirected_edge_count(), 2);
+        // Two undirected edges, each stored in both orientations.
+        assert_eq!(u.edge_count(), 4);
     }
 
     #[test]

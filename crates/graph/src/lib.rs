@@ -44,7 +44,7 @@ pub mod reference;
 
 pub use betweenness::{edge_betweenness, node_betweenness};
 pub use bfs::{
-    bfs, bfs_multi, reaches_any, shortest_path, shortest_path_dag, shortest_path_slice, BfsResult,
+    bfs_multi, reaches_any, shortest_path, shortest_path_dag, shortest_path_slice, BfsResult,
 };
 pub use centrality::{
     degree_centrality, eigenvector_centrality, katz_centrality, pagerank, top_m, PowerIterOptions,

@@ -29,23 +29,6 @@ use std::borrow::Borrow;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
-/// Options controlling metagraph construction.
-#[derive(Debug, Clone)]
-pub struct BuildOptions {
-    /// Subroutine names treated as history-output calls; their first string
-    /// argument is the output name and the following variable argument the
-    /// internal variable (CAM's `outfld`).
-    pub io_subroutines: Vec<String>,
-}
-
-impl Default for BuildOptions {
-    fn default() -> Self {
-        BuildOptions {
-            io_subroutines: vec!["outfld".to_string()],
-        }
-    }
-}
-
 /// Fortran intrinsic procedures we localize per call site.
 const INTRINSIC_FUNCTIONS: &[&str] = &[
     "min", "max", "sqrt", "exp", "log", "log10", "abs", "mod", "sum", "product", "sign", "merge",
@@ -56,15 +39,15 @@ const INTRINSIC_FUNCTIONS: &[&str] = &[
 /// Intrinsic subroutines that *write* their arguments.
 const INTRINSIC_SUBROUTINES: &[&str] = &["random_number", "random_seed"];
 
-/// Builds the metagraph from parsed sources with default options. Takes
-/// owned ASTs or shared `Arc<SourceFile>`s alike.
-pub fn build_metagraph<F: Borrow<SourceFile>>(files: &[F]) -> MetaGraph {
-    build_metagraph_with(files, &BuildOptions::default())
-}
+/// The history-output subroutine (CAM's `outfld`): its first string
+/// argument is the output name and the following variable argument the
+/// internal variable.
+const IO_SUBROUTINE: &str = "outfld";
 
-/// Builds the metagraph with explicit options over a fresh symbol table.
-pub fn build_metagraph_with<F: Borrow<SourceFile>>(files: &[F], opts: &BuildOptions) -> MetaGraph {
-    build_metagraph_seeded(files, opts, SymbolTable::new())
+/// Builds the metagraph from parsed sources over a fresh symbol table.
+/// Takes owned ASTs or shared `Arc<SourceFile>`s alike.
+pub fn build_metagraph<F: Borrow<SourceFile>>(files: &[F]) -> MetaGraph {
+    build_metagraph_seeded(files, SymbolTable::new())
 }
 
 /// Builds the metagraph over a **seeded** symbol table — the session path:
@@ -73,18 +56,13 @@ pub fn build_metagraph_with<F: Borrow<SourceFile>>(files: &[F], opts: &BuildOpti
 /// use-renamed names), and the sealed result is the workspace-wide
 /// identity plane shared by every downstream stage. Extension is
 /// append-only, so every id the program assigned stays valid.
-pub fn build_metagraph_seeded<F: Borrow<SourceFile>>(
-    files: &[F],
-    opts: &BuildOptions,
-    syms: SymbolTable,
-) -> MetaGraph {
+pub fn build_metagraph_seeded<F: Borrow<SourceFile>>(files: &[F], syms: SymbolTable) -> MetaGraph {
     let mut table = ProcTable::build(files);
     table.resolve_interfaces();
     let mut b = Builder {
         table,
         syms,
         mg: MetaGraph::default(),
-        opts: opts.clone(),
     };
     // Module-level declarations first (so module variables exist with
     // their defining line), then subprogram bodies.
@@ -108,7 +86,6 @@ struct Builder {
     table: ProcTable,
     syms: SymbolTable,
     mg: MetaGraph,
-    opts: BuildOptions,
 }
 
 /// Per-subprogram name-resolution context.
@@ -486,7 +463,7 @@ impl Builder {
 
     fn process_call(&mut self, scope: &Scope, name: &str, args: &[Expr], line: u32) {
         // History output: populate the I/O registry, no graph edges.
-        if self.opts.io_subroutines.iter().any(|s| s == name) {
+        if name == IO_SUBROUTINE {
             let mut output_name = None;
             let mut internal = None;
             for a in args {

@@ -30,7 +30,7 @@ pub mod coverage;
 pub mod meta;
 pub mod symbols;
 
-pub use builder::{build_metagraph, build_metagraph_seeded, build_metagraph_with, BuildOptions};
+pub use builder::{build_metagraph, build_metagraph_seeded};
 pub use coverage::{filter_sources, Coverage, FilterStats};
 pub use meta::{IoCall, MetaGraph, NodeKind, NodeMeta};
 pub use rca_ident::{ModuleId, OutputId, SymbolTable, VarId};

@@ -22,12 +22,11 @@
 //! allocation is a simple watermark: temporaries are single-use, released
 //! statement by statement, so frames stay small and pooled.
 //!
-//! A small peephole pass runs after emission (constant `if` arms are
-//! already folded during emission, which is exact because literal
-//! conditions are pure): unreachable-code elimination, redundant-copy
-//! coalescing (unary `+` lowers to [`Instr::Copy`]), and dead pure loads.
-//! [`disassemble`] renders the result as the debugging surface; a golden
-//! snapshot test pins the pristine-model encoding.
+//! Emitted code is final: no pass rewrites it afterwards. Constant `if`
+//! arms are folded during emission, which is exact because literal
+//! conditions are pure. [`disassemble`] renders the code as the
+//! debugging surface; a golden snapshot test pins the encoding of a
+//! hand-written mini-model.
 
 use crate::program::{
     CExpr, CPlace, CProc, CStmt, CallForm, EId, Intrin, LocalTemplate, Program, VarBind,
@@ -101,14 +100,6 @@ impl Src {
             _ => SrcKind::Const(self.0 & !Self::TAG),
         }
     }
-
-    /// The register index, when this operand is a register.
-    fn as_reg(self) -> Option<u32> {
-        match self.kind() {
-            SrcKind::Reg(r) => Some(r),
-            _ => None,
-        }
-    }
 }
 
 /// One VM instruction. All fields are plain copies (`u32` registers,
@@ -141,11 +132,6 @@ pub(crate) enum Instr {
     LoadGlobal {
         dst: u32,
         global: u32,
-    },
-    /// `regs[dst] <- regs[src]` (move; registers are single-use).
-    Copy {
-        dst: u32,
-        src: u32,
     },
     /// Coerce a numeric intrinsic argument to `Real` in place.
     ToNum {
@@ -893,13 +879,7 @@ impl<'a> FnEmitter<'a> {
                 let m = self.mark();
                 let src = self.rtemp();
                 self.emit_expr(*e, src);
-                if *op == Op::Add {
-                    // Unary plus is the identity — lower as a move and
-                    // let the peephole coalesce it into the producer.
-                    self.emit(Instr::Copy { dst, src });
-                } else {
-                    self.emit(Instr::Unary { op: *op, dst, src });
-                }
+                self.emit(Instr::Unary { op: *op, dst, src });
                 self.release(m);
             }
             CExpr::Binary { op, l, r } => {
@@ -1555,7 +1535,6 @@ impl<'a> FnEmitter<'a> {
                 out.push(KOp::Arr(a));
                 kb.push()?;
             }
-            CExpr::Unary { op: Op::Add, e } => self.kexpr(*e, var, on, kb, out)?,
             CExpr::Unary { op: Op::Sub, e } => {
                 self.kexpr(*e, var, on, kb, out)?;
                 out.push(KOp::Neg);
@@ -1626,9 +1605,8 @@ impl<'a> FnEmitter<'a> {
         Some(())
     }
 
-    /// Runs the peephole passes and checks every jump was patched.
+    /// Checks every jump was patched and packs the proc.
     fn seal(mut self, n_slots: u32) -> BProc {
-        peephole(&mut self.code, &mut self.lines);
         // Programs (and their history slices) live as long as the
         // session that caches them: drop the emission slack.
         self.code.shrink_to_fit();
@@ -1763,8 +1741,6 @@ pub(crate) fn lower_procs<'p>(procs: impl IntoIterator<Item = &'p CProc>) -> Vec
     lowered.into_iter().map(Arc::new).collect()
 }
 
-// ----- peephole -----------------------------------------------------------
-
 /// The jump-target field of a control-flow instruction, if any.
 fn jump_target(i: &Instr) -> Option<u32> {
     match i {
@@ -1778,358 +1754,6 @@ fn jump_target(i: &Instr) -> Option<u32> {
         | Instr::DoIncr { back: to, .. } => Some(*to),
         _ => None,
     }
-}
-
-/// Whether execution can fall through from `i` to the next instruction.
-fn falls_through(i: &Instr) -> bool {
-    !matches!(
-        i,
-        Instr::Jump { .. } | Instr::DoIncr { .. } | Instr::Ret | Instr::Fail { .. }
-    )
-}
-
-/// Registers read by `i`, passed to `f`. In-place coercions and
-/// read-modify-write helpers report their register here *and* refuse a
-/// `dst_mut` so the rewriting passes leave them alone.
-fn for_each_src(i: &Instr, mut f: impl FnMut(u32)) {
-    match *i {
-        Instr::Copy { src, .. }
-        | Instr::Unary { src, .. }
-        | Instr::ToNum { reg: src }
-        | Instr::ToInt { reg: src }
-        | Instr::ToExtent { reg: src }
-        | Instr::RngFill { reg: src }
-        | Instr::WhileGuard { g: src }
-        | Instr::BranchIfFalse { cond: src, .. }
-        | Instr::FieldOfValue { src, .. } => f(src),
-        Instr::Binary { l, r, .. } => {
-            for s in [l, r] {
-                if let Some(x) = s.as_reg() {
-                    f(x);
-                }
-            }
-        }
-        Instr::FmaTry { a, b, c, .. } => {
-            for s in [a, b, c] {
-                if let Some(x) = s.as_reg() {
-                    f(x);
-                }
-            }
-        }
-        Instr::Intrinsic { n_args, argv, .. } => {
-            for k in 0..n_args {
-                f(argv + k);
-            }
-        }
-        Instr::IndexLoad { sub, .. } => {
-            if let Some(x) = sub.as_reg() {
-                f(x);
-            }
-        }
-        Instr::LoadFieldElem { sub, .. } => f(sub),
-        Instr::IndexValue { src, sub, .. } => {
-            f(src);
-            f(sub);
-        }
-        Instr::DoCheck { i, e, st, .. } => {
-            f(i);
-            f(e);
-            f(st);
-        }
-        Instr::DoIncr { i, st, .. } => {
-            f(i);
-            f(st);
-        }
-        Instr::Call { site: _, argv, .. } => {
-            // The argument window length lives in the call site; the
-            // passes treat any `Call` as reading from `argv` upward and
-            // never rewrite across one, so the exact width is moot —
-            // report the window base conservatively.
-            f(argv);
-        }
-        Instr::InitArray { argv, n_ext, .. } => {
-            for k in 0..n_ext {
-                f(argv + k);
-            }
-        }
-        Instr::InitInt { src, .. }
-        | Instr::InitLogic { src, .. }
-        | Instr::InitChar { src, .. }
-        | Instr::InitReal { src, .. } => {
-            if src != NO_REG {
-                f(src);
-            }
-        }
-        Instr::StoreVar { val, .. } => f(val),
-        Instr::StoreElem { sub, val, .. } => {
-            for s in [sub, val] {
-                if let Some(x) = s.as_reg() {
-                    f(x);
-                }
-            }
-        }
-        Instr::StoreField { sub, val, .. } => {
-            if sub != NO_REG {
-                f(sub);
-            }
-            f(val);
-        }
-        Instr::Outfld { data, ncol, .. } => {
-            f(data);
-            if ncol != NO_REG {
-                f(ncol);
-            }
-        }
-        Instr::PbufStore { idx, data } => {
-            f(idx);
-            f(data);
-        }
-        Instr::PbufLoad { idx, .. } => f(idx),
-        Instr::PbufMerge { cur, data } => {
-            f(cur);
-            f(data);
-        }
-        // `Kernel` reads its `DoCheck`'s bound registers at runtime, but
-        // reports nothing here — `is_control` makes it a conservative
-        // barrier instead, so no rewriting pass scans across it.
-        Instr::Fuel
-        | Instr::LoadConst { .. }
-        | Instr::LoadLocal { .. }
-        | Instr::LoadLocalOr { .. }
-        | Instr::LoadGlobal { .. }
-        | Instr::FieldCheck { .. }
-        | Instr::LoadField { .. }
-        | Instr::Jump { .. }
-        | Instr::BranchLocalSet { .. }
-        | Instr::BranchFmaOff { .. }
-        | Instr::BranchDummyUnset { .. }
-        | Instr::LoadDummy { .. }
-        | Instr::EndCall
-        | Instr::Ret
-        | Instr::InitDerived { .. }
-        | Instr::InitResult { .. }
-        | Instr::Fail { .. }
-        | Instr::Kernel { .. } => {}
-    }
-}
-
-/// The plain destination register of `i`, when `i` is a pure
-/// "write one register" producer the rewriting passes may retarget.
-/// In-place ops (`ToNum`, `RngFill`, ...), protocol ops (`Call`,
-/// `FmaTry` — its `dst` is shared with the unfused path's `Binary`), and
-/// `IndexValue` (reads its own `dst`) intentionally return `None`.
-fn plain_dst(i: &Instr) -> Option<u32> {
-    match *i {
-        Instr::LoadConst { dst, .. }
-        | Instr::LoadLocal { dst, .. }
-        | Instr::LoadLocalOr { dst, .. }
-        | Instr::LoadGlobal { dst, .. }
-        | Instr::Copy { dst, .. }
-        | Instr::Unary { dst, .. }
-        | Instr::Binary { dst, .. }
-        | Instr::Intrinsic { dst, .. }
-        | Instr::IndexLoad { dst, .. }
-        | Instr::LoadField { dst, .. }
-        | Instr::LoadFieldElem { dst, .. }
-        | Instr::FieldOfValue { dst, .. }
-        | Instr::LoadDummy { dst, .. }
-        | Instr::PbufLoad { dst, .. } => Some(dst),
-        _ => None,
-    }
-}
-
-fn plain_dst_mut(i: &mut Instr) -> Option<&mut u32> {
-    match i {
-        Instr::LoadConst { dst, .. }
-        | Instr::LoadLocal { dst, .. }
-        | Instr::LoadLocalOr { dst, .. }
-        | Instr::LoadGlobal { dst, .. }
-        | Instr::Copy { dst, .. }
-        | Instr::Unary { dst, .. }
-        | Instr::Binary { dst, .. }
-        | Instr::Intrinsic { dst, .. }
-        | Instr::IndexLoad { dst, .. }
-        | Instr::LoadField { dst, .. }
-        | Instr::LoadFieldElem { dst, .. }
-        | Instr::FieldOfValue { dst, .. }
-        | Instr::LoadDummy { dst, .. }
-        | Instr::PbufLoad { dst, .. } => Some(dst),
-        _ => None,
-    }
-}
-
-/// Instructions with neither side effects nor failure modes — safe to
-/// delete when their destination is never read.
-fn pure_infallible(i: &Instr) -> bool {
-    matches!(
-        i,
-        Instr::LoadConst { .. }
-            | Instr::Copy { .. }
-            | Instr::LoadGlobal { .. }
-            | Instr::LoadLocalOr { .. }
-    )
-}
-
-/// Any control-flow instruction (jump, branch, call protocol, return) —
-/// the straight-line scans stop here.
-fn is_control(i: &Instr) -> bool {
-    jump_target(i).is_some()
-        || matches!(
-            i,
-            Instr::Ret
-                | Instr::Fail { .. }
-                | Instr::Call { .. }
-                | Instr::EndCall
-                | Instr::Kernel { .. }
-        )
-}
-
-/// Dead-instruction elimination + redundant-copy coalescing + jump
-/// retargeting, run once per proc after emission.
-fn peephole(code: &mut Vec<Instr>, lines: &mut Vec<u32>) {
-    // 1. Unreachable-code elimination (code after `return`, the jump
-    //    the emitter places after a `Fail`-only call fallback, ...).
-    let keep = reachable(code);
-    compact(code, lines, &keep);
-
-    // 2. Redundant-copy coalescing: `I writes rX; Copy rY <- rX` with
-    //    rX otherwise dead collapses into `I writes rY` (unary `+`
-    //    lowers to exactly this shape).
-    let targets = jump_target_set(code);
-    for i in 0..code.len().saturating_sub(1) {
-        let Instr::Copy { dst, src } = code[i + 1] else {
-            continue;
-        };
-        if targets[i + 1] || dst == src {
-            continue;
-        }
-        if plain_dst(&code[i]) != Some(src) {
-            continue;
-        }
-        if !dead_after(code, i + 2, src) {
-            continue;
-        }
-        *plain_dst_mut(&mut code[i]).expect("plain_dst checked") = dst;
-        code[i + 1] = Instr::Copy { dst: src, src }; // self-copy: removed below
-    }
-    let keep: Vec<bool> = code
-        .iter()
-        .map(|x| !matches!(x, Instr::Copy { dst, src } if dst == src))
-        .collect();
-    compact(code, lines, &keep);
-
-    // 3. Dead pure loads (orphaned by folding/coalescing).
-    let targets = jump_target_set(code);
-    let keep: Vec<bool> = (0..code.len())
-        .map(|i| {
-            if targets[i] || !pure_infallible(&code[i]) {
-                return true;
-            }
-            match plain_dst(&code[i]) {
-                Some(d) => !dead_after(code, i + 1, d),
-                None => true,
-            }
-        })
-        .collect();
-    compact(code, lines, &keep);
-}
-
-/// True when register `r` is provably dead at instruction `from`:
-/// scanning the straight line forward, `r` is written before any read.
-/// Stops conservatively (alive) at control flow or end of block.
-fn dead_after(code: &[Instr], from: usize, r: u32) -> bool {
-    for i in code.iter().skip(from) {
-        let mut read = false;
-        for_each_src(i, |s| read |= s == r);
-        if read {
-            return false;
-        }
-        if plain_dst(i) == Some(r) {
-            return true;
-        }
-        // `Ret`/`Fail` read no registers and end the frame: dead.
-        // Other control flow (jumps, the call protocol) stops the scan
-        // conservatively — alive.
-        if matches!(i, Instr::Ret | Instr::Fail { .. }) {
-            return true;
-        }
-        if is_control(i) {
-            return false;
-        }
-    }
-    // End of proc without a read: dead.
-    true
-}
-
-/// Reachability from instruction 0 through jumps and fallthrough.
-fn reachable(code: &[Instr]) -> Vec<bool> {
-    let mut seen = vec![false; code.len()];
-    let mut work = vec![0usize];
-    while let Some(i) = work.pop() {
-        if i >= code.len() || seen[i] {
-            continue;
-        }
-        seen[i] = true;
-        if let Some(t) = jump_target(&code[i]) {
-            work.push(t as usize);
-        }
-        if falls_through(&code[i]) {
-            work.push(i + 1);
-        }
-    }
-    seen
-}
-
-/// Marks every instruction some jump lands on.
-fn jump_target_set(code: &[Instr]) -> Vec<bool> {
-    let mut t = vec![false; code.len()];
-    for i in code {
-        if let Some(to) = jump_target(i) {
-            if let Some(slot) = t.get_mut(to as usize) {
-                *slot = true;
-            }
-        }
-    }
-    t
-}
-
-/// Drops instructions where `keep` is false and retargets every jump: a
-/// target is remapped to the first surviving instruction at-or-after it.
-fn compact(code: &mut Vec<Instr>, lines: &mut Vec<u32>, keep: &[bool]) {
-    if keep.iter().all(|&k| k) {
-        return;
-    }
-    let mut newidx = vec![0u32; code.len()];
-    let mut n = 0u32;
-    for (i, &k) in keep.iter().enumerate() {
-        newidx[i] = n;
-        if k {
-            n += 1;
-        }
-    }
-    let mut w = 0usize;
-    for i in 0..code.len() {
-        if !keep[i] {
-            continue;
-        }
-        let mut instr = code[i];
-        match &mut instr {
-            Instr::Jump { to }
-            | Instr::BranchIfFalse { to, .. }
-            | Instr::BranchLocalSet { to, .. }
-            | Instr::BranchFmaOff { to, .. }
-            | Instr::BranchDummyUnset { to, .. }
-            | Instr::FmaTry { plain: to, .. }
-            | Instr::DoCheck { exit: to, .. }
-            | Instr::DoIncr { back: to, .. } => *to = newidx[*to as usize],
-            _ => {}
-        }
-        code[w] = instr;
-        lines[w] = lines[i];
-        w += 1;
-    }
-    code.truncate(w);
-    lines.truncate(w);
 }
 
 // ----- disassembler -------------------------------------------------------
@@ -2243,7 +1867,6 @@ fn render(i: &Instr, p: &Program, pr: &CProc, bp: &BProc) -> String {
             format!("r{dst} <- local[{slot}]|global[{global}]")
         }
         Instr::LoadGlobal { dst, global } => format!("r{dst} <- global[{global}]"),
-        Instr::Copy { dst, src } => format!("r{dst} <- r{src}"),
         Instr::ToNum { reg } => format!("tonum r{reg}"),
         Instr::ToInt { reg } => format!("toint r{reg}"),
         Instr::ToExtent { reg } => format!("toextent r{reg}"),
@@ -2414,82 +2037,5 @@ fn render(i: &Instr, p: &Program, pr: &CProc, bp: &BProc) -> String {
         Instr::PbufLoad { dst, idx } => format!("r{dst} <- pbuf[r{idx}]"),
         Instr::PbufMerge { cur, data } => format!("pbufmerge r{cur} <- r{data}"),
         Instr::Fail { msg } => format!("fail \"{}\"", rname(bp, msg)),
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn compact_retargets_through_removed_instructions() {
-        let mut code = vec![
-            Instr::Jump { to: 3 },
-            Instr::LoadConst { dst: 0, k: 0 },
-            Instr::LoadConst { dst: 1, k: 0 },
-            Instr::Ret,
-        ];
-        let mut lines = vec![1, 2, 3, 4];
-        let keep = vec![true, false, false, true];
-        compact(&mut code, &mut lines, &keep);
-        assert_eq!(code.len(), 2);
-        assert!(matches!(code[0], Instr::Jump { to: 1 }));
-        assert!(matches!(code[1], Instr::Ret));
-        assert_eq!(lines, vec![1, 4]);
-    }
-
-    #[test]
-    fn reachable_stops_at_terminators() {
-        let code = vec![
-            Instr::Ret,
-            Instr::LoadConst { dst: 0, k: 0 }, // dead
-        ];
-        assert_eq!(reachable(&code), vec![true, false]);
-        let code = vec![
-            Instr::BranchIfFalse {
-                cond: 0,
-                to: 3,
-                is_while: false,
-            },
-            Instr::Fail { msg: 0 },
-            Instr::LoadConst { dst: 0, k: 0 }, // dead: after Fail, no jump here
-            Instr::Ret,
-        ];
-        assert_eq!(reachable(&code), vec![true, true, false, true]);
-    }
-
-    #[test]
-    fn copy_coalescing_retargets_producer() {
-        let mut code = vec![
-            Instr::LoadGlobal { dst: 5, global: 0 },
-            Instr::Copy { dst: 1, src: 5 },
-            Instr::StoreVar {
-                bind: VarBind::Local(0),
-                val: 1,
-            },
-            Instr::Ret,
-        ];
-        let mut lines = vec![0; 4];
-        peephole(&mut code, &mut lines);
-        assert_eq!(code.len(), 3);
-        assert!(matches!(code[0], Instr::LoadGlobal { dst: 1, global: 0 }));
-    }
-
-    #[test]
-    fn dead_pure_load_is_removed_but_fallible_load_stays() {
-        // LoadGlobal into a register nothing reads: removed.
-        let mut code = vec![
-            Instr::LoadGlobal { dst: 0, global: 0 },
-            Instr::LoadLocal {
-                dst: 1,
-                slot: 0,
-                name: 0,
-            }, // fallible — must stay even though r1 is dead
-            Instr::Ret,
-        ];
-        let mut lines = vec![0; 3];
-        peephole(&mut code, &mut lines);
-        assert_eq!(code.len(), 2);
-        assert!(matches!(code[0], Instr::LoadLocal { .. }));
     }
 }

@@ -87,6 +87,14 @@ struct VmSuspend {
     frame: VmFrame,
 }
 
+/// Work one host call retired: dispatched instructions (a whole column
+/// step-kernel is one) and the loop iterations the kernels ran.
+#[derive(Default)]
+struct VmWork {
+    instructions: u64,
+    kernel_iterations: u64,
+}
+
 /// The VM's run-to-run state: frame pools and the explicit stacks.
 /// Pools persist across [`Executor::reset`].
 struct VmState {
@@ -480,10 +488,11 @@ impl Executor {
     }
 
     /// Runs `entry` on the bytecode VM: dispatch, then error-path frame
-    /// salvage and the traced-only instruction counters.
+    /// salvage and the work counters (`vm.dispatch`, `vm.instructions`,
+    /// `vm.kernel_iterations`), bumped once per host call.
     fn vm_entry(&mut self, p: &Program, entry: u32, args: &[Value]) -> RunResult<()> {
-        let mut retired = 0u64;
-        let res = self.vm_loop(p, entry, args, &mut retired);
+        let mut work = VmWork::default();
+        let res = self.vm_loop(p, entry, args, &mut work);
         if res.is_err() {
             // Unwind: every suspended/parked frame returns to its own
             // proc's pool (the erroring frame itself was dropped).
@@ -495,10 +504,9 @@ impl Executor {
             }
         }
         debug_assert!(self.vm.stack.is_empty() && self.vm.returned.is_empty());
-        if rca_obs::tracing_active() {
-            rca_obs::counter_inc!("vm.instructions", retired);
-            rca_obs::counter_inc!("vm.dispatch", 1);
-        }
+        rca_obs::counter_inc!("vm.dispatch", 1);
+        rca_obs::counter_inc!("vm.instructions", work.instructions);
+        rca_obs::counter_inc!("vm.kernel_iterations", work.kernel_iterations);
         res
     }
 
@@ -512,7 +520,7 @@ impl Executor {
         p: &Program,
         entry: u32,
         args: &[Value],
-        retired: &mut u64,
+        work: &mut VmWork,
     ) -> RunResult<()> {
         let bc: &Bytecode = p.bytecode();
         let mut proc = entry;
@@ -536,7 +544,7 @@ impl Executor {
         }
 
         loop {
-            *retired += 1;
+            work.instructions += 1;
             match code[ip] {
                 Instr::Fuel => {
                     // Check-then-decrement so the configured limit is
@@ -578,11 +586,6 @@ impl Executor {
                 }
                 Instr::LoadGlobal { dst, global } => {
                     cur.regs[dst as usize].clone_from(&self.globals[global as usize]);
-                }
-                Instr::Copy { dst, src } => {
-                    // Registers are single-use: move, don't clone.
-                    let v = std::mem::replace(&mut cur.regs[src as usize], Value::Real(0.0));
-                    cur.regs[dst as usize] = v;
                 }
                 Instr::ToNum { reg } => {
                     match cur.regs[reg as usize].as_f64() {
@@ -908,9 +911,9 @@ impl Executor {
                 }
                 Instr::Kernel { k } => {
                     // The matching `DoCheck` is always the next
-                    // instruction (emission invariant — the peephole
-                    // passes never separate the pair); its registers
-                    // carry the already-coerced loop bounds.
+                    // instruction (emission invariant; emitted code is
+                    // never rewritten); its registers carry the
+                    // already-coerced loop bounds.
                     let Instr::DoCheck {
                         i,
                         e,
@@ -921,7 +924,10 @@ impl Executor {
                     else {
                         unreachable!("Kernel not followed by its DoCheck")
                     };
-                    if self.vm_kernel(&bp.kernels[k as usize], &bp.names, &mut cur, i, e, st, var) {
+                    if let Some(trip) =
+                        self.vm_kernel(&bp.kernels[k as usize], &bp.names, &mut cur, i, e, st, var)
+                    {
+                        work.kernel_iterations += trip;
                         ip = exit as usize;
                         continue;
                     }
@@ -1449,10 +1455,10 @@ impl Executor {
 
     /// One column step-kernel attempt (see [`Kernel`]): validates every
     /// precondition the generic loop's semantics depend on, then either
-    /// executes the whole counted loop column-at-a-time — returning
-    /// `true` with all post-loop state (arrays, fuel, loop-variable
+    /// executes the whole counted loop column-at-a-time — returning its
+    /// trip count with all post-loop state (arrays, fuel, loop-variable
     /// slot, induction register) exactly as the generic loop would leave
-    /// it — or touches nothing and returns `false`.
+    /// it — or touches nothing and returns `None`.
     ///
     /// `ri`/`re`/`rs`/`var` come from the matching [`Instr::DoCheck`].
     #[allow(clippy::too_many_arguments)]
@@ -1465,33 +1471,31 @@ impl Executor {
         re: u32,
         rs: u32,
         var: u32,
-    ) -> bool {
+    ) -> Option<u64> {
         // Bounds: Int registers (`ToInt` guarantees it, but a fallback
         // costs nothing), unit step, at least one iteration, subscripts
         // starting at 1.
         let (Value::Int(lo), Value::Int(hi)) = (&cur.regs[ri as usize], &cur.regs[re as usize])
         else {
-            return false;
+            return None;
         };
         let (lo, hi) = (*lo, *hi);
         if !matches!(cur.regs[rs as usize], Value::Int(1)) || hi < lo || lo < 1 {
-            return false;
+            return None;
         }
         let trip = (hi - lo + 1) as u64;
         // Fuel: the generic loop burns one unit per body statement per
         // iteration (`Instr::Fuel`). Anything short falls back so the
         // budget error strikes at the exact statement it would have.
-        let Some(cost) = trip.checked_mul(kern.stmts.len() as u64) else {
-            return false;
-        };
+        let cost = trip.checked_mul(kern.stmts.len() as u64)?;
         if self.fuel < cost {
-            return false;
+            return None;
         }
         // Arrays: live real arrays covering every subscript in [lo, hi].
         for a in &kern.arrays {
             match karr_ref(a, &cur.slots, &self.globals, names) {
                 Some(arr) if arr.len() as u64 >= hi as u64 => {}
-                _ => return false,
+                _ => return None,
             }
         }
         // Scalars: loop-invariant reals, pre-read once (no body
@@ -1504,7 +1508,7 @@ impl Executor {
                     let sl = &cur.slots[sl as usize];
                     if !sl.live {
                         self.vm.kscalars = svals;
-                        return false;
+                        return None;
                     }
                     &sl.val
                 }
@@ -1519,7 +1523,7 @@ impl Executor {
             };
             let Value::Real(x) = v else {
                 self.vm.kscalars = svals;
-                return false;
+                return None;
             };
             svals.push(*x);
         }
@@ -1680,7 +1684,7 @@ impl Executor {
         sl.val = Value::Int(hi);
         sl.live = true;
         cur.regs[ri as usize] = Value::Int(hi + 1);
-        true
+        Some(trip)
     }
 }
 

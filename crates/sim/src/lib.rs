@@ -28,13 +28,12 @@
 //!    flattened at compile time (`bytecode`, reachable via
 //!    [`Program::disassemble`]) into a linear instruction array over a
 //!    `u32`-indexed register frame: explicit jump/branch instructions
-//!    replace host-stack recursion for `if`/`do`/`call`, call targets and
-//!    copy-out plans are pre-resolved into the instruction stream, and a
-//!    peephole pass (constant folding, dead-instruction elimination,
-//!    redundant-copy coalescing) runs at emission. Counted elementwise
-//!    loops become column step-kernels. Typed frame slots are pooled per
-//!    proc so derived-type maps and array buffers are reused across calls
-//!    and steps.
+//!    replace host-stack recursion for `if`/`do`/`call`, and call targets
+//!    and copy-out plans are pre-resolved into the instruction stream.
+//!    Constant `if` arms fold during emission, and emitted code is never
+//!    rewritten afterwards. Counted elementwise loops become column
+//!    step-kernels. Typed frame slots are pooled per proc so derived-type
+//!    maps and array buffers are reused across calls and steps.
 //!
 //! Both tiers share the same scalar kernel (`ops`), and the differential
 //! suites (`tests/differential.rs`, `tests/kernels.rs`) hold them

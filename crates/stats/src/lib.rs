@@ -40,7 +40,5 @@ pub use eigen::{jacobi_eigen, EigenDecomposition};
 pub use lasso::{fit_lasso_logistic, fit_lasso_path, lambda_max, LassoModel};
 pub use matrix::Matrix;
 pub use pca::Pca;
-pub use rms::{
-    compare, flag_variables, normalized_rms_diff, rms, RmsComparison, KGEN_RMS_THRESHOLD,
-};
+pub use rms::{flag_variables, normalized_rms_diff, rms, KGEN_RMS_THRESHOLD};
 pub use selection::{direct_difference, median_distance_selection, SelectedVariable};

@@ -5,19 +5,8 @@
 //! kernel executions. This module implements that comparator for the kernel
 //! extractor in `rca-sim`.
 
-use serde::{Deserialize, Serialize};
-
 /// Default flagging threshold used by the paper's KGen runs.
 pub const KGEN_RMS_THRESHOLD: f64 = 1e-12;
-
-/// Result of comparing one variable across two runs.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct RmsComparison {
-    /// Normalized RMS of the difference.
-    pub normalized_rms: f64,
-    /// Whether the difference exceeds the threshold used.
-    pub flagged: bool,
-}
 
 /// Root mean square of a slice (0 for empty input).
 pub fn rms(xs: &[f64]) -> f64 {
@@ -45,15 +34,6 @@ pub fn normalized_rms_diff(a: &[f64], b: &[f64]) -> f64 {
         d / base
     } else {
         d
-    }
-}
-
-/// Compares one variable across two runs against `threshold`.
-pub fn compare(a: &[f64], b: &[f64], threshold: f64) -> RmsComparison {
-    let nrms = normalized_rms_diff(a, b);
-    RmsComparison {
-        normalized_rms: nrms,
-        flagged: nrms > threshold,
     }
 }
 
@@ -86,7 +66,6 @@ mod tests {
     fn identical_arrays_zero() {
         let a = [1.0, -2.0, 3.0];
         assert_eq!(normalized_rms_diff(&a, &a), 0.0);
-        assert!(!compare(&a, &a, KGEN_RMS_THRESHOLD).flagged);
     }
 
     #[test]
@@ -97,8 +76,8 @@ mod tests {
         let a = [1.0f64; 100];
         let tiny: Vec<f64> = a.iter().map(|x| x + 1e-16).collect();
         let biased: Vec<f64> = a.iter().map(|x| x + 1e-10).collect();
-        assert!(!compare(&a, &tiny, KGEN_RMS_THRESHOLD).flagged);
-        assert!(compare(&a, &biased, KGEN_RMS_THRESHOLD).flagged);
+        assert!(normalized_rms_diff(&a, &tiny) <= KGEN_RMS_THRESHOLD);
+        assert!(normalized_rms_diff(&a, &biased) > KGEN_RMS_THRESHOLD);
     }
 
     #[test]

@@ -422,9 +422,12 @@
 //!   `subsystem.noun` convention
 //!   (`executor.runs`, `oracle.queries`, `slice.nodes`; the cone fills
 //!   count `ensemble.cone_fills`, `ensemble.cone_outputs` summing the
-//!   cone sizes, `ensemble.base_fill_reuse` and `ensemble.cone_fallback`,
-//!   and `executor.runs` and `vm.instructions` count only members that
-//!   actually ran).
+//!   cone sizes, `ensemble.base_fill_reuse` and `ensemble.cone_fallback`;
+//!   the VM counts `vm.dispatch` host calls, the `vm.instructions` they
+//!   retired, a column step-kernel counting as one, and the
+//!   `vm.kernel_iterations` those kernels ran; `executor.runs` and the
+//!   `vm.*` counters count only members that actually ran, on every
+//!   thread, traced or not).
 //! - **Sink contract**: instrumentation is always on; the sink, an
 //!   in-memory [`obs::Collector`], is opt-in ([`obs::with_sink`]
 //!   thread-scoped, [`obs::install_global`] process-wide). With no sink
