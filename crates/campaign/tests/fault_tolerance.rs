@@ -6,6 +6,7 @@
 
 use proptest::prelude::*;
 use rca_campaign::{run_campaign, CampaignOptions, RunnerOptions};
+use rca_core::experiments::experiment_quorum;
 use rca_core::{ExperimentSetup, OracleKind, RcaError, RcaSession, Scenario};
 use rca_model::{generate, ModelConfig, ModelSource};
 use rca_sim::{Fault, FaultKind, FaultPlan};
@@ -67,7 +68,7 @@ fn exactly_quorum_survivors_degrade_instead_of_erroring() {
     let (_, session) = fixture();
     let setup = session.setup();
     let n = setup.n_experiment;
-    let quorum = setup.retry.experiment_quorum(n);
+    let quorum = experiment_quorum(n);
     assert!(quorum < n, "test needs headroom to quarantine");
     // Quarantine all but exactly `quorum` members.
     let scenario = chaos_scenario("exact-quorum", abort_members((n - quorum) as u32));

@@ -17,7 +17,7 @@
 //! the variant's own full fill, and each path of the cone fill is hit.
 
 use rca_campaign::{plan_campaign, CampaignOptions};
-use rca_core::experiments::IC_MAGNITUDE;
+use rca_core::experiments::{IC_MAGNITUDE, MAX_RETRIES};
 use rca_core::{ExperimentSetup, RcaSession};
 use rca_model::{generate, Experiment, ModelConfig};
 use rca_sim::{
@@ -82,7 +82,6 @@ fn sweep(config: &ModelConfig, setup: ExperimentSetup, scenarios: usize) -> Path
         .build()
         .expect("session");
     let setup = session.setup();
-    let retries = setup.retry.max_retries;
     let base = session.program_for(&model).expect("base program");
     let plan = plan_campaign(
         &model,
@@ -107,7 +106,12 @@ fn sweep(config: &ModelConfig, setup: ExperimentSetup, scenarios: usize) -> Path
         if let Some((_, _, fill)) = hit {
             return Arc::clone(fill);
         }
-        let fill = Arc::new(EnsembleRuns::run_resilient(program, cfg, &perts, retries));
+        let fill = Arc::new(EnsembleRuns::run_resilient(
+            program,
+            cfg,
+            &perts,
+            MAX_RETRIES,
+        ));
         fulls.push((Arc::clone(program), cfg.clone(), Arc::clone(&fill)));
         fill
     };
@@ -119,7 +123,7 @@ fn sweep(config: &ModelConfig, setup: ExperimentSetup, scenarios: usize) -> Path
             .expect("planned mutants compile");
         let cfg = &cs.scenario.config;
         let full = full_fill(&program, cfg);
-        let history = EnsembleRuns::run_history(&program, cfg, &perts, retries, None);
+        let history = EnsembleRuns::run_history(&program, cfg, &perts, MAX_RETRIES, None);
         if let Some(diff) = full.data_mismatch(&history) {
             panic!("{label}: history fill differs from the full fill: {diff}");
         }
@@ -135,8 +139,13 @@ fn sweep(config: &ModelConfig, setup: ExperimentSetup, scenarios: usize) -> Path
             continue;
         }
         let base_fill = full_fill(&base, cfg);
-        let spliced =
-            EnsembleRuns::run_history(&program, cfg, &perts, retries, Some((&base, &base_fill)));
+        let spliced = EnsembleRuns::run_history(
+            &program,
+            cfg,
+            &perts,
+            MAX_RETRIES,
+            Some((&base, &base_fill)),
+        );
         if let Some(diff) = full.data_mismatch(&spliced) {
             panic!("{label}: cone fill differs from the full fill: {diff}");
         }
@@ -204,15 +213,14 @@ fn cone_fills_fall_back_to_the_history_path() {
         .build()
         .expect("session");
     let setup = session.setup();
-    let retries = setup.retry.max_retries;
     let base = session.program_for(&model).expect("base program");
     let perts = perturbations(setup.n_experiment, IC_MAGNITUDE, setup.seed ^ 0xDEAD);
     let cfg = session.control_config();
-    let base_fill = EnsembleRuns::run_resilient(&base, &cfg, &perts, retries);
+    let base_fill = EnsembleRuns::run_resilient(&base, &cfg, &perts, MAX_RETRIES);
     let fall_back = |label: &str, program: &Arc<Program>, cfg: &RunConfig, base_fill| {
-        let full = EnsembleRuns::run_resilient(program, cfg, &perts, retries);
+        let full = EnsembleRuns::run_resilient(program, cfg, &perts, MAX_RETRIES);
         let fill =
-            EnsembleRuns::run_history(program, cfg, &perts, retries, Some((&base, base_fill)));
+            EnsembleRuns::run_history(program, cfg, &perts, MAX_RETRIES, Some((&base, base_fill)));
         if let Some(diff) = full.data_mismatch(&fill) {
             panic!("{label}: fill differs from the full fill: {diff}");
         }
@@ -251,7 +259,7 @@ fn cone_fills_fall_back_to_the_history_path() {
         },
         ..cfg.clone()
     };
-    let sick = EnsembleRuns::run_resilient(&base, &retried, &perts, retries);
+    let sick = EnsembleRuns::run_resilient(&base, &retried, &perts, MAX_RETRIES);
     assert_ne!(sick.health()[0], MemberHealth::Healthy);
     fall_back("recovered base member", &wsub, &cfg, &sick);
 

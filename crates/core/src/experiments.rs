@@ -28,8 +28,6 @@ pub struct ExperimentSetup {
     pub ect: EctConfig,
     /// Ensemble/experiment perturbation seeds.
     pub seed: u64,
-    /// Member retry/quarantine policy for run failures.
-    pub retry: RetryPolicy,
     /// Per-run statement fuel budget (`None` = unlimited); applied to
     /// every control, experimental, and scenario run derived from this
     /// setup.
@@ -44,44 +42,33 @@ impl Default for ExperimentSetup {
             n_experiment: 12,
             ect: EctConfig::default(),
             seed: 0xC1,
-            retry: RetryPolicy::default(),
             fuel: None,
         }
     }
 }
 
-/// Bounded retry and quarantine policy for failed ensemble members —
-/// the graceful-degradation contract of the fault-tolerance plane.
+/// Retry attempts per failed ensemble or experimental member before
+/// quarantine — the graceful-degradation contract of the fault-tolerance
+/// plane.
 ///
 /// A member whose run fails is retried with a derived perturbation up to
-/// `max_retries` times, then quarantined; the ECT is fitted from the
-/// surviving quorum as long as it meets the minimum, with a
+/// `MAX_RETRIES` times, then quarantined; the ECT is fitted from the
+/// surviving members as long as they meet the quorum
+/// ([`control_quorum`], [`experiment_quorum`]), with a
 /// `DegradedEnsemble` note recorded on the diagnosis. Below quorum the
 /// pipeline errors (structured, not a panic).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Retry attempts per failed member before quarantine.
-    pub max_retries: u32,
+pub const MAX_RETRIES: u32 = 2;
+
+/// Minimum surviving control-ensemble members for an ECT fit out of
+/// `total`: half the ensemble, at least 3 (capped at the ensemble).
+pub fn control_quorum(total: usize) -> usize {
+    (total / 2).max(3).min(total.max(1))
 }
 
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy { max_retries: 2 }
-    }
-}
-
-impl RetryPolicy {
-    /// Minimum surviving control-ensemble members for an ECT fit out of
-    /// `total`: half the ensemble, at least 3 (capped at the ensemble).
-    pub fn control_quorum(&self, total: usize) -> usize {
-        (total / 2).max(3).min(total.max(1))
-    }
-
-    /// Minimum surviving experimental runs for a verdict out of `total`:
-    /// a pyCECT run-set of 3, capped at the set size.
-    pub fn experiment_quorum(&self, total: usize) -> usize {
-        3.min(total).max(1)
-    }
+/// Minimum surviving experimental runs for a verdict out of `total`:
+/// a pyCECT run-set of 3, capped at the set size.
+pub fn experiment_quorum(total: usize) -> usize {
+    3.min(total).max(1)
 }
 
 /// Fill-health summary of one ensemble (control or experimental side).
@@ -248,12 +235,12 @@ pub(crate) fn collect_ensemble(
             base_program,
             &control_config(setup),
             &perts,
-            setup.retry.max_retries,
+            MAX_RETRIES,
             None,
         )
     };
     let health = EnsembleHealth::of(&store);
-    let quorum = setup.retry.control_quorum(setup.n_ensemble);
+    let quorum = control_quorum(setup.n_ensemble);
     if (health.surviving as usize) < quorum {
         let cause = store
             .first_failure()
@@ -294,13 +281,7 @@ pub(crate) struct BaseFills(Mutex<Vec<(RunConfig, Arc<EnsembleRuns>)>>);
 
 impl BaseFills {
     /// The fill of `base` under `config` over `perts`.
-    fn get(
-        &self,
-        base: &Arc<Program>,
-        config: &RunConfig,
-        perts: &[f64],
-        setup: &ExperimentSetup,
-    ) -> Arc<EnsembleRuns> {
+    fn get(&self, base: &Arc<Program>, config: &RunConfig, perts: &[f64]) -> Arc<EnsembleRuns> {
         let cached = |fills: &[(RunConfig, Arc<EnsembleRuns>)]| {
             fills
                 .iter()
@@ -312,12 +293,11 @@ impl BaseFills {
         }
         // Fill outside the lock, like a compile: parallel scenarios never
         // wait on each other's fills.
-        let max_retries = setup.retry.max_retries;
         let fill = Arc::new(EnsembleRuns::run_history(
             base,
             config,
             perts,
-            max_retries,
+            MAX_RETRIES,
             None,
         ));
         let mut fills = self.0.lock().expect("base fill lock");
@@ -373,20 +353,18 @@ pub(crate) fn evaluate_against_ensemble(
     let exp_perts = perturbations(setup.n_experiment, IC_MAGNITUDE, setup.seed ^ 0xDEAD);
     let exp_store = {
         let _span = rca_obs::span("statistics.experiment_fill");
-        let fill = |base| {
-            let retries = setup.retry.max_retries;
-            EnsembleRuns::run_history(exp_program, exp_cfg, &exp_perts, retries, base)
-        };
+        let fill =
+            |base| EnsembleRuns::run_history(exp_program, exp_cfg, &exp_perts, MAX_RETRIES, base);
         match base.filter(|_| exp_cfg.is_plain()) {
             Some((program, fills)) => {
-                let base_fill = fills.get(program, exp_cfg, &exp_perts, setup);
+                let base_fill = fills.get(program, exp_cfg, &exp_perts);
                 fill(Some((program, &base_fill)))
             }
             None => fill(None),
         }
     };
     let exp_health = EnsembleHealth::of(&exp_store);
-    let quorum = setup.retry.experiment_quorum(setup.n_experiment);
+    let quorum = experiment_quorum(setup.n_experiment);
     if (exp_health.surviving as usize) < quorum {
         let cause = exp_store
             .first_failure()
@@ -553,13 +531,12 @@ mod tests {
 
     #[test]
     fn quorum_defaults_scale_with_set_size() {
-        let p = RetryPolicy::default();
-        assert_eq!(p.control_quorum(36), 18);
-        assert_eq!(p.control_quorum(24), 12);
-        assert_eq!(p.control_quorum(4), 3, "floor of 3 control members");
-        assert_eq!(p.control_quorum(2), 2, "floor capped at the set size");
-        assert_eq!(p.experiment_quorum(12), 3, "one pyCECT run-set");
-        assert_eq!(p.experiment_quorum(2), 2);
+        assert_eq!(control_quorum(36), 18);
+        assert_eq!(control_quorum(24), 12);
+        assert_eq!(control_quorum(4), 3, "floor of 3 control members");
+        assert_eq!(control_quorum(2), 2, "floor capped at the set size");
+        assert_eq!(experiment_quorum(12), 3, "one pyCECT run-set");
+        assert_eq!(experiment_quorum(2), 2);
     }
 
     #[test]

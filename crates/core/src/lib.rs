@@ -58,14 +58,14 @@ pub mod slice;
 pub use error::{BudgetKind, RcaError};
 pub use experiments::{
     experiment_configs, DegradedEnsemble, EnsembleHealth, EnsembleStats, ExperimentData,
-    ExperimentSetup, RetryPolicy,
+    ExperimentSetup,
 };
 pub use module_rank::{avx2_policy, DisablementPolicy, ModuleRanking};
 pub use oracle::{Oracle, ReachabilityOracle, RuntimeSampler};
 pub use pipeline::{PipelineOptions, RcaPipeline};
 pub use rca_ident::{ModuleId, OutputId, SymbolTable, VarId};
 pub use refine::{refine, IterationReport, RefineOptions, RefinementReport, StopReason};
-pub use report::{centrality_listing, refinement_trace, table};
+pub use report::refinement_trace;
 pub use session::{
     Diagnosis, OracleKind, RcaSession, RcaSessionBuilder, Refined, Scenario, SliceScope, Sliced,
     Statistics,

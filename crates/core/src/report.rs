@@ -1,41 +1,9 @@
-//! Plain-text rendering of tables and refinement traces for the bench
-//! harnesses (each bench prints the same rows/series as the paper's tables
-//! and figures).
+//! Plain-text rendering of the refinement trace that
+//! [`Diagnosis::render`](crate::Diagnosis::render) prints (the figure
+//! harnesses print it too).
 
 use crate::refine::RefinementReport;
-use rca_graph::NodeId;
 use rca_metagraph::MetaGraph;
-
-/// Renders a two-column table with a title, paper-style.
-pub fn table(title: &str, headers: (&str, &str), rows: &[(String, String)]) -> String {
-    let w1 = rows
-        .iter()
-        .map(|(a, _)| a.len())
-        .chain([headers.0.len()])
-        .max()
-        .unwrap_or(10);
-    let mut out = String::new();
-    out.push_str(&format!("{title}\n"));
-    out.push_str(&format!("{:<w1$}  {}\n", headers.0, headers.1, w1 = w1));
-    out.push_str(&format!(
-        "{}\n",
-        "-".repeat(w1 + 2 + headers.1.len().max(8))
-    ));
-    for (a, b) in rows {
-        out.push_str(&format!("{a:<w1$}  {b}\n"));
-    }
-    out
-}
-
-/// Formats a centrality listing like the paper's REPL output
-/// (`(dum__micro_mg_tend, 0.455153)`).
-pub fn centrality_listing(mg: &MetaGraph, nodes: &[(NodeId, f64)]) -> String {
-    let mut out = String::new();
-    for (n, c) in nodes {
-        out.push_str(&format!("({}, {:.6})\n", mg.display(*n), c));
-    }
-    out
-}
 
 /// Summarizes a refinement run iteration-by-iteration.
 pub fn refinement_trace(mg: &MetaGraph, report: &RefinementReport) -> String {
@@ -64,25 +32,4 @@ pub fn refinement_trace(mg: &MetaGraph, report: &RefinementReport) -> String {
         report.final_nodes.len()
     ));
     out
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn table_renders_aligned() {
-        let t = table(
-            "Table 1: Selective AVX2 disablement",
-            ("Experiment", "ECT failure rate"),
-            &[
-                ("AVX2 enabled, all modules".into(), "92%".into()),
-                ("AVX2 disabled, all modules".into(), "2%".into()),
-            ],
-        );
-        assert!(t.contains("Table 1"));
-        assert!(t.contains("92%"));
-        let lines: Vec<&str> = t.lines().collect();
-        assert!(lines.len() >= 4);
-    }
 }

@@ -1,4 +1,4 @@
-//! Brandes' betweenness centrality (node and edge variants).
+//! Brandes' edge betweenness centrality.
 //!
 //! Girvan–Newman (§5.2) "ranks edges by the number of shortest paths
 //! (computed via BFS) that traverse them". Brandes' dependency-accumulation
@@ -126,8 +126,7 @@ impl Brandes {
     }
 
     /// One source: BFS from `s`, then dependency accumulation in reverse
-    /// BFS order. Leaves `order` and each visited node's `delta`
-    /// describing this source until the next call.
+    /// BFS order.
     fn source(&mut self, g: &Csr, weight: &[f64], s: u32, scores: &mut [f64]) {
         let n = g.node_count();
         if self.node.len() < n {
@@ -193,34 +192,6 @@ impl Brandes {
     }
 }
 
-/// Exact node betweenness centrality for an unweighted digraph.
-///
-/// `normalized` divides by `(n-1)(n-2)` (directed convention). Endpoints are
-/// excluded, matching NetworkX defaults.
-pub fn node_betweenness(graph: &DiGraph, normalized: bool) -> Vec<f64> {
-    let n = graph.node_count();
-    let csr = Csr::of(graph);
-    let weight = vec![1.0; n];
-    let mut edge_scores = vec![0.0; graph.edge_count()];
-    let mut bc = vec![0.0; n];
-    let mut kernel = Brandes::default();
-    for s in 0..n as u32 {
-        kernel.source(&csr, &weight, s, &mut edge_scores);
-        for &w in &kernel.order {
-            if w != s {
-                bc[w as usize] += kernel.node[w as usize].delta;
-            }
-        }
-    }
-    if normalized && n > 2 {
-        let scale = 1.0 / ((n - 1) as f64 * (n - 2) as f64);
-        for b in &mut bc {
-            *b *= scale;
-        }
-    }
-    bc
-}
-
 /// Exact edge betweenness centrality.
 ///
 /// Returns a map keyed by `(from, to)` node-id pairs in the graph's stored
@@ -253,49 +224,6 @@ mod tests {
             g.add_edge(NodeId(v), NodeId(u));
         }
         g
-    }
-
-    #[test]
-    fn path_center_has_all_betweenness() {
-        let bc = node_betweenness(&path3(), false);
-        // Directed counting over the symmetric graph: pairs (0,2) and (2,0)
-        // both route through node 1.
-        assert_eq!(bc[1], 2.0);
-        assert_eq!(bc[0], 0.0);
-        assert_eq!(bc[2], 0.0);
-    }
-
-    #[test]
-    fn normalization_divides_by_pairs() {
-        let bc = node_betweenness(&path3(), true);
-        assert!((bc[1] - 1.0).abs() < 1e-12); // 2 / ((3-1)(3-2)) = 1
-    }
-
-    #[test]
-    fn star_center_betweenness() {
-        // Star: center 0, leaves 1..=4, symmetric edges.
-        let mut g = DiGraph::new();
-        g.add_nodes(5);
-        for v in 1..5u32 {
-            g.add_edge(NodeId(0), NodeId(v));
-            g.add_edge(NodeId(v), NodeId(0));
-        }
-        let bc = node_betweenness(&g, false);
-        // 4 leaves -> 4*3 = 12 ordered pairs route through center.
-        assert_eq!(bc[0], 12.0);
-        for &leaf in &bc[1..5] {
-            assert_eq!(leaf, 0.0);
-        }
-    }
-
-    #[test]
-    fn directed_path_counts_one_direction() {
-        let mut g = DiGraph::new();
-        g.add_nodes(3);
-        g.add_edge(NodeId(0), NodeId(1));
-        g.add_edge(NodeId(1), NodeId(2));
-        let bc = node_betweenness(&g, false);
-        assert_eq!(bc[1], 1.0); // only pair (0,2)
     }
 
     #[test]
@@ -337,24 +265,26 @@ mod tests {
         g.add_edge(NodeId(0), NodeId(2));
         g.add_edge(NodeId(1), NodeId(3));
         g.add_edge(NodeId(2), NodeId(3));
-        let bc = node_betweenness(&g, false);
-        assert!((bc[1] - 0.5).abs() < 1e-12);
-        assert!((bc[2] - 0.5).abs() < 1e-12);
+        let eb = edge_betweenness(&g);
+        assert_eq!(eb.len(), 4);
+        for (&(u, v), &val) in &eb {
+            assert!((val - 1.5).abs() < 1e-12, "edge ({u},{v})={val}");
+        }
     }
 
     #[test]
     fn self_loop_ignored() {
         let mut g = path3();
         g.add_edge(NodeId(1), NodeId(1));
-        let bc = node_betweenness(&g, false);
-        assert_eq!(bc[1], 2.0);
-        assert!(!edge_betweenness(&g).contains_key(&(1, 1)));
+        let eb = edge_betweenness(&g);
+        assert!(!eb.contains_key(&(1, 1)));
+        // Edge 0 -> 1 carries pairs (0,1) and (0,2).
+        assert_eq!(eb[&(0, 1)], 2.0);
     }
 
     #[test]
     fn empty_graph() {
         let g = DiGraph::new();
-        assert!(node_betweenness(&g, true).is_empty());
         assert!(edge_betweenness(&g).is_empty());
     }
 

@@ -4,9 +4,8 @@
 //! terminate on these variables with Breadth First Search" and then takes the
 //! *union* of the node sets of all such paths. For a single BFS from a target
 //! over reversed edges, the union of all shortest paths to the target is
-//! exactly the set of nodes reachable in the BFS — but the paper's procedure
-//! (Algorithm 5.4 steps 3 and 8) needs the *shortest-path DAG* so that only
-//! nodes lying on some shortest path are retained. Both primitives live here.
+//! exactly the set of nodes reachable in the BFS, so the slice of Algorithm
+//! 5.4 steps 3 and 8 is one backward BFS ([`shortest_path_slice`]).
 
 use crate::digraph::{DiGraph, Direction, NodeId};
 use std::collections::VecDeque;
@@ -82,31 +81,6 @@ pub fn shortest_path_slice(graph: &DiGraph, targets: &[NodeId]) -> Vec<NodeId> {
     bfs_multi(graph, targets, Direction::In).reached_nodes()
 }
 
-/// The shortest-path DAG terminating on `targets`: the subgraph of `graph`
-/// containing exactly the edges `u -> v` with `dist_to_target(u) ==
-/// dist_to_target(v) + 1`, i.e. edges that advance along some shortest path
-/// toward a target.
-///
-/// Returns the induced node set plus the DAG edges in parent-graph ids.
-pub fn shortest_path_dag(
-    graph: &DiGraph,
-    targets: &[NodeId],
-) -> (Vec<NodeId>, Vec<(NodeId, NodeId)>) {
-    let back = bfs_multi(graph, targets, Direction::In);
-    let nodes = back.reached_nodes();
-    let mut edges = Vec::new();
-    for &u in &nodes {
-        let du = back.dist[u.index()];
-        for &v in graph.successors(u) {
-            let dv = back.dist[v as usize];
-            if dv != u32::MAX && du == dv + 1 {
-                edges.push((u, NodeId(v)));
-            }
-        }
-    }
-    (nodes, edges)
-}
-
 /// Whether any directed path exists from `from` to any node in `to`.
 ///
 /// Used by the reachability sampling oracle: a bug at `from` can be detected
@@ -136,35 +110,6 @@ pub fn reaches_any(graph: &DiGraph, from: NodeId, to: &[NodeId]) -> bool {
         }
     }
     false
-}
-
-/// Reconstructs one shortest path from `source` to `target` following `dir`
-/// edges, or `None` if unreachable. Useful for reporting edge-path evidence
-/// (the thick purple path segments of paper Fig. 7c).
-pub fn shortest_path(
-    graph: &DiGraph,
-    source: NodeId,
-    target: NodeId,
-    dir: Direction,
-) -> Option<Vec<NodeId>> {
-    let res = bfs_multi(graph, &[source], dir);
-    res.distance(target)?;
-    // Walk backwards from target along decreasing distances.
-    let mut path = vec![target];
-    let mut cur = target;
-    while cur != source {
-        let dc = res.dist[cur.index()];
-        let prev = graph
-            .neighbors(cur, dir.reverse())
-            .iter()
-            .map(|&p| NodeId(p))
-            .find(|&p| res.dist[p.index()] + 1 == dc)
-            .expect("BFS distance invariant violated");
-        path.push(prev);
-        cur = prev;
-    }
-    path.reverse();
-    Some(path)
 }
 
 #[cfg(test)]
@@ -249,19 +194,6 @@ mod tests {
     }
 
     #[test]
-    fn dag_keeps_only_distance_decreasing_edges() {
-        let mut g = diamond();
-        // Shortcut 4 -> 3 makes the 4->0->1->3 chain non-shortest from 4.
-        g.add_edge(NodeId(4), NodeId(3));
-        let (nodes, edges) = shortest_path_dag(&g, &[NodeId(3)]);
-        assert!(nodes.contains(&NodeId(4)));
-        assert!(edges.contains(&(NodeId(4), NodeId(3))));
-        // 4 -> 0 does not decrease distance-to-target (1 -> 2), so excluded.
-        assert!(!edges.contains(&(NodeId(4), NodeId(0))));
-        assert!(edges.contains(&(NodeId(1), NodeId(3))));
-    }
-
-    #[test]
     fn reachability_oracle() {
         let g = diamond();
         assert!(reaches_any(&g, NodeId(4), &[NodeId(3)]));
@@ -270,18 +202,5 @@ mod tests {
             reaches_any(&g, NodeId(3), &[NodeId(3)]),
             "trivially reaches itself"
         );
-    }
-
-    #[test]
-    fn shortest_path_reconstruction() {
-        let g = diamond();
-        let p = shortest_path(&g, NodeId(4), NodeId(3), Direction::Out).unwrap();
-        assert_eq!(p.len(), 4);
-        assert_eq!(p[0], NodeId(4));
-        assert_eq!(*p.last().unwrap(), NodeId(3));
-        for w in p.windows(2) {
-            assert!(g.has_edge(w[0], w[1]));
-        }
-        assert!(shortest_path(&g, NodeId(3), NodeId(4), Direction::Out).is_none());
     }
 }

@@ -3,8 +3,7 @@
 //! The paper ranks nodes inside each community by **eigenvector
 //! in-centrality** (§5.3): "we seek nodes which are likely to be affected by
 //! the bug sources. From the perspective of sampling, we are looking for
-//! information sinks rather than sources." Degree centrality, Katz and
-//! PageRank are provided as baselines/ablations; non-backtracking centrality
+//! information sinks rather than sources." Non-backtracking centrality
 //! lives in [`crate::hashimoto`].
 
 use crate::digraph::{DiGraph, Direction, NodeId};
@@ -32,17 +31,6 @@ impl Default for PowerIterOptions {
             shift: 1.0,
         }
     }
-}
-
-/// Degree centrality in the given direction, normalized by `n - 1`
-/// (NetworkX convention). `Direction::In` counts in-edges.
-pub fn degree_centrality(graph: &DiGraph, dir: Direction) -> Vec<f64> {
-    let n = graph.node_count();
-    let scale = if n > 1 { 1.0 / (n as f64 - 1.0) } else { 1.0 };
-    graph
-        .nodes()
-        .map(|u| graph.neighbors(u, dir).len() as f64 * scale)
-        .collect()
 }
 
 /// Eigenvector centrality by power iteration.
@@ -89,93 +77,6 @@ pub fn eigenvector_centrality(graph: &DiGraph, dir: Direction, opts: PowerIterOp
     x
 }
 
-/// Katz centrality: `x = α A_dir x + β 1`, solved by fixed-point iteration.
-///
-/// `alpha` must be below the reciprocal spectral radius for convergence;
-/// 0.005–0.1 is typical for sparse graphs.
-pub fn katz_centrality(
-    graph: &DiGraph,
-    dir: Direction,
-    alpha: f64,
-    beta: f64,
-    opts: PowerIterOptions,
-) -> Vec<f64> {
-    let n = graph.node_count();
-    if n == 0 {
-        return Vec::new();
-    }
-    let mut x = vec![beta; n];
-    let mut next = vec![0.0; n];
-    for _ in 0..opts.max_iter {
-        for (i, nx) in next.iter_mut().enumerate() {
-            let mut acc = 0.0;
-            for &j in graph.neighbors(NodeId(i as u32), dir) {
-                acc += x[j as usize];
-            }
-            *nx = alpha * acc + beta;
-        }
-        let delta: f64 = x.iter().zip(&next).map(|(a, b)| (a - b).abs()).sum();
-        std::mem::swap(&mut x, &mut next);
-        if delta < opts.tol {
-            break;
-        }
-    }
-    let norm = x.iter().map(|v| v * v).sum::<f64>().sqrt();
-    if norm > 0.0 {
-        for v in &mut x {
-            *v /= norm;
-        }
-    }
-    x
-}
-
-/// PageRank with damping `d` (teleport `1 - d`), in the given direction.
-///
-/// `Direction::In` ranks information sinks (mass flows along edges);
-/// dangling mass is redistributed uniformly. Eigenvector centrality "is
-/// related to PageRank, which is used to rank web pages" (§5.3).
-pub fn pagerank(graph: &DiGraph, dir: Direction, d: f64, opts: PowerIterOptions) -> Vec<f64> {
-    let n = graph.node_count();
-    if n == 0 {
-        return Vec::new();
-    }
-    let nf = n as f64;
-    // Mass flows from j to i along an edge j->i (for Direction::In), split
-    // by j's count of such edges.
-    let give = dir.reverse();
-    let out_counts: Vec<usize> = graph
-        .nodes()
-        .map(|u| graph.neighbors(u, give).len())
-        .collect();
-    let mut x = vec![1.0 / nf; n];
-    let mut next = vec![0.0; n];
-    for _ in 0..opts.max_iter {
-        let dangling: f64 = x
-            .iter()
-            .enumerate()
-            .filter(|&(i, _)| out_counts[i] == 0)
-            .map(|(_, v)| v)
-            .sum();
-        let base = (1.0 - d) / nf + d * dangling / nf;
-        next.fill(base);
-        for (i, &xi) in x.iter().enumerate() {
-            let c = out_counts[i];
-            if c > 0 {
-                let share = d * xi / c as f64;
-                for &j in graph.neighbors(NodeId(i as u32), give) {
-                    next[j as usize] += share;
-                }
-            }
-        }
-        let delta: f64 = x.iter().zip(&next).map(|(a, b)| (a - b).abs()).sum();
-        std::mem::swap(&mut x, &mut next);
-        if delta < opts.tol {
-            break;
-        }
-    }
-    x
-}
-
 /// Indices of the `m` highest-scoring nodes, descending; ties broken by node
 /// id for determinism. This is Algorithm 5.4 step 6: "select m nodes with
 /// largest centrality".
@@ -207,17 +108,6 @@ mod tests {
             g.add_edge(NodeId(v), NodeId(0));
         }
         g
-    }
-
-    #[test]
-    fn degree_centrality_star() {
-        let g = in_star();
-        let c_in = degree_centrality(&g, Direction::In);
-        assert!((c_in[0] - 1.0).abs() < 1e-12); // 5 in-edges / (6-1)
-        assert_eq!(c_in[1], 0.0);
-        let c_out = degree_centrality(&g, Direction::Out);
-        assert_eq!(c_out[0], 0.0);
-        assert!((c_out[1] - 0.2).abs() < 1e-12);
     }
 
     #[test]
@@ -280,22 +170,6 @@ mod tests {
     }
 
     #[test]
-    fn katz_prefers_sink() {
-        let g = in_star();
-        let c = katz_centrality(&g, Direction::In, 0.1, 1.0, opts());
-        assert!(c[0] > c[1]);
-    }
-
-    #[test]
-    fn pagerank_sums_to_one_and_ranks_sink() {
-        let g = in_star();
-        let pr = pagerank(&g, Direction::In, 0.85, opts());
-        let sum: f64 = pr.iter().sum();
-        assert!((sum - 1.0).abs() < 1e-6, "stochastic: sum={sum}");
-        assert!(pr[0] > pr[1]);
-    }
-
-    #[test]
     fn top_m_deterministic_ties() {
         let scores = vec![0.5, 0.9, 0.5, 0.1];
         assert_eq!(top_m(&scores, 3), vec![NodeId(1), NodeId(0), NodeId(2)]);
@@ -307,7 +181,5 @@ mod tests {
     fn empty_graph_centralities() {
         let g = DiGraph::new();
         assert!(eigenvector_centrality(&g, Direction::In, opts()).is_empty());
-        assert!(pagerank(&g, Direction::In, 0.85, opts()).is_empty());
-        assert!(degree_centrality(&g, Direction::In).is_empty());
     }
 }

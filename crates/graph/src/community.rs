@@ -1,4 +1,4 @@
-//! Girvan–Newman community detection and modularity.
+//! Girvan–Newman community detection.
 //!
 //! The paper (§5.2) partitions each induced subgraph with Girvan–Newman on
 //! the undirected view: betweenness is computed for every edge, the edge with
@@ -494,35 +494,6 @@ pub fn communities(graph: &DiGraph, levels: usize, min_size: usize) -> Vec<Vec<N
     groups
 }
 
-/// Newman–Girvan modularity `Q` of a partition over the undirected view of
-/// `graph`.
-///
-/// `Q = Σ_c (e_c / m − (d_c / 2m)²)` with `e_c` intra-community undirected
-/// edges, `d_c` total degree of community `c`, and `m` undirected edges.
-pub fn modularity(graph: &DiGraph, partition: &Partition) -> f64 {
-    let und = graph.to_undirected();
-    let m2 = und.edge_count() as f64; // = 2m (each undirected edge stored twice)
-    if m2 == 0.0 {
-        return 0.0;
-    }
-    let mut intra = vec![0.0f64; partition.count]; // directed intra-edge count
-    let mut deg = vec![0.0f64; partition.count];
-    for (u, v) in und.edges() {
-        let lu = partition.label(u);
-        if lu == partition.label(v) {
-            intra[lu as usize] += 1.0;
-        }
-    }
-    for n in und.nodes() {
-        deg[partition.label(n) as usize] += und.out_degree(n) as f64;
-    }
-    intra
-        .iter()
-        .zip(&deg)
-        .map(|(&e, &d)| e / m2 - (d / m2) * (d / m2))
-        .sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -616,29 +587,6 @@ mod tests {
         let cs = communities(&g, 1, 2);
         assert_eq!(cs[0].len(), 5);
         assert_eq!(cs[1].len(), 4);
-    }
-
-    #[test]
-    fn modularity_good_split_positive() {
-        let g = two_cliques();
-        let r = girvan_newman(&g, 1);
-        let q = modularity(&g, &r.partition);
-        assert!(q > 0.3, "clique split should have high modularity, got {q}");
-    }
-
-    #[test]
-    fn modularity_trivial_partition_zero() {
-        let g = two_cliques();
-        let p = Partition::new(vec![0; 8], 1);
-        let q = modularity(&g, &p);
-        assert!(q.abs() < 1e-12);
-    }
-
-    #[test]
-    fn modularity_singletons_negative() {
-        let g = two_cliques();
-        let p = Partition::new((0..8).collect(), 8);
-        assert!(modularity(&g, &p) < 0.0);
     }
 
     #[test]

@@ -45,17 +45,6 @@ pub enum Direction {
     In,
 }
 
-impl Direction {
-    /// The opposite direction.
-    #[inline]
-    pub fn reverse(self) -> Direction {
-        match self {
-            Direction::Out => Direction::In,
-            Direction::In => Direction::Out,
-        }
-    }
-}
-
 /// A directed graph stored as forward and reverse adjacency lists.
 ///
 /// Duplicate edges are rejected at insertion time (the metagraph builder

@@ -338,11 +338,6 @@ impl BitSet {
         }
     }
 
-    /// Whether the two sets share a bit.
-    pub fn intersects(&self, other: &BitSet) -> bool {
-        self.words.iter().zip(&other.words).any(|(a, b)| a & b != 0)
-    }
-
     /// Indices of the bits set in both `self` and `other`, ascending.
     pub fn ones_in<'a>(&'a self, other: &'a BitSet) -> impl Iterator<Item = usize> + 'a {
         self.words

@@ -391,13 +391,6 @@ impl Executor {
         self.step
     }
 
-    /// Reads one module-level variable (tests, kernel comparison).
-    pub fn global(&self, module: &str, name: &str) -> Option<&Value> {
-        self.program
-            .global_slot(module, name)
-            .map(|s| &self.globals[s as usize])
-    }
-
     /// Executed subprograms as an id-keyed [`RunCoverage`] (strings render
     /// at the edge, in the legacy sorted `(module, subprogram)` order).
     pub fn coverage(&self) -> RunCoverage {

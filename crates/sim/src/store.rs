@@ -90,17 +90,6 @@ impl RunCoverage {
         Self::finish(Arc::new(syms), ids)
     }
 
-    /// The id pairs (sorted by rendered names). Ids are local to this
-    /// coverage's table — compare across runs through the string edge.
-    pub fn ids(&self) -> &[(ModuleId, VarId)] {
-        &self.ids
-    }
-
-    /// The symbol table the id pairs resolve against.
-    pub fn symbols(&self) -> &Arc<SymbolTable> {
-        &self.syms
-    }
-
     /// Rendered `(module, subprogram)` pairs, sorted — the string edge,
     /// borrowing straight out of the interner.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &str)> {

@@ -14,15 +14,6 @@ pub fn mean(xs: &[f64]) -> f64 {
     xs.iter().sum::<f64>() / xs.len() as f64
 }
 
-/// Sample standard deviation (ddof = 1); 0 for fewer than two samples.
-pub fn std_dev(xs: &[f64]) -> f64 {
-    if xs.len() < 2 {
-        return 0.0;
-    }
-    let m = mean(xs);
-    (xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / (xs.len() - 1) as f64).sqrt()
-}
-
 /// Linear-interpolation quantile (type 7, NumPy default). `q` in `[0, 1]`.
 ///
 /// # Panics
@@ -53,13 +44,6 @@ pub fn iqr_bounds(xs: &[f64]) -> (f64, f64) {
     (quantile(xs, 0.25), quantile(xs, 0.75))
 }
 
-/// Whether two IQRs overlap. Touching endpoints count as overlapping.
-pub fn iqr_overlap(a: &[f64], b: &[f64]) -> bool {
-    let (a1, a3) = iqr_bounds(a);
-    let (b1, b3) = iqr_bounds(b);
-    a1 <= b3 && b1 <= a3
-}
-
 /// Standardizes `xs` by the given location/scale; scale below `eps` only
 /// centers (mirrors the ECT treatment of constant variables).
 pub fn standardize(xs: &[f64], loc: f64, scale: f64, eps: f64) -> Vec<f64> {
@@ -80,11 +64,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn mean_and_std() {
+    fn mean_known() {
         assert_eq!(mean(&[]), 0.0);
         assert_eq!(mean(&[2.0, 4.0]), 3.0);
-        assert_eq!(std_dev(&[5.0]), 0.0);
-        assert!((std_dev(&[2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]) - 2.138089935).abs() < 1e-6);
     }
 
     #[test]
@@ -112,16 +94,6 @@ mod tests {
     fn median_odd_even() {
         assert_eq!(median(&[1.0, 2.0, 3.0]), 2.0);
         assert_eq!(median(&[1.0, 2.0, 3.0, 4.0]), 2.5);
-    }
-
-    #[test]
-    fn iqr_overlap_detection() {
-        let a: Vec<f64> = (0..20).map(|i| i as f64).collect();
-        let shifted: Vec<f64> = a.iter().map(|x| x + 100.0).collect();
-        let near: Vec<f64> = a.iter().map(|x| x + 1.0).collect();
-        assert!(!iqr_overlap(&a, &shifted), "distant distributions disjoint");
-        assert!(iqr_overlap(&a, &near), "close distributions overlap");
-        assert!(iqr_overlap(&a, &a));
     }
 
     #[test]

@@ -51,21 +51,6 @@ impl LassoModel {
         });
         idx
     }
-
-    /// Predicted probability that `run` belongs to the experimental class.
-    pub fn predict_proba(&self, run: &[f64]) -> f64 {
-        assert_eq!(run.len(), self.weights.len());
-        let mut z = self.intercept;
-        for (i, &x) in run.iter().enumerate() {
-            let s = if self.stds[i] > 1e-300 {
-                self.stds[i]
-            } else {
-                1.0
-            };
-            z += self.weights[i] * (x - self.means[i]) / s;
-        }
-        1.0 / (1.0 + (-z).exp())
-    }
 }
 
 fn sigmoid(z: f64) -> f64 {
@@ -275,6 +260,21 @@ mod tests {
         assert!(hit >= 3, "selection {sel:?}");
     }
 
+    /// Predicted probability that `run` belongs to the experimental class,
+    /// from the model's own standardization, weights and intercept.
+    fn proba(model: &LassoModel, run: &[f64]) -> f64 {
+        let mut z = model.intercept;
+        for (i, &x) in run.iter().enumerate() {
+            let s = if model.stds[i] > 1e-300 {
+                model.stds[i]
+            } else {
+                1.0
+            };
+            z += model.weights[i] * (x - model.means[i]) / s;
+        }
+        sigmoid(z)
+    }
+
     #[test]
     fn prediction_separates_classes() {
         let (x, y) = classification_data(50, 6, &[1], 5.0, 3);
@@ -284,7 +284,7 @@ mod tests {
         let mut p0 = 0.0;
         let mut p1 = 0.0;
         for (i, &label) in y.iter().enumerate().take(n) {
-            let p = model.predict_proba(x.row(i));
+            let p = proba(&model, x.row(i));
             if label == 0.0 {
                 p0 += p;
             } else {
@@ -300,7 +300,7 @@ mod tests {
         let mut s0 = 0.0;
         let mut s1 = 0.0;
         for (i, &label) in y.iter().enumerate().take(n) {
-            let p = sharp.predict_proba(x.row(i));
+            let p = proba(&sharp, x.row(i));
             if label == 0.0 {
                 s0 += p;
             } else {

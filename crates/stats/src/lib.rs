@@ -34,11 +34,11 @@ pub mod pca;
 pub mod rms;
 pub mod selection;
 
-pub use descriptive::{iqr_bounds, iqr_overlap, mean, median, quantile, standardize, std_dev};
+pub use descriptive::{iqr_bounds, mean, median, quantile, standardize};
 pub use ect::{Ect, EctConfig, RunVerdict, Verdict};
 pub use eigen::{jacobi_eigen, EigenDecomposition};
 pub use lasso::{fit_lasso_logistic, fit_lasso_path, lambda_max, LassoModel};
 pub use matrix::Matrix;
 pub use pca::Pca;
-pub use rms::{flag_variables, normalized_rms_diff, rms, KGEN_RMS_THRESHOLD};
-pub use selection::{direct_difference, median_distance_selection, SelectedVariable};
+pub use rms::{normalized_rms_diff, rms, KGEN_RMS_THRESHOLD};
+pub use selection::{median_distance_selection, SelectedVariable};

@@ -139,49 +139,9 @@ impl Matrix {
         &self.data[i * self.cols..(i + 1) * self.cols]
     }
 
-    /// Mutable row access.
-    #[inline]
-    pub fn row_mut(&mut self, i: usize) -> &mut [f64] {
-        &mut self.data[i * self.cols..(i + 1) * self.cols]
-    }
-
     /// Column `j` copied into a vector.
     pub fn col(&self, j: usize) -> Vec<f64> {
         (0..self.rows).map(|i| self[(i, j)]).collect()
-    }
-
-    /// Transposed copy.
-    pub fn transpose(&self) -> Matrix {
-        let mut t = Matrix::zeros(self.cols, self.rows);
-        for i in 0..self.rows {
-            for j in 0..self.cols {
-                t[(j, i)] = self[(i, j)];
-            }
-        }
-        t
-    }
-
-    /// Matrix product `self * rhs`.
-    ///
-    /// # Panics
-    /// Panics on inner-dimension mismatch.
-    pub fn matmul(&self, rhs: &Matrix) -> Matrix {
-        assert_eq!(self.cols, rhs.rows, "inner dimension mismatch");
-        let mut out = Matrix::zeros(self.rows, rhs.cols);
-        for i in 0..self.rows {
-            for k in 0..self.cols {
-                let a = self[(i, k)];
-                if a == 0.0 {
-                    continue;
-                }
-                let rrow = rhs.row(k);
-                let orow = out.row_mut(i);
-                for (o, &b) in orow.iter_mut().zip(rrow) {
-                    *o += a * b;
-                }
-            }
-        }
-        out
     }
 
     /// Matrix–vector product.
@@ -299,34 +259,6 @@ mod tests {
     #[should_panic(expected = "shape mismatch")]
     fn bad_shape_panics() {
         Matrix::from_rows(2, 2, vec![1.0]);
-    }
-
-    #[test]
-    fn transpose_round_trip() {
-        let m = Matrix::from_rows(2, 3, vec![1., 2., 3., 4., 5., 6.]);
-        let t = m.transpose();
-        assert_eq!(t.rows(), 3);
-        assert_eq!(t[(2, 1)], 6.0);
-        assert_eq!(t.transpose(), m);
-    }
-
-    #[test]
-    fn matmul_identity() {
-        let m = Matrix::from_rows(2, 2, vec![1., 2., 3., 4.]);
-        let i = Matrix::identity(2);
-        assert_eq!(m.matmul(&i), m);
-        assert_eq!(i.matmul(&m), m);
-    }
-
-    #[test]
-    fn matmul_known() {
-        let a = Matrix::from_rows(2, 3, vec![1., 2., 3., 4., 5., 6.]);
-        let b = Matrix::from_rows(3, 2, vec![7., 8., 9., 10., 11., 12.]);
-        let c = a.matmul(&b);
-        assert_eq!(c[(0, 0)], 58.0);
-        assert_eq!(c[(0, 1)], 64.0);
-        assert_eq!(c[(1, 0)], 139.0);
-        assert_eq!(c[(1, 1)], 154.0);
     }
 
     #[test]

@@ -37,21 +37,6 @@ pub fn normalized_rms_diff(a: &[f64], b: &[f64]) -> f64 {
     }
 }
 
-/// Compares many named variables and returns the flagged names with their
-/// normalized RMS, sorted descending (the "42 variables" list).
-pub fn flag_variables<'a>(
-    pairs: impl IntoIterator<Item = (&'a str, &'a [f64], &'a [f64])>,
-    threshold: f64,
-) -> Vec<(String, f64)> {
-    let mut flagged: Vec<(String, f64)> = pairs
-        .into_iter()
-        .map(|(name, a, b)| (name.to_string(), normalized_rms_diff(a, b)))
-        .filter(|&(_, v)| v > threshold)
-        .collect();
-    flagged.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then_with(|| a.0.cmp(&b.0)));
-    flagged
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -86,26 +71,6 @@ mod tests {
         let b = [1e-6, 0.0];
         let n = normalized_rms_diff(&z, &b);
         assert!(n > 0.0 && n.is_finite());
-    }
-
-    #[test]
-    fn flag_variables_sorted() {
-        let a1 = [1.0, 1.0];
-        let b1 = [1.0 + 1e-6, 1.0];
-        let a2 = [2.0, 2.0];
-        let b2 = [2.0 + 1e-3, 2.0];
-        let a3 = [3.0, 3.0];
-        let flagged = flag_variables(
-            vec![
-                ("small", &a1[..], &b1[..]),
-                ("big", &a2[..], &b2[..]),
-                ("same", &a3[..], &a3[..]),
-            ],
-            KGEN_RMS_THRESHOLD,
-        );
-        assert_eq!(flagged.len(), 2);
-        assert_eq!(flagged[0].0, "big");
-        assert_eq!(flagged[1].0, "small");
     }
 
     #[test]

@@ -73,24 +73,6 @@ pub fn median_distance_selection(
     out
 }
 
-/// First-step direct comparison (§3): normalized difference of two single
-/// runs per variable; returns indices whose relative difference exceeds
-/// `tol`. The paper recommends this first, noting it usually selects
-/// everything ("most often ... all CAM output variables are different"),
-/// in which case the distribution-based methods take over.
-pub fn direct_difference(a: &[f64], b: &[f64], tol: f64) -> Vec<usize> {
-    assert_eq!(a.len(), b.len());
-    a.iter()
-        .zip(b)
-        .enumerate()
-        .filter(|(_, (&x, &y))| {
-            let scale = x.abs().max(y.abs()).max(1e-300);
-            ((x - y).abs() / scale) > tol
-        })
-        .map(|(i, _)| i)
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -160,16 +142,6 @@ mod tests {
         let sel = median_distance_selection(&ens, &exp, false);
         assert_eq!(sel.len(), 2);
         assert!(sel[0].median_distance >= sel[1].median_distance);
-    }
-
-    #[test]
-    fn direct_difference_thresholds() {
-        let a = [1.0, 2.0, 3.0];
-        let b = [1.0, 2.2, 3.0000001];
-        let d = direct_difference(&a, &b, 1e-3);
-        assert_eq!(d, vec![1]);
-        let d0 = direct_difference(&a, &a, 0.0);
-        assert!(d0.is_empty());
     }
 
     #[test]

@@ -357,7 +357,7 @@
 //!   (and the statistics fills' [`sim::EnsembleRuns::run_history`],
 //!   which refills through it whenever a history-slice member fails)
 //!   tracks per-member [`sim::MemberHealth`], retries failed members with
-//!   derived reseeds up to a bounded [`rca::RetryPolicy`], and
+//!   derived reseeds up to [`rca::experiments::MAX_RETRIES`] times, and
 //!   quarantines what never recovers; the statistics stages fit the ECT
 //!   from the surviving quorum (half the ensemble, at least 3; one
 //!   3-run set of experimental runs) and record a
