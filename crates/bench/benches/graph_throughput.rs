@@ -9,6 +9,12 @@
 //! Brandes sources visited and the removals decided by the exact tie
 //! fallback. Removal orders and partitions must match, and the new code
 //! must be at least 2x faster over all first splits (asserted).
+//!
+//! The new code is timed again with `RAYON_NUM_THREADS=1`, set inside the
+//! bench, to record what running large blocks' source chunks on the pool
+//! gains (`parallel_speedup`, no floor: it depends on the host's free
+//! cores) and how many block scorings fanned out. Removal order,
+//! partition and Brandes sources must be the same at both thread counts.
 //! `RCA_BENCH_SCALE=test|medium|paper` sizes the model.
 
 use rca_bench::{bench_model, header};
@@ -21,6 +27,18 @@ use std::time::Instant;
 
 /// Speed-up floor of the block-restricted split over the reference.
 const FLOOR: f64 = 2.0;
+
+/// Runs `f` with `RAYON_NUM_THREADS=1`, then restores the variable.
+fn on_one_thread<T>(f: impl FnOnce() -> T) -> T {
+    let saved = std::env::var_os("RAYON_NUM_THREADS");
+    std::env::set_var("RAYON_NUM_THREADS", "1");
+    let out = f();
+    match saved {
+        Some(value) => std::env::set_var("RAYON_NUM_THREADS", value),
+        None => std::env::remove_var("RAYON_NUM_THREADS"),
+    }
+    out
+}
 
 /// Best-of-`reps` milliseconds of `f`, and its last result.
 fn timed<T>(reps: usize, mut f: impl FnMut() -> T) -> (f64, T) {
@@ -60,34 +78,58 @@ fn main() {
     assert!(!slices.is_empty(), "no experiment fails its ECT");
 
     let mut rows = Vec::new();
-    let (mut ref_ms, mut new_ms) = (0.0, 0.0);
+    let (mut ref_ms, mut new_ms, mut one_ms) = (0.0, 0.0, 0.0);
     let (mut ref_sources, mut new_sources, mut exact_steps, mut removals) = (0, 0, 0, 0);
+    let mut fanned_out = 0;
     println!(
-        "{:<12} {:>5} {:>5} {:>8} {:>10} {:>10} {:>9} {:>9} {:>6}",
-        "slice", "nodes", "edges", "removals", "ref ms", "new ms", "ref src", "new src", "exact"
+        "{:<12} {:>5} {:>5} {:>8} {:>10} {:>10} {:>10} {:>9} {:>9} {:>6} {:>6}",
+        "slice",
+        "nodes",
+        "edges",
+        "removals",
+        "ref ms",
+        "new ms",
+        "1-thr ms",
+        "ref src",
+        "new src",
+        "exact",
+        "fanned"
     );
     for (name, g) in &slices {
         let (r_ms, (want, r_work)) = timed(reps, || reference::girvan_newman(g, 1));
         let (n_ms, (got, n_work)) = timed(reps, || girvan_newman_counted(g, 1));
+        let (o_ms, (one, o_work)) = on_one_thread(|| timed(reps, || girvan_newman_counted(g, 1)));
         assert_eq!(
             got.removed_edges, want.removed_edges,
             "{name}: removal order"
         );
         assert_eq!(got.partition, want.partition, "{name}: partition");
+        assert_eq!(
+            one.removed_edges, got.removed_edges,
+            "{name}: removal order on one thread"
+        );
+        assert_eq!(
+            one.partition, got.partition,
+            "{name}: partition on one thread"
+        );
+        assert_eq!(o_work, n_work, "{name}: work counts on one thread");
         println!(
-            "{name:<12} {:>5} {:>5} {:>8} {r_ms:>10.1} {n_ms:>10.1} {:>9} {:>9} {:>6}",
+            "{name:<12} {:>5} {:>5} {:>8} {r_ms:>10.1} {n_ms:>10.1} {o_ms:>10.1} {:>9} {:>9} {:>6} {:>6}",
             g.node_count(),
             g.edge_count(),
             got.removed_edges.len(),
             r_work.sources,
             n_work.sources,
-            n_work.exact_steps
+            n_work.exact_steps,
+            n_work.fanned_out
         );
         ref_ms += r_ms;
         new_ms += n_ms;
+        one_ms += o_ms;
         ref_sources += r_work.sources;
         new_sources += n_work.sources;
         exact_steps += n_work.exact_steps;
+        fanned_out += n_work.fanned_out;
         removals += got.removed_edges.len();
         rows.push(Json::obj([
             ("slice", name.to_json()),
@@ -96,15 +138,21 @@ fn main() {
             ("removals", got.removed_edges.len().to_json()),
             ("reference_ms", r_ms.to_json()),
             ("new_ms", n_ms.to_json()),
+            ("one_thread_ms", o_ms.to_json()),
             ("reference_sources", r_work.sources.to_json()),
             ("new_sources", n_work.sources.to_json()),
             ("exact_steps", n_work.exact_steps.to_json()),
+            ("fanned_out", n_work.fanned_out.to_json()),
         ]));
     }
     let speedup = ref_ms / new_ms.max(1e-9);
+    let parallel_speedup = one_ms / new_ms.max(1e-9);
     println!(
         "first splits: reference {ref_ms:.1} ms ({ref_sources} sources), new {new_ms:.1} ms \
          ({new_sources} sources, {exact_steps} exact steps), {removals} removals: {speedup:.2}x"
+    );
+    println!(
+        "one thread: {one_ms:.1} ms, {parallel_speedup:.2}x from {fanned_out} block scorings on the pool"
     );
     let record = Json::obj([
         ("bench", "graph_throughput".to_json()),
@@ -119,10 +167,13 @@ fn main() {
         ("removals", removals.to_json()),
         ("reference_ms", ref_ms.to_json()),
         ("new_ms", new_ms.to_json()),
+        ("one_thread_ms", one_ms.to_json()),
         ("reference_sources", ref_sources.to_json()),
         ("new_sources", new_sources.to_json()),
         ("exact_steps", exact_steps.to_json()),
+        ("fanned_out", fanned_out.to_json()),
         ("speedup", speedup.to_json()),
+        ("parallel_speedup", parallel_speedup.to_json()),
         ("floor", FLOOR.to_json()),
     ]);
     rca_bench::record_bench("BENCH_graph.json", record);

@@ -18,9 +18,8 @@
 
 use crate::oracle::Oracle;
 use crate::slice::{reinduce, Slice};
-use rca_graph::{
-    bfs_multi, communities, eigenvector_centrality, top_m, Direction, NodeId, PowerIterOptions,
-};
+use rca_graph::community::communities_counted;
+use rca_graph::{bfs_multi, eigenvector_centrality, top_m, Direction, NodeId, PowerIterOptions};
 use rca_metagraph::MetaGraph;
 use serde::Json;
 
@@ -211,7 +210,10 @@ pub fn refine(
         // Step 5: communities of the undirected view.
         let comms = {
             let _span = rca_obs::span("refine.communities");
-            communities(&current.graph, GN_LEVELS, opts.min_community)
+            let (comms, work) = communities_counted(&current.graph, GN_LEVELS, opts.min_community);
+            rca_obs::counter_inc!("community.sources", work.sources);
+            rca_obs::counter_inc!("community.exact_steps", work.exact_steps);
+            comms
         };
         if comms.is_empty() {
             stop = StopReason::Disconnected;

@@ -5,15 +5,35 @@
 //! algorithm computes exact betweenness in O(V·E) for unweighted graphs.
 //!
 //! Everything here runs one kernel, `Brandes`, over a dense
-//! edge-indexed adjacency (`Csr`) with node weights. Sources run one
-//! after another in ascending node order and every score is a plain
-//! left-to-right sum, so results are bit-identical at any thread count.
-//! With unit weights the kernel reproduces the classic per-source
-//! accumulation bit for bit; Girvan–Newman passes biconnected blocks with
-//! weights that count the nodes hanging off each block node.
+//! edge-indexed adjacency (`Csr`) with node weights. With unit weights
+//! the kernel reproduces the classic per-source accumulation bit for bit;
+//! Girvan–Newman passes biconnected blocks with weights that count the
+//! nodes hanging off each block node.
+//!
+//! Scores are summed one of two ways, neither of which depends on the
+//! thread count. [`edge_betweenness`] and Girvan–Newman's exact tie
+//! scores run the sources one after another in ascending node order, one
+//! plain left-to-right sum: the reference's bits. Girvan–Newman's block
+//! scores sum fixed chunks of `CHUNK` (32) sources: each chunk's partial
+//! starts from zero and adds its sources in ascending order, and the
+//! partials are added in chunk order. A block whose work (sources ×
+//! adjacency entries) reaches `FAN_OUT` (2^18) runs its chunks on the
+//! thread pool and a smaller one runs the same chunks on the caller, so
+//! the bits depend only on the block.
 
 use crate::digraph::DiGraph;
+use rayon::prelude::*;
 use std::collections::HashMap;
+
+/// Sources per chunk of a chunked sum.
+pub(crate) const CHUNK: usize = 32;
+
+/// Work (sources × adjacency entries) from which a chunked sum runs its
+/// chunks on the thread pool. Blocks this large carry most of a
+/// paper-scale split's Brandes work, and no test-scale block reaches it,
+/// so callers that already keep every core busy with test-scale
+/// diagnoses stay on their own thread.
+pub(crate) const FAN_OUT: usize = 1 << 18;
 
 /// Dense adjacency for the kernel: node `v`'s out-entries are
 /// `adj[off[v]..off[v + 1]]`, each `(target, score slot)`, in the order
@@ -120,9 +140,46 @@ impl Brandes {
         for &(_, slot) in &g.adj {
             scores[slot as usize] = 0.0;
         }
+        self.sources += g.node_count() as u64;
         for s in 0..g.node_count() as u32 {
             self.source(g, weight, s, scores);
         }
+    }
+
+    /// Sets `scores`, one entry per slot of `g` (slots `0..scores.len()`),
+    /// to the chunked sum of the same per-source terms as [`Brandes::run`]:
+    /// one partial per [`CHUNK`] sources, each from zero in ascending
+    /// source order, added in chunk order. Runs the chunks on the thread
+    /// pool, one `Brandes` per worker, when the work reaches [`FAN_OUT`],
+    /// and reports whether it did; the bits are the same either way.
+    pub(crate) fn run_chunked(&mut self, g: &Csr, weight: &[f64], scores: &mut [f64]) -> bool {
+        let n = g.node_count();
+        let slots = scores.len();
+        let partial = |kernel: &mut Brandes, c: usize| {
+            let mut partial = vec![0.0; slots];
+            for s in c * CHUNK..n.min((c + 1) * CHUNK) {
+                kernel.source(g, weight, s as u32, &mut partial);
+            }
+            partial
+        };
+        let chunks = 0..n.div_ceil(CHUNK);
+        let fan_out = n * g.adj.len() >= FAN_OUT;
+        let partials: Vec<Vec<f64>> = if fan_out {
+            chunks
+                .into_par_iter()
+                .map_init(Brandes::default, partial)
+                .collect()
+        } else {
+            chunks.map(|c| partial(self, c)).collect()
+        };
+        scores.fill(0.0);
+        for partial in &partials {
+            for (score, term) in scores.iter_mut().zip(partial) {
+                *score += term;
+            }
+        }
+        self.sources += n as u64;
+        fan_out
     }
 
     /// One source: BFS from `s`, then dependency accumulation in reverse
@@ -137,16 +194,12 @@ impl Brandes {
             self.pred.resize(preds, (0, 0));
         }
         let Brandes {
-            node,
-            order,
-            pred,
-            sources,
+            node, order, pred, ..
         } = self;
         for &v in order.iter() {
             node[v as usize] = UNSEEN;
         }
         order.clear();
-        *sources += 1;
 
         node[s as usize].dist = 0;
         node[s as usize].sigma = 1.0;

@@ -17,13 +17,17 @@
 //! blocks that the removed edge's old block falls apart into, and a removal
 //! that splits a component rescores both halves in full.
 //!
-//! Block scores equal whole-component scores only up to rounding. When the
-//! runner-up scores within 1e-9 relative of the top, the step is decided on
-//! exact unit-weight scores over the candidates' components, summed over
-//! sources in ascending order, with the original rule: highest score, ties
-//! by the smallest directed `(from, to)` key. The removal order therefore
-//! equals that of the original whole-component algorithm run on one
-//! thread (`reference::girvan_newman`), whatever the thread count.
+//! A block's sources are summed in fixed chunks of 32, each chunk from
+//! zero in ascending source order and the chunks in order, and a large
+//! block runs its chunks on every core (see [`crate::betweenness`]); the
+//! bits depend only on the block. Block scores equal whole-component
+//! scores only up to rounding. When the runner-up scores within 1e-9
+//! relative of the top, the step is decided on exact unit-weight scores
+//! over the candidates' components, summed over sources in one ascending
+//! pass, with the original rule: highest score, ties by the smallest
+//! directed `(from, to)` key. The removal order therefore equals that of
+//! the original whole-component algorithm run on one thread
+//! (`reference::girvan_newman`), whatever the thread count.
 
 use crate::betweenness::{Brandes, Csr};
 use crate::components::Partition;
@@ -47,6 +51,9 @@ pub struct GnWork {
     pub sources: u64,
     /// Removals decided on exact unit-weight scores (tie band).
     pub exact_steps: u64,
+    /// Block scorings whose work reached the fan-out constant, so their
+    /// source chunks ran on the thread pool (inline at one thread).
+    pub fanned_out: u64,
 }
 
 /// Relative gap under which two block scores count as tied, far above
@@ -155,6 +162,9 @@ struct Gn {
     base: Vec<u32>,
     local: Vec<u32>,
     seen: Vec<bool>,
+    /// Work array, indexed by edge: its score slot in the block being
+    /// scored.
+    edge_slot: Vec<u32>,
     work: GnWork,
 }
 
@@ -198,6 +208,7 @@ impl Gn {
             base: vec![1; n],
             local: vec![0; n],
             seen: vec![false; n],
+            edge_slot: vec![0; m],
             work: GnWork::default(),
         }
     }
@@ -437,24 +448,38 @@ impl Gn {
         }
     }
 
-    /// Weighted Brandes over block `id` alone, into `fast`.
+    /// Weighted Brandes over block `id` alone, summed in source chunks,
+    /// into `fast`.
     fn score_block(&mut self, id: u32) {
         let block = &self.blocks[id as usize];
         for (i, &x) in block.nodes.iter().enumerate() {
             self.local[x as usize] = i as u32;
         }
+        // Block edges get local slots in order of first sight, from the
+        // lower-indexed end.
+        let mut edges: Vec<u32> = Vec::new();
         let mut csr = Csr::new();
-        for &x in &block.nodes {
-            for i in self.range(x) {
-                let (y, e) = self.slots[i];
+        for (i, &x) in block.nodes.iter().enumerate() {
+            for k in self.range(x) {
+                let (y, e) = self.slots[k];
                 if self.block_of[e as usize] == id {
-                    csr.push(self.local[y as usize], e);
+                    if self.local[y as usize] > i as u32 {
+                        self.edge_slot[e as usize] = edges.len() as u32;
+                        edges.push(e);
+                    }
+                    csr.push(self.local[y as usize], self.edge_slot[e as usize]);
                 }
             }
             csr.end_symmetric_node();
         }
         let weight: Vec<f64> = block.weight.iter().map(|&w| f64::from(w)).collect();
-        self.kernel.run(&csr, &weight, &mut self.fast);
+        let mut scores = vec![0.0; edges.len()];
+        if self.kernel.run_chunked(&csr, &weight, &mut scores) {
+            self.work.fanned_out += 1;
+        }
+        for (&e, score) in edges.iter().zip(scores) {
+            self.fast[e as usize] = score;
+        }
     }
 
     /// Unit-weight Brandes over one whole component (`nodes` ascending),
@@ -483,7 +508,17 @@ impl Gn {
 ///
 /// Returns communities as node-id groups sorted by decreasing size.
 pub fn communities(graph: &DiGraph, levels: usize, min_size: usize) -> Vec<Vec<NodeId>> {
-    let result = girvan_newman(graph, levels);
+    communities_counted(graph, levels, min_size).0
+}
+
+/// [`communities`] plus the work counts of its Girvan–Newman run.
+#[doc(hidden)]
+pub fn communities_counted(
+    graph: &DiGraph,
+    levels: usize,
+    min_size: usize,
+) -> (Vec<Vec<NodeId>>, GnWork) {
+    let (result, work) = girvan_newman_counted(graph, levels);
     let mut groups: Vec<Vec<NodeId>> = result
         .partition
         .groups()
@@ -491,7 +526,7 @@ pub fn communities(graph: &DiGraph, levels: usize, min_size: usize) -> Vec<Vec<N
         .filter(|g| g.len() >= min_size)
         .collect();
     groups.sort_by(|a, b| b.len().cmp(&a.len()).then_with(|| a.cmp(b)));
-    groups
+    (groups, work)
 }
 
 #[cfg(test)]
@@ -592,12 +627,19 @@ mod tests {
     #[test]
     fn block_and_exact_scores_track_the_reference() {
         // Trees (all bridges), sparse and dense graphs, through block
-        // rescoring and component splits. Exact scores must carry the
-        // reference's bits on a `DiGraph` that loses the same edges, and
-        // block scores must equal them up to rounding.
-        for seed in 0..6 {
-            let g = crate::preferential_attachment(70, 1 + seed as usize % 3, seed);
-            let mut gn = Gn::new(&g);
+        // rescoring and component splits, and one graph whose block clears
+        // the fan-out constant. Exact scores must carry the reference's
+        // bits on a `DiGraph` that loses the same edges, and block scores
+        // must equal them up to rounding.
+        let mut graphs: Vec<(DiGraph, bool)> = (0..6)
+            .map(|seed| {
+                let g = crate::preferential_attachment(70, 1 + seed as usize % 3, seed);
+                (g, false)
+            })
+            .collect();
+        graphs.push((crate::preferential_attachment(300, 2, 0), true));
+        for (i, (g, fans_out)) in graphs.iter().enumerate() {
+            let mut gn = Gn::new(g);
             let mut work = g.to_undirected();
             for _ in 0..40 {
                 if gn.live == 0 {
@@ -622,7 +664,7 @@ mod tests {
                 for e in (0..gn.ends.len()).filter(|&e| gn.block_of[e] != REMOVED) {
                     let exact = gn.exact[2 * e] + gn.exact[2 * e + 1];
                     let gap = (gn.fast[e] - exact).abs() / exact;
-                    assert!(gap < 1e-12, "seed {seed} edge {:?}: gap {gap}", gn.ends[e]);
+                    assert!(gap < 1e-12, "graph {i} edge {:?}: gap {gap}", gn.ends[e]);
                 }
                 let e = gn.select();
                 let (u, v) = gn.ends[e];
@@ -630,6 +672,7 @@ mod tests {
                 work.remove_edge(NodeId(u), NodeId(v));
                 work.remove_edge(NodeId(v), NodeId(u));
             }
+            assert_eq!(gn.work.fanned_out > 0, *fans_out, "graph {i}");
         }
     }
 
