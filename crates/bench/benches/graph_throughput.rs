@@ -6,15 +6,16 @@
 //! paper experiment whose ECT verdict fails, sliced as `RcaSession` slices
 //! it. Each gets one Girvan–Newman split (`levels = 1`, what refinement
 //! runs), timed for both implementations, with the removal count, the
-//! Brandes sources visited and the removals decided by the exact tie
-//! fallback. Removal orders and partitions must match, and the new code
-//! must be at least 2x faster over all first splits (asserted).
+//! Brandes sources visited, the block nodes folded into their neighbours'
+//! passes instead, and the removals decided by the exact tie fallback.
+//! Removal orders and partitions must match, and the new code must be at
+//! least 2x faster over all first splits (asserted).
 //!
 //! The new code is timed again with `RAYON_NUM_THREADS=1`, set inside the
 //! bench, to record what running large blocks' source chunks on the pool
 //! gains (`parallel_speedup`, no floor: it depends on the host's free
 //! cores) and how many block scorings fanned out. Removal order,
-//! partition and Brandes sources must be the same at both thread counts.
+//! partition and every work count must be the same at both thread counts.
 //! `RCA_BENCH_SCALE=test|medium|paper` sizes the model.
 
 use rca_bench::{bench_model, header};
@@ -80,9 +81,9 @@ fn main() {
     let mut rows = Vec::new();
     let (mut ref_ms, mut new_ms, mut one_ms) = (0.0, 0.0, 0.0);
     let (mut ref_sources, mut new_sources, mut exact_steps, mut removals) = (0, 0, 0, 0);
-    let mut fanned_out = 0;
+    let (mut folded, mut fanned_out) = (0, 0);
     println!(
-        "{:<12} {:>5} {:>5} {:>8} {:>10} {:>10} {:>10} {:>9} {:>9} {:>6} {:>6}",
+        "{:<12} {:>5} {:>5} {:>8} {:>10} {:>10} {:>10} {:>9} {:>9} {:>9} {:>6} {:>6}",
         "slice",
         "nodes",
         "edges",
@@ -92,6 +93,7 @@ fn main() {
         "1-thr ms",
         "ref src",
         "new src",
+        "folded",
         "exact",
         "fanned"
     );
@@ -114,12 +116,13 @@ fn main() {
         );
         assert_eq!(o_work, n_work, "{name}: work counts on one thread");
         println!(
-            "{name:<12} {:>5} {:>5} {:>8} {r_ms:>10.1} {n_ms:>10.1} {o_ms:>10.1} {:>9} {:>9} {:>6} {:>6}",
+            "{name:<12} {:>5} {:>5} {:>8} {r_ms:>10.1} {n_ms:>10.1} {o_ms:>10.1} {:>9} {:>9} {:>9} {:>6} {:>6}",
             g.node_count(),
             g.edge_count(),
             got.removed_edges.len(),
             r_work.sources,
             n_work.sources,
+            n_work.folded,
             n_work.exact_steps,
             n_work.fanned_out
         );
@@ -128,6 +131,7 @@ fn main() {
         one_ms += o_ms;
         ref_sources += r_work.sources;
         new_sources += n_work.sources;
+        folded += n_work.folded;
         exact_steps += n_work.exact_steps;
         fanned_out += n_work.fanned_out;
         removals += got.removed_edges.len();
@@ -141,6 +145,7 @@ fn main() {
             ("one_thread_ms", o_ms.to_json()),
             ("reference_sources", r_work.sources.to_json()),
             ("new_sources", n_work.sources.to_json()),
+            ("folded", n_work.folded.to_json()),
             ("exact_steps", n_work.exact_steps.to_json()),
             ("fanned_out", n_work.fanned_out.to_json()),
         ]));
@@ -149,7 +154,8 @@ fn main() {
     let parallel_speedup = one_ms / new_ms.max(1e-9);
     println!(
         "first splits: reference {ref_ms:.1} ms ({ref_sources} sources), new {new_ms:.1} ms \
-         ({new_sources} sources, {exact_steps} exact steps), {removals} removals: {speedup:.2}x"
+         ({new_sources} sources, {folded} folded, {exact_steps} exact steps), {removals} removals: \
+         {speedup:.2}x"
     );
     println!(
         "one thread: {one_ms:.1} ms, {parallel_speedup:.2}x from {fanned_out} block scorings on the pool"
@@ -170,6 +176,7 @@ fn main() {
         ("one_thread_ms", one_ms.to_json()),
         ("reference_sources", ref_sources.to_json()),
         ("new_sources", new_sources.to_json()),
+        ("folded", folded.to_json()),
         ("exact_steps", exact_steps.to_json()),
         ("fanned_out", fanned_out.to_json()),
         ("speedup", speedup.to_json()),

@@ -212,6 +212,7 @@ pub fn refine(
             let _span = rca_obs::span("refine.communities");
             let (comms, work) = communities_counted(&current.graph, GN_LEVELS, opts.min_community);
             rca_obs::counter_inc!("community.sources", work.sources);
+            rca_obs::counter_inc!("community.folded", work.folded);
             rca_obs::counter_inc!("community.exact_steps", work.exact_steps);
             comms
         };

@@ -4,32 +4,58 @@
 //! (computed via BFS) that traverse them". Brandes' dependency-accumulation
 //! algorithm computes exact betweenness in O(V·E) for unweighted graphs.
 //!
-//! Everything here runs one kernel, `Brandes`, over a dense
-//! edge-indexed adjacency (`Csr`) with node weights. With unit weights
-//! the kernel reproduces the classic per-source accumulation bit for bit;
-//! Girvan–Newman passes biconnected blocks with weights that count the
-//! nodes hanging off each block node.
+//! Everything here runs over a dense edge-indexed adjacency (`Csr`) with
+//! node weights, where every ordered pair of distinct nodes `s`, `t` adds
+//! `w_s·w_t` times the share of its shortest paths that cross an edge to
+//! that edge's slot. Girvan–Newman passes biconnected blocks with weights
+//! that count the nodes hanging off each block node. Two kernels compute
+//! it, and neither result depends on the thread count.
 //!
-//! Scores are summed one of two ways, neither of which depends on the
-//! thread count. [`edge_betweenness`] and Girvan–Newman's exact tie
-//! scores run the sources one after another in ascending node order, one
-//! plain left-to-right sum: the reference's bits. Girvan–Newman's block
-//! scores sum fixed chunks of `CHUNK` (32) sources: each chunk's partial
-//! starts from zero and adds its sources in ascending order, and the
-//! partials are added in chunk order. A block whose work (sources ×
-//! adjacency entries) reaches `FAN_OUT` (2^18) runs its chunks on the
-//! thread pool and a smaller one runs the same chunks on the caller, so
-//! the bits depend only on the block.
+//! `Brandes::run` is the classic per-source accumulation, one source
+//! after another in ascending node order, one plain left-to-right sum.
+//! With unit weights these are the reference's bits, which
+//! [`edge_betweenness`] and Girvan–Newman's exact tie scores keep.
+//!
+//! `Brandes::run_folded` scores Girvan–Newman's blocks, and *folds* some
+//! degree-2 nodes: a node `c` whose only neighbours `u` and `v` both have
+//! degree 3 or more runs no source pass. Its pairs run in `u`'s and `v`'s
+//! passes instead. For a target `t ≠ c`, let `r_t` be 1 if
+//! `d_u(t) < d_v(t)`, `σ_u(t)/(σ_u(t) + σ_v(t))` if they are equal and 0
+//! otherwise, and let `r_c` be 0. This is exact: a shortest path from `u`
+//! to a `t` with `d_u(t) ≤ d_v(t)` never passes through `c`, since it
+//! would then be `2 + d_v(t)` long. So the shortest paths from `c` to `t`
+//! are the edge `{c,u}` followed by the `σ_u(t)` paths from `u`, a share
+//! `r_t` of them, and the rest through `v`. Hence `u`'s backward pass
+//! weighs target `t` with `w_t·(w_u + Σ_c w_c·r_t)`, over the nodes `c`
+//! folded into `u`, instead of multiplying by `w_u` at the end, and edge
+//! `{c,u}` gains `w_c·Σ_{t≠c} w_t·r_t`. Folded nodes stay targets, and a
+//! neighbour of a folded node never folds, so the passes that carry a
+//! folded node's pairs always run.
+//!
+//! `u`'s pass needs `v`'s distances and path counts, so
+//! `Brandes::run_folded` works in two phases over the remaining sources
+//! in ascending order. Phase 1 runs every source's forward BFS into a row
+//! holding the visit order, the distances and the path counts; it sums
+//! nothing. Phase 2 takes the sources in fixed chunks of `CHUNK` (32) and
+//! runs each chunk's folds and backward passes into a partial that starts
+//! from zero. A backward pass walks the row's visit order in reverse and
+//! finds each node's successors by scanning its adjacency for distance
+//! one more, so rows need no predecessor lists. The partials are added in
+//! chunk order, so each folded term lands in its neighbour's chunk. A
+//! block whose work (nodes × adjacency entries) reaches `FAN_OUT` (2^18)
+//! runs both phases on the thread pool and a smaller one runs them on the
+//! caller, so the bits depend only on the block.
 
 use crate::digraph::DiGraph;
 use rayon::prelude::*;
+use std::cmp::Ordering;
 use std::collections::HashMap;
 
-/// Sources per chunk of a chunked sum.
+/// Remaining sources per chunk of a block score.
 pub(crate) const CHUNK: usize = 32;
 
-/// Work (sources × adjacency entries) from which a chunked sum runs its
-/// chunks on the thread pool. Blocks this large carry most of a
+/// Work (nodes × adjacency entries) from which a block score runs its
+/// phases on the thread pool. Blocks this large carry most of a
 /// paper-scale split's Brandes work, and no test-scale block reaches it,
 /// so callers that already keep every core busy with test-scale
 /// diagnoses stay on their own thread.
@@ -127,8 +153,8 @@ pub(crate) struct Brandes {
     order: Vec<u32>,
     /// Shortest-path DAG predecessors `(node, slot)`, segmented by `in_off`.
     pred: Vec<(u32, u32)>,
-    /// Single-source passes run so far.
-    pub(crate) sources: u64,
+    /// Forward rows of [`Brandes::run_folded`].
+    rows: Rows,
 }
 
 impl Brandes {
@@ -140,46 +166,9 @@ impl Brandes {
         for &(_, slot) in &g.adj {
             scores[slot as usize] = 0.0;
         }
-        self.sources += g.node_count() as u64;
         for s in 0..g.node_count() as u32 {
             self.source(g, weight, s, scores);
         }
-    }
-
-    /// Sets `scores`, one entry per slot of `g` (slots `0..scores.len()`),
-    /// to the chunked sum of the same per-source terms as [`Brandes::run`]:
-    /// one partial per [`CHUNK`] sources, each from zero in ascending
-    /// source order, added in chunk order. Runs the chunks on the thread
-    /// pool, one `Brandes` per worker, when the work reaches [`FAN_OUT`],
-    /// and reports whether it did; the bits are the same either way.
-    pub(crate) fn run_chunked(&mut self, g: &Csr, weight: &[f64], scores: &mut [f64]) -> bool {
-        let n = g.node_count();
-        let slots = scores.len();
-        let partial = |kernel: &mut Brandes, c: usize| {
-            let mut partial = vec![0.0; slots];
-            for s in c * CHUNK..n.min((c + 1) * CHUNK) {
-                kernel.source(g, weight, s as u32, &mut partial);
-            }
-            partial
-        };
-        let chunks = 0..n.div_ceil(CHUNK);
-        let fan_out = n * g.adj.len() >= FAN_OUT;
-        let partials: Vec<Vec<f64>> = if fan_out {
-            chunks
-                .into_par_iter()
-                .map_init(Brandes::default, partial)
-                .collect()
-        } else {
-            chunks.map(|c| partial(self, c)).collect()
-        };
-        scores.fill(0.0);
-        for partial in &partials {
-            for (score, term) in scores.iter_mut().zip(partial) {
-                *score += term;
-            }
-        }
-        self.sources += n as u64;
-        fan_out
     }
 
     /// One source: BFS from `s`, then dependency accumulation in reverse
@@ -241,6 +230,219 @@ impl Brandes {
                 nv.delta += c;
                 scores[slot as usize] += ws * c;
             }
+        }
+    }
+
+    /// Sets `scores`, one entry per slot of the connected symmetric `g`
+    /// (slots `0..scores.len()`), to the weighted betweenness of
+    /// [`Brandes::run`], with the nodes this folds run in their
+    /// neighbours' passes. Phase 1 runs the forward BFS of every remaining
+    /// source; phase 2 runs the folds and backward passes of each chunk of
+    /// [`CHUNK`] remaining sources, in ascending order, into a partial from
+    /// zero, and the partials are added in chunk order. When the block's
+    /// nodes × adjacency entries reach [`FAN_OUT`], both phases run on the
+    /// thread pool; the bits are the same either way. Returns the number
+    /// of folded nodes and whether the phases ran on the pool.
+    pub(crate) fn run_folded(
+        &mut self,
+        g: &Csr,
+        weight: &[f64],
+        scores: &mut [f64],
+    ) -> (usize, bool) {
+        let n = g.node_count();
+        let degree = |v: u32| g.out(v).len();
+        let folded: Vec<bool> = (0..n as u32)
+            .map(|c| degree(c) == 2 && g.out(c).iter().all(|&(x, _)| degree(x) >= 3))
+            .collect();
+        let sources: Vec<u32> = (0..n as u32).filter(|&v| !folded[v as usize]).collect();
+        let mut rank = vec![0; n];
+        for (i, &s) in sources.iter().enumerate() {
+            rank[s as usize] = i as u32;
+        }
+        let chunk = |c: usize| &sources[c * CHUNK..sources.len().min((c + 1) * CHUNK)];
+        let chunks = sources.len().div_ceil(CHUNK);
+        let pool = n * g.adj.len() >= FAN_OUT;
+        let rows = &mut self.rows;
+        let len = sources.len() * n;
+        if rows.dist.len() < len {
+            rows.order.resize(len, 0);
+            rows.dist.resize(len, 0);
+            rows.sigma.resize(len, 0.0);
+        }
+        let each = rows.order[..len]
+            .chunks_exact_mut(n)
+            .zip(rows.dist.chunks_exact_mut(n))
+            .zip(rows.sigma.chunks_exact_mut(n))
+            .zip(&sources);
+        map_items(each, pool, |(((order, dist), sigma), &s)| {
+            forward(g, s, order, dist, sigma);
+        });
+        let fold = Fold {
+            g,
+            weight,
+            folded: &folded,
+            rank: &rank,
+            rows,
+        };
+        // The pool hands each worker a contiguous run of items, and the
+        // low-ranked sources tend to carry more folds, so the chunks are
+        // dealt even ones first, then odd ones; their partials are still
+        // added in chunk order.
+        let dealt = (0..chunks).step_by(2).chain((1..chunks).step_by(2));
+        let slots = scores.len();
+        let mut partials = map_items(dealt, pool, |c| {
+            let mut partial = vec![0.0; slots];
+            let (mut load, mut coeff) = (vec![0.0; n], vec![0.0; n]);
+            for &s in chunk(c) {
+                fold.pass(s, &mut partial, &mut load, &mut coeff);
+            }
+            (c, partial)
+        });
+        partials.sort_unstable_by_key(|&(c, _)| c);
+        scores.fill(0.0);
+        for (_, partial) in &partials {
+            for (score, term) in scores.iter_mut().zip(partial) {
+                *score += term;
+            }
+        }
+        (n - sources.len(), pool)
+    }
+}
+
+/// `f` of each item, in order: on the thread pool when `pool` is set,
+/// else on the caller.
+fn map_items<I, R>(items: I, pool: bool, f: impl Fn(I::Item) -> R + Sync) -> Vec<R>
+where
+    I: IntoIterator,
+    I::Item: Send,
+    R: Send,
+{
+    if pool {
+        items.into_par_iter().map(f).collect()
+    } else {
+        items.into_iter().map(f).collect()
+    }
+}
+
+/// Forward BFS rows of the remaining sources, one node count of entries
+/// per source in rank order: the visit order, and each node's distance
+/// from the source and number of shortest paths from it. They take 16
+/// bytes per node per remaining source (2.2 MiB for the largest
+/// paper-scale block) and are kept between block scorings so their
+/// memory is reused.
+#[derive(Debug, Default)]
+struct Rows {
+    order: Vec<u32>,
+    dist: Vec<u32>,
+    sigma: Vec<f64>,
+}
+
+/// One source's row of a [`Rows`].
+struct Row<'a> {
+    order: &'a [u32],
+    dist: &'a [u32],
+    sigma: &'a [f64],
+}
+
+/// Fills one row with a BFS from `s` over the connected `g`.
+fn forward(g: &Csr, s: u32, order: &mut [u32], dist: &mut [u32], sigma: &mut [f64]) {
+    dist.fill(u32::MAX);
+    dist[s as usize] = 0;
+    sigma[s as usize] = 1.0;
+    order[0] = s;
+    let (mut head, mut tail) = (0, 1);
+    while head < tail {
+        let u = order[head] as usize;
+        head += 1;
+        let (du, su) = (dist[u], sigma[u]);
+        for &(v, _) in g.out(u as u32) {
+            let v = v as usize;
+            if dist[v] == u32::MAX {
+                dist[v] = du + 1;
+                sigma[v] = 0.0;
+                order[tail] = v as u32;
+                tail += 1;
+            }
+            if dist[v] == du + 1 {
+                sigma[v] += su;
+            }
+        }
+    }
+    assert_eq!(tail, order.len(), "block scores need a connected graph");
+}
+
+/// A block between the phases of [`Brandes::run_folded`]: which nodes fold,
+/// each remaining source's rank, and the forward rows.
+struct Fold<'a> {
+    g: &'a Csr,
+    weight: &'a [f64],
+    folded: &'a [bool],
+    rank: &'a [u32],
+    rows: &'a Rows,
+}
+
+impl Fold<'_> {
+    fn row(&self, s: u32) -> Row<'_> {
+        let n = self.g.node_count();
+        let first = self.rank[s as usize] as usize * n;
+        let span = first..first + n;
+        Row {
+            order: &self.rows.order[span.clone()],
+            dist: &self.rows.dist[span.clone()],
+            sigma: &self.rows.sigma[span],
+        }
+    }
+
+    /// Source `s`'s backward pass into `partial`, carrying the pairs of
+    /// `s` and of every node folded into it; `load` and `coeff` are
+    /// scratch, one entry per node.
+    fn pass(&self, s: u32, partial: &mut [f64], load: &mut [f64], coeff: &mut [f64]) {
+        let Fold { g, weight, .. } = *self;
+        let own = self.row(s);
+        // load[t] = Σ_c w_c·r_t over the nodes c folded into s.
+        load.fill(0.0);
+        for &(c, slot) in g.out(s) {
+            if !self.folded[c as usize] {
+                continue;
+            }
+            let &[(a, _), (b, _)] = g.out(c) else {
+                unreachable!("a folded node has two neighbours")
+            };
+            let far = self.row(if a == s { b } else { a });
+            let wc = weight[c as usize];
+            let mut via = 0.0;
+            for t in 0..load.len() {
+                if t == c as usize {
+                    continue;
+                }
+                let r = match own.dist[t].cmp(&far.dist[t]) {
+                    Ordering::Less => 1.0,
+                    Ordering::Equal => own.sigma[t] / (own.sigma[t] + far.sigma[t]),
+                    Ordering::Greater => continue,
+                };
+                load[t] += wc * r;
+                via += weight[t] * r;
+            }
+            partial[slot as usize] += wc * via;
+        }
+        let ws = weight[s as usize];
+        for (l, &wt) in load.iter_mut().zip(weight) {
+            *l = wt * (ws + *l);
+        }
+        // Reverse BFS order: a node pulls from its successors (distance
+        // one more), whose coefficients `(load + δ)/σ` are final by then.
+        for &x in own.order.iter().rev() {
+            let x = x as usize;
+            let (down, sx) = (own.dist[x] + 1, own.sigma[x]);
+            let mut delta = 0.0;
+            for &(w, slot) in g.out(x as u32) {
+                if own.dist[w as usize] == down {
+                    let c = sx * coeff[w as usize];
+                    delta += c;
+                    partial[slot as usize] += c;
+                }
+            }
+            coeff[x] = (load[x] + delta) / sx;
         }
     }
 }

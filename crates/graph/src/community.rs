@@ -17,15 +17,18 @@
 //! blocks that the removed edge's old block falls apart into, and a removal
 //! that splits a component rescores both halves in full.
 //!
-//! A block's sources are summed in fixed chunks of 32, each chunk from
-//! zero in ascending source order and the chunks in order, and a large
-//! block runs its chunks on every core (see [`crate::betweenness`]); the
-//! bits depend only on the block. Block scores equal whole-component
-//! scores only up to rounding. When the runner-up scores within 1e-9
-//! relative of the top, the step is decided on exact unit-weight scores
-//! over the candidates' components, summed over sources in one ascending
-//! pass, with the original rule: highest score, ties by the smallest
-//! directed `(from, to)` key. The removal order therefore equals that of
+//! A block node of degree 2 whose two neighbours both have degree 3 or
+//! more runs no source pass of its own: its pairs are folded into its
+//! neighbours' passes, exactly (see [`crate::betweenness`] for the rule).
+//! The remaining sources are summed in fixed chunks of 32, each chunk
+//! from zero in ascending source order and the chunks in order, each
+//! folded term in its neighbour's chunk, and a large block runs its
+//! chunks on every core; the bits depend only on the block. Block scores
+//! equal whole-component scores only up to rounding. When the runner-up
+//! scores within 1e-9 relative of the top, the step is decided on exact
+//! unit-weight scores over the candidates' components, summed over
+//! sources in one ascending pass, with the original rule: highest score,
+//! ties by the smallest directed `(from, to)` key. The removal order therefore equals that of
 //! the original whole-component algorithm run on one thread
 //! (`reference::girvan_newman`), whatever the thread count.
 
@@ -49,6 +52,9 @@ pub struct GnResult {
 pub struct GnWork {
     /// Single-source Brandes passes.
     pub sources: u64,
+    /// Block nodes whose pairs ran in their neighbours' passes instead of
+    /// a pass of their own, summed over block scorings.
+    pub folded: u64,
     /// Removals decided on exact unit-weight scores (tie band).
     pub exact_steps: u64,
     /// Block scorings whose work reached the fan-out constant, so their
@@ -102,7 +108,6 @@ pub fn girvan_newman_counted(graph: &DiGraph, levels: usize) -> (GnResult, GnWor
             }
         }
     }
-    gn.work.sources = gn.kernel.sources;
     let result = GnResult {
         partition,
         removed_edges: removed,
@@ -448,8 +453,8 @@ impl Gn {
         }
     }
 
-    /// Weighted Brandes over block `id` alone, summed in source chunks,
-    /// into `fast`.
+    /// Weighted Brandes over block `id` alone, with its degree-2 nodes
+    /// folded and its sources summed in chunks, into `fast`.
     fn score_block(&mut self, id: u32) {
         let block = &self.blocks[id as usize];
         for (i, &x) in block.nodes.iter().enumerate() {
@@ -474,9 +479,10 @@ impl Gn {
         }
         let weight: Vec<f64> = block.weight.iter().map(|&w| f64::from(w)).collect();
         let mut scores = vec![0.0; edges.len()];
-        if self.kernel.run_chunked(&csr, &weight, &mut scores) {
-            self.work.fanned_out += 1;
-        }
+        let (folded, fanned_out) = self.kernel.run_folded(&csr, &weight, &mut scores);
+        self.work.sources += (weight.len() - folded) as u64;
+        self.work.folded += folded as u64;
+        self.work.fanned_out += u64::from(fanned_out);
         for (&e, score) in edges.iter().zip(scores) {
             self.fast[e as usize] = score;
         }
@@ -496,6 +502,7 @@ impl Gn {
             }
             csr.end_symmetric_node();
         }
+        self.work.sources += nodes.len() as u64;
         self.kernel
             .run(&csr, &vec![1.0; nodes.len()], &mut self.exact);
     }
@@ -624,21 +631,66 @@ mod tests {
         assert_eq!(cs[1].len(), 4);
     }
 
-    #[test]
-    fn block_and_exact_scores_track_the_reference() {
-        // Trees (all bridges), sparse and dense graphs, through block
-        // rescoring and component splits, and one graph whose block clears
-        // the fan-out constant. Exact scores must carry the reference's
-        // bits on a `DiGraph` that loses the same edges, and block scores
-        // must equal them up to rounding.
+    /// `g`'s undirected edges, the `i`-th edge `{u, v}` replaced by
+    /// `paths(i)` paths `u - x - v`, each through a new node `x`, when that
+    /// is not 0.
+    fn subdivided(g: &DiGraph, mut paths: impl FnMut(usize) -> usize) -> DiGraph {
+        let und = g.to_undirected();
+        let mut out = DiGraph::new();
+        out.add_nodes(g.node_count());
+        for (i, (u, v)) in und.edges().filter(|(u, v)| u < v).enumerate() {
+            let k = paths(i);
+            if k == 0 {
+                out.add_edge(u, v);
+            }
+            for _ in 0..k {
+                let x = out.add_node();
+                out.add_edge(u, x);
+                out.add_edge(x, v);
+            }
+        }
+        out
+    }
+
+    /// A preferential-attachment graph on a ring through every node, so
+    /// each node has degree 3 or more and the graph is one block.
+    fn ringed(n: u32, m: usize, seed: u64) -> DiGraph {
+        let mut g = crate::preferential_attachment(n as usize, m, seed);
+        for i in 0..n {
+            g.add_edge(NodeId(i), NodeId((i + 1) % n));
+        }
+        g
+    }
+
+    /// Graphs that exercise block scores, each with whether one of its
+    /// block scorings reaches the fan-out constant.
+    fn block_graphs() -> Vec<(DiGraph, bool)> {
+        // Trees (all bridges), sparse and dense graphs.
         let mut graphs: Vec<(DiGraph, bool)> = (0..6)
             .map(|seed| {
                 let g = crate::preferential_attachment(70, 1 + seed as usize % 3, seed);
                 (g, false)
             })
             .collect();
+        // Every edge subdivided once: each new node has degree 2 between
+        // two nodes of degree 3 or more, so all of them fold.
+        graphs.push((subdivided(&ringed(40, 2, 7), |_| 1), false));
+        // Every third edge replaced by two degree-2 nodes with the same two
+        // neighbours: their shortest paths to each other split half and
+        // half.
+        let twins = subdivided(&ringed(30, 2, 3), |i| if i % 3 == 0 { 2 } else { 0 });
+        graphs.push((twins, false));
+        // One block that clears the fan-out constant.
         graphs.push((crate::preferential_attachment(300, 2, 0), true));
-        for (i, (g, fans_out)) in graphs.iter().enumerate() {
+        graphs
+    }
+
+    #[test]
+    fn block_and_exact_scores_track_the_reference() {
+        // Through block rescoring and component splits, exact scores must
+        // carry the reference's bits on a `DiGraph` that loses the same
+        // edges, and block scores must equal them up to rounding.
+        for (i, (g, fans_out)) in block_graphs().iter().enumerate() {
             let mut gn = Gn::new(g);
             let mut work = g.to_undirected();
             for _ in 0..40 {
@@ -673,6 +725,35 @@ mod tests {
                 work.remove_edge(NodeId(v), NodeId(u));
             }
             assert_eq!(gn.work.fanned_out > 0, *fans_out, "graph {i}");
+        }
+    }
+
+    #[test]
+    fn every_block_node_runs_a_pass_or_folds() {
+        // Each block scoring runs a source pass from every block node it
+        // does not fold, so sources plus folds are the summed block sizes:
+        // the sources of a kernel that folds nothing.
+        for (i, (g, _)) in block_graphs().iter().enumerate() {
+            let mut gn = Gn::new(g);
+            for step in 0..40 {
+                if gn.live == 0 {
+                    break;
+                }
+                let (known, before) = (gn.blocks.len(), gn.work);
+                gn.refresh();
+                let nodes: usize = gn.blocks[known..].iter().map(|b| b.nodes.len()).sum();
+                let passes = gn.work.sources - before.sources;
+                let folds = gn.work.folded - before.folded;
+                assert_eq!(passes + folds, nodes as u64, "graph {i} step {step}");
+                if step == 0 && (6..8).contains(&i) {
+                    // The subdivided and the twin graph are one block
+                    // each, in which every added node folds.
+                    let base = if i == 6 { 40 } else { 30 };
+                    assert_eq!(folds as usize, g.node_count() - base, "graph {i}");
+                }
+                let e = gn.select();
+                gn.remove(e);
+            }
         }
     }
 

@@ -13,11 +13,12 @@
 //! - [`mod@bfs`]: multi-source BFS, backward shortest-path slices
 //!   (Algorithm 5.4 steps 3/8), reachability oracles.
 //! - [`components`]: weakly connected components.
-//! - [`betweenness`]: exact Brandes edge betweenness: one dense,
-//!   edge-indexed kernel with node weights. [`edge_betweenness`] sums its
-//!   sources in one ascending pass; Girvan–Newman's block scores sum fixed
-//!   32-source chunks in chunk order, on every core for large blocks. No
-//!   score depends on the thread count.
+//! - [`betweenness`]: exact Brandes edge betweenness over a dense,
+//!   edge-indexed adjacency with node weights. [`edge_betweenness`] sums
+//!   its sources in one ascending pass; Girvan–Newman's block scores fold
+//!   degree-2 nodes into their neighbours' passes and sum the remaining
+//!   sources in fixed 32-source chunks in chunk order, on every core for
+//!   large blocks. No score depends on the thread count.
 //! - [`community`]: Girvan–Newman splits that rescore only the biconnected
 //!   blocks a removal affects (exact tie fallback keeps the removal order
 //!   of the whole-component algorithm).

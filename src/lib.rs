@@ -428,9 +428,10 @@
 //!   `vm.kernel_iterations` those kernels ran; `executor.runs` and the
 //!   `vm.*` counters count only members that actually ran, on every
 //!   thread, traced or not; each Girvan–Newman split that refinement
-//!   runs adds its single-source Brandes passes to `community.sources`
-//!   and its removals decided by the exact tie fallback to
-//!   `community.exact_steps`, whatever the thread count).
+//!   runs adds its single-source Brandes passes to `community.sources`,
+//!   the block nodes whose pairs ran in their neighbours' passes instead
+//!   to `community.folded`, and its removals decided by the exact tie
+//!   fallback to `community.exact_steps`, whatever the thread count).
 //! - **Sink contract**: instrumentation is always on; the sink, an
 //!   in-memory [`obs::Collector`], is opt-in ([`obs::with_sink`]
 //!   thread-scoped, [`obs::install_global`] process-wide). With no sink

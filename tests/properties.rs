@@ -25,6 +25,26 @@ fn arb_graph() -> impl Strategy<Value = DiGraph> {
         })
 }
 
+/// `g`'s undirected edges, with each edge `{u, v}` whose bit in `split`
+/// is set (cycling through `split`) replaced by a path `u - x - v` through
+/// a new node `x`. Self-loops stay as they are.
+fn subdivided(g: &DiGraph, split: &[bool]) -> DiGraph {
+    let und = g.to_undirected();
+    let mut out = DiGraph::new();
+    out.add_nodes(g.node_count());
+    let edges = und.edges().filter(|(u, v)| u <= v);
+    for ((u, v), &bit) in edges.zip(split.iter().cycle()) {
+        if bit && u != v {
+            let x = out.add_node();
+            out.add_edge(u, x);
+            out.add_edge(x, v);
+        } else {
+            out.add_edge(u, v);
+        }
+    }
+    out
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -93,6 +113,23 @@ proptest! {
         let (want, _) = graph::reference::girvan_newman(&g, levels);
         prop_assert_eq!(got.removed_edges, want.removed_edges);
         prop_assert_eq!(got.partition, want.partition);
+    }
+
+    /// The same holds with a random subset of the edges subdivided, which
+    /// gives the blocks degree-2 nodes that fold into their neighbours'
+    /// Brandes passes, next to ones that do not.
+    #[test]
+    fn girvan_newman_on_subdivided_graphs_matches_the_reference(
+        g in arb_graph(),
+        split in proptest::collection::vec(any::<bool>(), 1..40),
+    ) {
+        let g = subdivided(&g, &split);
+        for levels in 1..=3 {
+            let got = girvan_newman(&g, levels);
+            let (want, _) = graph::reference::girvan_newman(&g, levels);
+            prop_assert_eq!(got.removed_edges, want.removed_edges, "level {}", levels);
+            prop_assert_eq!(got.partition, want.partition, "level {}", levels);
+        }
     }
 
     /// Eigenvector centrality is non-negative and normalized.
