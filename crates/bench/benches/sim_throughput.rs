@@ -292,46 +292,6 @@ end module kernbench
         program.kernel_count()
     );
 
-    // ----- column-kernel microbench: ns per outputs-wide plane op -------
-    //
-    // The chunked keep-refine and gather kernels run once per member per
-    // assembly; time them on a plane exactly as wide as this program's
-    // output table.
-    let outputs = program.output_count().max(1);
-    let plane: Vec<f64> = (0..outputs)
-        .map(|i| match i % 17 {
-            0 => f64::NAN,
-            1 => f64::INFINITY,
-            _ => i as f64 * 0.5,
-        })
-        .collect();
-    let written: Vec<u32> = (0..outputs as u32).map(|i| 3 + i % 7).collect();
-    let kern_iters: u32 = if scale == "test" { 20_000 } else { 50_000 };
-    let mut keep = vec![true; outputs];
-    let t0 = Instant::now();
-    for _ in 0..kern_iters {
-        rca_stats::kernels::keep_refine(
-            std::hint::black_box(&mut keep),
-            &written,
-            &plane,
-            std::hint::black_box(4),
-        );
-    }
-    let refine_ns = t0.elapsed().as_secs_f64() * 1e9 / f64::from(kern_iters);
-    let ids = rca_stats::kernels::keep_to_ids(&keep);
-    let mut gathered: Vec<f64> = Vec::with_capacity(ids.len());
-    let t0 = Instant::now();
-    for _ in 0..kern_iters {
-        gathered.clear();
-        rca_stats::kernels::gather_into(std::hint::black_box(&mut gathered), &plane, &ids);
-    }
-    let gather_ns = t0.elapsed().as_secs_f64() * 1e9 / f64::from(kern_iters);
-    println!(
-        "column kernels ({outputs}-wide plane): keep-refine {refine_ns:.0} ns/plane, \
-         gather({}) {gather_ns:.0} ns/plane",
-        ids.len()
-    );
-
     // ----- oracle-differs microbench: string-keyed vs id-keyed ----------
     //
     // The refinement oracle's per-iteration data plane, isolated from the
@@ -619,6 +579,7 @@ end module kernbench
     .expect("delta compile");
     let cone = output_cone(&wsub, &base_program).expect("the base masks describe the mutant");
     assert_eq!(cone.len(), 1, "WSUBBUG changes one output's slice");
+    let outputs = base_program.output_count();
     let base_fill = EnsembleRuns::run_history(&base_program, &cfg, &store_perts, 2, None);
     let own_fill = || EnsembleRuns::run_history(&wsub, &cfg, &store_perts, 2, None);
     let cone_fill = || {
@@ -781,15 +742,6 @@ end module kernbench
                 ("vm_ns_per_elem", kern_vm_ns.to_json()),
                 ("interp_ns_per_elem", kern_interp_ns.to_json()),
                 ("vm_over_interp", (kern_interp_ns / kern_vm_ns).to_json()),
-            ]),
-        ),
-        (
-            "kernels",
-            Json::obj([
-                ("plane_width", outputs.to_json()),
-                ("keep_refine_ns_per_plane", refine_ns.to_json()),
-                ("gather_ns_per_plane", gather_ns.to_json()),
-                ("gather_kept", ids.len().to_json()),
             ]),
         ),
         (

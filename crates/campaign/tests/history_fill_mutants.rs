@@ -12,19 +12,22 @@
 //! layer's members, perturbations and run configuration — must equal the
 //! full-program fill by bits (member health, written lengths, the output
 //! table and every step plane) on both paths the statistics stage takes:
-//! the history slice, and the cone spliced onto the base program's fill.
-//! Every output outside a variant's cone must read the base fill's bits in
-//! the variant's own full fill, and each path of the cone fill is hit.
+//! the history slice, and the cone spliced onto the base program's fill
+//! (whose slice, for a cone of every output, is the variant's history
+//! slice). Every output outside a variant's cone must read the base
+//! fill's bits in the variant's own full fill, and each path of the cone
+//! fill is hit.
 
 use rca_campaign::{plan_campaign, CampaignOptions};
 use rca_core::experiments::{IC_MAGNITUDE, MAX_RETRIES};
 use rca_core::{ExperimentSetup, RcaSession};
-use rca_model::{generate, Experiment, ModelConfig};
+use rca_model::{generate, Experiment, ModelConfig, ModelSource};
+use rca_obs::Collector;
 use rca_sim::{
     compile_model, output_cone, perturbations, EnsembleRuns, Fault, FaultKind, FaultPlan,
     MemberHealth, Program, RunConfig,
 };
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// The path a fill given a base took.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -33,7 +36,8 @@ enum Path {
     Cone,
     /// The base fill came back whole.
     BaseReuse,
-    /// The history path: the variant's history slice or full program.
+    /// The variant's own history slice or full program: the base went
+    /// unused, or a slice member failed.
     Fallback,
 }
 
@@ -69,6 +73,7 @@ fn same_column(a: &EnsembleRuns, b: &EnsembleRuns, o: usize) -> bool {
 struct Paths {
     compared: usize,
     cone: usize,
+    full_cone: usize,
     base_reuse: usize,
     fallback: usize,
 }
@@ -154,12 +159,21 @@ fn sweep(config: &ModelConfig, setup: ExperimentSetup, scenarios: usize) -> Path
         let expected = match &cone {
             None => Path::Fallback,
             Some(c) if c.is_empty() => Path::BaseReuse,
-            Some(c) if c.len() == base.output_count() => Path::Fallback,
-            // Only a failing cone member sends a partial cone back.
+            // Only a failing cone member sends a cone to the full refill.
             Some(_) if full.first_failure().is_some() => Path::Fallback,
             Some(_) => Path::Cone,
         };
         assert_eq!(path, expected, "{label}: cone {cone:?}");
+        // A cone of every output runs the variant's history slice.
+        if path == Path::Cone && cone.as_ref().map(Vec::len) == Some(base.output_count()) {
+            let history = program.history_program().expect("the history slice prunes");
+            assert_eq!(
+                spliced.program().disassemble(),
+                history.disassemble(),
+                "{label}: the full cone's slice is not the history slice"
+            );
+            paths.full_cone += 1;
+        }
         match path {
             Path::Cone => paths.cone += 1,
             Path::BaseReuse => paths.base_reuse += 1,
@@ -177,8 +191,9 @@ fn sweep(config: &ModelConfig, setup: ExperimentSetup, scenarios: usize) -> Path
         }
     }
     assert!(
-        paths.cone > 0 && paths.base_reuse > 0,
-        "the plan must fill cones and reuse the base fill: {paths:?}"
+        paths.cone > 0 && paths.full_cone > 0 && paths.base_reuse > 0,
+        "the plan must fill cones, one of every output among them, and reuse the base fill: \
+         {paths:?}"
     );
     paths
 }
@@ -200,53 +215,147 @@ fn history_fills_match_full_fills_over_the_seeded_plan_at_paper_scale() {
     assert_eq!(paths.compared, 37, "{paths:?}");
 }
 
-/// Each way the base path of a cone fill gives up takes the history path
-/// and still equals the full fill: a configuration that is not plain, a
-/// variant compiled without the base's tables, a base fill with a member
-/// that is not healthy, a cone of every output, and a cone member that
-/// fails.
-#[test]
-fn cone_fills_fall_back_to_the_history_path() {
-    let model = Arc::new(generate(&ModelConfig::test()));
-    let session = RcaSession::builder(&model)
-        .setup(ExperimentSetup::quick())
-        .build()
-        .expect("session");
-    let setup = session.setup();
-    let base = session.program_for(&model).expect("base program");
-    let perts = perturbations(setup.n_experiment, IC_MAGNITUDE, setup.seed ^ 0xDEAD);
-    let cfg = session.control_config();
-    let base_fill = EnsembleRuns::run_resilient(&base, &cfg, &perts, MAX_RETRIES);
-    let fall_back = |label: &str, program: &Arc<Program>, cfg: &RunConfig, base_fill| {
-        let full = EnsembleRuns::run_resilient(program, cfg, &perts, MAX_RETRIES);
-        let fill =
-            EnsembleRuns::run_history(program, cfg, &perts, MAX_RETRIES, Some((&base, base_fill)));
+/// A fresh session on the test-scale model (no variant compiled or
+/// filled yet), its base program, and the base program's fill of the
+/// statistics layer's experimental members under the control
+/// configuration.
+struct Fixture {
+    model: &'static ModelSource,
+    session: RcaSession<'static>,
+    base: Arc<Program>,
+    perts: Vec<f64>,
+    cfg: RunConfig,
+    base_fill: EnsembleRuns,
+}
+
+impl Fixture {
+    fn new() -> Fixture {
+        static MODEL: OnceLock<ModelSource> = OnceLock::new();
+        let model = MODEL.get_or_init(|| generate(&ModelConfig::test()));
+        let session = RcaSession::builder(model)
+            .setup(ExperimentSetup::quick())
+            .build()
+            .expect("session");
+        let setup = session.setup();
+        let base = session.program_for(model).expect("base program");
+        let perts = perturbations(setup.n_experiment, IC_MAGNITUDE, setup.seed ^ 0xDEAD);
+        let cfg = session.control_config();
+        let base_fill = EnsembleRuns::run_resilient(&base, &cfg, &perts, MAX_RETRIES);
+        Fixture {
+            model,
+            session,
+            base,
+            perts,
+            cfg,
+            base_fill,
+        }
+    }
+
+    /// Fills `program` under `cfg` given the base program and `base_fill`,
+    /// asserts the fill equals the full fill by bits, and returns the
+    /// fill, the full fill and the spans the fill opened on this thread.
+    fn fill(
+        &self,
+        label: &str,
+        program: &Arc<Program>,
+        cfg: &RunConfig,
+        base_fill: &EnsembleRuns,
+    ) -> (EnsembleRuns, EnsembleRuns, Arc<Collector>) {
+        let full = EnsembleRuns::run_resilient(program, cfg, &self.perts, MAX_RETRIES);
+        let spans = Arc::new(Collector::new());
+        let fill = rca_obs::with_sink(Arc::clone(&spans), || {
+            let base = Some((&*self.base, base_fill));
+            EnsembleRuns::run_history(program, cfg, &self.perts, MAX_RETRIES, base)
+        });
         if let Some(diff) = full.data_mismatch(&fill) {
             panic!("{label}: fill differs from the full fill: {diff}");
         }
+        (fill, full, spans)
+    }
+
+    /// Whether `program`'s cone holds some outputs but not all.
+    fn partial(&self, program: &Program) -> bool {
+        output_cone(program, &self.base)
+            .is_some_and(|c| !c.is_empty() && c.len() < self.base.output_count())
+    }
+
+    /// `model` with line `line` of file `file` replaced, compiled by the
+    /// session as a delta of the base program.
+    fn patched(&self, file: &str, line: usize, text: &str) -> Arc<Program> {
+        let variant = self.model.with_patched_line(file, line, text);
+        self.session.program_for(&variant).expect("compiles")
+    }
+
+    /// A constant changed in `cam_init`, which is live for every output,
+    /// so every output is in the cone.
+    fn every_output(&self) -> Arc<Program> {
+        let driver = self
+            .model
+            .files
+            .iter()
+            .find(|f| f.name == "cam_driver.F90")
+            .expect("driver");
+        let (line, text) = driver
+            .source
+            .lines()
+            .enumerate()
+            .find(|(_, l)| l.contains("state%omega(i) = 0.01_r8"))
+            .expect("cam_init sets omega");
+        let program = self.patched(&driver.name, line, &text.replace("0.01_r8", "0.02_r8"));
+        assert_eq!(
+            output_cone(&program, &self.base).map(|c| c.len()),
+            Some(self.base.output_count())
+        );
+        program
+    }
+
+    /// A loop one element past its arrays, in a proc some outputs but not
+    /// all need: the effects are unchanged, so the cone stands, and its
+    /// members fail.
+    fn failing_cone_member(&self) -> Arc<Program> {
+        self.model
+            .files
+            .iter()
+            .flat_map(|f| {
+                let lines = f.source.lines().enumerate();
+                lines
+                    .filter(|(_, l)| l.trim() == "do i = 1, ncol")
+                    .map(move |(i, l)| (f, i, l.replace("ncol", "ncol + 1")))
+            })
+            .map(|(f, i, l)| self.patched(&f.name, i, &l))
+            .find(|p| self.partial(p))
+            .expect("a loop in a proc with a partial cone")
+    }
+}
+
+/// Each way a fill given a base cannot use it falls back to the variant's
+/// own history slice or full program and still equals the full fill: a
+/// configuration that is not plain, a variant compiled without the base's
+/// tables, and a base fill with a member that is not healthy.
+#[test]
+fn cone_fills_fall_back_to_the_history_path() {
+    let f = Fixture::new();
+    let fall_back = |label: &str, program: &Arc<Program>, cfg: &RunConfig, base_fill| {
+        let (fill, _, _) = f.fill(label, program, cfg, base_fill);
         assert_eq!(
             path_of(&fill, program, base_fill),
             Path::Fallback,
             "{label}"
         );
-        full
     };
-    let partial = |program: &Program| {
-        output_cone(program, &base).is_some_and(|c| !c.is_empty() && c.len() < base.output_count())
-    };
-
-    let wsub = session
-        .program_for(&model.apply(Experiment::WsubBug))
+    let wsub = f
+        .session
+        .program_for(&f.model.apply(Experiment::WsubBug))
         .expect("compiles");
-    assert!(partial(&wsub), "WSUBBUG's cone is partial");
+    assert!(f.partial(&wsub), "WSUBBUG's cone is partial");
     let fuel = RunConfig {
         fuel: Some(u64::MAX),
-        ..cfg.clone()
+        ..f.cfg.clone()
     };
-    fall_back("fuel budget", &wsub, &fuel, &base_fill);
-    let own_tables = compile_model(&model.apply(Experiment::WsubBug)).expect("compiles");
-    assert!(output_cone(&own_tables, &base).is_none());
-    fall_back("own tables", &own_tables, &cfg, &base_fill);
+    fall_back("fuel budget", &wsub, &fuel, &f.base_fill);
+    let own_tables = compile_model(&f.model.apply(Experiment::WsubBug)).expect("compiles");
+    assert!(output_cone(&own_tables, &f.base).is_none());
+    fall_back("own tables", &own_tables, &f.cfg, &f.base_fill);
     let retried = RunConfig {
         faults: FaultPlan {
             faults: vec![Fault {
@@ -257,57 +366,48 @@ fn cone_fills_fall_back_to_the_history_path() {
                 persistent: false,
             }],
         },
-        ..cfg.clone()
+        ..f.cfg.clone()
     };
-    let sick = EnsembleRuns::run_resilient(&base, &retried, &perts, MAX_RETRIES);
+    let sick = EnsembleRuns::run_resilient(&f.base, &retried, &f.perts, MAX_RETRIES);
     assert_ne!(sick.health()[0], MemberHealth::Healthy);
-    fall_back("recovered base member", &wsub, &cfg, &sick);
+    fall_back("recovered base member", &wsub, &f.cfg, &sick);
+}
 
-    // `cam_init` is live for every output, so a constant changed in it
-    // puts every output in the cone.
-    let driver = &model
-        .files
-        .iter()
-        .find(|f| f.name == "cam_driver.F90")
-        .expect("driver");
-    let (line, text) = driver
-        .source
-        .lines()
-        .enumerate()
-        .find(|(_, l)| l.contains("state%omega(i) = 0.01_r8"))
-        .expect("cam_init sets omega");
-    let everything = session
-        .program_for(&model.with_patched_line(
-            &driver.name,
-            line,
-            &text.replace("0.01_r8", "0.02_r8"),
-        ))
-        .expect("compiles");
+/// A cone of every output fills on its cone slice, which is the variant's
+/// history slice statement for statement: the fill decides the cone once
+/// and never builds the history slice.
+#[test]
+fn a_cone_of_every_output_fills_on_its_cone_slice() {
+    let f = Fixture::new();
+    let program = f.every_output();
+    let (fill, _, spans) = f.fill("every output", &program, &f.cfg, &f.base_fill);
+    assert_eq!(spans.spans_named("statistics.cone"), 1);
     assert_eq!(
-        output_cone(&everything, &base).map(|c| c.len()),
-        Some(base.output_count())
+        spans.spans_named("compile.history"),
+        0,
+        "a history slice was built"
     );
-    fall_back("every output", &everything, &cfg, &base_fill);
+    assert_eq!(path_of(&fill, &program, &f.base_fill), Path::Cone);
+    let history = program.history_program().expect("the history slice prunes");
+    assert_eq!(fill.program().disassemble(), history.disassemble());
+}
 
-    // A loop one element past its arrays, in a proc some outputs but not
-    // all need: the effects are unchanged, so the cone stands, and its
-    // members fail.
-    let failing = model
-        .files
-        .iter()
-        .flat_map(|f| {
-            let lines = f.source.lines().enumerate();
-            lines
-                .filter(|(_, l)| l.trim() == "do i = 1, ncol")
-                .map(move |(i, l)| (f, i, l.replace("ncol", "ncol + 1")))
-        })
-        .map(|(f, i, l)| {
-            session
-                .program_for(&model.with_patched_line(&f.name, i, &l))
-                .expect("compiles")
-        })
-        .find(|p| partial(p))
-        .expect("a loop in a proc with a partial cone");
-    let full = fall_back("failing cone member", &failing, &cfg, &base_fill);
+/// A cone member that fails sends the fill straight to the full refill:
+/// no history slice is built or filled in between.
+#[test]
+fn a_failing_cone_member_refills_on_the_full_program() {
+    let f = Fixture::new();
+    let program = f.failing_cone_member();
+    let (fill, full, spans) = f.fill("failing cone member", &program, &f.cfg, &f.base_fill);
     assert!(full.first_failure().is_some(), "the mutant fails");
+    assert_eq!(spans.spans_named("statistics.cone"), 1);
+    assert_eq!(
+        spans.spans_named("compile.history"),
+        0,
+        "a history slice was built"
+    );
+    assert!(
+        Arc::ptr_eq(fill.program(), &program),
+        "the full program refilled"
+    );
 }

@@ -339,29 +339,26 @@ pub struct ExperimentData {
 ///
 /// This is the engine behind [`crate::RcaSession::statistics_scenario`]
 /// and [`crate::RcaSession::diagnose_scenario`]: the same cached ensemble
-/// serves every paper experiment and every injected-fault scenario. Given
-/// the base program and its fills, a plain configuration fills only the
-/// variant's cone over the base's fill under that configuration (built
-/// here on first use), with the same bits as a fill of its own.
+/// serves every paper experiment and every injected-fault scenario. A
+/// plain configuration fills from the base program's fill under that
+/// configuration (built here on first use): only the variant's cone runs
+/// when the base describes the variant, with the same bits as a fill of
+/// its own.
 pub(crate) fn evaluate_against_ensemble(
     ens: &EnsembleStats,
     exp_program: &Arc<Program>,
     exp_cfg: &RunConfig,
     setup: &ExperimentSetup,
-    base: Option<(&Arc<Program>, &BaseFills)>,
+    (base, base_fills): (&Arc<Program>, &BaseFills),
 ) -> Result<ExperimentData, RcaError> {
     let exp_perts = perturbations(setup.n_experiment, IC_MAGNITUDE, setup.seed ^ 0xDEAD);
     let exp_store = {
         let _span = rca_obs::span("statistics.experiment_fill");
-        let fill =
-            |base| EnsembleRuns::run_history(exp_program, exp_cfg, &exp_perts, MAX_RETRIES, base);
-        match base.filter(|_| exp_cfg.is_plain()) {
-            Some((program, fills)) => {
-                let base_fill = fills.get(program, exp_cfg, &exp_perts);
-                fill(Some((program, &base_fill)))
-            }
-            None => fill(None),
-        }
+        let base_fill = exp_cfg
+            .is_plain()
+            .then(|| base_fills.get(base, exp_cfg, &exp_perts));
+        let base = base_fill.as_deref().map(|fill| (&**base, fill));
+        EnsembleRuns::run_history(exp_program, exp_cfg, &exp_perts, MAX_RETRIES, base)
     };
     let exp_health = EnsembleHealth::of(&exp_store);
     let quorum = experiment_quorum(setup.n_experiment);
@@ -502,7 +499,8 @@ fn collect_statistics(
     let ens = collect_ensemble(&base_program, setup)?;
     let scenario = crate::Scenario::paper(&base_model, setup, experiment);
     let exp_program = rca_sim::compile_model(&scenario.model)?;
-    evaluate_against_ensemble(&ens, &exp_program, &scenario.config, setup, None)
+    let base = (&base_program, &BaseFills::default());
+    evaluate_against_ensemble(&ens, &exp_program, &scenario.config, setup, base)
 }
 
 impl ExperimentData {

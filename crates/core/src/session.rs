@@ -159,8 +159,6 @@ pub struct RcaSessionBuilder<'m> {
     model: &'m ModelSource,
     setup: ExperimentSetup,
     oracle: OracleKind,
-    pipeline_opts: PipelineOptions,
-    refine_opts: RefineOptions,
     max_outputs: usize,
     scope: SliceScope,
     wall_budget: Option<Duration>,
@@ -176,18 +174,6 @@ impl<'m> RcaSessionBuilder<'m> {
     /// Evidence source for refinement (default: reachability).
     pub fn oracle(mut self, oracle: OracleKind) -> Self {
         self.oracle = oracle;
-        self
-    }
-
-    /// Graph-compilation options (coverage steps, skip-coverage).
-    pub fn pipeline_options(mut self, opts: PipelineOptions) -> Self {
-        self.pipeline_opts = opts;
-        self
-    }
-
-    /// Algorithm 5.4 tuning knobs.
-    pub fn refine_options(mut self, opts: RefineOptions) -> Self {
-        self.refine_opts = opts;
         self
     }
 
@@ -235,7 +221,7 @@ impl<'m> RcaSessionBuilder<'m> {
             self.model,
             &base_files,
             Some(&base_program),
-            &self.pipeline_opts,
+            &PipelineOptions::default(),
         )?;
         let mut programs = HashMap::new();
         programs.insert(self.model.content_hash(), Arc::clone(&base_program));
@@ -246,7 +232,6 @@ impl<'m> RcaSessionBuilder<'m> {
             pipeline,
             setup: self.setup,
             oracle: self.oracle,
-            refine_opts: self.refine_opts,
             max_outputs: self.max_outputs,
             scope: self.scope,
             wall_budget: self.wall_budget,
@@ -280,7 +265,6 @@ pub struct RcaSession<'m> {
     pipeline: RcaPipeline,
     setup: ExperimentSetup,
     oracle: OracleKind,
-    refine_opts: RefineOptions,
     max_outputs: usize,
     scope: SliceScope,
     /// Per-diagnosis wall-clock budget (`None` = unlimited).
@@ -306,8 +290,6 @@ impl<'m> RcaSession<'m> {
             model,
             setup: ExperimentSetup::default(),
             oracle: OracleKind::Reachability,
-            pipeline_opts: PipelineOptions::default(),
-            refine_opts: RefineOptions::default(),
             max_outputs: 10,
             scope: SliceScope::Cam,
             wall_budget: None,
@@ -512,7 +494,7 @@ impl<'m> RcaSession<'m> {
                 &exp_program,
                 &scenario.config,
                 &self.setup,
-                Some((&self.base_program, &self.base_fills)),
+                (&self.base_program, &self.base_fills),
             )?
         };
         if data.output_names.is_empty() {
@@ -775,7 +757,7 @@ impl<'s, 'm> Sliced<'s, 'm> {
                 &self.slice,
                 oracle,
                 &bug_nodes,
-                &self.session.refine_opts,
+                &RefineOptions::default(),
             )
         };
         Refined {

@@ -55,12 +55,17 @@
 //! history is the base's bit for bit whenever both full runs succeed. The
 //! statistics fill ([`crate::EnsembleRuns::run_history`] with a base)
 //! runs the members on the cone slice — the statements some cone output's
-//! slice keeps — and takes every other column from the base's fill. Its
-//! residual is the history slice's: a statement of the variant's history
-//! slice that is outside the cone slice reads only locations of slices
-//! the variant does not change, so it behaves as in the base, whose fill
-//! succeeded, and an error it could raise there would have failed the
-//! base fill. A cone is a per-proc bound: a changed proc that a slice
+//! slice keeps — and takes every other column from the base's fill. The
+//! variant's own masks are the base's (the rules read both the same way),
+//! so a cone of every output has the variant's history slice as its cone
+//! slice, statement for statement, and a member that fails on a cone
+//! slice fails the same way on the history slice: neither case needs
+//! the history slice. The cone slice's residual is the history slice's:
+//! a statement of the variant's history slice that is outside the cone
+//! slice reads only locations of slices the variant does not change, so
+//! it behaves as in the base, whose fill succeeded, and an error it could
+//! raise there would have failed the base fill. A cone is a per-proc
+//! bound: a changed proc that a slice
 //! keeps live puts that output in the cone even when the changed
 //! statement is one the slice drops.
 //!
@@ -305,15 +310,6 @@ impl Cone<'_> {
             }
         }
         out
-    }
-
-    /// Whether the cone holds every output.
-    pub(crate) fn is_full(&self) -> bool {
-        self.masks
-            .chunks
-            .iter()
-            .zip(&self.select)
-            .all(|(c, &s)| s == c.all)
     }
 
     /// `program`'s cone slice: the statements some cone output's slice

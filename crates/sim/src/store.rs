@@ -15,14 +15,21 @@
 //! - a finished member publishes its flat step-major history into the
 //!   store with a single memcpy;
 //! - the evaluation-step plane of every member is a contiguous
-//!   `outputs`-wide slice, so ensemble/ECT matrices assemble row-by-row
-//!   via [`rca_stats::Matrix`]'s borrowed-row constructors without
-//!   hashing a name or allocating intermediate rows.
+//!   `outputs`-wide slice, so ensemble/ECT matrices gather straight out
+//!   of it ([`rca_stats::Matrix::from_fn`]) without hashing a name or
+//!   allocating intermediate rows.
 //!
 //! The store is the only multi-run container: a caller that wants one
 //! member as the owned single-run edge type calls
 //! [`EnsembleRuns::materialize`], which reconstructs the
 //! [`crate::RunOutput`] `run_program` would have produced, bit for bit.
+//!
+//! The statistics fills ([`EnsembleRuns::run_history`]) decide here, and
+//! nowhere else, which program their members run: at most one slice of
+//! the filled program — a delta variant's cone slice over its base
+//! program's fill, or else the program's own history slice — and the
+//! full program only when a slice member fails or the configuration is
+//! not plain.
 //!
 //! [`RunCoverage`] is the id-keyed executed-subprogram set — coverage
 //! pairs are `(ModuleId, VarId)` over the program's interner, and strings
@@ -259,6 +266,17 @@ fn count_fill(members: usize) {
 /// perturbations.
 pub type FillBase<'a> = (&'a Program, &'a EnsembleRuns);
 
+/// What a plain statistics fill runs ([`EnsembleRuns::run_history`]).
+enum Plan<'a> {
+    /// Nothing: the cone is empty, so the fill is a copy of this base fill.
+    BaseFill(&'a EnsembleRuns),
+    /// The cone slice, whose fill's columns of these outputs are spliced
+    /// into a copy of the base fill.
+    Cone(Arc<Program>, Vec<u32>, &'a EnsembleRuns),
+    /// The program's own history slice; `None` when nothing prunes.
+    History(Option<&'a Arc<Program>>),
+}
+
 impl EnsembleRuns {
     /// Runs one ensemble member per perturbation in parallel, writing
     /// every run into the store in place. Each rayon worker leases one
@@ -299,9 +317,7 @@ impl EnsembleRuns {
     }
 
     /// The statistics-side fill: [`EnsembleRuns::run_resilient`] with the
-    /// members run on `program`'s history slice
-    /// ([`Program::history_program`]) whenever that is safe — and, given
-    /// a [`FillBase`], only on the slice of `program`'s cone.
+    /// members run on one slice of `program` whenever that is safe.
     ///
     /// Member health, written lengths, the output table and every step
     /// plane equal `run_resilient(program, ..)`'s by bits, up to the
@@ -309,32 +325,35 @@ impl EnsembleRuns {
     /// only in statements that cannot reach a history write
     /// ([`crate::specialize`]). Coverage bits, samples and
     /// [`EnsembleRuns::program`] are a slice's, so callers that read
-    /// coverage use `run_resilient`. The full program stays the only path
-    /// for a configuration that is not plain ([`RunConfig::is_plain`]: a
-    /// fault plan, a fuel budget or sample captures), and whenever any
-    /// slice member fails: the slice runs with zero retries and no retry
-    /// or quarantine telemetry, and one failure discards it (counted as
-    /// `ensemble.history_fallback`) for a full refill that owns every
-    /// retry, quarantine and message.
+    /// coverage use `run_resilient`.
     ///
-    /// With a base, the cone ([`crate::specialize::output_cone`]: the
-    /// outputs whose slices keep a proc of `program` that is not the base
-    /// program's live) decides the fill. Every output outside it is
-    /// computed by procs `program` shares with the base, so its series is
-    /// the base fill's. An empty cone — no changed proc, or none any
-    /// output needs — returns a copy of the base fill
-    /// (`ensemble.base_fill_reuse`). Otherwise the members run on the cone
-    /// slice with zero retries, and their cone columns and written lengths
-    /// are spliced into a copy of the base fill (`ensemble.cone_fills`,
-    /// `ensemble.cone_outputs` summing the cone sizes). The base path
-    /// needs a plain configuration, the base's tables, an all-healthy base
-    /// fill of these members and steps, base masks that describe
-    /// `program`, and a cone short of every output; when any of these
-    /// fails, or any cone member fails, the fill counts
-    /// `ensemble.cone_fallback` and takes the history path. A statement
-    /// outside the cone slice reads no value `program` changes, so it
-    /// behaves as in the base, whose fill succeeded: the residual stays
-    /// the history slice's.
+    /// The fill has these outcomes, and no other:
+    /// - a configuration that is not plain ([`RunConfig::is_plain`]: a
+    ///   fault plan, a fuel budget or sample captures) takes the full
+    ///   fill with retries;
+    /// - a plain configuration given a usable base — an all-healthy base
+    ///   fill of these members and steps, and base masks that describe
+    ///   `program` — fills from the base. The cone
+    ///   ([`crate::specialize::output_cone`]: the outputs whose slices
+    ///   keep a proc of `program` that is not the base program's live)
+    ///   decides how: an empty cone returns a copy of the base fill
+    ///   (`ensemble.base_fill_reuse`); any other cone, one of every output
+    ///   included, runs the members on the cone slice and splices its
+    ///   columns and written lengths into a copy of the base fill
+    ///   (`ensemble.cone_fills`, `ensemble.cone_outputs` summing the cone
+    ///   sizes). Every output outside the cone is computed by procs
+    ///   `program` shares with the base, so its series is the base fill's;
+    /// - any other plain configuration runs the members on `program`'s own
+    ///   history slice ([`Program::history_program`]), or takes the full
+    ///   fill when nothing prunes. A base given but not usable counts
+    ///   `ensemble.cone_fallback`.
+    ///
+    /// A slice runs with zero retries and no retry or quarantine
+    /// telemetry, and one failing member discards it (counted once as
+    /// `ensemble.history_fallback`) for a full refill that owns every
+    /// retry, quarantine and message. A statement outside the cone slice
+    /// reads no value `program` changes, so it behaves as in the base,
+    /// whose fill succeeded: the residual stays the history slice's.
     pub fn run_history(
         program: &Arc<Program>,
         config: &RunConfig,
@@ -342,57 +361,27 @@ impl EnsembleRuns {
         max_retries: u32,
         base: Option<FillBase<'_>>,
     ) -> EnsembleRuns {
-        let plain = config.is_plain();
-        if let Some(base) = base {
-            let cone = plain.then(|| Self::run_cone(program, config, perts, base));
-            if let Some(store) = cone.flatten() {
-                return store;
-            }
-            rca_obs::counter_inc!("ensemble.cone_fallback", 1);
+        if !config.is_plain() {
+            return Self::run_resilient(program, config, perts, max_retries);
         }
-        if let Some(history) = plain.then(|| program.history_program()).flatten() {
-            let store = Self::fill(history, config, perts, OnFailure::Discard);
-            if store.first_failure().is_none() {
-                count_fill(perts.len());
-                return store;
-            }
-            rca_obs::counter_inc!("ensemble.history_fallback", 1);
-        }
-        Self::run_resilient(program, config, perts, max_retries)
-    }
-
-    /// The base path of [`EnsembleRuns::run_history`] (`None`: take the
-    /// history path).
-    fn run_cone(
-        program: &Arc<Program>,
-        config: &RunConfig,
-        perts: &[f64],
-        (base, base_fill): FillBase<'_>,
-    ) -> Option<EnsembleRuns> {
-        let fits = base_fill.members == perts.len()
-            && base_fill.steps == config.steps as usize
-            && base_fill.health.iter().all(|h| *h == MemberHealth::Healthy);
-        if !fits {
-            return None;
-        }
-        let (outputs, slice) = {
-            let _span = rca_obs::span("statistics.cone");
-            let cone = crate::specialize::cone(program, base)?;
-            let outputs = cone.outputs();
-            if outputs.is_empty() {
+        let (slice, splice) = match Self::plan(program, config, perts, base) {
+            Plan::BaseFill(base_fill) => {
                 rca_obs::counter_inc!("ensemble.base_fill_reuse", 1);
-                return Some(base_fill.clone());
+                return base_fill.clone();
             }
-            if cone.is_full() {
-                return None;
-            }
-            (outputs, cone.slice(program))
+            Plan::Cone(slice, outputs, base_fill) => (slice, Some((outputs, base_fill))),
+            Plan::History(Some(history)) => (Arc::clone(history), None),
+            Plan::History(None) => return Self::run_resilient(program, config, perts, max_retries),
         };
-        let cone_fill = Self::fill(&slice, config, perts, OnFailure::Discard);
-        if cone_fill.first_failure().is_some() {
-            return None;
+        let fill = Self::fill(&slice, config, perts, OnFailure::Discard);
+        if fill.first_failure().is_some() {
+            rca_obs::counter_inc!("ensemble.history_fallback", 1);
+            return Self::run_resilient(program, config, perts, max_retries);
         }
         count_fill(perts.len());
+        let Some((outputs, base_fill)) = splice else {
+            return fill;
+        };
         rca_obs::counter_inc!("ensemble.cone_fills", 1);
         rca_obs::counter_inc!("ensemble.cone_outputs", outputs.len() as u64);
         let mut store = base_fill.clone();
@@ -401,16 +390,43 @@ impl EnsembleRuns {
             for step in 0..store.steps {
                 let row = (member * store.steps + step) * width;
                 for &o in &outputs {
-                    store.data[row + o as usize] = cone_fill.data[row + o as usize];
+                    store.data[row + o as usize] = fill.data[row + o as usize];
                 }
             }
             for &o in &outputs {
                 let at = member * width + o as usize;
-                store.written[at] = cone_fill.written[at];
+                store.written[at] = fill.written[at];
             }
         }
-        store.program = cone_fill.program;
-        Some(store)
+        store.program = fill.program;
+        store
+    }
+
+    /// The slice a plain [`EnsembleRuns::run_history`] fill runs.
+    fn plan<'a>(
+        program: &'a Arc<Program>,
+        config: &RunConfig,
+        perts: &[f64],
+        base: Option<FillBase<'a>>,
+    ) -> Plan<'a> {
+        if let Some((base, base_fill)) = base {
+            let usable = base_fill.members == perts.len()
+                && base_fill.steps == config.steps as usize
+                && base_fill.health.iter().all(|h| *h == MemberHealth::Healthy);
+            if usable {
+                let _span = rca_obs::span("statistics.cone");
+                if let Some(cone) = crate::specialize::cone(program, base) {
+                    let outputs = cone.outputs();
+                    return if outputs.is_empty() {
+                        Plan::BaseFill(base_fill)
+                    } else {
+                        Plan::Cone(cone.slice(program), outputs, base_fill)
+                    };
+                }
+            }
+            rca_obs::counter_inc!("ensemble.cone_fallback", 1);
+        }
+        Plan::History(program.history_program())
     }
 
     /// One member per perturbation, in parallel, written into the store
@@ -479,7 +495,8 @@ impl EnsembleRuns {
                                 // Publish: one memcpy for the rows the run
                                 // actually reached (the store is
                                 // NaN-prefilled past them).
-                                rca_stats::kernels::publish(slot.hist, &ex.history);
+                                let n = ex.history.len().min(slot.hist.len());
+                                slot.hist[..n].copy_from_slice(&ex.history[..n]);
                                 slot.written.copy_from_slice(&ex.written);
                                 slot.covered.copy_from_slice(&ex.covered);
                                 *slot.samples = std::mem::take(&mut ex.samples);
@@ -631,45 +648,34 @@ impl EnsembleRuns {
     /// **every surviving** member — the keep-set ensemble/ECT matrices
     /// are built from. Quarantined members are skipped (their chunks are
     /// all-NaN and would empty the keep-set); with zero survivors the
-    /// keep-set is empty. Pure contiguous-plane scanning, no hashing, no
-    /// fallback: one store always means one program and one output table.
+    /// keep-set is empty. Pure plane indexing, no hashing, no fallback:
+    /// one store always means one program and one output table.
     pub fn finite_outputs_at(&self, step: u32) -> Vec<u32> {
-        let step = step as usize;
-        if step >= self.steps || self.surviving_count() == 0 {
+        let (step, members) = (step as usize, self.surviving());
+        if step >= self.steps || members.is_empty() {
             return Vec::new();
         }
-        let mut keep: Vec<bool> = vec![true; self.outputs];
-        for m in 0..self.members {
-            if self.health[m].is_quarantined() {
-                continue;
-            }
-            rca_stats::kernels::keep_refine(
-                &mut keep,
-                self.written_of(m),
-                self.step_plane(m, step),
-                step as u32,
-            );
-        }
-        rca_stats::kernels::keep_to_ids(&keep)
+        (0..self.outputs)
+            .filter(|&o| {
+                members
+                    .iter()
+                    .all(|&m| self.value(m, o, step).is_some_and(f64::is_finite))
+            })
+            .map(|o| o as u32)
+            .collect()
     }
 
     /// Assembles the `surviving × kept` output matrix at `step` straight
-    /// out of the store: each matrix row memcpy-gathers from a surviving
-    /// member's contiguous step plane, with the full-table case
-    /// degenerating to a straight row copy. `kept` holds dense output ids
-    /// (e.g. from [`EnsembleRuns::finite_outputs_at`]); quarantined
-    /// members contribute no row, so a zero-fault store yields exactly
-    /// the legacy `members × kept` matrix.
+    /// out of the store, each cell gathered from a surviving member's
+    /// step plane. `kept` holds dense output ids (e.g. from
+    /// [`EnsembleRuns::finite_outputs_at`]); quarantined members
+    /// contribute no row, so a zero-fault store yields exactly the legacy
+    /// `members × kept` matrix.
     pub fn matrix_at(&self, step: u32, kept: &[u32]) -> Matrix {
-        let step = step as usize;
-        let rows = self.surviving();
-        let identity =
-            kept.len() == self.outputs && kept.iter().enumerate().all(|(i, &k)| i == k as usize);
-        if identity {
-            Matrix::from_rows_with(rows.len(), self.outputs, |r| self.step_plane(rows[r], step))
-        } else {
-            Matrix::gather_rows_with(rows.len(), kept, |r| self.step_plane(rows[r], step))
-        }
+        let (step, rows) = (step as usize, self.surviving());
+        Matrix::from_fn(rows.len(), kept.len(), |r, c| {
+            self.step_plane(rows[r], step)[kept[c] as usize]
+        })
     }
 
     /// The first difference between two fills' statistics data — member

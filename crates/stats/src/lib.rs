@@ -21,13 +21,10 @@
 //! - [`lasso`]: L1-penalized logistic regression with λ-path tuning
 //!   (§3, method 2).
 //! - [`mod@rms`]: normalized-RMS comparison (KGen's verification metric).
-//! - [`kernels`]: chunked, branchless column kernels for outputs-wide
-//!   plane ops (keep-refine, gather, publish) shared with the run store.
 
 pub mod descriptive;
 pub mod ect;
 pub mod eigen;
-pub mod kernels;
 pub mod lasso;
 pub mod matrix;
 pub mod pca;

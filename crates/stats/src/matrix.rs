@@ -50,10 +50,10 @@ impl Matrix {
         }
     }
 
-    /// Builds element-wise from a generator — the zero-copy assembly path
-    /// for ensemble/ECT matrices over dense per-run history buffers: the
-    /// caller indexes straight into its columns (`f(run, col)`) and no
-    /// intermediate row `Vec`s are allocated.
+    /// Builds element-wise from a generator — the assembly path for
+    /// ensemble/ECT matrices out of a run store: the caller indexes
+    /// straight into its step planes (`f(run, col)`) and no intermediate
+    /// row `Vec`s are allocated.
     pub fn from_fn(rows: usize, cols: usize, mut f: impl FnMut(usize, usize) -> f64) -> Self {
         let mut data = Vec::with_capacity(rows * cols);
         for r in 0..rows {
@@ -62,47 +62,6 @@ impl Matrix {
             }
         }
         Matrix { rows, cols, data }
-    }
-
-    /// Builds from borrowed full-width row slices produced per row index —
-    /// the memcpy assembly path over a columnar run store: each row is a
-    /// contiguous step plane copied in one `extend_from_slice`, no
-    /// per-element closure dispatch and no intermediate row vectors.
-    ///
-    /// # Panics
-    /// Panics if any produced row's length differs from `cols`.
-    pub fn from_rows_with<'a>(
-        rows: usize,
-        cols: usize,
-        mut f: impl FnMut(usize) -> &'a [f64],
-    ) -> Self {
-        let mut data = Vec::with_capacity(rows * cols);
-        for r in 0..rows {
-            let row = f(r);
-            assert_eq!(row.len(), cols, "row width mismatch");
-            data.extend_from_slice(row);
-        }
-        Matrix { rows, cols, data }
-    }
-
-    /// Column-gathering variant of [`Matrix::from_rows_with`]: keeps only
-    /// the `keep` columns (by dense `u32` id, in order) of each borrowed
-    /// row — the keep-set assembly path when a store's finite-output
-    /// subset is a strict subset of its output table.
-    pub fn gather_rows_with<'a>(
-        rows: usize,
-        keep: &[u32],
-        mut f: impl FnMut(usize) -> &'a [f64],
-    ) -> Self {
-        let mut data = Vec::with_capacity(rows * keep.len());
-        for r in 0..rows {
-            crate::kernels::gather_into(&mut data, f(r), keep);
-        }
-        Matrix {
-            rows,
-            cols: keep.len(),
-            data,
-        }
     }
 
     /// Column-gather: a copy keeping only `keep` (by index, in order) —
@@ -303,25 +262,5 @@ mod tests {
     fn from_row_slices_builds() {
         let m = Matrix::from_row_slices(&[vec![1., 2.], vec![3., 4.]]);
         assert_eq!(m[(1, 0)], 3.0);
-    }
-
-    #[test]
-    fn borrowed_row_constructors_match_from_fn() {
-        let store: Vec<Vec<f64>> = vec![vec![1., 2., 3., 4.], vec![5., 6., 7., 8.]];
-        let full = Matrix::from_rows_with(2, 4, |r| &store[r]);
-        assert_eq!(full, Matrix::from_fn(2, 4, |r, c| store[r][c]));
-        let keep = [3u32, 0];
-        let gathered = Matrix::gather_rows_with(2, &keep, |r| &store[r]);
-        assert_eq!(
-            gathered,
-            Matrix::from_fn(2, 2, |r, c| store[r][keep[c] as usize])
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "row width mismatch")]
-    fn borrowed_rows_must_share_width() {
-        let store: Vec<Vec<f64>> = vec![vec![1., 2.], vec![3.]];
-        Matrix::from_rows_with(2, 2, |r| &store[r]);
     }
 }

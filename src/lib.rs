@@ -131,7 +131,11 @@
 //! slice of its *cone* — the outputs whose slices keep one of its changed
 //! procs live — splicing those columns into the base fill, with the same
 //! bits (the base fill comes back whole for an empty cone: the base model
-//! itself, a configuration-only variant, a mutant of dead code).
+//! itself, a configuration-only variant, a mutant of dead code). A fill
+//! runs at most one slice: the cone slice when the base describes the
+//! variant (for a cone of every output that is the variant's history
+//! slice), the history slice otherwise, and the full program only when a
+//! slice member fails.
 //!
 //! ## Migrating from the 0.1 free functions
 //!
@@ -241,10 +245,9 @@
 //!   history block (member-major, each member's chunk step-major so the
 //!   ECT evaluation step is a contiguous `outputs`-wide plane) plus
 //!   positional sample buffers and a dense coverage bitmap. Ensemble and
-//!   experimental matrices memcpy-gather straight out of the store's step
-//!   planes (`Matrix::from_rows_with` / `Matrix::gather_rows_with` in
-//!   `rca-stats`) — no per-run vectors, no hashing, no element-wise
-//!   re-copy between the executor and the ECT.
+//!   experimental matrices gather straight out of the store's step planes
+//!   (one `Matrix::from_fn` in `rca-stats`) — no per-run vectors, no
+//!   hashing, no re-assembly between the executor and the ECT.
 //! - **Executor reuse contract**: [`sim::Executor::reset`] restores a
 //!   just-constructed state in place — global arena overwritten from the
 //!   program's pristine snapshot (allocation-reusing deep copy), PRNG
@@ -420,9 +423,11 @@
 //!   of one `compile.lower`). Counters, the one metric kind (a size or an iteration
 //!   count is a counter summing its values), use the same
 //!   `subsystem.noun` convention
-//!   (`executor.runs`, `oracle.queries`, `slice.nodes`; the cone fills
-//!   count `ensemble.cone_fills`, `ensemble.cone_outputs` summing the
-//!   cone sizes, `ensemble.base_fill_reuse` and `ensemble.cone_fallback`;
+//!   (`executor.runs`, `oracle.queries`, `slice.nodes`; the statistics
+//!   fills count `ensemble.cone_fills`, `ensemble.cone_outputs` summing
+//!   the cone sizes, `ensemble.base_fill_reuse`, `ensemble.cone_fallback`
+//!   (a base given but not usable) and `ensemble.history_fallback` (a
+//!   slice member failed, so the full program refilled);
 //!   the VM counts `vm.dispatch` host calls, the `vm.instructions` they
 //!   retired, a column step-kernel counting as one, and the
 //!   `vm.kernel_iterations` those kernels ran; `executor.runs` and the

@@ -1,10 +1,10 @@
 //! API edge cases: unknown outputs, degenerate refinement options, and
-//! skip-coverage sessions.
+//! foreign output tables.
 
 use climate_rca::prelude::*;
 use model::{generate, Experiment, ModelConfig};
 use rca::refine::StopReason;
-use rca::{PipelineOptions, RcaPipeline, RefineOptions};
+use rca::{refine, RcaPipeline, RefineOptions};
 use std::sync::Arc;
 
 fn model() -> Arc<model::ModelSource> {
@@ -61,63 +61,31 @@ fn zero_manual_threshold_still_terminates() {
     let m = model();
     let session = RcaSession::builder(&m)
         .setup(ExperimentSetup::quick())
-        .refine_options(RefineOptions {
-            manual_threshold: 0,
-            ..RefineOptions::default()
-        })
         .build()
         .expect("session");
-    let d = session
-        .diagnose_scenario(&wsub(&session, &m))
-        .expect("diagnosis");
-    let stop = d.stop().expect("refinement ran");
+    let scenario = wsub(&session, &m);
+    let sliced = session
+        .statistics_scenario(&scenario)
+        .expect("statistics")
+        .slice()
+        .expect("slice");
+    let report = refine(
+        session.metagraph(),
+        &sliced.slice,
+        session.scenario_oracle(&scenario).as_mut(),
+        &session.scenario_bug_nodes(&scenario),
+        &RefineOptions {
+            manual_threshold: 0,
+            ..RefineOptions::default()
+        },
+    );
     assert_ne!(
-        stop,
+        report.stop,
         StopReason::SmallEnough,
         "threshold 0 can never be reached by a non-empty subgraph"
     );
     // The procedure still produces a usable (non-empty) suspect set.
-    assert!(!d.suspects.is_empty());
-}
-
-#[test]
-fn skip_coverage_session_reaches_identical_verdicts() {
-    let m = model();
-    let filtered = RcaSession::builder(&m)
-        .setup(ExperimentSetup::quick())
-        .build()
-        .expect("session");
-    let unfiltered = RcaSession::builder(&m)
-        .setup(ExperimentSetup::quick())
-        .pipeline_options(PipelineOptions {
-            skip_coverage: true,
-        })
-        .build()
-        .expect("skip-coverage session");
-    // Skip-coverage stats must be truthful: nothing was filtered, and the
-    // universe matches what the coverage build started from.
-    let fs = &unfiltered.pipeline().filter_stats;
-    assert!(fs.subprograms_before > 0);
-    assert_eq!(fs.subprograms_before, fs.subprograms_after);
-    assert_eq!(
-        fs.subprograms_before,
-        filtered.pipeline().filter_stats.subprograms_before
-    );
-
-    let a = filtered
-        .diagnose_scenario(&wsub(&filtered, &m))
-        .expect("diagnosis");
-    let b = unfiltered
-        .diagnose_scenario(&wsub(&unfiltered, &m))
-        .expect("diagnosis");
-    assert_eq!(
-        a.verdict, b.verdict,
-        "coverage filtering must not change the verdict"
-    );
-    assert!(
-        a.located() && b.located(),
-        "both sessions must locate the wsub bug"
-    );
+    assert!(!report.final_nodes.is_empty());
 }
 
 #[test]
