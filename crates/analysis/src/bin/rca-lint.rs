@@ -3,7 +3,7 @@
 //! ```text
 //! rca-lint [--scale test|medium|paper] [--all-experiments] [--json PATH]
 //!          [--assert-clean] [--mutate-seed S] [--min-findings N]
-//!          [--threads N] [--trace-out PATH] [--metrics] [--quiet]
+//!          [--trace-out PATH] [--metrics] [--quiet]
 //! ```
 //!
 //! Default mode lints the pristine generated model; `--all-experiments`
@@ -16,16 +16,16 @@
 //! read) and `--min-findings N` asserts the linter gained at least `N`
 //! warnings over the pristine baseline.
 //!
-//! Output JSON is byte-deterministic for a given model and seed,
-//! regardless of `--threads`. `--trace-out` records the compile, build
-//! and lint spans and per-target `lint.report` events, written as JSONL
-//! telemetry when the run ends; `--metrics` prints the counter snapshot
+//! Output JSON is byte-deterministic for a given model and seed; nothing
+//! on the lint path uses the thread pool, so `RAYON_NUM_THREADS` cannot
+//! move it. `--trace-out` records the compile, build and lint spans and
+//! per-target `lint.report` events, written as JSONL telemetry when the
+//! run ends; `--metrics` prints the counter snapshot
 //! to stderr, plus the phase profile folded from the trace when
 //! `--trace-out` is given. Neither flag changes a byte of the JSON
 //! artifact.
 
 use std::process::ExitCode;
-use std::sync::Arc;
 
 use rca_analysis::ModelAnalysis;
 use rca_model::{generate, patch_sites, Experiment, ModelConfig, ModelSource};
@@ -48,7 +48,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: rca-lint [--scale test|medium|paper] [--all-experiments] [--json PATH]\n\
          \x20               [--assert-clean] [--mutate-seed S] [--min-findings N]\n\
-         \x20               [--threads N] [--trace-out PATH] [--metrics] [--quiet]\n\
+         \x20               [--trace-out PATH] [--metrics] [--quiet]\n\
          --metrics prints the counters to stderr, plus the phase profile folded\n\
          from the trace when --trace-out is given"
     );
@@ -85,11 +85,6 @@ fn parse_args() -> Args {
             }
             "--min-findings" => {
                 args.min_findings = value("--min-findings").parse().unwrap_or_else(|_| usage());
-            }
-            "--threads" => {
-                // Analysis is single-threaded by construction; the flag
-                // exists so determinism checks can vary it and diff output.
-                std::env::set_var("RAYON_NUM_THREADS", value("--threads"));
             }
             "--trace-out" => args.trace_out = Some(value("--trace-out")),
             "--metrics" => args.metrics = true,
@@ -147,7 +142,7 @@ fn mutate(model: &ModelSource, seed: u64) -> (ModelSource, String) {
 
 fn lint_model(model: &ModelSource) -> Result<rca_analysis::LintReport, String> {
     let program = compile_model(model).map_err(|e| format!("compile failed: {e:?}"))?;
-    Ok(ModelAnalysis::build(Arc::clone(&program)).lint())
+    Ok(ModelAnalysis::build(program).lint())
 }
 
 fn main() -> ExitCode {

@@ -8,17 +8,14 @@
 //! classic worklist solvers on top:
 //!
 //! - **reaching definitions** (forward, def-id bitvectors, strong defs
-//!   kill) — powers def-use chains and the uninitialized-read lint;
-//! - **def-use chains** — every definition mapped to the uses its value
-//!   can reach;
-//! - **liveness** (backward, slot bitvectors) — powers the dead-store
-//!   lint.
+//!   kill), from which one pass marks every definition some use reads
+//!   (the dead-store lint) and finds the reads no definition reaches
+//!   (the uninitialized-read lint).
 //!
 //! The domain is the procedure's frame slots. Global reads/writes are
-//! recorded as events (so chains stay inspectable) but solvers track
-//! locals only: cross-procedure global flow belongs to the dependence
-//! graph, and the lints built here restrict themselves to provable
-//! frame-local facts.
+//! recorded as events but the solver tracks locals only:
+//! cross-procedure global flow belongs to the dependence graph, and the
+//! lints built here restrict themselves to provable frame-local facts.
 
 use rca_sim::effects::{walk_expr, walk_stmt, walk_template, BitSet, Effect, Part};
 use rca_sim::{CProc, CStmt, EId, LocalTemplate, Program, VarBind};
@@ -128,19 +125,6 @@ pub struct DefInfo {
     pub origin: DefOrigin,
 }
 
-/// One recorded use of a local slot (def-use chain element).
-#[derive(Debug, Clone, Copy)]
-pub struct UseRef {
-    /// Containing block.
-    pub block: u32,
-    /// Event index within the block.
-    pub event: u32,
-    /// Read frame slot.
-    pub slot: u32,
-    /// Source line.
-    pub line: u32,
-}
-
 /// A read no definition can reach on any path.
 #[derive(Debug, Clone, Copy)]
 pub struct UninitRead {
@@ -159,15 +143,11 @@ pub struct ProcFlow {
     pub cfg: Cfg,
     /// All local definitions, in block/event order.
     pub defs: Vec<DefInfo>,
-    /// Def-use chains: `du[d]` = uses reached by definition `d`.
-    pub du: Vec<Vec<UseRef>>,
+    /// `used[d]`: some use reads the value of definition `d`.
+    pub used: Vec<bool>,
     /// Reads of pure-local scalars with an empty reaching-definition set
     /// (in entry-reachable blocks only).
     pub uninit: Vec<UninitRead>,
-    /// Liveness: per block, the slots live on entry.
-    pub live_in: Vec<BitSet>,
-    /// Liveness: per block, the slots live on exit.
-    pub live_out: Vec<BitSet>,
 }
 
 struct CfgBuilder<'p> {
@@ -479,17 +459,22 @@ pub fn build_cfg(prog: &Program, proc_index: u32) -> Cfg {
     }
 }
 
-/// Runs reaching definitions + def-use chains + liveness for one
-/// procedure.
+/// Runs reaching definitions for one procedure, then marks in one pass
+/// which definitions some use reads and which reads no definition
+/// reaches.
 pub fn analyze_proc(prog: &Program, proc_index: u32) -> ProcFlow {
     let cfg = build_cfg(prog, proc_index);
     let proc = &prog.ir_procs()[proc_index as usize];
     let nb = cfg.blocks.len();
 
     // ---- Def enumeration (local slots only). -------------------------
+    // Def ids are in block order: block `b` numbers its defs from
+    // `first_def_of_block[b]`.
     let mut defs: Vec<DefInfo> = Vec::new();
     let mut defs_by_slot: Vec<Vec<u32>> = vec![Vec::new(); cfg.n_locals];
+    let mut first_def_of_block: Vec<u32> = Vec::with_capacity(nb);
     for (bi, block) in cfg.blocks.iter().enumerate() {
+        first_def_of_block.push(defs.len() as u32);
         for (ei, ev) in block.events.iter().enumerate() {
             if let Event::Def {
                 loc: Loc::Local(s),
@@ -524,14 +509,13 @@ pub fn analyze_proc(prog: &Program, proc_index: u32) -> ProcFlow {
         .collect();
 
     // ---- Reaching definitions (forward). -----------------------------
-    let apply = |state: &mut BitSet, block: u32, ev: &Event, id_at: &mut u32| {
+    let apply = |state: &mut BitSet, ev: &Event, id_at: &mut u32| {
         if let Event::Def {
             loc: Loc::Local(s),
             strong,
             ..
         } = *ev
         {
-            let _ = block;
             if strong {
                 state.subtract(&slot_mask[s as usize]);
             }
@@ -539,29 +523,8 @@ pub fn analyze_proc(prog: &Program, proc_index: u32) -> ProcFlow {
             *id_at += 1;
         }
     };
-    // GEN/KILL via a block-local pass, then the worklist.
     let mut rd_in: Vec<BitSet> = (0..nb).map(|_| BitSet::new(nd)).collect();
     let mut rd_out: Vec<BitSet> = (0..nb).map(|_| BitSet::new(nd)).collect();
-    // Def ids are in block order, so a per-block scan can recover them by
-    // counting.
-    let mut first_def_of_block: Vec<u32> = vec![0; nb];
-    {
-        let mut c = 0u32;
-        for (bi, block) in cfg.blocks.iter().enumerate() {
-            first_def_of_block[bi] = c;
-            for ev in &block.events {
-                if matches!(
-                    ev,
-                    Event::Def {
-                        loc: Loc::Local(_),
-                        ..
-                    }
-                ) {
-                    c += 1;
-                }
-            }
-        }
-    }
     let mut preds: Vec<Vec<u32>> = vec![Vec::new(); nb];
     for (bi, block) in cfg.blocks.iter().enumerate() {
         for &s in &block.succs {
@@ -579,11 +542,9 @@ pub fn analyze_proc(prog: &Program, proc_index: u32) -> ProcFlow {
             let mut out = inset.clone();
             let mut id_at = first_def_of_block[bi];
             for ev in &cfg.blocks[bi].events {
-                apply(&mut out, bi as u32, ev, &mut id_at);
+                apply(&mut out, ev, &mut id_at);
             }
-            if rd_in[bi] != inset {
-                rd_in[bi] = inset;
-            }
+            rd_in[bi] = inset;
             if out != rd_out[bi] {
                 rd_out[bi] = out;
                 changed = true;
@@ -591,15 +552,15 @@ pub fn analyze_proc(prog: &Program, proc_index: u32) -> ProcFlow {
         }
     }
 
-    // ---- Def-use chains + uninitialized reads. -----------------------
+    // ---- Used definitions + uninitialized reads. ---------------------
     let reachable = cfg.reachable();
     let is_arg = |s: u32| proc.arg_slots.contains(&s);
-    let mut du: Vec<Vec<UseRef>> = vec![Vec::new(); nd];
+    let mut used = vec![false; nd];
     let mut uninit: Vec<UninitRead> = Vec::new();
     for (bi, block) in cfg.blocks.iter().enumerate() {
         let mut state = rd_in[bi].clone();
         let mut id_at = first_def_of_block[bi];
-        for (ei, ev) in block.events.iter().enumerate() {
+        for ev in &block.events {
             match *ev {
                 Event::Use {
                     loc: Loc::Local(s),
@@ -609,12 +570,7 @@ pub fn analyze_proc(prog: &Program, proc_index: u32) -> ProcFlow {
                     let mut any = false;
                     for d in state.iter_ones() {
                         if defs[d].slot == s {
-                            du[d].push(UseRef {
-                                block: bi as u32,
-                                event: ei as u32,
-                                slot: s,
-                                line,
-                            });
+                            used[d] = true;
                             any = true;
                         }
                     }
@@ -622,54 +578,7 @@ pub fn analyze_proc(prog: &Program, proc_index: u32) -> ProcFlow {
                         uninit.push(UninitRead { slot: s, line });
                     }
                 }
-                _ => apply(&mut state, bi as u32, ev, &mut id_at),
-            }
-        }
-    }
-
-    // ---- Liveness (backward, slot domain). ---------------------------
-    let mut live_in: Vec<BitSet> = (0..nb).map(|_| BitSet::new(cfg.n_locals)).collect();
-    let mut live_out: Vec<BitSet> = (0..nb).map(|_| BitSet::new(cfg.n_locals)).collect();
-    // Dummies and the function result escape through copy-out / return.
-    let mut exit_live = BitSet::new(cfg.n_locals);
-    for &s in &proc.arg_slots {
-        exit_live.insert(s as usize);
-    }
-    if let Some(r) = proc.result_slot {
-        exit_live.insert(r as usize);
-    }
-    let mut changed = true;
-    while changed {
-        changed = false;
-        for bi in (0..nb).rev() {
-            let mut out = if bi as u32 == Cfg::EXIT {
-                exit_live.clone()
-            } else {
-                BitSet::new(cfg.n_locals)
-            };
-            for &s in &cfg.blocks[bi].succs {
-                out.union_with(&live_in[s as usize]);
-            }
-            let mut inset = out.clone();
-            for ev in cfg.blocks[bi].events.iter().rev() {
-                match *ev {
-                    Event::Use {
-                        loc: Loc::Local(s), ..
-                    } => {
-                        inset.insert(s as usize);
-                    }
-                    Event::Def {
-                        loc: Loc::Local(s),
-                        strong: true,
-                        ..
-                    } => inset.remove(s as usize),
-                    _ => {}
-                }
-            }
-            live_out[bi] = out;
-            if inset != live_in[bi] {
-                live_in[bi] = inset;
-                changed = true;
+                _ => apply(&mut state, ev, &mut id_at),
             }
         }
     }
@@ -678,10 +587,8 @@ pub fn analyze_proc(prog: &Program, proc_index: u32) -> ProcFlow {
         proc: proc_index,
         cfg,
         defs,
-        du,
+        used,
         uninit,
-        live_in,
-        live_out,
     }
 }
 
@@ -703,7 +610,7 @@ impl ProcFlow {
             if !reachable[info.block as usize] {
                 continue;
             }
-            if self.du[d].is_empty() {
+            if !self.used[d] {
                 out.push(*info);
             }
         }

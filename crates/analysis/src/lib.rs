@@ -11,8 +11,8 @@
 //! [`deps`] keeps its own walk on purpose.
 //!
 //! - [`dataflow`]: per-procedure CFGs whose use/def events are the
-//!   walker's, plus worklist solvers — reaching definitions, def-use
-//!   chains, liveness.
+//!   walker's, plus a reaching-definitions worklist solver that marks
+//!   the definitions some use reads and the reads no definition reaches.
 //! - [`deps`]: an interprocedural dependence graph that independently
 //!   re-implements the metagraph's §4.2 edge rules from the IR (subscripts
 //!   ignored, intrinsics localized, intents orient edges); its
@@ -20,7 +20,8 @@
 //!   node-for-node against `rca_core::backward_slice` by the
 //!   differential suite.
 //! - [`reach`]: call-graph reachability from the host entry points, over
-//!   the summary's callees.
+//!   the summary's callees (the lint's unreachable-procedure check and
+//!   the campaign's injection-site filter).
 //! - [`absint`]: interval/sign abstract interpretation for definite
 //!   numeric hazards; globals the summary never sees written are
 //!   constants, and loops widen what the walker sees their bodies write.
@@ -28,10 +29,14 @@
 //!   (`rca-lint` CLI); warnings are definite defects and gate CI at
 //!   zero on the bundled paper models.
 //!
-//! [`ModelAnalysis`] bundles all of it for one compiled program; the
-//! campaign uses [`ModelAnalysis::classify_site`] as the static
-//! observability pre-filter that rejects provably-dead injection sites
-//! (and must agree with the metagraph filter on every candidate).
+//! [`ModelAnalysis`] holds, for one compiled program, what its site
+//! classifier reads: the dependence graph and its output-observable set.
+//! The campaign uses [`ModelAnalysis::classify_site`] as the static
+//! observability pre-filter that rejects injection sites no output
+//! observes (and must agree with the metagraph filter on every
+//! candidate); [`ModelAnalysis::lint`] builds the dataflow, reachability
+//! and constant globals that only the lint catalog reads, each time it
+//! runs.
 
 pub mod absint;
 pub mod dataflow;
@@ -46,62 +51,33 @@ use rca_sim::Program;
 pub use deps::{DepGraph, SiteClass, Triple};
 pub use lints::{Finding, LintReport, Severity};
 
-/// Static analysis results for one compiled program: the dependence
-/// graph, per-procedure dataflow, reachability, and the lint catalog.
+/// Static analysis of one compiled program: the dependence graph and
+/// its output-observable set.
 #[derive(Debug)]
 pub struct ModelAnalysis {
     program: Arc<Program>,
     deps: DepGraph,
     observable: Vec<bool>,
-    reachable: Vec<bool>,
-    flows: Vec<dataflow::ProcFlow>,
-    global_const: Vec<Option<f64>>,
 }
 
 impl ModelAnalysis {
-    /// Runs every analysis over the program.
+    /// Builds the dependence graph and marks the nodes that reach a
+    /// history output.
     pub fn build(program: Arc<Program>) -> ModelAnalysis {
         let _span = rca_obs::span("phase.analysis_build");
         rca_obs::counter_inc!("analysis.builds", 1);
         let deps = DepGraph::build(&program);
         let observable = deps.output_observable();
-        let reachable = reach::reachable_procs(&program, reach::ENTRY_ROOTS);
-        let flows: Vec<dataflow::ProcFlow> = (0..program.ir_procs().len() as u32)
-            .map(|p| dataflow::analyze_proc(&program, p))
-            .collect();
-        let global_const = absint::const_globals(&program);
         ModelAnalysis {
             program,
             deps,
             observable,
-            reachable,
-            flows,
-            global_const,
         }
-    }
-
-    /// The analyzed program.
-    pub fn program(&self) -> &Arc<Program> {
-        &self.program
     }
 
     /// The IR-level dependence graph (the independent slicer).
     pub fn deps(&self) -> &DepGraph {
         &self.deps
-    }
-
-    /// Per-procedure dataflow results, indexed like `ir_procs`.
-    pub fn flows(&self) -> &[dataflow::ProcFlow] {
-        &self.flows
-    }
-
-    /// The independent backward slice (see [`DepGraph::static_slice`]).
-    pub fn static_slice(
-        &self,
-        criteria: &[&str],
-        restrict: Option<&str>,
-    ) -> Vec<(String, Option<String>, String)> {
-        self.deps.static_slice(criteria, restrict)
     }
 
     /// Static observability pre-filter: classifies one mutation site by
@@ -111,7 +87,8 @@ impl ModelAnalysis {
             .classify_site(&self.observable, module, subprogram, target)
     }
 
-    /// Runs the full lint catalog.
+    /// Runs the full lint catalog, building the per-procedure dataflow,
+    /// the reachable procedures and the constant globals it reads.
     pub fn lint(&self) -> LintReport {
         let _span = rca_obs::span("phase.lint");
         rca_obs::counter_inc!("analysis.lints", 1);
@@ -123,8 +100,8 @@ impl ModelAnalysis {
     }
 
     fn lint_dataflow(&self, findings: &mut Vec<Finding>) {
-        for (pi, flow) in self.flows.iter().enumerate() {
-            let proc = &self.program.ir_procs()[pi];
+        for (pi, proc) in self.program.ir_procs().iter().enumerate() {
+            let flow = dataflow::analyze_proc(&self.program, pi as u32);
             for u in &flow.uninit {
                 let name = &proc.local_names[u.slot as usize];
                 findings.push(Finding {
@@ -171,9 +148,10 @@ impl ModelAnalysis {
     }
 
     fn lint_reachability(&self, findings: &mut Vec<Finding>) {
+        let reachable = reach::reachable_procs(&self.program, reach::ENTRY_ROOTS);
         // Unreachable procedures.
         for (pi, proc) in self.program.ir_procs().iter().enumerate() {
-            if self.reachable[pi] {
+            if reachable[pi] {
                 continue;
             }
             findings.push(Finding {
@@ -193,7 +171,7 @@ impl ModelAnalysis {
         // Outputs recorded only in unreachable procedures can never
         // appear in a run history.
         let mut live_output = vec![false; self.program.output_count()];
-        for (fx, &reachable) in self.program.effects().procs().iter().zip(&self.reachable) {
+        for (fx, &reachable) in self.program.effects().procs().iter().zip(&reachable) {
             if reachable {
                 for &o in &fx.outputs {
                     live_output[o as usize] = true;
@@ -216,9 +194,9 @@ impl ModelAnalysis {
     }
 
     fn lint_hazards(&self, findings: &mut Vec<Finding>) {
-        for pi in 0..self.program.ir_procs().len() as u32 {
-            let proc = &self.program.ir_procs()[pi as usize];
-            for h in absint::proc_hazards(&self.program, pi, &self.global_const) {
+        let global_const = absint::const_globals(&self.program);
+        for (pi, proc) in self.program.ir_procs().iter().enumerate() {
+            for h in absint::proc_hazards(&self.program, pi as u32, &global_const) {
                 let (lint, severity, message) = lints::hazard_lint(h.kind);
                 findings.push(Finding {
                     lint,

@@ -2,11 +2,14 @@
 //! sweeps/sec over the compiled IR, recorded into `BENCH_analysis.json`.
 //!
 //! The paper's feasibility claim is that static analysis is *cheap*
-//! relative to the dynamic pipeline it prunes — a campaign re-analyzes
-//! every mutant model, so `ModelAnalysis::build` sits on the planning
-//! path. This harness measures build rate (graph nodes/sec) and lint
-//! rate (full catalog sweeps/sec), and asserts the output is identical
-//! across repeated runs (the determinism CI gates on).
+//! relative to the dynamic pipeline it prunes — a campaign classifies
+//! its injection sites on the session's analysis, so
+//! `ModelAnalysis::build` (the dependence graph) sits on the planning
+//! path, while the lint catalog builds its own dataflow, reachability
+//! and constant globals on every sweep. This harness measures build rate
+//! (graph nodes/sec) and lint rate (full catalog sweeps/sec), and
+//! asserts the output is identical across repeated runs (the
+//! determinism CI gates on).
 //! `RCA_BENCH_SCALE=test|medium|paper` sizes the model.
 
 use rca_analysis::ModelAnalysis;
@@ -23,11 +26,10 @@ fn main() {
     let scale = std::env::var("RCA_BENCH_SCALE").unwrap_or_else(|_| "medium".to_string());
     let model = rca_model::generate(&bench_config());
 
-    // Build throughput: full analysis (the program's effect summary, dep
-    // graph, dataflow, reach, intervals) per pass, reported as graph
-    // nodes/sec. Each pass analyzes a freshly compiled program (compiled
-    // outside the timing): the summary is cached on the program, and a
-    // campaign analyzes each mutant program once.
+    // Build throughput: the program's effect summary and the dependence
+    // graph per pass, reported as graph nodes/sec. Each pass analyzes a
+    // freshly compiled program (compiled outside the timing): the summary
+    // is cached on the program, and a session analyzes its program once.
     let build_iters: usize = if scale == "paper" { 3 } else { 10 };
     let (mut build_secs, mut effects_secs) = (0.0, 0.0);
     let mut analysis = None;
@@ -46,7 +48,8 @@ fn main() {
     let edges = analysis.deps().edge_count();
     let nodes_per_sec = nodes as f64 / build_secs.max(1e-12);
 
-    // Lint throughput: full catalog sweeps over the built analysis.
+    // Lint throughput: full catalog sweeps over the built analysis, each
+    // building the per-proc dataflow, reachability and constant globals.
     let lint_iters: usize = if scale == "paper" { 5 } else { 20 };
     let reference = serde_json::to_string(&analysis.lint().json_doc("bench")).unwrap();
     let t0 = Instant::now();

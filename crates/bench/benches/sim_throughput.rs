@@ -417,9 +417,9 @@ end module kernbench
     // is two complete model runs (control + experimental) with capture
     // instrumentation; the fast path runs the same pair on a program
     // specialized to the backward slice of the capture set, truncated at
-    // the sample step. Steady-state per-query cost is measured with the
-    // specialized program pre-built, matching the sampler's per-spec-set
-    // cache; the one-time specialize cost is recorded separately, on a
+    // the sample step. The per-query run cost is measured with the
+    // specialized program pre-built; the specialize cost the sampler
+    // pays once per query is recorded separately, on a
     // freshly compiled program so that it includes building the
     // program's effect summary (cached on the program after that), and
     // the summary's own build time with it. Both paths must produce

@@ -28,7 +28,7 @@ use crate::mutate::{CampaignOptions, CampaignScenario};
 use crate::runner::RunnerOptions;
 use crate::scorecard::{AbsorbedError, ScenarioResult};
 use rca_core::StopReason;
-use rca_model::ModelSource;
+use rca_model::{Fnv, ModelSource};
 use rca_stats::Verdict;
 use serde::{Json, Serialize};
 use serde_json::Value;
@@ -40,25 +40,6 @@ use std::sync::Mutex;
 
 /// Checkpoint schema version; lines with any other `v` are ignored.
 const VERSION: u64 = 1;
-
-/// FNV-1a accumulator (matches the workspace's content-hash idiom).
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Fnv {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
-    fn write_u64(&mut self, v: u64) {
-        self.write(&v.to_le_bytes());
-    }
-}
 
 /// Fingerprints a campaign run: every generation knob, the planned
 /// scenario identities, the model source ([`ModelSource::content_hash`])
@@ -75,7 +56,7 @@ pub fn run_digest(
     opts: &CampaignOptions,
     plan: &[CampaignScenario],
 ) -> u64 {
-    let mut h = Fnv::new();
+    let mut h = Fnv::default();
     h.write_u64(opts.scenarios as u64);
     h.write_u64(opts.seed);
     h.write_u64(opts.clean_every as u64);
@@ -94,7 +75,7 @@ pub fn run_digest(
         runner.setup, runner.oracle, runner.wall_budget
     );
     h.write(settings.as_bytes());
-    h.0
+    h.finish()
 }
 
 /// An open checkpoint appender. One line per finished scenario; writes

@@ -290,12 +290,19 @@ pub fn mutate_site(
     ))
 }
 
-/// Injection sites usable by this session's campaign: CAM-component
-/// modules (the slice scope) whose target variable survived coverage
-/// filtering into the metagraph **and** lies on a directed path to some
-/// history output. A defect nothing observes can neither be flagged nor
+/// Injection sites usable by this session's campaign: sites in
+/// subroutines the host entry points reach, in CAM-component modules
+/// (the slice scope), whose target variable survived coverage filtering
+/// into the metagraph **and** lies on a directed path to some history
+/// output. A defect nothing observes can neither be flagged nor
 /// localized — injecting there would only measure the model's blind
 /// spots, not the pipeline's quality.
+///
+/// Reachability is decided here and only here, on the session's base
+/// program ([`rca_analysis::reach::reachable_procs`] from `cam_init` and
+/// `cam_run_step` over the whole model's resolved calls): a mutation in
+/// a subroutine the entry points never call is provably dead, even when the
+/// variable it assigns is observable through other writers.
 ///
 /// Observability is decided twice, by independent implementations: the
 /// metagraph's backward-reachable set (below) and the static analysis
@@ -306,6 +313,8 @@ pub fn campaign_sites(model: &ModelSource, session: &RcaSession<'_>) -> Vec<Patc
     let components = model.component_map();
     let mg = session.metagraph();
     let syms = session.symbols();
+    let base = session.base_program();
+    let reachable = rca_analysis::reach::reachable_procs(base, rca_analysis::reach::ENTRY_ROOTS);
     let analysis = session
         .analyze()
         .expect("session sources already compiled once; static analysis must too");
@@ -322,6 +331,10 @@ pub fn campaign_sites(model: &ModelSource, session: &RcaSession<'_>) -> Vec<Patc
     let observable = rca_graph::bfs_multi(&mg.graph, &outputs, rca_graph::Direction::In);
     rca_model::patch_sites(model)
         .into_iter()
+        .filter(|s| {
+            base.proc_index(&s.module, &s.subprogram)
+                .is_some_and(|p| reachable[p as usize])
+        })
         .filter(|s| {
             // Site names resolve through the session table once; a module
             // or target the graph never interned cannot be scored.
@@ -630,6 +643,99 @@ mod tests {
             assert!(session.pipeline().is_cam(&s.module), "{}", s.module);
             assert!(components.contains_key(s.module.as_str()));
         }
+    }
+
+    #[test]
+    fn every_test_scale_site_is_in_a_reachable_subroutine() {
+        // The generated models carry no dead subroutine, so the reach
+        // filter drops no site and plans from recorded seeds keep their
+        // bits.
+        let (model, session) = fixture();
+        let base = session.base_program();
+        let reachable =
+            rca_analysis::reach::reachable_procs(base, rca_analysis::reach::ENTRY_ROOTS);
+        let sites = rca_model::patch_sites(model);
+        assert!(sites.len() > 100, "only {} sites", sites.len());
+        for s in &sites {
+            let p = base
+                .proc_index(&s.module, &s.subprogram)
+                .unwrap_or_else(|| panic!("{}::{} is not in the IR", s.module, s.subprogram));
+            assert!(
+                reachable[p as usize],
+                "{}::{} is unreachable",
+                s.module, s.subprogram
+            );
+        }
+    }
+
+    #[test]
+    fn provably_dead_subprogram_sites_are_dropped() {
+        // An uncalled subroutine assigns `wsub`, the module variable the
+        // `WSUB` output records. Coverage strips the subroutine but keeps
+        // its module, and the metagraph and the IR classifier both map
+        // the site to that recorded module variable, so only the reach
+        // filter can drop it.
+        let mut model = generate(&ModelConfig::test());
+        let patch = |model: &mut ModelSource, from: &str, to: &str| {
+            let file = model
+                .files
+                .iter_mut()
+                .find(|f| f.name == "microp_aero.F90")
+                .unwrap();
+            file.source = file.source.replacen(from, to, 1);
+        };
+        patch(
+            &mut model,
+            "contains\n",
+            "contains\n  subroutine wsub_rescale(ncol)\n    integer, intent(in) :: ncol\n    \
+             integer :: i\n    do i = 1, ncol\n      wsub(i) = max(wsub(i) * 0.25_r8, 0.0_r8)\n    \
+             end do\n  end subroutine wsub_rescale\n",
+        );
+        let session = RcaSession::builder(&model)
+            .setup(ExperimentSetup::quick())
+            .build()
+            .expect("session");
+        let site = rca_model::patch_sites(&model)
+            .into_iter()
+            .find(|s| s.subprogram == "wsub_rescale")
+            .expect("patch_sites enumerates every subroutine");
+        let analysis = session.analyze().expect("analysis");
+        assert_eq!(
+            analysis.classify_site(&site.module, &site.subprogram, &site.target),
+            rca_analysis::SiteClass::Observable
+        );
+        let (mg, syms) = (session.metagraph(), session.symbols());
+        let wsub = syms.var_id("wsub").expect("wsub interned");
+        let module = syms.module_id("microp_aero").expect("module kept");
+        assert!(mg.node_by_ids(module, None, wsub).is_some());
+        assert!(mg.io_calls.iter().any(|c| c.internal == wsub));
+        let sites = campaign_sites(&model, &session);
+        assert!(
+            !sites.iter().any(|s| s.subprogram == "wsub_rescale"),
+            "a site in an unreachable subroutine is provably dead"
+        );
+        // Nothing else moved.
+        let (pristine, pristine_session) = fixture();
+        assert_eq!(
+            sites.len(),
+            campaign_sites(pristine, pristine_session).len()
+        );
+        // Calling the subroutine from the model's run chain revives the site.
+        patch(
+            &mut model,
+            "    call outfld('WSUB'",
+            "    call wsub_rescale(ncol)\n    call outfld('WSUB'",
+        );
+        let session = RcaSession::builder(&model)
+            .setup(ExperimentSetup::quick())
+            .build()
+            .expect("session");
+        assert!(
+            campaign_sites(&model, &session)
+                .iter()
+                .any(|s| s.subprogram == "wsub_rescale"),
+            "a site reachable from the entry points is kept"
+        );
     }
 
     #[test]

@@ -8,8 +8,9 @@
 //! 2. the IR slicer agrees with `backward_slice` node-for-node on every
 //!    source-mutant model a campaign plans;
 //! 3. the default fixed-seed campaign plan is byte-stable (pinned
-//!    digest), so the `patch_sites` reachability tightening and the
-//!    static pre-filter provably changed nothing for recorded seeds.
+//!    digest), so the site filters — IR reachability and the static
+//!    observability pre-filter in `campaign_sites` — provably change
+//!    nothing for recorded seeds.
 
 use rca_campaign::{campaign_sites, plan_campaign, CampaignOptions, ScenarioClass};
 use rca_core::{backward_slice_names, ExperimentSetup, RcaPipeline, RcaSession};
@@ -156,9 +157,9 @@ fn plan_digest(model: &Arc<ModelSource>, session: &RcaSession<'_>, opts: &Campai
 #[test]
 fn default_fixed_seed_plan_is_byte_stable() {
     // Pinned digest of the default-options plan (seed 0xCAFE, 50
-    // scenarios). If the `patch_sites` dead-site tightening, the static
-    // pre-filter, or the RNG stream ever shifts the plan, this moves —
-    // and every recorded scorecard baseline silently re-rolls with it.
+    // scenarios). If the reachability filter, the static pre-filter, or
+    // the RNG stream ever shifts the plan, this moves — and every
+    // recorded scorecard baseline silently re-rolls with it.
     let (model, session) = fixture();
     let opts = CampaignOptions::default();
     let a = plan_digest(model, session, &opts);

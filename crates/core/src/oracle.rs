@@ -43,15 +43,14 @@
 //!
 //! 1. **slice-specialized programs** — [`rca_sim::specialize_for_samples`]
 //!    prunes each compiled program down to the backward slice of the
-//!    query's capture set; the pruned bytecode runs on the stock VM and
-//!    is cached per spec-set key (the sampler holds exactly one
-//!    program pair, so the program content hash is implicit in the
-//!    cache's identity);
+//!    query's capture set, once per query; the pruned bytecode runs on
+//!    the stock VM (no spec-set cache: every answered node is memoized,
+//!    so a capture set can only repeat after a failed query);
 //! 2. **per-node memoization** — configs, sample step, tolerance and
 //!    programs are fixed for the sampler's lifetime and runs are
 //!    deterministic, so each node's verdict is computed once and
 //!    replayed across refinement iterations; a query executes only for
-//!    cache-miss nodes;
+//!    memo-miss nodes;
 //! 3. **early exit** — specialized runs stop right after the sample step
 //!    ([`RuntimeSampler::with_sample_step`]; captures snapshot right after
 //!    that step's `cam_run_step`), skipping the trailing steps the query
@@ -171,7 +170,7 @@ impl Oracle for ReachabilityOracle {
 /// node set instrumented and compare values.
 ///
 /// Both models are **compiled once** at construction. A query first
-/// consults the per-node memo, then runs only the cache-miss nodes, on a
+/// consults the per-node memo, then runs only the memo-miss nodes, on a
 /// slice-specialized program pair truncated after the sample step when
 /// that is safe and on the full program pair otherwise — see the module
 /// docs. Every run gets a fresh [`Executor`]; captures are compared
@@ -192,10 +191,6 @@ pub struct RuntimeSampler {
     tolerance: f64,
     /// Runtime failures encountered (sampling proceeds best-effort).
     errors: Vec<RuntimeError>,
-    /// Specialized (control, experimental) program pair per spec-set key;
-    /// `None` records a set the specializer proved unseparable, so those
-    /// queries go straight to the full pair.
-    spec_cache: HashMap<String, Option<ProgramPair>>,
     /// Per-node verdicts from clean runs (configs are fixed and runs
     /// deterministic, so a verdict never goes stale).
     node_memo: HashMap<NodeId, bool>,
@@ -237,7 +232,6 @@ impl RuntimeSampler {
             sample_step,
             tolerance: 1e-12,
             errors: Vec::new(),
-            spec_cache: HashMap::new(),
             node_memo: HashMap::new(),
             full_only,
         }
@@ -312,30 +306,15 @@ impl RuntimeSampler {
         self.run_pair(full, specs, false)
     }
 
-    /// The specialized pair for `specs`, from the spec-set cache; `None`
-    /// when only the full pair may answer.
-    fn specialized(
-        &mut self,
-        (ctl, exp): &ProgramPair,
-        specs: &[SampleSpec],
-    ) -> Option<ProgramPair> {
+    /// The pair specialized to `specs`; `None` when only the full pair
+    /// may answer (the sampler stood down, or the specializer cannot
+    /// separate the set).
+    fn specialized(&self, (ctl, exp): &ProgramPair, specs: &[SampleSpec]) -> Option<ProgramPair> {
         if self.full_only {
             return None;
         }
-        let mut key = String::new();
-        for s in specs {
-            key.push_str(&s.key());
-            key.push('\n');
-        }
-        let pair = self
-            .spec_cache
-            .entry(key)
-            .or_insert_with(|| {
-                let c = specialize_for_samples(ctl, specs)?;
-                let e = specialize_for_samples(exp, specs)?;
-                Some((c.program, e.program))
-            })
-            .clone();
+        let pair = specialize_for_samples(ctl, specs)
+            .and_then(|c| specialize_for_samples(exp, specs).map(|e| (c.program, e.program)));
         if pair.is_none() {
             rca_obs::counter_inc!("oracle.fastpath_fallbacks", 1);
         }

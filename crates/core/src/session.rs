@@ -270,8 +270,9 @@ pub struct RcaSession<'m> {
     /// Per-diagnosis wall-clock budget (`None` = unlimited).
     wall_budget: Option<Duration>,
     ensemble: OnceLock<Result<EnsembleStats, RcaError>>,
-    /// Static analysis over the coverage-filtered sources, computed
-    /// lazily on first use (dependence mirror, dataflow, lint catalog).
+    /// Static analysis over the coverage-filtered sources (the
+    /// dependence mirror the site classifier reads), computed lazily on
+    /// first use.
     analysis: OnceLock<Result<rca_analysis::ModelAnalysis, RcaError>>,
     /// Compiled programs keyed by `ModelSource::content_hash` — the base
     /// model plus every experimental/scenario variant this session has
@@ -377,6 +378,13 @@ impl<'m> RcaSession<'m> {
         Ok(Arc::clone(cache.entry(hash).or_insert(program)))
     }
 
+    /// The program compiled from [`RcaSession::model`] when the session
+    /// was built: the base every variant is lowered against, and the
+    /// entry [`RcaSession::program_for`] returns for the model itself.
+    pub fn base_program(&self) -> &Arc<Program> {
+        &self.base_program
+    }
+
     /// Number of distinct compiled programs this session holds.
     pub fn compiled_programs(&self) -> usize {
         self.programs.lock().expect("program cache lock").len()
@@ -389,7 +397,9 @@ impl<'m> RcaSession<'m> {
     /// filter on every campaign site. Computed lazily on first use and
     /// cached for the session's lifetime. When coverage kept every file
     /// whole, that universe is the base parse itself, so the analysis
-    /// runs on the base program instead of lowering the same ASTs again.
+    /// runs on [`RcaSession::base_program`] instead of lowering the same
+    /// ASTs again. It holds the dependence graph only: the lint catalog
+    /// ([`rca_analysis::ModelAnalysis::lint`]) builds its own facts.
     pub fn analyze(&self) -> Result<&rca_analysis::ModelAnalysis, RcaError> {
         self.analysis
             .get_or_init(|| {
@@ -401,7 +411,7 @@ impl<'m> RcaSession<'m> {
                         .zip(&self.base_files)
                         .all(|(f, b)| Arc::ptr_eq(f, b));
                 let program = if unfiltered {
-                    self.program_for(self.model)?
+                    Arc::clone(&self.base_program)
                 } else {
                     Arc::new(rca_sim::compile_sources(filtered)?)
                 };

@@ -31,6 +31,42 @@ pub use sites::{patch_sites, LiteralSpan, PatchSite};
 
 use std::collections::HashMap;
 
+/// 64-bit FNV-1a accumulator, the workspace's one content hash: model
+/// sources ([`ModelSource::content_hash`]), fault plans and campaign run
+/// digests all feed it.
+#[derive(Debug, Clone, Copy)]
+pub struct Fnv(u64);
+
+impl Default for Fnv {
+    /// The FNV-1a offset basis.
+    fn default() -> Fnv {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+}
+
+impl Fnv {
+    /// Mixes in `bytes`, one at a time.
+    #[inline]
+    pub fn write(&mut self, bytes: &[u8]) {
+        let mut h = self.0;
+        for &b in bytes {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        self.0 = h;
+    }
+
+    /// Mixes in `v` as its eight little-endian bytes.
+    #[inline]
+    pub fn write_u64(&mut self, v: u64) {
+        self.write(&v.to_le_bytes());
+    }
+
+    /// The hash of everything mixed in so far.
+    pub fn finish(self) -> u64 {
+        self.0
+    }
+}
+
 /// A fully generated model: source files plus bookkeeping.
 #[derive(Debug, Clone)]
 pub struct ModelSource {
@@ -125,20 +161,14 @@ impl ModelSource {
     /// variants that differ only in run configuration (RAND-MT, AVX2)
     /// share one hash, while any source patch produces a new one.
     pub fn content_hash(&self) -> u64 {
-        let mut h: u64 = 0xcbf29ce484222325;
-        let mut eat = |bytes: &[u8]| {
-            for &b in bytes {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x100000001b3);
-            }
-        };
+        let mut h = Fnv::default();
         for f in &self.files {
-            eat(f.name.as_bytes());
-            eat(&[0]);
-            eat(f.source.as_bytes());
-            eat(&[0xFF]);
+            h.write(f.name.as_bytes());
+            h.write(&[0]);
+            h.write(f.source.as_bytes());
+            h.write(&[0xFF]);
         }
-        h
+        h.finish()
     }
 }
 

@@ -11,14 +11,17 @@
 //! intrinsics (comparison flip), and `a*b + c` shapes (FMA-contraction
 //! sensitivity for per-module AVX2 toggles).
 //!
-//! The scan is purely textual, which is exactly right here: the model
-//! generator emits one statement per line with spaced binary operators, so
-//! byte offsets into a line are stable patch coordinates, and a patched
-//! model re-parses through the full `rca-fortran` front end (campaigns
-//! assert this; malformed mutations would surface as parse errors).
+//! The scan is purely textual, which is exactly right for coordinates:
+//! the model generator emits one statement per line with spaced binary
+//! operators, so byte offsets into a line are stable patch coordinates,
+//! and a patched model re-parses through the full `rca-fortran` front end
+//! (campaigns assert this; malformed mutations would surface as parse
+//! errors). It is wrong for facts about the program: Fortran text cannot
+//! tell a function call from an array reference (paper §4.2), so the scan
+//! decides nothing about reachability or observability. Campaigns filter
+//! the sites on the compiled IR (`rca_campaign::campaign_sites`).
 
 use crate::ModelSource;
-use std::collections::{HashMap, HashSet};
 
 /// One float literal inside an assignment's right-hand side.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -64,19 +67,18 @@ pub struct PatchSite {
     pub fma_shape: bool,
 }
 
-/// Enumerates every mutable assignment site in the model, in file order.
+/// Enumerates every mutable assignment site in the model's subroutines,
+/// in file order.
 ///
 /// Skipped statements: declarations, `do`/`end`/`call`/`use` lines, and
-/// assignments outside a subprogram. Sites in subprograms the driver can
-/// never reach (no textual call chain from `cam_init` / `cam_run_step`)
-/// are dropped up front: a mutation there is provably dead — it can
-/// neither perturb an output nor be localized, so injecting it would
-/// silently corrupt campaign ground truth. Callers typically filter
-/// further — by component (CAM-only campaigns) and by metagraph presence
+/// assignments outside a subroutine. Every site of every subroutine is
+/// returned, reachable or not: callers filter on the compiled program —
+/// by reachability from the host entry points (a mutation in a
+/// subroutine the entry points never call is provably dead), by component
+/// (CAM-only campaigns) and by metagraph presence and observability
 /// (coverage filtering can drop a module entirely; injecting there would
 /// be unscorable).
 pub fn patch_sites(model: &ModelSource) -> Vec<PatchSite> {
-    let live = live_subprograms(model);
     let mut sites = Vec::new();
     for f in &model.files {
         let mut module = String::new();
@@ -96,9 +98,6 @@ pub fn patch_sites(model: &ModelSource) -> Vec<PatchSite> {
                 continue;
             }
             let Some(sub) = &subprogram else { continue };
-            if !live.contains(sub.as_str()) {
-                continue;
-            }
             if !is_assignment(t) {
                 continue;
             }
@@ -140,84 +139,6 @@ pub fn patch_sites(model: &ModelSource) -> Vec<PatchSite> {
         }
     }
     sites
-}
-
-/// Subprogram names the driver can reach: the transitive closure of
-/// textual call/function references starting from the host entry points
-/// (`cam_init`, `cam_run_step` — the two subroutines the harness
-/// invokes). This is the source-level twin of `rca_analysis::reach`'s
-/// IR call-graph walk; it is conservative the only safe way — a name
-/// collision merges liveness, so nothing reachable is ever dropped.
-fn live_subprograms(model: &ModelSource) -> HashSet<String> {
-    // Pass 1: every defined subprogram, with the set of *defined* names
-    // its body references (identifier-token match, so `call foo(...)`,
-    // `x = f(y)`, and argument-position references all count as edges).
-    let mut defined: HashSet<String> = HashSet::new();
-    for f in &model.files {
-        for raw in f.source.lines() {
-            let t = raw.trim();
-            if let Some(name) = subprogram_def(t) {
-                defined.insert(name.to_string());
-            }
-        }
-    }
-    let mut edges: HashMap<String, HashSet<String>> = HashMap::new();
-    for f in &model.files {
-        let mut current: Option<String> = None;
-        for raw in f.source.lines() {
-            let t = raw.trim();
-            if t.starts_with("end subroutine") || t.starts_with("end function") {
-                current = None;
-                continue;
-            }
-            if let Some(name) = subprogram_def(t) {
-                current = Some(name.to_string());
-                continue;
-            }
-            let Some(cur) = &current else { continue };
-            for ident in identifiers(t) {
-                if ident != cur && defined.contains(ident) {
-                    edges
-                        .entry(cur.clone())
-                        .or_default()
-                        .insert(ident.to_string());
-                }
-            }
-        }
-    }
-    // Pass 2: closure from the entry points.
-    let mut live: HashSet<String> = HashSet::new();
-    let mut work: Vec<String> = ["cam_init", "cam_run_step"]
-        .iter()
-        .map(|s| (*s).to_string())
-        .collect();
-    while let Some(name) = work.pop() {
-        if !live.insert(name.clone()) {
-            continue;
-        }
-        if let Some(callees) = edges.get(&name) {
-            work.extend(callees.iter().cloned());
-        }
-    }
-    live
-}
-
-/// The defined name if a trimmed line opens a subroutine or function.
-fn subprogram_def(t: &str) -> Option<&str> {
-    let rest = t.strip_prefix("subroutine ").or_else(|| {
-        t.strip_prefix("function ")
-            .or_else(|| t.strip_prefix("real(r8) function "))
-    })?;
-    let name = rest.split('(').next().unwrap_or(rest).trim();
-    (!name.is_empty()).then_some(name)
-}
-
-/// ASCII identifier tokens of a line, in order.
-fn identifiers(line: &str) -> impl Iterator<Item = &str> {
-    line.split(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
-        .filter(|tok| {
-            !tok.is_empty() && tok.chars().next().is_some_and(|c| c.is_ascii_alphabetic())
-        })
 }
 
 /// Whether a trimmed line is a mutable assignment statement.
@@ -485,80 +406,6 @@ mod tests {
             .count();
         assert_eq!(diffs, 1);
         assert_eq!(orig.lines().count(), new.lines().count());
-    }
-
-    #[test]
-    fn provably_dead_subprogram_sites_are_dropped() {
-        let mut model = generate(&ModelConfig::test());
-        let baseline = patch_sites(&model);
-        // Inject an uncalled subroutine with a perfectly mutable
-        // assignment: a literal, a multiply, and a max.
-        let f = model
-            .files
-            .iter_mut()
-            .find(|f| f.name == "microp_aero.F90")
-            .unwrap();
-        f.source = f.source.replace(
-            "contains",
-            "contains\n  subroutine never_called_inject(x)\n    real(r8), intent(inout) :: x\n    x = max(x * 0.25_r8, 0.0_r8)\n  end subroutine never_called_inject\n",
-        );
-        let sites = patch_sites(&model);
-        assert!(
-            !sites.iter().any(|s| s.subprogram == "never_called_inject"),
-            "a site in an unreachable subprogram is provably dead"
-        );
-        // Nothing else moved: the live universe is unchanged.
-        assert_eq!(sites.len(), baseline.len());
-        // Wiring the subroutine into the driver chain revives the site.
-        let f = model
-            .files
-            .iter_mut()
-            .find(|f| f.name == "microp_aero.F90")
-            .unwrap();
-        f.source = f.source.replace(
-            "  subroutine microp_aero_run(",
-            "  subroutine now_called_hook()\n    real(r8) :: x\n    x = max(x * 0.25_r8, 0.0_r8)\n  end subroutine now_called_hook\n\n  subroutine microp_aero_run(",
-        );
-        let f_src = &mut model
-            .files
-            .iter_mut()
-            .find(|f| f.name == "microp_aero.F90")
-            .unwrap()
-            .source;
-        *f_src = f_src.replacen("    wsub", "    call now_called_hook()\n    wsub", 1);
-        let sites = patch_sites(&model);
-        assert!(
-            sites.iter().any(|s| s.subprogram == "now_called_hook"),
-            "a site reachable from the driver chain is enumerated"
-        );
-    }
-
-    #[test]
-    fn reachability_filter_keeps_pristine_enumeration_identical() {
-        // The pristine generated model has no dead subprograms, so the
-        // tightening must be a no-op — campaigns planned from recorded
-        // seeds stay byte-identical.
-        let model = generate(&ModelConfig::test());
-        let sites = patch_sites(&model);
-        let live = super::live_subprograms(&model);
-        let mut subs: HashSet<&str> = HashSet::new();
-        for f in &model.files {
-            let mut in_sub = false;
-            for raw in f.source.lines() {
-                let t = raw.trim();
-                if t.starts_with("subroutine ") {
-                    in_sub = true;
-                    subs.insert(super::subprogram_def(t).unwrap());
-                } else if t.starts_with("end subroutine") {
-                    in_sub = false;
-                }
-                let _ = in_sub;
-            }
-        }
-        for s in &subs {
-            assert!(live.contains(*s), "pristine subprogram {s} deemed dead");
-        }
-        assert!(sites.len() > 100, "only {} sites", sites.len());
     }
 
     #[test]

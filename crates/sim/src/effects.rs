@@ -310,11 +310,6 @@ impl BitSet {
         fresh
     }
 
-    /// Clears bit `i`.
-    pub fn remove(&mut self, i: usize) {
-        self.words[i / 64] &= !(1 << (i % 64));
-    }
-
     /// Tests bit `i`.
     pub fn contains(&self, i: usize) -> bool {
         self.words[i / 64] & (1 << (i % 64)) != 0

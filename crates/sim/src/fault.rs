@@ -196,25 +196,21 @@ impl FaultPlan {
 
     /// FNV-1a digest over the plan's coordinates, for checkpoint keying.
     pub fn digest(&self) -> u64 {
-        let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-        let mut mix = |v: u64| {
-            for byte in v.to_le_bytes() {
-                h ^= u64::from(byte);
-                h = h.wrapping_mul(0x0000_0100_0000_01B3);
-            }
-        };
+        let mut h = rca_model::Fnv::default();
         for f in &self.faults {
-            mix(u64::from(f.member));
-            mix(u64::from(f.step));
-            mix(u64::from(f.output));
-            mix(match f.kind {
-                FaultKind::PoisonNan => 1,
-                FaultKind::PoisonInf => 2,
-                FaultKind::Stuck => 3,
-                FaultKind::Abort => 4,
-            } + if f.persistent { 16 } else { 0 });
+            h.write_u64(u64::from(f.member));
+            h.write_u64(u64::from(f.step));
+            h.write_u64(u64::from(f.output));
+            h.write_u64(
+                match f.kind {
+                    FaultKind::PoisonNan => 1,
+                    FaultKind::PoisonInf => 2,
+                    FaultKind::Stuck => 3,
+                    FaultKind::Abort => 4,
+                } + if f.persistent { 16 } else { 0 },
+            );
         }
-        h
+        h.finish()
     }
 }
 

@@ -94,7 +94,9 @@
 //!   statement outside the slice pruned (control flow, PRNG draw
 //!   positions, and capture-procedure invocation counts preserved), then
 //!   re-lowered to bytecode. Specialized programs share the base
-//!   program's interned arenas (`Arc`) and are cached per spec-set key.
+//!   program's interned arenas (`Arc`) and are built once per query:
+//!   every answered node is memoized, so a capture set repeats only
+//!   after a failed query.
 //! - **Per-node memoization**: verdicts are keyed by metagraph `NodeId`;
 //!   refinement re-queries overlapping node sets every iteration, and a
 //!   memo hit answers without any run at all.
@@ -313,10 +315,10 @@
 //!
 //! - **Framework** ([`analysis::dataflow`], [`analysis::reach`],
 //!   [`analysis::absint`]): per-procedure CFGs with ordered use/def
-//!   events and worklist solvers (reaching definitions, def-use chains,
-//!   liveness), call-graph reachability from the host entry points, and
-//!   an interval/sign abstract interpretation for definite numeric
-//!   hazards.
+//!   events and a reaching-definitions worklist solver (which marks the
+//!   definitions some use reads and the reads no definition reaches),
+//!   call-graph reachability from the host entry points, and an
+//!   interval/sign abstract interpretation for definite numeric hazards.
 //! - **Lint catalog** ([`analysis::ModelAnalysis::lint`], `rca-lint`
 //!   CLI): uninitialized-read, dead-store/redundant-store, unreachable
 //!   procedure, unused output, division-by-zero / sqrt/log domain
@@ -332,14 +334,18 @@
 //!   [`rca::backward_slice`], on the pristine model, all seven paper
 //!   experiments, and seeded campaign mutants — the same fence the
 //!   interpreter/executor pair sits behind.
-//! - **Campaign pre-filter**: `campaign_sites` classifies every
-//!   injection candidate through both planes
+//! - **Campaign pre-filter**: `campaign_sites` drops every injection
+//!   candidate in a subroutine the session's base program cannot reach
+//!   from the host entry points ([`analysis::reach`]; the textual
+//!   enumeration in `model::patch_sites` decides nothing about
+//!   reachability), then classifies the rest through both planes
 //!   ([`analysis::ModelAnalysis::classify_site`] vs the metagraph's
 //!   backward-reachable set) and asserts they agree; provably-dead sites
-//!   (including whole subprograms `model::patch_sites` proves
-//!   unreachable from the driver) are rejected before they can corrupt
-//!   ground truth. [`rca::RcaSession::analyze`] exposes the plane over
-//!   the session's own coverage-filtered source universe.
+//!   are rejected before they can corrupt ground truth.
+//!   [`rca::RcaSession::analyze`] exposes the plane over the session's
+//!   own coverage-filtered source universe; it builds the dependence
+//!   graph only, and [`analysis::ModelAnalysis::lint`] builds the
+//!   dataflow, reachability and constant globals the lints read.
 //!
 //! ## The fault-tolerance plane
 //!
