@@ -15,9 +15,9 @@
 use crate::error::RcaError;
 use rca_fortran::SourceFile;
 use rca_ident::{ModuleId, SymbolTable};
-use rca_metagraph::{build_metagraph_seeded, filter_sources, Coverage, FilterStats, MetaGraph};
+use rca_metagraph::{build_metagraph_seeded, filter_sources, FilterStats, MetaGraph};
 use rca_model::{Component, ModelSource};
-use rca_sim::{compile_variant, parse_model, run_program, Program, RunConfig};
+use rca_sim::{compile_variant, parse_model, run_program, Program, RunConfig, RunCoverage};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -28,8 +28,9 @@ pub struct RcaPipeline {
     /// The compiled variable digraph with metadata (id-keyed over the
     /// session's workspace-wide symbol table).
     pub metagraph: MetaGraph,
-    /// Coverage observed during the calibration run.
-    pub coverage: Coverage,
+    /// Coverage observed during the calibration run (empty when coverage
+    /// is skipped).
+    pub coverage: RunCoverage,
     /// Module/subprogram reduction statistics (paper: ~30% of modules and
     /// ~60% of subprograms removed).
     pub filter_stats: FilterStats,
@@ -108,8 +109,7 @@ impl RcaPipeline {
         program: Option<&Arc<Program>>,
         opts: &PipelineOptions,
     ) -> Result<RcaPipeline, RcaError> {
-        let mut coverage = Coverage::new();
-        let (filtered, filter_stats) = if opts.skip_coverage {
+        let (coverage, filtered, filter_stats) = if opts.skip_coverage {
             // Nothing is filtered, so report the real counts on both
             // sides — callers compare these against coverage-filtered
             // builds, and fabricated zeros would make the comparison lie.
@@ -125,7 +125,7 @@ impl RcaPipeline {
                 subprograms_before: subprograms,
                 subprograms_after: subprograms,
             };
-            (files.to_vec(), stats)
+            (RunCoverage::from_pairs([]), files.to_vec(), stats)
         } else {
             let _span = rca_obs::span("phase.coverage");
             let cfg = RunConfig {
@@ -133,12 +133,8 @@ impl RcaPipeline {
                 ..Default::default()
             };
             let out = run_program(program.expect("calibration needs a program"), &cfg, 0.0)?;
-            // The id-keyed coverage renders its pairs here, at the
-            // calibration edge — no owned string pairs in between.
-            for (m, s) in out.coverage.iter() {
-                coverage.mark(m, s);
-            }
-            filter_sources(files, &coverage)
+            let (filtered, stats) = filter_sources(files, &out.coverage);
+            (out.coverage, filtered, stats)
         };
         // One identity plane per session: seed the graph's symbol table
         // from the compiled program's interner so program ids and graph

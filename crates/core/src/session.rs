@@ -338,7 +338,7 @@ impl<'m> RcaSession<'m> {
     /// once up front so the ensemble cost is paid before the fan-out.
     pub fn ensemble(&self) -> Result<&EnsembleStats, RcaError> {
         self.ensemble
-            .get_or_init(|| collect_ensemble(&self.program_for(self.model)?, &self.setup))
+            .get_or_init(|| collect_ensemble(&self.base_program, &self.setup))
             .as_ref()
             .map_err(Clone::clone)
     }
@@ -355,10 +355,10 @@ impl<'m> RcaSession<'m> {
     /// files it changed (one for a seeded mutant). Each proc is lowered
     /// at most once per session as well: a variant is lowered against the
     /// base program ([`rca_sim::compile_variant`]), so when its interface
-    /// equals the base's it shares every unchanged proc's IR and bytecode
-    /// and the program-wide tables by `Arc`, and lowers only the procs it
-    /// changed (one for a seeded mutant; a `compile.procs` event counts
-    /// them). The program and any parse error are those of
+    /// equals the base's it shares every unchanged proc (IR and bytecode
+    /// in one `Arc`) and the program-wide tables by `Arc`, and lowers only
+    /// the procs it changed (one for a seeded mutant; a `compile.procs`
+    /// event counts them). The program and any parse error are those of
     /// [`rca_sim::compile_model`].
     pub fn program_for(&self, model: &ModelSource) -> Result<Arc<Program>, RcaError> {
         Ok(self.compile_cached(model)?)
@@ -462,14 +462,14 @@ impl<'m> RcaSession<'m> {
                 // environment of the scenario under diagnosis (budgets
                 // stay — a runaway variant should still be killed).
                 let exp_config = scenario.config.without_faults();
-                // Both programs come from the session cache: the control
-                // program is shared with the ensemble, the experimental
-                // one with this scenario's statistics stage. A variant
+                // The control program is the base program the ensemble
+                // runs; the experimental one comes from the session cache,
+                // shared with this scenario's statistics stage. A variant
                 // that fails to compile still yields a best-effort
                 // sampler, which reports that compile error per query.
                 let programs = self
-                    .compile_cached(self.model)
-                    .and_then(|ctl| Ok((ctl, self.compile_cached(&scenario.model)?)));
+                    .compile_cached(&scenario.model)
+                    .map(|exp| (Arc::clone(&self.base_program), exp));
                 let sampler =
                     RuntimeSampler::from_compiled(programs, self.control_config(), exp_config);
                 // Sample as early as the discrepancy can be observed (the

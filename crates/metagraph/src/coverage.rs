@@ -3,64 +3,15 @@
 //! The paper uses Intel's code-coverage tool to discard "modules that are
 //! not yet executed by the second time step, as well as to remove
 //! unexecuted subprograms from the remaining modules" (§2.1), reducing
-//! modules by ~30% and subprograms by ~60% (§4.1). Coverage data here comes
-//! from the `rca-sim` interpreter's recorder; this module applies it to
-//! parsed ASTs before metagraph construction.
+//! modules by ~30% and subprograms by ~60% (§4.1). Coverage data here is
+//! the executed-subprogram set of one `rca-sim` run ([`RunCoverage`]);
+//! this module applies it to parsed ASTs before metagraph construction.
 
 use rca_fortran::ast::{Module, SourceFile};
+use rca_sim::RunCoverage;
 use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 use std::sync::Arc;
-
-/// Observed execution coverage: which modules and subprograms ran.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct Coverage {
-    executed_modules: HashSet<String>,
-    executed_subprograms: HashSet<(String, String)>,
-}
-
-impl Coverage {
-    /// Creates an empty coverage record.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Marks `(module, subprogram)` as executed (also marks the module).
-    pub fn mark(&mut self, module: &str, subprogram: &str) {
-        self.executed_modules.insert(module.to_string());
-        self.executed_subprograms
-            .insert((module.to_string(), subprogram.to_string()));
-    }
-
-    /// Whether the module executed at all.
-    pub fn module_executed(&self, module: &str) -> bool {
-        self.executed_modules.contains(module)
-    }
-
-    /// Whether the subprogram executed.
-    pub fn subprogram_executed(&self, module: &str, subprogram: &str) -> bool {
-        self.executed_subprograms
-            .contains(&(module.to_string(), subprogram.to_string()))
-    }
-
-    /// Number of executed modules.
-    pub fn module_count(&self) -> usize {
-        self.executed_modules.len()
-    }
-
-    /// Number of executed subprograms.
-    pub fn subprogram_count(&self) -> usize {
-        self.executed_subprograms.len()
-    }
-
-    /// Merges another coverage record into this one.
-    pub fn merge(&mut self, other: &Coverage) {
-        self.executed_modules
-            .extend(other.executed_modules.iter().cloned());
-        self.executed_subprograms
-            .extend(other.executed_subprograms.iter().cloned());
-    }
-}
 
 /// Statistics from a coverage-filter application.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -75,16 +26,18 @@ pub struct FilterStats {
     pub subprograms_after: usize,
 }
 
-/// Applies coverage to parsed sources: drops unexecuted modules entirely
-/// and strips unexecuted subprograms from the survivors (the paper comments
-/// them out; dropping the AST node is equivalent for graph construction).
+/// Applies a run's coverage to parsed sources: drops unexecuted modules
+/// entirely and strips unexecuted subprograms from the survivors (the
+/// paper comments them out; dropping the AST node is equivalent for graph
+/// construction). A module executed when one of its `(module,
+/// subprogram)` pairs ran.
 ///
 /// A file coverage leaves whole comes back as its input `Arc`, so the
 /// filtered view shares every such AST with the caller's parse; only a
 /// file that loses a module or subprogram is copied into a new value.
 pub fn filter_sources(
     files: &[Arc<SourceFile>],
-    coverage: &Coverage,
+    coverage: &RunCoverage,
 ) -> (Vec<Arc<SourceFile>>, FilterStats) {
     let mut stats = FilterStats {
         modules_before: 0,
@@ -95,7 +48,9 @@ pub fn filter_sources(
     // Parameter/type-only modules have no executable lines for a coverage
     // tool to observe; they are kept (they are "built into the
     // executable").
-    let keeps_module = |m: &Module| m.subprograms.is_empty() || coverage.module_executed(&m.name);
+    let executed_modules: HashSet<&str> = coverage.iter().map(|(m, _)| m).collect();
+    let keeps_module =
+        |m: &Module| m.subprograms.is_empty() || executed_modules.contains(m.name.as_str());
     let mut out = Vec::new();
     for file in files {
         let mut whole = true;
@@ -110,7 +65,7 @@ pub fn filter_sources(
             let executed = m
                 .subprograms
                 .iter()
-                .filter(|s| coverage.subprogram_executed(&m.name, &s.name))
+                .filter(|s| coverage.contains(&m.name, &s.name))
                 .count();
             stats.subprograms_after += executed;
             whole &= executed == m.subprograms.len();
@@ -127,7 +82,7 @@ pub fn filter_sources(
                 return false;
             }
             m.subprograms
-                .retain(|s| coverage.subprogram_executed(&m.name, &s.name));
+                .retain(|s| coverage.contains(&m.name, &s.name));
             true
         });
         if !kept.modules.is_empty() {
@@ -141,6 +96,10 @@ pub fn filter_sources(
 mod tests {
     use super::*;
     use rca_fortran::parse_source;
+
+    fn coverage(pairs: &[(&str, &str)]) -> RunCoverage {
+        RunCoverage::from_pairs(pairs.iter().copied())
+    }
 
     fn files() -> Vec<Arc<SourceFile>> {
         let src = r#"
@@ -172,7 +131,7 @@ end module cold
     /// file, then strip it.
     fn copying_filter(
         files: &[Arc<SourceFile>],
-        coverage: &Coverage,
+        coverage: &RunCoverage,
     ) -> (Vec<SourceFile>, FilterStats) {
         let mut stats = FilterStats {
             modules_before: 0,
@@ -186,12 +145,12 @@ end module cold
             kept.modules.retain_mut(|m| {
                 stats.modules_before += 1;
                 stats.subprograms_before += m.subprograms.len();
-                if !m.subprograms.is_empty() && !coverage.module_executed(&m.name) {
+                if !m.subprograms.is_empty() && !coverage.iter().any(|(cm, _)| cm == m.name) {
                     return false;
                 }
                 stats.modules_after += 1;
                 m.subprograms
-                    .retain(|s| coverage.subprogram_executed(&m.name, &s.name));
+                    .retain(|s| coverage.contains(&m.name, &s.name));
                 stats.subprograms_after += m.subprograms.len();
                 true
             });
@@ -212,10 +171,8 @@ end module cold
         );
         assert!(errs.is_empty());
         let files = vec![Arc::new(whole), files().remove(0)];
-        let mut cov = Coverage::new();
-        cov.mark("warm", "run");
-        cov.mark("hot", "used");
-        cov.mark("cold", "never");
+        let pairs = [("warm", "run"), ("hot", "used"), ("cold", "never")];
+        let cov = coverage(&pairs);
         let (filtered, stats) = filter_sources(&files, &cov);
         assert_eq!(filtered.len(), 2);
         assert!(
@@ -229,11 +186,15 @@ end module cold
         assert_eq!(filtered[1].modules[0].subprograms.len(), 1);
         // Same values and statistics as the copying filter, for this
         // coverage and for the two extremes.
-        let mut everything = cov.clone();
-        everything.mark("hot", "unused");
-        for coverage in [&cov, &everything, &Coverage::new()] {
-            let (shared, stats) = filter_sources(&files, coverage);
-            let (copied, copied_stats) = copying_filter(&files, coverage);
+        let everything = coverage(&[
+            ("warm", "run"),
+            ("hot", "used"),
+            ("cold", "never"),
+            ("hot", "unused"),
+        ]);
+        for case in [&cov, &everything, &coverage(&[])] {
+            let (shared, stats) = filter_sources(&files, case);
+            let (copied, copied_stats) = copying_filter(&files, case);
             assert_eq!(stats, copied_stats);
             assert!(shared.iter().map(|f| &**f).eq(copied.iter()));
         }
@@ -252,8 +213,7 @@ end module cold
 
     #[test]
     fn filters_unexecuted_code() {
-        let mut cov = Coverage::new();
-        cov.mark("hot", "used");
+        let cov = coverage(&[("hot", "used")]);
         let (filtered, stats) = filter_sources(&files(), &cov);
         assert_eq!(filtered.len(), 1);
         assert_eq!(filtered[0].modules.len(), 1);
@@ -268,29 +228,8 @@ end module cold
 
     #[test]
     fn empty_coverage_drops_everything() {
-        let cov = Coverage::new();
-        let (filtered, stats) = filter_sources(&files(), &cov);
+        let (filtered, stats) = filter_sources(&files(), &coverage(&[]));
         assert!(filtered.is_empty());
         assert_eq!(stats.modules_after, 0);
-    }
-
-    #[test]
-    fn merge_unions_records() {
-        let mut a = Coverage::new();
-        a.mark("hot", "used");
-        let mut b = Coverage::new();
-        b.mark("cold", "never");
-        a.merge(&b);
-        assert!(a.module_executed("cold"));
-        assert_eq!(a.subprogram_count(), 2);
-        assert_eq!(a.module_count(), 2);
-    }
-
-    #[test]
-    fn mark_is_idempotent() {
-        let mut cov = Coverage::new();
-        cov.mark("hot", "used");
-        cov.mark("hot", "used");
-        assert_eq!(cov.subprogram_count(), 1);
     }
 }

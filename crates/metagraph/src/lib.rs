@@ -31,7 +31,7 @@ pub mod meta;
 pub mod symbols;
 
 pub use builder::{build_metagraph, build_metagraph_seeded};
-pub use coverage::{filter_sources, Coverage, FilterStats};
+pub use coverage::{filter_sources, FilterStats};
 pub use meta::{IoCall, MetaGraph, NodeKind, NodeMeta};
 pub use rca_ident::{ModuleId, OutputId, SymbolTable, VarId};
 pub use symbols::{ArgIntent, ProcKey, ProcSig, ProcTable};

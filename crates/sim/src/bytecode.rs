@@ -2,14 +2,15 @@
 //! into linear instruction arrays over a register frame.
 //!
 //! [`lower_procs`] runs once per lowered proc (from
-//! [`crate::compile_sources`] and the specializer) and emits one
-//! [`BProc`] per subprogram: a flat `Vec<Instr>` executed by the
-//! register VM in [`crate::exec`] with an explicit instruction pointer —
-//! `if`/`do`/`do while` become jumps, calls push an explicit frame stack
-//! instead of recursing on the host stack, and every operand is a `u32`
-//! register index into a flat `Vec<Value>` frame. A [`BProc`] is a function of its [`CProc`] alone:
-//! it owns its constant and name pools, so programs share bytecode by
-//! `Arc` wherever they share the proc.
+//! [`crate::compile_sources`] and the specializer) and emits each
+//! subprogram's [`BProc`] into its [`CProc`]: a flat `Vec<Instr>`
+//! executed by the register VM in [`crate::exec`] with an explicit
+//! instruction pointer — `if`/`do`/`do while` become jumps, calls push an
+//! explicit frame stack instead of recursing on the host stack, and every
+//! operand is a `u32` register index into a flat `Vec<Value>` frame. The
+//! code is a function of its proc alone and owns its constant and name
+//! pools, so it lives in the proc: programs that share an `Arc<CProc>`
+//! share its code, and a proc lowered again gets new code.
 //!
 //! **Bit-identity is load-bearing.** The VM must be indistinguishable
 //! from the tree-walking reference interpreter: the emitter reproduces
@@ -380,7 +381,8 @@ pub(crate) enum Instr {
     },
 }
 
-/// One lowered subprogram, self-contained like its [`CProc`].
+/// One subprogram's bytecode ([`CProc::bc`]), self-contained like its
+/// proc. Its frame has the proc's [`CProc::n_locals`] slots.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct BProc {
     pub(crate) code: Vec<Instr>,
@@ -388,8 +390,6 @@ pub(crate) struct BProc {
     pub(crate) lines: Vec<u32>,
     /// Register frame size.
     pub(crate) n_regs: u32,
-    /// Local slot count (mirrors `CProc::n_locals`).
-    pub(crate) n_slots: u32,
     /// Column step-kernels referenced by [`Instr::Kernel`].
     pub(crate) kernels: Vec<Kernel>,
     /// Literal pool (scalars deduplicated, derived prototypes appended).
@@ -495,24 +495,6 @@ pub(crate) enum KOp {
     Max2,
     /// `sign(a, b) = |a| * signum(b)`.
     Sign2,
-}
-
-/// The lowered program: one `Arc`-shared [`BProc`] per proc.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct Bytecode {
-    pub(crate) procs: Vec<Arc<BProc>>,
-}
-
-impl Bytecode {
-    /// Total instruction count (bench/telemetry surface).
-    pub(crate) fn instr_count(&self) -> usize {
-        self.procs.iter().map(|p| p.code.len()).sum()
-    }
-
-    /// Total compiled column step-kernels (bench/telemetry surface).
-    pub(crate) fn kernel_count(&self) -> usize {
-        self.procs.iter().map(|p| p.kernels.len()).sum()
-    }
 }
 
 // ----- side tables --------------------------------------------------------
@@ -1606,7 +1588,7 @@ impl<'a> FnEmitter<'a> {
     }
 
     /// Checks every jump was patched and packs the proc.
-    fn seal(mut self, n_slots: u32) -> BProc {
+    fn seal(mut self) -> BProc {
         // Programs (and their history slices) live as long as the
         // session that caches them: drop the emission slack.
         self.code.shrink_to_fit();
@@ -1619,7 +1601,6 @@ impl<'a> FnEmitter<'a> {
             code: self.code,
             lines: self.lines,
             n_regs: self.n_regs,
-            n_slots,
             kernels: self.kernels,
             consts: self.t.consts.into_boxed_slice(),
             names: self.t.names.into_boxed_slice(),
@@ -1707,7 +1688,7 @@ fn lower_proc(pr: &CProc) -> BProc {
     }
     e.emit_block(&pr.body);
     e.emit(Instr::Ret);
-    e.seal(pr.n_locals as u32)
+    e.seal()
 }
 
 fn emit_scalar_init(
@@ -1730,15 +1711,19 @@ fn emit_scalar_init(
     }
 }
 
-/// Lowers each proc into bytecode, in order (called from
-/// [`crate::compile_sources`] for the procs it lowered, and by the
-/// specializer for the procs it pruned).
-pub(crate) fn lower_procs<'p>(procs: impl IntoIterator<Item = &'p CProc>) -> Vec<Arc<BProc>> {
-    let _span = rca_obs::span("compile.bytecode");
-    let lowered: Vec<BProc> = procs.into_iter().map(lower_proc).collect();
+/// Emits each proc's bytecode into it, then wraps the procs in order
+/// (called from [`crate::compile_sources`] for the procs it lowered, and
+/// by the specializer for the procs it pruned or emptied).
+pub(crate) fn lower_procs(mut procs: Vec<CProc>) -> Vec<Arc<CProc>> {
+    {
+        let _span = rca_obs::span("compile.bytecode");
+        for p in &mut procs {
+            p.bc = lower_proc(p);
+        }
+    }
     // Wrapped back to back, so the procs the VM switches between on
     // every call and return sit together in memory.
-    lowered.into_iter().map(Arc::new).collect()
+    procs.into_iter().map(Arc::new).collect()
 }
 
 /// The jump-target field of a control-flow instruction, if any.
@@ -1762,20 +1747,21 @@ fn jump_target(i: &Instr) -> Option<u32> {
 /// by the golden snapshot test.
 pub(crate) fn disassemble(p: &Program) -> String {
     let mut out = String::new();
-    for (pi, (bp, pr)) in p.bc.procs.iter().zip(p.procs.iter()).enumerate() {
+    for (pi, pr) in p.procs.iter().enumerate() {
+        let bp = &pr.bc;
         let _ = writeln!(
             out,
             "proc {pi}: {}::{} (args {}, slots {}, regs {})",
             pr.module,
             pr.name,
             pr.arg_slots.len(),
-            bp.n_slots,
+            pr.n_locals,
             bp.n_regs
         );
         let mut last_line = u32::MAX;
         for (i, instr) in bp.code.iter().enumerate() {
             let line = bp.lines[i];
-            let text = render(instr, p, pr, bp);
+            let text = render(instr, p, pr);
             if line != last_line {
                 let _ = writeln!(out, "{i:4}  {text:<44}; line {line}");
                 last_line = line;
@@ -1829,7 +1815,8 @@ fn rsrc(s: Src, bp: &BProc, pr: &CProc) -> String {
     }
 }
 
-fn render(i: &Instr, p: &Program, pr: &CProc, bp: &BProc) -> String {
+fn render(i: &Instr, p: &Program, pr: &CProc) -> String {
+    let bp = &pr.bc;
     match *i {
         Instr::Fuel => "fuel".to_string(),
         Instr::Kernel { k } => match bp.kernels.get(k as usize) {
@@ -2027,7 +2014,7 @@ fn render(i: &Instr, p: &Program, pr: &CProc, bp: &BProc) -> String {
         }
         Instr::Outfld { out, data, ncol } => {
             let name = p
-                .output_names
+                .output_names()
                 .get(out as usize)
                 .map_or_else(|| format!("out{out}"), std::string::ToString::to_string);
             format!("outfld '{name}' <- r{data} ncol {}", rreg(ncol))

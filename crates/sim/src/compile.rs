@@ -29,17 +29,19 @@
 //! subprogram's name, kind, args, `use`s and declarations; the sorted
 //! `outfld` name set. Given a base program compiled from base files whose
 //! interface equals the variant's, every proc whose subprogram equals the
-//! base's is the base's `Arc` (tree IR and bytecode), the program-wide
-//! tables are the base's, and only the changed procs are lowered — as
-//! long as each of them keeps its base frame layout (a new implicit local
-//! would add a symbol). Any difference lowers every proc: a full compile
-//! is the same loop with nothing to reuse.
+//! base's is the base's `Arc<CProc>` (tree IR and bytecode in one), the
+//! program-wide tables are the base's one `Arc`, and only the changed
+//! procs are lowered — as long as each of them keeps its base frame
+//! layout (a new implicit local would add a symbol). Any difference
+//! lowers every proc: a full compile is the same loop with nothing to
+//! reuse.
 
+use crate::bytecode::BProc;
 use crate::interp::RuntimeError;
 use crate::ops::{self, RunResult};
 use crate::program::{
     ArgFlow, CExpr, CPlace, CProc, CStmt, CallForm, CallSite, EId, Intrin, LocalTemplate, Program,
-    VarBind,
+    Tables, VarBind,
 };
 use crate::value::Value;
 use rca_fortran::ast::{
@@ -89,26 +91,16 @@ pub(crate) fn compile_against<F: Borrow<SourceFile>>(
             ("reused", (n - lowered.len()).into()),
         ],
     );
-    let mut fresh_bc = crate::bytecode::lower_procs(&lowered).into_iter();
-    // The new procs are wrapped back to back, so a program's procs sit
-    // together in memory (the VM reads one on every call).
-    let mut fresh = lowered.into_iter().map(Arc::new);
-    let (procs, bc) = (0..n)
+    let mut fresh = crate::bytecode::lower_procs(lowered).into_iter();
+    let procs = (0..n)
         .map(|i| match reused(i) {
-            Some(base) => (
-                Arc::clone(&base.procs[i]),
-                Arc::clone(&base.bytecode().procs[i]),
-            ),
-            None => (
-                fresh.next().expect("one proc per lowered proc"),
-                fresh_bc.next().expect("one bytecode proc per lowered proc"),
-            ),
+            Some(base) => Arc::clone(&base.procs[i]),
+            None => fresh.next().expect("one proc per lowered proc"),
         })
-        .unzip();
-    let bc = crate::bytecode::Bytecode { procs: bc };
+        .collect();
     Ok(match delta {
-        Some(d) => d.base.with_procs(procs, bc),
-        None => c.finish(procs, bc),
+        Some(d) => d.base.with_procs(procs),
+        None => c.finish(procs),
     })
 }
 
@@ -146,17 +138,15 @@ struct Compiler<'a> {
     /// Per proc, argument position → frame slot (call sites read their
     /// callee's).
     arg_slots: Vec<Vec<u32>>,
-    /// `(src, dst)` global slots where `dst`'s initializer reads `src` —
-    /// the dataflow that load-time constant folding erases.
-    global_init_deps: Vec<(u32, u32)>,
     interner: HashMap<String, Arc<str>>,
     /// The pools of the proc being lowered.
     exprs: Vec<CExpr>,
     sites: Vec<CallSite>,
-    /// The global arena and its module → variable → slot index: built by
-    /// `force_globals`, or a delta compile's base tables (`Arc`-shared).
-    globals: Arc<Vec<Value>>,
-    global_index: Arc<HashMap<String, HashMap<String, u32>>>,
+    /// The program-wide tables: the global arena, its module → variable →
+    /// slot index and the initializer dependencies built by
+    /// `force_globals`, the rest by `finish`; or a delta compile's base
+    /// tables (`Arc`-shared, read only).
+    tables: Arc<Tables>,
     /// The workspace identity plane seeded here: modules/outputs interned
     /// up front (outputs sorted, so `OutputId` order is name order),
     /// variables as `finish` walks the frames and globals. This is the
@@ -178,12 +168,10 @@ impl<'a> Compiler<'a> {
             writeback: Vec::new(),
             arg_flows: Vec::new(),
             arg_slots: Vec::new(),
-            global_init_deps: Vec::new(),
             interner: HashMap::new(),
             exprs: Vec::new(),
             sites: Vec::new(),
-            globals: Arc::default(),
-            global_index: Arc::default(),
+            tables: Arc::default(),
             syms: SymbolTable::new(),
         };
         for (fi, file) in files.iter().enumerate() {
@@ -220,8 +208,8 @@ impl<'a> Compiler<'a> {
 
     /// The delta against `base`, compiled from `base_files`, when the
     /// interface allows one (see the module docs); `None` means lower
-    /// every proc. On success the compiler holds the base's global arena
-    /// and index, which every changed proc's frame was resolved against.
+    /// every proc. On success the compiler holds the base's tables, which
+    /// every changed proc's frame was resolved against.
     fn delta<'b, F: Borrow<SourceFile>>(
         &mut self,
         files: &[F],
@@ -229,7 +217,8 @@ impl<'a> Compiler<'a> {
         base: &'b Program,
     ) -> Option<Delta<'b>> {
         let outputs = (0..self.syms.output_count() as u32).map(|i| self.syms.output(OutputId(i)));
-        if files.len() != base_files.len() || !base.output_names.iter().map(|n| &**n).eq(outputs) {
+        let same_outputs = base.output_names().iter().map(|n| &**n).eq(outputs);
+        if files.len() != base_files.len() || !same_outputs {
             return None;
         }
         for (f, b) in files.iter().zip(base_files) {
@@ -258,12 +247,10 @@ impl<'a> Compiler<'a> {
                 same.push(std::ptr::eq(s, b) || s == b);
             }
         }
-        self.globals = Arc::clone(&base.globals);
-        self.global_index = Arc::clone(&base.globals_by_module);
+        self.tables = Arc::clone(&base.tables);
         for i in (0..same.len()).filter(|&i| !same[i]) {
             if *self.frame_info(i).slot_names != *base.procs[i].local_names {
-                self.globals = Arc::default();
-                self.global_index = Arc::default();
+                self.tables = Arc::default();
                 return None;
             }
         }
@@ -430,7 +417,12 @@ impl<'a> Compiler<'a> {
         name: &str,
         in_progress: &mut HashSet<(String, String)>,
     ) -> RunResult<Option<u32>> {
-        if let Some(&slot) = self.global_index.get(module).and_then(|m| m.get(name)) {
+        if let Some(&slot) = self
+            .tables
+            .globals_by_module
+            .get(module)
+            .and_then(|m| m.get(name))
+        {
             return Ok(Some(slot));
         }
         let key = (module.to_string(), name.to_string());
@@ -459,9 +451,11 @@ impl<'a> Compiler<'a> {
         }
         let value = self.build_value(module, decl, entity, in_progress)?;
         in_progress.remove(&key);
-        let slot = self.globals.len() as u32;
-        Arc::make_mut(&mut self.globals).push(value);
-        Arc::make_mut(&mut self.global_index)
+        let tables = Arc::make_mut(&mut self.tables);
+        let slot = tables.globals.len() as u32;
+        tables.globals.push(value);
+        tables
+            .globals_by_module
             .entry(key.0)
             .or_default()
             .insert(key.1, slot);
@@ -475,7 +469,9 @@ impl<'a> Compiler<'a> {
             for name in reads {
                 let mut fresh = HashSet::new();
                 if let Ok(Some(src)) = self.resolve_module_name(module, &name, &mut fresh) {
-                    self.global_init_deps.push((src, slot));
+                    Arc::make_mut(&mut self.tables)
+                        .global_init_deps
+                        .push((src, slot));
                 }
             }
         }
@@ -553,7 +549,7 @@ impl<'a> Compiler<'a> {
             Expr::Var(name) => {
                 let slot = self.resolve_module_name(module, name, in_progress)?;
                 match slot {
-                    Some(s) => Ok(self.globals[s as usize].clone()),
+                    Some(s) => Ok(self.tables.globals[s as usize].clone()),
                     None => Err(RuntimeError::new(
                         format!("undefined constant {name} in {module}"),
                         module,
@@ -725,7 +721,8 @@ impl<'a> Compiler<'a> {
     // ----- body lowering --------------------------------------------------
 
     /// Lowers proc `proc_idx` into a self-contained [`CProc`] (its
-    /// expression and call-site pools start empty).
+    /// expression and call-site pools start empty), its bytecode not yet
+    /// emitted.
     fn lower_proc(&mut self, proc_idx: usize) -> CProc {
         let frame = self.frame_info(proc_idx);
         let (module, sub) = {
@@ -770,6 +767,7 @@ impl<'a> Compiler<'a> {
             declared_locals: frame.declared_locals.into_boxed_slice(),
             exprs: std::mem::take(&mut self.exprs).into(),
             sites: std::mem::take(&mut self.sites).into(),
+            bc: BProc::default(),
             empty: OnceLock::new(),
         }
     }
@@ -1228,9 +1226,8 @@ impl<'a> Compiler<'a> {
         }
     }
 
-    /// Builds the program-wide tables of a full compile around `procs`
-    /// and their bytecode `bc`.
-    fn finish(mut self, procs: Vec<Arc<CProc>>, bc: crate::bytecode::Bytecode) -> Program {
+    /// Builds the program-wide tables of a full compile around `procs`.
+    fn finish(mut self, procs: Vec<Arc<CProc>>) -> Program {
         let order = self.module_order.clone();
         let module_names: Vec<Arc<str>> = order.iter().map(|m| self.intern(m)).collect();
         let entry_procs: HashMap<String, u32> = self
@@ -1259,8 +1256,8 @@ impl<'a> Compiler<'a> {
             })
             .collect();
         let mut global_origins: Vec<(u32, Arc<str>)> =
-            vec![(u32::MAX, Arc::from("")); self.globals.len()];
-        for (m, vars) in self.global_index.iter() {
+            vec![(u32::MAX, Arc::from("")); self.tables.globals.len()];
+        for (m, vars) in &self.tables.globals_by_module {
             for (n, slot) in vars {
                 global_origins[*slot as usize] = (self.module_ids[m], Arc::from(n.as_str()));
             }
@@ -1283,23 +1280,19 @@ impl<'a> Compiler<'a> {
         let output_names: Vec<Arc<str>> = (0..self.syms.output_count())
             .map(|i| self.syms.output_arc(rca_ident::OutputId(i as u32)))
             .collect();
-        Program {
-            procs,
-            globals: self.globals,
-            globals_by_module: self.global_index,
-            module_names: Arc::new(module_names),
-            entry_procs: Arc::new(entry_procs),
-            procs_by_module: Arc::new(procs_by_module),
-            module_vars: Arc::new(module_vars),
+        // `force_globals` filled the global arena, its index and the
+        // initializer dependencies.
+        let tables = Tables {
+            module_names,
+            entry_procs,
+            procs_by_module,
+            module_vars,
             output_names: output_names.into(),
-            global_init_deps: Arc::new(self.global_init_deps),
-            global_origins: Arc::new(global_origins),
+            global_origins,
             syms: Arc::new(self.syms),
-            bc,
-            history: Default::default(),
-            effects: Default::default(),
-            masks: Default::default(),
-        }
+            ..Arc::unwrap_or_clone(self.tables)
+        };
+        Program::new(procs, Arc::new(tables))
     }
 }
 

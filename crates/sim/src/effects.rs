@@ -394,7 +394,7 @@ impl Effects {
     /// graph.
     pub(crate) fn build(p: &Program) -> Effects {
         let mut scan = Scan {
-            globals_written: BitSet::new(p.globals.len()),
+            globals_written: BitSet::new(p.global_count()),
             derived_writers: HashMap::new(),
         };
         let mut procs: Vec<ProcEffects> = Vec::with_capacity(p.procs.len());
@@ -402,7 +402,7 @@ impl Effects {
             let mut fx = ProcEffects {
                 callees: Vec::new(),
                 outputs: Vec::new(),
-                global_writes: BitSet::new(p.globals.len()),
+                global_writes: BitSet::new(p.global_count()),
                 writes_history: false,
                 draws: false,
                 writes_pbuf: false,

@@ -32,7 +32,7 @@
 //! zero-fault runs, and `tests/kernels.rs` pins fuel exhaustion to a
 //! golden table.
 
-use crate::bytecode::{BProc, Bytecode, Instr, KArr, KOp, KScalar, Kernel, Src, SrcKind, NO_REG};
+use crate::bytecode::{Instr, KArr, KOp, KScalar, Kernel, Src, SrcKind, NO_REG};
 use crate::fault::{Fault, FaultKind, FaultPlan, BUDGET_CONTEXT, FAULT_CONTEXT};
 use crate::interp::{RunConfig, RuntimeError};
 use crate::ops::{self, RunResult};
@@ -207,7 +207,7 @@ impl Executor {
     pub fn new(program: Arc<Program>, config: &RunConfig) -> Executor {
         rca_obs::counter_inc!("executor.builds", 1);
         let fma = program
-            .module_names
+            .ir_module_names()
             .iter()
             .map(|m| config.avx2.enabled_for(m))
             .collect();
@@ -215,7 +215,7 @@ impl Executor {
         let fuel_limit = config.fuel.unwrap_or(u64::MAX);
         let vm = VmState::new(program.procs.len(), local_dense);
         let mut ex = Executor {
-            globals: program.globals.as_ref().clone(),
+            globals: program.tables.globals.clone(),
             fma,
             prng: make_prng(config.prng, config.prng_seed),
             prng_seed: config.prng_seed,
@@ -257,7 +257,7 @@ impl Executor {
     pub fn reset(&mut self) {
         rca_obs::counter_inc!("executor.resets", 1);
         let p = Arc::clone(&self.program);
-        for (g, init) in self.globals.iter_mut().zip(p.globals.iter()) {
+        for (g, init) in self.globals.iter_mut().zip(&p.tables.globals) {
             g.clone_from(init);
         }
         self.prng.reseed(self.prng_seed);
@@ -370,7 +370,7 @@ impl Executor {
     /// the host-side entry point (`cam_init`, `cam_run_step`).
     pub fn call(&mut self, name: &str, args: &[Value]) -> RunResult<()> {
         let p = Arc::clone(&self.program);
-        let Some(&idx) = p.entry_procs.get(name) else {
+        let Some(idx) = p.entry_proc_index(name) else {
             return Err(RuntimeError::new(
                 format!("unknown subprogram {name}"),
                 "<host>",
@@ -515,19 +515,17 @@ impl Executor {
         args: &[Value],
         work: &mut VmWork,
     ) -> RunResult<()> {
-        let bc: &Bytecode = p.bytecode();
         let mut proc = entry;
         let mut prx: &CProc = &p.procs[proc as usize];
-        let mut bp: &BProc = &bc.procs[proc as usize];
         // The running proc's code, lines and constant pool, re-pointed on
         // every call and return.
-        let mut code: &[Instr] = &bp.code;
-        let mut lines: &[u32] = &bp.lines;
-        let mut consts: &[Value] = &bp.consts;
+        let mut code: &[Instr] = &prx.bc.code;
+        let mut lines: &[u32] = &prx.bc.lines;
+        let mut consts: &[Value] = &prx.bc.consts;
         let mut ip = 0usize;
 
         self.covered[proc as usize] = true;
-        let mut cur = self.vm_lease(proc as usize, bp.n_slots as usize, bp.n_regs as usize);
+        let mut cur = self.vm_lease(proc as usize, prx.n_locals, prx.bc.n_regs as usize);
         for (i, slot) in prx.arg_slots.iter().enumerate() {
             // Host args are borrowed — clone them into the entry frame.
             let v = args.get(i).cloned().unwrap_or(Value::Real(0.0));
@@ -563,7 +561,7 @@ impl Executor {
                     let sl = &cur.slots[slot as usize];
                     if !sl.live {
                         return Err(RuntimeError::new(
-                            format!("undefined variable '{}'", bp.names[name as usize]),
+                            format!("undefined variable '{}'", prx.bc.names[name as usize]),
                             &prx.module,
                             lines[ip],
                         ));
@@ -737,7 +735,7 @@ impl Executor {
                                     format!(
                                         "subscript {} out of bounds for {} (len {})",
                                         idx + 1,
-                                        bp.names[name as usize],
+                                        prx.bc.names[name as usize],
                                         v.len()
                                     ),
                                     &prx.module,
@@ -750,7 +748,7 @@ impl Executor {
                                 format!(
                                     "cannot index {} '{}'",
                                     other.type_name(),
-                                    bp.names[name as usize]
+                                    prx.bc.names[name as usize]
                                 ),
                                 &prx.module,
                                 lines[ip],
@@ -771,9 +769,9 @@ impl Executor {
                         bind,
                         &cur.slots,
                         &self.globals,
-                        &bp.names[name as usize],
-                        &bp.names[field as usize],
-                        &bp.names[err as usize],
+                        &prx.bc.names[name as usize],
+                        &prx.bc.names[field as usize],
+                        &prx.bc.names[err as usize],
                         &prx.module,
                         lines[ip],
                     )?;
@@ -789,9 +787,9 @@ impl Executor {
                         bind,
                         &cur.slots,
                         &self.globals,
-                        &bp.names[name as usize],
-                        &bp.names[field as usize],
-                        &bp.names[err as usize],
+                        &prx.bc.names[name as usize],
+                        &prx.bc.names[field as usize],
+                        &prx.bc.names[err as usize],
                         &prx.module,
                         lines[ip],
                     )?;
@@ -813,14 +811,19 @@ impl Executor {
                         bind,
                         &cur.slots,
                         &self.globals,
-                        &bp.names[name as usize],
-                        &bp.names[field as usize],
-                        &bp.names[err as usize],
+                        &prx.bc.names[name as usize],
+                        &prx.bc.names[field as usize],
+                        &prx.bc.names[err as usize],
                         &prx.module,
                         lines[ip],
                     )?;
-                    let v =
-                        index_in_place(fv, idx, &bp.names[field as usize], &prx.module, lines[ip])?;
+                    let v = index_in_place(
+                        fv,
+                        idx,
+                        &prx.bc.names[field as usize],
+                        &prx.module,
+                        lines[ip],
+                    )?;
                     cur.regs[dst as usize] = v;
                 }
                 Instr::FieldOfValue {
@@ -832,12 +835,12 @@ impl Executor {
                     let basev = std::mem::replace(&mut cur.regs[src as usize], Value::Real(0.0));
                     let Value::Derived(fields) = basev else {
                         return Err(RuntimeError::new(
-                            bp.names[err as usize].to_string(),
+                            prx.bc.names[err as usize].to_string(),
                             &prx.module,
                             lines[ip],
                         ));
                     };
-                    let field = &bp.names[field as usize];
+                    let field = &prx.bc.names[field as usize];
                     let fv = fields.get(&**field).cloned().ok_or_else(|| {
                         RuntimeError::new(format!("no field {field}"), &prx.module, lines[ip])
                     })?;
@@ -853,7 +856,7 @@ impl Executor {
                     let v = index_in_place(
                         &cur.regs[src as usize],
                         idx,
-                        &bp.names[field as usize],
+                        &prx.bc.names[field as usize],
                         &prx.module,
                         lines[ip],
                     )?;
@@ -917,9 +920,15 @@ impl Executor {
                     else {
                         unreachable!("Kernel not followed by its DoCheck")
                     };
-                    if let Some(trip) =
-                        self.vm_kernel(&bp.kernels[k as usize], &bp.names, &mut cur, i, e, st, var)
-                    {
+                    if let Some(trip) = self.vm_kernel(
+                        &prx.bc.kernels[k as usize],
+                        &prx.bc.names,
+                        &mut cur,
+                        i,
+                        e,
+                        st,
+                        var,
+                    ) {
                         work.kernel_iterations += trip;
                         ip = exit as usize;
                         continue;
@@ -978,15 +987,15 @@ impl Executor {
                 } => {
                     let s = &prx.sites[site as usize];
                     let callee = s.proc;
-                    let callee_bp = &bc.procs[callee as usize];
+                    let callee_pr: &CProc = &p.procs[callee as usize];
                     self.covered[callee as usize] = true;
                     let mut f = self.vm_lease(
                         callee as usize,
-                        callee_bp.n_slots as usize,
-                        callee_bp.n_regs as usize,
+                        callee_pr.n_locals,
+                        callee_pr.bc.n_regs as usize,
                     );
                     let n_actuals = s.args.len();
-                    for (i, slot) in p.procs[callee as usize].arg_slots.iter().enumerate() {
+                    for (i, slot) in callee_pr.arg_slots.iter().enumerate() {
                         // Move actuals out of the caller's arg window.
                         let v = if i < n_actuals {
                             std::mem::replace(&mut cur.regs[argv as usize + i], Value::Real(0.0))
@@ -1005,11 +1014,10 @@ impl Executor {
                         frame: std::mem::replace(&mut cur, f),
                     });
                     proc = callee;
-                    prx = &p.procs[proc as usize];
-                    bp = callee_bp;
-                    code = &bp.code;
-                    lines = &bp.lines;
-                    consts = &bp.consts;
+                    prx = callee_pr;
+                    code = &prx.bc.code;
+                    lines = &prx.bc.lines;
+                    consts = &prx.bc.consts;
                     ip = 0;
                     continue;
                 }
@@ -1047,10 +1055,9 @@ impl Executor {
                             let fin_proc = proc;
                             proc = sus.proc;
                             prx = &p.procs[proc as usize];
-                            bp = &bc.procs[proc as usize];
-                            code = &bp.code;
-                            lines = &bp.lines;
-                            consts = &bp.consts;
+                            code = &prx.bc.code;
+                            lines = &prx.bc.lines;
+                            consts = &prx.bc.consts;
                             ip = sus.ip as usize;
                             if sus.dst != NO_REG {
                                 let rs = p.procs[fin_proc as usize]
@@ -1275,7 +1282,7 @@ impl Executor {
                         Some(v) => ops::write_elem(v, idx, &value, &prx.module, lines[ip])?,
                         None => {
                             return Err(RuntimeError::new(
-                                format!("cannot index non-array {}", bp.names[name as usize]),
+                                format!("cannot index non-array {}", prx.bc.names[name as usize]),
                                 &prx.module,
                                 lines[ip],
                             ))
@@ -1295,7 +1302,7 @@ impl Executor {
                         Some(vm_index(&cur.regs[sub as usize], &prx.module, lines[ip])?)
                     };
                     let value = std::mem::replace(&mut cur.regs[val as usize], Value::Real(0.0));
-                    let name = &bp.names[name as usize];
+                    let name = &prx.bc.names[name as usize];
                     let target: &mut Value = match bind {
                         VarBind::Local(s) => {
                             let sl = &mut cur.slots[s as usize];
@@ -1324,7 +1331,7 @@ impl Executor {
                             lines[ip],
                         ));
                     };
-                    let field = &bp.names[field as usize];
+                    let field = &prx.bc.names[field as usize];
                     let fv = fields.get_mut(&**field).ok_or_else(|| {
                         RuntimeError::new(format!("no field {field}"), &prx.module, lines[ip])
                     })?;
@@ -1436,7 +1443,7 @@ impl Executor {
                 }
                 Instr::Fail { msg } => {
                     return Err(RuntimeError::new(
-                        bp.names[msg as usize].to_string(),
+                        prx.bc.names[msg as usize].to_string(),
                         &prx.module,
                         lines[ip],
                     ));
@@ -1908,7 +1915,7 @@ fn build_sample_plans(
                 idx,
             }),
             Some(sub) => {
-                let Some(proc) = program.proc_slot(&spec.module, sub) else {
+                let Some(proc) = program.proc_index(&spec.module, sub) else {
                     continue;
                 };
                 let Some(slot) = program.procs[proc as usize]

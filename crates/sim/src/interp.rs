@@ -627,48 +627,6 @@ impl Interpreter {
             .map(|&s| &self.globals[s])
     }
 
-    /// Names of all module variables of `module`.
-    pub fn module_var_names(&self, module: &str) -> Vec<String> {
-        self.modules
-            .get(module)
-            .map(|m| {
-                m.decls
-                    .iter()
-                    .flat_map(|d| d.entities.iter().map(|e| e.name.clone()))
-                    .collect()
-            })
-            .unwrap_or_default()
-    }
-
-    /// Names of all subprograms defined in `module`.
-    pub fn proc_names_of_module(&self, module: &str) -> Vec<String> {
-        self.proc_defs
-            .iter()
-            .filter(|p| p.module == module)
-            .map(|p| p.sub.name.clone())
-            .collect()
-    }
-
-    /// Local (non-dummy) variable names of a subprogram.
-    pub fn local_names(&self, module: &str, proc: &str) -> Vec<String> {
-        self.procs
-            .get(proc)
-            .and_then(|idxs| {
-                idxs.iter()
-                    .map(|&i| &self.proc_defs[i])
-                    .find(|p| p.module == module)
-            })
-            .map(|p| {
-                p.sub
-                    .decls
-                    .iter()
-                    .flat_map(|d| d.entities.iter().map(|e| e.name.clone()))
-                    .filter(|n| !p.sub.args.contains(n))
-                    .collect()
-            })
-            .unwrap_or_default()
-    }
-
     fn find_proc(&self, name: &str, caller_module: Option<&str>) -> RunResult<usize> {
         let Some(cands) = self.procs.get(name) else {
             return Err(RuntimeError::new(

@@ -13,7 +13,7 @@
 //! initial conditions — equivalent observations, obtained without
 //! generating standalone kernel drivers.
 
-use crate::interp::{Interpreter, RunConfig, RuntimeError, SampleSpec};
+use crate::interp::{RunConfig, RuntimeError, SampleSpec};
 use crate::program::Program;
 use crate::runner::{compile_model, run_program};
 
@@ -53,15 +53,16 @@ pub fn kernel_sample_specs_program(program: &Program, kernel_module: &str) -> Ve
             name: name.as_str().into(),
         });
     }
-    // Locals of every subprogram in the kernel module.
-    for (module, sub) in program.coverage_universe(kernel_module) {
-        let locals = program.local_names(&module, &sub);
-        let module: std::sync::Arc<str> = module.as_str().into();
-        let sub: std::sync::Arc<str> = sub.as_str().into();
-        for local in locals {
+    // Declared locals of every subprogram in the kernel module, in
+    // definition order.
+    for proc in program.ir_procs() {
+        if &*proc.module != kernel_module {
+            continue;
+        }
+        for local in &proc.declared_locals {
             specs.push(SampleSpec {
-                module: module.clone(),
-                subprogram: Some(sub.clone()),
+                module: kmod.clone(),
+                subprogram: Some(proc.name.clone()),
                 name: local.as_str().into(),
             });
         }
@@ -121,17 +122,6 @@ pub fn compare_kernel(
         flagged,
         threshold,
     })
-}
-
-impl Interpreter {
-    /// All (module, subprogram) pairs defined in `module` — used to build
-    /// kernel instrumentation without executing first.
-    pub fn coverage_universe(&self, module: &str) -> Vec<(String, String)> {
-        self.proc_names_of_module(module)
-            .into_iter()
-            .map(|s| (module.to_string(), s))
-            .collect()
-    }
 }
 
 #[cfg(test)]

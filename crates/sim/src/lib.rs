@@ -33,7 +33,12 @@
 //!    Constant `if` arms fold during emission, and emitted code is never
 //!    rewritten afterwards. Counted elementwise loops become column
 //!    step-kernels. Typed frame slots are pooled per proc so derived-type
-//!    maps and array buffers are reused across calls and steps.
+//!    maps and array buffers are reused across calls and steps. A program
+//!    is one list of self-contained procs — each [`CProc`] carries its
+//!    tree IR and its bytecode — over one `Arc`-shared set of
+//!    program-wide tables, so a delta variant or a slice shares every
+//!    proc it does not lower again, code included, and the tables by one
+//!    pointer.
 //!
 //! Both tiers share the same scalar kernel (`ops`), and the differential
 //! suites (`tests/differential.rs`, `tests/kernels.rs`) hold them

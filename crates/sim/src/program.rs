@@ -23,14 +23,18 @@
 //! and fans out executors that only clone the initial global arena.
 //!
 //! Each lowered proc is self-contained: a [`CProc`] owns its expression
-//! and call-site pools, and its bytecode owns its constant and name
+//! and call-site pools and its bytecode, which owns its constant and name
 //! pools. Every other index a proc holds is fixed by the program's
 //! interface (proc index, global slot, `OutputId`, module id), so procs
 //! are shared by `Arc` between programs: a source variant whose interface
 //! equals its base's reuses every unchanged proc
 //! ([`crate::compile_variant`]), and a slice-specialized program reuses
-//! every proc it keeps whole ([`crate::specialize`]).
+//! every proc it keeps whole ([`crate::specialize`]). Everything else a
+//! program holds — the global arena, the host lookup maps, the symbol and
+//! output tables — is one `Arc`, built by a full compile and shared whole
+//! by every program derived from it.
 
+use crate::bytecode::BProc;
 use crate::effects::Effects;
 use crate::value::Value;
 use rca_fortran::token::Op;
@@ -423,16 +427,22 @@ pub struct CProc {
     /// Call-site pool: [`CStmt::Call`], [`CExpr::CallFn`] and
     /// [`CallForm::Function`] carry indices into it.
     pub sites: Arc<[CallSite]>,
-    /// This proc without body or frame initialization, with its bytecode:
-    /// what a slice that keeps none of the proc runs. Built on first use
+    /// The proc's bytecode, which the register VM in [`crate::exec`]
+    /// runs: emitted from this proc alone by
+    /// [`crate::bytecode::lower_procs`], so a program that shares the
+    /// proc shares its code.
+    pub(crate) bc: BProc,
+    /// This proc without body or frame initialization: what a slice that
+    /// keeps none of the proc runs. Built on first use
     /// ([`crate::specialize`]) and shared by every slice of every program
     /// holding this proc.
-    pub(crate) empty: OnceLock<(Arc<CProc>, Arc<crate::bytecode::BProc>)>,
+    pub(crate) empty: OnceLock<Arc<CProc>>,
 }
 
 impl CProc {
     /// A copy of this proc's metadata and pools with a new body and frame
-    /// initialization (a slice's pruned copy).
+    /// initialization (a slice's pruned copy), its bytecode not yet
+    /// emitted.
     pub(crate) fn with_body(
         &self,
         inits: Box<[(u32, u32, LocalTemplate)]>,
@@ -454,6 +464,7 @@ impl CProc {
             declared_locals: self.declared_locals.clone(),
             exprs: Arc::clone(&self.exprs),
             sites: Arc::clone(&self.sites),
+            bc: BProc::default(),
             empty: OnceLock::new(),
         }
     }
@@ -465,46 +476,18 @@ impl CProc {
 /// from already-parsed files) and execute it with
 /// [`crate::Executor`] / [`crate::run_program`].
 ///
-/// A program is its procs plus program-wide tables. Both are `Arc`-shared:
-/// derived programs (source variants with an unchanged interface, the
-/// slice-specialized programs of [`crate::specialize`]) hold the same
-/// tables and the same `Arc<CProc>`/bytecode of every proc they do not
-/// lower again, so they cost refcount bumps, not deep clones.
+/// A program is a list of self-contained procs over one set of
+/// program-wide tables (the global arena, the host lookup maps, the
+/// symbol and output tables), both `Arc`-shared: derived programs
+/// (source variants with an unchanged interface, the slice-specialized
+/// programs of [`crate::specialize`]) hold the same table and the same
+/// `Arc<CProc>` of every proc they do not lower again, so they cost
+/// refcount bumps, not deep clones.
 pub struct Program {
     /// All subprograms, each self-contained (see [`CProc`]).
     pub(crate) procs: Vec<Arc<CProc>>,
-    /// Initial module-global values (cloned per executor).
-    pub(crate) globals: Arc<Vec<Value>>,
-    /// Host lookup: module → variable → global slot (nested so `&str`
-    /// queries never allocate key tuples).
-    pub(crate) globals_by_module: Arc<HashMap<String, HashMap<String, u32>>>,
-    /// Module names by id.
-    pub(crate) module_names: Arc<Vec<Arc<str>>>,
-    /// Host entry lookup: subprogram name → first-candidate proc index.
-    pub(crate) entry_procs: Arc<HashMap<String, u32>>,
-    /// Host lookup: module → subprogram → proc index.
-    pub(crate) procs_by_module: Arc<HashMap<String, HashMap<String, u32>>>,
-    /// Declared module variables per module, in declaration order.
-    pub(crate) module_vars: Arc<HashMap<String, Vec<String>>>,
-    /// Sorted distinct history output names; [`rca_ident::OutputId`]
-    /// values index this table (and every run's dense history buffer).
-    pub(crate) output_names: Arc<[Arc<str>]>,
-    /// Module-level initializer dependencies `(src, dst)`: global slot
-    /// `dst`'s declaration initializer reads global slot `src`. The values
-    /// themselves are const-folded into [`Program::globals`] at compile
-    /// time; this side table preserves the dataflow the folding erases.
-    pub(crate) global_init_deps: Arc<Vec<(u32, u32)>>,
-    /// Slot-indexed origin of every module global: `(module id, name)`.
-    pub(crate) global_origins: Arc<Vec<(u32, Arc<str>)>>,
-    /// The program's interner: every module/variable/output name resolved
-    /// during compilation, as dense ids. Sessions seed the workspace-wide
-    /// table from this (append-only extension keeps these ids valid).
-    pub(crate) syms: Arc<SymbolTable>,
-    /// The lowered bytecode tier (one [`crate::bytecode::BProc`] per
-    /// entry of [`Program::procs`], shared by `Arc` like the procs). The
-    /// register VM in [`crate::exec`] runs this; the tree walkers ignore
-    /// it.
-    pub(crate) bc: crate::bytecode::Bytecode,
+    /// Everything else a run or a host lookup reads, shared whole.
+    pub(crate) tables: Arc<Tables>,
     /// The history slice, computed on first use
     /// ([`Program::history_program`]). Never this program itself: that
     /// would be an `Arc` cycle.
@@ -516,62 +499,70 @@ pub struct Program {
     pub(crate) masks: OnceLock<Option<crate::specialize::Masks>>,
 }
 
+/// A program's program-wide tables, fixed by its interface: built once
+/// by a full compile and shared by every program derived from it.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Tables {
+    /// Initial module-global values (cloned per executor).
+    pub(crate) globals: Vec<Value>,
+    /// Host lookup: module → variable → global slot (nested so `&str`
+    /// queries never allocate key tuples).
+    pub(crate) globals_by_module: HashMap<String, HashMap<String, u32>>,
+    /// Module names by id.
+    pub(crate) module_names: Vec<Arc<str>>,
+    /// Host entry lookup: subprogram name → first-candidate proc index.
+    pub(crate) entry_procs: HashMap<String, u32>,
+    /// Host lookup: module → subprogram → proc index.
+    pub(crate) procs_by_module: HashMap<String, HashMap<String, u32>>,
+    /// Declared module variables per module, in declaration order.
+    pub(crate) module_vars: HashMap<String, Vec<String>>,
+    /// Sorted distinct history output names; [`rca_ident::OutputId`]
+    /// values index this table (and every run's dense history buffer).
+    pub(crate) output_names: Arc<[Arc<str>]>,
+    /// Module-level initializer dependencies `(src, dst)`: global slot
+    /// `dst`'s declaration initializer reads global slot `src`. The values
+    /// themselves are const-folded into [`Tables::globals`] at compile
+    /// time; this side table preserves the dataflow the folding erases.
+    pub(crate) global_init_deps: Vec<(u32, u32)>,
+    /// Slot-indexed origin of every module global: `(module id, name)`.
+    pub(crate) global_origins: Vec<(u32, Arc<str>)>,
+    /// The program's interner: every module/variable/output name resolved
+    /// during compilation, as dense ids. Sessions seed the workspace-wide
+    /// table from this (append-only extension keeps these ids valid).
+    pub(crate) syms: Arc<SymbolTable>,
+}
+
 impl Program {
-    /// The program's symbol table: module/variable/output names interned
-    /// during compilation. An `RcaSession` clones this as the seed of the
-    /// workspace-wide table (append-only extension preserves every id
-    /// assigned here).
-    pub fn symbols(&self) -> &Arc<SymbolTable> {
-        &self.syms
-    }
-
-    /// The lowered bytecode (always present after `compile_sources`).
-    pub(crate) fn bytecode(&self) -> &crate::bytecode::Bytecode {
-        &self.bc
-    }
-
-    /// A program of `procs` and their bytecode `bc` over this program's
-    /// tables (global arena, lookup maps, symbol and output tables),
-    /// shared by `Arc`. Sound only when every proc was lowered against
-    /// this program's interface: a delta compile's procs, or a slice's.
-    pub(crate) fn with_procs(
-        &self,
-        procs: Vec<Arc<CProc>>,
-        bc: crate::bytecode::Bytecode,
-    ) -> Program {
+    /// A program of `procs` over `tables`.
+    pub(crate) fn new(procs: Vec<Arc<CProc>>, tables: Arc<Tables>) -> Program {
         Program {
             procs,
-            globals: Arc::clone(&self.globals),
-            globals_by_module: Arc::clone(&self.globals_by_module),
-            module_names: Arc::clone(&self.module_names),
-            entry_procs: Arc::clone(&self.entry_procs),
-            procs_by_module: Arc::clone(&self.procs_by_module),
-            module_vars: Arc::clone(&self.module_vars),
-            output_names: Arc::clone(&self.output_names),
-            global_init_deps: Arc::clone(&self.global_init_deps),
-            global_origins: Arc::clone(&self.global_origins),
-            syms: Arc::clone(&self.syms),
-            bc,
+            tables,
             history: OnceLock::new(),
             effects: OnceLock::new(),
             masks: OnceLock::new(),
         }
     }
 
-    /// Whether `other` holds this program's tables (global arena, lookup
-    /// maps, symbol and output tables) by `Arc`: a delta variant of it,
-    /// a slice of it, or the program itself.
+    /// The program's symbol table: module/variable/output names interned
+    /// during compilation. An `RcaSession` clones this as the seed of the
+    /// workspace-wide table (append-only extension preserves every id
+    /// assigned here).
+    pub fn symbols(&self) -> &Arc<SymbolTable> {
+        &self.tables.syms
+    }
+
+    /// A program of `procs` over this program's tables, shared by `Arc`.
+    /// Sound only when every proc was lowered against this program's
+    /// interface: a delta compile's procs, or a slice's.
+    pub(crate) fn with_procs(&self, procs: Vec<Arc<CProc>>) -> Program {
+        Program::new(procs, Arc::clone(&self.tables))
+    }
+
+    /// Whether `other` holds this program's tables by `Arc`: a delta
+    /// variant of it, a slice of it, or the program itself.
     pub(crate) fn shares_tables(&self, other: &Program) -> bool {
-        Arc::ptr_eq(&self.globals, &other.globals)
-            && Arc::ptr_eq(&self.globals_by_module, &other.globals_by_module)
-            && Arc::ptr_eq(&self.module_names, &other.module_names)
-            && Arc::ptr_eq(&self.entry_procs, &other.entry_procs)
-            && Arc::ptr_eq(&self.procs_by_module, &other.procs_by_module)
-            && Arc::ptr_eq(&self.module_vars, &other.module_vars)
-            && Arc::ptr_eq(&self.output_names, &other.output_names)
-            && Arc::ptr_eq(&self.global_init_deps, &other.global_init_deps)
-            && Arc::ptr_eq(&self.global_origins, &other.global_origins)
-            && Arc::ptr_eq(&self.syms, &other.syms)
+        Arc::ptr_eq(&self.tables, &other.tables)
     }
 
     /// Renders the program's bytecode as one deterministic listing — the
@@ -583,14 +574,14 @@ impl Program {
     /// Total bytecode instructions across all subprograms (bench and
     /// telemetry surface; compile-time static count, not dynamic).
     pub fn instr_count(&self) -> usize {
-        self.bc.instr_count()
+        self.procs.iter().map(|p| p.bc.code.len()).sum()
     }
 
     /// Total column step-kernels the compiler extracted (the
     /// `bytecode` module's loop vectorizer); zero means every loop runs
     /// through the generic dispatch path.
     pub fn kernel_count(&self) -> usize {
-        self.bc.kernel_count()
+        self.procs.iter().map(|p| p.bc.kernels.len()).sum()
     }
 
     /// This program pruned to the statements that can reach a history
@@ -638,54 +629,31 @@ impl Program {
     /// table. Shared (`Arc`) with every [`crate::RunOutput`] of this
     /// program.
     pub fn output_names(&self) -> &Arc<[Arc<str>]> {
-        &self.output_names
+        &self.tables.output_names
     }
 
     /// Number of distinct history outputs the program can write.
     pub fn output_count(&self) -> usize {
-        self.output_names.len()
+        self.tables.output_names.len()
     }
 
     /// Global slot of `(module, variable)`, if declared — zero-allocation
     /// `&str` lookup (sampling resolution's hot path).
     pub fn global_slot(&self, module: &str, name: &str) -> Option<u32> {
-        self.globals_by_module.get(module)?.get(name).copied()
-    }
-
-    /// Proc index of `(module, subprogram)`, if defined — zero-allocation
-    /// `&str` lookup.
-    pub(crate) fn proc_slot(&self, module: &str, name: &str) -> Option<u32> {
-        self.procs_by_module.get(module)?.get(name).copied()
+        self.tables
+            .globals_by_module
+            .get(module)?
+            .get(name)
+            .copied()
     }
 
     /// Names of all module variables of `module` (declaration order).
     pub fn module_var_names(&self, module: &str) -> Vec<String> {
-        self.module_vars.get(module).cloned().unwrap_or_default()
-    }
-
-    /// Names of all subprograms defined in `module` (definition order).
-    pub fn proc_names_of_module(&self, module: &str) -> Vec<String> {
-        self.procs
-            .iter()
-            .filter(|p| &*p.module == module)
-            .map(|p| p.name.to_string())
-            .collect()
-    }
-
-    /// Local (non-dummy) declared variable names of a subprogram.
-    pub fn local_names(&self, module: &str, proc: &str) -> Vec<String> {
-        self.proc_slot(module, proc)
-            .map(|i| self.procs[i as usize].declared_locals.to_vec())
+        self.tables
+            .module_vars
+            .get(module)
+            .cloned()
             .unwrap_or_default()
-    }
-
-    /// All `(module, subprogram)` pairs defined in `module` — used to
-    /// build kernel instrumentation without executing first.
-    pub fn coverage_universe(&self, module: &str) -> Vec<(String, String)> {
-        self.proc_names_of_module(module)
-            .into_iter()
-            .map(|s| (module.to_string(), s))
-            .collect()
     }
 
     /// Number of compiled subprograms.
@@ -709,7 +677,7 @@ impl Program {
     /// Initial value of one module variable, if it exists.
     pub fn initial_global(&self, module: &str, name: &str) -> Option<&Value> {
         self.global_slot(module, name)
-            .map(|s| &self.globals[s as usize])
+            .map(|s| &self.tables.globals[s as usize])
     }
 
     // ----- read-only IR surface (the static-analysis plane) --------------
@@ -725,41 +693,41 @@ impl Program {
     /// load-time constant folding (see [`Program::global_origins`] for the
     /// slot identities).
     pub fn global_init_deps(&self) -> &[(u32, u32)] {
-        &self.global_init_deps
+        &self.tables.global_init_deps
     }
 
     /// Slot-indexed `(module id, variable name)` origin of every module
     /// global. Module ids index [`Program::ir_module_names`] and equal the
     /// interner's [`rca_ident::ModuleId`] space.
     pub fn global_origins(&self) -> &[(u32, Arc<str>)] {
-        &self.global_origins
+        &self.tables.global_origins
     }
 
     /// Module names by program module id.
     pub fn ir_module_names(&self) -> &[Arc<str>] {
-        &self.module_names
+        &self.tables.module_names
     }
 
     /// Number of module globals.
     pub fn global_count(&self) -> usize {
-        self.globals.len()
+        self.tables.globals.len()
     }
 
     /// Compile-time initial value of global `slot`.
     pub fn global_initial(&self, slot: u32) -> &Value {
-        &self.globals[slot as usize]
+        &self.tables.globals[slot as usize]
     }
 
-    /// Proc index of `(module, subprogram)` — the public face of the
-    /// internal host lookup, for analysis callers.
+    /// Proc index of `(module, subprogram)`, if defined — zero-allocation
+    /// `&str` lookup.
     pub fn proc_index(&self, module: &str, name: &str) -> Option<u32> {
-        self.proc_slot(module, name)
+        self.tables.procs_by_module.get(module)?.get(name).copied()
     }
 
     /// Proc index a host `Executor::call(name, ..)` entry resolves to
     /// (first-candidate rule), if any.
     pub fn entry_proc_index(&self, name: &str) -> Option<u32> {
-        self.entry_procs.get(name).copied()
+        self.tables.entry_procs.get(name).copied()
     }
 }
 
@@ -767,9 +735,9 @@ impl std::fmt::Debug for Program {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Program")
             .field("procs", &self.procs.len())
-            .field("globals", &self.globals.len())
-            .field("modules", &self.module_names.len())
-            .field("outputs", &self.output_names.len())
+            .field("globals", &self.tables.globals.len())
+            .field("modules", &self.tables.module_names.len())
+            .field("outputs", &self.tables.output_names.len())
             .finish()
     }
 }

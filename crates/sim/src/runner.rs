@@ -179,7 +179,7 @@ pub type VariantBase<'a> = (&'a ModelSource, &'a [Arc<SourceFile>], Option<&'a P
 /// list, module `use`s, types, declarations and interfaces, subprogram
 /// signatures and declarations, the `outfld` name set) equals the base's,
 /// every proc whose subprogram is unchanged is the base's `Arc`, tree IR
-/// and bytecode alike, the program-wide tables are the base's, and only
+/// and bytecode in one, the program-wide tables are the base's, and only
 /// the changed procs are lowered — one proc for a one-line mutant.
 /// Otherwise every proc is lowered. The program is the one
 /// [`compile_model`] builds, bit for bit, and a parse failure is the same

@@ -19,13 +19,14 @@
 //! semantics) and drop the rest. Keep decisions read each statement's
 //! effects from the IR effect walker ([`crate::effects`]) and judge a
 //! call by its callee's summary ([`Program::effects`], built once per
-//! program and shared by every query). Every proc the slice keeps whole
-//! is the parent's `Arc` (tree IR and bytecode alike), and every proc it
-//! keeps none of runs the proc's emptied copy, built once and cached on
-//! the proc, so all slices of all programs holding it share one; only the
-//! pruned procs are re-lowered, through the standard bytecode pipeline,
-//! so the specialized program runs on the unmodified [`crate::Executor`]
-//! VM tier with all of its kernels and pooling.
+//! program and shared by every query). A slice is a list of procs over
+//! the parent's tables: every proc it keeps whole is the parent's
+//! `Arc<CProc>`, code included, and every proc it keeps none of runs the
+//! proc's emptied copy, built once and cached on the proc, so all slices
+//! of all programs holding it share one; only the pruned procs are
+//! re-lowered, through the standard bytecode pipeline, so the specialized
+//! program runs on the unmodified [`crate::Executor`] VM tier with all of
+//! its kernels and pooling.
 //!
 //! # Output masks
 //!
@@ -45,7 +46,7 @@
 //! # Cones
 //!
 //! A delta variant ([`crate::compile_variant`]) shares its base program's
-//! tables and every unchanged proc's `Arc`. When each changed proc reads
+//! tables `Arc` and every unchanged proc's `Arc`. When each changed proc reads
 //! the same to the rules as the base proc it replaces — the same frame
 //! shape, statement shape and effects in order, as a changed constant,
 //! operator or comparison does — the base's masks describe the variant.
@@ -130,7 +131,7 @@
 //! points, a fixpoint that fails to settle) returns `None`; callers then
 //! use the full program.
 
-use crate::bytecode::{self, Bytecode};
+use crate::bytecode;
 use crate::effects::{walk_expr, walk_stmt, walk_template, BitSet, Effect, Effects, Flow};
 use crate::interp::SampleSpec;
 use crate::program::{CProc, CStmt, EId, Program, VarBind};
@@ -495,38 +496,28 @@ fn materialize(program: &Program, masks: &Masks, select: &[Mask]) -> Pruned {
     let cold: Vec<usize> = (0..plans.len())
         .filter(|&i| matches!(plans[i], Plan::Empty) && program.procs[i].empty.get().is_none())
         .collect();
-    let empties: Vec<CProc> = cold
-        .iter()
-        .map(|&i| program.procs[i].with_body(Box::from([]), Box::from([])))
-        .collect();
-    let mut lowered = bytecode::lower_procs(pruned.iter().chain(&empties)).into_iter();
-    let fresh: Vec<_> = pruned
-        .into_iter()
-        .map(Arc::new)
-        .zip(lowered.by_ref())
-        .collect();
-    for ((&i, proc), bc) in cold.iter().zip(empties).zip(lowered) {
+    let n_pruned = pruned.len();
+    pruned.extend(
+        cold.iter()
+            .map(|&i| program.procs[i].with_body(Box::from([]), Box::from([]))),
+    );
+    let mut fresh = bytecode::lower_procs(pruned);
+    for (&i, proc) in cold.iter().zip(fresh.split_off(n_pruned)) {
         // A concurrent slice may have cached one first; either is exact.
-        let _ = program.procs[i].empty.set((Arc::new(proc), bc));
+        let _ = program.procs[i].empty.set(proc);
     }
     let mut fresh = fresh.into_iter();
-    let (procs, bc) = plans
+    let procs = plans
         .iter()
         .enumerate()
         .map(|(i, plan)| match plan {
-            Plan::Whole => (
-                Arc::clone(&program.procs[i]),
-                Arc::clone(&program.bytecode().procs[i]),
-            ),
-            Plan::Empty => {
-                let (proc, bc) = program.procs[i].empty.get().expect("emptied above");
-                (Arc::clone(proc), Arc::clone(bc))
-            }
+            Plan::Whole => Arc::clone(&program.procs[i]),
+            Plan::Empty => Arc::clone(program.procs[i].empty.get().expect("emptied above")),
             Plan::Pruned => fresh.next().expect("one lowered proc per pruned proc"),
         })
-        .unzip();
+        .collect();
     Pruned {
-        program: Some(program.with_procs(procs, Bytecode { procs: bc })),
+        program: Some(program.with_procs(procs)),
         stmts_total: total,
         stmts_kept: kept,
     }
@@ -566,7 +557,7 @@ fn seed(
                 if let Some(g) = p.global_slot(&spec.module, &spec.name) {
                     rel.add_global(g, 1);
                 }
-                for (slot, val) in p.globals.iter().enumerate() {
+                for (slot, val) in p.tables.globals.iter().enumerate() {
                     if let Value::Derived(fields) = val {
                         if fields.contains_key(&*spec.name) {
                             rel.add_global(slot as u32, 1);
@@ -578,7 +569,7 @@ fn seed(
                 }
             }
             Some(sub) => {
-                let Some(q) = p.proc_slot(&spec.module, sub) else {
+                let Some(q) = p.proc_index(&spec.module, sub) else {
                     continue;
                 };
                 let proc = &p.procs[q as usize];
@@ -813,8 +804,8 @@ impl<'f> Rel<'f> {
             n += pr.n_locals;
         }
         Rel {
-            globals: vec![0; p.globals.len()],
-            any_global: BitSet::new(p.globals.len()),
+            globals: vec![0; p.global_count()],
+            any_global: BitSet::new(p.global_count()),
             local_first,
             locals: vec![0; n],
             pbuf: 0,
@@ -1289,8 +1280,8 @@ mod tests {
         let specs = [spec("cloud_diagnostics", "cld")];
         let history = specialize_for_history(&full).expect("separable");
         let oracle = specialize_for_samples(&full, &specs).expect("separable");
-        // A proc neither slice keeps anything of is one `Arc` in both,
-        // tree IR and bytecode alike.
+        // A proc neither slice keeps anything of is one `Arc` in both, so
+        // one copy of its code.
         let emptied = |p: &Program, i: usize| p.procs[i].body.is_empty();
         let dead: Vec<usize> = (0..full.procs.len())
             .filter(|&i| !full.procs[i].body.is_empty())
@@ -1302,15 +1293,33 @@ mod tests {
                 &history.program.procs[i],
                 &oracle.program.procs[i]
             ));
-            assert!(Arc::ptr_eq(
-                &history.program.bc.procs[i],
-                &oracle.program.bc.procs[i]
-            ));
         }
         // The cached copies emit what copies built afresh emit: the oracle
         // slice of a newly compiled program builds every emptied proc.
         let fresh = specialize_for_samples(&program(), &specs).expect("separable");
         assert_eq!(fresh.program.disassemble(), oracle.program.disassemble());
+    }
+
+    #[test]
+    fn derived_programs_share_their_base_tables() {
+        let model = generate(&ModelConfig::test());
+        let files = crate::parse_model(&model, None).expect("parse");
+        let base = crate::compile_sources(&files).expect("compile");
+        let mutant = model.apply(rca_model::Experiment::WsubBug);
+        let variant = crate::compile_variant(&mutant, Some((&model, &files, Some(&base))))
+            .expect("delta compile");
+        let history = variant.history_program().expect("separable");
+        let cone = cone(&variant, &base).expect("the base's masks describe it");
+        assert!(!cone.outputs().is_empty(), "the mutant writes wsub");
+        let cone_slice = cone.slice(&variant);
+        for derived in [&*variant, &**history, &*cone_slice] {
+            assert!(base.shares_tables(derived));
+            assert!(Arc::ptr_eq(&base.tables, &derived.tables));
+        }
+        // The same source compiled afresh builds tables of its own.
+        let fresh = compile_model(&mutant).expect("compile");
+        assert!(!base.shares_tables(&fresh));
+        assert!(!variant.shares_tables(&fresh));
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! generated test-scale model, so it survives model-generator drift.
 
 use rca_fortran::parse_source;
-use rca_model::{generate, ModelConfig};
+use rca_model::{generate, Experiment, Fnv, ModelConfig};
 use rca_sim::{compile_model, compile_sources, Program};
 
 const MINI: &str = r#"
@@ -125,4 +125,32 @@ fn generated_model_disassembly_is_stable_and_well_formed() {
     // identically (interning order, register allocation).
     assert_eq!(a, b, "disassembly is not deterministic");
     assert!(!a.is_empty());
+}
+
+/// FNV-1a of a program's whole disassembly.
+fn digest(program: &Program) -> String {
+    let mut h = Fnv::default();
+    h.write(program.disassemble().as_bytes());
+    format!("{:016x}", h.finish())
+}
+
+/// Pins the emission of the whole test-scale model, its history slice and
+/// four paper experiments by digest: a change that moves one instruction
+/// anywhere in them moves a digest.
+#[test]
+fn generated_model_disassembly_digests_are_pinned() {
+    let model = generate(&ModelConfig::test());
+    let program = compile_model(&model).expect("compile");
+    let history = program.history_program().expect("separable");
+    assert_eq!(digest(&program), "85a1c9a3afc687bc", "pristine model");
+    assert_eq!(digest(history), "b35f070515da0828", "history slice");
+    for (experiment, want) in [
+        (Experiment::WsubBug, "1536b934de10afaa"),
+        (Experiment::GoffGratch, "ae2759d494c3c7bf"),
+        (Experiment::RandomBug, "b387f31083785d43"),
+        (Experiment::Dyn3Bug, "67cc61e3717fee89"),
+    ] {
+        let variant = compile_model(&model.apply(experiment)).expect("compile");
+        assert_eq!(digest(&variant), want, "{experiment:?}");
+    }
 }

@@ -218,24 +218,26 @@
 //! is the same error; `crates/campaign/tests/shared_parse.rs` fences
 //! that over the seeded campaign plan.
 //!
-//! The program cache shares **per-proc IR** too. Each lowered proc is
-//! self-contained (its expression and call-site pools, its bytecode's
-//! constant and name pools), and every other index it holds — proc
-//! index, global slot, `OutputId`, module id — is fixed by the program's
-//! interface: the module list, module `use`s, types, declarations and
-//! interfaces, subprogram signatures and declarations, and the sorted
-//! `outfld` name set. A variant is lowered against the session's base
-//! program: when its interface equals the base's, every proc whose
-//! subprogram is unchanged is the base's `Arc` (IR and bytecode), the
-//! global arena, lookup maps, symbol and output tables are the base's,
-//! and only the changed procs are lowered — one of 1,536 for a one-line
-//! paper-scale mutant, which then retains kilobytes instead of a whole
-//! program. Any interface difference, or a changed proc whose frame
-//! layout moves, lowers every proc; the result is the same program
-//! either way, which the same fence checks (disassembly, output, symbol
-//! and global tables, and `Arc::ptr_eq` for every proc not lowered).
-//! History slices and runtime-oracle programs share every proc they keep
-//! whole in the same way.
+//! The program cache shares **per-proc IR** too. A program is one list
+//! of self-contained procs over one `Arc` of program-wide tables. Each
+//! proc carries its expression and call-site pools and its bytecode,
+//! with the bytecode's constant and name pools, and every other index
+//! it holds — proc index, global slot, `OutputId`, module id — is fixed
+//! by the program's interface: the module list, module `use`s, types,
+//! declarations and interfaces, subprogram signatures and declarations,
+//! and the sorted `outfld` name set. A variant is lowered against the
+//! session's base program: when its interface equals the base's, every
+//! proc whose subprogram is unchanged is the base's `Arc` (IR and
+//! bytecode in one), the tables (global arena, lookup maps, symbol and
+//! output tables) are the base's `Arc`, and only the changed procs are
+//! lowered — one of 1,536 for a one-line paper-scale mutant, which then
+//! retains kilobytes instead of a whole program. Any interface
+//! difference, or a changed proc whose frame layout moves, lowers every
+//! proc; the result is the same program either way, which the same
+//! fence checks (disassembly, output, symbol and global tables, and
+//! `Arc::ptr_eq` for every proc not lowered). History slices and
+//! runtime-oracle programs share every proc they keep whole in the same
+//! way.
 //!
 //! ## The columnar run store
 //!

@@ -144,5 +144,5 @@ fn coverage_reduction_reported() {
     assert!(p.filter_stats.subprograms_after > 0);
     assert!(session.metagraph().node_count() > 0);
     // Paper's preprocessing bookkeeping is available for reporting.
-    assert!(p.coverage.subprogram_count() >= p.filter_stats.subprograms_after);
+    assert!(p.coverage.len() >= p.filter_stats.subprograms_after);
 }
